@@ -49,7 +49,7 @@ from .homalg import (
     support_of_cohomology,
 )
 from .modules import FiniteModule, cyclic_module, direct_sum, free_module, zero_module
-from .poset import Embedding, SpectralPoset, localization_poset, maximal_points
+from .poset import SpectralPoset, localization_poset, maximal_points
 from .rings import (
     FiniteRing,
     Ideal,

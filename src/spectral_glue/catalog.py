@@ -8,7 +8,7 @@ Everything is deterministic: corpora come back in a fixed order.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from . import homalg, modules as mod, rings as rng
 from .homalg import BoundedComplex
@@ -115,7 +115,7 @@ def all_set_families(poset: SpectralPoset) -> list[dict]:
     maxima = sorted(maximal_points(poset))
     locals_ = []
     for m in maxima:
-        sub, _ = localization_poset(poset, m)
+        sub = localization_poset(poset, m)
         locals_.append(all_thomason_sets(sub))
     return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
 
@@ -126,7 +126,7 @@ def all_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[dict
     maxima = sorted(maximal_points(poset))
     locals_ = []
     for m in maxima:
-        sub, _ = localization_poset(poset, m)
+        sub = localization_poset(poset, m)
         locals_.append(all_filtrations(sub, lo, hi))
     return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
 

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from . import catalog, gluing, homalg, integers as zz, rings as rng, sweeps
+from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, SpectralGlueError
-from .poset import SpectralPoset, load_poset, maximal_points
+from .poset import SpectralPoset, load_poset, localization_poset, maximal_points
 from .thomason import (
     filtration_from_json,
     filtration_to_json,
-    make_filtration,
     set_from_json,
     set_to_json,
 )
@@ -78,10 +76,8 @@ def _family(args):
         poset = load_poset(ref)
     default = data.get("default")
     exceptions = {}
-    from .poset import localization_poset
-
     for m, filt in data.get("exceptions", {}).items():
-        sub, _ = localization_poset(poset, m)
+        sub = localization_poset(poset, m)
         exceptions[m] = filtration_from_json(sub, filt)
     if default is not None:
         default_filt = filtration_from_json(poset, default)
@@ -156,7 +152,7 @@ def cmd_glue(args) -> int:
     family = _family(args)
     try:
         if isinstance(family, zz.ZLocalFamily):
-            payload = zz.z_filtration_to_json(zz.glue_z_filtrations(family))
+            payload = filtration_to_json(zz.glue_z_filtrations(family))
         else:
             payload = filtration_to_json(gluing.glue_filtrations(family))
     except IncompatibleFamilyError as exc:
@@ -377,7 +373,7 @@ def cmd_fuzz(args) -> int:
     reports = sweeps.run_all(
         max_poset=args.max_poset, max_ring=args.max_ring, window=window, jobs=args.jobs
     )
-    payload = {"seed": args.seed, "reports": [r.to_json() for r in reports]}
+    payload = {"reports": [r.to_json() for r in reports]}
     ok = all(r.ok for r in reports)
     lines = [
         f"{r.name}: {'ok' if r.ok else 'FAIL'} ({r.checked} instances)" for r in reports
@@ -435,13 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-poset", type=int, default=5)
     p.add_argument("--max-ring", type=int, default=24)
     p.add_argument("--window", type=int, nargs=2, default=(-1, 1))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker threads (default: SPECTRAL_GLUE_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(handler=cmd_fuzz)
     return parser
 
@@ -449,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and args.command == "fuzz":
-        args.jobs = sweeps.default_jobs()
     try:
         return args.handler(args)
     except (SpectralGlueError, OSError, KeyError) as exc:

@@ -42,7 +42,7 @@ class LocalFamily:
                 f"maximal points {sorted(maxima)}"
             )
         for m, filt in self.filtrations.items():
-            sub, _ = localization_poset(self.global_poset, m)
+            sub = localization_poset(self.global_poset, m)
             if filt.poset != sub:
                 raise InvalidInputError(f"filtration at {m!r} lives on the wrong poset")
         object.__setattr__(self, "filtrations", dict(self.filtrations))

@@ -418,10 +418,6 @@ def localize_complex(complex_: BoundedComplex, label: PrimeId) -> BoundedComplex
     return BoundedComplex(local, terms, diffs)
 
 
-def colocalize_complex(complex_: BoundedComplex, label: PrimeId) -> BoundedComplex:
-    return localize_complex(complex_, label)
-
-
 # -- JSON --------------------------------------------------------------------
 
 

@@ -15,7 +15,13 @@ from typing import Mapping
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError
 from .poset import SpectralPoset
-from .thomason import ThomasonFiltration, ThomasonSet, filtration_from_json, make_filtration
+from .thomason import (
+    ThomasonFiltration,
+    ThomasonSet,
+    filtration_from_json,
+    filtration_to_json,
+    make_filtration,
+)
 
 GENERIC = "(0)"
 CLOSED_POINT = "(m)"  # placeholder label for "the maximal ideal" in default patterns
@@ -45,10 +51,14 @@ def template_poset() -> SpectralPoset:
 
 @dataclass(frozen=True)
 class ZThomason:
-    """A Thomason subset of Spec(Z): full, or a finite set of maximal primes."""
+    """A Thomason subset of Spec(Z): full, or a finite set of maximal primes.
+
+    A level of a :class:`ThomasonFiltration` whose ``poset`` is None.
+    """
 
     full: bool
     primes: frozenset[int] = frozenset()
+    poset = None
 
     def __post_init__(self):
         if self.full and self.primes:
@@ -57,17 +67,24 @@ class ZThomason:
             if not is_prime_int(p):
                 raise InvalidInputError(f"{p} is not a prime number")
 
-    def contains_generic(self) -> bool:
-        return self.full
-
     def restrict(self, p: int) -> ThomasonSet:
         poset = chain_poset(p)
         if self.full:
             return ThomasonSet.full(poset)
         return ThomasonSet.from_members(poset, {f"({p})"} if p in self.primes else set())
 
-    def to_json(self):
-        return "full" if self.full else sorted(self.primes)
+    def __le__(self, other: "ZThomason") -> bool:
+        if other.full:
+            return True
+        if self.full:
+            return False
+        return self.primes <= other.primes
+
+    def is_full(self) -> bool:
+        return self.full
+
+    def sorted_members(self) -> list[int]:
+        return sorted(self.primes)
 
     def __repr__(self):
         return "ZThomason(full)" if self.full else f"ZThomason({sorted(self.primes)})"
@@ -85,66 +102,6 @@ def z_v_of_ideal(generators) -> ZThomason:
     if g == 1:
         return ZThomason(full=False)
     return ZThomason(full=False, primes=frozenset(p for p in primes_upto(g) if g % p == 0))
-
-
-@dataclass(frozen=True)
-class ZFiltration:
-    """Decreasing Z-indexed sequence of ZThomason sets, finitely represented."""
-
-    low_tail: ZThomason
-    lo: int
-    values: tuple[ZThomason, ...]
-    high_tail: ZThomason
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    def at(self, n: int) -> ZThomason:
-        if n < self.lo:
-            return self.low_tail
-        if n > self.hi:
-            return self.high_tail
-        return self.values[n - self.lo]
-
-    def window(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
-
-def _z_leq(a: ZThomason, b: ZThomason) -> bool:
-    if b.full:
-        return True
-    if a.full:
-        return False
-    return a.primes <= b.primes
-
-
-def make_z_filtration(low_tail, breakpoints, high_tail) -> ZFiltration:
-    ns = [n for n, _ in breakpoints]
-    if ns != sorted(set(ns)):
-        raise InvalidInputError("breakpoint indices must be strictly increasing")
-    if not ns and low_tail != high_tail:
-        raise InvalidInputError("tails differ but no breakpoint locates the step")
-    values = []
-    lo = ns[0] if ns else 0
-    prev = low_tail
-    idx = dict(breakpoints)
-    for n in range(lo, (ns[-1] + 1) if ns else lo):
-        cur = idx.get(n, prev)
-        if not _z_leq(cur, prev):
-            raise InvalidInputError(f"filtration not decreasing at degree {n}")
-        values.append(cur)
-        prev = cur
-    if not _z_leq(high_tail, prev):
-        raise InvalidInputError("filtration not decreasing into the high tail")
-    while values and values[0] == low_tail:
-        values.pop(0)
-        lo += 1
-    while values and values[-1] == high_tail:
-        values.pop()
-    if not values and low_tail == high_tail:
-        lo = 0
-    return ZFiltration(low_tail, lo, tuple(values), high_tail)
 
 
 @dataclass(frozen=True)
@@ -217,13 +174,13 @@ def glue_z_sets(family: ZLocalFamily, n: int) -> ZThomason:
     return ZThomason(full=False, primes=frozenset(primes))
 
 
-def glue_z_filtrations(family: ZLocalFamily) -> ZFiltration:
+def glue_z_filtrations(family: ZLocalFamily) -> ThomasonFiltration:
     lo, hi = family.window()
     low = glue_z_sets_tail(family, low=True)
     high = glue_z_sets_tail(family, low=False)
     # lo - 1 is included so pure-step families keep their step position
-    return make_z_filtration(
-        low, [(n, glue_z_sets(family, n)) for n in range(lo - 1, hi + 1)], high
+    return make_filtration(
+        None, low, [(n, glue_z_sets(family, n)) for n in range(lo - 1, hi + 1)], high
     )
 
 
@@ -233,7 +190,7 @@ def glue_z_sets_tail(family: ZLocalFamily, low: bool) -> ZThomason:
     return glue_z_sets(family, n)
 
 
-def localize_z_filtration(filtration: ZFiltration, bound: int = 0) -> ZLocalFamily:
+def localize_z_filtration(filtration: ThomasonFiltration) -> ZLocalFamily:
     """Restrict a global Z filtration to every localization.
 
     The restriction at almost every prime is the same pattern (full where the
@@ -269,35 +226,18 @@ def localize_z_filtration(filtration: ZFiltration, bound: int = 0) -> ZLocalFami
     return ZLocalFamily(default, exceptions)
 
 
-def z_filtration_from_json(data: Mapping) -> ZFiltration:
-    def parse_set(v):
-        if v == "full":
-            return ZThomason(full=True)
-        return ZThomason(full=False, primes=frozenset(int(p) for p in v))
-
-    try:
-        return make_z_filtration(
-            parse_set(data["low_tail"]),
-            [(bp["n"], parse_set(bp["set"])) for bp in data.get("breakpoints", [])],
-            parse_set(data["high_tail"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed Z filtration JSON: {exc}") from exc
+def _z_set_from_json(_poset, data) -> ZThomason:
+    if data == "full":
+        return ZThomason(full=True)
+    return ZThomason(full=False, primes=frozenset(int(p) for p in data))
 
 
-def z_filtration_to_json(filtration: ZFiltration) -> dict:
-    breakpoints = [
-        {"n": filtration.lo + k, "set": v.to_json()}
-        for k, v in enumerate(filtration.values)
-    ]
-    if not breakpoints and filtration.low_tail != filtration.high_tail:
-        # pure step: a synthetic breakpoint pins the step position
-        breakpoints = [{"n": filtration.lo - 1, "set": filtration.low_tail.to_json()}]
-    return {
-        "low_tail": filtration.low_tail.to_json(),
-        "breakpoints": breakpoints,
-        "high_tail": filtration.high_tail.to_json(),
-    }
+def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:
+    return filtration_from_json(None, data, _z_set_from_json)
+
+
+def z_filtration_to_json(filtration: ThomasonFiltration) -> dict:
+    return filtration_to_json(filtration)
 
 
 def z_family_from_json(data: Mapping) -> ZLocalFamily:

@@ -142,11 +142,8 @@ class FiniteModule:
             if m == self.zero:
                 relations.append(coeffs)
         # reduce the relation set to a small generating family (greedy)
-        ring = self.ring
-        key = lambda v: tuple(ring.element_index[c] for c in v)
-        vadd = lambda u, v: tuple(ring.add(a, b) for a, b in zip(u, v))
-        vsmul = lambda r, u: tuple(ring.mul(r, a) for a in u)
-        relmod = FiniteModule(ring, relations, vadd, vsmul, tuple([ring.zero] * k), key)
+        key, vadd, vsmul, zero = _vector_ops(self.ring, k)
+        relmod = FiniteModule(self.ring, relations, vadd, vsmul, zero, key)
         return expr, relmod.generators
 
     def express(self, x) -> tuple:
@@ -237,12 +234,6 @@ def free_module(ring, rank: int) -> FiniteModule:
 
 def zero_module(ring) -> FiniteModule:
     return free_module(ring, 0)
-
-
-def vector_submodule(ring, rank: int, vectors) -> FiniteModule:
-    """Module structure on a set of rank-length vectors closed under the ops."""
-    key, add, smul, zero = _vector_ops(ring, rank)
-    return FiniteModule(ring, vectors, add, smul, zero, key)
 
 
 def cokernel(ring, relations) -> FiniteModule:

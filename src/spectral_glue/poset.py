@@ -9,7 +9,6 @@ O(1) set lookups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -115,35 +114,6 @@ class SpectralPoset:
             raise InvalidInputError(f"malformed poset JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Embedding:
-    """Order-preserving, order-reflecting injection between posets."""
-
-    source: SpectralPoset
-    target: SpectralPoset
-    mapping: Mapping[PrimeId, PrimeId] = field(hash=False)
-
-    def __post_init__(self):
-        mapping = dict(self.mapping)
-        if set(mapping) != set(self.source.elements):
-            raise InvalidInputError("embedding must be defined on every source element")
-        if len(set(mapping.values())) != len(mapping):
-            raise InvalidInputError("embedding must be injective")
-        for a in self.source.elements:
-            for b in self.source.elements:
-                if self.source.leq(a, b) != self.target.leq(mapping[a], mapping[b]):
-                    raise InvalidInputError(
-                        f"embedding does not preserve/reflect order at ({a!r}, {b!r})"
-                    )
-        object.__setattr__(self, "mapping", mapping)
-
-    def __call__(self, p: PrimeId) -> PrimeId:
-        try:
-            return self.mapping[p]
-        except KeyError:
-            raise InvalidInputError(f"prime {p!r} not in embedding source") from None
-
-
 def specialization_closure(members: Iterable[PrimeId], poset: SpectralPoset) -> frozenset[PrimeId]:
     """Smallest up-set containing ``members``: {q | exists p in members, p <= q}."""
     members = poset.check_subset(members)
@@ -164,19 +134,11 @@ def maximal_points(poset: SpectralPoset) -> frozenset[PrimeId]:
     return frozenset(p for p in poset.elements if poset.up_set(p) == frozenset({p}))
 
 
-def localization_poset(poset: SpectralPoset, p: PrimeId) -> tuple[SpectralPoset, Embedding]:
-    """Induced poset on the down-set of ``p``, with its inclusion into ``poset``."""
+def localization_poset(poset: SpectralPoset, p: PrimeId) -> SpectralPoset:
+    """Induced poset on the down-set of ``p``: Spec(R_p) inside Spec(R)."""
     down = poset.down_set(p)
     pairs = [(a, b) for a in down for b in down if a != b and poset.leq(a, b)]
-    sub = SpectralPoset(down, pairs)
-    emb = Embedding(sub, poset, {e: e for e in down})
-    return sub, emb
-
-
-def star_image(members: Iterable[PrimeId], emb: Embedding) -> frozenset[PrimeId]:
-    """Image of a subset of the source under the natural inclusion."""
-    members = emb.source.check_subset(members)
-    return frozenset(emb(p) for p in members)
+    return SpectralPoset(down, pairs)
 
 
 def all_up_sets(poset: SpectralPoset) -> list[frozenset[PrimeId]]:

@@ -9,13 +9,11 @@ a thread pool.
 from __future__ import annotations
 
 import itertools
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import catalog, gluing, homalg, rings as rng, torsion_cosilting as tc, tstructures as ts
-from .errors import IncompatibleFamilyError
-from .poset import SpectralPoset, localization_poset, maximal_points
+from .poset import SpectralPoset, localization_poset
 from .rings import FiniteRing
 from .thomason import (
     ThomasonFiltration,
@@ -47,14 +45,6 @@ class SweepReport:
             "failures": self.failures,
             "details": self.details,
         }
-
-
-def default_jobs() -> int:
-    value = os.environ.get("SPECTRAL_GLUE_JOBS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _map(fn, items, jobs):
@@ -253,7 +243,7 @@ def sweep_koszul_support(
     return report
 
 
-# -- shared membership tables for 5 and 6 ------------------------------------
+# -- shared aisle test for 5 -------------------------------------------------
 
 
 def _aisle_supports(complex_) -> dict[int, frozenset]:
@@ -267,48 +257,22 @@ def _aisle_ok(supports, filt: ThomasonFiltration) -> bool:
     return all(supp <= filt.at(n).members for n, supp in supports.items())
 
 
-def _coaisle_table(ring, ideals, koszuls, complex_):
-    """(ideal index, n) -> derived_hom(K(I), Y, n) vanishes."""
-    max_len = max(k.max_degree - k.min_degree for k in koszuls)
-    lo = complex_.min_degree
-    hi = complex_.max_degree + max_len
-    table = {}
-    for idx, kos in enumerate(koszuls):
-        for n in range(lo, hi + 1):
-            table[(idx, n)] = homalg.derived_hom(kos, complex_, n).is_zero_module()
-    return table, (lo, hi)
-
-
-def _coaisle_ok(ideal_supports, table, span, filt: ThomasonFiltration) -> bool:
-    lo, hi = span
-    for (idx, n), vanishes in table.items():
-        if vanishes:
-            continue
-        if ideal_supports[idx] <= filt.at(n).members:
-            return False
-    return True
-
-
 # -- 5: orthogonality of the classified t-structures -------------------------
 
 
 def _orthogonality_for_ring(ring: FiniteRing, window) -> SweepReport:
     report = SweepReport("orthogonality")
     ideals = rng.all_ideals(ring)
-    koszuls = [homalg.koszul_of_ideal(ring, ideal) for ideal in ideals]
-    ideal_supports = [rng.v_of_ideal(ring, ideal).members for ideal in ideals]
     xs = catalog.koszul_complexes(ring, shifts=(0, 1))
     xs = xs[: len(ideals) * 2 + 10]  # all singles plus a few direct sums
     ys = catalog.stalk_complexes(ring, degrees=(0, 1))
     x_supports = [_aisle_supports(x) for x in xs]
-    y_tables = [_coaisle_table(ring, ideals, koszuls, y) for y in ys]
+    y_obstructions = [ts.coaisle_obstructions(y) for y in ys]
     orthogonal = {}
     filts = catalog.spec_filtrations(ring, *window)
     for filt in filts:
         aisle = [i for i, supp in enumerate(x_supports) if _aisle_ok(supp, filt)]
-        coaisle = [
-            j for j, (table, span) in enumerate(y_tables) if _coaisle_ok(ideal_supports, table, span, filt)
-        ]
+        coaisle = [j for j, obs in enumerate(y_obstructions) if ts.coaisle_admits(obs, filt)]
         for i in aisle:
             for j in coaisle:
                 report.checked += 1
@@ -344,15 +308,13 @@ def sweep_orthogonality(
 
 def _local_global_for_ring(ring: FiniteRing, window) -> SweepReport:
     report = SweepReport("local_global")
-    ideals = rng.all_ideals(ring)
-    koszuls = [homalg.koszul_of_ideal(ring, ideal) for ideal in ideals]
-    ideal_supports = [rng.v_of_ideal(ring, ideal).members for ideal in ideals]
     ys = catalog.stalk_complexes(ring, degrees=(0, 1))
-    y_tables = [_coaisle_table(ring, ideals, koszuls, y) for y in ys]
+    y_obstructions = [ts.coaisle_obstructions(y) for y in ys]
     labels = sorted(lf.label for lf in ring.local_factors())
-    local_parts = {m: [homalg.localize_complex(y, m) for y in ys] for m in labels}
+    local_obstructions = {
+        m: [ts.coaisle_obstructions(homalg.localize_complex(y, m)) for y in ys] for m in labels
+    }
     filts = catalog.spec_filtrations(ring, *window)
-    poset, _ = rng.spec(ring)
     for filt in filts:
         t = ts.TStructureDescriptor(ring, filt)
         local_ts = {m: ts.localize_tstructure(t, m) for m in labels}
@@ -365,10 +327,10 @@ def _local_global_for_ring(ring: FiniteRing, window) -> SweepReport:
             )
         for j, y in enumerate(ys):
             report.checked += 1
-            table, span = y_tables[j]
-            global_verdict = _coaisle_ok(ideal_supports, table, span, filt)
+            global_verdict = ts.coaisle_admits(y_obstructions[j], filt)
             local_verdict = all(
-                ts.coaisle_membership(local_parts[m][j], local_ts[m]) for m in labels
+                ts.coaisle_admits(local_obstructions[m][j], local_ts[m].filtration)
+                for m in labels
             )
             if global_verdict != local_verdict:
                 report.failures.append(
@@ -452,7 +414,7 @@ def _cosilting_fixture_report(cosilting) -> SweepReport:
     family = {}
     for m, comp in components.items():
         local_set = tc.cosilting_thomason_of_module(comp)
-        sub, _ = localization_poset(poset, m)
+        sub = localization_poset(poset, m)
         members = {m} if local_set.members else set()
         family[m] = ThomasonSet.from_members(sub, members)
     verdict = gluing.check_dagger_sets(poset, family)

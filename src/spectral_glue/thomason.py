@@ -4,18 +4,23 @@ A filtration is stored by its finite breakpoint window [lo, hi] plus the two
 tail values (the value for all n < lo, resp. n > hi).  Construction always
 normalizes, so two filtrations with equal pointwise values compare and
 serialize identically.
+
+Filtrations are generic over the set type: a level is a :class:`ThomasonSet`
+of a finite spectral poset, or a Thomason subset of Spec(Z)
+(:class:`spectral_glue.integers.ZThomason`, whose ``poset`` is None).  A set
+type provides ``poset``, ``==``, ``<=`` (inclusion), ``is_full()`` and
+``sorted_members()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FiltrationOrderError, InvalidInputError
 from .poset import (
     PrimeId,
     SpectralPoset,
-    is_thomason,
     localization_poset,
     maximal_points,
     specialization_closure,
@@ -86,11 +91,11 @@ class ThomasonFiltration:
 
     ``values[k]`` is X_n for n = lo + k; X_n = low_tail for n < lo and
     X_n = high_tail for n > hi.  Empty ``values`` with distinct tails encodes a
-    pure step: low_tail through lo - 1, high_tail from lo on.  Use
-    :func:`make_filtration` to build one.
+    pure step: low_tail through lo - 1, high_tail from lo on.  ``poset`` is
+    None over Spec(Z).  Use :func:`make_filtration` to build one.
     """
 
-    poset: SpectralPoset
+    poset: Optional[SpectralPoset]
     low_tail: ThomasonSet
     lo: int
     values: tuple[ThomasonSet, ...]
@@ -120,7 +125,7 @@ class ThomasonFiltration:
 
 
 def make_filtration(
-    poset: SpectralPoset,
+    poset: Optional[SpectralPoset],
     low_tail: ThomasonSet,
     breakpoints: Sequence[tuple[int, ThomasonSet]],
     high_tail: ThomasonSet,
@@ -140,7 +145,7 @@ def make_filtration(
     ns = [n for n, _ in breakpoints]
     if ns != sorted(set(ns)):
         raise InvalidInputError("breakpoint indices must be strictly increasing")
-    if not ns and low_tail.members != high_tail.members:
+    if not ns and low_tail != high_tail:
         raise FiltrationOrderError(
             "tails differ but no breakpoint locates the step; give at least one breakpoint"
         )
@@ -151,36 +156,32 @@ def make_filtration(
     idx = dict(breakpoints)
     for n in range(lo, (ns[-1] + 1) if ns else lo):
         cur = idx.get(n, prev)
-        if not cur.members <= prev.members:
+        if not cur <= prev:
             raise FiltrationOrderError(
                 f"filtration not decreasing at degree {n}: "
                 f"{cur.sorted_members()} is not contained in {prev.sorted_members()}"
             )
         values.append(cur)
         prev = cur
-    if not high_tail.members <= prev.members:
+    if not high_tail <= prev:
         raise FiltrationOrderError(
             f"filtration not decreasing into the high tail: "
             f"{high_tail.sorted_members()} is not contained in {prev.sorted_members()}"
         )
     # canonical trim: drop leading values equal to the low tail and trailing
     # values equal to the high tail
-    while values and values[0].members == low_tail.members:
+    while values and values[0] == low_tail:
         values.pop(0)
         lo += 1
-    while values and values[-1].members == high_tail.members:
+    while values and values[-1] == high_tail:
         values.pop()
-    if not values and low_tail.members == high_tail.members:
+    if not values and low_tail == high_tail:
         lo = 0
     return ThomasonFiltration(poset, low_tail, lo, tuple(values), high_tail)
 
 
 def constant_filtration(poset: SpectralPoset, value: ThomasonSet) -> ThomasonFiltration:
     return make_filtration(poset, value, [], value)
-
-
-def filtration_at(filtration: ThomasonFiltration, n: int) -> ThomasonSet:
-    return filtration.at(n)
 
 
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
@@ -195,7 +196,7 @@ def is_constant(filtration: ThomasonFiltration) -> bool:
 
 def restrict_set(s: ThomasonSet, m: PrimeId) -> ThomasonSet:
     """X |-> X intersected with the down-set of m, on Spec(R_m)."""
-    sub, _ = localization_poset(s.poset, m)
+    sub = localization_poset(s.poset, m)
     return ThomasonSet.from_members(sub, s.members & set(sub.elements))
 
 
@@ -204,7 +205,7 @@ def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonF
     poset = filtration.poset
     if m not in maximal_points(poset):
         raise InvalidInputError(f"{m!r} is not a maximal point")
-    sub, _ = localization_poset(poset, m)
+    sub = localization_poset(poset, m)
     down = set(sub.elements)
 
     def cut(s: ThomasonSet) -> ThomasonSet:
@@ -220,7 +221,7 @@ def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonF
     )
 
 
-def set_to_json(s: ThomasonSet):
+def set_to_json(s):
     return "full" if s.is_full() else s.sorted_members()
 
 
@@ -237,7 +238,7 @@ def filtration_to_json(filtration: ThomasonFiltration) -> dict:
         {"n": filtration.lo + k, "set": set_to_json(v)}
         for k, v in enumerate(filtration.values)
     ]
-    if not breakpoints and filtration.low_tail.members != filtration.high_tail.members:
+    if not breakpoints and filtration.low_tail != filtration.high_tail:
         # pure step: record the last degree still equal to the low tail
         breakpoints = [{"n": filtration.lo - 1, "set": set_to_json(filtration.low_tail)}]
     return {
@@ -247,11 +248,24 @@ def filtration_to_json(filtration: ThomasonFiltration) -> dict:
     }
 
 
-def filtration_from_json(poset: SpectralPoset, data: Mapping) -> ThomasonFiltration:
+def _breakpoint_index(n) -> int:
+    # bool is a subclass of int, but JSON true is not a degree
+    if type(n) is not int:
+        raise InvalidInputError(f"breakpoint index must be an integer, got {n!r}")
+    return n
+
+
+def filtration_from_json(
+    poset: Optional[SpectralPoset], data: Mapping, parse_set=set_from_json
+) -> ThomasonFiltration:
+    """Read a filtration; ``parse_set(poset, value)`` reads one level."""
     try:
-        low = set_from_json(poset, data["low_tail"])
-        high = set_from_json(poset, data["high_tail"])
-        bps = [(bp["n"], set_from_json(poset, bp["set"])) for bp in data.get("breakpoints", [])]
+        low = parse_set(poset, data["low_tail"])
+        high = parse_set(poset, data["high_tail"])
+        bps = [
+            (_breakpoint_index(bp["n"]), parse_set(poset, bp["set"]))
+            for bp in data.get("breakpoints", [])
+        ]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed filtration JSON: {exc}") from exc
     return make_filtration(poset, low, bps, high)

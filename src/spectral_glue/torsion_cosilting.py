@@ -240,31 +240,6 @@ def cyclic_in_b_eta(ring: FiniteRing, a, cosilting: CosiltingModule) -> bool:
     return image >= set(_annihilated_part(cosilting.q1, a))
 
 
-def in_cogen(module: FiniteModule, cogenerator: FiniteModule) -> bool:
-    """M embeds in a power of C iff points of M are separated by Hom(M, C)."""
-    if module.is_zero_module():
-        return True
-    homs = module.homs_to(cogenerator)
-    for x in module.elements:
-        if x == module.zero:
-            continue
-        if all(
-            module.hom_apply(images, x, cogenerator) == cogenerator.zero
-            for images in homs
-        ):
-            return False
-    return True
-
-
-def in_b_eta(module: FiniteModule, cosilting: CosiltingModule) -> bool:
-    """M in B_eta iff Hom(M, Q0) -> Hom(M, Q1) (postcompose eta) is surjective."""
-    q0, q1 = cosilting.q0, cosilting.q1
-    reachable = set()
-    for images in module.homs_to(q0):
-        reachable.add(tuple(cosilting.apply_eta(y) for y in images))
-    return len(reachable) == len(module.homs_to(q1))
-
-
 def is_cosilting(cosilting: CosiltingModule, bound: Optional[int] = None) -> bool:
     """Check B_eta = Cogen(C) over all modules of order <= bound (default |R|^2).
 

@@ -54,32 +54,40 @@ def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
     return True
 
 
-def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
-    """Y in the coaisle iff Hom(K(I)[-n], Y) = 0 whenever V(I) is inside X_n.
+def coaisle_obstructions(complex_: BoundedComplex) -> list[tuple[int, ThomasonSet]]:
+    """The pairs (n, V(I)), over all ideals I, with Hom(K(I)[-n], Y) nonzero.
 
     Only degrees n where the Hom groups can be nonzero for degree reasons are
     swept: the Koszul complexes live in degrees [-1, 0] (all ideals of the
     supported rings are principal), so n ranges over [min deg Y, max deg Y + 1].
     """
-    ring = t.ring
-    if complex_.ring != ring:
-        raise InvalidInputError("complex and descriptor live over different rings")
     if complex_.is_zero():
-        return True
+        return []
+    ring = complex_.ring
     ideals = rng.all_ideals(ring)
     koszuls = [(ideal, koszul_of_ideal(ring, ideal)) for ideal in ideals]
     max_len = max(k.max_degree - k.min_degree for _, k in koszuls)
     lo = complex_.min_degree
     hi = complex_.max_degree + max_len
-    for n in range(lo, hi + 1):
-        level = t.level(n).members
-        for ideal, kos in koszuls:
-            if not rng.v_of_ideal(ring, ideal).members <= level:
-                continue
+    obstructions = []
+    for ideal, kos in koszuls:
+        for n in range(lo, hi + 1):
             # Hom(K(I)[-n], Y) in degree 0 is H^n of Hom(K(I), Y)
             if not derived_hom(kos, complex_, n).is_zero_module():
-                return False
-    return True
+                obstructions.append((n, rng.v_of_ideal(ring, ideal)))
+    return obstructions
+
+
+def coaisle_admits(obstructions, filtration: ThomasonFiltration) -> bool:
+    """No obstruction (n, V(I)) of Y has V(I) inside the level X_n."""
+    return not any(v <= filtration.at(n) for n, v in obstructions)
+
+
+def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
+    """Y in the coaisle iff Hom(K(I)[-n], Y) = 0 whenever V(I) is inside X_n."""
+    if complex_.ring != t.ring:
+        raise InvalidInputError("complex and descriptor live over different rings")
+    return coaisle_admits(coaisle_obstructions(complex_), t.filtration)
 
 
 def kappa_test(p: PrimeId, n: int, t: TStructureDescriptor) -> bool:

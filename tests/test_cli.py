@@ -86,6 +86,54 @@ def test_localize(capsys, ring_file, filt_file):
     assert set(json.loads(out)["localizations"]) == {"(2)", "(3)"}
 
 
+INTEGERS = {"kind": "integers"}
+
+
+@pytest.mark.parametrize("ring", [Z12, INTEGERS], ids=["finite", "integers"])
+@pytest.mark.parametrize("index", ["a", 1.5, True])
+def test_localize_rejects_non_integer_breakpoint_index(capsys, ring, index):
+    filt = {"low_tail": "full", "breakpoints": [{"n": index, "set": []}], "high_tail": []}
+    code = main(["localize", "--ring", json.dumps(ring), "--filtration", json.dumps(filt)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "breakpoint index" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "filt, expected",
+    [
+        (
+            {"low_tail": "full", "breakpoints": [{"n": 0, "set": [2, 3]}, {"n": 1, "set": [3]}], "high_tail": []},
+            {
+                "default": {"breakpoints": [{"n": -1, "set": "full"}], "high_tail": [], "low_tail": "full"},
+                "exceptions": {
+                    "2": {"breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": [], "low_tail": "full"},
+                    "3": {
+                        "breakpoints": [{"n": 0, "set": ["(3)"]}, {"n": 1, "set": ["(3)"]}],
+                        "high_tail": [],
+                        "low_tail": "full",
+                    },
+                },
+            },
+        ),
+        (
+            {"low_tail": "full", "breakpoints": [{"n": 2, "set": "full"}], "high_tail": []},
+            {
+                "default": {"breakpoints": [{"n": 2, "set": "full"}], "high_tail": [], "low_tail": "full"},
+                "exceptions": {},
+            },
+        ),
+    ],
+    ids=["multi-breakpoint", "pure-step"],
+)
+def test_localize_integers_json_bytes(capsys, filt, expected):
+    code, out = run(
+        capsys, "--json", "localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)
+    )
+    assert code == 0
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_koszul_and_cohomology(capsys, tmp_path, ring_file):
     code, out = run(capsys, "--json", "koszul", "--ring", ring_file, "--generators", "[6]")
     assert code == 0

@@ -22,12 +22,12 @@ from conftest import up
 
 
 def local_full(vee, m):
-    sub, _ = localization_poset(vee, m)
+    sub = localization_poset(vee, m)
     return ThomasonSet.full(sub)
 
 
 def local_set(vee, m, *members):
-    sub, _ = localization_poset(vee, m)
+    sub = localization_poset(vee, m)
     return ThomasonSet.from_members(sub, members)
 
 
@@ -60,7 +60,7 @@ def test_family_must_cover_maximal_points(vee):
 
 
 def _local(vee, m):
-    sub, _ = localization_poset(vee, m)
+    sub = localization_poset(vee, m)
     return sub, ThomasonSet.full(sub)
 
 
@@ -71,8 +71,8 @@ def test_filtration_glue_localize_roundtrip(vee):
 
 
 def test_glue_reports_offending_degree(vee):
-    sub1, _ = localization_poset(vee, "m1")
-    sub2, _ = localization_poset(vee, "m2")
+    sub1 = localization_poset(vee, "m1")
+    sub2 = localization_poset(vee, "m2")
     f1 = make_filtration(
         sub1, ThomasonSet.full(sub1), [(0, ThomasonSet.empty(sub1))], ThomasonSet.empty(sub1)
     )

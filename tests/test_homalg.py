@@ -15,7 +15,6 @@ from spectral_glue import (
     support_of_cohomology,
 )
 from spectral_glue.homalg import (
-    colocalize_complex,
     complex_from_json,
     direct_sum_complexes,
     free_stalk,
@@ -114,8 +113,6 @@ def test_localize_complex(z12):
     assert at2.ring.order == 4  # the complex now lives over the local factor
     assert cohomology(at2, 0).order == 2
     assert support_of_cohomology(at2, 0).sorted_members() == ["(2)"]
-    # over these rings colocalization agrees with localization
-    assert cohomology(colocalize_complex(k6, "(2)"), 0).order == 2
 
 
 def test_complex_json(z12):

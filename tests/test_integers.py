@@ -1,6 +1,11 @@
 import pytest
 
-from spectral_glue import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError
+from spectral_glue import (
+    FiltrationOrderError,
+    IncompatibleFamilyError,
+    InvalidInputError,
+    UnsupportedRingError,
+)
 from spectral_glue.integers import (
     ZLocalFamily,
     ZThomason,
@@ -8,19 +13,18 @@ from spectral_glue.integers import (
     check_z_dagger,
     glue_z_filtrations,
     localize_z_filtration,
-    make_z_filtration,
     template_poset,
     z_family_from_json,
     z_filtration_from_json,
     z_filtration_to_json,
     z_v_of_ideal,
 )
-from spectral_glue.thomason import filtration_from_json
+from spectral_glue.thomason import filtration_from_json, make_filtration
 
 
 def zfilt(low, bps, high):
     parse = lambda v: ZThomason(full=True) if v == "full" else ZThomason(False, frozenset(v))
-    return make_z_filtration(parse(low), [(n, parse(s)) for n, s in bps], parse(high))
+    return make_filtration(None, parse(low), [(n, parse(s)) for n, s in bps], parse(high))
 
 
 def test_v_of_ideal():
@@ -46,6 +50,13 @@ def test_localize_glue_roundtrip():
     filt = zfilt("full", [(0, [2, 3]), (1, [3])], [])
     family = localize_z_filtration(filt)
     assert glue_z_filtrations(family) == filt
+
+
+def test_non_decreasing_is_an_error():
+    with pytest.raises(FiltrationOrderError, match="degree 1"):
+        zfilt("full", [(0, [2]), (1, [2, 3])], [])
+    with pytest.raises(FiltrationOrderError, match="degree 0"):
+        z_filtration_from_json({"low_tail": [], "breakpoints": [{"n": 0, "set": [2]}], "high_tail": []})
 
 
 def test_pure_step_roundtrip():
