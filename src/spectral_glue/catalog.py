@@ -8,6 +8,7 @@ Everything is deterministic: corpora come back in a fixed order.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 from . import homalg, modules as mod, rings as rng
@@ -164,10 +165,7 @@ def product_catalog(max_order: int, max_factors: int = 3) -> list[FiniteRing]:
     out = []
     for k in range(2, max_factors + 1):
         for combo in itertools.combinations(basics, k):
-            order = 1
-            for f in combo:
-                order *= f.order
-            if order <= max_order:
+            if math.prod(f.order for f in combo) <= max_order:
                 out.append(rng.ProductRing(combo))
     return out
 

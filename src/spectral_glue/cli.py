@@ -105,9 +105,15 @@ def _module_summary(module) -> dict:
     }
 
 
+def _embedded_ring(data):
+    """The ring of a standalone cosilting file or family."""
+    if not isinstance(data, dict) or "ring" not in data:
+        raise SpectralGlueError("cosilting JSON needs the field 'ring'")
+    return rng.ring_from_json(data["ring"])
+
+
 def _cosilting(data) -> tc.CosiltingModule:
-    ring = rng.ring_from_json(data["ring"])
-    return tc.cosilting_from_json(ring, data)
+    return tc.cosilting_from_json(_embedded_ring(data), data)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -126,7 +132,7 @@ def cmd_spec(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    if args.ring and _load_json(args.ring).get("kind") == "integers":
+    if args.ring and _ring(args).kind == "integers":
         filt = zz.z_filtration_from_json(_load_json(args.filtration))
         family = zz.localize_z_filtration(filt)
         payload = {
@@ -224,7 +230,7 @@ def cmd_lemma_equiv(args) -> int:
 
 def cmd_koszul(args) -> int:
     ring = _ring(args)
-    gens = [rng._element_from_json(ring, g) for g in _load_json(args.generators)]
+    gens = [ring.element_from_json(g) for g in _load_json(args.generators)]
     kos = homalg.koszul(ring, gens)
     payload = {
         "degrees": {str(n): {"free": kos.rank(n)} for n in kos.degrees()},
@@ -341,7 +347,7 @@ def cmd_cosilting_set(args) -> int:
 
 def cmd_cosilting_glue(args) -> int:
     data = _load_json(args.family)
-    ring = rng.ring_from_json(data["ring"])
+    ring = _embedded_ring(data)
     components = {}
     for label, comp in data["components"].items():
         local_ring = rng.local_factor(ring, label).ring

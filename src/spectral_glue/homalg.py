@@ -10,6 +10,7 @@ computed by element sweeps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -184,10 +185,10 @@ def koszul(ring: FiniteRing, generators) -> BoundedComplex:
     generators = list(generators)
     if not generators:
         raise InvalidInputError("Koszul complex needs at least one generator")
-    if isinstance(ring, rng.IntegerRing):
-        raise UnsupportedRingError("Koszul complexes over the integers adapter are not supported")
+    if any(g not in ring.elements() for g in generators):
+        raise InvalidInputError(f"Koszul generators must be elements of {ring}")
     k = len(generators)
-    terms = {-j: FreeTerm(_binom(k, j)) for j in range(k + 1)}
+    terms = {-j: FreeTerm(math.comb(k, j)) for j in range(k + 1)}
     diffs = {}
     for j in range(k, 0, -1):
         src_basis = list(itertools.combinations(range(k), j))
@@ -207,12 +208,6 @@ def koszul(ring: FiniteRing, generators) -> BoundedComplex:
 
 def koszul_of_ideal(ring: FiniteRing, ideal: Ideal) -> BoundedComplex:
     return koszul(ring, ideal.generators)
-
-
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
 
 
 def shift(complex_: BoundedComplex, k: int) -> BoundedComplex:
@@ -378,9 +373,6 @@ def derived_hom(
     boundaries = frozenset(apply_diff(i - 1, g) for g in term_elements(i - 1))
 
     comps_i = components(i)
-    key = lambda f: tuple(
-        tuple(n_mod.index[x] for x in part) for part, (_, _, n_mod) in zip(f, comps_i)
-    )
     add = lambda f, g: tuple(
         tuple(n_mod.add(x, y) for x, y in zip(pf, pg))
         for pf, pg, (_, _, n_mod) in zip(f, g, comps_i)
@@ -388,7 +380,7 @@ def derived_hom(
     smul = lambda r, f: tuple(
         tuple(n_mod.smul(r, x) for x in part) for part, (_, _, n_mod) in zip(f, comps_i)
     )
-    cycle_module = FiniteModule(ring, cycles, add, smul, zero_of(i), key)
+    cycle_module = FiniteModule(ring, cycles, add, smul, zero_of(i))
     return cycle_module.quotient(boundaries)
 
 
@@ -433,7 +425,7 @@ def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
             else:
                 raise InvalidInputError(f"term at {n} must give 'free' or 'module'")
         diffs = {
-            int(n): [[rng._element_from_json(ring, e) for e in row] for row in matrix]
+            int(n): [[ring.element_from_json(e) for e in row] for row in matrix]
             for n, matrix in data.get("differentials", {}).items()
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -229,7 +229,10 @@ def localize_z_filtration(filtration: ThomasonFiltration) -> ZLocalFamily:
 def _z_set_from_json(_poset, data) -> ZThomason:
     if data == "full":
         return ZThomason(full=True)
-    return ZThomason(full=False, primes=frozenset(int(p) for p in data))
+    # bool is a subclass of int, but JSON true is not a prime
+    if not isinstance(data, (list, tuple)) or any(type(p) is not int for p in data):
+        raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
+    return ZThomason(full=False, primes=frozenset(data))
 
 
 def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:

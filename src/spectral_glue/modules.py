@@ -3,8 +3,10 @@
 A module is a finite set of hashable elements together with addition and a
 scalar action of its ring.  Everything downstream (cohomology, Hom groups,
 torsion parts) works by element sweeps, which is the intended correctness
-oracle at desk scale.  Rings are duck-typed: they provide ``elements()``,
-``zero``, ``one``, ``add``, ``neg``, ``mul`` and an ``element_index`` map.
+oracle at desk scale.  Rings are duck-typed: their elements are the ints
+``0 .. |R| - 1`` returned by ``elements()``, with ``zero``, ``one``, ``add``,
+``neg`` and ``mul``.  Module elements are tuples built from ring elements, so
+they sort in the order of the ring's elements.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from .errors import InvalidInputError
 class FiniteModule:
     """A finite module presented by explicit elements and operations.
 
-    Elements are kept in a canonical order (the construction order derived
-    from the ring's element order), so minima of cosets and serialized output
-    are deterministic.
+    Elements are kept sorted, so minima of cosets and serialized output are
+    deterministic.
     """
 
-    def __init__(self, ring, elements, add, smul, zero, key):
+    def __init__(self, ring, elements, add, smul, zero):
         self.ring = ring
-        self._key = key
-        self.elements = tuple(sorted(elements, key=key))
+        self.elements = tuple(sorted(elements))
         self.index = {e: i for i, e in enumerate(self.elements)}
         self._add = add
         self._smul = smul
@@ -44,9 +44,6 @@ class FiniteModule:
 
     def neg(self, x):
         return self.smul(self.ring.neg(self.ring.one), x)
-
-    def sub(self, x, y):
-        return self.add(x, self.neg(y))
 
     @property
     def order(self) -> int:
@@ -90,7 +87,7 @@ class FiniteModule:
         members = frozenset(members)
         if check and members != self.span(members):
             raise InvalidInputError("subset is not a submodule")
-        return FiniteModule(self.ring, members, self._add, self._smul, self.zero, self._key)
+        return FiniteModule(self.ring, members, self._add, self._smul, self.zero)
 
     def quotient(self, subgroup) -> "FiniteModule":
         """Quotient by a submodule; cosets represented by their minimal element."""
@@ -99,13 +96,13 @@ class FiniteModule:
         for e in self.elements:
             if e in rep:
                 continue
-            coset = sorted((self.add(e, s) for s in subgroup), key=self._key)
-            lead = coset[0]
+            coset = [self.add(e, s) for s in subgroup]
+            lead = min(coset)
             for c in coset:
                 rep[c] = lead
         add = lambda x, y: rep[self._add(x, y)]
         smul = lambda r, x: rep[self._smul(r, x)]
-        return FiniteModule(self.ring, set(rep.values()), add, smul, rep[self.zero], self._key)
+        return FiniteModule(self.ring, set(rep.values()), add, smul, rep[self.zero])
 
     # -- generators, relations, homs ---------------------------------------
 
@@ -142,8 +139,7 @@ class FiniteModule:
             if m == self.zero:
                 relations.append(coeffs)
         # reduce the relation set to a small generating family (greedy)
-        key, vadd, vsmul, zero = _vector_ops(self.ring, k)
-        relmod = FiniteModule(self.ring, relations, vadd, vsmul, zero, key)
+        relmod = FiniteModule(self.ring, relations, *_vector_ops(self.ring, k))
         return expr, relmod.generators
 
     def express(self, x) -> tuple:
@@ -215,11 +211,9 @@ class FiniteModule:
 
 
 def _vector_ops(ring, rank):
-    key = lambda v: tuple(ring.element_index[c] for c in v)
-    add = lambda u, v: tuple(ring.add(a, b) for a, b in zip(u, v))
-    smul = lambda r, u: tuple(ring.mul(r, a) for a in u)
-    zero = tuple([ring.zero] * rank)
-    return key, add, smul, zero
+    add = lambda u, v: tuple(map(ring.add, u, v))
+    smul = lambda r, u: tuple([ring.mul(r, a) for a in u])
+    return add, smul, (ring.zero,) * rank
 
 
 def free_module(ring, rank: int) -> FiniteModule:
@@ -227,29 +221,17 @@ def free_module(ring, rank: int) -> FiniteModule:
         raise InvalidInputError("rank must be nonnegative")
     if rank and len(ring.elements()) ** rank > 2_000_000:
         raise InvalidInputError(f"free module of rank {rank} too large to enumerate")
-    key, add, smul, zero = _vector_ops(ring, rank)
     elements = itertools.product(ring.elements(), repeat=rank)
-    return FiniteModule(ring, elements, add, smul, zero, key)
+    return FiniteModule(ring, elements, *_vector_ops(ring, rank))
 
 
 def zero_module(ring) -> FiniteModule:
     return free_module(ring, 0)
 
 
-def cokernel(ring, relations) -> FiniteModule:
-    """Quotient of a free module by the span of the given relation vectors.
-
-    ``relations`` is a list of equal-length tuples of ring elements; an empty
-    list with ambient rank r is written as ``cokernel_of_rank(ring, r, [])``.
-    """
-    relations = [tuple(v) for v in relations]
-    if not relations:
-        raise InvalidInputError("give the ambient rank via cokernel_of_rank for no relations")
-    rank = len(relations[0])
-    return cokernel_of_rank(ring, rank, relations)
-
-
 def cokernel_of_rank(ring, rank: int, relations) -> FiniteModule:
+    """Quotient of the free module of the given rank by the span of the
+    relation vectors (equal-length tuples of ring elements)."""
     relations = [tuple(v) for v in relations]
     for v in relations:
         if len(v) != rank:
@@ -266,15 +248,14 @@ def cyclic_module(ring, annihilator_gen) -> FiniteModule:
 def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
     if m1.ring != m2.ring:
         raise InvalidInputError("direct sum requires a common ring")
-    key = lambda p: (m1._key(p[0]), m2._key(p[1]))
     add = lambda p, q: (m1.add(p[0], q[0]), m2.add(p[1], q[1]))
     smul = lambda r, p: (m1.smul(r, p[0]), m2.smul(r, p[1]))
     zero = (m1.zero, m2.zero)
     elements = itertools.product(m1.elements, m2.elements)
-    return FiniteModule(m1.ring, elements, add, smul, zero, key)
+    return FiniteModule(m1.ring, elements, add, smul, zero)
 
 
 def restrict_scalars(module: FiniteModule, ring, proj) -> FiniteModule:
     """View a module over a quotient/localized ring as a module over ``ring``."""
     smul = lambda r, x: module.smul(proj(r), x)
-    return FiniteModule(ring, module.elements, module._add, smul, module.zero, module._key)
+    return FiniteModule(ring, module.elements, module._add, smul, module.zero)

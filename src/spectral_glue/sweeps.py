@@ -225,7 +225,7 @@ def _koszul_for_ring(ring: FiniteRing) -> SweepReport:
                 report.failures.append(
                     {
                         "ring": ring.to_json(),
-                        "generators": [str(g) for g in gens],
+                        "generators": [ring.element_to_json(g) for g in gens],
                         "degree": n,
                         "support": set_to_json(supp),
                         "v_of_ideal": set_to_json(v_set),

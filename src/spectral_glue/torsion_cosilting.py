@@ -411,7 +411,7 @@ def cosilting_from_json(ring: FiniteRing, data: Mapping) -> CosiltingModule:
         raise InvalidInputError(f"malformed cosilting JSON: {exc}") from exc
     eta = []
     for row in eta_rows:
-        vec = tuple(rng._element_from_json(ring, c) for c in row)
+        vec = tuple(ring.element_from_json(c) for c in row)
         # adding zero reduces any ambient vector to its coset representative
         try:
             eta.append(q1.add(vec, q1.zero))

@@ -1,8 +1,12 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
+from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, sweeps
 from spectral_glue.cli import main
+from spectral_glue.rings import spec
 
 Z12 = {"kind": "zmod", "n": 12}
 FILT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
@@ -270,3 +274,112 @@ def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
         {"low_tail": [], "breakpoints": [{"n": 0, "set": "full"}], "high_tail": "full"},
     )
     assert main(["tstr-classify", "--ring", ring_file, "--filtration", bad_filt]) == 2
+
+
+# -- wire validation, finite-only verbs, recorded bytes ----------------------
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["spec", "--ring", '{"kind": "zmod", "n": 12.5}'], "'n'"),
+        (["spec", "--ring", '{"kind": "zmod", "n": true}'], "'n'"),
+        (["spec", "--ring", '{"kind": "zmod"}'], "'n'"),
+        (["spec", "--ring", '{"kind": "poly_quot", "p": "3", "f": [2, 0, 1]}'], "'p'"),
+        (["spec", "--ring", '{"kind": "poly_quot", "p": 3, "f": [2, 0.5, 1]}'], "'f'"),
+        (["spec", "--ring", '{"kind": "poly_quot", "p": 3, "f": "x^2+2"}'], "'f'"),
+        (["spec", "--ring", '{"kind": "product", "factors": {"kind": "zmod", "n": 4}}'], "'factors'"),
+        (["spec", "--ring", '{"kind": "product", "factors": [[4]]}'], "'kind'"),
+        (["localize", "--ring", "[1]", "--filtration", "{}"], "'kind'"),
+        (["cosilting-set", "--cosilting", '{"q0": {"rank": 1}, "q1": {"rank": 1}}'], "field 'ring'"),
+    ],
+    ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
+         "factor-list", "ring-list", "cosilting-without-ring"],
+)
+def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("level", [["(2)"], [2.7], [True], "(2)"], ids=["label", "float", "bool", "string"])
+def test_localize_integers_rejects_non_integer_primes(capsys, level):
+    filt = {"low_tail": "full", "breakpoints": [{"n": 0, "set": level}], "high_tail": []}
+    code = main(["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "integer primes" in err and "Traceback" not in err
+
+
+FULL = json.dumps({"low_tail": "full", "breakpoints": [], "high_tail": []})
+FREE = json.dumps({"terms": {"0": {"free": 1}}})
+Z = json.dumps(INTEGERS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spec", "--ring", Z],
+        ["koszul", "--ring", Z, "--generators", "[2]"],
+        ["cohomology", "--ring", Z, "--complex", FREE],
+        ["derived-hom", "--ring", Z, "--complex", "{}", "--target", "{}"],
+        ["aisle-test", "--ring", Z, "--filtration", FULL, "--complex", FREE],
+        ["coaisle-test", "--ring", Z, "--filtration", FULL, "--complex", FREE],
+        ["tstr-localize", "--ring", Z, "--filtration", FULL],
+        ["tstr-classify", "--ring", Z, "--filtration", FULL],
+        ["torsion", "--ring", Z, "--module", '{"rank": 1}', "--set", "[]"],
+        ["torsion-roundtrip", "--ring", Z],
+        ["cosilting-set", "--cosilting", json.dumps({"ring": INTEGERS, "q0": {"rank": 1}, "q1": {"rank": 1}})],
+        ["spec", "--ring", json.dumps({"kind": "product", "factors": [INTEGERS, Z12]})],
+    ],
+    ids=lambda argv: argv[0] if "product" not in argv[-1] else "product-factor",
+)
+def test_finite_verbs_reject_the_integers(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+with open(Path(__file__).parent / "data" / "cli_golden.json") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_bytes_match_the_recording(capsys, name):
+    """stdout recorded before rings became tables, for F_3[x]/(x^2-1),
+    Z/4 x F_2[x]/(x^2) and spectra of rings too large to tabulate."""
+    code, out = run(capsys, *GOLDEN[name]["argv"])
+    assert code == 0
+    assert out == GOLDEN[name]["stdout"]
+
+
+def test_spec_of_a_ring_too_large_to_tabulate(capsys):
+    ring = json.dumps({"kind": "poly_quot", "p": 5, "f": [1, 0, 0, 0, 0, 0, 1]})
+    start = time.monotonic()
+    code, out = run(capsys, "spec", "--ring", ring)
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert out == "Spec(F_5[x]/(x^6+1)) = ['(x+2)', '(x+3)', '(x^2+2x+4)', '(x^2+3x+4)']\n"
+    assert main(["koszul", "--ring", ring, "--generators", "[[1]]"]) == 2
+    assert "limited to 1048576 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [PolyQuot(3, (2, 0, 1)), ProductRing([ZMod(4), PolyQuot(2, (0, 0, 1))])],
+    ids=["f3", "product"],
+)
+def test_koszul_witness_replays_with_one_call(capsys, monkeypatch, ring):
+    # a support oracle that always answers "everything" makes every proper ideal a witness
+    monkeypatch.setattr(
+        sweeps.homalg, "support_of_cohomology", lambda kos, n: ThomasonSet.full(spec(kos.ring)[0])
+    )
+    report = sweeps._koszul_for_ring(ring)
+    assert report.failures
+    for witness in report.failures:
+        argv = ["--json", "koszul", "--ring", json.dumps(witness["ring"])]
+        code, out = run(capsys, *argv, "--generators", json.dumps(witness["generators"]))
+        assert code == 0
+        assert json.loads(out)["degrees"]["-1"]["free"] == len(witness["generators"])

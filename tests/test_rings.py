@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from spectral_glue import (
@@ -18,7 +21,8 @@ from spectral_glue import (
     support,
     v_of_ideal,
 )
-from spectral_glue.rings import all_ideals, localize_ring, module_from_json, spec
+from spectral_glue.catalog import poly_catalog, product_catalog, zmod_catalog
+from spectral_glue.rings import all_ideals, localize_ring, module_from_json, pdivmod, pmul, pnorm, spec
 
 
 def test_spec_z12(z12, z12_poset):
@@ -126,3 +130,96 @@ def test_module_from_json(z12):
     assert m.order == 6
     free2 = module_from_json(z12, {"relations": [], "rank": 2})
     assert free2.order == 144
+
+
+# -- tables against independent arithmetic on element labels -----------------
+
+
+def labels(ring):
+    """Element i's label in the documented order: the residue for Z/n, the
+    coefficient tuple for F_p[x]/(f), the component tuple for a product."""
+    if isinstance(ring, ZMod):
+        return list(range(ring.n))
+    if isinstance(ring, PolyQuot):
+        deg = len(ring.f) - 1
+        return [pnorm(c, ring.p) for c in itertools.product(range(ring.p), repeat=deg)]
+    return list(itertools.product(*(labels(f) for f in ring.factors)))
+
+
+def label_ops(ring):
+    """(add, neg, mul) on labels, by integer, polynomial or componentwise arithmetic."""
+    if isinstance(ring, ZMod):
+        n = ring.n
+        return (lambda a, b: (a + b) % n), (lambda a: -a % n), (lambda a, b: a * b % n)
+    if isinstance(ring, PolyQuot):
+        p, f = ring.p, ring.f
+        return (
+            lambda a, b: pnorm([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)], p),
+            lambda a: pnorm([-c for c in a], p),
+            lambda a, b: pdivmod(pmul(a, b, p), f, p)[1],
+        )
+    ops = [label_ops(f) for f in ring.factors]
+    return (
+        lambda a, b: tuple(o[0](x, y) for o, x, y in zip(ops, a, b)),
+        lambda a: tuple(o[1](x) for o, x in zip(ops, a)),
+        lambda a, b: tuple(o[2](x, y) for o, x, y in zip(ops, a, b)),
+    )
+
+
+def wire(ring, label):
+    if isinstance(ring, ZMod):
+        return label
+    if isinstance(ring, PolyQuot):
+        return list(label)
+    return [wire(f, x) for f, x in zip(ring.factors, label)]
+
+
+def pairs(ring, count=300):
+    """Every pair for small rings, a fixed sample for the larger ones."""
+    if ring.order <= 32:
+        return list(itertools.product(ring.elements(), repeat=2))
+    rnd = random.Random(ring.order)
+    return [(rnd.randrange(ring.order), rnd.randrange(ring.order)) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [lambda: zmod_catalog(60), lambda: poly_catalog(5, 3), lambda: product_catalog(40)],
+    ids=["zmod", "poly_quot", "product"],
+)
+def test_tables_agree_with_label_arithmetic(catalog):
+    for ring in catalog():
+        names = labels(ring)
+        index = {label: i for i, label in enumerate(names)}
+        add, neg, mul = label_ops(ring)
+        assert list(ring.elements()) == list(range(len(names))), ring
+        for x in ring.elements():
+            assert ring.neg(x) == index[neg(names[x])], (ring, x)
+            assert ring.add(ring.zero, x) == x and ring.mul(ring.one, x) == x, (ring, x)
+            assert ring.element_to_json(x) == wire(ring, names[x]), (ring, x)
+            assert ring.element_from_json(ring.element_to_json(x)) == x, (ring, x)
+        for a, b in pairs(ring):
+            assert ring.add(a, b) == index[add(names[a], names[b])], (ring, a, b)
+            assert ring.mul(a, b) == index[mul(names[a], names[b])], (ring, a, b)
+        factors = ring.local_factors()
+        total = ring.zero
+        for lf in factors:
+            total = ring.add(total, lf.idempotent)
+            for other in factors:
+                expected = lf.idempotent if other is lf else ring.zero
+                assert ring.mul(lf.idempotent, other.idempotent) == expected, (ring, lf.label)
+            local = lf.ring
+            assert lf.proj(ring.one) == local.one, (ring, lf.label)
+            for a, b in pairs(ring, 100):
+                assert lf.proj(ring.add(a, b)) == local.add(lf.proj(a), lf.proj(b)), (ring, a, b)
+                assert lf.proj(ring.mul(a, b)) == local.mul(lf.proj(a), lf.proj(b)), (ring, a, b)
+            for y in local.elements():
+                assert lf.proj(lf.lift(y)) == y, (ring, lf.label, y)
+        assert total == ring.one, ring
+
+
+def test_table_size_is_checked_before_building():
+    big = PolyQuot(5, (1, 0, 0, 0, 0, 0, 1))  # order 15625
+    assert len(spec(big)[0]) == 4
+    with pytest.raises(InvalidInputError, match="limited to 1048576 entries"):
+        big.mul(big.one, big.one)
