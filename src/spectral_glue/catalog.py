@@ -65,11 +65,11 @@ def _poset_relations(max_size: int) -> tuple:
     return tuple(tuple(level) for level in by_size)
 
 
-def poset_catalog(max_size: int, min_size: int = 1) -> list[SpectralPoset]:
+def poset_catalog(max_size: int) -> list[SpectralPoset]:
     """One representative poset per isomorphism class, smallest first."""
     levels = _poset_relations(max_size)
     out = []
-    for size in range(min_size, max_size + 1):
+    for size in range(1, max_size + 1):
         for rel in levels[size - 1]:
             labels = [f"p{i}" for i in range(size)]
             pairs = [(f"p{i}", f"p{j}") for i, j in rel]
@@ -135,8 +135,8 @@ def all_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[dict
 # -- ring catalogs -----------------------------------------------------------
 
 
-def zmod_catalog(max_n: int, min_n: int = 2) -> list[FiniteRing]:
-    return [rng.ZMod(n) for n in range(min_n, max_n + 1)]
+def zmod_catalog(max_n: int) -> list[FiniteRing]:
+    return [rng.ZMod(n) for n in range(2, max_n + 1)]
 
 
 def poly_catalog(max_p: int = 5, max_deg: int = 3) -> list[FiniteRing]:
@@ -151,8 +151,8 @@ def poly_catalog(max_p: int = 5, max_deg: int = 3) -> list[FiniteRing]:
     return out
 
 
-def product_catalog(max_order: int, max_factors: int = 3) -> list[FiniteRing]:
-    """A spread of product rings with 2..max_factors local factors."""
+def product_catalog(max_order: int) -> list[FiniteRing]:
+    """A spread of product rings with two or three local factors."""
     basics = [
         rng.ZMod(2),
         rng.ZMod(4),
@@ -163,7 +163,7 @@ def product_catalog(max_order: int, max_factors: int = 3) -> list[FiniteRing]:
         rng.PolyQuot(2, (1, 1, 1)),  # F_4
     ]
     out = []
-    for k in range(2, max_factors + 1):
+    for k in (2, 3):
         for combo in itertools.combinations(basics, k):
             if math.prod(f.order for f in combo) <= max_order:
                 out.append(rng.ProductRing(combo))
@@ -187,20 +187,19 @@ def koszul_complexes(ring: FiniteRing, shifts=(0,)) -> list[BoundedComplex]:
     return singles + sums
 
 
-def stalk_complexes(ring: FiniteRing, degrees=(0,)) -> list[BoundedComplex]:
-    """Stalks of every cyclic module in the given degrees, plus the zero
-    complex and two-stalk combinations in distinct degrees."""
+def stalk_complexes(ring: FiniteRing) -> list[BoundedComplex]:
+    """Stalks of every cyclic module in degrees 0 and 1, plus the zero
+    complex and two-stalk complexes with one cyclic in each of those degrees."""
     cyclics = [
         mod.cyclic_module(ring, ideal.generators[0]) for ideal in rng.all_ideals(ring)
     ]
     cyclics = [c for c in cyclics if not c.is_zero_module()]
     out = [homalg.zero_complex(ring)]
-    for n in degrees:
+    for n in (0, 1):
         for c in cyclics:
             out.append(homalg.stalk_complex(c, n))
-    for n, m in itertools.combinations(degrees, 2):
-        for c, d in zip(cyclics, reversed(cyclics)):
-            out.append(BoundedComplex(ring, {n: c, m: d}))
+    for c, d in zip(cyclics, reversed(cyclics)):
+        out.append(BoundedComplex(ring, {0: c, 1: d}))
     return out
 
 

@@ -14,7 +14,7 @@ import sys
 
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
-from .errors import IncompatibleFamilyError, SpectralGlueError
+from .errors import IncompatibleFamilyError, SpectralGlueError, json_object
 from .poset import SpectralPoset, load_poset, localization_poset, maximal_points
 from .thomason import (
     filtration_from_json,
@@ -66,7 +66,7 @@ def _family(args):
     "poset" is either a poset description or a ring reference; the integers
     adapter routes to the symbolic Z family.
     """
-    data = _load_json(args.family)
+    data = json_object(_load_json(args.family), "family JSON")
     ref = data.get("poset")
     if isinstance(ref, dict) and ref.get("kind") == "integers":
         return zz.z_family_from_json(data)
@@ -76,7 +76,7 @@ def _family(args):
         poset = load_poset(ref)
     default = data.get("default")
     exceptions = {}
-    for m, filt in data.get("exceptions", {}).items():
+    for m, filt in json_object(data.get("exceptions", {}), "'exceptions'").items():
         sub = localization_poset(poset, m)
         exceptions[m] = filtration_from_json(sub, filt)
     if default is not None:
@@ -321,7 +321,8 @@ def cmd_torsion(args) -> int:
 
 def cmd_torsion_roundtrip(args) -> int:
     ring = _ring(args)
-    report = sweeps._torsion_for_ring(ring)
+    report = sweeps.SweepReport("torsion")
+    sweeps._check_torsion(report, ring)
     _emit(
         args,
         report.to_json(),
@@ -349,7 +350,7 @@ def cmd_cosilting_glue(args) -> int:
     data = _load_json(args.family)
     ring = _embedded_ring(data)
     components = {}
-    for label, comp in data["components"].items():
+    for label, comp in json_object(data.get("components"), "'components'").items():
         local_ring = rng.local_factor(ring, label).ring
         components[label] = tc.cosilting_from_json(local_ring, comp)
     glued = tc.glue_cosilting(ring, components)
@@ -376,9 +377,7 @@ def cmd_cosilting_split(args) -> int:
 
 def cmd_fuzz(args) -> int:
     window = tuple(args.window)
-    reports = sweeps.run_all(
-        max_poset=args.max_poset, max_ring=args.max_ring, window=window, jobs=args.jobs
-    )
+    reports = sweeps.run_all(max_poset=args.max_poset, max_ring=args.max_ring, window=window)
     payload = {"reports": [r.to_json() for r in reports]}
     ok = all(r.ok for r in reports)
     lines = [
@@ -437,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-poset", type=int, default=5)
     p.add_argument("--max-ring", type=int, default=24)
     p.add_argument("--window", type=int, nargs=2, default=(-1, 1))
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.set_defaults(handler=cmd_fuzz)
     return parser
 

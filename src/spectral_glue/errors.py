@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from collections.abc import Mapping
+
 
 class SpectralGlueError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -27,3 +29,10 @@ class IncompatibleFamilyError(SpectralGlueError):
 
 class UnsupportedRingError(SpectralGlueError):
     """The operation is not defined for this ring kind (usually the Z adapter)."""
+
+
+def json_object(value, what: str) -> Mapping:
+    """``value`` if it is a JSON object; otherwise an error naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise InvalidInputError(f"{what} must be a JSON object, got {value!r}")
+    return value

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 from . import modules as mod
 from . import rings as rng
-from .errors import InvalidInputError, UnsupportedRingError
+from .errors import InvalidInputError, UnsupportedRingError, json_object
 from .modules import FiniteModule
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal, LocalFactor
@@ -415,9 +415,10 @@ def localize_complex(complex_: BoundedComplex, label: PrimeId) -> BoundedComplex
 
 def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
     """{"terms": {"-1": {"free": 1}, "0": {"module": {...}}}, "differentials": {"-1": [[2]]}}"""
+    json_object(data, "complex JSON")
     try:
         terms = {}
-        for n, spec_ in data.get("terms", {}).items():
+        for n, spec_ in json_object(data.get("terms", {}), "'terms'").items():
             if "free" in spec_:
                 terms[int(n)] = FreeTerm(int(spec_["free"]))
             elif "module" in spec_:
@@ -426,7 +427,7 @@ def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
                 raise InvalidInputError(f"term at {n} must give 'free' or 'module'")
         diffs = {
             int(n): [[ring.element_from_json(e) for e in row] for row in matrix]
-            for n, matrix in data.get("differentials", {}).items()
+            for n, matrix in json_object(data.get("differentials", {}), "'differentials'").items()
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed complex JSON: {exc}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError
+from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
 from .poset import SpectralPoset
 from .thomason import (
     ThomasonFiltration,
@@ -244,11 +244,15 @@ def z_filtration_to_json(filtration: ThomasonFiltration) -> dict:
 
 
 def z_family_from_json(data: Mapping) -> ZLocalFamily:
+    exceptions = json_object(data.get("exceptions", {}), "'exceptions'")
+    for p in exceptions:
+        if not str(p).isdecimal():
+            raise InvalidInputError(f"Z family exception key {p!r} must be a decimal prime")
     try:
         default = filtration_from_json(template_poset(), data["default"])
         exceptions = {
             int(p): filtration_from_json(chain_poset(int(p)), filt)
-            for p, filt in data.get("exceptions", {}).items()
+            for p, filt in exceptions.items()
         }
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed Z family JSON: {exc}") from exc

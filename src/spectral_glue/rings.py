@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Callable, Mapping
 
 from . import modules
-from .errors import InvalidInputError, UnsupportedRingError
+from .errors import InvalidInputError, UnsupportedRingError, json_object
 from .modules import FiniteModule
 from .poset import SpectralPoset
 from .thomason import ThomasonSet
@@ -642,9 +642,12 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 
 def module_from_json(ring: FiniteRing, data: Mapping) -> FiniteModule:
     """Module JSON: {"relations": [[...]], "rank": r} (rank optional with relations)."""
+    json_object(data, "module JSON")
     try:
         relations = [tuple(ring.element_from_json(c) for c in row) for row in data.get("relations", [])]
         rank = data.get("rank", len(relations[0]) if relations else 1)
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc
+    if type(rank) is not int:
+        raise InvalidInputError(f"module 'rank' must be an integer, got {rank!r}")
     return modules.cokernel_of_rank(ring, rank, relations)

@@ -2,21 +2,22 @@
 
 Each sweep returns a :class:`SweepReport` with the number of instances checked
 and serializable witnesses for every violation (empty list = property holds).
-The sweeps are deterministic; ``jobs`` distributes independent instances over
-a thread pool.
+The sweeps are deterministic and run in one thread: the checks are pure Python,
+so threads under the GIL gave no speed-up. Each ``sweep_*`` still takes
+``jobs``, which must be 1, because the benchmark calls them with ``jobs=1``.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import catalog, gluing, homalg, rings as rng, torsion_cosilting as tc, tstructures as ts
+from .errors import InvalidInputError
 from .poset import SpectralPoset, localization_poset
 from .rings import FiniteRing
 from .thomason import (
-    ThomasonFiltration,
     ThomasonSet,
     filtration_to_json,
     is_constant,
@@ -47,28 +48,21 @@ class SweepReport:
         }
 
 
-def _map(fn, items, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _merge(name, parts) -> SweepReport:
+def _sweep(name, check, items, unit, jobs) -> SweepReport:
+    """Run ``check(report, item)`` on each corpus item into one report."""
+    if jobs != 1:
+        raise InvalidInputError(f"jobs must be 1 (sweeps run in one thread), got {jobs!r}")
     report = SweepReport(name)
-    for part in parts:
-        report.checked += part.checked
-        report.failures.extend(part.failures)
-        for key, value in part.details.items():
-            report.details[key] = report.details.get(key, 0) + value
+    for item in items:
+        check(report, item)
+    report.details[unit] = len(items)
     return report
 
 
 # -- 1: set-level localize/glue bijection ------------------------------------
 
 
-def _set_gluing_for_poset(poset: SpectralPoset) -> SweepReport:
-    report = SweepReport("set-gluing")
+def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
     descr = poset.to_json()
     # localize-then-glue is the identity on Thomason sets
     for x in catalog.all_thomason_sets(poset):
@@ -94,21 +88,17 @@ def _set_gluing_for_poset(poset: SpectralPoset) -> SweepReport:
                     "glued": set_to_json(glued),
                 }
             )
-    return report
 
 
 def sweep_set_gluing(max_poset: int = 6, jobs: int = 1) -> SweepReport:
     posets = catalog.poset_catalog(max_poset)
-    report = _merge("set-gluing", _map(_set_gluing_for_poset, posets, jobs))
-    report.details["posets"] = len(posets)
-    return report
+    return _sweep("set-gluing", _check_set_gluing, posets, "posets", jobs)
 
 
 # -- 2: compatibility equivalent to the ideal-family description -------------
 
 
-def _compat_for_poset(poset: SpectralPoset) -> SweepReport:
-    report = SweepReport("compat-equivalence")
+def _check_compat(report: SweepReport, poset: SpectralPoset) -> None:
     descr = poset.to_json()
     for family in catalog.all_set_families(poset):
         report.checked += 1
@@ -129,14 +119,11 @@ def _compat_for_poset(poset: SpectralPoset) -> SweepReport:
                     "reason": "compatible family glued to a non-Thomason set",
                 }
             )
-    return report
 
 
 def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:
     posets = catalog.poset_catalog(max_poset)
-    report = _merge("compat-equivalence", _map(_compat_for_poset, posets, jobs))
-    report.details["posets"] = len(posets)
-    return report
+    return _sweep("compat-equivalence", _check_compat, posets, "posets", jobs)
 
 
 # -- 3: filtration-level localize/glue bijection ------------------------------
@@ -151,8 +138,8 @@ def _family_compatible(poset, family) -> bool:
     )
 
 
-def _filtration_for_poset(poset: SpectralPoset, lo: int, hi: int) -> SweepReport:
-    report = SweepReport("filtration-bijection")
+def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> None:
+    lo, hi = window
     descr = poset.to_json()
     for filt in catalog.all_filtrations(poset, lo, hi):
         report.checked += 1
@@ -187,26 +174,20 @@ def _filtration_for_poset(poset: SpectralPoset, lo: int, hi: int) -> SweepReport
                     "problems": ["localize(glue(family)) differs from family"],
                 }
             )
-    return report
 
 
 def sweep_filtration_bijection(
     max_poset: int = 4, window: tuple[int, int] = (-2, 2), jobs: int = 1
 ) -> SweepReport:
     posets = catalog.poset_catalog(max_poset)
-    lo, hi = window
-    report = _merge(
-        "filtration-bijection", _map(lambda p: _filtration_for_poset(p, lo, hi), posets, jobs)
-    )
-    report.details["posets"] = len(posets)
-    return report
+    check = partial(_check_filtrations, window=window)
+    return _sweep("filtration-bijection", check, posets, "posets", jobs)
 
 
 # -- 4: Koszul support -------------------------------------------------------
 
 
-def _koszul_for_ring(ring: FiniteRing) -> SweepReport:
-    report = SweepReport("koszul_support")
+def _check_koszul(report: SweepReport, ring: FiniteRing) -> None:
     ideals = rng.all_ideals(ring)
     gen_lists = [ideal.generators for ideal in ideals]
     # redundant two-generator presentations must give the same support; the
@@ -231,47 +212,29 @@ def _koszul_for_ring(ring: FiniteRing) -> SweepReport:
                         "v_of_ideal": set_to_json(v_set),
                     }
                 )
-    return report
 
 
 def sweep_koszul_support(
     max_n: int = 60, max_p: int = 5, max_deg: int = 3, jobs: int = 1
 ) -> SweepReport:
     rings = catalog.zmod_catalog(max_n) + catalog.poly_catalog(max_p, max_deg)
-    report = _merge("koszul_support", _map(_koszul_for_ring, rings, jobs))
-    report.details["rings"] = len(rings)
-    return report
-
-
-# -- shared aisle test for 5 -------------------------------------------------
-
-
-def _aisle_supports(complex_) -> dict[int, frozenset]:
-    return {
-        n: homalg.support_of_cohomology(complex_, n).members
-        for n in range(complex_.min_degree, complex_.max_degree + 1)
-    }
-
-
-def _aisle_ok(supports, filt: ThomasonFiltration) -> bool:
-    return all(supp <= filt.at(n).members for n, supp in supports.items())
+    return _sweep("koszul_support", _check_koszul, rings, "rings", jobs)
 
 
 # -- 5: orthogonality of the classified t-structures -------------------------
 
 
-def _orthogonality_for_ring(ring: FiniteRing, window) -> SweepReport:
-    report = SweepReport("orthogonality")
+def _check_orthogonality(report: SweepReport, ring: FiniteRing, window) -> None:
     ideals = rng.all_ideals(ring)
     xs = catalog.koszul_complexes(ring, shifts=(0, 1))
     xs = xs[: len(ideals) * 2 + 10]  # all singles plus a few direct sums
-    ys = catalog.stalk_complexes(ring, degrees=(0, 1))
-    x_supports = [_aisle_supports(x) for x in xs]
+    ys = catalog.stalk_complexes(ring)
+    x_supports = [ts.aisle_supports(x) for x in xs]
     y_obstructions = [ts.coaisle_obstructions(y) for y in ys]
     orthogonal = {}
     filts = catalog.spec_filtrations(ring, *window)
     for filt in filts:
-        aisle = [i for i, supp in enumerate(x_supports) if _aisle_ok(supp, filt)]
+        aisle = [i for i, supp in enumerate(x_supports) if ts.aisle_admits(supp, filt)]
         coaisle = [j for j, obs in enumerate(y_obstructions) if ts.coaisle_admits(obs, filt)]
         for i in aisle:
             for j in coaisle:
@@ -287,28 +250,23 @@ def _orthogonality_for_ring(ring: FiniteRing, window) -> SweepReport:
                             "coaisle_complex": repr(ys[j]),
                         }
                     )
-    return report
 
 
 def sweep_orthogonality(
     max_ring: int = 30, window: tuple[int, int] = (-1, 1), jobs: int = 1
 ) -> SweepReport:
-    rings = [r for r in catalog.zmod_catalog(max_ring) if r.order <= max_ring]
+    rings = catalog.zmod_catalog(max_ring)
     rings += [r for r in catalog.poly_catalog(3, 2) if r.order <= max_ring]
-    rings += [r for r in catalog.product_catalog(max_ring) if r.order <= max_ring]
-    report = _merge(
-        "orthogonality", _map(lambda r: _orthogonality_for_ring(r, window), rings, jobs)
-    )
-    report.details["rings"] = len(rings)
-    return report
+    rings += catalog.product_catalog(max_ring)
+    check = partial(_check_orthogonality, window=window)
+    return _sweep("orthogonality", check, rings, "rings", jobs)
 
 
 # -- 6: local-global coaisle membership and descriptor gluing ----------------
 
 
-def _local_global_for_ring(ring: FiniteRing, window) -> SweepReport:
-    report = SweepReport("local_global")
-    ys = catalog.stalk_complexes(ring, degrees=(0, 1))
+def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
+    ys = catalog.stalk_complexes(ring)
     y_obstructions = [ts.coaisle_obstructions(y) for y in ys]
     labels = sorted(lf.label for lf in ring.local_factors())
     local_obstructions = {
@@ -341,7 +299,6 @@ def _local_global_for_ring(ring: FiniteRing, window) -> SweepReport:
                         "local": local_verdict,
                     }
                 )
-    return report
 
 
 def sweep_local_global(
@@ -349,18 +306,14 @@ def sweep_local_global(
 ) -> SweepReport:
     rings = [r for r in catalog.product_catalog(max_ring) if len(r.local_factors()) <= 3]
     rings += [rng.ZMod(12), rng.ZMod(30)]
-    report = _merge(
-        "local_global", _map(lambda r: _local_global_for_ring(r, window), rings, jobs)
-    )
-    report.details["rings"] = len(rings)
-    return report
+    check = partial(_check_local_global, window=window)
+    return _sweep("local_global", check, rings, "rings", jobs)
 
 
 # -- 7: torsion / injective-class bijections ---------------------------------
 
 
-def _torsion_for_ring(ring: FiniteRing) -> SweepReport:
-    report = SweepReport("torsion")
+def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
     poset, _ = rng.spec(ring)
     injective_images = {}
     for x in catalog.all_thomason_sets(poset):
@@ -384,21 +337,17 @@ def _torsion_for_ring(ring: FiniteRing) -> SweepReport:
             report.failures.append(
                 {"ring": ring.to_json(), "set": set_to_json(x), "problems": problems}
             )
-    return report
 
 
 def sweep_torsion(max_n: int = 60, jobs: int = 1) -> SweepReport:
     rings = catalog.zmod_catalog(max_n)
-    report = _merge("torsion", _map(_torsion_for_ring, rings, jobs))
-    report.details["rings"] = len(rings)
-    return report
+    return _sweep("torsion", _check_torsion, rings, "rings", jobs)
 
 
 # -- 8: cosilting gluing -----------------------------------------------------
 
 
-def _cosilting_fixture_report(cosilting) -> SweepReport:
-    report = SweepReport("cosilting")
+def _check_cosilting(report: SweepReport, cosilting) -> None:
     ring = cosilting.ring
     poset, _ = rng.spec(ring)
     report.checked += 1
@@ -438,22 +387,18 @@ def _cosilting_fixture_report(cosilting) -> SweepReport:
                 "problems": problems,
             }
         )
-    return report
 
 
 def sweep_cosilting(jobs: int = 1) -> SweepReport:
     fixtures = catalog.cosilting_fixtures()
-    report = _merge("cosilting", _map(_cosilting_fixture_report, fixtures, jobs))
-    report.details["fixtures"] = len(fixtures)
-    return report
+    return _sweep("cosilting", _check_cosilting, fixtures, "fixtures", jobs)
 
 
 # -- 9: adjunction across localize/colocalize --------------------------------
 
 
-def _adjunction_for_ring(ring: FiniteRing) -> SweepReport:
-    report = SweepReport("adjunction")
-    ys = catalog.stalk_complexes(ring, degrees=(0, 1))
+def _check_adjunction(report: SweepReport, ring: FiniteRing) -> None:
+    ys = catalog.stalk_complexes(ring)
     for lf in ring.local_factors():
         xs = catalog.koszul_complexes(lf.ring, shifts=(0,))
         xs = xs[: len(rng.all_ideals(lf.ring)) + 4]
@@ -476,35 +421,29 @@ def _adjunction_for_ring(ring: FiniteRing) -> SweepReport:
                                 "hom_over_Rm": rhs,
                             }
                         )
-    return report
 
 
 def sweep_adjunction(jobs: int = 1) -> SweepReport:
     rings = [rng.ZMod(12), rng.ZMod(30), rng.ZMod(36)]
-    rings += [r for r in catalog.product_catalog(40)][:4]
-    report = _merge("adjunction", _map(_adjunction_for_ring, rings, jobs))
-    report.details["rings"] = len(rings)
-    return report
+    rings += catalog.product_catalog(40)[:4]
+    return _sweep("adjunction", _check_adjunction, rings, "rings", jobs)
 
 
 # -- aggregate ---------------------------------------------------------------
 
 
 def run_all(
-    max_poset: int = 5,
-    max_ring: int = 24,
-    window: tuple[int, int] = (-1, 1),
-    jobs: int = 1,
+    max_poset: int = 5, max_ring: int = 24, window: tuple[int, int] = (-1, 1)
 ) -> list[SweepReport]:
     """The fuzz entry point: every sweep with (reduced) default bounds."""
     return [
-        sweep_set_gluing(max_poset=max_poset, jobs=jobs),
-        sweep_lemma_equiv(max_poset=max_poset, jobs=jobs),
-        sweep_filtration_bijection(max_poset=min(max_poset, 4), window=window, jobs=jobs),
-        sweep_koszul_support(max_n=max_ring, max_p=3, max_deg=2, jobs=jobs),
-        sweep_orthogonality(max_ring=max_ring, window=window, jobs=jobs),
-        sweep_local_global(max_ring=max_ring, window=window, jobs=jobs),
-        sweep_torsion(max_n=max_ring, jobs=jobs),
-        sweep_cosilting(jobs=jobs),
-        sweep_adjunction(jobs=jobs),
+        sweep_set_gluing(max_poset=max_poset),
+        sweep_lemma_equiv(max_poset=max_poset),
+        sweep_filtration_bijection(max_poset=min(max_poset, 4), window=window),
+        sweep_koszul_support(max_n=max_ring, max_p=3, max_deg=2),
+        sweep_orthogonality(max_ring=max_ring, window=window),
+        sweep_local_global(max_ring=max_ring, window=window),
+        sweep_torsion(max_n=max_ring),
+        sweep_cosilting(),
+        sweep_adjunction(),
     ]

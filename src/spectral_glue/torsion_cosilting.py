@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Optional
+from typing import Mapping
 
 from . import modules as mod
 from . import rings as rng
@@ -21,17 +21,6 @@ from .thomason import ThomasonFiltration, ThomasonSet, make_filtration
 
 
 # -- torsion pairs -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TorsionPairDescriptor:
-    ring: FiniteRing
-    thomason: ThomasonSet
-
-    def __post_init__(self):
-        poset, _ = rng.spec(self.ring)
-        if self.thomason.poset != poset:
-            raise InvalidInputError("Thomason set does not live on spec(ring)")
 
 
 def _element_support(module: FiniteModule, x) -> frozenset[PrimeId]:
@@ -240,19 +229,17 @@ def cyclic_in_b_eta(ring: FiniteRing, a, cosilting: CosiltingModule) -> bool:
     return image >= set(_annihilated_part(cosilting.q1, a))
 
 
-def is_cosilting(cosilting: CosiltingModule, bound: Optional[int] = None) -> bool:
-    """Check B_eta = Cogen(C) over all modules of order <= bound (default |R|^2).
+def is_cosilting(cosilting: CosiltingModule) -> bool:
+    """Check B_eta = Cogen(C) over all modules of order <= |R|^2.
 
     Both classes are determined summand-wise, so the sweep over direct sums of
     cyclics memoizes the two memberships per cyclic annihilator.
     """
     ring = cosilting.ring
-    if bound is None:
-        bound = ring.order**2
     c = cosilting.module
     in_b: dict = {}
     in_c: dict = {}
-    for multiset in annihilator_multisets(ring, bound):
+    for multiset in annihilator_multisets(ring, ring.order**2):
         for a in multiset:
             if a not in in_b:
                 in_b[a] = cyclic_in_b_eta(ring, a, cosilting)
@@ -264,13 +251,7 @@ def is_cosilting(cosilting: CosiltingModule, bound: Optional[int] = None) -> boo
 
 def cosilting_thomason_of_module(cosilting: CosiltingModule) -> ThomasonSet:
     """Y = union of V(I) over ideals I with Hom(R/I, C) = 0."""
-    ring = cosilting.ring
-    poset, _ = rng.spec(ring)
-    result = ThomasonSet.empty(poset)
-    for ideal in rng.all_ideals(ring):
-        if _hom_cyclic_vanishes(ring, ideal, cosilting.module):
-            result = result.union(rng.v_of_ideal(ring, ideal))
-    return result
+    return thomason_of_injective_class(cosilting.ring, [cosilting.module])
 
 
 def two_term_filtration(x0: ThomasonSet) -> ThomasonFiltration:
@@ -322,7 +303,7 @@ def glue_cosilting(
         raise InvalidInputError(
             f"family keys {sorted(family)} do not match maximal ideals {sorted(factors)}"
         )
-    q0_parts, q1_parts, eta_map = [], [], []
+    q0_parts, q1_parts = [], []
     for label in sorted(factors):
         lf = factors[label]
         local = family[label]
@@ -330,7 +311,6 @@ def glue_cosilting(
             raise InvalidInputError(f"component at {label!r} lives over the wrong ring")
         q0_parts.append(mod.restrict_scalars(local.q0, ring, lf.proj))
         q1_parts.append(mod.restrict_scalars(local.q1, ring, lf.proj))
-        eta_map.append(local)
     q0 = reduce(mod.direct_sum, q0_parts) if q0_parts else mod.zero_module(ring)
     q1 = reduce(mod.direct_sum, q1_parts) if q1_parts else mod.zero_module(ring)
     labels = sorted(factors)

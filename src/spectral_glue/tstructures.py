@@ -42,16 +42,26 @@ class TStructureDescriptor:
         return self.filtration.at(n)
 
 
+def aisle_supports(complex_: BoundedComplex) -> dict[int, frozenset]:
+    """n -> the members of Supp H^n(X), over the degrees of X."""
+    if complex_.is_zero():
+        return {}
+    return {
+        n: support_of_cohomology(complex_, n).members
+        for n in range(complex_.min_degree, complex_.max_degree + 1)
+    }
+
+
+def aisle_admits(supports, filtration: ThomasonFiltration) -> bool:
+    """Every Supp H^n(X) lies inside the level X_n."""
+    return all(supp <= filtration.at(n).members for n, supp in supports.items())
+
+
 def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
     """X in the aisle iff Supp H^n(X) is contained in X_n for every n."""
     if complex_.ring != t.ring:
         raise InvalidInputError("complex and descriptor live over different rings")
-    if complex_.is_zero():
-        return True
-    for n in range(complex_.min_degree, complex_.max_degree + 1):
-        if not support_of_cohomology(complex_, n).members <= t.level(n).members:
-            return False
-    return True
+    return aisle_admits(aisle_supports(complex_), t.filtration)
 
 
 def coaisle_obstructions(complex_: BoundedComplex) -> list[tuple[int, ThomasonSet]]:

@@ -61,7 +61,7 @@ def test_ring_catalogs():
 
 def test_complex_corpora(z12):
     assert koszul_complexes(z12)
-    assert stalk_complexes(z12, degrees=(0, 1))
+    assert stalk_complexes(z12)
     filts = spec_filtrations(z12, -1, 1)
     assert filts
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -6,6 +8,7 @@ import pytest
 
 from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, sweeps
 from spectral_glue.cli import main
+from spectral_glue.errors import InvalidInputError
 from spectral_glue.rings import spec
 
 Z12 = {"kind": "zmod", "n": 12}
@@ -259,6 +262,54 @@ def test_fuzz_small_and_deterministic(capsys):
     assert out1 == out2
     reports = json.loads(out1)["reports"]
     assert all(r["ok"] for r in reports)
+    # the canonical bytes, the same under any PYTHONHASHSEED
+    digest = hashlib.sha256(out1.encode()).hexdigest()
+    assert digest == "e5c14419a05506b7056ffe908670da4a9af719adf08407225dd0576d45d9a151"
+
+
+def _benchmark_sweeps():
+    """The ``sweep_*`` names that ``perfbench/workloads.py`` calls with ``jobs=1``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {
+        func: step for steps in workloads.SWEEP_STEPS.values() for step, func, _ in steps
+    }
+
+
+TINY_BOUNDS = {
+    "sweep_set_gluing": {"max_poset": 2},
+    "sweep_lemma_equiv": {"max_poset": 2},
+    "sweep_filtration_bijection": {"max_poset": 2, "window": (0, 0)},
+    "sweep_koszul_support": {"max_n": 4, "max_p": 2, "max_deg": 1},
+    "sweep_orthogonality": {"max_ring": 4, "window": (0, 0)},
+    "sweep_local_global": {"max_ring": 6, "window": (0, 0)},
+    "sweep_torsion": {"max_n": 4},
+}
+
+
+def _count_item(report, item, **_):
+    report.checked += 1
+
+
+def test_sweeps_take_jobs_1_only(monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--jobs", "2"])
+    assert exc.value.code == 2
+    # the driver contract, not the properties: every per-item check only
+    # counts its item, so the fixed cosilting and adjunction corpora run fast
+    for name in [n for n in vars(sweeps) if n.startswith("_check_")]:
+        monkeypatch.setattr(sweeps, name, _count_item)
+    benchmarked = _benchmark_sweeps()
+    assert len(benchmarked) == 9
+    for func, step in sorted(benchmarked.items()):
+        sweep = getattr(sweeps, func)
+        report = sweep(jobs=1, **TINY_BOUNDS.get(func, {}))
+        assert report.name == step
+        assert list(report.details.values()) == [report.checked] and report.checked > 0
+        with pytest.raises(InvalidInputError, match="jobs"):
+            sweep(jobs=2, **TINY_BOUNDS.get(func, {}))
 
 
 def test_malformed_json_is_a_parse_error(tmp_path):
@@ -279,6 +330,9 @@ def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
 # -- wire validation, finite-only verbs, recorded bytes ----------------------
 
 
+Z_DEFAULT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -292,9 +346,20 @@ def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
         (["spec", "--ring", '{"kind": "product", "factors": [[4]]}'], "'kind'"),
         (["localize", "--ring", "[1]", "--filtration", "{}"], "'kind'"),
         (["cosilting-set", "--cosilting", '{"q0": {"rank": 1}, "q1": {"rank": 1}}'], "field 'ring'"),
+        (["torsion", "--ring", json.dumps(Z12), "--module", "[1]", "--set", "[]"], "module JSON"),
+        (["torsion", "--ring", json.dumps(Z12), "--module", '{"rank": "a"}', "--set", "[]"], "'rank'"),
+        (["cohomology", "--ring", json.dumps(Z12), "--complex", "[1]"], "complex JSON"),
+        (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": [1]}'], "'terms'"),
+        (["glue", "--family", "[1]"], "family JSON"),
+        (["glue", "--family", json.dumps({"poset": Z12, "exceptions": [1]})], "'exceptions'"),
+        (["cosilting-glue", "--family", json.dumps({"ring": Z12, "components": [1]})], "'components'"),
+        (["glue", "--family", json.dumps({"poset": INTEGERS, "default": Z_DEFAULT,
+                                          "exceptions": {"(2)": Z_DEFAULT}})], "key '(2)'"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
-         "factor-list", "ring-list", "cosilting-without-ring"],
+         "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
+         "complex-list", "complex-terms", "family-list", "family-exceptions",
+         "cosilting-components", "z-family-key"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     code = main(argv)
@@ -376,7 +441,8 @@ def test_koszul_witness_replays_with_one_call(capsys, monkeypatch, ring):
     monkeypatch.setattr(
         sweeps.homalg, "support_of_cohomology", lambda kos, n: ThomasonSet.full(spec(kos.ring)[0])
     )
-    report = sweeps._koszul_for_ring(ring)
+    report = sweeps.SweepReport("koszul_support")
+    sweeps._check_koszul(report, ring)
     assert report.failures
     for witness in report.failures:
         argv = ["--json", "koszul", "--ring", json.dumps(witness["ring"])]
