@@ -36,3 +36,11 @@ def json_object(value, what: str) -> Mapping:
     if not isinstance(value, Mapping):
         raise InvalidInputError(f"{what} must be a JSON object, got {value!r}")
     return value
+
+
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; otherwise an error naming ``what``."""
+    # bool is a subclass of int, but JSON true is not a number
+    if type(value) is not int:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 from . import modules as mod
 from . import rings as rng
-from .errors import InvalidInputError, UnsupportedRingError, json_object
+from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
 from .modules import FiniteModule
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal, LocalFactor
@@ -291,78 +291,60 @@ def derived_hom(
 ) -> FiniteModule:
     """H^i of the total Hom complex Hom(P, Y), for P a complex of projectives.
 
-    With ``factor`` given, P lives over the local factor ring and is viewed
-    over Y's ring along the factor inclusion: Hom(R_m^a, N) = (e_m N)^a, with
-    matrix entries of P acting through the factor's lift.
+    With ``factor`` given, P lives over the local factor ring R_m and each
+    term N of Y is replaced by its component e_m N as an R_m-module, since
+    Hom(R_m^a, N) = (e_m N)^a; the result is then an R_m-module.
     """
     if not perfect.is_perfect():
         raise InvalidInputError("first argument must have free terms")
     if factor is None:
         if perfect.ring != target.ring:
             raise InvalidInputError("ring mismatch (pass a local factor to bridge)")
-        entry_action = lambda module, s, x: module.smul(s, x)
         restrict = lambda module: module
     else:
         if perfect.ring != factor.ring:
             raise InvalidInputError("perfect complex must live over the factor ring")
-        lift = factor.lift
-        e = factor.idempotent
-        entry_action = lambda module, s, x: module.smul(lift(s), x)
+        restrict = factor.component
 
-        def restrict(module):
-            members = frozenset(module.smul(e, x) for x in module.elements)
-            return module.submodule(members, check=False)
-
-    ring = target.ring
-    p_degs = [p for p in perfect.degrees() if perfect.rank(p) > 0]
-    targets: dict[int, FiniteModule] = {}
-
-    def hom_target(q: int) -> FiniteModule:
-        if q not in targets:
-            targets[q] = restrict(target.module_at(q))
-        return targets[q]
-
-    def components(k):
-        return [(p, perfect.rank(p), hom_target(p + k)) for p in p_degs]
+    ring = perfect.ring
+    # every term of P has positive rank, and d_P^p exists only if p + 1 is a term
+    degs = perfect.degrees()
+    pos = {p: idx for idx, p in enumerate(degs)}
+    comps = {
+        k: [(p, perfect.rank(p), restrict(target.module_at(p + k))) for p in degs]
+        for k in (i - 1, i, i + 1)
+    }
 
     def term_elements(k):
-        comps = components(k)
         size = 1
-        for _, a, n_mod in comps:
+        for _, a, n_mod in comps[k]:
             size *= n_mod.order**a
         if size > ENUMERATION_LIMIT:
             raise InvalidInputError(f"Hom term of size {size} is too large to enumerate")
-        spaces = [
-            itertools.product(n_mod.elements, repeat=a) for _, a, n_mod in comps
-        ]
+        spaces = [itertools.product(n_mod.elements, repeat=a) for _, a, n_mod in comps[k]]
         return itertools.product(*spaces)
 
     def zero_of(k):
-        return tuple(tuple([n_mod.zero] * a) for _, a, n_mod in components(k))
+        return tuple(tuple([n_mod.zero] * a) for _, a, n_mod in comps[k])
 
     def apply_diff(k, f):
-        comps_k = components(k)
-        pos = {p: idx for idx, (p, _, _) in enumerate(comps_k)}
         out = []
-        for p, a, n_next in components(k + 1):
+        for p, a, n_next in comps[k + 1]:
             q = p + k
-            images = [n_next.zero] * a
             # d_Y o f_p
-            if p in pos:
-                f_p = f[pos[p]]
-                if target.diffs.get(q) is not None:
-                    for j in range(a):
-                        images[j] = target.diff_apply(q, f_p[j])
+            if target.diffs.get(q) is not None:
+                images = [target.diff_apply(q, x) for x in f[pos[p]]]
+            else:
+                images = [n_next.zero] * a
             # -(-1)^k f_{p+1} o d_P^p
             matrix = perfect.diffs.get(p)
-            if matrix is not None and (p + 1) in pos:
+            if matrix is not None:
                 f_next = f[pos[p + 1]]
-                sign = 1 if k % 2 == 0 else -1
                 for j in range(a):
                     acc = n_next.zero
                     for irow, row in enumerate(matrix):
-                        acc = n_next.add(acc, entry_action(n_next, row[j], f_next[irow]))
-                    if sign == 1:
+                        acc = n_next.add(acc, n_next.smul(row[j], f_next[irow]))
+                    if k % 2 == 0:
                         acc = n_next.neg(acc)
                     images[j] = n_next.add(images[j], acc)
             out.append(tuple(images))
@@ -372,13 +354,12 @@ def derived_hom(
     cycles = [f for f in term_elements(i) if apply_diff(i, f) == zero_next]
     boundaries = frozenset(apply_diff(i - 1, g) for g in term_elements(i - 1))
 
-    comps_i = components(i)
     add = lambda f, g: tuple(
         tuple(n_mod.add(x, y) for x, y in zip(pf, pg))
-        for pf, pg, (_, _, n_mod) in zip(f, g, comps_i)
+        for pf, pg, (_, _, n_mod) in zip(f, g, comps[i])
     )
     smul = lambda r, f: tuple(
-        tuple(n_mod.smul(r, x) for x in part) for part, (_, _, n_mod) in zip(f, comps_i)
+        tuple(n_mod.smul(r, x) for x in part) for part, (_, _, n_mod) in zip(f, comps[i])
     )
     cycle_module = FiniteModule(ring, cycles, add, smul, zero_of(i))
     return cycle_module.quotient(boundaries)
@@ -397,12 +378,7 @@ def localize_complex(complex_: BoundedComplex, label: PrimeId) -> BoundedComplex
     local = lf.ring
     terms = {}
     for n, term in complex_.terms.items():
-        if isinstance(term, FreeTerm):
-            terms[n] = term
-        else:
-            members = frozenset(term.smul(lf.idempotent, x) for x in term.elements)
-            part = term.submodule(members, check=False)
-            terms[n] = mod.restrict_scalars(part, local, lf.lift)
+        terms[n] = term if isinstance(term, FreeTerm) else lf.component(term)
     diffs = {
         n: tuple(tuple(lf.proj(e) for e in row) for row in matrix)
         for n, matrix in complex_.diffs.items()
@@ -419,8 +395,9 @@ def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
     try:
         terms = {}
         for n, spec_ in json_object(data.get("terms", {}), "'terms'").items():
+            json_object(spec_, f"the term at degree {n}")
             if "free" in spec_:
-                terms[int(n)] = FreeTerm(int(spec_["free"]))
+                terms[int(n)] = FreeTerm(json_int(spec_["free"], f"'free' at degree {n}"))
             elif "module" in spec_:
                 terms[int(n)] = rng.module_from_json(ring, spec_["module"])
             else:

@@ -104,7 +104,11 @@ class FiniteModule:
         smul = lambda r, x: rep[self._smul(r, x)]
         return FiniteModule(self.ring, set(rep.values()), add, smul, rep[self.zero])
 
-    # -- generators, relations, homs ---------------------------------------
+    def scaled(self, r) -> "FiniteModule":
+        """The submodule rM."""
+        return self.submodule(frozenset(self.smul(r, x) for x in self.elements), check=False)
+
+    # -- generators and homs -----------------------------------------------
 
     @cached_property
     def generators(self) -> tuple:
@@ -116,59 +120,44 @@ class FiniteModule:
                 spanned = self.span(gens)
         return tuple(gens)
 
-    @cached_property
-    def _presentation(self):
-        """(expressions, relation generators) for the generator surjection R^k -> M.
+    def hom_graph(self, images, other: "FiniteModule"):
+        """The map self -> other sending the generators to ``images``, as a
+        dict x -> image, or None when no such map exists.
 
-        ``expressions`` maps each element to one coefficient tuple expressing it
-        in the generators; relation generators generate the kernel submodule.
+        The graph is the submodule of the direct sum of self and other spanned
+        by the pairs (g_i, u_i).  It is walked over self only: from zero, add
+        the pairs (r g_i, r u_i) to every point reached; the map fails to exist
+        as soon as one element of self is reached with two different images.
         """
-        gens = self.generators
-        k = len(gens)
-        ring_elems = self.ring.elements()
-        if len(ring_elems) ** k > 2_000_000:
-            raise InvalidInputError("module requires too many generators for a sweep")
-        expr: dict = {}
-        relations: list = []
-        for coeffs in itertools.product(ring_elems, repeat=k):
-            m = self.zero
-            for c, g in zip(coeffs, gens):
-                m = self.add(m, self.smul(c, g))
-            if m not in expr:
-                expr[m] = coeffs
-            if m == self.zero:
-                relations.append(coeffs)
-        # reduce the relation set to a small generating family (greedy)
-        relmod = FiniteModule(self.ring, relations, *_vector_ops(self.ring, k))
-        return expr, relmod.generators
-
-    def express(self, x) -> tuple:
-        return self._presentation[0][x]
+        seeds: dict = {}
+        for g, u in zip(self.generators, images):
+            for r in self.ring.elements():
+                x, y = self.smul(r, g), other.smul(r, u)
+                if seeds.setdefault(x, y) != y:
+                    return None
+        graph = {self.zero: other.zero}
+        frontier = [self.zero]
+        while frontier:
+            new = []
+            for x in frontier:
+                y = graph[x]
+                for s, t in seeds.items():
+                    xs, yt = self.add(x, s), other.add(y, t)
+                    if xs not in graph:
+                        graph[xs] = yt
+                        new.append(xs)
+                    elif graph[xs] != yt:
+                        return None
+            frontier = new
+        return graph
 
     def homs_to(self, other: "FiniteModule"):
         """All module maps self -> other, as tuples of generator images."""
-        _, relgens = self._presentation
-        k = len(self.generators)
-        out = []
-        for images in itertools.product(other.elements, repeat=k):
-            ok = True
-            for rel in relgens:
-                acc = other.zero
-                for c, u in zip(rel, images):
-                    acc = other.add(acc, other.smul(c, u))
-                if acc != other.zero:
-                    ok = False
-                    break
-            if ok:
-                out.append(images)
-        return out
-
-    def hom_apply(self, images, x, other: "FiniteModule"):
-        coeffs = self.express(x)
-        acc = other.zero
-        for c, u in zip(coeffs, images):
-            acc = other.add(acc, other.smul(c, u))
-        return acc
+        return [
+            images
+            for images in itertools.product(other.elements, repeat=len(self.generators))
+            if self.hom_graph(images, other) is not None
+        ]
 
     # -- invariants ---------------------------------------------------------
 
@@ -193,11 +182,11 @@ class FiniteModule:
         """
         out = {}
         for factor in self.ring.local_factors():
-            part = {self.smul(factor.idempotent, x) for x in self.elements}
-            sizes = [len(part)]
-            while len(part) > 1:
-                part = {self.smul(factor.prime_gen, x) for x in part}
-                sizes.append(len(part))
+            part = self.scaled(factor.idempotent)
+            sizes = [part.order]
+            while part.order > 1:
+                part = part.scaled(factor.prime_gen)
+                sizes.append(part.order)
             out[factor.label] = tuple(sizes)
         return out
 
@@ -210,19 +199,15 @@ class FiniteModule:
 # -- constructors -----------------------------------------------------------
 
 
-def _vector_ops(ring, rank):
-    add = lambda u, v: tuple(map(ring.add, u, v))
-    smul = lambda r, u: tuple([ring.mul(r, a) for a in u])
-    return add, smul, (ring.zero,) * rank
-
-
 def free_module(ring, rank: int) -> FiniteModule:
     if rank < 0:
         raise InvalidInputError("rank must be nonnegative")
     if rank and len(ring.elements()) ** rank > 2_000_000:
         raise InvalidInputError(f"free module of rank {rank} too large to enumerate")
     elements = itertools.product(ring.elements(), repeat=rank)
-    return FiniteModule(ring, elements, *_vector_ops(ring, rank))
+    add = lambda u, v: tuple(map(ring.add, u, v))
+    smul = lambda r, u: tuple([ring.mul(r, a) for a in u])
+    return FiniteModule(ring, elements, add, smul, (ring.zero,) * rank)
 
 
 def zero_module(ring) -> FiniteModule:
@@ -245,14 +230,17 @@ def cyclic_module(ring, annihilator_gen) -> FiniteModule:
     return cokernel_of_rank(ring, 1, [(annihilator_gen,)])
 
 
-def direct_sum(m1: FiniteModule, m2: FiniteModule) -> FiniteModule:
-    if m1.ring != m2.ring:
+def direct_sum(ring, summands) -> FiniteModule:
+    """The direct sum of the summands, on flat tuples with one component per
+    summand; no summands give the zero module."""
+    summands = list(summands)
+    if any(m.ring != ring for m in summands):
         raise InvalidInputError("direct sum requires a common ring")
-    add = lambda p, q: (m1.add(p[0], q[0]), m2.add(p[1], q[1]))
-    smul = lambda r, p: (m1.smul(r, p[0]), m2.smul(r, p[1]))
-    zero = (m1.zero, m2.zero)
-    elements = itertools.product(m1.elements, m2.elements)
-    return FiniteModule(m1.ring, elements, add, smul, zero)
+    add = lambda p, q: tuple([m.add(a, b) for m, a, b in zip(summands, p, q)])
+    smul = lambda r, p: tuple([m.smul(r, a) for m, a in zip(summands, p)])
+    zero = tuple(m.zero for m in summands)
+    elements = itertools.product(*(m.elements for m in summands))
+    return FiniteModule(ring, elements, add, smul, zero)
 
 
 def restrict_scalars(module: FiniteModule, ring, proj) -> FiniteModule:

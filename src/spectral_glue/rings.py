@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Callable, Mapping
 
 from . import modules
-from .errors import InvalidInputError, UnsupportedRingError, json_object
+from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
 from .modules import FiniteModule
 from .poset import SpectralPoset
 from .thomason import ThomasonSet
@@ -157,12 +157,6 @@ def factorint_trial(n: int) -> dict[int, int]:
 TABLE_LIMIT = 1 << 20
 
 
-def _check_int(name: str, value):
-    # bool is a subclass of int, but JSON true is not a number
-    if type(value) is not int:
-        raise InvalidInputError(f"{name!r} must be an integer, got {value!r}")
-
-
 def _radix_vector(va, vb):
     """Unary table of A x B from those of A and B, in mixed radix with the
     first factor most significant: (a, b) has index a * |B| + b."""
@@ -202,6 +196,11 @@ class LocalFactor:
     @cached_property
     def lift(self) -> Callable:
         return tuple(map(self.lift_of, range(self.ring.order))).__getitem__
+
+    def component(self, module: FiniteModule) -> FiniteModule:
+        """The component eM of a module over the global ring, as a module over
+        the factor ring through ``lift``."""
+        return modules.restrict_scalars(module.scaled(self.idempotent), self.ring, self.lift)
 
 
 class FiniteRing:
@@ -261,7 +260,7 @@ class ZMod(FiniteRing):
     kind = "zmod"
 
     def __init__(self, n: int):
-        _check_int("n", n)
+        json_int(n, "'n'")
         if n < 2:
             raise InvalidInputError("modulus must be at least 2")
         self.n = self.order = n
@@ -295,8 +294,7 @@ class ZMod(FiniteRing):
         return out
 
     def element_from_json(self, value) -> int:
-        _check_int("ring element", value)
-        return value % self.n
+        return json_int(value, "'ring element'") % self.n
 
     def element_to_json(self, x: int) -> int:
         return x
@@ -322,7 +320,7 @@ class PolyQuot(FiniteRing):
     kind = "poly_quot"
 
     def __init__(self, p: int, f):
-        _check_int("p", p)
+        json_int(p, "'p'")
         if not isinstance(f, (list, tuple)) or any(type(c) is not int for c in f):
             raise InvalidInputError(f"'f' must be a list of integer coefficients, got {f!r}")
         # p > 7 is refused below, so divisors below 8 decide primality
@@ -622,12 +620,9 @@ def indecomposable_injectives(ring: FiniteRing) -> list[FiniteModule]:
     The supported rings are quasi-Frobenius products of chain rings, so the
     envelope at m is the corresponding local factor e_m R.
     """
-    out = []
     free = modules.free_module(ring, 1)
-    for lf in sorted(ring.local_factors(), key=lambda f: f.label):
-        members = frozenset((ring.mul(lf.idempotent, x),) for x in ring.elements())
-        out.append(free.submodule(members, check=False))
-    return out
+    factors = sorted(ring.local_factors(), key=lambda f: f.label)
+    return [free.scaled(lf.idempotent) for lf in factors]
 
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
@@ -648,6 +643,4 @@ def module_from_json(ring: FiniteRing, data: Mapping) -> FiniteModule:
         rank = data.get("rank", len(relations[0]) if relations else 1)
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc
-    if type(rank) is not int:
-        raise InvalidInputError(f"module 'rank' must be an integer, got {rank!r}")
-    return modules.cokernel_of_rank(ring, rank, relations)
+    return modules.cokernel_of_rank(ring, json_int(rank, "module 'rank'"), relations)

@@ -8,7 +8,6 @@ class is verified by an exhaustive sweep over small test modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Mapping
 
 from . import modules as mod
@@ -88,18 +87,10 @@ def thomason_of_injective_class(ring: FiniteRing, injectives) -> ThomasonSet:
     poset, _ = rng.spec(ring)
     result = ThomasonSet.empty(poset)
     for ideal in rng.all_ideals(ring):
-        if all(_hom_cyclic_vanishes(ring, ideal, e) for e in injectives):
+        # only zero is killed by I = (g)
+        if all(len(_annihilated_part(e, ideal.generators[0])) == 1 for e in injectives):
             result = result.union(rng.v_of_ideal(ring, ideal))
     return result
-
-
-def _hom_cyclic_vanishes(ring: FiniteRing, ideal: Ideal, target: FiniteModule) -> bool:
-    """Hom(R/I, N) = 0, i.e. no nonzero element of N is killed by I."""
-    return all(
-        x == target.zero
-        for x in target.elements
-        if all(target.smul(g, x) == target.zero for g in ideal.generators)
-    )
 
 
 # -- cosilting modules -------------------------------------------------------
@@ -109,15 +100,17 @@ def _hom_cyclic_vanishes(ring: FiniteRing, ideal: Ideal, target: FiniteModule) -
 class CosiltingModule:
     """A module with an injective copresentation 0 -> C -> Q0 --eta--> Q1.
 
-    ``module`` is the kernel of eta inside Q0; ``eta`` is recorded by the
-    images of Q0's generators in Q1.  Whether B_eta = Cogen(C) actually holds
-    is checked separately by :func:`is_cosilting` over a bounded test corpus.
+    ``eta`` is given by the images of Q0's generators in Q1 and kept as its
+    graph, a dict from each element of Q0 to its image; ``module`` is the
+    kernel of eta inside Q0.  Whether B_eta = Cogen(C) actually holds is
+    checked separately by :func:`is_cosilting` over a bounded test corpus.
     """
 
     ring: FiniteRing
     q0: FiniteModule
     q1: FiniteModule
     eta: tuple = ()
+    graph: dict = field(init=False, repr=False, compare=False)
     module: FiniteModule = field(init=False)
 
     def __post_init__(self):
@@ -129,22 +122,16 @@ class CosiltingModule:
         for y in eta:
             if y not in self.q1.index:
                 raise InvalidInputError("eta image is not an element of Q1")
-        # well-definedness: relations of Q0 must map to zero
-        _, relgens = self.q0._presentation
-        for rel in relgens:
-            acc = self.q1.zero
-            for c, y in zip(rel, eta):
-                acc = self.q1.add(acc, self.q1.smul(c, y))
-            if acc != self.q1.zero:
-                raise InvalidInputError("eta does not respect the relations of Q0")
+        graph = self.q0.hom_graph(eta, self.q1)
+        if graph is None:
+            raise InvalidInputError("eta does not respect the relations of Q0")
         object.__setattr__(self, "eta", eta)
-        kernel = frozenset(
-            x for x in self.q0.elements if self.apply_eta(x) == self.q1.zero
-        )
+        object.__setattr__(self, "graph", graph)
+        kernel = frozenset(x for x, y in graph.items() if y == self.q1.zero)
         object.__setattr__(self, "module", self.q0.submodule(kernel, check=False))
 
     def apply_eta(self, x):
-        return self.q0.hom_apply(self.eta, x, self.q1)
+        return self.graph[x]
 
     def is_degenerate(self) -> bool:
         return self.module.is_zero_module()
@@ -169,8 +156,8 @@ def cosilting_from_modules(ring: FiniteRing, summands) -> CosiltingModule:
             complement.append(e)
     if len(chosen) != len(summands):
         raise InvalidInputError("summands must be distinct indecomposable injectives")
-    q0 = reduce(mod.direct_sum, chosen) if chosen else mod.zero_module(ring)
-    q1 = reduce(mod.direct_sum, complement) if complement else mod.zero_module(ring)
+    q0 = mod.direct_sum(ring, chosen)
+    q1 = mod.direct_sum(ring, complement)
     eta = tuple(q1.zero for _ in q0.generators)
     return CosiltingModule(ring, q0, q1, eta)
 
@@ -276,16 +263,9 @@ def components_of_cosilting(cosilting: CosiltingModule) -> dict[PrimeId, Cosilti
     }
 
 
-def _component(module: FiniteModule, lf) -> FiniteModule:
-    part = module.submodule(
-        frozenset(module.smul(lf.idempotent, x) for x in module.elements), check=False
-    )
-    return mod.restrict_scalars(part, lf.ring, lf.lift)
-
-
 def _component_cosilting(cosilting: CosiltingModule, lf) -> CosiltingModule:
-    q0 = _component(cosilting.q0, lf)
-    q1 = _component(cosilting.q1, lf)
+    q0 = lf.component(cosilting.q0)
+    q1 = lf.component(cosilting.q1)
     # eta commutes with the idempotent, so it restricts to the components
     eta = tuple(cosilting.apply_eta(g) for g in q0.generators)
     return CosiltingModule(lf.ring, q0, q1, eta)
@@ -303,42 +283,22 @@ def glue_cosilting(
         raise InvalidInputError(
             f"family keys {sorted(family)} do not match maximal ideals {sorted(factors)}"
         )
+    labels = sorted(factors)
     q0_parts, q1_parts = [], []
-    for label in sorted(factors):
+    for label in labels:
         lf = factors[label]
         local = family[label]
         if local.ring != lf.ring:
             raise InvalidInputError(f"component at {label!r} lives over the wrong ring")
         q0_parts.append(mod.restrict_scalars(local.q0, ring, lf.proj))
         q1_parts.append(mod.restrict_scalars(local.q1, ring, lf.proj))
-    q0 = reduce(mod.direct_sum, q0_parts) if q0_parts else mod.zero_module(ring)
-    q1 = reduce(mod.direct_sum, q1_parts) if q1_parts else mod.zero_module(ring)
-    labels = sorted(factors)
-
-    def eta_of(x):
-        # x is a nested direct-sum tuple; apply each local eta componentwise
-        parts = _unflatten(x, len(labels))
-        images = [family[l].apply_eta(p) for l, p in zip(labels, parts)]
-        return _reflatten(images)
-
-    eta = tuple(eta_of(g) for g in q0.generators)
+    q0 = mod.direct_sum(ring, q0_parts)
+    q1 = mod.direct_sum(ring, q1_parts)
+    # each local eta acts on its own component
+    eta = tuple(
+        tuple(family[l].apply_eta(x) for l, x in zip(labels, g)) for g in q0.generators
+    )
     return CosiltingModule(ring, q0, q1, eta)
-
-
-def _unflatten(x, k):
-    parts = []
-    for _ in range(k - 1):
-        x, last = x
-        parts.append(last)
-    parts.append(x)
-    return list(reversed(parts))
-
-
-def _reflatten(parts):
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = (acc, p)
-    return acc
 
 
 def cosilting_equivalent(c: CosiltingModule, d: CosiltingModule) -> bool:
@@ -389,12 +349,13 @@ def cosilting_from_json(ring: FiniteRing, data: Mapping) -> CosiltingModule:
         eta_rows = data.get("eta", [])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed cosilting JSON: {exc}") from exc
-    eta = []
-    for row in eta_rows:
-        vec = tuple(ring.element_from_json(c) for c in row)
-        # adding zero reduces any ambient vector to its coset representative
-        try:
-            eta.append(q1.add(vec, q1.zero))
-        except KeyError as exc:
-            raise InvalidInputError("eta row does not define an element of Q1") from exc
+    rank = len(q1.zero)
+    if not isinstance(eta_rows, list) or any(
+        not isinstance(row, list) or len(row) != rank for row in eta_rows
+    ):
+        raise InvalidInputError(
+            f"'eta' must be a list of rows of {rank} ring elements, got {eta_rows!r}"
+        )
+    # adding zero reduces an ambient vector to its coset representative
+    eta = [q1.add(tuple(ring.element_from_json(c) for c in row), q1.zero) for row in eta_rows]
     return CosiltingModule(ring, q0, q1, tuple(eta))

@@ -331,6 +331,7 @@ def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
 
 
 Z_DEFAULT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
+COS_Z12 = {"ring": Z12, "q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}}
 
 
 @pytest.mark.parametrize(
@@ -355,11 +356,18 @@ Z_DEFAULT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tai
         (["cosilting-glue", "--family", json.dumps({"ring": Z12, "components": [1]})], "'components'"),
         (["glue", "--family", json.dumps({"poset": INTEGERS, "default": Z_DEFAULT,
                                           "exceptions": {"(2)": Z_DEFAULT}})], "key '(2)'"),
+        (["cosilting-set", "--cosilting", json.dumps(dict(COS_Z12, eta=5))], "'eta'"),
+        (["cosilting-set", "--cosilting", json.dumps(dict(COS_Z12, eta=[5]))], "'eta'"),
+        (["cosilting-set", "--cosilting", json.dumps(dict(COS_Z12, eta=[[0, 5]]))], "'eta'"),
+        (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": {"0": {"free": true}}}'], "'free'"),
+        (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": {"0": {"free": "1"}}}'], "'free'"),
+        (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": {"0": 1}}'], "degree 0"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
          "complex-list", "complex-terms", "family-list", "family-exceptions",
-         "cosilting-components", "z-family-key"],
+         "cosilting-components", "z-family-key", "eta-int", "eta-flat", "eta-long-row",
+         "free-bool", "free-string", "term-int"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     code = main(argv)
@@ -414,7 +422,8 @@ with open(Path(__file__).parent / "data" / "cli_golden.json") as _fh:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_bytes_match_the_recording(capsys, name):
     """stdout recorded before rings became tables, for F_3[x]/(x^2-1),
-    Z/4 x F_2[x]/(x^2) and spectra of rings too large to tabulate."""
+    Z/4 x F_2[x]/(x^2) and spectra of rings too large to tabulate, and before
+    module maps became graphs, for cosilting data with a nonzero eta."""
     code, out = run(capsys, *GOLDEN[name]["argv"])
     assert code == 0
     assert out == GOLDEN[name]["stdout"]

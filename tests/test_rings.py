@@ -99,7 +99,14 @@ def test_free_and_cyclic_modules(z12):
     assert free_module(z12, 1).order == 12
     assert cyclic_module(z12, 4).order == 4
     assert cyclic_module(z12, 0).order == 12
-    assert direct_sum(cyclic_module(z12, 4), cyclic_module(z12, 3)).order == 12
+    assert direct_sum(z12, [cyclic_module(z12, 4), cyclic_module(z12, 3)]).order == 12
+
+
+def test_homs_to_counts_module_maps(z12):
+    r = free_module(z12, 1)
+    assert len(r.homs_to(cyclic_module(z12, 4))) == 4
+    assert len(cyclic_module(z12, 3).homs_to(cyclic_module(z12, 4))) == 1
+    assert len(cyclic_module(z12, 4).homs_to(cyclic_module(z12, 2))) == 2
 
 
 def test_annihilator_and_support(z12):
@@ -119,7 +126,7 @@ def test_quotient_and_submodule(z12):
 
 
 def test_local_invariants_detect_isomorphism(z12):
-    a = direct_sum(cyclic_module(z12, 4), cyclic_module(z12, 3))
+    a = direct_sum(z12, [cyclic_module(z12, 4), cyclic_module(z12, 3)])
     b = free_module(z12, 1)
     assert a.isomorphic_to(b)
     assert not cyclic_module(z12, 4).isomorphic_to(cyclic_module(z12, 2))

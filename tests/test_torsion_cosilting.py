@@ -128,6 +128,18 @@ def test_eta_shape_is_validated(z12):
         cosilting_from_json(z12, {"q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}, "eta": []})
 
 
+def test_eta_is_evaluated_through_the_relations_of_q0(z12):
+    c = cosilting_from_json(z12, {"q0": {"rank": 1}, "q1": {"relations": [[4]]}, "eta": [[1]]})
+    assert sorted(c.module.elements) == [(0,), (4,), (8,)]
+    assert c.apply_eta((5,)) == (1,)
+
+
+def test_eta_must_respect_the_relations_of_q0(z12):
+    # 3 kills the generator of Q0 = R/(3) but not its image 1 in R/(4)
+    with pytest.raises(InvalidInputError, match="eta does not respect the relations of Q0"):
+        cosilting_from_json(z12, {"q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}, "eta": [[1]]})
+
+
 def test_equivalence_is_invariant_under_duplication(z12):
     c = cosilting_from_modules(z12, [cyclic_module(z12, 3)])
     doubled = cosilting_from_json(
