@@ -12,6 +12,7 @@ import math
 from functools import lru_cache
 
 from . import homalg, modules as mod, rings as rng
+from .errors import InvalidInputError
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets, localization_poset, maximal_points
 from .rings import FiniteRing
@@ -19,6 +20,9 @@ from .thomason import ThomasonFiltration, ThomasonSet, make_filtration
 
 
 # -- poset catalog -----------------------------------------------------------
+
+# _canonical tries every permutation: 6 points take seconds, 7 more than two minutes
+MAX_CATALOG_POSET = 6
 
 
 def _down_closed_subsets(rel: frozenset, size: int):
@@ -47,6 +51,10 @@ def _poset_relations(max_size: int) -> tuple:
     Every finite poset arises by repeatedly adding a new maximal element whose
     strict down-set is a down-closed subset of what is already there.
     """
+    if max_size > MAX_CATALOG_POSET:
+        raise InvalidInputError(
+            f"poset catalog size {max_size} is over the bound of {MAX_CATALOG_POSET}"
+        )
     by_size: list[list[frozenset]] = [[frozenset({(0, 0)})]]
     for size in range(2, max_size + 1):
         seen = set()
@@ -85,7 +93,7 @@ def poset_counts(max_size: int) -> list[int]:
 
 
 def all_thomason_sets(poset: SpectralPoset) -> list[ThomasonSet]:
-    return [ThomasonSet.from_members(poset, members) for members in all_up_sets(poset)]
+    return [ThomasonSet(poset, mask) for mask in all_up_sets(poset)]
 
 
 def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFiltration]:
@@ -103,33 +111,31 @@ def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFilt
             )
             return
         for s in sets:
-            if not chain or s.members <= chain[-1].members:
+            if not chain or s <= chain[-1]:
                 extend(chain + [s])
 
     extend([])
     return out
 
 
+def _families(poset: SpectralPoset, local_corpus) -> list[dict]:
+    """Every assignment m -> an item of ``local_corpus(Spec(R_m))`` over the
+    maximal points m."""
+    maxima = sorted(maximal_points(poset))
+    locals_ = [local_corpus(localization_poset(poset, m)) for m in maxima]
+    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
+
+
 def all_set_families(poset: SpectralPoset) -> list[dict]:
     """Every assignment of a local Thomason set to each maximal point
     (compatible or not)."""
-    maxima = sorted(maximal_points(poset))
-    locals_ = []
-    for m in maxima:
-        sub = localization_poset(poset, m)
-        locals_.append(all_thomason_sets(sub))
-    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
+    return _families(poset, all_thomason_sets)
 
 
 def all_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[dict]:
     """Every assignment of a local filtration (window [lo, hi]) to each maximal
     point."""
-    maxima = sorted(maximal_points(poset))
-    locals_ = []
-    for m in maxima:
-        sub = localization_poset(poset, m)
-        locals_.append(all_filtrations(sub, lo, hi))
-    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
+    return _families(poset, lambda sub: all_filtrations(sub, lo, hi))
 
 
 # -- ring catalogs -----------------------------------------------------------

@@ -15,7 +15,7 @@ import sys
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, SpectralGlueError, json_object
-from .poset import SpectralPoset, load_poset, localization_poset, maximal_points
+from .poset import SpectralPoset, localization_poset, maximal_points
 from .thomason import (
     filtration_from_json,
     filtration_to_json,
@@ -53,7 +53,7 @@ def _ring(args):
 
 def _poset(args) -> SpectralPoset:
     if args.poset:
-        return load_poset(_load_json(args.poset))
+        return SpectralPoset.from_json(_load_json(args.poset))
     if args.ring:
         poset, _ = rng.spec(_ring(args))
         return poset
@@ -73,7 +73,7 @@ def _family(args):
     if isinstance(ref, dict) and "kind" in ref:
         poset, _ = rng.spec(rng.ring_from_json(ref))
     else:
-        poset = load_poset(ref)
+        poset = SpectralPoset.from_json(ref)
     default = data.get("default")
     exceptions = {}
     for m, filt in json_object(data.get("exceptions", {}), "'exceptions'").items():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import IncompatibleFamilyError, InvalidInputError
-from .poset import PrimeId, SpectralPoset, is_thomason, localization_poset, maximal_points
+from .poset import PrimeId, SpectralPoset, localization_poset, maximal_points
 from .thomason import (
     ThomasonFiltration,
     ThomasonSet,
@@ -82,37 +82,36 @@ class CompatibilityReport:
 
 
 def _check_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]):
-    maxima = maximal_points(poset)
-    if set(sets) != set(maxima):
+    """(witness (m, m', p) or None, glued mask, stars): ``stars`` pairs each
+    maximal point m, in label order, with X(m) in the numbering of ``poset``."""
+    if set(sets) != maximal_points(poset):
         raise InvalidInputError("set family must cover exactly the maximal points")
-    violating = None
-    for m in sorted(sets):
-        for m2 in sorted(sets):
-            if m2 <= m:
-                continue
-            shared = poset.down_set(m) & poset.down_set(m2)
-            if not shared:
-                continue  # the condition is vacuous for disjoint down-sets
-            lhs = sets[m].members & poset.down_set(m2)
-            rhs = sets[m2].members & poset.down_set(m)
-            if lhs != rhs:
-                p = min(lhs ^ rhs)
-                violating = (m, m2, p)
-                break
-        if violating:
-            break
-    glued = set()
-    for m in sets:
-        glued |= sets[m].members
-    return violating, is_thomason(glued, poset), frozenset(glued)
+    stars = []
+    for m in poset.maxima:
+        label = poset.elements[m]
+        if sets[label].poset != poset.localization(m):
+            raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
+        stars.append((m, poset.unpack(sets[label].mask, m)))
+    glued = 0
+    for _, x in stars:
+        glued |= x
+    down = poset.down
+    for k, (m, x) in enumerate(stars):
+        for m2, x2 in stars[k + 1 :]:
+            # x lies below m and x2 below m2, so both sides lie in the shared down-set
+            disagree = (x & down[m2]) ^ (x2 & down[m])
+            if disagree:
+                witness = (poset.elements[m], poset.elements[m2], poset.labels(disagree)[0])
+                return witness, glued, stars
+    return None, glued, stars
 
 
 def check_dagger_sets(
     poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]
 ) -> CompatibilityReport:
     """Pairwise agreement of the local sets on shared primes."""
-    violating, glued_thomason, _ = _check_sets(poset, sets)
-    return CompatibilityReport(violating is None, violating, glued_thomason)
+    violating, glued, _ = _check_sets(poset, sets)
+    return CompatibilityReport(violating is None, violating, poset.closure(glued) == glued)
 
 
 def check_dagger(family: LocalFamily, n: int) -> CompatibilityReport:
@@ -122,16 +121,16 @@ def check_dagger(family: LocalFamily, n: int) -> CompatibilityReport:
 
 def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> ThomasonSet:
     """Union of the star images; defined only for compatible families."""
-    violating, glued_thomason, glued = _check_sets(poset, sets)
+    violating, glued, _ = _check_sets(poset, sets)
     if violating is not None:
         raise IncompatibleFamilyError(
             f"family disagrees on shared prime {violating[2]!r} "
             f"between {violating[0]!r} and {violating[1]!r}",
             witness=violating,
         )
-    # automatic on a finite poset: a union of up-sets is an up-set
-    assert glued_thomason, "glued set of a compatible family must be Thomason"
-    return ThomasonSet.from_members(poset, glued)
+    # automatic on a finite poset: the star images of a compatible family glue to an up-set
+    assert poset.closure(glued) == glued, "glued set of a compatible family must be Thomason"
+    return ThomasonSet(poset, glued)
 
 
 def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
@@ -174,15 +173,11 @@ def check_lemma_equiv(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet])
     union of star images being an up-set] holds exactly when the union equals
     X'.
     """
-    maxima = maximal_points(poset)
-    if set(sets) != set(maxima):
-        raise InvalidInputError("set family must cover exactly the maximal points")
-    x_prime: set[PrimeId] = set()
-    for g in poset.elements:
-        up = poset.up_set(g)
-        if all(up & poset.down_set(m) <= sets[m].members for m in maxima):
+    violating, glued, stars = _check_sets(poset, sets)
+    x_prime = 0
+    for up in poset.up:
+        if all(not up & poset.down[m] & ~x for m, x in stars):
             x_prime |= up
-    violating, glued_thomason, glued = _check_sets(poset, sets)
-    condition_i = violating is None and glued_thomason
-    condition_ii = glued == frozenset(x_prime)
+    condition_i = violating is None and poset.closure(glued) == glued
+    condition_ii = glued == x_prime
     return condition_i == condition_ii

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
@@ -389,21 +390,29 @@ def localize_complex(complex_: BoundedComplex, label: PrimeId) -> BoundedComplex
 # -- JSON --------------------------------------------------------------------
 
 
+def _degree(key: str, field: str) -> int:
+    # int() would also read "1_0" as 10 and " 1" as 1
+    if not re.fullmatch(r"[+-]?[0-9]+", key):
+        raise InvalidInputError(f"{field!r} key {key!r} must be a decimal degree")
+    return int(key)
+
+
 def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
     """{"terms": {"-1": {"free": 1}, "0": {"module": {...}}}, "differentials": {"-1": [[2]]}}"""
     json_object(data, "complex JSON")
     try:
         terms = {}
-        for n, spec_ in json_object(data.get("terms", {}), "'terms'").items():
+        for key, spec_ in json_object(data.get("terms", {}), "'terms'").items():
+            n = _degree(key, "terms")
             json_object(spec_, f"the term at degree {n}")
             if "free" in spec_:
-                terms[int(n)] = FreeTerm(json_int(spec_["free"], f"'free' at degree {n}"))
+                terms[n] = FreeTerm(json_int(spec_["free"], f"'free' at degree {n}"))
             elif "module" in spec_:
-                terms[int(n)] = rng.module_from_json(ring, spec_["module"])
+                terms[n] = rng.module_from_json(ring, spec_["module"])
             else:
                 raise InvalidInputError(f"term at {n} must give 'free' or 'module'")
         diffs = {
-            int(n): [[ring.element_from_json(e) for e in row] for row in matrix]
+            _degree(n, "differentials"): [[ring.element_from_json(e) for e in row] for row in matrix]
             for n, matrix in json_object(data.get("differentials", {}), "'differentials'").items()
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -129,7 +129,7 @@ class ZLocalFamily:
 
 
 def _generic_profile(filt, n: int) -> bool:
-    return GENERIC in filt.at(n).members
+    return GENERIC in filt.at(n)
 
 
 def check_z_dagger(family: ZLocalFamily, n: int):
@@ -155,21 +155,21 @@ def glue_z_sets(family: ZLocalFamily, n: int) -> ZThomason:
     if _generic_profile(family.default, n):
         # every local set is the full 2-chain (up-set containing the bottom)
         return ZThomason(full=True)
-    if CLOSED_POINT in family.default.at(n).members:
+    if CLOSED_POINT in family.default.at(n):
         raise UnsupportedRingError(
             "default populates the closed point at infinitely many primes; "
             "the glued set would be infinite and not representable"
         )
     primes = set()
     for p, filt in family.exceptions.items():
-        members = filt.at(n).members
-        if GENERIC in members:
+        level = filt.at(n)
+        if GENERIC in level:
             raise IncompatibleFamilyError(
                 f"exception at {p} contains the generic point while the default does not",
                 degree=n,
                 witness=(p, "default", GENERIC),
             )
-        if f"({p})" in members:
+        if f"({p})" in level:
             primes.add(p)
     return ZThomason(full=False, primes=frozenset(primes))
 

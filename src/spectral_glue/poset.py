@@ -1,18 +1,20 @@
-"""Finite spectral spaces as posets of prime labels.
+"""Finite spectral spaces as posets of prime labels, with subsets as bit masks.
 
 A prime ``p <= q`` means the prime ideal p is contained in q, so up-sets are
-exactly the specialization closed subsets.  Posets are immutable after
-construction and store the full reachability relation, so order queries are
-O(1) set lookups.
+exactly the specialization closed subsets.  Points are numbered 0..n-1 in
+sorted label order and a subset is an int whose bit i stands for point i, so
+union, intersection and inclusion are integer operations and the lowest bit
+of a mask is its smallest label.  Posets are immutable; up- and down-sets,
+maximal points and localizations are computed once per poset.  Labels are
+checked once, where they enter (:meth:`SpectralPoset.point`).
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_object
 
 PrimeId = str
 
@@ -20,82 +22,100 @@ PrimeId = str
 class SpectralPoset:
     """Finite poset of prime labels under inclusion.
 
-    ``elements`` is kept sorted so set operations and serialized output are
-    deterministic.  The order relation is stored as a map label -> frozenset of
-    labels above it (its principal up-set, including itself).
+    ``elements[i]`` is the label of point i, in sorted order.  ``up[i]`` and
+    ``down[i]`` are the masks of the principal up-set and down-set of point
+    i, both containing i; ``maxima`` are the maximal points.
     """
-
-    __slots__ = ("elements", "_up", "__dict__")
 
     def __init__(self, elements: Iterable[PrimeId], pairs: Iterable[tuple[PrimeId, PrimeId]] = ()):
         elems = sorted(elements)
-        if len(set(elems)) != len(elems):
-            raise InvalidInputError(f"duplicate prime labels in {elems}")
-        pairs = list(pairs)
-        eset = set(elems)
+        index = {e: i for i, e in enumerate(elems)}
+        if len(index) != len(elems):
+            raise InvalidInputError(f"duplicate labels in poset 'elements': {elems}")
+        n = len(elems)
+        up = [1 << i for i in range(n)]
         for a, b in pairs:
-            if a not in eset or b not in eset:
+            if a not in index or b not in index:
                 raise InvalidInputError(f"relation ({a!r}, {b!r}) mentions unknown prime")
-        up = {e: {e} for e in elems}
-        for a, b in pairs:
-            up[a].add(b)
-        # transitive closure (tiny posets; repeated sweep is fine)
-        changed = True
-        while changed:
-            changed = False
-            for a in elems:
-                new = set()
-                for b in up[a]:
-                    new |= up[b]
-                if not new <= up[a]:
-                    up[a] |= new
-                    changed = True
-        for a in elems:
-            for b in up[a]:
-                if a != b and a in up[b]:
-                    raise InvalidInputError(f"order not antisymmetric: {a!r} <=> {b!r}")
+            up[index[a]] |= 1 << index[b]
+        # Warshall: after step k, up[i] holds every point reached through 0..k
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         self.elements = tuple(elems)
-        self._up = {e: frozenset(s) for e, s in up.items()}
+        self.index = index
+        self.up = tuple(up)
+        self.down = tuple(sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n))
+        for i in range(n):
+            if up[i] & self.down[i] != 1 << i:
+                other = self.labels(up[i] & self.down[i] & ~(1 << i))[0]
+                raise InvalidInputError(f"order not antisymmetric: {elems[i]!r} <=> {other!r}")
+        self.full = (1 << n) - 1
+        self.maxima = tuple(i for i in range(n) if up[i] == 1 << i)
+        self._below = tuple(tuple(j for j in range(n) if d >> j & 1) for d in self.down)
+        self._localizations: dict[int, SpectralPoset] = {}
+
+    def point(self, label: PrimeId) -> int:
+        """The number of the point ``label``; the check every label passes."""
+        try:
+            return self.index[label]
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"prime {label!r} is not in this poset") from None
+
+    def mask_of(self, labels: Iterable[PrimeId]) -> int:
+        return sum({1 << self.point(label) for label in labels})
+
+    def labels(self, mask: int) -> tuple[PrimeId, ...]:
+        """The labels of the points of ``mask``, in sorted order."""
+        return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
     def leq(self, a: PrimeId, b: PrimeId) -> bool:
-        self._require(a)
-        self._require(b)
-        return b in self._up[a]
+        return bool(self.up[self.point(a)] >> self.point(b) & 1)
 
-    def up_set(self, a: PrimeId) -> frozenset[PrimeId]:
-        """Principal up-set of ``a`` (all primes containing it)."""
-        self._require(a)
-        return self._up[a]
+    def closure(self, mask: int) -> int:
+        """Smallest up-set containing ``mask``: the specialization closure."""
+        for i, u in enumerate(self.up):
+            if mask >> i & 1:
+                mask |= u
+        return mask
 
-    def down_set(self, a: PrimeId) -> frozenset[PrimeId]:
-        self._require(a)
-        return frozenset(b for b in self.elements if a in self._up[b])
+    def localization(self, m: int) -> "SpectralPoset":
+        """Induced poset on the down-set of point m: Spec(R_m) inside Spec(R).
 
-    def _require(self, a: PrimeId) -> None:
-        if a not in self._up:
-            raise InvalidInputError(f"prime {a!r} is not in this poset")
+        Its point k is the k-th point of ``down[m]``, as both number their
+        points in label order; :meth:`pack` and :meth:`unpack` move masks
+        between the two numberings.
+        """
+        if m not in self._localizations:
+            below = self.down[m]
+            pairs = [(a, b) for a, b in self.relation_pairs if below >> self.index[b] & 1]
+            self._localizations[m] = SpectralPoset(self.labels(below), pairs)
+        return self._localizations[m]
 
-    def check_subset(self, members: Iterable[PrimeId]) -> frozenset[PrimeId]:
-        members = frozenset(members)
-        for m in members:
-            self._require(m)
-        return members
+    def pack(self, mask: int, m: int) -> int:
+        """``mask & down[m]`` in the numbering of the localization at m."""
+        return sum((mask >> j & 1) << k for k, j in enumerate(self._below[m]))
+
+    def unpack(self, mask: int, m: int) -> int:
+        """A mask of the localization at m in this poset's numbering."""
+        return sum((mask >> k & 1) << j for k, j in enumerate(self._below[m]))
 
     @cached_property
     def relation_pairs(self) -> tuple[tuple[PrimeId, PrimeId], ...]:
         return tuple(
-            (a, b) for a in self.elements for b in sorted(self._up[a]) if a != b
+            (a, b) for i, a in enumerate(self.elements) for b in self.labels(self.up[i] & ~(1 << i))
         )
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SpectralPoset)
             and self.elements == other.elements
-            and self._up == other._up
+            and self.up == other.up
         )
 
     def __hash__(self):
-        return hash((self.elements, tuple(sorted(self._up.items()))))
+        return hash((self.elements, self.up))
 
     def __len__(self):
         return len(self.elements)
@@ -107,52 +127,38 @@ class SpectralPoset:
         return {"elements": list(self.elements), "leq": [list(p) for p in self.relation_pairs]}
 
     @classmethod
-    def from_json(cls, data: Mapping) -> "SpectralPoset":
-        try:
-            return cls(data["elements"], [tuple(p) for p in data.get("leq", [])])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInputError(f"malformed poset JSON: {exc}") from exc
-
-
-def specialization_closure(members: Iterable[PrimeId], poset: SpectralPoset) -> frozenset[PrimeId]:
-    """Smallest up-set containing ``members``: {q | exists p in members, p <= q}."""
-    members = poset.check_subset(members)
-    closed: set[PrimeId] = set()
-    for p in members:
-        closed |= poset.up_set(p)
-    return frozenset(closed)
+    def from_json(cls, data) -> "SpectralPoset":
+        """Read ``{"elements": [label, ...], "leq": [[a, b], ...]}``."""
+        data = json_object(data, "poset JSON")
+        elements, leq = data.get("elements"), data.get("leq", [])
+        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+            raise InvalidInputError(f"poset 'elements' must be a list of labels, got {elements!r}")
+        if not isinstance(leq, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p) for p in leq
+        ):
+            raise InvalidInputError(f"poset 'leq' must be a list of label pairs, got {leq!r}")
+        return cls(elements, [tuple(p) for p in leq])
 
 
 def is_thomason(members: Iterable[PrimeId], poset: SpectralPoset) -> bool:
     """On a finite spectral space the Thomason subsets are exactly the up-sets."""
-    members = poset.check_subset(members)
-    return specialization_closure(members, poset) == members
+    mask = poset.mask_of(members)
+    return poset.closure(mask) == mask
 
 
 def maximal_points(poset: SpectralPoset) -> frozenset[PrimeId]:
     """Elements with no strict upper bound (the maximal ideals)."""
-    return frozenset(p for p in poset.elements if poset.up_set(p) == frozenset({p}))
+    return frozenset(poset.elements[i] for i in poset.maxima)
 
 
 def localization_poset(poset: SpectralPoset, p: PrimeId) -> SpectralPoset:
     """Induced poset on the down-set of ``p``: Spec(R_p) inside Spec(R)."""
-    down = poset.down_set(p)
-    pairs = [(a, b) for a in down for b in down if a != b and poset.leq(a, b)]
-    return SpectralPoset(down, pairs)
+    return poset.localization(poset.point(p))
 
 
-def all_up_sets(poset: SpectralPoset) -> list[frozenset[PrimeId]]:
-    """All up-sets, in a deterministic order (sorted by size then labels)."""
-    ups: set[frozenset[PrimeId]] = {frozenset()}
-    for p in poset.elements:
-        ups |= {u | poset.up_set(p) for u in ups}
-    return sorted(ups, key=lambda s: (len(s), tuple(sorted(s))))
-
-
-def load_poset(path_or_obj) -> SpectralPoset:
-    if isinstance(path_or_obj, SpectralPoset):
-        return path_or_obj
-    if isinstance(path_or_obj, Mapping):
-        return SpectralPoset.from_json(path_or_obj)
-    with open(path_or_obj) as fh:
-        return SpectralPoset.from_json(json.load(fh))
+def all_up_sets(poset: SpectralPoset) -> list[int]:
+    """The masks of all up-sets, ordered by size and then by sorted labels."""
+    ups = {0}
+    for u in poset.up:
+        ups |= {s | u for s in ups}
+    return sorted(ups, key=lambda s: (s.bit_count(), poset.labels(s)))

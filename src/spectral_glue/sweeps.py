@@ -68,7 +68,7 @@ def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
     for x in catalog.all_thomason_sets(poset):
         report.checked += 1
         back = gluing.glue_sets(poset, gluing.localize_sets(x))
-        if back.members != x.members:
+        if back != x:
             report.failures.append(
                 {"poset": descr, "set": set_to_json(x), "glued": set_to_json(back)}
             )
@@ -80,7 +80,7 @@ def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
         report.checked += 1
         glued = gluing.glue_sets(poset, family)
         back = gluing.localize_sets(glued)
-        if any(back[m].members != family[m].members for m in family):
+        if any(back[m] != family[m] for m in family):
             report.failures.append(
                 {
                     "poset": descr,
@@ -202,7 +202,7 @@ def _check_koszul(report: SweepReport, ring: FiniteRing) -> None:
         for n in range(kos.min_degree, kos.max_degree + 1):
             report.checked += 1
             supp = homalg.support_of_cohomology(kos, n)
-            if not supp.members <= v_set.members:
+            if not supp <= v_set:
                 report.failures.append(
                     {
                         "ring": ring.to_json(),
@@ -321,7 +321,7 @@ def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
         cyclics = tc.torsion_class_cyclics(ring, x)
         back = tc.thomason_of_torsion_class(ring, cyclics)
         problems = []
-        if back.members != x.members:
+        if back != x:
             problems.append("torsion-class roundtrip broke")
         injectives = tc.injective_class_of(ring, x)
         signature = tuple(sorted(repr(sorted(e.elements)) for e in injectives))
@@ -331,7 +331,7 @@ def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
             )
         injective_images[signature] = set_to_json(x)
         recovered = tc.thomason_of_injective_class(ring, injectives)
-        if recovered.members != x.members:
+        if recovered != x:
             problems.append("Hom-vanishing recovery from the injective class broke")
         if problems:
             report.failures.append(
@@ -371,13 +371,13 @@ def _check_cosilting(report: SweepReport, cosilting) -> None:
         problems.append("componentwise Thomason sets are not compatible")
     else:
         glued_set = gluing.glue_sets(poset, family)
-        if glued_set.members != global_set.members:
+        if glued_set != global_set:
             problems.append("componentwise Thomason sets do not glue to the global set")
     # the two-term filtration restricts to the local two-term pattern
     filt = tc.two_term_filtration(global_set)
     for m in family:
         local_filt = restrict_filtration(filt, m)
-        if local_filt.at(0).members != family[m].members:
+        if local_filt.at(0) != family[m]:
             problems.append(f"two-term filtration at {m!r} disagrees with the local set")
     if problems:
         report.failures.append(

@@ -1,4 +1,4 @@
-"""Thomason sets with generator witnesses and decreasing Z-indexed filtrations.
+"""Thomason sets as masks of up-sets, and decreasing Z-indexed filtrations.
 
 A filtration is stored by its finite breakpoint window [lo, hi] plus the two
 tail values (the value for all n < lo, resp. n > hi).  Construction always
@@ -17,69 +17,66 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import FiltrationOrderError, InvalidInputError
-from .poset import (
-    PrimeId,
-    SpectralPoset,
-    localization_poset,
-    maximal_points,
-    specialization_closure,
-)
+from .errors import FiltrationOrderError, InvalidInputError, json_int
+from .poset import PrimeId, SpectralPoset
 
 
 @dataclass(frozen=True)
 class ThomasonSet:
-    """An up-set of a finite spectral poset, with principal-up-set witnesses.
-
-    ``generators`` are the minimal elements of ``members``; they play the role
-    of the V(I) witnesses exhibiting the set as Thomason.
-    """
+    """An up-set of a finite spectral poset, as the mask of its points."""
 
     poset: SpectralPoset
-    generators: tuple[PrimeId, ...]
-    members: frozenset[PrimeId]
+    mask: int
 
     @classmethod
     def from_members(cls, poset: SpectralPoset, members: Iterable[PrimeId]) -> "ThomasonSet":
-        members = poset.check_subset(members)
-        if specialization_closure(members, poset) != members:
-            raise InvalidInputError(f"{sorted(members)} is not specialization closed")
-        gens = tuple(
-            sorted(p for p in members if not any(q != p and poset.leq(q, p) for q in members))
-        )
-        return cls(poset, gens, members)
+        mask = poset.mask_of(members)
+        if poset.closure(mask) != mask:
+            raise InvalidInputError(f"{list(poset.labels(mask))} is not specialization closed")
+        return cls(poset, mask)
 
     @classmethod
     def from_generators(cls, poset: SpectralPoset, generators: Iterable[PrimeId]) -> "ThomasonSet":
-        members: set[PrimeId] = set()
-        for g in generators:
-            members |= poset.up_set(g)
-        return cls.from_members(poset, members)
+        return cls(poset, poset.closure(poset.mask_of(generators)))
 
     @classmethod
     def full(cls, poset: SpectralPoset) -> "ThomasonSet":
-        return cls.from_members(poset, poset.elements)
+        return cls(poset, poset.full)
 
     @classmethod
     def empty(cls, poset: SpectralPoset) -> "ThomasonSet":
-        return cls.from_members(poset, ())
+        return cls(poset, 0)
+
+    @property
+    def generators(self) -> tuple[PrimeId, ...]:
+        """The minimal members: the V(I) witnesses exhibiting the set as Thomason."""
+        down = self.poset.down
+        return tuple(p for i, p in enumerate(self.poset.elements) if down[i] & self.mask == 1 << i)
+
+    @property
+    def members(self) -> frozenset[PrimeId]:
+        return frozenset(self.poset.labels(self.mask))
 
     def is_full(self) -> bool:
-        return self.members == frozenset(self.poset.elements)
+        return self.mask == self.poset.full
 
     def __contains__(self, p: PrimeId) -> bool:
-        return p in self.members
+        return p in self.poset.index and bool(self.mask >> self.poset.index[p] & 1)
 
     def __le__(self, other: "ThomasonSet") -> bool:
-        return self.members <= other.members
+        self._same_poset(other)
+        return not self.mask & ~other.mask
 
     def union(self, other: "ThomasonSet") -> "ThomasonSet":
+        self._same_poset(other)
+        return ThomasonSet(self.poset, self.mask | other.mask)
+
+    def _same_poset(self, other: "ThomasonSet") -> None:
         if other.poset != self.poset:
             raise InvalidInputError("cannot combine Thomason sets over different posets")
-        return ThomasonSet.from_members(self.poset, self.members | other.members)
 
     def sorted_members(self) -> list[PrimeId]:
-        return sorted(self.members)
+        return list(self.poset.labels(self.mask))
 
     def __repr__(self):
         return f"ThomasonSet({self.sorted_members()})"
@@ -187,37 +184,32 @@ def constant_filtration(poset: SpectralPoset, value: ThomasonSet) -> ThomasonFil
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
     """Intersection of all X_n empty and union all of Spec; with the finite
     representation this is exactly high_tail = empty and low_tail = full."""
-    return not filtration.high_tail.members and filtration.low_tail.is_full()
+    return not filtration.high_tail.mask and filtration.low_tail.is_full()
 
 
 def is_constant(filtration: ThomasonFiltration) -> bool:
-    return not filtration.values and filtration.low_tail.members == filtration.high_tail.members
+    return not filtration.values and filtration.low_tail == filtration.high_tail
 
 
 def restrict_set(s: ThomasonSet, m: PrimeId) -> ThomasonSet:
     """X |-> X intersected with the down-set of m, on Spec(R_m)."""
-    sub = localization_poset(s.poset, m)
-    return ThomasonSet.from_members(sub, s.members & set(sub.elements))
+    i = s.poset.point(m)
+    return ThomasonSet(s.poset.localization(i), s.poset.pack(s.mask, i))
 
 
 def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonFiltration:
     """Degreewise restriction to the localization poset at a maximal point m."""
     poset = filtration.poset
-    if m not in maximal_points(poset):
+    i = poset.point(m)
+    if poset.up[i] != 1 << i:
         raise InvalidInputError(f"{m!r} is not a maximal point")
-    sub = localization_poset(poset, m)
-    down = set(sub.elements)
-
-    def cut(s: ThomasonSet) -> ThomasonSet:
-        return ThomasonSet.from_members(sub, s.members & down)
-
     lo, hi = filtration.window()
     # lo - 1 is included so the position of a pure step survives restriction
     return make_filtration(
-        sub,
-        cut(filtration.low_tail),
-        [(n, cut(filtration.at(n))) for n in range(lo - 1, hi + 1)],
-        cut(filtration.high_tail),
+        poset.localization(i),
+        restrict_set(filtration.low_tail, m),
+        [(n, restrict_set(filtration.at(n), m)) for n in range(lo - 1, hi + 1)],
+        restrict_set(filtration.high_tail, m),
     )
 
 
@@ -248,13 +240,6 @@ def filtration_to_json(filtration: ThomasonFiltration) -> dict:
     }
 
 
-def _breakpoint_index(n) -> int:
-    # bool is a subclass of int, but JSON true is not a degree
-    if type(n) is not int:
-        raise InvalidInputError(f"breakpoint index must be an integer, got {n!r}")
-    return n
-
-
 def filtration_from_json(
     poset: Optional[SpectralPoset], data: Mapping, parse_set=set_from_json
 ) -> ThomasonFiltration:
@@ -263,7 +248,7 @@ def filtration_from_json(
         low = parse_set(poset, data["low_tail"])
         high = parse_set(poset, data["high_tail"])
         bps = [
-            (_breakpoint_index(bp["n"]), parse_set(poset, bp["set"]))
+            (json_int(bp["n"], "breakpoint index"), parse_set(poset, bp["set"]))
             for bp in data.get("breakpoints", [])
         ]
     except (KeyError, TypeError) as exc:

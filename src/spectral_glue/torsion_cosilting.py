@@ -34,16 +34,15 @@ def torsion_submodule(module: FiniteModule, x_set: ThomasonSet) -> FiniteModule:
     poset, _ = rng.spec(module.ring)
     if x_set.poset != poset:
         raise InvalidInputError("Thomason set does not live on spec of the module's ring")
-    members = frozenset(
-        x for x in module.elements if _element_support(module, x) <= x_set.members
-    )
+    allowed = x_set.members
+    members = frozenset(x for x in module.elements if _element_support(module, x) <= allowed)
     return module.submodule(members, check=False)
 
 
 def is_torsion(module: FiniteModule, x_set: ThomasonSet) -> bool:
     if module.is_zero_module():
         return True
-    return rng.support(module).members <= x_set.members
+    return rng.support(module) <= x_set
 
 
 def is_torsionfree(module: FiniteModule, x_set: ThomasonSet) -> bool:

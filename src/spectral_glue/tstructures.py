@@ -42,19 +42,19 @@ class TStructureDescriptor:
         return self.filtration.at(n)
 
 
-def aisle_supports(complex_: BoundedComplex) -> dict[int, frozenset]:
-    """n -> the members of Supp H^n(X), over the degrees of X."""
+def aisle_supports(complex_: BoundedComplex) -> dict[int, ThomasonSet]:
+    """n -> Supp H^n(X), over the degrees of X."""
     if complex_.is_zero():
         return {}
     return {
-        n: support_of_cohomology(complex_, n).members
+        n: support_of_cohomology(complex_, n)
         for n in range(complex_.min_degree, complex_.max_degree + 1)
     }
 
 
 def aisle_admits(supports, filtration: ThomasonFiltration) -> bool:
     """Every Supp H^n(X) lies inside the level X_n."""
-    return all(supp <= filtration.at(n).members for n, supp in supports.items())
+    return all(supp <= filtration.at(n) for n, supp in supports.items())
 
 
 def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
@@ -104,7 +104,7 @@ def kappa_test(p: PrimeId, n: int, t: TStructureDescriptor) -> bool:
     """kappa(p)[-n] lies in the aisle iff p is in X_n; asserts the equivalence."""
     kappa = rng.residue_field(t.ring, p)
     result = aisle_membership(homalg.stalk_complex(kappa, n), t)
-    expected = p in t.level(n).members
+    expected = p in t.level(n)
     if result != expected:
         raise AssertionError(
             f"kappa test inconsistency at p={p!r}, n={n}: aisle says {result}, "
@@ -124,9 +124,7 @@ def localize_tstructure(t: TStructureDescriptor, m: PrimeId) -> TStructureDescri
     local_poset, _ = rng.spec(local_ring)
 
     def restrict(s: ThomasonSet) -> ThomasonSet:
-        if m in s.members:
-            return ThomasonSet.full(local_poset)
-        return ThomasonSet.empty(local_poset)
+        return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)
 
     filt = t.filtration
     breakpoints = [(n, restrict(filt.at(n))) for n in range(filt.lo - 1, filt.hi + 1)]

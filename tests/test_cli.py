@@ -334,6 +334,14 @@ Z_DEFAULT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tai
 COS_Z12 = {"ring": Z12, "q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}}
 
 
+def localize_on(poset):
+    return ["localize", "--poset", poset, "--filtration", json.dumps(FILT)]
+
+
+def cohomology_of(cx):
+    return ["cohomology", "--ring", json.dumps(Z12), "--complex", json.dumps(cx)]
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -362,15 +370,32 @@ COS_Z12 = {"ring": Z12, "q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}}
         (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": {"0": {"free": true}}}'], "'free'"),
         (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": {"0": {"free": "1"}}}'], "'free'"),
         (["cohomology", "--ring", json.dumps(Z12), "--complex", '{"terms": {"0": 1}}'], "degree 0"),
+        (localize_on('{"elements": "ab"}'), "'elements'"),
+        (localize_on('{"elements": [1, 2]}'), "'elements'"),
+        (localize_on('{"elements": ["a", "a"]}'), "'elements'"),
+        (localize_on('{"elements": ["a"], "leq": [["a"]]}'), "'leq'"),
+        (localize_on('{"elements": ["a"], "leq": [["a", "a", "a"]]}'), "'leq'"),
+        (localize_on('{"elements": ["a"], "leq": "x"}'), "'leq'"),
+        (localize_on("[1]"), "poset JSON"),
+        (cohomology_of({"terms": {"x": {"free": 1}}}), "'terms' key 'x'"),
+        (cohomology_of({"terms": {"1_0": {"free": 1}}}), "'terms' key '1_0'"),
+        (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"x": [[1]]}}), "'differentials' key 'x'"),
+        (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"1_0": [[1]]}}), "'differentials' key '1_0'"),
+        (["fuzz", "--max-poset", "7"], "bound of 6"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
          "complex-list", "complex-terms", "family-list", "family-exceptions",
          "cosilting-components", "z-family-key", "eta-int", "eta-flat", "eta-long-row",
-         "free-bool", "free-string", "term-int"],
+         "free-bool", "free-string", "term-int", "elements-string", "elements-int",
+         "elements-duplicate", "leq-single", "leq-triple", "leq-string", "poset-list",
+         "terms-key-x", "terms-key-underscore", "differentials-key-x",
+         "differentials-key-underscore", "fuzz-max-poset-7"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
+    start = time.monotonic()
     code = main(argv)
+    assert time.monotonic() - start < 1
     err = capsys.readouterr().err
     assert code == 2
     assert field in err and "Traceback" not in err
@@ -422,10 +447,12 @@ with open(Path(__file__).parent / "data" / "cli_golden.json") as _fh:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_bytes_match_the_recording(capsys, name):
     """stdout recorded before rings became tables, for F_3[x]/(x^2-1),
-    Z/4 x F_2[x]/(x^2) and spectra of rings too large to tabulate, and before
-    module maps became graphs, for cosilting data with a nonzero eta."""
+    Z/4 x F_2[x]/(x^2) and spectra of rings too large to tabulate, before
+    module maps became graphs, for cosilting data with a nonzero eta, and
+    before posets became bit masks, for the gluing verbs; a recording's
+    "exit" is its exit code, 0 when absent."""
     code, out = run(capsys, *GOLDEN[name]["argv"])
-    assert code == 0
+    assert code == GOLDEN[name].get("exit", 0)
     assert out == GOLDEN[name]["stdout"]
 
 

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from spectral_glue import (
     IncompatibleFamilyError,
     InvalidInputError,
     LocalFamily,
+    SpectralPoset,
     ThomasonSet,
     check_dagger,
     check_dagger_sets,
@@ -14,9 +17,15 @@ from spectral_glue import (
     localize_filtrations,
     localize_sets,
     make_filtration,
+    restrict_set,
 )
-from spectral_glue.catalog import all_filtrations, all_thomason_sets, poset_catalog
-from spectral_glue.poset import localization_poset
+from spectral_glue.catalog import (
+    all_filtrations,
+    all_set_families,
+    all_thomason_sets,
+    poset_catalog,
+)
+from spectral_glue.poset import all_up_sets, is_thomason, localization_poset, maximal_points
 
 from conftest import up
 
@@ -111,3 +120,107 @@ def test_lemma_equiv_exhaustive_small():
             assert glue_sets(poset, localize_sets(s)) == s
         for filt in all_filtrations(poset, -1, 1):
             assert glue_filtrations(localize_filtrations(filt)) == filt
+
+
+# -- label-set oracle for the mask layer ---------------------------------------
+#
+# A small reference over frozensets of labels, independent of the masks: the
+# order is the reflexive-transitive closure of ``relation_pairs``, and every
+# set operation is done on labels.
+
+
+def _ref_order(poset):
+    leq = {(a, a) for a in poset.elements} | set(poset.relation_pairs)
+    while True:
+        more = {(a, d) for a, b in leq for c, d in leq if b == c} - leq
+        if not more:
+            return leq
+        leq |= more
+
+
+def _ref_up_sets(poset, leq):
+    labels = poset.elements
+    subsets = [
+        frozenset(p for i, p in enumerate(labels) if bits >> i & 1) for bits in range(1 << len(labels))
+    ]
+    ups = [s for s in subsets if all(b in s for a, b in leq if a in s)]
+    return sorted(ups, key=lambda s: (len(s), sorted(s)))
+
+
+def _ref_check(down, family):
+    """(witness or None, glued) of a family m -> frozenset of labels."""
+    maxima = sorted(family)
+    glued = frozenset().union(*family.values())
+    for k, m in enumerate(maxima):
+        for m2 in maxima[k + 1 :]:
+            lhs, rhs = family[m] & down[m2], family[m2] & down[m]
+            if lhs != rhs:
+                return (m, m2, min(lhs ^ rhs)), glued
+    return None, glued
+
+
+def test_mask_order_matches_label_sets_on_the_catalog():
+    for poset in poset_catalog(5):
+        leq = _ref_order(poset)
+        labels = poset.elements
+        assert leq == {(a, a) for a in labels} | set(poset.relation_pairs)
+        for a in labels:
+            for b in labels:
+                assert poset.leq(a, b) == ((a, b) in leq)
+        for i, a in enumerate(labels):
+            assert set(poset.labels(poset.up[i])) == {b for x, b in leq if x == a}
+            assert set(poset.labels(poset.down[i])) == {x for x, b in leq if b == a}
+        assert maximal_points(poset) == {a for a in labels if all(x != a or b == a for x, b in leq)}
+        # the covering relation closes back to the order under every rotation
+        # of the labels, so that each point number is an intermediate somewhere
+        strict = {(a, b) for a, b in leq if a != b}
+        covers = [(a, b) for a, b in strict if not any((a, c) in strict and (c, b) in strict for c in labels)]
+        assert SpectralPoset(reversed(labels), covers) == poset
+        for r in range(len(labels)):
+            turn = dict(zip(labels, labels[r:] + labels[:r]))
+            turned = SpectralPoset(labels, [(turn[a], turn[b]) for a, b in covers])
+            assert set(turned.relation_pairs) == {(turn[a], turn[b]) for a, b in strict}
+        ups = _ref_up_sets(poset, leq)
+        assert [frozenset(poset.labels(u)) for u in all_up_sets(poset)] == ups
+        assert all(is_thomason(s, poset) for s in ups)
+
+
+def test_mask_gluing_matches_label_sets_on_the_catalog():
+    for poset in poset_catalog(5):
+        leq = _ref_order(poset)
+        maxima = sorted(maximal_points(poset))
+        down = {m: frozenset(a for a, b in leq if b == m) for m in maxima}
+        principal = {g: frozenset(b for a, b in leq if a == g) for g in poset.elements}
+        local_ups = {}
+        for m in maxima:
+            sub = localization_poset(poset, m)
+            local_leq = {(a, b) for a, b in leq if b in down[m]}
+            assert set(sub.elements) == down[m]
+            assert {(a, a) for a in sub.elements} | set(sub.relation_pairs) == local_leq
+            local_ups[m] = _ref_up_sets(sub, local_leq)
+        for members in _ref_up_sets(poset, leq):
+            x = ThomasonSet.from_members(poset, members)
+            for m in maxima:
+                local = restrict_set(x, m)
+                assert local.poset == localization_poset(poset, m)
+                assert local.members == members & down[m]
+        expected = [dict(zip(maxima, combo)) for combo in itertools.product(*local_ups.values())]
+        families = all_set_families(poset)
+        assert [{m: s.members for m, s in f.items()} for f in families] == expected
+        for family, ref in zip(families, expected):
+            witness, glued = _ref_check(down, ref)
+            closed = all(b in glued for a, b in leq if a in glued)
+            report = check_dagger_sets(poset, family)
+            assert (report.dagger_holds, report.violating_pair) == (witness is None, witness)
+            assert report.glued_thomason == closed
+            if witness is None:
+                assert glue_sets(poset, family).members == glued
+            else:
+                with pytest.raises(IncompatibleFamilyError) as err:
+                    glue_sets(poset, family)
+                assert err.value.witness == witness
+            x_prime = frozenset().union(
+                *(u for u in principal.values() if all(u & down[m] <= ref[m] for m in maxima))
+            )
+            expected_verdict = (witness is None and closed) == (glued == x_prime)
+            assert check_lemma_equiv(poset, family) == expected_verdict

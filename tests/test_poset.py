@@ -1,7 +1,7 @@
 import pytest
 
 from spectral_glue import InvalidInputError, SpectralPoset, localization_poset, maximal_points
-from spectral_glue.poset import all_up_sets, is_thomason, load_poset
+from spectral_glue.poset import all_up_sets, is_thomason
 
 
 def test_closure_is_automatic():
@@ -22,7 +22,7 @@ def test_maximal_points(vee):
 def test_up_sets_of_vee(vee):
     ups = all_up_sets(vee)
     assert len(ups) == 5
-    assert frozenset({"p"}) not in ups
+    assert vee.mask_of({"p"}) not in ups
     assert is_thomason({"m1", "m2"}, vee)
     assert not is_thomason({"p"}, vee)
 
@@ -38,10 +38,10 @@ def test_localization_rejects_unknown_prime(vee):
         localization_poset(vee, "q")
 
 
-def test_load_poset_roundtrip(vee):
-    assert load_poset(vee.to_json()) == vee
+def test_from_json_roundtrip(vee):
+    assert SpectralPoset.from_json(vee.to_json()) == vee
 
 
-def test_load_poset_rejects_unknown_labels():
+def test_from_json_rejects_unknown_labels():
     with pytest.raises(InvalidInputError):
-        load_poset({"elements": ["a"], "leq": [["a", "b"]]})
+        SpectralPoset.from_json({"elements": ["a"], "leq": [["a", "b"]]})
