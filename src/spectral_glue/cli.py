@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
@@ -231,6 +232,15 @@ def cmd_lemma_equiv(args) -> int:
 def cmd_koszul(args) -> int:
     ring = _ring(args)
     gens = [ring.element_from_json(g) for g in _load_json(args.generators)]
+    # checked before building: the d o d check alone is cubic in the rank, and
+    # the cohomology below enumerates the middle term R^C(k, k/2)
+    rank = math.comb(len(gens), len(gens) // 2)
+    if gens and ring.order**rank > homalg.ENUMERATION_LIMIT:
+        raise SpectralGlueError(
+            f"the Koszul complex on {len(gens)} generators has a middle term of "
+            f"rank {rank} over a ring of {ring.order} elements, over the enumeration "
+            f"bound of {homalg.ENUMERATION_LIMIT} elements"
+        )
     kos = homalg.koszul(ring, gens)
     payload = {
         "degrees": {str(n): {"free": kos.rank(n)} for n in kos.degrees()},

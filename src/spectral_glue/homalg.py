@@ -3,8 +3,13 @@
 Terms are either free (stored by rank, with matrix differentials) or general
 modules (stalk-like, with zero differentials in and out).  This covers the
 shapes the classification actually needs: Koszul complexes, shifted module
-stalks, and finite direct sums of these.  Cohomology and derived Hom are
-computed by element sweeps.
+stalks, and finite direct sums of these.
+
+:func:`cohomology` and :func:`derived_hom` build their groups by element
+sweeps; they serve the CLI, which prints module invariants, and are the
+oracle.  The sweeps need only orders and supports, which :func:`hom_orders`
+and :func:`support_of_cohomology` read off Smith valuations over each local
+chain ring R_m without enumerating anything.
 """
 
 from __future__ import annotations
@@ -273,7 +278,22 @@ def cohomology(complex_: BoundedComplex, n: int) -> FiniteModule:
 
 
 def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
-    return rng.support(cohomology(complex_, n))
+    """Supp H^n: the maximal ideals m with e_m H^n nonzero.
+
+    Free terms give |e_m H^n| by :func:`_factor_order` with N = R_m.  A module
+    term touches no nonzero differential, so its part of H^n is |e_m N|.
+    """
+    ring = complex_.ring
+    term = complex_.terms.get(n)
+    members = []
+    for lf in ring.local_factors():
+        if isinstance(term, FiniteModule):
+            order = term.local_invariants()[lf.label][0]
+        else:
+            order = _factor_order(complex_, n, lf, lf.proj, lf.valuation[0])
+        if order > 1:
+            members.append(lf.label)
+    return ThomasonSet.from_members(rng.spec(ring)[0], members)
 
 
 def is_acyclic(complex_: BoundedComplex) -> bool:
@@ -284,35 +304,19 @@ def is_acyclic(complex_: BoundedComplex) -> bool:
 # -- derived Hom -------------------------------------------------------------
 
 
-def derived_hom(
-    perfect: BoundedComplex,
-    target: BoundedComplex,
-    i: int,
-    factor: Optional[LocalFactor] = None,
-) -> FiniteModule:
-    """H^i of the total Hom complex Hom(P, Y), for P a complex of projectives.
-
-    With ``factor`` given, P lives over the local factor ring R_m and each
-    term N of Y is replaced by its component e_m N as an R_m-module, since
-    Hom(R_m^a, N) = (e_m N)^a; the result is then an R_m-module.
-    """
+def derived_hom(perfect: BoundedComplex, target: BoundedComplex, i: int) -> FiniteModule:
+    """H^i of the total Hom complex Hom(P, Y), for P a complex of projectives."""
     if not perfect.is_perfect():
         raise InvalidInputError("first argument must have free terms")
-    if factor is None:
-        if perfect.ring != target.ring:
-            raise InvalidInputError("ring mismatch (pass a local factor to bridge)")
-        restrict = lambda module: module
-    else:
-        if perfect.ring != factor.ring:
-            raise InvalidInputError("perfect complex must live over the factor ring")
-        restrict = factor.component
+    if perfect.ring != target.ring:
+        raise InvalidInputError("ring mismatch")
 
     ring = perfect.ring
     # every term of P has positive rank, and d_P^p exists only if p + 1 is a term
     degs = perfect.degrees()
     pos = {p: idx for idx, p in enumerate(degs)}
     comps = {
-        k: [(p, perfect.rank(p), restrict(target.module_at(p + k))) for p in degs]
+        k: [(p, perfect.rank(p), target.module_at(p + k)) for p in degs]
         for k in (i - 1, i, i + 1)
     }
 
@@ -364,6 +368,103 @@ def derived_hom(
     )
     cycle_module = FiniteModule(ring, cycles, add, smul, zero_of(i))
     return cycle_module.quotient(boundaries)
+
+
+def hom_orders(
+    perfect: BoundedComplex,
+    target: BoundedComplex,
+    i: int,
+    factor: Optional[LocalFactor] = None,
+) -> dict[str, int]:
+    """{m: |e_m H^i Hom(P, Y)|} over the local factors R_m, for P with free
+    terms and Y without differentials; nothing is enumerated.
+
+    Y is the sum of its terms N in degrees d, so Hom(P, Y) is the sum of the
+    complexes Hom(P, N[-d]).  Their degree-i term is N^{r(p)} with p = d - i,
+    and both differentials precompose with d_P.  So |e_m H^i| is the product
+    over d of :func:`_factor_order` at p with the size chain of e_m N.
+
+    With ``factor`` given, P lives over the factor ring R_m and Y over the
+    ring of which it is a factor; Hom(R_m^a, N) = (e_m N)^a, and the result
+    has the one label of ``factor``.
+    """
+    if not perfect.is_perfect():
+        raise InvalidInputError("first argument must have free terms")
+    if target.diffs:
+        raise InvalidInputError("Hom orders need a target without differentials")
+    if factor is None:
+        if perfect.ring != target.ring:
+            raise InvalidInputError("ring mismatch (pass a local factor to bridge)")
+        factors = [(lf, lf.proj) for lf in target.ring.local_factors()]
+    else:
+        # local_factor raises unless the target's ring has a factor of that label
+        if not perfect.ring == factor.ring == rng.local_factor(target.ring, factor.label).ring:
+            raise InvalidInputError("perfect complex must live over the factor ring")
+        factors = [(factor, lambda x: x)]
+    out = {}
+    for lf, project in factors:
+        order = 1
+        for d, term in target.terms.items():
+            if isinstance(term, FreeTerm):
+                chain = tuple(size**term.rank for size in lf.valuation[0])
+            else:
+                chain = term.local_invariants()[lf.label]
+            order *= _factor_order(perfect, d - i, lf, project, chain)
+        out[lf.label] = order
+    return out
+
+
+def _factor_order(complex_: BoundedComplex, p: int, lf: LocalFactor, project, chain) -> int:
+    """|e_m N|^{r(p)} / (|im d^{p-1}| * |im d^p|) for a module N with size
+    chain ``chain[j] = |t^j e_m N|``, ending in 1.
+
+    This is the order of e_m H^p of the free terms with N = R_m, and of e_m H
+    of Hom(C, N) in the degree whose term is Hom(C^p, N).  Either way each
+    d acts on a power of e_m N through the matrix of entries ``project``-ed
+    into R_m, and its image there has order prod_k |t^{v_k} e_m N| over the
+    Smith valuations v_k of that matrix.
+    """
+    rank = complex_.rank(p)
+    if not rank:
+        return 1
+    images = 1
+    for n in (p - 1, p):
+        matrix = complex_.diffs.get(n)
+        if matrix is not None:
+            for v in _smith_valuations(matrix, lf, project):
+                if v < len(chain):
+                    images *= chain[v]
+    return chain[0] ** rank // images
+
+
+def _smith_valuations(matrix, lf: LocalFactor, project) -> list[int]:
+    """Valuations of the nonzero Smith diagonal entries of a matrix over R_m.
+
+    Over a chain ring an entry a of least valuation divides every other
+    entry, so clearing its column by row operations leaves its row to be
+    cleared by column operations that touch nothing else: record val[a] and
+    drop both (Howell 1986; Storjohann and Mulders 1998).
+    """
+    chain, val = lf.valuation
+    ring = lf.ring
+    zero_val = len(chain) - 1
+    rows = [[project(e) for e in row] for row in matrix]
+    out = []
+    while rows:
+        v, i, j = min(
+            ((val[e], i, j) for i, row in enumerate(rows) for j, e in enumerate(row)),
+            default=(zero_val, 0, 0),
+        )
+        if v == zero_val:
+            break
+        out.append(v)
+        pivot = rows.pop(i)
+        for row in rows:
+            c = ring.neg(ring.divide(row[j], pivot[j]))
+            row[:] = [ring.add(x, ring.mul(c, y)) for x, y in zip(row, pivot)]
+        for row in rows:
+            del row[j]
+    return out
 
 
 # -- (co)localization of complexes -------------------------------------------

@@ -178,8 +178,13 @@ class FiniteModule:
 
         Over a chain local ring with uniformizer t, the multiset of cyclic
         summand lengths of a finite module is determined by these sizes, so two
-        modules over the same ring are isomorphic iff the dicts agree.
+        modules over the same ring are isomorphic iff the dicts agree.  The
+        sizes are computed once per module.
         """
+        return dict(self._local_invariants)
+
+    @cached_property
+    def _local_invariants(self) -> dict:
         out = {}
         for factor in self.ring.local_factors():
             part = self.scaled(factor.idempotent)

@@ -197,6 +197,27 @@ class LocalFactor:
     def lift(self) -> Callable:
         return tuple(map(self.lift_of, range(self.ring.order))).__getitem__
 
+    @cached_property
+    def valuation(self) -> tuple[tuple, tuple]:
+        """``(chain, val)`` for the chain ring R_m with uniformizer t:
+        ``chain[j]`` is |t^j R_m| for j = 0 .. L, ending in 1 at the length L,
+        and ``val[x]`` is the largest j with x in t^j R_m (L for zero)."""
+        ring = self.ring
+        t = self.proj(self.prime_gen)
+        val = [0] * ring.order
+        chain = []
+        power = ring.one
+        while True:
+            ideal = {ring.mul(power, r) for r in ring.elements()}
+            chain.append(len(ideal))
+            if len(ideal) == 1:
+                break
+            for x in ideal:
+                val[x] = len(chain) - 1
+            power = ring.mul(power, t)
+        val[ring.zero] = len(chain) - 1
+        return tuple(chain), tuple(val)
+
     def component(self, module: FiniteModule) -> FiniteModule:
         """The component eM of a module over the global ring, as a module over
         the factor ring through ``lift``."""
@@ -240,6 +261,10 @@ class FiniteRing:
 
     def mul(self, a, b):
         return self._mul[a][b]
+
+    def divide(self, b, a):
+        """Some c with a * c = b; a must divide b."""
+        return self._mul[a].index(b)
 
     def local_factors(self) -> list[LocalFactor]:
         return self._factors
@@ -285,7 +310,7 @@ class ZMod(FiniteRing):
                     label=f"({p})",
                     prime_gen=p % self.n,
                     idempotent=e,
-                    ring=ZMod(q),
+                    ring=self if q == self.n else ZMod(q),
                     global_order=self.n,
                     proj_of=lambda x, q=q: x % q,
                     lift_of=lambda y, e=e: (y * e) % self.n,
@@ -376,7 +401,7 @@ class PolyQuot(FiniteRing):
             pik = pi
             for _ in range(irreducibles[pi] - 1):
                 pik = pmul(pik, pi, p)
-            local = PolyQuot(p, pik)
+            local = self if pik == self.f else PolyQuot(p, pik)
             # rest^|units of the factor| is 1 modulo pi^k and 0 modulo rest
             rest = pdivmod(self.f, pik, p)[0]
             units = local.order - local.order // p ** (len(pi) - 1)

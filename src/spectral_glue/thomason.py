@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import FiltrationOrderError, InvalidInputError, json_int
+from .errors import FiltrationOrderError, InvalidInputError, json_int, json_object
 from .poset import PrimeId, SpectralPoset
 
 
@@ -244,13 +244,28 @@ def filtration_from_json(
     poset: Optional[SpectralPoset], data: Mapping, parse_set=set_from_json
 ) -> ThomasonFiltration:
     """Read a filtration; ``parse_set(poset, value)`` reads one level."""
-    try:
-        low = parse_set(poset, data["low_tail"])
-        high = parse_set(poset, data["high_tail"])
-        bps = [
-            (json_int(bp["n"], "breakpoint index"), parse_set(poset, bp["set"]))
-            for bp in data.get("breakpoints", [])
-        ]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed filtration JSON: {exc}") from exc
+    json_object(data, "filtration JSON")
+    for name in ("low_tail", "high_tail"):
+        if name not in data:
+            raise InvalidInputError(f"filtration JSON needs the field {name!r}")
+    breakpoints = data.get("breakpoints", [])
+    if not isinstance(breakpoints, list) or any(
+        not isinstance(bp, Mapping) or "n" not in bp or "set" not in bp for bp in breakpoints
+    ):
+        raise InvalidInputError(
+            f"'breakpoints' must be a list of objects with 'n' and 'set', got {breakpoints!r}"
+        )
+
+    def level(value, name):
+        try:
+            return parse_set(poset, value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{name}: {exc}") from None
+
+    low = level(data["low_tail"], "'low_tail'")
+    high = level(data["high_tail"], "'high_tail'")
+    bps = [
+        (json_int(bp["n"], "breakpoint index"), level(bp["set"], "breakpoint 'set'"))
+        for bp in breakpoints
+    ]
     return make_filtration(poset, low, bps, high)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import homalg, rings as rng
 from .errors import InvalidInputError
-from .homalg import BoundedComplex, derived_hom, koszul_of_ideal, support_of_cohomology
+from .homalg import BoundedComplex, koszul_of_ideal, support_of_cohomology
 from .poset import PrimeId
 from .rings import FiniteRing
 from .thomason import (
@@ -70,9 +70,17 @@ def coaisle_obstructions(complex_: BoundedComplex) -> list[tuple[int, ThomasonSe
     Only degrees n where the Hom groups can be nonzero for degree reasons are
     swept: the Koszul complexes live in degrees [-1, 0] (all ideals of the
     supported rings are principal), so n ranges over [min deg Y, max deg Y + 1].
+
+    A Y without differentials, as every sweep builds, is decided by Hom
+    orders; a Y with differentials, which only CLI input gives, by
+    enumerating the Hom groups.
     """
     if complex_.is_zero():
         return []
+    if complex_.diffs:
+        nonzero = lambda kos, n: not homalg.derived_hom(kos, complex_, n).is_zero_module()
+    else:
+        nonzero = lambda kos, n: any(o > 1 for o in homalg.hom_orders(kos, complex_, n).values())
     ring = complex_.ring
     ideals = rng.all_ideals(ring)
     koszuls = [(ideal, koszul_of_ideal(ring, ideal)) for ideal in ideals]
@@ -83,7 +91,7 @@ def coaisle_obstructions(complex_: BoundedComplex) -> list[tuple[int, ThomasonSe
     for ideal, kos in koszuls:
         for n in range(lo, hi + 1):
             # Hom(K(I)[-n], Y) in degree 0 is H^n of Hom(K(I), Y)
-            if not derived_hom(kos, complex_, n).is_zero_module():
+            if nonzero(kos, n):
                 obstructions.append((n, rng.v_of_ideal(ring, ideal)))
     return obstructions
 

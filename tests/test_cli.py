@@ -338,6 +338,10 @@ def localize_on(poset):
     return ["localize", "--poset", poset, "--filtration", json.dumps(FILT)]
 
 
+def localize_filtration(filt):
+    return ["localize", "--ring", json.dumps(Z12), "--filtration", filt]
+
+
 def cohomology_of(cx):
     return ["cohomology", "--ring", json.dumps(Z12), "--complex", json.dumps(cx)]
 
@@ -382,6 +386,11 @@ def cohomology_of(cx):
         (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"x": [[1]]}}), "'differentials' key 'x'"),
         (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"1_0": [[1]]}}), "'differentials' key '1_0'"),
         (["fuzz", "--max-poset", "7"], "bound of 6"),
+        (localize_filtration('{"low_tail": "full", "breakpoints": 5, "high_tail": []}'), "'breakpoints'"),
+        (localize_filtration('{"low_tail": "full", "breakpoints": [5], "high_tail": []}'), "'breakpoints'"),
+        (localize_filtration("[1]"), "filtration JSON"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", json.dumps(list(range(17)))],
+         "enumeration bound of 2000000"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -390,7 +399,8 @@ def cohomology_of(cx):
          "free-bool", "free-string", "term-int", "elements-string", "elements-int",
          "elements-duplicate", "leq-single", "leq-triple", "leq-string", "poset-list",
          "terms-key-x", "terms-key-underscore", "differentials-key-x",
-         "differentials-key-underscore", "fuzz-max-poset-7"],
+         "differentials-key-underscore", "fuzz-max-poset-7", "breakpoints-int",
+         "breakpoints-int-list", "filtration-list", "koszul-17-generators"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

@@ -1,9 +1,14 @@
+import math
+import random
+
 import pytest
 
 from spectral_glue import (
     BoundedComplex,
     FreeTerm,
     InvalidInputError,
+    PolyQuot,
+    ProductRing,
     ZMod,
     cohomology,
     cyclic_module,
@@ -22,6 +27,7 @@ from spectral_glue.homalg import (
     koszul_of_ideal,
     zero_complex,
 )
+from spectral_glue import homalg, rings as rng, sweeps
 from spectral_glue.rings import Ideal
 
 
@@ -132,3 +138,101 @@ def test_localize_zmod_30():
     k = koszul(z30, [6])
     assert cohomology(k, 0).order == 6
     assert support_of_cohomology(k, 0).sorted_members() == ["(2)", "(3)"]
+
+
+# -- Hom orders and supports against enumeration ------------------------------
+
+
+def enumerated_orders(hom):
+    """{m: |e_m H|} of an enumerated module H."""
+    return {m: sizes[0] for m, sizes in hom.local_invariants().items()}
+
+
+def test_hom_orders_match_enumeration_on_the_fuzz_sweeps(monkeypatch):
+    """Every (X, Y, i) that orthogonality and local-global ask at the fuzz
+    bounds, including those of coaisle_obstructions, has the per-factor orders
+    of the enumerated Hom group."""
+    fast = homalg.hom_orders
+    asked = {}
+
+    def recording(x, y, i, factor=None):
+        orders = fast(x, y, i, factor)
+        # the stored x and y stay alive, so their ids are not reused
+        asked[id(x), id(y), i, factor] = (x, y, i, factor, orders)
+        return orders
+
+    monkeypatch.setattr(homalg, "hom_orders", recording)
+    assert sweeps.sweep_orthogonality(max_ring=24, window=(-1, 1)).ok
+    assert sweeps.sweep_local_global(max_ring=24, window=(-1, 1)).ok
+    assert len(asked) > 20_000
+    for x, y, i, factor, orders in asked.values():
+        assert factor is None
+        hom = derived_hom(x, y, i)
+        assert orders == enumerated_orders(hom), (x, y, i)
+        assert math.prod(orders.values()) == hom.order
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZMod(8), ZMod(12), PolyQuot(3, (0, 0, 1)), ProductRing([ZMod(4), PolyQuot(2, (0, 0, 1))])],
+    ids=["z8", "z12", "f3-x2", "product"],
+)
+def test_hom_orders_match_enumeration_on_full_matrices(ring):
+    """Seeded 2x2, 2x3 and 3x2 differentials, which the sweeps never build,
+    need row eliminations; free-term targets are covered too."""
+    rnd = random.Random(7)
+    targets = [free_stalk(ring, 1, 0), free_stalk(ring, 1, 1)]
+    targets += [stalk_complex(cyclic_module(ring, i.generators[0]), 1) for i in rng.all_ideals(ring)[1:]]
+    for rows, cols in [(2, 2), (2, 3), (3, 2)] * 3:
+        matrix = [[rnd.randrange(ring.order) for _ in range(cols)] for _ in range(rows)]
+        cx = BoundedComplex(ring, {0: FreeTerm(cols), 1: FreeTerm(rows)}, {0: matrix})
+        for n in (0, 1):
+            assert support_of_cohomology(cx, n) == rng.support(cohomology(cx, n)), (matrix, n)
+        for y in targets:
+            for i in (-1, 0, 1):
+                orders = homalg.hom_orders(cx, y, i)
+                assert orders == enumerated_orders(derived_hom(cx, y, i)), (matrix, y, i)
+
+
+def test_hom_orders_over_a_local_factor(z12):
+    """Hom from a complex over R_m into Y over R is Hom into e_m Y."""
+    y = BoundedComplex(z12, {0: cyclic_module(z12, 2), 1: FreeTerm(2)})
+    for lf in z12.local_factors():
+        y_local = localize_complex(y, lf.label)
+        for gens in ([0], [1], [2], [3]):
+            x = koszul(lf.ring, [lf.proj(g) for g in gens])
+            for i in (-1, 0, 1, 2):
+                orders = homalg.hom_orders(x, y, i, factor=lf)
+                assert orders == {lf.label: derived_hom(x, y_local, i).order}
+
+
+def test_hom_orders_refuse_targets_with_differentials(z12):
+    with pytest.raises(InvalidInputError, match="without differentials"):
+        homalg.hom_orders(koszul(z12, [2]), koszul(z12, [3]), 0)
+
+
+def test_support_matches_enumeration_on_the_koszul_sweep(monkeypatch):
+    fast = homalg.support_of_cohomology
+    wrong = []
+
+    def checking(kos, n):
+        supp = fast(kos, n)
+        if supp != rng.support(cohomology(kos, n)):
+            wrong.append((kos, n))
+        return supp
+
+    monkeypatch.setattr(homalg, "support_of_cohomology", checking)
+    report = sweeps.sweep_koszul_support(max_n=24, max_p=3, max_deg=2)
+    assert report.ok and report.checked > 500
+    assert wrong == []
+
+
+def test_support_with_module_terms_among_free_terms(z12):
+    cx = BoundedComplex(
+        z12,
+        {-2: FreeTerm(1), -1: FreeTerm(1), 0: cyclic_module(z12, 3), 1: FreeTerm(2), 2: FreeTerm(1)},
+        {-2: [[6]], 1: [[4, 8]]},
+    )
+    for n in range(-3, 4):
+        assert support_of_cohomology(cx, n) == rng.support(cohomology(cx, n)), n
+    assert support_of_cohomology(cx, 0).sorted_members() == ["(3)"]

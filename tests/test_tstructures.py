@@ -1,6 +1,8 @@
 import pytest
 
 from spectral_glue import (
+    BoundedComplex,
+    FreeTerm,
     InvalidInputError,
     ThomasonSet,
     TStructureDescriptor,
@@ -16,8 +18,14 @@ from spectral_glue import (
     shift,
     stalk_complex,
 )
+from spectral_glue import homalg
 from spectral_glue.rings import spec
-from spectral_glue.tstructures import DEGENERATE_OTHER, NONDEGENERATE, STABLE
+from spectral_glue.tstructures import (
+    DEGENERATE_OTHER,
+    NONDEGENERATE,
+    STABLE,
+    coaisle_obstructions,
+)
 
 
 @pytest.fixture
@@ -51,6 +59,22 @@ def test_coaisle_verdicts(standard, z12):
     assert not coaisle_membership(shift(z3, 2), standard)
     assert not coaisle_membership(z2, standard)
     assert coaisle_membership(shift(z2, -1), standard)
+
+
+def test_coaisle_obstructions_of_a_target_with_differentials(z12, monkeypatch):
+    """R --1--> R in degrees -1, 0 next to Z/3 in degree 1 is quasi-isomorphic
+    to the stalk Z/3[-1]: enumeration on the one must give the obstructions
+    that Hom orders give on the other."""
+    z3 = cyclic_module(z12, 3)
+    expected = coaisle_obstructions(stalk_complex(z3, 1))
+    assert expected
+    y = BoundedComplex(z12, {-1: FreeTerm(1), 0: FreeTerm(1), 1: z3}, {-1: [[1]]})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a target with differentials must be enumerated")
+
+    monkeypatch.setattr(homalg, "hom_orders", refuse)
+    assert coaisle_obstructions(y) == expected
 
 
 def test_koszul_generator_in_aisle(standard, z12):
