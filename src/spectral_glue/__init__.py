@@ -6,8 +6,9 @@ The layers, bottom to top:
 - :mod:`spectral_glue.poset`, :mod:`spectral_glue.thomason` — finite spectral
   posets, Thomason (up-)sets and decreasing filtrations;
 - :mod:`spectral_glue.gluing`, :mod:`spectral_glue.integers` — the
-  compatibility condition and the glue/localize bijections, plus the symbolic
-  adapter for the integers;
+  compatibility condition and the glue/localize bijections, and Spec(Z) as
+  the finite star poset of the primes that Z data names, with the wire forms
+  of Z levels, families and witnesses;
 - :mod:`spectral_glue.rings`, :mod:`spectral_glue.modules`,
   :mod:`spectral_glue.homalg` — concrete finite rings, enumerable modules,
   bounded complexes, Koszul complexes and derived Hom;

@@ -12,10 +12,11 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
-from .errors import IncompatibleFamilyError, SpectralGlueError, json_object
+from .errors import IncompatibleFamilyError, InvalidInputError, SpectralGlueError, json_object
 from .poset import SpectralPoset, localization_poset, maximal_points
 from .thomason import (
     filtration_from_json,
@@ -30,11 +31,15 @@ EXIT_ERROR = 2
 
 
 def _load_json(value: str):
-    """Accept inline JSON or a path to a JSON file."""
+    """Accept inline JSON or a path to a JSON file; a value that parses as
+    JSON, such as ``5``, is inline."""
     text = value
     if not value.lstrip().startswith(("{", "[", '"')):
-        with open(value, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError:
+            with open(value, "r", encoding="utf-8") as handle:
+                text = handle.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -61,16 +66,41 @@ def _poset(args) -> SpectralPoset:
     raise SpectralGlueError("give --poset or --ring")
 
 
-def _family(args):
+class _Wire(NamedTuple):
+    """How the glued filtration and the witnesses of a family are written."""
+
+    glue: Callable  # family -> JSON of the glued filtration
+    witness: Callable  # (family, n) -> (witness JSON, text), or None if compatible at n
+
+
+def _finite_witness(family, n):
+    report = gluing.check_dagger(family, n)
+    if report.dagger_holds:
+        return None
+    m1, m2, p = report.violating_pair
+    return [m1, m2, p], f"sets at {m1!r} and {m2!r} disagree on {p!r}"
+
+
+def _z_witness(family, n):
+    witness = zz.z_witness(family, n)
+    return witness and (list(witness), f"witness {witness}")
+
+
+FINITE = _Wire(lambda family: filtration_to_json(gluing.glue_filtrations(family)), _finite_witness)
+INTEGERS = _Wire(lambda family: zz.z_filtration_to_json(zz.glue_z_filtrations(family)), _z_witness)
+
+
+def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
     """Family JSON: {"poset": ..., "default": ..., "exceptions": {...}}.
 
-    "poset" is either a poset description or a ring reference; the integers
-    adapter routes to the symbolic Z family.
+    "poset" is either a poset description or a ring reference.  Over the
+    integers the family lives on :func:`integers.z_poset` and is written with
+    integer primes.
     """
     data = json_object(_load_json(args.family), "family JSON")
     ref = data.get("poset")
     if isinstance(ref, dict) and ref.get("kind") == "integers":
-        return zz.z_family_from_json(data)
+        return zz.z_family_from_json(data), INTEGERS
     if isinstance(ref, dict) and "kind" in ref:
         poset, _ = rng.spec(rng.ring_from_json(ref))
     else:
@@ -82,12 +112,12 @@ def _family(args):
         exceptions[m] = filtration_from_json(sub, filt)
     if default is not None:
         default_filt = filtration_from_json(poset, default)
-        return gluing.LocalFamily.from_default(poset, default_filt, exceptions)
+        return gluing.LocalFamily.from_default(poset, default_filt, exceptions), FINITE
     if set(exceptions) != set(maximal_points(poset)):
         raise SpectralGlueError(
             "family without a default must list every maximal point in exceptions"
         )
-    return gluing.LocalFamily(poset, exceptions)
+    return gluing.LocalFamily(poset, exceptions), FINITE
 
 
 def _descriptor(args) -> ts.TStructureDescriptor:
@@ -135,13 +165,7 @@ def cmd_spec(args) -> int:
 def cmd_localize(args) -> int:
     if args.ring and _ring(args).kind == "integers":
         filt = zz.z_filtration_from_json(_load_json(args.filtration))
-        family = zz.localize_z_filtration(filt)
-        payload = {
-            "default": filtration_to_json(family.default),
-            "exceptions": {
-                str(p): filtration_to_json(f) for p, f in sorted(family.exceptions.items())
-            },
-        }
+        payload = zz.z_family_to_json(zz.localize_z_filtration(filt))
         _emit(args, payload, json.dumps(payload, sort_keys=True))
         return EXIT_OK
     poset = _poset(args)
@@ -156,12 +180,9 @@ def cmd_localize(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    family = _family(args)
+    family, wire = _family(args)
     try:
-        if isinstance(family, zz.ZLocalFamily):
-            payload = filtration_to_json(zz.glue_z_filtrations(family))
-        else:
-            payload = filtration_to_json(gluing.glue_filtrations(family))
+        payload = wire.glue(family)
     except IncompatibleFamilyError as exc:
         _emit(
             args,
@@ -183,28 +204,16 @@ def _family_window(family) -> tuple[int, int]:
 
 
 def cmd_compat_check(args) -> int:
-    family = _family(args)
+    family, wire = _family(args)
     lo, hi = _family_window(family)
-    if isinstance(family, zz.ZLocalFamily):
-        for n in range(lo, hi + 1):
-            witness = zz.check_z_dagger(family, n)
-            if witness is not None:
-                _emit(
-                    args,
-                    {"compatible": False, "degree": n, "witness": list(witness)},
-                    f"incompatible at degree {n}: witness {witness}",
-                )
-                return EXIT_NEGATIVE
-        _emit(args, {"compatible": True}, "compatible")
-        return EXIT_OK
     for n in range(lo, hi + 1):
-        report = gluing.check_dagger(family, n)
-        if not report.dagger_holds:
-            m1, m2, p = report.violating_pair
+        found = wire.witness(family, n)
+        if found:
+            witness, text = found
             _emit(
                 args,
-                {"compatible": False, "degree": n, "witness": [m1, m2, p]},
-                f"incompatible at degree {n}: sets at {m1!r} and {m2!r} disagree on {p!r}",
+                {"compatible": False, "degree": n, "witness": witness},
+                f"incompatible at degree {n}: {text}",
             )
             return EXIT_NEGATIVE
     _emit(args, {"compatible": True}, "compatible")
@@ -212,8 +221,8 @@ def cmd_compat_check(args) -> int:
 
 
 def cmd_lemma_equiv(args) -> int:
-    family = _family(args)
-    if isinstance(family, zz.ZLocalFamily):
+    family, wire = _family(args)
+    if wire is INTEGERS:
         raise SpectralGlueError("lemma-equiv runs on finite posets only")
     lo, hi = _family_window(family)
     verdicts = {
@@ -231,7 +240,10 @@ def cmd_lemma_equiv(args) -> int:
 
 def cmd_koszul(args) -> int:
     ring = _ring(args)
-    gens = [ring.element_from_json(g) for g in _load_json(args.generators)]
+    gens = _load_json(args.generators)
+    if not isinstance(gens, list):
+        raise InvalidInputError(f"'generators' must be a list of ring elements, got {gens!r}")
+    gens = [ring.element_from_json(g) for g in gens]
     # checked before building: the d o d check alone is cubic in the rank, and
     # the cohomology below enumerates the middle term R^C(k, k/2)
     rank = math.comb(len(gens), len(gens) // 2)

@@ -26,9 +26,8 @@ from .thomason import (
 class LocalFamily:
     """Assignment m -> filtration on the localization poset at m.
 
-    All maximal points of ``global_poset`` must be present.  Families over an
-    infinite maximal spectrum (the integers adapter) are handled separately in
-    :mod:`spectral_glue.integers`.
+    All maximal points of ``global_poset`` must be present.  A family over Z
+    is one of these on :func:`spectral_glue.integers.z_poset`.
     """
 
     global_poset: SpectralPoset

@@ -1,259 +1,159 @@
-"""Narrow symbolic layer for gluing over Z.
+"""Spec(Z) as a finite star poset, and the wire forms of Z data.
 
-Z has infinitely many maximal ideals, so local families are stored as a
-default pattern plus finitely many exceptions.  The only Thomason subsets of
-Spec(Z) we represent are "full" and finite sets of maximal primes; a default
-whose closed point is populated would glue to an infinite, non-full set and is
-rejected loudly.  Everything outside this scope raises UnsupportedRingError.
+Z has infinitely many maximal ideals, but Z data names only finitely many
+primes S.  On S, Spec(Z) is the finite spectral poset :func:`z_poset`: the
+generic point (0) below each (p) for p in S, and one more maximal point (m)
+that stands for every maximal ideal S leaves out.  Its localizations are the
+2-chains (0) < (p) and (0) < (m), so Z filtrations, families, compatibility
+and gluing are those of :mod:`spectral_glue.gluing` on that poset.
+
+What this module keeps is the wire: a level is "full" or a list of integer
+primes, written in numeric order; a family is a default on (0) < (m) plus
+exceptions keyed by decimal primes; a witness is ``[p, "default", "(0)"]``.
+A glued level that holds (m) without being full is a cofinite set of maximal
+ideals, which no level can write, so gluing raises UnsupportedRingError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
-from .poset import SpectralPoset
-from .thomason import (
-    ThomasonFiltration,
-    ThomasonSet,
-    filtration_from_json,
-    filtration_to_json,
-    make_filtration,
-)
+from .gluing import LocalFamily, check_dagger, glue_filtrations, localize_filtrations
+from .poset import SpectralPoset, interned_poset, localization_poset
+from .thomason import ThomasonFiltration, ThomasonSet, filtration_from_json, filtration_to_json
 
 GENERIC = "(0)"
-CLOSED_POINT = "(m)"  # placeholder label for "the maximal ideal" in default patterns
+CLOSED_POINT = "(m)"  # every maximal ideal that the data does not name
 
 
 def is_prime_int(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
-def primes_upto(bound: int) -> list[int]:
-    return [p for p in range(2, bound + 1) if is_prime_int(p)]
-
-
-@lru_cache(maxsize=None)
-def chain_poset(p: int) -> SpectralPoset:
-    """Spec(Z_(p)) as the 2-chain (0) < (p)."""
+def _label(p: int) -> str:
     if not is_prime_int(p):
         raise InvalidInputError(f"{p} is not a prime number")
-    return SpectralPoset([GENERIC, f"({p})"], [(GENERIC, f"({p})")])
+    return f"({p})"
 
 
-@lru_cache(maxsize=None)
-def template_poset() -> SpectralPoset:
-    """The generic 2-chain pattern used for default filtrations."""
-    return SpectralPoset([GENERIC, CLOSED_POINT], [(GENERIC, CLOSED_POINT)])
+def z_poset(primes: Iterable[int]) -> SpectralPoset:
+    """{(0)} ∪ {(p) : p in primes} ∪ {(m)}, with (0) below every other point."""
+    labels = sorted({GENERIC, CLOSED_POINT, *map(_label, primes)})  # (0) sorts first
+    return interned_poset(tuple(labels), tuple((GENERIC, label) for label in labels[1:]))
 
 
-@dataclass(frozen=True)
-class ZThomason:
-    """A Thomason subset of Spec(Z): full, or a finite set of maximal primes.
-
-    A level of a :class:`ThomasonFiltration` whose ``poset`` is None.
-    """
-
-    full: bool
-    primes: frozenset[int] = frozenset()
-    poset = None
-
-    def __post_init__(self):
-        if self.full and self.primes:
-            raise InvalidInputError("a full set carries no explicit primes")
-        for p in self.primes:
-            if not is_prime_int(p):
-                raise InvalidInputError(f"{p} is not a prime number")
-
-    def restrict(self, p: int) -> ThomasonSet:
-        poset = chain_poset(p)
-        if self.full:
-            return ThomasonSet.full(poset)
-        return ThomasonSet.from_members(poset, {f"({p})"} if p in self.primes else set())
-
-    def __le__(self, other: "ZThomason") -> bool:
-        if other.full:
-            return True
-        if self.full:
-            return False
-        return self.primes <= other.primes
-
-    def is_full(self) -> bool:
-        return self.full
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.primes)
-
-    def __repr__(self):
-        return "ZThomason(full)" if self.full else f"ZThomason({sorted(self.primes)})"
+def z_primes(poset: SpectralPoset) -> list[int]:
+    """The primes that a :func:`z_poset` names, in numeric order."""
+    return sorted(int(label[1:-1]) for label in poset.maximal_labels - {CLOSED_POINT})
 
 
-def z_v_of_ideal(generators) -> ZThomason:
-    """V(I) for a finitely generated (hence principal up to gcd) ideal of Z."""
-    import math
-
-    g = 0
-    for x in generators:
-        g = math.gcd(g, int(x))
-    if g == 0:
-        return ZThomason(full=True)
-    if g == 1:
-        return ZThomason(full=False)
-    return ZThomason(full=False, primes=frozenset(p for p in primes_upto(g) if g % p == 0))
+def _named_ints(data) -> set[int]:
+    """The integers that the levels of filtration JSON name; whatever is
+    malformed is left for :func:`filtration_from_json` to report."""
+    levels = []
+    if isinstance(data, Mapping):
+        levels = [data.get("low_tail"), data.get("high_tail")]
+        breakpoints = data.get("breakpoints")
+        if isinstance(breakpoints, list):
+            levels += [bp.get("set") for bp in breakpoints if isinstance(bp, Mapping)]
+    return {p for level in levels if isinstance(level, list) for p in level if type(p) is int}
 
 
-@dataclass(frozen=True)
-class ZLocalFamily:
-    """default pattern on the template 2-chain + finitely many exceptions.
-
-    The default is applied at every maximal ideal not listed in ``exceptions``;
-    exception filtrations live on the actual 2-chain at their prime.
-    """
-
-    default: ThomasonFiltration
-    exceptions: Mapping[int, ThomasonFiltration]
-
-    def __post_init__(self):
-        if self.default.poset != template_poset():
-            raise InvalidInputError("default filtration must live on the template 2-chain")
-        for p, filt in self.exceptions.items():
-            if filt.poset != chain_poset(p):
-                raise InvalidInputError(f"exception at {p} lives on the wrong poset")
-        object.__setattr__(self, "exceptions", dict(self.exceptions))
-
-    def window(self) -> tuple[int, int]:
-        windows = [f.window() for f in (self.default, *self.exceptions.values())]
-        return (min(w[0] for w in windows), max(w[1] for w in windows))
-
-
-def _generic_profile(filt, n: int) -> bool:
-    return GENERIC in filt.at(n)
-
-
-def check_z_dagger(family: ZLocalFamily, n: int):
-    """Over Z the only shared prime between distinct localizations is (0),
-    so the gluing condition reduces to agreement on generic-point membership."""
-    default_has = _generic_profile(family.default, n)
-    for p in sorted(family.exceptions):
-        if _generic_profile(family.exceptions[p], n) != default_has:
-            return (p, "default", GENERIC)
-    # exception/exception disagreement is subsumed by comparison with default
-    return None
-
-
-def glue_z_sets(family: ZLocalFamily, n: int) -> ZThomason:
-    witness = check_z_dagger(family, n)
-    if witness is not None:
-        raise IncompatibleFamilyError(
-            f"family disagrees on the generic point at degree {n} "
-            f"(exception at {witness[0]})",
-            degree=n,
-            witness=witness,
-        )
-    if _generic_profile(family.default, n):
-        # every local set is the full 2-chain (up-set containing the bottom)
-        return ZThomason(full=True)
-    if CLOSED_POINT in family.default.at(n):
-        raise UnsupportedRingError(
-            "default populates the closed point at infinitely many primes; "
-            "the glued set would be infinite and not representable"
-        )
-    primes = set()
-    for p, filt in family.exceptions.items():
-        level = filt.at(n)
-        if GENERIC in level:
-            raise IncompatibleFamilyError(
-                f"exception at {p} contains the generic point while the default does not",
-                degree=n,
-                witness=(p, "default", GENERIC),
-            )
-        if f"({p})" in level:
-            primes.add(p)
-    return ZThomason(full=False, primes=frozenset(primes))
-
-
-def glue_z_filtrations(family: ZLocalFamily) -> ThomasonFiltration:
-    lo, hi = family.window()
-    low = glue_z_sets_tail(family, low=True)
-    high = glue_z_sets_tail(family, low=False)
-    # lo - 1 is included so pure-step families keep their step position
-    return make_filtration(
-        None, low, [(n, glue_z_sets(family, n)) for n in range(lo - 1, hi + 1)], high
-    )
-
-
-def glue_z_sets_tail(family: ZLocalFamily, low: bool) -> ZThomason:
-    lo, hi = family.window()
-    n = (lo - 1) if low else (hi + 1)
-    return glue_z_sets(family, n)
-
-
-def localize_z_filtration(filtration: ThomasonFiltration) -> ZLocalFamily:
-    """Restrict a global Z filtration to every localization.
-
-    The restriction at almost every prime is the same pattern (full where the
-    level is full, the generic point never isolated, the closed point only at
-    the finitely many primes listed in a level); those finitely many primes
-    become the exceptions.
-    """
-    mentioned = set()
-    lo, hi = filtration.window()
-    lo -= 1  # keep the step position of pure-step filtrations
-    for n in range(lo, hi + 1):
-        mentioned |= filtration.at(n).primes
-    mentioned |= filtration.low_tail.primes | filtration.high_tail.primes
-
-    def template_set(z: ZThomason) -> ThomasonSet:
-        poset = template_poset()
-        return ThomasonSet.full(poset) if z.full else ThomasonSet.empty(poset)
-
-    default = make_filtration(
-        template_poset(),
-        template_set(filtration.low_tail),
-        [(n, template_set(filtration.at(n))) for n in range(lo, hi + 1)],
-        template_set(filtration.high_tail),
-    )
-    exceptions = {}
-    for p in sorted(mentioned):
-        exceptions[p] = make_filtration(
-            chain_poset(p),
-            filtration.low_tail.restrict(p),
-            [(n, filtration.at(n).restrict(p)) for n in range(lo, hi + 1)],
-            filtration.high_tail.restrict(p),
-        )
-    return ZLocalFamily(default, exceptions)
-
-
-def _z_set_from_json(_poset, data) -> ZThomason:
+def _z_set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
     if data == "full":
-        return ZThomason(full=True)
+        return ThomasonSet.full(poset)
     # bool is a subclass of int, but JSON true is not a prime
     if not isinstance(data, (list, tuple)) or any(type(p) is not int for p in data):
         raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
-    return ZThomason(full=False, primes=frozenset(data))
+    return ThomasonSet(poset, poset.mask_of(map(_label, frozenset(data))))
 
 
 def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:
-    return filtration_from_json(None, data, _z_set_from_json)
+    """A Z filtration, on the :func:`z_poset` of the primes its levels name."""
+    primes = [p for p in _named_ints(data) if is_prime_int(p)]
+    return filtration_from_json(z_poset(primes), data, _z_set_from_json)
 
 
 def z_filtration_to_json(filtration: ThomasonFiltration) -> dict:
-    return filtration_to_json(filtration)
+    """The wire form of a Z filtration whose levels are full or hold no (m)."""
+    data = filtration_to_json(filtration)
+
+    def level(value):
+        return value if value == "full" else sorted(int(label[1:-1]) for label in value)
+
+    return {
+        "low_tail": level(data["low_tail"]),
+        "breakpoints": [{"n": bp["n"], "set": level(bp["set"])} for bp in data["breakpoints"]],
+        "high_tail": level(data["high_tail"]),
+    }
 
 
-def z_family_from_json(data: Mapping) -> ZLocalFamily:
+def z_family_from_json(data: Mapping) -> LocalFamily:
+    """Read ``{"default": ..., "exceptions": {"p": ...}}`` onto the
+    :func:`z_poset` of the exception primes: the default is the filtration at
+    (m), on (0) < (m), and each exception the one at (p), on (0) < (p)."""
     exceptions = json_object(data.get("exceptions", {}), "'exceptions'")
     for p in exceptions:
         if not str(p).isdecimal():
             raise InvalidInputError(f"Z family exception key {p!r} must be a decimal prime")
+    if "default" not in data:
+        raise InvalidInputError("malformed Z family JSON: 'default'")
+    poset = z_poset(int(p) for p in exceptions)
+    wire = {CLOSED_POINT: data["default"], **{_label(int(p)): f for p, f in exceptions.items()}}
+    return LocalFamily(
+        poset, {m: filtration_from_json(localization_poset(poset, m), f) for m, f in wire.items()}
+    )
+
+
+def z_family_to_json(family: LocalFamily) -> dict:
+    """The wire form of a Z family, as :func:`z_family_from_json` reads it."""
+    local = {m: filtration_to_json(f) for m, f in family.filtrations.items()}
+    return {
+        "default": local[CLOSED_POINT],
+        "exceptions": {str(p): local[f"({p})"] for p in z_primes(family.global_poset)},
+    }
+
+
+def localize_z_filtration(filtration: ThomasonFiltration) -> LocalFamily:
+    """The restrictions of a Z filtration to (0) < (p) and (0) < (m)."""
+    return localize_filtrations(filtration)
+
+
+def z_witness(family: LocalFamily, n: int):
+    """``(p, "default", "(0)")`` for the smallest prime p whose set at degree
+    n disagrees with the default on (0); None where the family is compatible.
+
+    On a star poset two local sets share only (0), so this is the only way a
+    Z family can be incompatible."""
+    if check_dagger(family, n).dagger_holds:
+        return None
+    sets = family.sets_at(n)
+    generic = GENERIC in sets[CLOSED_POINT]
+    primes = z_primes(family.global_poset)
+    return (next(p for p in primes if (GENERIC in sets[f"({p})"]) != generic), "default", GENERIC)
+
+
+def glue_z_filtrations(family: LocalFamily) -> ThomasonFiltration:
+    """The glued Z filtration; raises with the witness of :func:`z_witness`
+    when incompatible, and UnsupportedRingError when a level is cofinite."""
     try:
-        default = filtration_from_json(template_poset(), data["default"])
-        exceptions = {
-            int(p): filtration_from_json(chain_poset(int(p)), filt)
-            for p, filt in exceptions.items()
-        }
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed Z family JSON: {exc}") from exc
-    return ZLocalFamily(default, exceptions)
+        glued = glue_filtrations(family)
+    except IncompatibleFamilyError:
+        lo, hi = family.window()
+        # the degrees in the order glue_filtrations tries them: tails, then the window
+        n, witness = next(
+            (n, w) for n in (lo - 1, hi + 1, *range(lo, hi + 1)) if (w := z_witness(family, n))
+        )
+        raise IncompatibleFamilyError(
+            f"family disagrees on the generic point at degree {n} (exception at {witness[0]})",
+            degree=n,
+            witness=witness,
+        ) from None
+    for level in (glued.low_tail, *glued.values, glued.high_tail):
+        if CLOSED_POINT in level and not level.is_full():
+            raise UnsupportedRingError(
+                "default populates the closed point at infinitely many primes; "
+                "the glued set would be infinite and not representable"
+            )
+    return glued

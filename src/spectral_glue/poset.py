@@ -5,8 +5,10 @@ exactly the specialization closed subsets.  Points are numbered 0..n-1 in
 sorted label order and a subset is an int whose bit i stands for point i, so
 union, intersection and inclusion are integer operations and the lowest bit
 of a mask is its smallest label.  Posets are immutable; up- and down-sets,
-maximal points and localizations are computed once per poset.  Labels are
-checked once, where they enter (:meth:`SpectralPoset.point`).
+maximal points and localizations are computed once per poset, and every
+localization is one :func:`interned_poset`, so the many equal small posets
+that localizing asks for are built once per process.  Labels are checked
+once, where they enter (:meth:`SpectralPoset.point`).
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ class SpectralPoset:
         """
         if m not in self._localizations:
             below = self.down[m]
-            pairs = [(a, b) for a, b in self.relation_pairs if below >> self.index[b] & 1]
-            self._localizations[m] = SpectralPoset(self.labels(below), pairs)
+            pairs = tuple((a, b) for a, b in self.relation_pairs if below >> self.index[b] & 1)
+            self._localizations[m] = interned_poset(self.labels(below), pairs)
         return self._localizations[m]
 
     def pack(self, mask: int, m: int) -> int:
@@ -100,6 +102,10 @@ class SpectralPoset:
     def unpack(self, mask: int, m: int) -> int:
         """A mask of the localization at m in this poset's numbering."""
         return sum((mask >> k & 1) << j for k, j in enumerate(self._below[m]))
+
+    @cached_property
+    def maximal_labels(self) -> frozenset[PrimeId]:
+        return frozenset(self.elements[i] for i in self.maxima)
 
     @cached_property
     def relation_pairs(self) -> tuple[tuple[PrimeId, PrimeId], ...]:
@@ -140,6 +146,23 @@ class SpectralPoset:
         return cls(elements, [tuple(p) for p in leq])
 
 
+# every poset ever interned, for the life of the process; sharing is safe
+# because a poset never changes, and what it caches is a function of its order
+_INTERNED: dict[tuple, SpectralPoset] = {}
+
+
+def interned_poset(
+    elements: tuple[PrimeId, ...], pairs: tuple[tuple[PrimeId, PrimeId], ...]
+) -> SpectralPoset:
+    """The one poset of this process on these sorted labels and these
+    relation pairs, listed as :attr:`SpectralPoset.relation_pairs` lists them."""
+    key = (elements, pairs)
+    poset = _INTERNED.get(key)
+    if poset is None:
+        poset = _INTERNED[key] = SpectralPoset(elements, pairs)
+    return poset
+
+
 def is_thomason(members: Iterable[PrimeId], poset: SpectralPoset) -> bool:
     """On a finite spectral space the Thomason subsets are exactly the up-sets."""
     mask = poset.mask_of(members)
@@ -148,7 +171,7 @@ def is_thomason(members: Iterable[PrimeId], poset: SpectralPoset) -> bool:
 
 def maximal_points(poset: SpectralPoset) -> frozenset[PrimeId]:
     """Elements with no strict upper bound (the maximal ideals)."""
-    return frozenset(poset.elements[i] for i in poset.maxima)
+    return poset.maximal_labels
 
 
 def localization_poset(poset: SpectralPoset, p: PrimeId) -> SpectralPoset:

@@ -1,8 +1,8 @@
 """Concrete finite commutative rings with computable spectra.
 
 Supported kinds: Z/n, F_p[x]/(f), finite direct products of these, and a
-narrow symbolic adapter for Z (see :mod:`spectral_glue.integers`).  Every
-finite kind decomposes as a product of local chain rings (Z/p^k or
+reference to Z, over which only gluing runs (:mod:`spectral_glue.integers`).
+Every finite kind decomposes as a product of local chain rings (Z/p^k or
 F_p[x]/(pi^k)); the decomposition drives localization, injectives and module
 isomorphism invariants.
 

@@ -5,17 +5,15 @@ tail values (the value for all n < lo, resp. n > hi).  Construction always
 normalizes, so two filtrations with equal pointwise values compare and
 serialize identically.
 
-Filtrations are generic over the set type: a level is a :class:`ThomasonSet`
-of a finite spectral poset, or a Thomason subset of Spec(Z)
-(:class:`spectral_glue.integers.ZThomason`, whose ``poset`` is None).  A set
-type provides ``poset``, ``==``, ``<=`` (inclusion), ``is_full()`` and
-``sorted_members()``.
+Every level is a :class:`ThomasonSet` of one finite spectral poset; Spec(Z)
+is the finite star poset of :func:`spectral_glue.integers.z_poset`, so its
+filtrations are these too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FiltrationOrderError, InvalidInputError, json_int, json_object
 from .poset import PrimeId, SpectralPoset
@@ -88,11 +86,11 @@ class ThomasonFiltration:
 
     ``values[k]`` is X_n for n = lo + k; X_n = low_tail for n < lo and
     X_n = high_tail for n > hi.  Empty ``values`` with distinct tails encodes a
-    pure step: low_tail through lo - 1, high_tail from lo on.  ``poset`` is
-    None over Spec(Z).  Use :func:`make_filtration` to build one.
+    pure step: low_tail through lo - 1, high_tail from lo on.  Use
+    :func:`make_filtration` to build one.
     """
 
-    poset: Optional[SpectralPoset]
+    poset: SpectralPoset
     low_tail: ThomasonSet
     lo: int
     values: tuple[ThomasonSet, ...]
@@ -122,7 +120,7 @@ class ThomasonFiltration:
 
 
 def make_filtration(
-    poset: Optional[SpectralPoset],
+    poset: SpectralPoset,
     low_tail: ThomasonSet,
     breakpoints: Sequence[tuple[int, ThomasonSet]],
     high_tail: ThomasonSet,
@@ -213,7 +211,7 @@ def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonF
     )
 
 
-def set_to_json(s):
+def set_to_json(s: ThomasonSet):
     return "full" if s.is_full() else s.sorted_members()
 
 
@@ -241,7 +239,7 @@ def filtration_to_json(filtration: ThomasonFiltration) -> dict:
 
 
 def filtration_from_json(
-    poset: Optional[SpectralPoset], data: Mapping, parse_set=set_from_json
+    poset: SpectralPoset, data: Mapping, parse_set=set_from_json
 ) -> ThomasonFiltration:
     """Read a filtration; ``parse_set(poset, value)`` reads one level."""
     json_object(data, "filtration JSON")

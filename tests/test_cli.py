@@ -391,6 +391,9 @@ def cohomology_of(cx):
         (localize_filtration("[1]"), "filtration JSON"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", json.dumps(list(range(17)))],
          "enumeration bound of 2000000"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", '{"a": 1}'], "'generators'"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", '"ab"'], "'generators'"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", "5"], "'generators'"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -400,7 +403,8 @@ def cohomology_of(cx):
          "elements-duplicate", "leq-single", "leq-triple", "leq-string", "poset-list",
          "terms-key-x", "terms-key-underscore", "differentials-key-x",
          "differentials-key-underscore", "fuzz-max-poset-7", "breakpoints-int",
-         "breakpoints-int-list", "filtration-list", "koszul-17-generators"],
+         "breakpoints-int-list", "filtration-list", "koszul-17-generators",
+         "generators-object", "generators-string", "generators-int"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()
@@ -458,12 +462,17 @@ with open(Path(__file__).parent / "data" / "cli_golden.json") as _fh:
 def test_cli_bytes_match_the_recording(capsys, name):
     """stdout recorded before rings became tables, for F_3[x]/(x^2-1),
     Z/4 x F_2[x]/(x^2) and spectra of rings too large to tabulate, before
-    module maps became graphs, for cosilting data with a nonzero eta, and
-    before posets became bit masks, for the gluing verbs; a recording's
-    "exit" is its exit code, 0 when absent."""
-    code, out = run(capsys, *GOLDEN[name]["argv"])
+    module maps became graphs, for cosilting data with a nonzero eta, before
+    posets became bit masks, for the gluing verbs, and before Spec(Z) became
+    a finite star poset, for the verbs over the integers; a recording's
+    "exit" is its exit code, 0 when absent, and its "stderr", when present,
+    the error text of an exit 2."""
+    code = main(GOLDEN[name]["argv"])
+    captured = capsys.readouterr()
     assert code == GOLDEN[name].get("exit", 0)
-    assert out == GOLDEN[name]["stdout"]
+    assert captured.out == GOLDEN[name]["stdout"]
+    if "stderr" in GOLDEN[name]:
+        assert captured.err == GOLDEN[name]["stderr"]
 
 
 def test_spec_of_a_ring_too_large_to_tabulate(capsys):

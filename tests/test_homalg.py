@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,7 +28,7 @@ from spectral_glue.homalg import (
     koszul_of_ideal,
     zero_complex,
 )
-from spectral_glue import homalg, rings as rng, sweeps
+from spectral_glue import catalog, homalg, rings as rng, sweeps
 from spectral_glue.rings import Ideal
 
 
@@ -192,6 +193,24 @@ def test_hom_orders_match_enumeration_on_full_matrices(ring):
             for i in (-1, 0, 1):
                 orders = homalg.hom_orders(cx, y, i)
                 assert orders == enumerated_orders(derived_hom(cx, y, i)), (matrix, y, i)
+
+
+@pytest.mark.parametrize("ring", [ZMod(4), PolyQuot(2, (0, 0, 1))], ids=["z4", "f2-x2"])
+def test_hom_orders_match_enumeration_on_repeated_koszul_generators(ring):
+    """Koszul complexes on three generators, repeats allowed, have the 3x3
+    middle differential; a repeated or divisible generator leaves entries
+    that only row elimination clears, and Hom^1 and Hom^2 read that matrix."""
+    generators = sorted({g for ideal in rng.all_ideals(ring) for g in ideal.generators})
+    targets = catalog.stalk_complexes(ring)
+    checked = 0
+    for gens in itertools.combinations_with_replacement(generators, 3):
+        kos = koszul(ring, list(gens))
+        for y in targets:
+            for i in (1, 2):
+                orders = homalg.hom_orders(kos, y, i)
+                assert orders == enumerated_orders(derived_hom(kos, y, i)), (gens, y, i)
+                checked += 1
+    assert checked == 140
 
 
 def test_hom_orders_over_a_local_factor(z12):

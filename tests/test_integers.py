@@ -1,54 +1,89 @@
+import contextlib
+import io
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_glue import (
     FiltrationOrderError,
     IncompatibleFamilyError,
     InvalidInputError,
+    LocalFamily,
     UnsupportedRingError,
 )
+from spectral_glue.cli import main
 from spectral_glue.integers import (
-    ZLocalFamily,
-    ZThomason,
-    chain_poset,
-    check_z_dagger,
     glue_z_filtrations,
     localize_z_filtration,
-    template_poset,
     z_family_from_json,
+    z_family_to_json,
     z_filtration_from_json,
     z_filtration_to_json,
-    z_v_of_ideal,
+    z_poset,
+    z_witness,
 )
-from spectral_glue.thomason import filtration_from_json, make_filtration
+from spectral_glue.poset import localization_poset
+from spectral_glue.thomason import filtration_from_json, restrict_set
 
 
 def zfilt(low, bps, high):
-    parse = lambda v: ZThomason(full=True) if v == "full" else ZThomason(False, frozenset(v))
-    return make_filtration(None, parse(low), [(n, parse(s)) for n, s in bps], parse(high))
+    breakpoints = [{"n": n, "set": s} for n, s in bps]
+    return z_filtration_from_json({"low_tail": low, "breakpoints": breakpoints, "high_tail": high})
 
 
-def test_v_of_ideal():
-    assert z_v_of_ideal([0]) == ZThomason(full=True)
-    assert z_v_of_ideal([1]) == ZThomason(False)
-    assert z_v_of_ideal([12]) == ZThomason(False, frozenset({2, 3}))
-    assert z_v_of_ideal([4, 6]) == ZThomason(False, frozenset({2}))
+STEP_DOWN = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
+
+
+def z_family(default, **exceptions):
+    return z_family_from_json({"default": default, "exceptions": exceptions})
+
+
+def test_z_poset_is_a_star_whose_localizations_are_2_chains():
+    poset = z_poset([11, 2, 3])
+    assert poset.elements == ("(0)", "(11)", "(2)", "(3)", "(m)")
+    assert poset.maximal_labels == {"(11)", "(2)", "(3)", "(m)"}
+    assert all(poset.leq("(0)", m) for m in poset.maximal_labels)
+    assert not poset.leq("(2)", "(3)")
+    for m in poset.maximal_labels:
+        local = localization_poset(poset, m)
+        assert local.to_json() == {"elements": ["(0)", m], "leq": [["(0)", m]]}
+        # one object per process: every star's localization at m is this one
+        assert local is localization_poset(z_poset([2, 3, 5, 11]), m)
+    assert z_poset([3, 2, 3]) is z_poset([2, 3])
+    with pytest.raises(InvalidInputError, match="4 is not a prime"):
+        z_poset([4])
 
 
 def test_restrict_to_chain():
-    s = ZThomason(False, frozenset({2, 5}))
-    assert s.restrict(2).members == {"(2)"}
-    assert s.restrict(3).members == set()
-    assert ZThomason(full=True).restrict(7).is_full()
+    filt = zfilt([2, 3, 5], [(0, [2, 5])], [])
+    s = filt.at(0)
+    assert restrict_set(s, "(2)").members == {"(2)"}
+    assert restrict_set(s, "(3)").members == set()
+    assert restrict_set(filt.at(-1), "(3)").members == {"(3)"}
+    assert restrict_set(zfilt("full", [], "full").at(0), "(m)").is_full()
 
 
-def test_full_set_carries_no_primes():
-    with pytest.raises(InvalidInputError):
-        ZThomason(full=True, primes=frozenset({2}))
+def test_levels_are_written_in_numeric_order():
+    filt = zfilt([11, 2, 3], [(0, [11, 3])], [])
+    assert z_filtration_to_json(filt) == {
+        "low_tail": [2, 3, 11],
+        "breakpoints": [{"n": 0, "set": [3, 11]}],
+        "high_tail": [],
+    }
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_levels_name_primes_only(p):
+    # 0 in particular: its label would be the generic point's
+    with pytest.raises(InvalidInputError, match=f"'high_tail': {p} is not a prime number"):
+        zfilt("full", [(0, [2])], [p])
 
 
 def test_localize_glue_roundtrip():
     filt = zfilt("full", [(0, [2, 3]), (1, [3])], [])
     family = localize_z_filtration(filt)
+    assert sorted(family.filtrations) == ["(2)", "(3)", "(m)"]
     assert glue_z_filtrations(family) == filt
 
 
@@ -66,53 +101,152 @@ def test_pure_step_roundtrip():
 
 
 def test_incompatible_generic_point():
-    template = template_poset()
-    default = filtration_from_json(
-        template, {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
-    )
-    bad = filtration_from_json(
-        chain_poset(2),
-        {"low_tail": "full", "breakpoints": [{"n": 0, "set": "full"}], "high_tail": []},
-    )
-    family = ZLocalFamily(default, {2: bad})
-    assert check_z_dagger(family, 0) == (2, "default", "(0)")
-    with pytest.raises(IncompatibleFamilyError):
+    full_at_0 = {"low_tail": "full", "breakpoints": [{"n": 0, "set": "full"}], "high_tail": []}
+    agrees = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(3)"]}], "high_tail": []}
+    family = z_family(STEP_DOWN, **{"11": full_at_0, "3": agrees, "2": full_at_0})
+    # the smallest disagreeing prime, not the first in label order
+    assert z_witness(family, 0) == (2, "default", "(0)")
+    assert z_witness(family, 1) is None
+    with pytest.raises(IncompatibleFamilyError, match="exception at 2") as exc:
         glue_z_filtrations(family)
+    assert exc.value.degree == 0 and exc.value.witness == (2, "default", "(0)")
 
 
 def test_default_closed_point_everywhere_is_unrepresentable():
-    template = template_poset()
-    default = filtration_from_json(
-        template,
-        {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(m)"]}], "high_tail": []},
-    )
+    default = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(m)"]}], "high_tail": []}
     with pytest.raises(UnsupportedRingError):
-        glue_z_filtrations(ZLocalFamily(default, {}))
+        glue_z_filtrations(z_family(default))
 
 
 def test_family_json():
-    family = z_family_from_json(
-        {
-            "default": {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []},
-            "exceptions": {
-                "5": {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(5)"]}], "high_tail": []}
-            },
-        }
-    )
+    exception = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(5)"]}], "high_tail": []}
+    family = z_family(STEP_DOWN, **{"5": exception})
     glued = glue_z_filtrations(family)
-    assert glued.at(0) == ZThomason(False, frozenset({5}))
-    assert glued.at(-1) == ZThomason(full=True)
-    assert glued.at(1) == ZThomason(False)
+    assert glued.at(0).members == {"(5)"}
+    assert glued.at(-1).is_full()
+    assert not glued.at(1).mask
+    assert z_filtration_to_json(glued)["breakpoints"] == [{"n": 0, "set": [5]}]
+    wire = z_family_to_json(family)
+    assert list(wire["exceptions"]) == ["5"]
+    assert z_family_from_json(wire) == family
 
 
 def test_exception_poset_is_checked():
-    template = template_poset()
-    default = filtration_from_json(
-        template, {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
-    )
-    wrong = filtration_from_json(
-        chain_poset(3),
-        {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []},
-    )
-    with pytest.raises(InvalidInputError):
-        ZLocalFamily(default, {2: wrong})
+    poset = z_poset([2])
+    default = filtration_from_json(localization_poset(poset, "(m)"), STEP_DOWN)
+    wrong = filtration_from_json(localization_poset(z_poset([3]), "(3)"), STEP_DOWN)
+    with pytest.raises(InvalidInputError, match="wrong poset"):
+        LocalFamily(poset, {"(m)": default, "(2)": wrong})
+    with pytest.raises(InvalidInputError, match="'\\(3\\)' is not in this poset"):
+        z_family(STEP_DOWN, **{"2": {"low_tail": ["(3)"], "breakpoints": [], "high_tail": ["(3)"]}})
+
+
+# -- seeded properties over generated Z data ---------------------------------
+
+PRIMES = [p for p in range(2, 50) if all(p % d for d in range(2, p))]
+PROPERTY_SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
+
+
+def level_inside(draw, level):
+    """A Z level inside ``level``: "full", or a sorted list of primes."""
+    if level == "full" and draw(st.booleans()):
+        return "full"
+    pool = PRIMES if level == "full" else level
+    return sorted(draw(st.sets(st.sampled_from(pool), max_size=5))) if pool else []
+
+
+@st.composite
+def z_filtration_json(draw):
+    """Decreasing Z filtration JSON, with gaps between breakpoints."""
+    low = level = level_inside(draw, "full")
+    breakpoints, n = [], draw(st.integers(-3, 2))
+    for _ in range(draw(st.integers(0, 4))):
+        level = level_inside(draw, level)
+        breakpoints.append({"n": n, "set": level})
+        n += draw(st.integers(1, 2))
+    high = level_inside(draw, level) if breakpoints else low
+    return {"low_tail": low, "breakpoints": breakpoints, "high_tail": high}
+
+
+@st.composite
+def chain_filtration_json(draw, top):
+    """Decreasing filtration JSON on the 2-chain (0) < ``top``."""
+    chain = ["full", [top], []]
+    steps = sorted(draw(st.lists(st.integers(0, 2), max_size=3)))
+    low = draw(st.integers(0, steps[0] if steps else 2))
+    start = draw(st.integers(-2, 1))
+    breakpoints = [{"n": start + k, "set": chain[i]} for k, i in enumerate(steps)]
+    high = draw(st.integers(steps[-1], 2)) if steps else low
+    return {"low_tail": chain[low], "breakpoints": breakpoints, "high_tail": chain[high]}
+
+
+@st.composite
+def z_family_json(draw):
+    primes = draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=4))
+    return {
+        "poset": {"kind": "integers"},
+        "default": draw(chain_filtration_json("(m)")),
+        "exceptions": {str(p): draw(chain_filtration_json(f"({p})")) for p in primes},
+    }
+
+
+def level_at(filt, n):
+    """X_n of filtration JSON: the last breakpoint at or below n, the tails outside."""
+    breakpoints = filt["breakpoints"]
+    if breakpoints and n > breakpoints[-1]["n"]:
+        return filt["high_tail"]
+    value = filt["low_tail"]
+    for bp in breakpoints:
+        if bp["n"] <= n:
+            value = bp["set"]
+    return value
+
+
+def cli_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--json", *argv])
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+@PROPERTY_SETTINGS
+@given(z_filtration_json())
+def test_z_filtrations_round_trip(data):
+    filt = z_filtration_from_json(data)
+    assert glue_z_filtrations(localize_z_filtration(filt)) == filt
+    wire = json.loads(json.dumps(z_filtration_to_json(filt)))
+    assert z_filtration_from_json(wire) == filt
+    levels = [wire["low_tail"], wire["high_tail"], *(bp["set"] for bp in wire["breakpoints"])]
+    assert all(level == "full" or level == sorted(level) for level in levels)
+
+
+@PROPERTY_SETTINGS
+@given(z_family_json())
+def test_z_compat_verdict_is_agreement_on_the_generic_point(family):
+    """Compatible exactly when every local set agrees with the default on
+    (0); the witness names a degree of disagreement and its smallest prime,
+    and a compatible family glues to the union of its local sets."""
+    default, exceptions = family["default"], family["exceptions"]
+
+    def disagreeing(n):
+        generic = level_at(default, n) == "full"
+        return sorted(int(p) for p, f in exceptions.items() if (level_at(f, n) == "full") != generic)
+
+    ns = [bp["n"] for f in [default, *exceptions.values()] for bp in f["breakpoints"]]
+    degrees = range(min(ns, default=0) - 1, max(ns, default=0) + 2)
+    code, out = cli_json("compat-check", "--family", json.dumps(family))
+    if any(disagreeing(n) for n in degrees):
+        assert code == 1 and out["compatible"] is False
+        assert out["witness"] == [disagreeing(out["degree"])[0], "default", "(0)"]
+        return
+    assert (code, out) == (0, {"compatible": True})
+    code, out = cli_json("glue", "--family", json.dumps(family))
+    if any(level_at(default, n) == ["(m)"] for n in degrees):
+        assert code == 2  # a cofinite set of closed points is not representable
+        return
+    assert code == 0
+    for n in degrees:
+        expected = "full" if level_at(default, n) == "full" else sorted(
+            int(p) for p, f in exceptions.items() if level_at(f, n) == [f"({p})"]
+        )
+        assert level_at(out["glued"], n) == expected
