@@ -138,7 +138,12 @@ def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
 
 
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
-    """Degreewise gluing; raises with the offending degree when incompatible."""
+    """Degreewise gluing; raises with the offending degree when incompatible.
+
+    The degrees lo - 1 and hi + 1 around the window carry the tails, and all
+    are glued in increasing order, so the degree and witness raised are the
+    first that :func:`check_dagger` finds.
+    """
     poset = family.global_poset
     lo, hi = family.window()
 
@@ -150,10 +155,9 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
                 f"family incompatible at degree {n}: {exc}", degree=n, witness=exc.witness
             ) from None
 
-    low = glue_sets(poset, {m: f.low_tail for m, f in family.filtrations.items()})
-    high = glue_sets(poset, {m: f.high_tail for m, f in family.filtrations.items()})
-    # lo - 1 is included so pure-step families keep their step position
-    return make_filtration(poset, low, [(n, glue_at(n)) for n in range(lo - 1, hi + 1)], high)
+    glued = [(n, glue_at(n)) for n in range(lo - 1, hi + 2)]
+    # lo - 1 is kept as a breakpoint so pure-step families keep their step position
+    return make_filtration(poset, glued[0][1], glued[:-1], glued[-1][1])
 
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:

@@ -5,11 +5,13 @@ modules (stalk-like, with zero differentials in and out).  This covers the
 shapes the classification actually needs: Koszul complexes, shifted module
 stalks, and finite direct sums of these.
 
-:func:`cohomology` and :func:`derived_hom` build their groups by element
-sweeps; they serve the CLI, which prints module invariants, and are the
-oracle.  The sweeps need only orders and supports, which :func:`hom_orders`
-and :func:`support_of_cohomology` read off Smith valuations over each local
-chain ring R_m without enumerating anything.
+:func:`derived_hom` builds its groups by element sweeps, and
+:func:`cohomology` is H^n of Hom(R, C), so there is one enumerator.  It runs
+on element indices through each module's index arithmetic; it serves the
+CLI, which prints module invariants, and is the oracle.  The sweeps need only
+orders and supports, which :func:`hom_orders` and
+:func:`support_of_cohomology` read off Smith valuations over each local chain
+ring R_m without enumerating anything.
 """
 
 from __future__ import annotations
@@ -259,22 +261,8 @@ def direct_sum_complexes(a: BoundedComplex, b: BoundedComplex) -> BoundedComplex
 
 
 def cohomology(complex_: BoundedComplex, n: int) -> FiniteModule:
-    """H^n = ker d^n / im d^{n-1}, as a concrete module."""
-    source = complex_.module_at(n)
-    if complex_.diffs.get(n) is None:
-        kernel = frozenset(source.elements)
-    else:
-        target = complex_.module_at(n + 1)
-        kernel = frozenset(
-            x for x in source.elements if complex_.diff_apply(n, x) == target.zero
-        )
-    if complex_.diffs.get(n - 1) is None:
-        image = frozenset({source.zero})
-    else:
-        prev = complex_.module_at(n - 1)
-        image = frozenset(complex_.diff_apply(n - 1, y) for y in prev.elements)
-    kernel_module = source.submodule(kernel, check=False)
-    return kernel_module.quotient(image)
+    """H^n = ker d^n / im d^{n-1}, as a concrete module: H^n of Hom(R, C)."""
+    return derived_hom(free_stalk(complex_.ring, 1, 0), complex_, n)
 
 
 def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
@@ -305,7 +293,15 @@ def is_acyclic(complex_: BoundedComplex) -> bool:
 
 
 def derived_hom(perfect: BoundedComplex, target: BoundedComplex, i: int) -> FiniteModule:
-    """H^i of the total Hom complex Hom(P, Y), for P a complex of projectives."""
+    """H^i of the total Hom complex Hom(P, Y), for P a complex of projectives.
+
+    Hom^k is the product over the degrees p of P of (Y^{p+k})^{r(p)}, and
+    d^k f = d_Y o f - (-1)^k f o d_P.  An element of Hom^k is enumerated as
+    the tuple of the element indices of its coordinates (p, j) in the nonzero
+    Y^{p+k}, and d^k is compiled once into lookups in the
+    :class:`~spectral_glue.modules.IndexArithmetic` of those modules.  The
+    result is the quotient of the cycles by the boundaries, on index tuples.
+    """
     if not perfect.is_perfect():
         raise InvalidInputError("first argument must have free terms")
     if perfect.ring != target.ring:
@@ -313,60 +309,64 @@ def derived_hom(perfect: BoundedComplex, target: BoundedComplex, i: int) -> Fini
 
     ring = perfect.ring
     # every term of P has positive rank, and d_P^p exists only if p + 1 is a term
-    degs = perfect.degrees()
-    pos = {p: idx for idx, p in enumerate(degs)}
-    comps = {
-        k: [(p, perfect.rank(p), target.module_at(p + k)) for p in degs]
-        for k in (i - 1, i, i + 1)
-    }
-
-    def term_elements(k):
-        size = 1
-        for _, a, n_mod in comps[k]:
-            size *= n_mod.order**a
+    coords = {}  # k -> [(p, j, Y^{p+k})] over the coordinates of Hom^k with Y^{p+k} nonzero
+    for k in (i - 1, i, i + 1):
+        coords[k] = []
+        for p in perfect.degrees():
+            n_mod = target.module_at(p + k)
+            if n_mod.order > 1:
+                coords[k] += [(p, j, n_mod) for j in range(perfect.rank(p))]
+    for k in (i, i - 1):
+        size = math.prod(n_mod.order for _, _, n_mod in coords[k])
         if size > ENUMERATION_LIMIT:
             raise InvalidInputError(f"Hom term of size {size} is too large to enumerate")
-        spaces = [itertools.product(n_mod.elements, repeat=a) for _, a, n_mod in comps[k]]
-        return itertools.product(*spaces)
 
-    def zero_of(k):
-        return tuple(tuple([n_mod.zero] * a) for _, a, n_mod in comps[k])
+    d_y = {}  # q -> d_Y^q as a map of element indices
 
-    def apply_diff(k, f):
+    def compile_d(k):
+        """d^k as one (arithmetic, d_Y map, source, [(source, scale row)]) per
+        coordinate of Hom^{k+1}; sources are positions in a Hom^k tuple."""
+        src = {(p, j): s for s, (p, j, _) in enumerate(coords[k])}
+        steps = []
+        for p, j, n_next in coords[k + 1]:
+            arith = n_next.arithmetic
+            dmap = None
+            if (p, j) in src and p + k in target.diffs:
+                q = p + k
+                if q not in d_y:
+                    d_y[q] = tuple(
+                        n_next.index[target.diff_apply(q, x)] for x in target.module_at(q).elements
+                    )
+                dmap = d_y[q]
+            terms = []
+            for l, row in enumerate(perfect.diffs.get(p, ())):
+                if (p + 1, l) in src and row[j] != ring.zero:
+                    c = row[j] if k % 2 else ring.neg(row[j])
+                    terms.append((src[p + 1, l], arith.scale(c)))
+            steps.append((arith, dmap, src.get((p, j)), terms))
+        return steps
+
+    def image(steps, f):
         out = []
-        for p, a, n_next in comps[k + 1]:
-            q = p + k
-            # d_Y o f_p
-            if target.diffs.get(q) is not None:
-                images = [target.diff_apply(q, x) for x in f[pos[p]]]
-            else:
-                images = [n_next.zero] * a
-            # -(-1)^k f_{p+1} o d_P^p
-            matrix = perfect.diffs.get(p)
-            if matrix is not None:
-                f_next = f[pos[p + 1]]
-                for j in range(a):
-                    acc = n_next.zero
-                    for irow, row in enumerate(matrix):
-                        acc = n_next.add(acc, n_next.smul(row[j], f_next[irow]))
-                    if k % 2 == 0:
-                        acc = n_next.neg(acc)
-                    images[j] = n_next.add(images[j], acc)
-            out.append(tuple(images))
+        for arith, dmap, s, terms in steps:
+            acc = arith.zero if dmap is None else dmap[f[s]]
+            for t, row in terms:
+                acc = arith.add(acc, row[f[t]])
+            out.append(acc)
         return tuple(out)
 
-    zero_next = zero_of(i + 1)
-    cycles = [f for f in term_elements(i) if apply_diff(i, f) == zero_next]
-    boundaries = frozenset(apply_diff(i - 1, g) for g in term_elements(i - 1))
+    def term_elements(k):
+        return itertools.product(*(range(n_mod.order) for _, _, n_mod in coords[k]))
 
-    add = lambda f, g: tuple(
-        tuple(n_mod.add(x, y) for x, y in zip(pf, pg))
-        for pf, pg, (_, _, n_mod) in zip(f, g, comps[i])
-    )
-    smul = lambda r, f: tuple(
-        tuple(n_mod.smul(r, x) for x in part) for part, (_, _, n_mod) in zip(f, comps[i])
-    )
-    cycle_module = FiniteModule(ring, cycles, add, smul, zero_of(i))
+    ariths = [n_mod.arithmetic for _, _, n_mod in coords[i]]
+    zero_next = tuple(n_mod.arithmetic.zero for _, _, n_mod in coords[i + 1])
+    d_i, d_prev = compile_d(i), compile_d(i - 1)
+    cycles = [f for f in term_elements(i) if image(d_i, f) == zero_next]
+    boundaries = {image(d_prev, g) for g in term_elements(i - 1)}
+
+    add = lambda f, g: tuple([a.add(x, y) for a, x, y in zip(ariths, f, g)])
+    smul = lambda r, f: tuple([a.smul(r, x) for a, x in zip(ariths, f)])
+    cycle_module = FiniteModule(ring, cycles, add, smul, tuple(a.zero for a in ariths))
     return cycle_module.quotient(boundaries)
 
 

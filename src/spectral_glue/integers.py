@@ -69,24 +69,21 @@ def _z_set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
     return ThomasonSet(poset, poset.mask_of(map(_label, frozenset(data))))
 
 
+def _z_set_to_json(level: ThomasonSet):
+    """A level on the wire: 'full', or the primes of a level that holds no
+    (m), in numeric order."""
+    return "full" if level.is_full() else sorted(int(label[1:-1]) for label in level.members)
+
+
 def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:
     """A Z filtration, on the :func:`z_poset` of the primes its levels name."""
     primes = [p for p in _named_ints(data) if is_prime_int(p)]
-    return filtration_from_json(z_poset(primes), data, _z_set_from_json)
+    return filtration_from_json(z_poset(primes), data, _z_set_from_json, _z_set_to_json)
 
 
 def z_filtration_to_json(filtration: ThomasonFiltration) -> dict:
     """The wire form of a Z filtration whose levels are full or hold no (m)."""
-    data = filtration_to_json(filtration)
-
-    def level(value):
-        return value if value == "full" else sorted(int(label[1:-1]) for label in value)
-
-    return {
-        "low_tail": level(data["low_tail"]),
-        "breakpoints": [{"n": bp["n"], "set": level(bp["set"])} for bp in data["breakpoints"]],
-        "high_tail": level(data["high_tail"]),
-    }
+    return filtration_to_json(filtration, _z_set_to_json)
 
 
 def z_family_from_json(data: Mapping) -> LocalFamily:
@@ -139,15 +136,12 @@ def glue_z_filtrations(family: LocalFamily) -> ThomasonFiltration:
     when incompatible, and UnsupportedRingError when a level is cofinite."""
     try:
         glued = glue_filtrations(family)
-    except IncompatibleFamilyError:
-        lo, hi = family.window()
-        # the degrees in the order glue_filtrations tries them: tails, then the window
-        n, witness = next(
-            (n, w) for n in (lo - 1, hi + 1, *range(lo, hi + 1)) if (w := z_witness(family, n))
-        )
+    except IncompatibleFamilyError as exc:
+        witness = z_witness(family, exc.degree)
         raise IncompatibleFamilyError(
-            f"family disagrees on the generic point at degree {n} (exception at {witness[0]})",
-            degree=n,
+            f"family disagrees on the generic point at degree {exc.degree} "
+            f"(exception at {witness[0]})",
+            degree=exc.degree,
             witness=witness,
         ) from None
     for level in (glued.low_tail, *glued.values, glued.high_tail):

@@ -3,10 +3,12 @@
 A module is a finite set of hashable elements together with addition and a
 scalar action of its ring.  Everything downstream (cohomology, Hom groups,
 torsion parts) works by element sweeps, which is the intended correctness
-oracle at desk scale.  Rings are duck-typed: their elements are the ints
-``0 .. |R| - 1`` returned by ``elements()``, with ``zero``, ``one``, ``add``,
-``neg`` and ``mul``.  Module elements are tuples built from ring elements, so
-they sort in the order of the ring's elements.
+oracle at desk scale; the Hom enumeration of :mod:`homalg` runs on element
+indices through each module's :class:`IndexArithmetic`.  Rings are
+duck-typed: their elements are the ints ``0 .. |R| - 1`` returned by
+``elements()``, with ``zero``, ``one``, ``add``, ``neg`` and ``mul``.  Module
+elements are tuples built from ring elements, so they sort in the order of
+the ring's elements.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ class FiniteModule:
     def smul(self, r, x):
         return self._smul(r, x)
 
-    def neg(self, x):
-        return self.smul(self.ring.neg(self.ring.one), x)
-
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def arithmetic(self) -> "IndexArithmetic":
+        return IndexArithmetic(self)
 
     def is_zero_module(self) -> bool:
         return self.order == 1
@@ -199,6 +202,46 @@ class FiniteModule:
         if self.ring != other.ring:
             return False
         return self.local_invariants() == other.local_invariants()
+
+
+class IndexArithmetic:
+    """The sum and the scalar action of a module on element indices: index k
+    stands for ``module.elements[k]``.
+
+    ``scale(r)`` is the row of r x over all indices x, built the first time r
+    is asked for, and sums are memoised per pair of indices as they are
+    asked, so no table of size |M|^2 is ever built.
+    """
+
+    def __init__(self, module: FiniteModule):
+        self.module = module
+        self.zero = module.index[module.zero]
+        self.sums: dict = {}  # a * |M| + b -> the index of a + b
+        self.rows: dict = {}  # r -> (the index of r x for each index x)
+
+    def add(self, a: int, b: int) -> int:
+        m = self.module
+        key = a * len(m.elements) + b
+        s = self.sums.get(key)
+        if s is None:
+            s = self.sums[key] = m.index[m.add(m.elements[a], m.elements[b])]
+        return s
+
+    def scale(self, r) -> tuple:
+        row = self.rows.get(r)
+        if row is None:
+            m = self.module
+            row = self.rows[r] = tuple([m.index[m.smul(r, x)] for x in m.elements])
+        return row
+
+    def smul(self, r, a: int) -> int:
+        """r times one element: read off the row of r if it is built, else
+        computed alone, so a few products build no row of |M|."""
+        row = self.rows.get(r)
+        if row is not None:
+            return row[a]
+        m = self.module
+        return m.index[m.smul(r, m.elements[a])]
 
 
 # -- constructors -----------------------------------------------------------

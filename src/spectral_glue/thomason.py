@@ -124,13 +124,14 @@ def make_filtration(
     low_tail: ThomasonSet,
     breakpoints: Sequence[tuple[int, ThomasonSet]],
     high_tail: ThomasonSet,
+    describe=ThomasonSet.sorted_members,
 ) -> ThomasonFiltration:
     """Validate and canonicalize a filtration.
 
     Breakpoint indices must be strictly increasing; gaps are filled by
     propagating the previous value downward (the filtration is constant between
     explicit breakpoints).  Breakpoints equal to the value already implied by
-    the tails are dropped.
+    the tails are dropped.  An order error writes its sets with ``describe``.
     """
     for _, s in breakpoints:
         if s.poset != poset:
@@ -154,14 +155,14 @@ def make_filtration(
         if not cur <= prev:
             raise FiltrationOrderError(
                 f"filtration not decreasing at degree {n}: "
-                f"{cur.sorted_members()} is not contained in {prev.sorted_members()}"
+                f"{describe(cur)} is not contained in {describe(prev)}"
             )
         values.append(cur)
         prev = cur
     if not high_tail <= prev:
         raise FiltrationOrderError(
             f"filtration not decreasing into the high tail: "
-            f"{high_tail.sorted_members()} is not contained in {prev.sorted_members()}"
+            f"{describe(high_tail)} is not contained in {describe(prev)}"
         )
     # canonical trim: drop leading values equal to the low tail and trailing
     # values equal to the high tail
@@ -223,25 +224,30 @@ def set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
     return ThomasonSet.from_members(poset, data)
 
 
-def filtration_to_json(filtration: ThomasonFiltration) -> dict:
+def filtration_to_json(filtration: ThomasonFiltration, write_set=set_to_json) -> dict:
+    """Write a filtration; ``write_set(level)`` writes one level."""
     breakpoints = [
-        {"n": filtration.lo + k, "set": set_to_json(v)}
+        {"n": filtration.lo + k, "set": write_set(v)}
         for k, v in enumerate(filtration.values)
     ]
     if not breakpoints and filtration.low_tail != filtration.high_tail:
         # pure step: record the last degree still equal to the low tail
-        breakpoints = [{"n": filtration.lo - 1, "set": set_to_json(filtration.low_tail)}]
+        breakpoints = [{"n": filtration.lo - 1, "set": write_set(filtration.low_tail)}]
     return {
-        "low_tail": set_to_json(filtration.low_tail),
+        "low_tail": write_set(filtration.low_tail),
         "breakpoints": breakpoints,
-        "high_tail": set_to_json(filtration.high_tail),
+        "high_tail": write_set(filtration.high_tail),
     }
 
 
 def filtration_from_json(
-    poset: SpectralPoset, data: Mapping, parse_set=set_from_json
+    poset: SpectralPoset,
+    data: Mapping,
+    parse_set=set_from_json,
+    describe=ThomasonSet.sorted_members,
 ) -> ThomasonFiltration:
-    """Read a filtration; ``parse_set(poset, value)`` reads one level."""
+    """Read a filtration; ``parse_set(poset, value)`` reads one level, and an
+    order error writes levels with ``describe``."""
     json_object(data, "filtration JSON")
     for name in ("low_tail", "high_tail"):
         if name not in data:
@@ -266,4 +272,4 @@ def filtration_from_json(
         (json_int(bp["n"], "breakpoint index"), level(bp["set"], "breakpoint 'set'"))
         for bp in breakpoints
     ]
-    return make_filtration(poset, low, bps, high)
+    return make_filtration(poset, low, bps, high, describe)

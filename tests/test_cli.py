@@ -424,6 +424,55 @@ def test_localize_integers_rejects_non_integer_primes(capsys, level):
     assert "integer primes" in err and "Traceback" not in err
 
 
+STEP_AT_0 = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # incompatible only on the high tails, degree 0
+        {
+            "poset": VEE,
+            "exceptions": {
+                "m1": {"low_tail": "full", "breakpoints": [], "high_tail": "full"},
+                "m2": STEP_AT_0,
+            },
+        },
+        # over Z the default disagrees with the exception at 2 from degree 0 on
+        {
+            "poset": INTEGERS,
+            "default": {
+                "low_tail": "full",
+                "breakpoints": [{"n": 0, "set": ["(m)"]}, {"n": 1, "set": []}],
+                "high_tail": [],
+            },
+            "exceptions": {"2": {"low_tail": "full", "breakpoints": [], "high_tail": "full"}},
+        },
+    ],
+    ids=["finite-tails", "integers"],
+)
+def test_glue_names_the_degree_and_witness_of_compat_check(capsys, family):
+    results = []
+    for verb in ("glue", "compat-check"):
+        code, out = run(capsys, "--json", verb, "--family", json.dumps(family))
+        results.append((code, json.loads(out)))
+    assert results[0] == results[1]
+    assert results[0][1]["degree"] == 0
+
+
+def test_integers_order_error_names_primes(capsys):
+    breakpoints = [{"n": 0, "set": [2]}, {"n": 1, "set": [2, 3]}]
+    filt = {"low_tail": "full", "breakpoints": breakpoints, "high_tail": []}
+    code = main(["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: filtration not decreasing at degree 1: [2, 3] is not contained in [2]\n"
+    )
+    filt = {"low_tail": [3], "breakpoints": [{"n": 0, "set": [3]}], "high_tail": "full"}
+    assert main(["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)]) == 2
+    assert "high tail: full is not contained in [3]" in capsys.readouterr().err
+
+
 FULL = json.dumps({"low_tail": "full", "breakpoints": [], "high_tail": []})
 FREE = json.dumps({"terms": {"0": {"free": 1}}})
 Z = json.dumps(INTEGERS)

@@ -90,6 +90,8 @@ def test_glue_reports_offending_degree(vee):
     with pytest.raises(IncompatibleFamilyError) as err:
         glue_filtrations(family)
     assert err.value.witness is not None and err.value.witness[2] == "p"
+    # the families differ only on their high tails, from degree 0 on
+    assert err.value.degree == 0
 
 
 def test_from_default_materializes_restrictions(vee):

@@ -29,6 +29,7 @@ from spectral_glue.homalg import (
     zero_complex,
 )
 from spectral_glue import catalog, homalg, rings as rng, sweeps
+from spectral_glue.modules import IndexArithmetic
 from spectral_glue.rings import Ideal
 
 
@@ -139,6 +140,67 @@ def test_localize_zmod_30():
     k = koszul(z30, [6])
     assert cohomology(k, 0).order == 6
     assert support_of_cohomology(k, 0).sorted_members() == ["(2)", "(3)"]
+
+
+def test_index_arithmetic_memoises_only_the_sums_it_performs(monkeypatch):
+    """Hom(K(6), R^2) over Z/36 enumerates R^2, 1,296 elements, more than
+    any tabulated ring has (order at most 1,024); its arithmetic keeps a row
+    per scalar used and the sums asked, never an |N| x |N| table."""
+    ring = ZMod(36)
+    target = free_stalk(ring, 2, 0)
+    arith = target.module_at(0).arithmetic
+    performed = set()
+    add = IndexArithmetic.add
+
+    def counting(self, a, b):
+        if self is arith:
+            performed.add((a, b))
+        return add(self, a, b)
+
+    monkeypatch.setattr(IndexArithmetic, "add", counting)
+    hom = derived_hom(koszul(ring, [6]), target, 1)
+    assert (hom.order, hom.local_invariants()) == (36, {"(2)": (4, 1), "(3)": (9, 1)})
+    n = arith.module.order
+    assert n == 1296
+    assert 0 < len(arith.sums) <= len(performed) < n * n
+    assert 0 < len(arith.rows) <= ring.order
+    assert all(len(row) == n for row in arith.rows.values())
+
+
+@pytest.mark.parametrize("ring", [ZMod(12), PolyQuot(3, (0, 0, 1))], ids=["z12", "f3-x2"])
+def test_cohomology_orders_are_kernel_over_image(ring):
+    """|H^n| = |ker d^n| / |im d^{n-1}|, counted on the elements of seeded
+    complexes R^2 -> R^2 with a module term above them."""
+    rnd = random.Random(3)
+    top = cyclic_module(ring, rng.all_ideals(ring)[-1].generators[0])
+    for _ in range(6):
+        matrix = [[rnd.randrange(ring.order) for _ in range(2)] for _ in range(2)]
+        cx = BoundedComplex(ring, {-1: FreeTerm(2), 0: FreeTerm(2), 1: top}, {-1: matrix})
+        for n in range(-2, 3):
+            zero = cx.module_at(n + 1).zero
+            kernel = sum(cx.diff_apply(n, x) == zero for x in cx.module_at(n).elements)
+            image = {cx.diff_apply(n - 1, y) for y in cx.module_at(n - 1).elements}
+            assert cohomology(cx, n).order == kernel // len(image), (matrix, n)
+
+
+@pytest.mark.parametrize("ring", [ZMod(12), ZMod(8), PolyQuot(3, (0, 0, 1))], ids=["z12", "z8", "f3-x2"])
+def test_hom_from_a_koszul_complex_is_a_cone(ring):
+    """Hom(K(a), Y) is an extension of Y by Y[-1] whose connecting map is a,
+    so |H^i| = |H^{i-1}(Y) / a| * |ker a on H^i(Y)|; targets with
+    differentials make d_Y and the precomposition with d_P meet."""
+    gens = [ideal.generators[0] for ideal in rng.all_ideals(ring)]
+
+    def coker_and_ker(h, a):
+        images = [h.smul(a, x) for x in h.elements]
+        return h.order // len(set(images)), images.count(h.zero)
+
+    for b, c in itertools.combinations(gens, 2):
+        for y in (koszul(ring, [b]), koszul(ring, [b, c]), shift(koszul(ring, [c]), 1)):
+            for a in gens:
+                for i in range(-3, 2):
+                    coker, _ = coker_and_ker(cohomology(y, i - 1), a)
+                    _, ker = coker_and_ker(cohomology(y, i), a)
+                    assert derived_hom(koszul(ring, [a]), y, i).order == coker * ker, (a, y, i)
 
 
 # -- Hom orders and supports against enumeration ------------------------------

@@ -225,7 +225,8 @@ def test_z_filtrations_round_trip(data):
 def test_z_compat_verdict_is_agreement_on_the_generic_point(family):
     """Compatible exactly when every local set agrees with the default on
     (0); the witness names a degree of disagreement and its smallest prime,
-    and a compatible family glues to the union of its local sets."""
+    glue names the same degree and witness, and a compatible family glues to
+    the union of its local sets."""
     default, exceptions = family["default"], family["exceptions"]
 
     def disagreeing(n):
@@ -238,6 +239,7 @@ def test_z_compat_verdict_is_agreement_on_the_generic_point(family):
     if any(disagreeing(n) for n in degrees):
         assert code == 1 and out["compatible"] is False
         assert out["witness"] == [disagreeing(out["degree"])[0], "default", "(0)"]
+        assert cli_json("glue", "--family", json.dumps(family)) == (code, out)
         return
     assert (code, out) == (0, {"compatible": True})
     code, out = cli_json("glue", "--family", json.dumps(family))
