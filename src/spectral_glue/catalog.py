@@ -96,9 +96,50 @@ def all_thomason_sets(poset: SpectralPoset) -> list[ThomasonSet]:
     return [ThomasonSet(poset, mask) for mask in all_up_sets(poset)]
 
 
+# each filtration costs a sweep about a millisecond: -10..10 over Spec(Z/30)
+# lists 22^3 = 10,648 of them in about 10 s, -50..50 would list 102^3
+MAX_FILTRATIONS = 10_000
+
+
+def count_filtrations(poset: SpectralPoset, lo: int, hi: int) -> int:
+    """How many filtrations :func:`all_filtrations` lists for the window, by a
+    DP over the Thomason sets: the chains X_lo >= ... >= X_n ending at each
+    set, extended one degree at a time.  Counting stops once the total passes
+    MAX_FILTRATIONS, so a larger result is only a lower bound."""
+    if lo > hi:
+        raise InvalidInputError(f"window [{lo}, {hi}] is reversed: lo must be <= hi")
+    masks = all_up_sets(poset)
+    if len(masks) == 1:  # the empty poset: one chain at every length
+        return 1
+    ends = [1] * len(masks)
+    for _ in range(hi - lo):
+        if sum(ends) > MAX_FILTRATIONS:
+            break
+        ends = [sum(c for t, c in zip(masks, ends) if not s & ~t) for s in masks]
+    return sum(ends)
+
+
+def count_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> int:
+    """How many families :func:`all_filtration_families` lists: the product
+    over the maximal points of the filtrations of each localization."""
+    return math.prod(
+        count_filtrations(localization_poset(poset, m), lo, hi) for m in maximal_points(poset)
+    )
+
+
+def check_window(count: int, lo: int, hi: int) -> None:
+    """Refuse a window whose enumeration would list more than MAX_FILTRATIONS."""
+    if count > MAX_FILTRATIONS:
+        raise InvalidInputError(
+            f"window [{lo}, {hi}] lists more filtrations, or families of them, "
+            f"than the bound MAX_FILTRATIONS = {MAX_FILTRATIONS}"
+        )
+
+
 def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFiltration]:
     """All filtrations with both tails constant outside the window [lo, hi]:
     decreasing chains X_lo >= ... >= X_hi with low tail X_lo, high tail X_hi."""
+    check_window(count_filtrations(poset, lo, hi), lo, hi)
     sets = all_thomason_sets(poset)
     out = []
 
@@ -135,6 +176,7 @@ def all_set_families(poset: SpectralPoset) -> list[dict]:
 def all_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[dict]:
     """Every assignment of a local filtration (window [lo, hi]) to each maximal
     point."""
+    check_window(count_filtration_families(poset, lo, hi), lo, hi)
     return _families(poset, lambda sub: all_filtrations(sub, lo, hi))
 
 

@@ -399,6 +399,8 @@ def cmd_cosilting_split(args) -> int:
 
 def cmd_fuzz(args) -> int:
     window = tuple(args.window)
+    if window[0] > window[1]:
+        raise InvalidInputError(f"--window {window[0]} {window[1]} is reversed: LO must be <= HI")
     reports = sweeps.run_all(max_poset=args.max_poset, max_ring=args.max_ring, window=window)
     payload = {"reports": [r.to_json() for r in reports]}
     ok = all(r.ok for r in reports)

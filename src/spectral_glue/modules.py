@@ -61,18 +61,18 @@ class FiniteModule:
     # -- substructures -----------------------------------------------------
 
     def additive_closure(self, seed) -> frozenset:
+        """The subgroup generated by ``seed``, grown by cosets: for each s
+        outside the closed subgroup H, add H + s, H + 2s, ... until a multiple
+        of s falls back into H, so each new generator costs |H + <s>| sums."""
         closed = {self.zero}
-        frontier = [e for e in seed if e not in closed]
-        closed.update(frontier)
-        while frontier:
-            new = []
-            for x in frontier:
-                for y in list(closed):
-                    s = self.add(x, y)
-                    if s not in closed:
-                        closed.add(s)
-                        new.append(s)
-            frontier = new
+        for s in seed:
+            if s in closed:
+                continue
+            coset = list(closed)
+            # closed is a union of cosets of H, so one sum tells whether ks is in it
+            while self.add(coset[0], s) not in closed:
+                coset = [self.add(x, s) for x in coset]
+                closed.update(coset)
         return frozenset(closed)
 
     def span(self, gens) -> frozenset:

@@ -256,11 +256,14 @@ def _check_orthogonality(report: SweepReport, ring: FiniteRing, window) -> None:
 def sweep_orthogonality(
     max_ring: int = 30, window: tuple[int, int] = (-1, 1), jobs: int = 1
 ) -> SweepReport:
+    check = partial(_check_orthogonality, window=window)
+    return _sweep("orthogonality", check, _orthogonality_rings(max_ring), "rings", jobs)
+
+
+def _orthogonality_rings(max_ring: int) -> list[FiniteRing]:
     rings = catalog.zmod_catalog(max_ring)
     rings += [r for r in catalog.poly_catalog(3, 2) if r.order <= max_ring]
-    rings += catalog.product_catalog(max_ring)
-    check = partial(_check_orthogonality, window=window)
-    return _sweep("orthogonality", check, rings, "rings", jobs)
+    return rings + catalog.product_catalog(max_ring)
 
 
 # -- 6: local-global coaisle membership and descriptor gluing ----------------
@@ -305,33 +308,36 @@ def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
 def sweep_local_global(
     max_ring: int = 40, window: tuple[int, int] = (-1, 1), jobs: int = 1
 ) -> SweepReport:
-    rings = [r for r in catalog.product_catalog(max_ring) if len(r.local_factors()) <= 3]
-    rings += [rng.ZMod(12), rng.ZMod(30)]
     check = partial(_check_local_global, window=window)
-    return _sweep("local_global", check, rings, "rings", jobs)
+    return _sweep("local_global", check, _local_global_rings(max_ring), "rings", jobs)
+
+
+def _local_global_rings(max_ring: int) -> list[FiniteRing]:
+    rings = [r for r in catalog.product_catalog(max_ring) if len(r.local_factors()) <= 3]
+    return rings + [rng.ZMod(12), rng.ZMod(30)]
 
 
 # -- 7: torsion / injective-class bijections ---------------------------------
 
 
 def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
-    poset, _ = rng.spec(ring)
+    table = tc.TorsionTable(ring)
     injective_images = {}
-    for x in catalog.all_thomason_sets(poset):
+    for x in catalog.all_thomason_sets(table.poset):
         report.checked += 1
-        cyclics = tc.torsion_class_cyclics(ring, x)
+        cyclics = table.torsion_class(x)
         back = tc.thomason_of_torsion_class(ring, cyclics)
         problems = []
         if back != x:
             problems.append("torsion-class roundtrip broke")
-        injectives = tc.injective_class_of(ring, x)
-        signature = tuple(sorted(repr(sorted(e.elements)) for e in injectives))
+        chosen = table.injective_class(x)
+        signature = tuple(sorted(repr(sorted(table.injectives[j].elements)) for j in chosen))
         if signature in injective_images:
             problems.append(
                 f"injective_class_of not injective (collides with {injective_images[signature]})"
             )
         injective_images[signature] = set_to_json(x)
-        recovered = tc.thomason_of_injective_class(ring, injectives)
+        recovered = table.recovered(chosen)
         if recovered != x:
             problems.append("Hom-vanishing recovery from the injective class broke")
         if problems:
@@ -403,9 +409,9 @@ def _check_adjunction(report: SweepReport, ring: FiniteRing) -> None:
     for lf in ring.local_factors():
         xs = catalog.koszul_complexes(lf.ring, shifts=(0,))
         xs = xs[: len(rng.all_ideals(lf.ring)) + 4]
+        ys_local = [homalg.localize_complex(y, lf.label) for y in ys]
         for x in xs:
-            for y in ys:
-                y_local = homalg.localize_complex(y, lf.label)
+            for y, y_local in zip(ys, ys_local):
                 for i in (-1, 0, 1):
                     report.checked += 1
                     # the fast path against enumeration over R_m
@@ -437,7 +443,17 @@ def sweep_adjunction(jobs: int = 1) -> SweepReport:
 def run_all(
     max_poset: int = 5, max_ring: int = 24, window: tuple[int, int] = (-1, 1)
 ) -> list[SweepReport]:
-    """The fuzz entry point: every sweep with (reduced) default bounds."""
+    """The fuzz entry point: every sweep with (reduced) default bounds.
+
+    The filtrations of the window are counted on every poset and spectrum
+    that sweeps 3, 5 and 6 enumerate before any sweep starts, so a window
+    over ``catalog.MAX_FILTRATIONS`` is refused at once."""
+    lo, hi = window
+    for poset in catalog.poset_catalog(min(max_poset, 4)):
+        catalog.check_window(catalog.count_filtrations(poset, lo, hi), lo, hi)
+        catalog.check_window(catalog.count_filtration_families(poset, lo, hi), lo, hi)
+    for ring in _orthogonality_rings(max_ring) + _local_global_rings(max_ring):
+        catalog.check_window(catalog.count_filtrations(rng.spec(ring)[0], lo, hi), lo, hi)
     return [
         sweep_set_gluing(max_poset=max_poset),
         sweep_lemma_equiv(max_poset=max_poset),

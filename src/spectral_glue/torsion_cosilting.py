@@ -8,6 +8,7 @@ class is verified by an exhaustive sweep over small test modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 from . import modules as mod
@@ -58,23 +59,104 @@ def thomason_of_torsion_class(ring: FiniteRing, torsion_cyclics) -> ThomasonSet:
     return result
 
 
+class TorsionTable:
+    """The enumerations behind the torsion bijections, each made once per ring.
+
+    Every Thomason set X of Spec(R) is then answered by mask tests:
+    - the torsion class of X holds the ideals I with Supp(R/I) in X;
+    - its injective class holds the indecomposable injectives E with no
+      nonzero element supported in X;
+    - X is recovered from that class as the union of V(I) over the I with
+      Hom(R/I, E) = 0 for every E in it.
+
+    The supports come from the same enumerations as :func:`is_torsion` and
+    :func:`torsion_submodule` (the annihilator of each built R/I and of each
+    element of E), the vanishing from :func:`_annihilated_part`.  Each part
+    is built when first asked for.
+    """
+
+    def __init__(self, ring: FiniteRing):
+        self.ring = ring
+        self.poset, _ = rng.spec(ring)
+
+    @cached_property
+    def ideals(self) -> list[Ideal]:
+        return rng.all_ideals(self.ring)
+
+    @cached_property
+    def v_masks(self) -> list[int]:
+        """V(I) as a mask, per ideal."""
+        return [rng.v_of_ideal(self.ring, ideal).mask for ideal in self.ideals]
+
+    @cached_property
+    def cyclic_supports(self) -> list[int]:
+        """Supp(R/I) as a mask, per ideal."""
+        out = []
+        for ideal in self.ideals:
+            quotient = mod.cyclic_module(self.ring, ideal.generators[0])
+            out.append(0 if quotient.is_zero_module() else rng.support(quotient).mask)
+        return out
+
+    @cached_property
+    def injectives(self) -> list[FiniteModule]:
+        return rng.indecomposable_injectives(self.ring)
+
+    @cached_property
+    def element_supports(self) -> list[frozenset[int]]:
+        """Per injective, the masks V(Ann x) of its nonzero elements x."""
+        return [
+            frozenset(
+                self.poset.mask_of(_element_support(e, x)) for x in e.elements if x != e.zero
+            )
+            for e in self.injectives
+        ]
+
+    @cached_property
+    def hom_vanishing(self) -> list[tuple[bool, ...]]:
+        """Per ideal I and injective E, whether Hom(R/I, E) = 0."""
+        # only zero is killed by I = (g)
+        return [
+            tuple(len(_annihilated_part(e, ideal.generators[0])) == 1 for e in self.injectives)
+            for ideal in self.ideals
+        ]
+
+    def torsion_class(self, x_set: ThomasonSet) -> list[Ideal]:
+        self._same_spec(x_set)
+        outside = ~x_set.mask
+        return [i for i, s in zip(self.ideals, self.cyclic_supports) if not s & outside]
+
+    def injective_class(self, x_set: ThomasonSet) -> tuple[int, ...]:
+        """Indices into :attr:`injectives` of the class of X."""
+        self._same_spec(x_set)
+        outside = ~x_set.mask
+        return tuple(
+            j
+            for j, supports in enumerate(self.element_supports)
+            if all(s & outside for s in supports)
+        )
+
+    def recovered(self, injective_class: tuple[int, ...]) -> ThomasonSet:
+        """The Thomason set recovered from a class of injective indices."""
+        mask = 0
+        for v, vanishing in zip(self.v_masks, self.hom_vanishing):
+            if all(vanishing[j] for j in injective_class):
+                mask |= v
+        return ThomasonSet(self.poset, mask)
+
+    def _same_spec(self, x_set: ThomasonSet) -> None:
+        if x_set.poset != self.poset:
+            raise InvalidInputError("Thomason set does not live on spec of the ring")
+
+
 def torsion_class_cyclics(ring: FiniteRing, x_set: ThomasonSet) -> list[Ideal]:
     """The ideals I with R/I in the torsion class of the Thomason set."""
-    out = []
-    for ideal in rng.all_ideals(ring):
-        quotient = mod.cyclic_module(ring, ideal.generators[0])
-        if is_torsion(quotient, x_set):
-            out.append(ideal)
-    return out
+    return TorsionTable(ring).torsion_class(x_set)
 
 
 def injective_class_of(ring: FiniteRing, x_set: ThomasonSet) -> list[FiniteModule]:
     """Indecomposable injectives that are torsion-free for the pair of X."""
-    return [
-        e
-        for e in rng.indecomposable_injectives(ring)
-        if torsion_submodule(e, x_set).is_zero_module()
-    ]
+    table = TorsionTable(ring)
+    return [table.injectives[j] for j in table.injective_class(x_set)]
 
 
 def thomason_of_injective_class(ring: FiniteRing, injectives) -> ThomasonSet:

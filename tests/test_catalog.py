@@ -1,9 +1,15 @@
+import pytest
+
+from spectral_glue import InvalidInputError, ZMod
 from spectral_glue.catalog import (
+    MAX_FILTRATIONS,
     all_filtration_families,
     all_filtrations,
     all_set_families,
     all_thomason_sets,
     cosilting_fixtures,
+    count_filtration_families,
+    count_filtrations,
     koszul_complexes,
     poset_catalog,
     poset_counts,
@@ -13,6 +19,7 @@ from spectral_glue.catalog import (
     zmod_catalog,
 )
 from spectral_glue.poset import is_thomason, maximal_points
+from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
 
@@ -73,3 +80,20 @@ def test_cosilting_fixtures_are_cosilting():
     # spot-check one small fixture; the full check runs in the sweep
     small = min(fixtures, key=lambda c: c.ring.order)
     assert is_cosilting(small)
+
+
+@pytest.mark.parametrize("window", [(0, 0), (-1, 1), (-2, 1)])
+def test_filtration_counts_match_the_enumeration(window):
+    for poset in poset_catalog(3):
+        assert count_filtrations(poset, *window) == len(all_filtrations(poset, *window))
+        families = all_filtration_families(poset, *window)
+        assert count_filtration_families(poset, *window) == len(families)
+
+
+def test_a_window_is_counted_before_it_is_enumerated():
+    z30_poset, _ = spec(ZMod(30))
+    # Spec(Z/30) is three points with 4 chains each for [-1, 1], 102 each for [-50, 50]
+    assert count_filtrations(z30_poset, -1, 1) == 4**3
+    assert count_filtrations(z30_poset, -50, 50) > MAX_FILTRATIONS
+    with pytest.raises(InvalidInputError, match=r"window \[-50, 50\].*MAX_FILTRATIONS"):
+        all_filtrations(z30_poset, -50, 50)

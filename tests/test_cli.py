@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, sweeps
+from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, catalog, sweeps
 from spectral_glue.cli import main
 from spectral_glue.errors import InvalidInputError
 from spectral_glue.rings import spec
@@ -386,6 +386,10 @@ def cohomology_of(cx):
         (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"x": [[1]]}}), "'differentials' key 'x'"),
         (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"1_0": [[1]]}}), "'differentials' key '1_0'"),
         (["fuzz", "--max-poset", "7"], "bound of 6"),
+        (["fuzz", "--max-poset", "2", "--max-ring", "4", "--window", "1", "-1"], "--window 1 -1"),
+        (["fuzz", "--max-poset", "1", "--max-ring", "2", "--window", "-50", "50"],
+         "window [-50, 50] lists more filtrations, or families of them, than the bound "
+         "MAX_FILTRATIONS = 10000"),
         (localize_filtration('{"low_tail": "full", "breakpoints": 5, "high_tail": []}'), "'breakpoints'"),
         (localize_filtration('{"low_tail": "full", "breakpoints": [5], "high_tail": []}'), "'breakpoints'"),
         (localize_filtration("[1]"), "filtration JSON"),
@@ -402,7 +406,8 @@ def cohomology_of(cx):
          "free-bool", "free-string", "term-int", "elements-string", "elements-int",
          "elements-duplicate", "leq-single", "leq-triple", "leq-string", "poset-list",
          "terms-key-x", "terms-key-underscore", "differentials-key-x",
-         "differentials-key-underscore", "fuzz-max-poset-7", "breakpoints-int",
+         "differentials-key-underscore", "fuzz-max-poset-7", "fuzz-window-reversed",
+         "fuzz-window-wide", "breakpoints-int",
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
          "generators-object", "generators-string", "generators-int"],
 )
@@ -413,6 +418,11 @@ def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     err = capsys.readouterr().err
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+def test_a_reversed_window_is_refused_by_the_enumerator(z12_poset):
+    with pytest.raises(InvalidInputError, match=r"window \[1, -1\] is reversed"):
+        catalog.all_filtrations(z12_poset, 1, -1)
 
 
 @pytest.mark.parametrize("level", [["(2)"], [2.7], [True], "(2)"], ids=["label", "float", "bool", "string"])

@@ -125,6 +125,42 @@ def test_quotient_and_submodule(z12):
         free.submodule({(1,)})
 
 
+def _pairwise_closure(module, seed):
+    """The additive closure as it was first written: every frontier element
+    added to every closed one until nothing new appears."""
+    closed = {module.zero}
+    frontier = [e for e in seed if e not in closed]
+    closed.update(frontier)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(closed):
+                s = module.add(x, y)
+                if s not in closed:
+                    closed.add(s)
+                    new.append(s)
+        frontier = new
+    return frozenset(closed)
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        free_module(ZMod(36), 1),
+        free_module(PolyQuot(2, (0, 0, 0, 1)), 2),
+        free_module(ProductRing((ZMod(4), PolyQuot(2, (0, 0, 1)))), 2),
+    ],
+    ids=["Z/36", "F_2[x]/(x^3)^2", "(Z/4 x F_2[x]/(x^2))^2"],
+)
+def test_additive_closure_walks_cosets_to_the_pairwise_closure(module):
+    rng = random.Random(36)
+    for _ in range(40):
+        seed = rng.sample(module.elements, rng.randint(0, 4))
+        assert module.additive_closure(seed) == _pairwise_closure(module, seed)
+    everything = frozenset(module.elements)
+    assert module.additive_closure(module.elements) == everything
+
+
 def test_local_invariants_detect_isomorphism(z12):
     a = direct_sum(z12, [cyclic_module(z12, 4), cyclic_module(z12, 3)])
     b = free_module(z12, 1)

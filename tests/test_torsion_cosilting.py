@@ -2,7 +2,10 @@ import pytest
 
 from spectral_glue import (
     InvalidInputError,
+    PolyQuot,
+    ProductRing,
     ThomasonSet,
+    ZMod,
     cosilting_equivalent,
     components_of_cosilting,
     cyclic_module,
@@ -16,8 +19,11 @@ from spectral_glue import (
     torsion_submodule,
     two_term_filtration,
 )
+from spectral_glue import rings, sweeps
 from spectral_glue.catalog import all_thomason_sets
+from spectral_glue.rings import all_ideals, indecomposable_injectives, spec
 from spectral_glue.torsion_cosilting import (
+    TorsionTable,
     cosilting_from_json,
     cosilting_from_modules,
     cosilting_thomason_of_module,
@@ -49,6 +55,40 @@ def test_thomason_torsion_roundtrip(z12, z12_poset):
     for x_set in all_thomason_sets(z12_poset):
         cyclics = torsion_class_cyclics(z12, x_set)
         assert thomason_of_torsion_class(z12, cyclics) == x_set
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZMod(12), ZMod(30), ZMod(60), ZMod(210), ProductRing((ZMod(4), PolyQuot(2, (0, 0, 1))))],
+    ids=str,
+)
+def test_torsion_table_agrees_with_the_per_module_enumeration(ring):
+    table = TorsionTable(ring)
+    poset, _ = spec(ring)
+    ideals = all_ideals(ring)
+    injectives = indecomposable_injectives(ring)
+    for x_set in all_thomason_sets(poset):
+        expected = [i for i in ideals if is_torsion(cyclic_module(ring, i.generators[0]), x_set)]
+        assert table.torsion_class(x_set) == expected
+        chosen = table.injective_class(x_set)
+        free = [j for j, e in enumerate(injectives) if torsion_submodule(e, x_set).is_zero_module()]
+        assert list(chosen) == free
+        assert table.recovered(chosen) == thomason_of_injective_class(
+            ring, [injectives[j] for j in free]
+        )
+
+
+def test_the_torsion_sweep_still_reads_supports_off_the_modules(monkeypatch):
+    def everywhere(module):
+        poset, _ = spec(module.ring)
+        return ThomasonSet.full(poset)
+
+    monkeypatch.setattr(rings, "support", everywhere)
+    report = sweeps.sweep_torsion(max_n=12)
+    # with every nonzero R/I supported everywhere only the empty and the full
+    # set come back, so the one-prime sets of Z/6, Z/10 and Z/12 fail
+    assert len(report.failures) == 6
+    assert all(f["problems"] == ["torsion-class roundtrip broke"] for f in report.failures)
 
 
 def test_injective_class_oracle(z12, v2):
