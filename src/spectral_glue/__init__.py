@@ -58,7 +58,6 @@ from .rings import (
     PolyQuot,
     ProductRing,
     ZMod,
-    annihilator,
     indecomposable_injectives,
     residue_field,
     ring_from_json,

@@ -167,15 +167,6 @@ class FiniteModule:
     def element_annihilator(self, x) -> frozenset:
         return frozenset(r for r in self.ring.elements() if self.smul(r, x) == self.zero)
 
-    @cached_property
-    def annihilator_elements(self) -> frozenset:
-        # sweeping all elements avoids computing a generating set first
-        return frozenset(
-            r
-            for r in self.ring.elements()
-            if all(self.smul(r, x) == self.zero for x in self.elements)
-        )
-
     def local_invariants(self) -> dict:
         """Per local factor: the chain of sizes |t^j M_e|, an isomorphism invariant.
 

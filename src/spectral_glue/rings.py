@@ -614,20 +614,10 @@ def local_factor(ring: FiniteRing, label: str) -> LocalFactor:
     raise InvalidInputError(f"unknown maximal prime {label!r} of {ring}")
 
 
-def annihilator(module: FiniteModule) -> Ideal:
-    """Ann(M) as a principal ideal (all ideals of the supported rings are)."""
-    ring = module.ring
-    ann = module.annihilator_elements
-    for g in sorted(ann):
-        if Ideal(ring, (g,)).members == ann:
-            return Ideal(ring, (g,))
-    # products of chain rings have only principal ideals
-    raise AssertionError("annihilator was not principal")
-
-
 def support(module: FiniteModule) -> ThomasonSet:
-    """Supp(M) = V(Ann M) for finitely generated M."""
-    return v_of_ideal(module.ring, annihilator(module))
+    """Supp(M) = V(Ann M): the maximal ideals m with e_m M nonzero."""
+    members = [m for m, sizes in module.local_invariants().items() if sizes[0] > 1]
+    return ThomasonSet.from_members(spec(module.ring)[0], members)
 
 
 def residue_field(ring: FiniteRing, label: str) -> FiniteModule:

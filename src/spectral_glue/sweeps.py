@@ -229,13 +229,13 @@ def _check_orthogonality(report: SweepReport, ring: FiniteRing, window) -> None:
     xs = catalog.koszul_complexes(ring, shifts=(0, 1))
     xs = xs[: len(ideals) * 2 + 10]  # all singles plus a few direct sums
     ys = catalog.stalk_complexes(ring)
-    x_supports = [ts.aisle_supports(x) for x in xs]
-    y_obstructions = [ts.coaisle_obstructions(y) for y in ys]
+    x_supports = [ts.cohomology_supports(x) for x in xs]
+    y_supports = [ts.cohomology_supports(y) for y in ys]
     orthogonal = {}
     filts = catalog.spec_filtrations(ring, *window)
     for filt in filts:
         aisle = [i for i, supp in enumerate(x_supports) if ts.aisle_admits(supp, filt)]
-        coaisle = [j for j, obs in enumerate(y_obstructions) if ts.coaisle_admits(obs, filt)]
+        coaisle = [j for j, supp in enumerate(y_supports) if ts.coaisle_admits(supp, filt)]
         for i in aisle:
             for j in coaisle:
                 report.checked += 1
@@ -271,10 +271,10 @@ def _orthogonality_rings(max_ring: int) -> list[FiniteRing]:
 
 def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
     ys = catalog.stalk_complexes(ring)
-    y_obstructions = [ts.coaisle_obstructions(y) for y in ys]
+    y_supports = [ts.cohomology_supports(y) for y in ys]
     labels = sorted(lf.label for lf in ring.local_factors())
-    local_obstructions = {
-        m: [ts.coaisle_obstructions(homalg.localize_complex(y, m)) for y in ys] for m in labels
+    local_supports = {
+        m: [ts.cohomology_supports(homalg.localize_complex(y, m)) for y in ys] for m in labels
     }
     filts = catalog.spec_filtrations(ring, *window)
     for filt in filts:
@@ -289,9 +289,9 @@ def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
             )
         for j, y in enumerate(ys):
             report.checked += 1
-            global_verdict = ts.coaisle_admits(y_obstructions[j], filt)
+            global_verdict = ts.coaisle_admits(y_supports[j], filt)
             local_verdict = all(
-                ts.coaisle_admits(local_obstructions[m][j], local_ts[m].filtration)
+                ts.coaisle_admits(local_supports[m][j], local_ts[m].filtration)
                 for m in labels
             )
             if global_verdict != local_verdict:

@@ -34,10 +34,6 @@ class ThomasonSet:
         return cls(poset, mask)
 
     @classmethod
-    def from_generators(cls, poset: SpectralPoset, generators: Iterable[PrimeId]) -> "ThomasonSet":
-        return cls(poset, poset.closure(poset.mask_of(generators)))
-
-    @classmethod
     def full(cls, poset: SpectralPoset) -> "ThomasonSet":
         return cls(poset, poset.full)
 
@@ -64,6 +60,10 @@ class ThomasonSet:
     def __le__(self, other: "ThomasonSet") -> bool:
         self._same_poset(other)
         return not self.mask & ~other.mask
+
+    def isdisjoint(self, other: "ThomasonSet") -> bool:
+        self._same_poset(other)
+        return not self.mask & other.mask
 
     def union(self, other: "ThomasonSet") -> "ThomasonSet":
         self._same_poset(other)

@@ -69,10 +69,10 @@ class TorsionTable:
     - X is recovered from that class as the union of V(I) over the I with
       Hom(R/I, E) = 0 for every E in it.
 
-    The supports come from the same enumerations as :func:`is_torsion` and
-    :func:`torsion_submodule` (the annihilator of each built R/I and of each
-    element of E), the vanishing from :func:`_annihilated_part`.  Each part
-    is built when first asked for.
+    The supports come from the same computations as :func:`is_torsion` (the
+    local size chains of each built R/I) and :func:`torsion_submodule` (the
+    annihilator of each element of E), the vanishing from
+    :func:`_annihilated_part`.  Each part is built when first asked for.
     """
 
     def __init__(self, ring: FiniteRing):
@@ -146,11 +146,6 @@ class TorsionTable:
     def _same_spec(self, x_set: ThomasonSet) -> None:
         if x_set.poset != self.poset:
             raise InvalidInputError("Thomason set does not live on spec of the ring")
-
-
-def torsion_class_cyclics(ring: FiniteRing, x_set: ThomasonSet) -> list[Ideal]:
-    """The ideals I with R/I in the torsion class of the Thomason set."""
-    return TorsionTable(ring).torsion_class(x_set)
 
 
 def injective_class_of(ring: FiniteRing, x_set: ThomasonSet) -> list[FiniteModule]:

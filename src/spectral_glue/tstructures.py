@@ -1,9 +1,10 @@
 """Membership tests for the t-structures classified by Thomason filtrations.
 
-The aisle is tested cohomologically (supports of cohomology against the
-filtration levels, valid over the noetherian — here finite — base) and the
-coaisle by Koszul orthogonality: vanishing of derived Hom out of K(I)[-n] for
-every ideal I with V(I) contained in the level X_n.
+Both halves read the supports of cohomology, degree by degree: the aisle
+holds the X with Supp H^n(X) inside the level X_n (valid over the noetherian
+— here finite — base), and the coaisle the Y with Supp H^n(Y) disjoint from
+X_n, which is Koszul orthogonality (vanishing of derived Hom out of K(I)[-n]
+for every ideal I with V(I) inside X_n) when every prime is maximal.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from . import homalg, rings as rng
 from .errors import InvalidInputError
-from .homalg import BoundedComplex, koszul_of_ideal, support_of_cohomology
+from .homalg import BoundedComplex, support_of_cohomology
 from .poset import PrimeId
 from .rings import FiniteRing
 from .thomason import (
@@ -42,7 +43,7 @@ class TStructureDescriptor:
         return self.filtration.at(n)
 
 
-def aisle_supports(complex_: BoundedComplex) -> dict[int, ThomasonSet]:
+def cohomology_supports(complex_: BoundedComplex) -> dict[int, ThomasonSet]:
     """n -> Supp H^n(X), over the degrees of X."""
     if complex_.is_zero():
         return {}
@@ -61,51 +62,31 @@ def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
     """X in the aisle iff Supp H^n(X) is contained in X_n for every n."""
     if complex_.ring != t.ring:
         raise InvalidInputError("complex and descriptor live over different rings")
-    return aisle_admits(aisle_supports(complex_), t.filtration)
+    return aisle_admits(cohomology_supports(complex_), t.filtration)
 
 
-def coaisle_obstructions(complex_: BoundedComplex) -> list[tuple[int, ThomasonSet]]:
-    """The pairs (n, V(I)), over all ideals I, with Hom(K(I)[-n], Y) nonzero.
-
-    Only degrees n where the Hom groups can be nonzero for degree reasons are
-    swept: the Koszul complexes live in degrees [-1, 0] (all ideals of the
-    supported rings are principal), so n ranges over [min deg Y, max deg Y + 1].
-
-    A Y without differentials, as every sweep builds, is decided by Hom
-    orders; a Y with differentials, which only CLI input gives, by
-    enumerating the Hom groups.
-    """
-    if complex_.is_zero():
-        return []
-    if complex_.diffs:
-        nonzero = lambda kos, n: not homalg.derived_hom(kos, complex_, n).is_zero_module()
-    else:
-        nonzero = lambda kos, n: any(o > 1 for o in homalg.hom_orders(kos, complex_, n).values())
-    ring = complex_.ring
-    ideals = rng.all_ideals(ring)
-    koszuls = [(ideal, koszul_of_ideal(ring, ideal)) for ideal in ideals]
-    max_len = max(k.max_degree - k.min_degree for _, k in koszuls)
-    lo = complex_.min_degree
-    hi = complex_.max_degree + max_len
-    obstructions = []
-    for ideal, kos in koszuls:
-        for n in range(lo, hi + 1):
-            # Hom(K(I)[-n], Y) in degree 0 is H^n of Hom(K(I), Y)
-            if nonzero(kos, n):
-                obstructions.append((n, rng.v_of_ideal(ring, ideal)))
-    return obstructions
-
-
-def coaisle_admits(obstructions, filtration: ThomasonFiltration) -> bool:
-    """No obstruction (n, V(I)) of Y has V(I) inside the level X_n."""
-    return not any(v <= filtration.at(n) for n, v in obstructions)
+def coaisle_admits(supports, filtration: ThomasonFiltration) -> bool:
+    """Every Supp H^n(Y) is disjoint from the level X_n."""
+    return all(supp.isdisjoint(filtration.at(n)) for n, supp in supports.items())
 
 
 def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
-    """Y in the coaisle iff Hom(K(I)[-n], Y) = 0 whenever V(I) is inside X_n."""
+    """Y in the coaisle iff Supp H^n(Y) misses X_n for every n.
+
+    The coaisle is the right orthogonal of the aisle: Y is in it iff
+    Hom(K(I)[-n], Y) = 0 for every ideal I with V(I) inside X_n.  Every ideal
+    of the supported rings is principal, I = (a), and the long exact sequence
+    of Hom(K(a), Y) makes Hom(K(a)[-n], Y) vanish exactly when a acts
+    bijectively on H^{n-1}(Y) and H^n(Y); on a finite module that holds
+    exactly when V(a) misses its support.  Since X_n lies inside X_{n-1}, the
+    support condition implies the Koszul one.  The converse rests on every
+    prime being maximal: a prime m in Supp H^n(Y) and in X_n has V(a) = {m}
+    for its generator a (``LocalFactor.prime_gen``), so V(a) lies inside X_n
+    while Hom(K(a)[-n], Y) is nonzero.
+    """
     if complex_.ring != t.ring:
         raise InvalidInputError("complex and descriptor live over different rings")
-    return coaisle_admits(coaisle_obstructions(complex_), t.filtration)
+    return coaisle_admits(cohomology_supports(complex_), t.filtration)
 
 
 def kappa_test(p: PrimeId, n: int, t: TStructureDescriptor) -> bool:

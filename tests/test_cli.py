@@ -186,6 +186,19 @@ def test_aisle_and_coaisle(capsys, tmp_path, ring_file, filt_file):
     assert run(capsys, "coaisle-test", *base, z2)[0] == 1
 
 
+def test_coaisle_test_reads_supports_of_a_complex_too_large_to_enumerate(capsys):
+    """R^6 --1--> R^6 in degrees -1, 0 is acyclic, so it lies in every
+    coaisle; its Hom groups out of a Koszul complex are too large to list."""
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    cx = {"terms": {"-1": {"free": 6}, "0": {"free": 6}}, "differentials": {"-1": identity}}
+    filt = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
+    argv = ["--ring", json.dumps(Z12), "--filtration", json.dumps(filt)]
+    start = time.monotonic()
+    code, out = run(capsys, "coaisle-test", *argv, "--complex", json.dumps(cx))
+    assert time.monotonic() - start < 1
+    assert (code, out) == (0, "in coaisle\n")
+
+
 def test_tstr_verbs(capsys, ring_file, filt_file):
     code, out = run(capsys, "tstr-classify", "--ring", ring_file, "--filtration", filt_file)
     assert code == 0 and "nondegenerate" in out

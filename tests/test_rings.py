@@ -11,7 +11,6 @@ from spectral_glue import (
     ProductRing,
     UnsupportedRingError,
     ZMod,
-    annihilator,
     cyclic_module,
     direct_sum,
     free_module,
@@ -109,11 +108,35 @@ def test_homs_to_counts_module_maps(z12):
     assert len(cyclic_module(z12, 4).homs_to(cyclic_module(z12, 2))) == 2
 
 
+def v_of_annihilator(module):
+    """V(Ann M), with Ann M swept element by element."""
+    ring = module.ring
+    zero = module.zero
+    ann = {r for r in ring.elements() if all(module.smul(r, x) == zero for x in module.elements)}
+    _, labeling = spec(ring)
+    return {label for label, prime in labeling.items() if ann <= prime.members}
+
+
 def test_annihilator_and_support(z12):
     m = cyclic_module(z12, 4)
-    assert set(annihilator(m).members) == set(Ideal(z12, (4,)).members)
+    assert v_of_annihilator(m) == {"(2)"}
     assert support(m).sorted_members() == ["(2)"]
     assert support(free_module(z12, 1)).is_full()
+
+
+@pytest.mark.parametrize("catalog", [zmod_catalog, product_catalog], ids=["zmod", "product"])
+def test_support_is_v_of_the_annihilator(catalog):
+    """Supp M, read off the local size chains, is V(Ann M) on every cyclic
+    module of the catalog rings and on every sum of two of them."""
+    checked = 0
+    for ring in catalog(24):
+        cyclics = [cyclic_module(ring, i.generators[0]) for i in all_ideals(ring)]
+        pairs = itertools.combinations_with_replacement(cyclics, 2)
+        sums = [direct_sum(ring, list(pair)) for pair in pairs]
+        for m in cyclics + sums:
+            assert support(m).members == v_of_annihilator(m), (ring, m)
+            checked += 1
+    assert checked > 300
 
 
 def test_quotient_and_submodule(z12):

@@ -32,8 +32,11 @@ def test_generators_are_minimal_members(vee):
     assert up(vee, "m1", "m2").generators == ("m1", "m2")
 
 
-def test_from_generators_closes_up(vee):
-    assert ThomasonSet.from_generators(vee, ["p"]).members == {"p", "m1", "m2"}
+def test_isdisjoint_refuses_sets_over_another_poset(vee, z12_poset):
+    assert up(vee, "m1").isdisjoint(up(vee, "m2"))
+    assert not up(vee, "m1").isdisjoint(up(vee, "m1", "m2"))
+    with pytest.raises(InvalidInputError, match="different posets"):
+        up(vee, "m1").isdisjoint(ThomasonSet.empty(z12_poset))
 
 
 def test_filtration_values_and_window(vee):

@@ -28,7 +28,6 @@ from spectral_glue.torsion_cosilting import (
     cosilting_from_modules,
     cosilting_thomason_of_module,
     thomason_of_injective_class,
-    torsion_class_cyclics,
 )
 
 
@@ -53,7 +52,7 @@ def test_torsion_predicates(z12, v2):
 
 def test_thomason_torsion_roundtrip(z12, z12_poset):
     for x_set in all_thomason_sets(z12_poset):
-        cyclics = torsion_class_cyclics(z12, x_set)
+        cyclics = TorsionTable(z12).torsion_class(x_set)
         assert thomason_of_torsion_class(z12, cyclics) == x_set
 
 

@@ -4,8 +4,11 @@ from spectral_glue import (
     BoundedComplex,
     FreeTerm,
     InvalidInputError,
+    PolyQuot,
+    ProductRing,
     ThomasonSet,
     TStructureDescriptor,
+    ZMod,
     aisle_membership,
     classify_degeneracy,
     coaisle_membership,
@@ -18,13 +21,16 @@ from spectral_glue import (
     shift,
     stalk_complex,
 )
-from spectral_glue import homalg
+from spectral_glue import catalog, rings as rng
+from spectral_glue.homalg import derived_hom, koszul_of_ideal
 from spectral_glue.rings import spec
+from spectral_glue.sweeps import _local_global_rings, _orthogonality_rings
 from spectral_glue.tstructures import (
     DEGENERATE_OTHER,
     NONDEGENERATE,
     STABLE,
-    coaisle_obstructions,
+    coaisle_admits,
+    cohomology_supports,
 )
 
 
@@ -61,20 +67,83 @@ def test_coaisle_verdicts(standard, z12):
     assert coaisle_membership(shift(z2, -1), standard)
 
 
-def test_coaisle_obstructions_of_a_target_with_differentials(z12, monkeypatch):
+def test_coaisle_verdicts_of_a_target_with_differentials(z12, z12_poset):
     """R --1--> R in degrees -1, 0 next to Z/3 in degree 1 is quasi-isomorphic
-    to the stalk Z/3[-1]: enumeration on the one must give the obstructions
-    that Hom orders give on the other."""
+    to the stalk Z/3[-1], so every filtration gives both the same verdict."""
     z3 = cyclic_module(z12, 3)
-    expected = coaisle_obstructions(stalk_complex(z3, 1))
-    assert expected
+    stalk = stalk_complex(z3, 1)
     y = BoundedComplex(z12, {-1: FreeTerm(1), 0: FreeTerm(1), 1: z3}, {-1: [[1]]})
+    verdicts = []
+    for filt in catalog.all_filtrations(z12_poset, -1, 1):
+        t = TStructureDescriptor(z12, filt)
+        verdicts.append(coaisle_membership(stalk, t))
+        assert coaisle_membership(y, t) == verdicts[-1], filt
+    assert True in verdicts and False in verdicts
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a target with differentials must be enumerated")
 
-    monkeypatch.setattr(homalg, "hom_orders", refuse)
-    assert coaisle_obstructions(y) == expected
+# -- coaisle membership against Koszul orthogonality --------------------------
+
+
+def koszul_obstructions(y, koszuls):
+    """The pairs (n, V(I)) with Hom(K(I)[-n], Y) nonzero, by enumerating the
+    Hom groups.  K(I) lives in degrees [-1, 0] (every ideal here is
+    principal), so only n in [min deg Y, max deg Y + 1] can give one."""
+    if y.is_zero():
+        return []
+    return [
+        (n, v)
+        for v, kos in koszuls
+        for n in range(y.min_degree, y.max_degree + 2)
+        if not derived_hom(kos, y, n).is_zero_module()
+    ]
+
+
+def coaisle_verdicts_match_koszul_orthogonality(ring, targets) -> list[bool]:
+    """Asserts that Y is in the coaisle of X iff no obstruction (n, V(I)) of Y
+    has V(I) inside X_n, over every filtration with breakpoints in [-1, 1];
+    returns the verdicts."""
+    ideals = rng.all_ideals(ring)
+    koszuls = [(rng.v_of_ideal(ring, i), koszul_of_ideal(ring, i)) for i in ideals]
+    filtrations = catalog.spec_filtrations(ring, -1, 1)
+    verdicts = []
+    for y in targets:
+        obstructions = koszul_obstructions(y, koszuls)
+        supports = cohomology_supports(y)
+        for filt in filtrations:
+            verdicts.append(coaisle_admits(supports, filt))
+            assert verdicts[-1] == (not any(v <= filt.at(n) for n, v in obstructions)), (y, filt)
+    return verdicts
+
+
+def test_coaisle_matches_koszul_orthogonality_on_stalk_targets():
+    verdicts = [
+        verdict
+        for ring in _orthogonality_rings(24) + _local_global_rings(24)
+        for verdict in coaisle_verdicts_match_koszul_orthogonality(
+            ring, catalog.stalk_complexes(ring)
+        )
+    ]
+    assert len(verdicts) == 23_808
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZMod(12), ZMod(8), PolyQuot(3, (0, 0, 1)), ProductRing([ZMod(4), PolyQuot(2, (0, 0, 1))])],
+    ids=["z12", "z8", "f3-x2", "product"],
+)
+def test_coaisle_matches_koszul_orthogonality_on_targets_with_differentials(ring):
+    """Koszul complexes of every ideal in degrees [-1, 0] and [-2, -1], and
+    each next to a cyclic stalk in degree 1."""
+    ideals = rng.all_ideals(ring)
+    koszuls = [koszul_of_ideal(ring, i) for i in ideals]
+    targets = koszuls + [shift(k, 1) for k in koszuls]
+    targets += [
+        BoundedComplex(ring, {**k.terms, 1: cyclic_module(ring, i.generators[0])}, k.diffs)
+        for k, i in zip(koszuls, reversed(ideals))
+    ]
+    verdicts = coaisle_verdicts_match_koszul_orthogonality(ring, targets)
+    assert True in verdicts and False in verdicts
 
 
 def test_koszul_generator_in_aisle(standard, z12):
