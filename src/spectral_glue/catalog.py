@@ -16,7 +16,7 @@ from .errors import InvalidInputError
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets, localization_poset, maximal_points
 from .rings import FiniteRing
-from .thomason import ThomasonFiltration, ThomasonSet, make_filtration
+from .thomason import ThomasonFiltration, ThomasonSet, from_levels
 
 
 # -- poset catalog -----------------------------------------------------------
@@ -145,11 +145,7 @@ def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFilt
 
     def extend(chain):
         if len(chain) == hi - lo + 1:
-            out.append(
-                make_filtration(
-                    poset, chain[0], list(zip(range(lo, hi + 1), chain)), chain[-1]
-                )
-            )
+            out.append(from_levels(poset, lo, chain))
             return
         for s in sets:
             if not chain or s <= chain[-1]:

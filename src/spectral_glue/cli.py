@@ -115,7 +115,7 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
         return gluing.LocalFamily.from_default(poset, default_filt, exceptions), FINITE
     if set(exceptions) != set(maximal_points(poset)):
         raise SpectralGlueError(
-            "family without a default must list every maximal point in exceptions"
+            "family without a 'default' must list every maximal point in 'exceptions'"
         )
     return gluing.LocalFamily(poset, exceptions), FINITE
 
@@ -198,15 +198,9 @@ def cmd_glue(args) -> int:
     return EXIT_OK
 
 
-def _family_window(family) -> tuple[int, int]:
-    lo, hi = family.window()
-    return lo - 1, hi + 1
-
-
 def cmd_compat_check(args) -> int:
     family, wire = _family(args)
-    lo, hi = _family_window(family)
-    for n in range(lo, hi + 1):
+    for n in family.degrees():
         found = wire.witness(family, n)
         if found:
             witness, text = found
@@ -224,10 +218,9 @@ def cmd_lemma_equiv(args) -> int:
     family, wire = _family(args)
     if wire is INTEGERS:
         raise SpectralGlueError("lemma-equiv runs on finite posets only")
-    lo, hi = _family_window(family)
     verdicts = {
         n: gluing.check_lemma_equiv(family.global_poset, family.sets_at(n))
-        for n in range(lo, hi + 1)
+        for n in family.degrees()
     }
     ok = all(verdicts.values())
     _emit(

@@ -8,15 +8,17 @@ family agrees pairwise on shared primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .errors import IncompatibleFamilyError, InvalidInputError
 from .poset import PrimeId, SpectralPoset, localization_poset, maximal_points
 from .thomason import (
+    MAX_DEGREE_SPAN,
     ThomasonFiltration,
     ThomasonSet,
-    make_filtration,
+    from_levels,
+    is_constant,
     restrict_filtration,
     restrict_set,
 )
@@ -26,12 +28,15 @@ from .thomason import (
 class LocalFamily:
     """Assignment m -> filtration on the localization poset at m.
 
-    All maximal points of ``global_poset`` must be present.  A family over Z
-    is one of these on :func:`spectral_glue.integers.z_poset`.
+    All maximal points of ``global_poset`` must be present, and the windows
+    of the members that are not constant may lie at most MAX_DEGREE_SPAN
+    degrees apart.  A family over Z is one of these on
+    :func:`spectral_glue.integers.z_poset`.
     """
 
     global_poset: SpectralPoset
     filtrations: Mapping[PrimeId, ThomasonFiltration]
+    _degrees: range = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         maxima = maximal_points(self.global_poset)
@@ -45,6 +50,21 @@ class LocalFamily:
             if filt.poset != sub:
                 raise InvalidInputError(f"filtration at {m!r} lives on the wrong poset")
         object.__setattr__(self, "filtrations", dict(self.filtrations))
+        # a constant member reads the same at every degree, so only the others
+        # place the degrees; with none, the two levels of a constant
+        spans = [f.levels() for f in self.filtrations.values() if not is_constant(f)]
+        degrees = range(
+            min((start for start, _ in spans), default=-1),
+            max((start + len(levels) for start, levels in spans), default=1),
+        )
+        # a tail degree on each side of the windows
+        if len(degrees) - 3 > MAX_DEGREE_SPAN:
+            raise InvalidInputError(
+                f"family members' windows lie more than the bound MAX_DEGREE_SPAN = "
+                f"{MAX_DEGREE_SPAN} degrees apart (levels from degree {degrees[0]} "
+                f"to {degrees[-1]})"
+            )
+        object.__setattr__(self, "_degrees", degrees)
 
     @classmethod
     def from_default(
@@ -56,14 +76,19 @@ class LocalFamily:
         """Materialize the default (restriction of a global filtration) at every
         maximal point, then apply the finitely many exceptions."""
         exceptions = dict(exceptions or ())
+        maxima = maximal_points(global_poset)
+        extra = sorted(set(exceptions) - maxima)
+        if extra:
+            raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
         filts = {}
-        for m in maximal_points(global_poset):
-            filts[m] = exceptions.get(m, restrict_filtration(default, m))
+        for m in maxima:
+            filts[m] = exceptions[m] if m in exceptions else restrict_filtration(default, m)
         return cls(global_poset, filts)
 
-    def window(self) -> tuple[int, int]:
-        windows = [f.window() for f in self.filtrations.values()]
-        return (min(w[0] for w in windows), max(w[1] for w in windows))
+    def degrees(self) -> range:
+        """From the first level to the last level of any member that is not
+        constant; (-1, 0) when every member is constant."""
+        return self._degrees
 
     def sets_at(self, n: int) -> dict[PrimeId, ThomasonSet]:
         return {m: f.at(n) for m, f in self.filtrations.items()}
@@ -140,12 +165,13 @@ def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     """Degreewise gluing; raises with the offending degree when incompatible.
 
-    The degrees lo - 1 and hi + 1 around the window carry the tails, and all
-    are glued in increasing order, so the degree and witness raised are the
-    first that :func:`check_dagger` finds.
+    The levels are glued over :meth:`LocalFamily.degrees`, whose ends carry
+    the tails, in increasing order, so the degree and witness raised are the
+    first that :func:`check_dagger` finds.  Gluing preserves inclusions, so
+    the glued levels decrease and are only normalised.
     """
     poset = family.global_poset
-    lo, hi = family.window()
+    degrees = family.degrees()
 
     def glue_at(n: int) -> ThomasonSet:
         try:
@@ -155,9 +181,7 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
                 f"family incompatible at degree {n}: {exc}", degree=n, witness=exc.witness
             ) from None
 
-    glued = [(n, glue_at(n)) for n in range(lo - 1, hi + 2)]
-    # lo - 1 is kept as a breakpoint so pure-step families keep their step position
-    return make_filtration(poset, glued[0][1], glued[:-1], glued[-1][1])
+    return from_levels(poset, degrees.start, [glue_at(n) for n in degrees])
 
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:

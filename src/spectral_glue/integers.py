@@ -144,7 +144,7 @@ def glue_z_filtrations(family: LocalFamily) -> ThomasonFiltration:
             degree=exc.degree,
             witness=witness,
         ) from None
-    for level in (glued.low_tail, *glued.values, glued.high_tail):
+    for level in glued.levels()[1]:
         if CLOSED_POINT in level and not level.is_full():
             raise UnsupportedRingError(
                 "default populates the closed point at infinitely many primes; "

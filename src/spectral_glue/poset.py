@@ -38,7 +38,9 @@ class SpectralPoset:
         up = [1 << i for i in range(n)]
         for a, b in pairs:
             if a not in index or b not in index:
-                raise InvalidInputError(f"relation ({a!r}, {b!r}) mentions unknown prime")
+                raise InvalidInputError(
+                    f"poset 'leq' pair ({a!r}, {b!r}) mentions an unknown prime"
+                )
             up[index[a]] |= 1 << index[b]
         # Warshall: after step k, up[i] holds every point reached through 0..k
         for k in range(n):

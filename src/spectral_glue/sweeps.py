@@ -129,13 +129,8 @@ def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:
 # -- 3: filtration-level localize/glue bijection ------------------------------
 
 
-def _family_compatible(poset, family) -> bool:
-    lo = min(f.window()[0] for f in family.values()) - 1
-    hi = max(f.window()[1] for f in family.values()) + 1
-    return all(
-        gluing.check_dagger_sets(poset, {m: f.at(n) for m, f in family.items()}).dagger_holds
-        for n in range(lo, hi + 1)
-    )
+def _family_compatible(family: gluing.LocalFamily) -> bool:
+    return all(gluing.check_dagger(family, n).dagger_holds for n in family.degrees())
 
 
 def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> None:
@@ -145,7 +140,7 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
         report.checked += 1
         family = gluing.localize_filtrations(filt)
         problems = []
-        if not _family_compatible(poset, family.filtrations):
+        if not _family_compatible(family):
             problems.append("localized family not compatible")
         glued = gluing.glue_filtrations(family)
         if glued != filt:
@@ -160,17 +155,18 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
             report.failures.append(
                 {"poset": descr, "filtration": filtration_to_json(filt), "problems": problems}
             )
-    for family in catalog.all_filtration_families(poset, lo, hi):
-        if not _family_compatible(poset, family):
+    for filts in catalog.all_filtration_families(poset, lo, hi):
+        family = gluing.LocalFamily(poset, filts)
+        if not _family_compatible(family):
             continue
         report.checked += 1
-        glued = gluing.glue_filtrations(gluing.LocalFamily(poset, family))
+        glued = gluing.glue_filtrations(family)
         back = gluing.localize_filtrations(glued)
-        if any(back.filtrations[m] != family[m] for m in family):
+        if back.filtrations != filts:
             report.failures.append(
                 {
                     "poset": descr,
-                    "family": {m: filtration_to_json(f) for m, f in family.items()},
+                    "family": {m: filtration_to_json(f) for m, f in filts.items()},
                     "problems": ["localize(glue(family)) differs from family"],
                 }
             )

@@ -1,9 +1,18 @@
 """Thomason sets as masks of up-sets, and decreasing Z-indexed filtrations.
 
 A filtration is stored by its finite breakpoint window [lo, hi] plus the two
-tail values (the value for all n < lo, resp. n > hi).  Construction always
-normalizes, so two filtrations with equal pointwise values compare and
+tail values (the value for all n < lo, resp. n > hi).  Its levels view,
+:meth:`ThomasonFiltration.levels`, is the run X_lo-1, X_lo, ..., X_hi+1: the
+window with one tail degree on each side, so a pure step keeps its position.
+Every map of filtrations works on that view, level by level
+(:meth:`ThomasonFiltration.map_levels`), and :func:`from_levels` is the one
+normaliser: two filtrations with equal pointwise values compare and
 serialize identically.
+
+Filtrations are validated once, where they enter: :func:`make_filtration`
+checks wire, catalog and fixture input (one poset, increasing indices, a
+decreasing run, a bounded span) and then normalises.  An order-preserving
+map of a valid filtration decreases already, so it is only normalised.
 
 Every level is a :class:`ThomasonSet` of one finite spectral poset; Spec(Z)
 is the finite star poset of :func:`spectral_glue.integers.z_poset`, so its
@@ -86,8 +95,9 @@ class ThomasonFiltration:
 
     ``values[k]`` is X_n for n = lo + k; X_n = low_tail for n < lo and
     X_n = high_tail for n > hi.  Empty ``values`` with distinct tails encodes a
-    pure step: low_tail through lo - 1, high_tail from lo on.  Use
-    :func:`make_filtration` to build one.
+    pure step: low_tail through lo - 1, high_tail from lo on.  Build one with
+    :func:`make_filtration` from unchecked input, or with :func:`from_levels`
+    from a run of levels that already decreases.
     """
 
     poset: SpectralPoset
@@ -107,16 +117,47 @@ class ThomasonFiltration:
             return self.high_tail
         return self.values[n - self.lo]
 
-    def window(self) -> tuple[int, int]:
-        """(lo, hi); empty (lo, lo - 1) for constants and pure steps, in which
-        case the value at every n is already determined by the tails."""
-        return (self.lo, self.hi)
+    def levels(self) -> tuple[int, tuple[ThomasonSet, ...]]:
+        """(start, levels): X_start, X_start+1, ... with the low tail first
+        and the high tail last; start is lo - 1."""
+        return self.lo - 1, (self.low_tail, *self.values, self.high_tail)
+
+    def map_levels(self, poset: SpectralPoset, fn) -> "ThomasonFiltration":
+        """The filtration n |-> fn(X_n) on ``poset``, for an order-preserving
+        ``fn``; the image of a decreasing run decreases, so it is not checked."""
+        start, levels = self.levels()
+        return from_levels(poset, start, [fn(s) for s in levels])
 
     def __repr__(self):
         parts = [f"<{self.low_tail.sorted_members()}"]
         parts += [f"{self.lo + k}:{v.sorted_members()}" for k, v in enumerate(self.values)]
         parts.append(f">{self.high_tail.sorted_members()}")
         return "ThomasonFiltration(" + " / ".join(parts) + ")"
+
+
+def from_levels(
+    poset: SpectralPoset, start: int, levels: Sequence[ThomasonSet]
+) -> ThomasonFiltration:
+    """The one canonical trim: X_n = levels[n - start], with the first and
+    last levels as the tails.  Leading levels equal to the first and trailing
+    levels equal to the last are dropped, and a constant is put at lo = 0;
+    ``levels`` must already decrease.
+    """
+    low, high = levels[0], levels[-1]
+    if low.mask == high.mask:  # a decreasing run between equal ends is constant
+        return ThomasonFiltration(poset, low, 0, (), high)
+    i = 1
+    while levels[i].mask == low.mask:
+        i += 1
+    j = len(levels) - 1
+    while levels[j - 1].mask == high.mask:
+        j -= 1
+    return ThomasonFiltration(poset, low, start + i, tuple(levels[i:j]), high)
+
+
+# the most degrees apart that a filtration's breakpoints, or the windows of a
+# family's members, may lie; no sweep, fixture, test or recording goes past 7
+MAX_DEGREE_SPAN = 1_000
 
 
 def make_filtration(
@@ -126,12 +167,12 @@ def make_filtration(
     high_tail: ThomasonSet,
     describe=ThomasonSet.sorted_members,
 ) -> ThomasonFiltration:
-    """Validate and canonicalize a filtration.
+    """Validate a filtration, then normalise it with :func:`from_levels`.
 
-    Breakpoint indices must be strictly increasing; gaps are filled by
-    propagating the previous value downward (the filtration is constant between
-    explicit breakpoints).  Breakpoints equal to the value already implied by
-    the tails are dropped.  An order error writes its sets with ``describe``.
+    Breakpoint indices must be strictly increasing and at most
+    MAX_DEGREE_SPAN apart; gaps are filled by propagating the previous value
+    downward (the filtration is constant between explicit breakpoints).  An
+    order error writes its sets with ``describe``.
     """
     for _, s in breakpoints:
         if s.poset != poset:
@@ -145,39 +186,34 @@ def make_filtration(
         raise FiltrationOrderError(
             "tails differ but no breakpoint locates the step; give at least one breakpoint"
         )
-    # expand to one value per degree in [lo, hi]
-    values: list[ThomasonSet] = []
+    if ns and ns[-1] - ns[0] > MAX_DEGREE_SPAN:
+        raise InvalidInputError(
+            f"breakpoints at degrees {ns[0]} and {ns[-1]} lie more than the bound "
+            f"MAX_DEGREE_SPAN = {MAX_DEGREE_SPAN} degrees apart"
+        )
+    # expand to one level per degree in [lo - 1, hi + 1], the tails at the ends
     lo = ns[0] if ns else 0
-    prev = low_tail
+    levels = [low_tail]
     idx = dict(breakpoints)
     for n in range(lo, (ns[-1] + 1) if ns else lo):
+        prev = levels[-1]
         cur = idx.get(n, prev)
         if not cur <= prev:
             raise FiltrationOrderError(
                 f"filtration not decreasing at degree {n}: "
                 f"{describe(cur)} is not contained in {describe(prev)}"
             )
-        values.append(cur)
-        prev = cur
-    if not high_tail <= prev:
+        levels.append(cur)
+    if not high_tail <= levels[-1]:
         raise FiltrationOrderError(
             f"filtration not decreasing into the high tail: "
-            f"{describe(high_tail)} is not contained in {describe(prev)}"
+            f"{describe(high_tail)} is not contained in {describe(levels[-1])}"
         )
-    # canonical trim: drop leading values equal to the low tail and trailing
-    # values equal to the high tail
-    while values and values[0] == low_tail:
-        values.pop(0)
-        lo += 1
-    while values and values[-1] == high_tail:
-        values.pop()
-    if not values and low_tail == high_tail:
-        lo = 0
-    return ThomasonFiltration(poset, low_tail, lo, tuple(values), high_tail)
+    return from_levels(poset, lo - 1, [*levels, high_tail])
 
 
 def constant_filtration(poset: SpectralPoset, value: ThomasonSet) -> ThomasonFiltration:
-    return make_filtration(poset, value, [], value)
+    return from_levels(poset, 0, (value, value))
 
 
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
@@ -202,14 +238,7 @@ def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonF
     i = poset.point(m)
     if poset.up[i] != 1 << i:
         raise InvalidInputError(f"{m!r} is not a maximal point")
-    lo, hi = filtration.window()
-    # lo - 1 is included so the position of a pure step survives restriction
-    return make_filtration(
-        poset.localization(i),
-        restrict_set(filtration.low_tail, m),
-        [(n, restrict_set(filtration.at(n), m)) for n in range(lo - 1, hi + 1)],
-        restrict_set(filtration.high_tail, m),
-    )
+    return filtration.map_levels(poset.localization(i), lambda s: restrict_set(s, m))
 
 
 def set_to_json(s: ThomasonSet):

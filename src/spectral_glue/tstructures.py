@@ -21,7 +21,6 @@ from .thomason import (
     ThomasonSet,
     is_constant,
     is_nondegenerate,
-    make_filtration,
 )
 
 NONDEGENERATE = "nondegenerate"
@@ -115,12 +114,7 @@ def localize_tstructure(t: TStructureDescriptor, m: PrimeId) -> TStructureDescri
     def restrict(s: ThomasonSet) -> ThomasonSet:
         return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)
 
-    filt = t.filtration
-    breakpoints = [(n, restrict(filt.at(n))) for n in range(filt.lo - 1, filt.hi + 1)]
-    local_filt = make_filtration(
-        local_poset, restrict(filt.low_tail), breakpoints, restrict(filt.high_tail)
-    )
-    return TStructureDescriptor(local_ring, local_filt)
+    return TStructureDescriptor(local_ring, t.filtration.map_levels(local_poset, restrict))
 
 
 def classify_degeneracy(t: TStructureDescriptor) -> str:

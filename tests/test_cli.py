@@ -359,6 +359,19 @@ def cohomology_of(cx):
     return ["cohomology", "--ring", json.dumps(Z12), "--complex", json.dumps(cx)]
 
 
+def step_at(n):
+    return {"low_tail": "full", "breakpoints": [{"n": n, "set": []}], "high_tail": []}
+
+
+FAR_BREAKPOINTS = {
+    "low_tail": "full",
+    "breakpoints": [{"n": 0, "set": "full"}, {"n": 30_000_000, "set": []}],
+    "high_tail": [],
+}
+FAR_STEPS = {"poset": {"elements": ["a", "b"]}, "exceptions": {"a": step_at(0), "b": step_at(10**8)}}
+CHAIN_AB = {"elements": ["a", "b"], "leq": [["a", "b"]]}
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -393,6 +406,7 @@ def cohomology_of(cx):
         (localize_on('{"elements": ["a"], "leq": [["a"]]}'), "'leq'"),
         (localize_on('{"elements": ["a"], "leq": [["a", "a", "a"]]}'), "'leq'"),
         (localize_on('{"elements": ["a"], "leq": "x"}'), "'leq'"),
+        (localize_on('{"elements": ["a"], "leq": [["a", "b"]]}'), "'leq'"),
         (localize_on("[1]"), "poset JSON"),
         (cohomology_of({"terms": {"x": {"free": 1}}}), "'terms' key 'x'"),
         (cohomology_of({"terms": {"1_0": {"free": 1}}}), "'terms' key '1_0'"),
@@ -411,18 +425,24 @@ def cohomology_of(cx):
         (["koszul", "--ring", json.dumps(Z12), "--generators", '{"a": 1}'], "'generators'"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", '"ab"'], "'generators'"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", "5"], "'generators'"),
+        (["localize", "--poset", '{"elements":["a"]}', "--filtration", json.dumps(FAR_BREAKPOINTS)],
+         "MAX_DEGREE_SPAN = 1000"),
+        (["compat-check", "--family", json.dumps(FAR_STEPS)], "MAX_DEGREE_SPAN = 1000"),
+        (["glue", "--family", json.dumps({"poset": CHAIN_AB, "default": step_at(0),
+                                          "exceptions": {"a": step_at(0)}})], "key 'a'"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
          "complex-list", "complex-terms", "family-list", "family-exceptions",
          "cosilting-components", "z-family-key", "eta-int", "eta-flat", "eta-long-row",
          "free-bool", "free-string", "term-int", "elements-string", "elements-int",
-         "elements-duplicate", "leq-single", "leq-triple", "leq-string", "poset-list",
+         "elements-duplicate", "leq-single", "leq-triple", "leq-string", "leq-unknown", "poset-list",
          "terms-key-x", "terms-key-underscore", "differentials-key-x",
          "differentials-key-underscore", "fuzz-max-poset-7", "fuzz-window-reversed",
          "fuzz-window-wide", "breakpoints-int",
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
-         "generators-object", "generators-string", "generators-int"],
+         "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
+         "family-windows-far-apart", "exception-not-maximal"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()
@@ -431,6 +451,61 @@ def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     err = capsys.readouterr().err
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["glue", "compat-check", "lemma-equiv"])
+def test_a_family_over_the_empty_poset_is_a_constant(capsys, verb):
+    family = json.dumps({"poset": {"elements": []}, "exceptions": {}})
+    code, out = run(capsys, "--json", verb, "--family", family)
+    assert code == 0
+    if verb == "glue":
+        assert json.loads(out)["glued"] == {"low_tail": "full", "breakpoints": [], "high_tail": "full"}
+
+
+FAR_STEP = {"low_tail": ["m1"], "breakpoints": [{"n": 2000, "set": []}], "high_tail": []}
+FAR_Z_STEP = {"low_tail": [3], "breakpoints": [{"n": 2000, "set": []}], "high_tail": []}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["localize", "--poset", json.dumps(VEE), "--filtration", json.dumps(FAR_STEP)],
+            {
+                "localizations": {
+                    "m1": {"low_tail": ["m1"], "breakpoints": [{"n": 1999, "set": ["m1"]}],
+                           "high_tail": []},
+                    "m2": {"low_tail": [], "breakpoints": [], "high_tail": []},
+                }
+            },
+        ),
+        (
+            ["glue", "--family", json.dumps({"poset": VEE, "default": FAR_STEP})],
+            {"compatible": True, "glued": {"low_tail": ["m1"], "high_tail": [],
+                                           "breakpoints": [{"n": 1999, "set": ["m1"]}]}},
+        ),
+        (
+            ["lemma-equiv", "--family", json.dumps({"poset": VEE, "default": FAR_STEP})],
+            {"degrees": {"1999": True, "2000": True}, "equivalence_holds": True},
+        ),
+        (
+            ["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(FAR_Z_STEP)],
+            {
+                "default": {"low_tail": [], "breakpoints": [], "high_tail": []},
+                "exceptions": {"3": {"low_tail": ["(3)"], "high_tail": [],
+                                     "breakpoints": [{"n": 1999, "set": ["(3)"]}]}},
+            },
+        ),
+    ],
+    ids=["localize", "glue", "lemma-equiv", "localize-integers"],
+)
+def test_a_far_step_beside_constant_members_is_not_refused(capsys, argv, expected):
+    """One breakpoint at 2000: the members that are constant read the same at
+    every degree, so they neither widen the degree span nor get visited."""
+    start = time.monotonic()
+    code, out = run(capsys, "--json", *argv)
+    assert time.monotonic() - start < 1
+    assert code == 0 and json.loads(out) == expected
 
 
 def test_a_reversed_window_is_refused_by_the_enumerator(z12_poset):

@@ -1,0 +1,199 @@
+"""The levels normaliser against the validating construction it replaced.
+
+The references below restrict, localize and glue filtrations the way the
+package did before :func:`from_levels`: each maps the levels over the window
+with one extra degree below it, then rebuilds the result through a
+validating constructor with its own trim loop.  The tests compare the
+package with them on every filtration and family of the poset catalog up to
+4 points, every filtration of Spec R over the local-global rings, and
+seeded Z filtrations.  Gluing differs from its reference in one way only:
+it visits no degree that only a constant member places, so a family whose
+low tails disagree reports the first of its own degrees (see
+:func:`expected_glue`).
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from spectral_glue import catalog, integers, rings as rng
+from spectral_glue.errors import FiltrationOrderError, IncompatibleFamilyError
+from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets, localize_filtrations
+from spectral_glue.poset import maximal_points
+from spectral_glue.sweeps import _local_global_rings
+from spectral_glue.thomason import (
+    ThomasonFiltration,
+    ThomasonSet,
+    restrict_filtration,
+    restrict_set,
+)
+from spectral_glue.tstructures import TStructureDescriptor, localize_tstructure
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+)
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+
+
+def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
+    """Expand the breakpoints with gaps filled, check the order, then trim
+    leading values equal to the low tail and trailing values equal to the
+    high tail; a constant sits at lo = 0."""
+    ns = [n for n, _ in breakpoints]
+    assert ns == sorted(set(ns))
+    if not ns and low_tail != high_tail:
+        raise FiltrationOrderError("tails differ but no breakpoint locates the step")
+    values = []
+    lo = ns[0] if ns else 0
+    prev = low_tail
+    idx = dict(breakpoints)
+    for n in range(lo, (ns[-1] + 1) if ns else lo):
+        cur = idx.get(n, prev)
+        if not cur <= prev:
+            raise FiltrationOrderError(f"filtration not decreasing at degree {n}")
+        values.append(cur)
+        prev = cur
+    if not high_tail <= prev:
+        raise FiltrationOrderError("filtration not decreasing into the high tail")
+    while values and values[0] == low_tail:
+        values.pop(0)
+        lo += 1
+    while values and values[-1] == high_tail:
+        values.pop()
+    if not values and low_tail == high_tail:
+        lo = 0
+    return ThomasonFiltration(poset, low_tail, lo, tuple(values), high_tail)
+
+
+def reference_restrict_filtration(filtration, m):
+    poset = filtration.poset
+    lo, hi = filtration.lo, filtration.hi
+    return reference_make_filtration(
+        poset.localization(poset.point(m)),
+        restrict_set(filtration.low_tail, m),
+        [(n, restrict_set(filtration.at(n), m)) for n in range(lo - 1, hi + 1)],
+        restrict_set(filtration.high_tail, m),
+    )
+
+
+def reference_localize_tstructure(t, m):
+    local_ring, _ = rng.localize_ring(t.ring, m)
+    local_poset, _ = rng.spec(local_ring)
+
+    def restrict(s):
+        return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)
+
+    filt = t.filtration
+    breakpoints = [(n, restrict(filt.at(n))) for n in range(filt.lo - 1, filt.hi + 1)]
+    local_filt = reference_make_filtration(
+        local_poset, restrict(filt.low_tail), breakpoints, restrict(filt.high_tail)
+    )
+    return TStructureDescriptor(local_ring, local_filt)
+
+
+def reference_glue_filtrations(family):
+    """Glue over the members' windows and one degree on each side; an
+    incompatible family gives (degree, witness) of its first bad degree."""
+    poset = family.global_poset
+    lo = min(f.lo for f in family.filtrations.values())
+    hi = max(f.hi for f in family.filtrations.values())
+    glued = []
+    for n in range(lo - 1, hi + 2):
+        try:
+            glued.append((n, glue_sets(poset, family.sets_at(n))))
+        except IncompatibleFamilyError as exc:
+            return (n, exc.witness)
+    return reference_make_filtration(poset, glued[0][1], glued[:-1], glued[-1][1])
+
+
+def expected_glue(family):
+    """The reference's answer, with a bad degree below ``family.degrees()``
+    moved up to its first degree.  The reference also visits -1 and 0 for a
+    constant member, but below the degrees every member reads its low tail,
+    so the first degree has the same sets and the same witness."""
+    expected = reference_glue_filtrations(family)
+    if isinstance(expected, tuple):
+        degree, witness = expected
+        return (max(degree, family.degrees().start), witness)
+    return expected
+
+
+def glue_or_witness(family):
+    try:
+        return glue_filtrations(family)
+    except IncompatibleFamilyError as exc:
+        return (exc.degree, exc.witness)
+
+
+def check_filtration(filt):
+    """Restriction at every maximal point and glue(localize) agree with the
+    references; returns the localized family."""
+    poset = filt.poset
+    family = localize_filtrations(filt)
+    for m in maximal_points(poset):
+        local = reference_restrict_filtration(filt, m)
+        assert restrict_filtration(filt, m) == family.filtrations[m] == local
+    assert glue_filtrations(family) == reference_glue_filtrations(family) == filt
+    return family
+
+
+def test_catalog_filtrations_and_families_match_the_references():
+    lo, hi = -2, 2
+    filtrations = families = incompatible = 0
+    for poset in catalog.poset_catalog(4):
+        for filt in catalog.all_filtrations(poset, lo, hi):
+            # the catalog's own normalisation, against the validating one
+            expanded = [(n, filt.at(n)) for n in range(lo, hi + 1)]
+            assert filt == reference_make_filtration(poset, filt.at(lo), expanded, filt.at(hi))
+            check_filtration(filt)
+            filtrations += 1
+        for filts in catalog.all_filtration_families(poset, lo, hi):
+            family = LocalFamily(poset, filts)
+            expected = expected_glue(family)
+            assert glue_or_witness(family) == expected
+            families += 1
+            incompatible += isinstance(expected, tuple)
+    assert (filtrations, families) == (7_364, 32_004)
+    assert 0 < incompatible < families
+
+
+def test_spec_filtrations_localize_like_the_references():
+    checked = 0
+    for ring in _local_global_rings(24):
+        poset, _ = rng.spec(ring)
+        for filt in catalog.spec_filtrations(ring, -2, 2):
+            check_filtration(filt)
+            t = TStructureDescriptor(ring, filt)
+            for m in maximal_points(poset):
+                local = localize_tstructure(t, m)
+                assert local == reference_localize_tstructure(t, m)
+                checked += 1
+    assert checked == 3_816
+
+
+def test_seeded_z_filtrations_match_the_references():
+    for data in _workloads.random_z_filtrations(12, 2_000):
+        filt = integers.z_filtration_from_json(data)
+        poset = filt.poset
+        expanded = [(bp["n"], filt.at(bp["n"])) for bp in data["breakpoints"]]
+        assert filt == reference_make_filtration(poset, filt.low_tail, expanded, filt.high_tail)
+        family = check_filtration(filt)
+        assert integers.glue_z_filtrations(family) == filt
+
+
+@pytest.mark.parametrize("shift", [-3, 0, 4])
+def test_z_families_with_exceptions_glue_like_the_reference(shift):
+    """Exceptions that disagree with the default on (0) at some degrees."""
+    steps = [
+        {"low_tail": "full", "breakpoints": [{"n": shift + k, "set": []}], "high_tail": []}
+        for k in range(3)
+    ]
+    constant = {"low_tail": "full", "breakpoints": [], "high_tail": "full"}
+    for default in steps + [constant]:
+        for exception in steps + [constant]:
+            family = integers.z_family_from_json(
+                {"default": default, "exceptions": {"7": exception, "3": steps[1]}}
+            )
+            assert glue_or_witness(family) == expected_glue(family)

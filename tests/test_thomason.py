@@ -14,6 +14,7 @@ from spectral_glue import (
 from spectral_glue.thomason import (
     filtration_from_json,
     filtration_to_json,
+    from_levels,
     set_from_json,
     set_to_json,
 )
@@ -46,7 +47,9 @@ def test_filtration_values_and_window(vee):
         [(0, up(vee, "m1", "m2")), (1, up(vee, "m1"))],
         ThomasonSet.empty(vee),
     )
-    assert filt.window() == (0, 1)
+    assert (filt.lo, filt.hi) == (0, 1)
+    levels = (ThomasonSet.full(vee), up(vee, "m1", "m2"), up(vee, "m1"), ThomasonSet.empty(vee))
+    assert filt.levels() == (-1, levels)
     assert filt.at(-5).is_full()
     assert filt.at(0).members == {"m1", "m2"}
     assert filt.at(1).members == {"m1"}
@@ -67,7 +70,8 @@ def test_gaps_propagate_previous_value(vee):
 def test_canonical_trim_maximizes_lo(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(-2, full), (0, up(vee, "m1")), (1, empty)], empty)
-    assert filt.window() == (0, 0)
+    assert (filt.lo, filt.hi) == (0, 0)
+    assert from_levels(vee, -3, (full, full, full, up(vee, "m1"), empty, empty)) == filt
 
 
 def test_pure_step_keeps_its_position(vee):
@@ -79,12 +83,18 @@ def test_pure_step_keeps_its_position(vee):
     shifted = make_filtration(vee, full, [(0, empty)], empty)
     assert step != shifted
     assert shifted.at(-1).is_full() and shifted.at(0).members == set()
+    assert from_levels(vee, 0, (full, full, full, empty, empty)) == step
+    assert from_levels(vee, -1, (full, empty)) == shifted
+    assert step.levels() == (2, (full, empty))
 
 
 def test_constant_filtration(vee):
     filt = constant_filtration(vee, up(vee, "m1"))
     assert is_constant(filt)
     assert filt.at(-100) == filt.at(100)
+    # all-equal levels anywhere give the constant, at lo = 0
+    assert from_levels(vee, 7, (up(vee, "m1"),) * 3) == filt
+    assert (filt.lo, filt.hi) == (0, -1)
 
 
 def test_tails_differ_without_breakpoint_is_an_error(vee):
@@ -125,6 +135,11 @@ def test_restrict_filtration(vee):
     assert local.at(0).members == {"m1"}
     assert local.at(1).members == {"m1"}
     assert local.at(2).members == set()
+    # a step only m1 sees restricts to a pure step at m1 and a constant at m2
+    step = make_filtration(vee, up(vee, "m1"), [(1, empty)], empty)
+    assert is_constant(restrict_filtration(step, "m2"))
+    at_m1 = restrict_filtration(step, "m1")
+    assert at_m1.values == () and (at_m1.lo, at_m1.hi) == (1, 0)
 
 
 def test_set_json_roundtrip(vee):
@@ -139,6 +154,8 @@ def test_filtration_json_roundtrip_including_steps(vee):
         make_filtration(vee, full, [(0, up(vee, "m1"))], empty),
         make_filtration(vee, full, [(3, empty)], empty),
         constant_filtration(vee, up(vee, "m2")),
+        from_levels(vee, -4, (full, full, empty)),
+        from_levels(vee, 0, (empty, empty, empty)),
     ):
         assert filtration_from_json(vee, filtration_to_json(filt)) == filt
 
