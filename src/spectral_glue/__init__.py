@@ -30,7 +30,6 @@ from .errors import (
 from .gluing import (
     CompatibilityReport,
     LocalFamily,
-    check_dagger,
     check_dagger_sets,
     check_lemma_equiv,
     glue_filtrations,

@@ -30,20 +30,22 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _load_json(value: str):
-    """Accept inline JSON or a path to a JSON file; a value that parses as
-    JSON, such as ``5``, is inline."""
-    text = value
-    if not value.lstrip().startswith(("{", "[", '"')):
-        try:
-            return json.loads(value)
-        except json.JSONDecodeError:
-            with open(value, "r", encoding="utf-8") as handle:
-                text = handle.read()
+def _load_json(args, name: str):
+    """The JSON of the option ``--name``: inline JSON or a path to a JSON
+    file; a value that parses as JSON, such as ``5``, is inline."""
+    value = text = getattr(args, name)
     try:
+        if not value.lstrip().startswith(("{", "[", '"')):
+            try:
+                return json.loads(value)
+            except json.JSONDecodeError:
+                with open(value, "r", encoding="utf-8") as handle:
+                    text = handle.read()
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpectralGlueError(f"malformed JSON in {value!r}: {exc}") from exc
+    except ValueError as exc:
+        # besides syntax errors: an integer literal of more than 4300 digits,
+        # which int() refuses, and a file that is not UTF-8
+        raise SpectralGlueError(f"malformed JSON in --{name}: {exc}") from exc
 
 
 def _emit(args, payload: dict, human: str):
@@ -54,12 +56,12 @@ def _emit(args, payload: dict, human: str):
 
 
 def _ring(args):
-    return rng.ring_from_json(_load_json(args.ring))
+    return rng.ring_from_json(_load_json(args, "ring"))
 
 
 def _poset(args) -> SpectralPoset:
     if args.poset:
-        return SpectralPoset.from_json(_load_json(args.poset))
+        return SpectralPoset.from_json(_load_json(args, "poset"))
     if args.ring:
         poset, _ = rng.spec(_ring(args))
         return poset
@@ -70,20 +72,17 @@ class _Wire(NamedTuple):
     """How the glued filtration and the witnesses of a family are written."""
 
     glue: Callable  # family -> JSON of the glued filtration
-    witness: Callable  # (family, n) -> (witness JSON, text), or None if compatible at n
+    witness: Callable  # (family, IncompatibleFamilyError) -> (witness JSON, text)
 
 
-def _finite_witness(family, n):
-    report = gluing.check_dagger(family, n)
-    if report.dagger_holds:
-        return None
-    m1, m2, p = report.violating_pair
+def _finite_witness(family, exc):
+    m1, m2, p = exc.witness
     return [m1, m2, p], f"sets at {m1!r} and {m2!r} disagree on {p!r}"
 
 
-def _z_witness(family, n):
-    witness = zz.z_witness(family, n)
-    return witness and (list(witness), f"witness {witness}")
+def _z_witness(family, exc):
+    witness = zz.z_witness(family, exc.degree)
+    return list(witness), f"witness {witness}"
 
 
 FINITE = _Wire(lambda family: filtration_to_json(gluing.glue_filtrations(family)), _finite_witness)
@@ -97,7 +96,7 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
     integers the family lives on :func:`integers.z_poset` and is written with
     integer primes.
     """
-    data = json_object(_load_json(args.family), "family JSON")
+    data = json_object(_load_json(args, "family"), "family JSON")
     ref = data.get("poset")
     if isinstance(ref, dict) and ref.get("kind") == "integers":
         return zz.z_family_from_json(data), INTEGERS
@@ -123,7 +122,7 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
 def _descriptor(args) -> ts.TStructureDescriptor:
     ring = _ring(args)
     poset, _ = rng.spec(ring)
-    filt = filtration_from_json(poset, _load_json(args.filtration))
+    filt = filtration_from_json(poset, _load_json(args, "filtration"))
     return ts.TStructureDescriptor(ring, filt)
 
 
@@ -164,12 +163,12 @@ def cmd_spec(args) -> int:
 
 def cmd_localize(args) -> int:
     if args.ring and _ring(args).kind == "integers":
-        filt = zz.z_filtration_from_json(_load_json(args.filtration))
+        filt = zz.z_filtration_from_json(_load_json(args, "filtration"))
         payload = zz.z_family_to_json(zz.localize_z_filtration(filt))
         _emit(args, payload, json.dumps(payload, sort_keys=True))
         return EXIT_OK
     poset = _poset(args)
-    filt = filtration_from_json(poset, _load_json(args.filtration))
+    filt = filtration_from_json(poset, _load_json(args, "filtration"))
     family = gluing.localize_filtrations(filt)
     payload = {
         m: filtration_to_json(f) for m, f in sorted(family.filtrations.items())
@@ -199,17 +198,19 @@ def cmd_glue(args) -> int:
 
 
 def cmd_compat_check(args) -> int:
+    """``glue``'s verdict without the glued output, so a Z family whose glued
+    levels cannot be written is still compatible."""
     family, wire = _family(args)
-    for n in family.degrees():
-        found = wire.witness(family, n)
-        if found:
-            witness, text = found
-            _emit(
-                args,
-                {"compatible": False, "degree": n, "witness": witness},
-                f"incompatible at degree {n}: {text}",
-            )
-            return EXIT_NEGATIVE
+    try:
+        gluing.glue_filtrations(family)
+    except IncompatibleFamilyError as exc:
+        witness, text = wire.witness(family, exc)
+        _emit(
+            args,
+            {"compatible": False, "degree": exc.degree, "witness": witness},
+            f"incompatible at degree {exc.degree}: {text}",
+        )
+        return EXIT_NEGATIVE
     _emit(args, {"compatible": True}, "compatible")
     return EXIT_OK
 
@@ -233,7 +234,7 @@ def cmd_lemma_equiv(args) -> int:
 
 def cmd_koszul(args) -> int:
     ring = _ring(args)
-    gens = _load_json(args.generators)
+    gens = _load_json(args, "generators")
     if not isinstance(gens, list):
         raise InvalidInputError(f"'generators' must be a list of ring elements, got {gens!r}")
     gens = [ring.element_from_json(g) for g in gens]
@@ -260,7 +261,7 @@ def cmd_koszul(args) -> int:
 
 def cmd_cohomology(args) -> int:
     ring = _ring(args)
-    cx = homalg.complex_from_json(ring, _load_json(args.complex))
+    cx = homalg.complex_from_json(ring, _load_json(args, "complex"))
     payload = {
         str(n): _module_summary(homalg.cohomology(cx, n))
         for n in range(cx.min_degree, cx.max_degree + 1)
@@ -271,8 +272,8 @@ def cmd_cohomology(args) -> int:
 
 def cmd_derived_hom(args) -> int:
     ring = _ring(args)
-    perfect = homalg.complex_from_json(ring, _load_json(args.complex))
-    target = homalg.complex_from_json(ring, _load_json(args.target))
+    perfect = homalg.complex_from_json(ring, _load_json(args, "complex"))
+    target = homalg.complex_from_json(ring, _load_json(args, "target"))
     hom = homalg.derived_hom(perfect, target, args.degree)
     payload = {"degree": args.degree, "hom": _module_summary(hom)}
     _emit(args, payload, f"Hom group in degree {args.degree} has order {hom.order}")
@@ -281,7 +282,7 @@ def cmd_derived_hom(args) -> int:
 
 def cmd_aisle_test(args) -> int:
     descriptor = _descriptor(args)
-    cx = homalg.complex_from_json(descriptor.ring, _load_json(args.complex))
+    cx = homalg.complex_from_json(descriptor.ring, _load_json(args, "complex"))
     verdict = ts.aisle_membership(cx, descriptor)
     _emit(args, {"member": verdict}, "in aisle" if verdict else "not in aisle")
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -289,7 +290,7 @@ def cmd_aisle_test(args) -> int:
 
 def cmd_coaisle_test(args) -> int:
     descriptor = _descriptor(args)
-    cx = homalg.complex_from_json(descriptor.ring, _load_json(args.complex))
+    cx = homalg.complex_from_json(descriptor.ring, _load_json(args, "complex"))
     verdict = ts.coaisle_membership(cx, descriptor)
     _emit(args, {"member": verdict}, "in coaisle" if verdict else "not in coaisle")
     return EXIT_OK if verdict else EXIT_NEGATIVE
@@ -321,9 +322,9 @@ def cmd_tstr_classify(args) -> int:
 
 def cmd_torsion(args) -> int:
     ring = _ring(args)
-    module = rng.module_from_json(ring, _load_json(args.module))
+    module = rng.module_from_json(ring, _load_json(args, "module"))
     poset, _ = rng.spec(ring)
-    x_set = set_from_json(poset, _load_json(args.set))
+    x_set = set_from_json(poset, _load_json(args, "set"))
     part = tc.torsion_submodule(module, x_set)
     payload = {
         "torsion_submodule": _module_summary(part),
@@ -349,7 +350,7 @@ def cmd_torsion_roundtrip(args) -> int:
 
 
 def cmd_cosilting_set(args) -> int:
-    data = _load_json(args.cosilting)
+    data = _load_json(args, "cosilting")
     cosilting = _cosilting(data)
     thomason = tc.cosilting_thomason_of_module(cosilting)
     payload = {
@@ -362,7 +363,7 @@ def cmd_cosilting_set(args) -> int:
 
 
 def cmd_cosilting_glue(args) -> int:
-    data = _load_json(args.family)
+    data = _load_json(args, "family")
     ring = _embedded_ring(data)
     components = {}
     for label, comp in json_object(data.get("components"), "'components'").items():
@@ -378,7 +379,7 @@ def cmd_cosilting_glue(args) -> int:
 
 
 def cmd_cosilting_split(args) -> int:
-    cosilting = _cosilting(_load_json(args.cosilting))
+    cosilting = _cosilting(_load_json(args, "cosilting"))
     payload = {}
     for m, comp in sorted(tc.components_of_cosilting(cosilting).items()):
         payload[m] = {

@@ -3,7 +3,12 @@
 Local data is indexed by the maximal points of a global poset; the value at m
 lives on the localization poset (the down-set of m).  Gluing takes the union
 of the images under the natural inclusions; it is defined exactly when the
-family agrees pairwise on shared primes.
+family agrees pairwise on shared primes.  So gluing is also the compatibility
+check of a family: :func:`glue_sets` and :func:`glue_filtrations` raise
+IncompatibleFamilyError with the first witness, and a caller that only asks
+"compatible?" catches it.  :func:`check_dagger_sets` reports on one set family
+without raising, for the sweep that also asks whether the union of the star
+images is an up-set.
 """
 
 from __future__ import annotations
@@ -57,8 +62,9 @@ class LocalFamily:
             min((start for start, _ in spans), default=-1),
             max((start + len(levels) for start, levels in spans), default=1),
         )
-        # a tail degree on each side of the windows
-        if len(degrees) - 3 > MAX_DEGREE_SPAN:
+        # a tail degree on each side of the windows; len() of a range fails
+        # past sys.maxsize, so the span is a difference
+        if degrees.stop - degrees.start - 3 > MAX_DEGREE_SPAN:
             raise InvalidInputError(
                 f"family members' windows lie more than the bound MAX_DEGREE_SPAN = "
                 f"{MAX_DEGREE_SPAN} degrees apart (levels from degree {degrees[0]} "
@@ -138,11 +144,6 @@ def check_dagger_sets(
     return CompatibilityReport(violating is None, violating, poset.closure(glued) == glued)
 
 
-def check_dagger(family: LocalFamily, n: int) -> CompatibilityReport:
-    """Evaluate the gluing condition at filtration level n."""
-    return check_dagger_sets(family.global_poset, family.sets_at(n))
-
-
 def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> ThomasonSet:
     """Union of the star images; defined only for compatible families."""
     violating, glued, _ = _check_sets(poset, sets)
@@ -166,9 +167,9 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     """Degreewise gluing; raises with the offending degree when incompatible.
 
     The levels are glued over :meth:`LocalFamily.degrees`, whose ends carry
-    the tails, in increasing order, so the degree and witness raised are the
-    first that :func:`check_dagger` finds.  Gluing preserves inclusions, so
-    the glued levels decrease and are only normalised.
+    the tails, in increasing order, so the degree raised is the least
+    incompatible one, and each degree is checked once.  Gluing preserves
+    inclusions, so the glued levels decrease and are only normalised.
     """
     poset = family.global_poset
     degrees = family.degrees()

@@ -10,6 +10,8 @@ and gluing are those of :mod:`spectral_glue.gluing` on that poset.
 What this module keeps is the wire: a level is "full" or a list of integer
 primes, written in numeric order; a family is a default on (0) < (m) plus
 exceptions keyed by decimal primes; a witness is ``[p, "default", "(0)"]``.
+Primality is trial division, so a named integer over MAX_Z_PRIME is refused
+before any division, and each named integer is tested once per input.
 A glued level that holds (m) without being full is a cofinite set of maximal
 ideals, which no level can write, so gluing raises UnsupportedRingError.
 """
@@ -19,28 +21,40 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
-from .gluing import LocalFamily, check_dagger, glue_filtrations, localize_filtrations
+from .gluing import LocalFamily, glue_filtrations, localize_filtrations
 from .poset import SpectralPoset, interned_poset, localization_poset
 from .thomason import ThomasonFiltration, ThomasonSet, filtration_from_json, filtration_to_json
 
 GENERIC = "(0)"
 CLOSED_POINT = "(m)"  # every maximal ideal that the data does not name
+# the trial-division limit, as rings.factorint_trial sets for moduli
+MAX_Z_PRIME = 10**6
 
 
 def is_prime_int(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
+def _bounded(p: int) -> int:
+    if p > MAX_Z_PRIME:
+        raise InvalidInputError(f"Z prime {p} is over the bound MAX_Z_PRIME = {MAX_Z_PRIME}")
+    return p
+
+
 def _label(p: int) -> str:
-    if not is_prime_int(p):
+    if not is_prime_int(_bounded(p)):
         raise InvalidInputError(f"{p} is not a prime number")
     return f"({p})"
 
 
+def _star(labels: Iterable[str]) -> SpectralPoset:
+    labels = sorted({GENERIC, CLOSED_POINT, *labels})  # (0) sorts first
+    return interned_poset(tuple(labels), tuple((GENERIC, label) for label in labels[1:]))
+
+
 def z_poset(primes: Iterable[int]) -> SpectralPoset:
     """{(0)} ∪ {(p) : p in primes} ∪ {(m)}, with (0) below every other point."""
-    labels = sorted({GENERIC, CLOSED_POINT, *map(_label, primes)})  # (0) sorts first
-    return interned_poset(tuple(labels), tuple((GENERIC, label) for label in labels[1:]))
+    return _star(map(_label, set(primes)))
 
 
 def z_primes(poset: SpectralPoset) -> list[int]:
@@ -61,12 +75,18 @@ def _named_ints(data) -> set[int]:
 
 
 def _z_set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
+    """A level on the :func:`z_poset` of the primes that the whole filtration
+    names, whose labels are the primality tests already made."""
     if data == "full":
         return ThomasonSet.full(poset)
     # bool is a subclass of int, but JSON true is not a prime
     if not isinstance(data, (list, tuple)) or any(type(p) is not int for p in data):
         raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
-    return ThomasonSet(poset, poset.mask_of(map(_label, frozenset(data))))
+    labels = {p: f"({p})" for p in frozenset(data)}
+    for p, label in labels.items():
+        if label not in poset.index or label == GENERIC:
+            raise InvalidInputError(f"{p} is not a prime number")
+    return ThomasonSet(poset, poset.mask_of(labels.values()))
 
 
 def _z_set_to_json(level: ThomasonSet):
@@ -77,8 +97,9 @@ def _z_set_to_json(level: ThomasonSet):
 
 def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:
     """A Z filtration, on the :func:`z_poset` of the primes its levels name."""
-    primes = [p for p in _named_ints(data) if is_prime_int(p)]
-    return filtration_from_json(z_poset(primes), data, _z_set_from_json, _z_set_to_json)
+    named = [_bounded(p) for p in _named_ints(data)]
+    poset = _star(f"({p})" for p in named if is_prime_int(p))
+    return filtration_from_json(poset, data, _z_set_from_json, _z_set_to_json)
 
 
 def z_filtration_to_json(filtration: ThomasonFiltration) -> dict:
@@ -94,10 +115,17 @@ def z_family_from_json(data: Mapping) -> LocalFamily:
     for p in exceptions:
         if not str(p).isdecimal():
             raise InvalidInputError(f"Z family exception key {p!r} must be a decimal prime")
+        # int() refuses more than 4300 digits, so the bound is read off the length first
+        if len(p.lstrip("0")) > len(str(MAX_Z_PRIME)):
+            raise InvalidInputError(
+                f"Z family exception key {p[:12]!r}... ({len(p)} digits) is over the bound "
+                f"MAX_Z_PRIME = {MAX_Z_PRIME}"
+            )
     if "default" not in data:
         raise InvalidInputError("malformed Z family JSON: 'default'")
-    poset = z_poset(int(p) for p in exceptions)
-    wire = {CLOSED_POINT: data["default"], **{_label(int(p)): f for p, f in exceptions.items()}}
+    primes = {p: int(p.lstrip("0") or "0") for p in exceptions}
+    poset = z_poset(primes.values())
+    wire = {CLOSED_POINT: data["default"], **{f"({primes[p]})": f for p, f in exceptions.items()}}
     return LocalFamily(
         poset, {m: filtration_from_json(localization_poset(poset, m), f) for m, f in wire.items()}
     )
@@ -121,14 +149,13 @@ def z_witness(family: LocalFamily, n: int):
     """``(p, "default", "(0)")`` for the smallest prime p whose set at degree
     n disagrees with the default on (0); None where the family is compatible.
 
-    On a star poset two local sets share only (0), so this is the only way a
-    Z family can be incompatible."""
-    if check_dagger(family, n).dagger_holds:
-        return None
+    On a star poset two local sets share only (0), so a Z family is
+    compatible at n exactly when no exception disagrees with the default."""
     sets = family.sets_at(n)
     generic = GENERIC in sets[CLOSED_POINT]
     primes = z_primes(family.global_poset)
-    return (next(p for p in primes if (GENERIC in sets[f"({p})"]) != generic), "default", GENERIC)
+    p = next((p for p in primes if (GENERIC in sets[f"({p})"]) != generic), None)
+    return None if p is None else (p, "default", GENERIC)
 
 
 def glue_z_filtrations(family: LocalFamily) -> ThomasonFiltration:

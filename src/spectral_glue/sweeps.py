@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import catalog, gluing, homalg, rings as rng, torsion_cosilting as tc, tstructures as ts
-from .errors import InvalidInputError
+from .errors import IncompatibleFamilyError, InvalidInputError
 from .poset import SpectralPoset, localization_poset
 from .rings import FiniteRing
 from .thomason import (
@@ -74,11 +74,11 @@ def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
             )
     # glue-then-localize is the identity on compatible families
     for family in catalog.all_set_families(poset):
-        verdict = gluing.check_dagger_sets(poset, family)
-        if not verdict.dagger_holds:
+        try:
+            glued = gluing.glue_sets(poset, family)
+        except IncompatibleFamilyError:
             continue
         report.checked += 1
-        glued = gluing.glue_sets(poset, family)
         back = gluing.localize_sets(glued)
         if any(back[m] != family[m] for m in family):
             report.failures.append(
@@ -129,10 +129,6 @@ def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:
 # -- 3: filtration-level localize/glue bijection ------------------------------
 
 
-def _family_compatible(family: gluing.LocalFamily) -> bool:
-    return all(gluing.check_dagger(family, n).dagger_holds for n in family.degrees())
-
-
 def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> None:
     lo, hi = window
     descr = poset.to_json()
@@ -140,11 +136,11 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
         report.checked += 1
         family = gluing.localize_filtrations(filt)
         problems = []
-        if not _family_compatible(family):
+        try:
+            if gluing.glue_filtrations(family) != filt:
+                problems.append("glue(localize(F)) differs from F")
+        except IncompatibleFamilyError:
             problems.append("localized family not compatible")
-        glued = gluing.glue_filtrations(family)
-        if glued != filt:
-            problems.append("glue(localize(F)) differs from F")
         local_nondeg = all(is_nondegenerate(f) for f in family.filtrations.values())
         if is_nondegenerate(filt) != local_nondeg:
             problems.append("non-degeneracy not preserved/reflected")
@@ -156,11 +152,11 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
                 {"poset": descr, "filtration": filtration_to_json(filt), "problems": problems}
             )
     for filts in catalog.all_filtration_families(poset, lo, hi):
-        family = gluing.LocalFamily(poset, filts)
-        if not _family_compatible(family):
+        try:
+            glued = gluing.glue_filtrations(gluing.LocalFamily(poset, filts))
+        except IncompatibleFamilyError:
             continue
         report.checked += 1
-        glued = gluing.glue_filtrations(family)
         back = gluing.localize_filtrations(glued)
         if back.filtrations != filts:
             report.failures.append(
@@ -369,13 +365,11 @@ def _check_cosilting(report: SweepReport, cosilting) -> None:
         sub = localization_poset(poset, m)
         members = {m} if local_set.members else set()
         family[m] = ThomasonSet.from_members(sub, members)
-    verdict = gluing.check_dagger_sets(poset, family)
-    if not verdict.dagger_holds:
-        problems.append("componentwise Thomason sets are not compatible")
-    else:
-        glued_set = gluing.glue_sets(poset, family)
-        if glued_set != global_set:
+    try:
+        if gluing.glue_sets(poset, family) != global_set:
             problems.append("componentwise Thomason sets do not glue to the global set")
+    except IncompatibleFamilyError:
+        problems.append("componentwise Thomason sets are not compatible")
     # the two-term filtration restricts to the local two-term pattern
     filt = tc.two_term_filtration(global_set)
     for m in family:

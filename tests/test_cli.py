@@ -325,10 +325,13 @@ def test_sweeps_take_jobs_1_only(monkeypatch):
             sweep(jobs=2, **TINY_BOUNDS.get(func, {}))
 
 
-def test_malformed_json_is_a_parse_error(tmp_path):
+def test_malformed_json_is_a_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["spec", "--ring", str(bad)]) == 2
+    bad.write_bytes(b"\xff\xfe{")  # not UTF-8
+    assert main(["spec", "--ring", str(bad)]) == 2
+    assert "malformed JSON in --ring" in capsys.readouterr().err
 
 
 def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
@@ -370,6 +373,17 @@ FAR_BREAKPOINTS = {
 }
 FAR_STEPS = {"poset": {"elements": ["a", "b"]}, "exceptions": {"a": step_at(0), "b": step_at(10**8)}}
 CHAIN_AB = {"elements": ["a", "b"], "leq": [["a", "b"]]}
+BIG_PRIME = 1000000000000000003  # trial division takes about a minute
+
+
+def z_level(p):
+    filt = {"low_tail": [p], "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
+    return ["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)]
+
+
+def z_key(key):
+    family = {"poset": INTEGERS, "default": Z_DEFAULT, "exceptions": {key: Z_DEFAULT}}
+    return ["compat-check", "--family", json.dumps(family)]
 
 
 @pytest.mark.parametrize(
@@ -430,6 +444,11 @@ CHAIN_AB = {"elements": ["a", "b"], "leq": [["a", "b"]]}
         (["compat-check", "--family", json.dumps(FAR_STEPS)], "MAX_DEGREE_SPAN = 1000"),
         (["glue", "--family", json.dumps({"poset": CHAIN_AB, "default": step_at(0),
                                           "exceptions": {"a": step_at(0)}})], "key 'a'"),
+        (["spec", "--ring", '{"kind": "zmod", "n": %s}' % ("1" * 5000)], "--ring"),
+        (z_key("1" * 5000), "MAX_Z_PRIME = 1000000"),
+        (z_level(10**400 + 1), "MAX_Z_PRIME = 1000000"),
+        (z_level(BIG_PRIME), "MAX_Z_PRIME = 1000000"),
+        (z_key(str(BIG_PRIME)), "MAX_Z_PRIME = 1000000"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -442,7 +461,8 @@ CHAIN_AB = {"elements": ["a", "b"], "leq": [["a", "b"]]}
          "fuzz-window-wide", "breakpoints-int",
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
          "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
-         "family-windows-far-apart", "exception-not-maximal"],
+         "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
+         "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

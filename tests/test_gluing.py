@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
+from spectral_glue import gluing
 from spectral_glue import (
     IncompatibleFamilyError,
     InvalidInputError,
     LocalFamily,
     SpectralPoset,
     ThomasonSet,
-    check_dagger,
     check_dagger_sets,
     check_lemma_equiv,
     constant_filtration,
@@ -26,6 +26,7 @@ from spectral_glue.catalog import (
     poset_catalog,
 )
 from spectral_glue.poset import all_up_sets, is_thomason, localization_poset, maximal_points
+from spectral_glue.sweeps import sweep_filtration_bijection
 
 from conftest import up
 
@@ -106,7 +107,28 @@ def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     family = localize_filtrations(filt)
-    assert check_dagger(family, 0).dagger_holds
+    assert check_dagger_sets(vee, family.sets_at(0)).dagger_holds
+    assert glue_filtrations(family) == filt
+
+
+def test_filtration_sweep_reports_an_incompatible_localized_family(monkeypatch):
+    localize = gluing.localize_filtrations
+
+    def first_member_full(filt):
+        # the constant full filtration at the first maximal point holds every
+        # shared prime, so the family is incompatible wherever F leaves one out
+        family = localize(filt)
+        if not family.filtrations:
+            return family
+        m = min(family.filtrations)
+        sub = family.filtrations[m].poset
+        full = constant_filtration(sub, ThomasonSet.full(sub))
+        return LocalFamily(family.global_poset, {**family.filtrations, m: full})
+
+    monkeypatch.setattr(gluing, "localize_filtrations", first_member_full)
+    report = sweep_filtration_bijection(max_poset=3, window=(-1, 1))
+    problems = [f["problems"] for f in report.failures if "filtration" in f]
+    assert ["localized family not compatible"] in problems
 
 
 def test_lemma_equiv_on_examples(vee):

@@ -3,8 +3,8 @@
 The ``--family`` and ``--filtration`` inputs of the recorded ``glue``,
 ``compat-check``, ``lemma-equiv`` and ``localize`` cases in
 ``data/cli_golden.json`` are mutated: fields dropped, values swapped for
-another JSON type, lists shortened, ints replaced by +-10^9, and every
-breakpoint shifted by +-10^9.  Each call must exit 0, 1 or 2 within a
+another JSON type, lists shortened, ints replaced by +-10^9, 10^18 + 3 or
+10^400 + 1, and every breakpoint shifted by +-10^9.  Each call must exit 0, 1 or 2 within a
 second, never raise, and an exit 2 must name a field of the input, a bound or
 the order check that failed; a refusal by the degree-span bound needs
 breakpoints that lie that far apart.  Hypothesis runs derandomized, so the
@@ -43,6 +43,9 @@ NAMED = re.compile(
     r"|\bruns on finite posets only\b|\bdefault populates the closed point\b"
 )
 SWAPS = [5, -1, 2.5, True, None, "x", "full", [], {}]
+# a far degree, and Z primes over the trial-division bound: the last two took
+# minutes or raised before they were refused
+BIGS = [10**9, -(10**9), 10**18 + 3, 10**400 + 1]
 
 
 def _paths(node, path=()):
@@ -92,7 +95,7 @@ def mutated(draw, data):
         kind = draw(st.sampled_from(["drop", "swap", "shorten", "big", "shift"]))
         ints = [p for p in paths if type(_get(data, p)) is int]
         if kind == "big" and ints:
-            data = _put(data, draw(st.sampled_from(ints)), draw(st.sampled_from([10**9, -(10**9)])))
+            data = _put(data, draw(st.sampled_from(ints)), draw(st.sampled_from(BIGS)))
             continue
         if kind == "shift":
             # every breakpoint moves by the same far offset, which keeps a valid
