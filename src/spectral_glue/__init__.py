@@ -28,9 +28,7 @@ from .errors import (
     UnsupportedRingError,
 )
 from .gluing import (
-    CompatibilityReport,
     LocalFamily,
-    check_dagger_sets,
     check_lemma_equiv,
     glue_filtrations,
     glue_sets,

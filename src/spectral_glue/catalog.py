@@ -23,6 +23,9 @@ from .thomason import ThomasonFiltration, ThomasonSet, from_levels
 
 # _canonical tries every permutation: 6 points take seconds, 7 more than two minutes
 MAX_CATALOG_POSET = 6
+# every Z/n of the ring catalog stays tabulated through a sweep, so time and
+# memory grow faster than the bound on n
+MAX_CATALOG_RING = 300
 
 
 def _down_closed_subsets(rel: frozenset, size: int):
@@ -180,6 +183,10 @@ def all_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[dict
 
 
 def zmod_catalog(max_n: int) -> list[FiniteRing]:
+    if max_n > MAX_CATALOG_RING:
+        raise InvalidInputError(
+            f"Z/n catalog up to n = {max_n} is over the bound MAX_CATALOG_RING = {MAX_CATALOG_RING}"
+        )
     return [rng.ZMod(n) for n in range(2, max_n + 1)]
 
 

@@ -42,10 +42,14 @@ def _load_json(args, name: str):
                 with open(value, "r", encoding="utf-8") as handle:
                     text = handle.read()
         return json.loads(text)
-    except ValueError as exc:
-        # besides syntax errors: an integer literal of more than 4300 digits,
-        # which int() refuses, and a file that is not UTF-8
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SpectralGlueError(f"malformed JSON in --{name}: {exc}") from exc
+    except ValueError as exc:
+        # int() refuses an integer literal over the interpreter's digit limit
+        raise SpectralGlueError(
+            f"malformed JSON in --{name}: an integer literal is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _emit(args, payload: dict, human: str):

@@ -6,15 +6,14 @@ of the images under the natural inclusions; it is defined exactly when the
 family agrees pairwise on shared primes.  So gluing is also the compatibility
 check of a family: :func:`glue_sets` and :func:`glue_filtrations` raise
 IncompatibleFamilyError with the first witness, and a caller that only asks
-"compatible?" catches it.  :func:`check_dagger_sets` reports on one set family
-without raising, for the sweep that also asks whether the union of the star
-images is an up-set.
+"compatible?" catches it.  :func:`check_lemma_equiv` compares that condition
+with the ideal-family description of the same family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .errors import IncompatibleFamilyError, InvalidInputError
 from .poset import PrimeId, SpectralPoset, localization_poset, maximal_points
@@ -100,17 +99,6 @@ class LocalFamily:
         return {m: f.at(n) for m, f in self.filtrations.items()}
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
-    dagger_holds: bool
-    violating_pair: Optional[tuple[PrimeId, PrimeId, PrimeId]]
-    glued_thomason: bool
-
-    def __post_init__(self):
-        if not self.dagger_holds and self.violating_pair is None:
-            raise InvalidInputError("a failing report must carry a witness")
-
-
 def _check_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]):
     """(witness (m, m', p) or None, glued mask, stars): ``stars`` pairs each
     maximal point m, in label order, with X(m) in the numbering of ``poset``."""
@@ -134,14 +122,6 @@ def _check_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]):
                 witness = (poset.elements[m], poset.elements[m2], poset.labels(disagree)[0])
                 return witness, glued, stars
     return None, glued, stars
-
-
-def check_dagger_sets(
-    poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]
-) -> CompatibilityReport:
-    """Pairwise agreement of the local sets on shared primes."""
-    violating, glued, _ = _check_sets(poset, sets)
-    return CompatibilityReport(violating is None, violating, poset.closure(glued) == glued)
 
 
 def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> ThomasonSet:
@@ -197,15 +177,20 @@ def check_lemma_equiv(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet])
 
     The ideal-family side is modelled by principal up-sets: X' is the union of
     all up-sets of single points g whose restriction to every localization is
-    contained in the local set.  Returns True iff [pairwise agreement and the
-    union of star images being an up-set] holds exactly when the union equals
-    X'.
+    contained in the local set.  Returns True iff pairwise agreement holds
+    exactly when the union of the star images equals X'.
+
+    Agreement alone is the gluing condition: it makes the union an up-set.
+    Take p in X(m) and q >= p; q lies below some maximal m', so p lies in
+    down(m) and down(m'), agreement puts p in X(m'), and X(m') is an up-set of
+    Spec(R_m'), so q is in X(m').  An agreeing family with a local set that is
+    not an up-set glues to a union that is not one either: if p is in X(m)
+    and q >= p in down(m) is not, agreement keeps q out of every X(m').  X'
+    is always an up-set, so the check fails on such a family.
     """
     violating, glued, stars = _check_sets(poset, sets)
     x_prime = 0
     for up in poset.up:
         if all(not up & poset.down[m] & ~x for m, x in stars):
             x_prime |= up
-    condition_i = violating is None and poset.closure(glued) == glued
-    condition_ii = glued == x_prime
-    return condition_i == condition_ii
+    return (violating is None) == (glued == x_prime)

@@ -124,6 +124,12 @@ def z_family_from_json(data: Mapping) -> LocalFamily:
     if "default" not in data:
         raise InvalidInputError("malformed Z family JSON: 'default'")
     primes = {p: int(p.lstrip("0") or "0") for p in exceptions}
+    key_of = {}
+    for key, p in primes.items():
+        if key_of.setdefault(p, key) != key:
+            raise InvalidInputError(
+                f"Z family exception keys {key_of[p]!r} and {key!r} name the same prime {p}"
+            )
     poset = z_poset(primes.values())
     wire = {CLOSED_POINT: data["default"], **{f"({primes[p]})": f for p, f in exceptions.items()}}
     return LocalFamily(

@@ -110,15 +110,6 @@ def _check_compat(report: SweepReport, poset: SpectralPoset) -> None:
                     "reason": "condition (dagger) and ideal-family description disagree",
                 }
             )
-        verdict = gluing.check_dagger_sets(poset, family)
-        if verdict.dagger_holds and not verdict.glued_thomason:
-            report.failures.append(
-                {
-                    "poset": descr,
-                    "family": {m: set_to_json(s) for m, s in family.items()},
-                    "reason": "compatible family glued to a non-Thomason set",
-                }
-            )
 
 
 def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:

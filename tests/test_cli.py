@@ -332,6 +332,9 @@ def test_malformed_json_is_a_parse_error(capsys, tmp_path):
     bad.write_bytes(b"\xff\xfe{")  # not UTF-8
     assert main(["spec", "--ring", str(bad)]) == 2
     assert "malformed JSON in --ring" in capsys.readouterr().err
+    assert main(["spec", "--ring", '{"kind":"zmod","n":%s}' % ("1" * 5000)]) == 2
+    err = capsys.readouterr().err
+    assert "--ring" in err and "4300 digits" in err and "set_int_max_str_digits" not in err
 
 
 def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
@@ -374,6 +377,8 @@ FAR_BREAKPOINTS = {
 FAR_STEPS = {"poset": {"elements": ["a", "b"]}, "exceptions": {"a": step_at(0), "b": step_at(10**8)}}
 CHAIN_AB = {"elements": ["a", "b"], "leq": [["a", "b"]]}
 BIG_PRIME = 1000000000000000003  # trial division takes about a minute
+STEP_AT_2 = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
+EMPTY_FILT = {"low_tail": [], "breakpoints": [], "high_tail": []}
 
 
 def z_level(p):
@@ -449,6 +454,11 @@ def z_key(key):
         (z_level(10**400 + 1), "MAX_Z_PRIME = 1000000"),
         (z_level(BIG_PRIME), "MAX_Z_PRIME = 1000000"),
         (z_key(str(BIG_PRIME)), "MAX_Z_PRIME = 1000000"),
+        (["glue", "--family", json.dumps({"poset": INTEGERS, "default": Z_DEFAULT,
+                                          "exceptions": {"2": STEP_AT_2, "02": EMPTY_FILT}})],
+         "keys '2' and '02' name the same prime 2"),
+        (["fuzz", "--max-poset", "1", "--max-ring", "301"], "MAX_CATALOG_RING = 300"),
+        (["fuzz", "--max-poset", "1", "--max-ring", str(10**9)], "MAX_CATALOG_RING = 300"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -462,7 +472,8 @@ def z_key(key):
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
          "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
          "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
-         "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime"],
+         "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
+         "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

@@ -2,14 +2,13 @@ import itertools
 
 import pytest
 
-from spectral_glue import gluing
+from spectral_glue import catalog, gluing
 from spectral_glue import (
     IncompatibleFamilyError,
     InvalidInputError,
     LocalFamily,
     SpectralPoset,
     ThomasonSet,
-    check_dagger_sets,
     check_lemma_equiv,
     constant_filtration,
     glue_filtrations,
@@ -26,7 +25,7 @@ from spectral_glue.catalog import (
     poset_catalog,
 )
 from spectral_glue.poset import all_up_sets, is_thomason, localization_poset, maximal_points
-from spectral_glue.sweeps import sweep_filtration_bijection
+from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv
 
 from conftest import up
 
@@ -48,17 +47,14 @@ def test_localize_then_glue_is_identity(vee):
 
 def test_incompatible_family_has_witness(vee):
     sets = {"m1": local_set(vee, "m1"), "m2": local_full(vee, "m2")}
-    report = check_dagger_sets(vee, sets)
-    assert not report.dagger_holds
-    m1, m2, p = report.violating_pair
-    assert {m1, m2} == {"m1", "m2"} and p == "p"
-    with pytest.raises(IncompatibleFamilyError):
+    with pytest.raises(IncompatibleFamilyError) as err:
         glue_sets(vee, sets)
+    m1, m2, p = err.value.witness
+    assert {m1, m2} == {"m1", "m2"} and p == "p"
 
 
 def test_compatible_family_glues_to_union_of_stars(vee):
     sets = {"m1": local_full(vee, "m1"), "m2": local_full(vee, "m2")}
-    assert check_dagger_sets(vee, sets).dagger_holds
     assert glue_sets(vee, sets).is_full()
     disjoint = {"m1": local_set(vee, "m1", "m1"), "m2": local_set(vee, "m2")}
     assert glue_sets(vee, disjoint).members == {"m1"}
@@ -107,7 +103,7 @@ def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     family = localize_filtrations(filt)
-    assert check_dagger_sets(vee, family.sets_at(0)).dagger_holds
+    assert glue_sets(vee, family.sets_at(0)) == filt.at(0)
     assert glue_filtrations(family) == filt
 
 
@@ -136,6 +132,27 @@ def test_lemma_equiv_on_examples(vee):
     incompatible = {"m1": local_set(vee, "m1"), "m2": local_full(vee, "m2")}
     assert check_lemma_equiv(vee, compatible)
     assert check_lemma_equiv(vee, incompatible)
+
+
+def _generic_only(vee):
+    """X(m1) = X(m2) = {p}: the local sets agree on p, but neither is an up-set."""
+    subs = {m: localization_poset(vee, m) for m in ("m1", "m2")}
+    return {m: ThomasonSet(sub, sub.mask_of(["p"])) for m, sub in subs.items()}
+
+
+def test_lemma_equiv_fails_on_agreeing_sets_that_are_not_up_sets(vee):
+    # the union {p} is no up-set, so it differs from X', which always is one
+    assert not check_lemma_equiv(vee, _generic_only(vee))
+
+
+def test_compat_sweep_records_a_family_whose_descriptions_disagree(monkeypatch, vee):
+    monkeypatch.setattr(catalog, "poset_catalog", lambda max_size: [vee])
+    monkeypatch.setattr(catalog, "all_set_families", lambda poset: [_generic_only(vee)])
+    report = sweep_lemma_equiv(3)
+    assert report.checked == 1
+    assert [f["reason"] for f in report.failures] == [
+        "condition (dagger) and ideal-family description disagree"
+    ]
 
 
 def test_lemma_equiv_exhaustive_small():
@@ -234,10 +251,8 @@ def test_mask_gluing_matches_label_sets_on_the_catalog():
         for family, ref in zip(families, expected):
             witness, glued = _ref_check(down, ref)
             closed = all(b in glued for a, b in leq if a in glued)
-            report = check_dagger_sets(poset, family)
-            assert (report.dagger_holds, report.violating_pair) == (witness is None, witness)
-            assert report.glued_thomason == closed
             if witness is None:
+                assert closed
                 assert glue_sets(poset, family).members == glued
             else:
                 with pytest.raises(IncompatibleFamilyError) as err:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from spectral_glue import (
@@ -9,6 +11,7 @@ from spectral_glue import (
     cosilting_equivalent,
     components_of_cosilting,
     cyclic_module,
+    direct_sum,
     free_module,
     glue_cosilting,
     injective_class_of,
@@ -20,13 +23,17 @@ from spectral_glue import (
     two_term_filtration,
 )
 from spectral_glue import rings, sweeps
-from spectral_glue.catalog import all_thomason_sets
-from spectral_glue.rings import all_ideals, indecomposable_injectives, spec
+from spectral_glue.catalog import all_thomason_sets, cosilting_fixtures
+from spectral_glue.rings import Ideal, all_ideals, indecomposable_injectives, spec
 from spectral_glue.torsion_cosilting import (
+    CosiltingModule,
     TorsionTable,
     cosilting_from_json,
     cosilting_from_modules,
     cosilting_thomason_of_module,
+    cyclic_annihilators,
+    cyclic_in_b_eta,
+    cyclic_in_cogen,
     thomason_of_injective_class,
 )
 
@@ -188,3 +195,58 @@ def test_equivalence_is_invariant_under_duplication(z12):
     assert cosilting_equivalent(c, doubled)
     other = cosilting_from_modules(z12, [cyclic_module(z12, 4)])
     assert not cosilting_equivalent(c, other)
+
+
+# -- the per-cyclic cosilting test against the multiset sweep ------------------
+
+
+def _multiset_is_cosilting(cosilting):
+    """B_eta = Cogen(C) compared on every direct sum of cyclics R/(a) of order
+    at most |R|^2, one multiset of annihilators at a time."""
+    ring = cosilting.ring
+    gens = cyclic_annihilators(ring)
+    orders = [ring.order // len(Ideal(ring, (g,)).members) for g in gens]
+    in_b = [cyclic_in_b_eta(ring, a, cosilting) for a in gens]
+    in_c = [cyclic_in_cogen(ring, a, cosilting.module) for a in gens]
+
+    def multisets(prefix, total, start):
+        yield prefix
+        for i in range(start, len(gens)):
+            if total * orders[i] <= ring.order**2:
+                yield from multisets(prefix + (i,), total * orders[i], i)
+
+    return all(
+        all(in_b[i] for i in ms) == all(in_c[i] for i in ms) for ms in multisets((), 1, 0)
+    )
+
+
+def _copresentations(ring):
+    """Every eta: Q0 -> Q1 between sums of distinct indecomposable injectives."""
+    injectives = indecomposable_injectives(ring)
+    sums = [
+        direct_sum(ring, combo)
+        for k in range(len(injectives) + 1)
+        for combo in itertools.combinations(injectives, k)
+    ]
+    for q0 in sums:
+        for q1 in sums:
+            for eta in q0.homs_to(q1):
+                yield CosiltingModule(ring, q0, q1, eta)
+
+
+@pytest.mark.parametrize(
+    "ring, count, cosilting",
+    [(ZMod(12), 42, 4), (ProductRing((ZMod(4), PolyQuot(2, (0, 0, 1)))), 49, 4)],
+    ids=str,
+)
+def test_is_cosilting_per_cyclic_matches_the_multiset_sweep(ring, count, cosilting):
+    copresentations = list(_copresentations(ring))
+    verdicts = [is_cosilting(c) for c in copresentations]
+    assert verdicts == [_multiset_is_cosilting(c) for c in copresentations]
+    assert (len(verdicts), sum(verdicts)) == (count, cosilting)
+
+
+def test_is_cosilting_per_cyclic_matches_the_multiset_sweep_on_the_fixtures():
+    fixtures = cosilting_fixtures()
+    assert len(fixtures) == 16
+    assert all(is_cosilting(c) and _multiset_is_cosilting(c) for c in fixtures)
