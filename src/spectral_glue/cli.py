@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, InvalidInputError, SpectralGlueError, json_object
+from .modules import power_exceeds
 from .poset import SpectralPoset, localization_poset, maximal_points
 from .thomason import (
     filtration_from_json,
@@ -239,17 +240,22 @@ def cmd_lemma_equiv(args) -> int:
 def cmd_koszul(args) -> int:
     ring = _ring(args)
     gens = _load_json(args, "generators")
-    if not isinstance(gens, list):
-        raise InvalidInputError(f"'generators' must be a list of ring elements, got {gens!r}")
+    if not isinstance(gens, list) or not gens:
+        raise InvalidInputError(
+            f"'generators' must be a nonempty list of ring elements, got {gens!r}"
+        )
     gens = [ring.element_from_json(g) for g in gens]
     # checked before building: the d o d check alone is cubic in the rank, and
-    # the cohomology below enumerates the middle term R^C(k, k/2)
-    rank = math.comb(len(gens), len(gens) // 2)
-    if gens and ring.order**rank > homalg.ENUMERATION_LIMIT:
+    # the cohomology below enumerates the middle term R^C(k, k/2).  That rank
+    # is at least k and |R| >= 2, so a k over log2 of the bound is refused
+    # before the binomial is formed.
+    k, bound = len(gens), homalg.ENUMERATION_LIMIT
+    rank = math.comb(k, k // 2) if k <= bound.bit_length() else None
+    if rank is None or power_exceeds(ring.order, rank, bound):
         raise SpectralGlueError(
-            f"the Koszul complex on {len(gens)} generators has a middle term of "
-            f"rank {rank} over a ring of {ring.order} elements, over the enumeration "
-            f"bound of {homalg.ENUMERATION_LIMIT} elements"
+            f"the Koszul complex on {k} generators has a middle term of rank "
+            f"{rank or f'at least {k}'} over a ring of {ring.order} elements, over "
+            f"the enumeration bound of {bound} elements"
         )
     kos = homalg.koszul(ring, gens)
     payload = {

@@ -206,10 +206,9 @@ def koszul(ring: FiniteRing, generators) -> BoundedComplex:
         for col, subset in enumerate(src_basis):
             for t, i in enumerate(subset):
                 rest = tuple(x for x in subset if x != i)
-                sign = 1 if t % 2 == 0 else -1
-                entry = generators[i] if sign == 1 else ring.neg(generators[i])
-                row = dst_index[rest]
-                matrix[row][col] = ring.add(matrix[row][col], entry)
+                # each (row, col) is met once: the S - {i} differ for the i in S
+                entry = generators[i] if t % 2 == 0 else ring.neg(generators[i])
+                matrix[dst_index[rest]][col] = entry
         diffs[-j] = tuple(tuple(r) for r in matrix)
     return BoundedComplex(ring, terms, diffs)
 

@@ -27,7 +27,7 @@ from .thomason import ThomasonFiltration, ThomasonSet, filtration_from_json, fil
 
 GENERIC = "(0)"
 CLOSED_POINT = "(m)"  # every maximal ideal that the data does not name
-# the trial-division limit, as rings.factorint_trial sets for moduli
+# the trial-division limit, as rings.MAX_MODULUS sets for moduli
 MAX_Z_PRIME = 10**6
 
 

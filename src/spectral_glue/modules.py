@@ -238,12 +238,26 @@ class IndexArithmetic:
 # -- constructors -----------------------------------------------------------
 
 
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base ** exponent > bound, for base >= 2, without forming the
+    power: multiplying up stops once past the bound, after about log2(bound)
+    steps however large the exponent."""
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > bound:
+            return True
+    return False
+
+
 def free_module(ring, rank: int) -> FiniteModule:
     if rank < 0:
         raise InvalidInputError("rank must be nonnegative")
-    if rank and len(ring.elements()) ** rank > 2_000_000:
+    elements = ring.elements()  # the integers adapter raises here
+    # the order, not len(elements): a product of many factors overflows len()
+    if power_exceeds(ring.order, rank, 2_000_000):
         raise InvalidInputError(f"free module of rank {rank} too large to enumerate")
-    elements = itertools.product(ring.elements(), repeat=rank)
+    elements = itertools.product(elements, repeat=rank)
     add = lambda u, v: tuple(map(ring.add, u, v))
     smul = lambda r, u: tuple([ring.mul(r, a) for a in u])
     return FiniteModule(ring, elements, add, smul, (ring.zero,) * rank)

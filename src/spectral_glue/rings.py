@@ -14,12 +14,22 @@ converts elements to and from their wire form: Z/n takes the residue itself
 ``itertools.product`` order (wire form: a coefficient list, constant term
 first), and a product numbers component tuples in mixed radix, first factor
 most significant (wire form: the list of component forms).
+
+The tables serve element arithmetic only.  Ideals, V(I) and the valuations
+of the local chain rings are read off valuation vectors: a local Z/p^k or
+F_p[x]/(pi^k) finds the valuation of each element from its own arithmetic
+(the powers of p dividing a residue, division by pi), and the vector of an
+element of R holds the valuations of its projections to the local factors.
+An ideal is then a vector (j_m) with 0 <= j_m <= L_m, holding the x whose
+vector is at least (j_m) everywhere.  Valuations are tabulated per element
+too, so they share the tables' size bound (``TABLE_LIMIT``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable, Mapping
@@ -135,9 +145,11 @@ def poly_str(coeffs) -> str:
 # -- integer helpers ---------------------------------------------------------
 
 
+# the largest Z/n: trial division factors it in about a thousand steps
+MAX_MODULUS = 10**6
+
+
 def factorint_trial(n: int) -> dict[int, int]:
-    if n > 10**6:
-        raise InvalidInputError("modulus too large for trial division (limit 10^6)")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -197,26 +209,13 @@ class LocalFactor:
     def lift(self) -> Callable:
         return tuple(map(self.lift_of, range(self.ring.order))).__getitem__
 
-    @cached_property
+    @property
     def valuation(self) -> tuple[tuple, tuple]:
         """``(chain, val)`` for the chain ring R_m with uniformizer t:
         ``chain[j]`` is |t^j R_m| for j = 0 .. L, ending in 1 at the length L,
         and ``val[x]`` is the largest j with x in t^j R_m (L for zero)."""
-        ring = self.ring
-        t = self.proj(self.prime_gen)
-        val = [0] * ring.order
-        chain = []
-        power = ring.one
-        while True:
-            ideal = {ring.mul(power, r) for r in ring.elements()}
-            chain.append(len(ideal))
-            if len(ideal) == 1:
-                break
-            for x in ideal:
-                val[x] = len(chain) - 1
-            power = ring.mul(power, t)
-        val[ring.zero] = len(chain) - 1
-        return tuple(chain), tuple(val)
+        self.ring._check_tabulable()
+        return self.ring._chain_valuation
 
     def component(self, module: FiniteModule) -> FiniteModule:
         """The component eM of a module over the global ring, as a module over
@@ -240,13 +239,18 @@ class FiniteRing:
     def elements(self) -> range:
         return range(self.order)
 
-    @cached_property
-    def _tables(self):
+    def _check_tabulable(self) -> None:
+        """Refuse a ring too large for the per-element tables: the arithmetic
+        tables, and the valuations behind ideals and V(I)."""
         if self.order**2 > TABLE_LIMIT:
             raise InvalidInputError(
                 f"{self.describe()} has {self.order} elements; ring tables are limited "
                 f"to {TABLE_LIMIT} entries (order at most {math.isqrt(TABLE_LIMIT)})"
             )
+
+    @cached_property
+    def _tables(self):
+        self._check_tabulable()
         return self._build_tables()
 
     _add = cached_property(lambda self: self._tables[0])
@@ -269,6 +273,34 @@ class FiniteRing:
     def local_factors(self) -> list[LocalFactor]:
         return self._factors
 
+    @cached_property
+    def _valuations(self) -> list[tuple]:
+        """The valuation vector of each element x: val_m(proj_m x) over the
+        local factors m, in ``local_factors()`` order."""
+        self._check_tabulable()
+        columns = []
+        for lf in self._factors:
+            val = lf.valuation[1]
+            columns.append([val[lf.proj(x)] for x in self.elements()])
+        return list(zip(*columns))
+
+    @cached_property
+    def _ideals(self) -> tuple:
+        """What :func:`all_ideals` returns, computed once per ring."""
+        vectors = self._valuations
+        least: dict[tuple, int] = {}
+        for g, vector in enumerate(vectors):
+            least.setdefault(vector, g)
+        ideals = []
+        for vector, g in least.items():
+            ideal = Ideal(self, (g,))
+            # the cached property, filled without forming the products r * g
+            ideal.__dict__["members"] = frozenset(
+                x for x, v in enumerate(vectors) if all(map(operator.ge, v, vector))
+            )
+            ideals.append(ideal)
+        return tuple(sorted(ideals, key=lambda i: sorted(i.members)))
+
     def __eq__(self, other):
         return type(self) is type(other) and self.descriptor() == other.descriptor()
 
@@ -287,7 +319,9 @@ class ZMod(FiniteRing):
     def __init__(self, n: int):
         json_int(n, "'n'")
         if n < 2:
-            raise InvalidInputError("modulus must be at least 2")
+            raise InvalidInputError(f"'n' must be at least 2, got {n}")
+        if n > MAX_MODULUS:
+            raise InvalidInputError(f"'n' is over the bound MAX_MODULUS = {MAX_MODULUS}, got {n}")
         self.n = self.order = n
         self.one = 1
 
@@ -297,6 +331,16 @@ class ZMod(FiniteRing):
         neg = [(-a) % n for a in range(n)]
         mul = [[(a * b) % n for b in range(n)] for a in range(n)]
         return add, neg, mul
+
+    @cached_property
+    def _chain_valuation(self):
+        """``(chain, val)`` of a local Z/p^k: ``val[x]`` is the p-adic
+        valuation of the residue x, capped at k."""
+        ((p, k),) = factorint_trial(self.n).items()
+        val = [0] * self.n
+        for j in range(1, k + 1):
+            val[:: p**j] = [j] * (self.n // p**j)
+        return tuple(p ** (k - j) for j in range(k + 1)), tuple(val)
 
     @cached_property
     def _factors(self):
@@ -350,12 +394,12 @@ class PolyQuot(FiniteRing):
             raise InvalidInputError(f"'f' must be a list of integer coefficients, got {f!r}")
         # p > 7 is refused below, so divisors below 8 decide primality
         if p < 2 or any(p % d == 0 for d in range(2, min(p, 8))):
-            raise InvalidInputError("p must be prime")
+            raise InvalidInputError(f"'p' must be prime, got {p}")
         f = pnorm(f, p)
         if len(f) < 2:
-            raise InvalidInputError("f must be non-constant")
+            raise InvalidInputError(f"'f' must be non-constant modulo {p}")
         if p > 7 or len(f) - 1 > 6:
-            raise InvalidInputError("supported range is p <= 7 and deg f <= 6")
+            raise InvalidInputError("supported range is 'p' <= 7 and deg 'f' <= 6")
         self.p = p
         self.f = pmonic(f, p)
         self.deg = len(f) - 1
@@ -389,6 +433,25 @@ class PolyQuot(FiniteRing):
                 ax = [(lo + ax[-1] * t) % p for lo, t in zip([0] + ax[:-1], x_to_d)]
             mul.append(row)
         return add, neg, mul
+
+    @cached_property
+    def _chain_valuation(self):
+        """``(chain, val)`` of a local F_p[x]/(pi^k): ``val[x]`` is the
+        multiplicity of pi in x, capped at k, found by division."""
+        factors = poly_factor(self.f, self.p)
+        (pi,) = set(factors)
+        k = len(factors)
+        val = []
+        for x in self.elements():
+            coeffs, v = self._coeffs(x), 0
+            while v < k:
+                coeffs, rem = pdivmod(coeffs, pi, self.p)
+                if rem:
+                    break
+                v += 1
+            val.append(v)
+        e = len(pi) - 1
+        return tuple(self.p ** (e * (k - j)) for j in range(k + 1)), tuple(val)
 
     @cached_property
     def _factors(self):
@@ -450,10 +513,12 @@ class ProductRing(FiniteRing):
     def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
-            raise InvalidInputError("product needs at least one factor")
+            raise InvalidInputError("'factors' must list at least one ring")
         self.factors = factors
-        # elements() rather than order: the integers adapter raises here
-        sizes = [len(f.elements()) for f in factors]
+        for f in factors:
+            f.elements()  # the integers adapter raises here
+        # the orders, not len(elements()): a product of many factors overflows len()
+        sizes = [f.order for f in factors]
         self.order = math.prod(sizes)
         self._weights = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
         self.one = sum(f.one * w for f, w in zip(factors, self._weights))
@@ -592,13 +657,13 @@ def v_of_ideal(ring: FiniteRing, ideal: Ideal) -> ThomasonSet:
     """Primes containing every generator of the ideal."""
     if ideal.ring != ring:
         raise InvalidInputError("ideal belongs to a different ring")
-    poset, labeling = spec(ring)
+    ring._check_tabulable()
     members = [
-        label
-        for label, prime in labeling.items()
-        if all(g in prime.members for g in ideal.generators)
+        lf.label
+        for lf in ring.local_factors()
+        if all(lf.valuation[1][lf.proj_of(g)] > 0 for g in ideal.generators)
     ]
-    return ThomasonSet.from_members(poset, members)
+    return ThomasonSet.from_members(spec(ring)[0], members)
 
 
 def localize_ring(ring: FiniteRing, label: str):
@@ -641,13 +706,14 @@ def indecomposable_injectives(ring: FiniteRing) -> list[FiniteModule]:
 
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:
-    """All ideals, one principal representative each, deterministically ordered."""
-    seen: dict[frozenset, Ideal] = {}
-    for g in ring.elements():
-        ideal = Ideal(ring, (g,))
-        if ideal.members not in seen:
-            seen[ideal.members] = ideal
-    return sorted(seen.values(), key=lambda i: sorted(i.members))
+    """All ideals, one principal representative each, sorted by sorted members.
+
+    The ring is a product of chain rings, so an ideal is a vector (j_m) with
+    0 <= j_m <= L_m, and its members are the x whose valuation vector is at
+    least (j_m) in every coordinate.  The representative of each is its least
+    generator, and each returned ideal carries its members.
+    """
+    return list(ring._ideals)
 
 
 def module_from_json(ring: FiniteRing, data: Mapping) -> FiniteModule:

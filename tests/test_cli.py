@@ -376,6 +376,14 @@ FAR_BREAKPOINTS = {
 }
 FAR_STEPS = {"poset": {"elements": ["a", "b"]}, "exceptions": {"a": step_at(0), "b": step_at(10**8)}}
 CHAIN_AB = {"elements": ["a", "b"], "leq": [["a", "b"]]}
+# a factor, and a product of factors, too large for len(range(order)) to answer
+HUGE_FACTOR = {"kind": "product", "factors": [{"kind": "zmod", "n": 10**400 + 1},
+                                              {"kind": "poly_quot", "p": 2, "f": [0, 0, 1]}]}
+WIDE_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 1000}] * 40}
+# 3^12 squared: a two-point Spec on about 2.8e11 elements, within every bound but the tables'
+TWO_POINT_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 531441}] * 2}
+# Z/1000 cubed: six local factors, none over the table bound, on 10^9 elements
+SMALL_FACTORS_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 1000}] * 3}
 BIG_PRIME = 1000000000000000003  # trial division takes about a minute
 STEP_AT_2 = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
 EMPTY_FILT = {"low_tail": [], "breakpoints": [], "high_tail": []}
@@ -441,6 +449,27 @@ def z_key(key):
         (localize_filtration("[1]"), "filtration JSON"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", json.dumps(list(range(17)))],
          "enumeration bound of 2000000"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", json.dumps([1] * 40)],
+         "rank at least 40 over a ring of 12 elements, over the enumeration bound of 2000000"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", json.dumps([1] * 10_000)],
+         "enumeration bound of 2000000"),
+        (cohomology_of({"terms": {"0": {"module": {"rank": 10**7}}}}),
+         "free module of rank 10000000 too large to enumerate"),
+        (["koszul", "--ring", json.dumps(Z12), "--generators", "[]"], "'generators'"),
+        (["koszul", "--ring", json.dumps(HUGE_FACTOR), "--generators", "[[2, [0, 1]]]"],
+         "MAX_MODULUS = 1000000"),
+        (["koszul", "--ring", json.dumps(WIDE_PRODUCT), "--generators", json.dumps([[1] * 40])],
+         "rank 1 over a ring of 10000000000"),
+        (["cohomology", "--ring", json.dumps(WIDE_PRODUCT),
+          "--complex", '{"terms": {"0": {"free": 1}}}'], "free module of rank 1 too large"),
+        (["torsion-roundtrip", "--ring", json.dumps(TWO_POINT_PRODUCT)],
+         "ring tables are limited to 1048576 entries"),
+        (["torsion-roundtrip", "--ring", json.dumps(SMALL_FACTORS_PRODUCT)],
+         "ring tables are limited to 1048576 entries"),
+        (["spec", "--ring", '{"kind": "zmod", "n": -999999996}'], "'n'"),
+        (["spec", "--ring", '{"kind": "poly_quot", "p": 11, "f": [2, 0, 1]}'], "'p' <= 7"),
+        (["spec", "--ring", '{"kind": "poly_quot", "p": 3, "f": [2, 3]}'], "'f'"),
+        (["spec", "--ring", '{"kind": "product", "factors": []}'], "'factors'"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", '{"a": 1}'], "'generators'"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", '"ab"'], "'generators'"),
         (["koszul", "--ring", json.dumps(Z12), "--generators", "5"], "'generators'"),
@@ -470,6 +499,11 @@ def z_key(key):
          "differentials-key-underscore", "fuzz-max-poset-7", "fuzz-window-reversed",
          "fuzz-window-wide", "breakpoints-int",
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
+         "koszul-generators-40", "koszul-generators-10000", "module-rank-huge",
+         "koszul-generators-empty", "koszul-factor-401-digits", "koszul-product-120-digits",
+         "free-over-product-120-digits", "torsion-roundtrip-two-point-product",
+         "torsion-roundtrip-small-factors", "n-negative", "p-over-7",
+         "f-constant", "factors-empty",
          "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
          "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",

@@ -20,6 +20,7 @@ from spectral_glue import (
     support,
     v_of_ideal,
 )
+from spectral_glue import sweeps
 from spectral_glue.catalog import poly_catalog, product_catalog, zmod_catalog
 from spectral_glue.rings import all_ideals, localize_ring, module_from_json, pdivmod, pmul, pnorm, spec
 
@@ -248,11 +249,14 @@ def pairs(ring, count=300):
     return [(rnd.randrange(ring.order), rnd.randrange(ring.order)) for _ in range(count)]
 
 
-@pytest.mark.parametrize(
+CATALOGS = pytest.mark.parametrize(
     "catalog",
     [lambda: zmod_catalog(60), lambda: poly_catalog(5, 3), lambda: product_catalog(40)],
     ids=["zmod", "poly_quot", "product"],
 )
+
+
+@CATALOGS
 def test_tables_agree_with_label_arithmetic(catalog):
     for ring in catalog():
         names = labels(ring)
@@ -282,6 +286,65 @@ def test_tables_agree_with_label_arithmetic(catalog):
             for y in local.elements():
                 assert lf.proj(lf.lift(y)) == y, (ring, lf.label, y)
         assert total == ring.one, ring
+
+
+def enumerated_ideals(ring, mul):
+    """(members, generator) per ideal as the principal ideals of all elements
+    give them: the first generator met is kept, sorted by sorted members."""
+    seen = {}
+    for g in ring.elements():
+        seen.setdefault(frozenset(mul[g][r] for r in ring.elements()), g)
+    return sorted(seen.items(), key=lambda item: sorted(item[0]))
+
+
+def tabulated_valuation(lf):
+    """``LocalFactor.valuation`` from the powers t^j R_m, formed in the table."""
+    ring = lf.ring
+    mul = ring._build_tables()[2]
+    t = lf.proj(lf.prime_gen)
+    val = [0] * ring.order
+    chain = []
+    power = ring.one
+    while True:
+        ideal = {mul[power][r] for r in ring.elements()}
+        chain.append(len(ideal))
+        if len(ideal) == 1:
+            break
+        for x in ideal:
+            val[x] = len(chain) - 1
+        power = mul[power][t]
+    val[ring.zero] = len(chain) - 1
+    return tuple(chain), tuple(val)
+
+
+@CATALOGS
+def test_valuation_vectors_match_the_multiplication_table(catalog):
+    """Ideals, V(I) and the chain valuations read off valuation vectors equal
+    those found by multiplying out every principal ideal."""
+    for ring in catalog():
+        mul = ring._build_tables()[2]
+        ideals = [(ideal.members, ideal.generators) for ideal in all_ideals(ring)]
+        assert ideals == [(members, (g,)) for members, g in enumerated_ideals(ring, mul)], ring
+        factors = ring.local_factors()
+        primes = [frozenset(mul[lf.prime_gen][r] for r in ring.elements()) for lf in factors]
+        poset = spec(ring)[0]
+        for g in ring.elements():
+            v_set = [lf.label for lf, prime in zip(factors, primes) if g in prime]
+            assert v_of_ideal(ring, Ideal(ring, (g,))).mask == poset.mask_of(v_set), (ring, g)
+        for lf in factors:
+            assert lf.valuation == tabulated_valuation(lf), (ring, lf.label)
+
+
+@pytest.mark.parametrize("ring", [PolyQuot(5, (1, 1, 0, 1)), ZMod(60)], ids=str)
+def test_koszul_support_builds_no_tables(ring):
+    """The Koszul-support checks (all_ideals, koszul, v_of_ideal and
+    support_of_cohomology on one-generator complexes) read valuation vectors
+    only, so neither the ring nor a local factor ring is tabulated."""
+    report = sweeps.SweepReport("koszul_support")
+    sweeps._check_koszul(report, ring)
+    assert report.checked and not report.failures
+    for r in [ring] + [lf.ring for lf in ring.local_factors()]:
+        assert "_tables" not in vars(r), r
 
 
 def test_table_size_is_checked_before_building():

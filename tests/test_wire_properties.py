@@ -1,4 +1,5 @@
-"""Mutated gluing inputs at the wire: a clean verdict or a named refusal.
+"""Mutated gluing and ``koszul`` inputs at the wire: a clean verdict or a
+named refusal.
 
 The ``--family`` and ``--filtration`` inputs of the recorded ``glue``,
 ``compat-check``, ``lemma-equiv`` and ``localize`` cases in
@@ -7,8 +8,11 @@ another JSON type, lists shortened, ints replaced by +-10^9, 10^18 + 3 or
 10^400 + 1, and every breakpoint shifted by +-10^9.  Each call must exit 0, 1 or 2 within a
 second, never raise, and an exit 2 must name a field of the input, a bound or
 the order check that failed; a refusal by the degree-span bound needs
-breakpoints that lie that far apart.  Hypothesis runs derandomized, so the
-suite stays deterministic.
+breakpoints that lie that far apart.  The ring JSON and ``--generators`` of
+the recorded ``koszul`` cases take the same mutations; those calls get two
+seconds, and an exit 2 must name a field of the ring or the generators, an
+element of the ring, or a bound.  Hypothesis runs derandomized, so the suite
+stays deterministic.
 """
 
 import contextlib
@@ -41,6 +45,12 @@ NAMED = re.compile(
     r"|MAX_[A-Z_]+ = \d+"
     r"|\bfiltration not decreasing\b|\btails differ\b"
     r"|\bruns on finite posets only\b|\bdefault populates the closed point\b"
+)
+# a quoted field of the ring or generators JSON, the ring kind, an element
+# of the named ring, or a bound
+KOSZUL_NAMED = re.compile(
+    r"'(kind|n|p|f|factors|generators|ring element)'|\bring JSON\b|\bring kind\b"
+    r"|\ban element of\b|\bbound\b"
 )
 SWAPS = [5, -1, 2.5, True, None, "x", "full", [], {}]
 # a far degree, and Z primes over the trial-division bound: the last two took
@@ -125,27 +135,58 @@ def mutated_argv(draw):
     return name, argv[:k] + [json.dumps(data)] + argv[k + 1 :]
 
 
-@settings(
+DERANDOMIZED = settings(
     derandomize=True,
     max_examples=400,
     deadline=None,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(mutated_argv())
-def test_mutated_gluing_inputs_exit_cleanly(case):
-    name, argv = case
+
+
+def _exits_cleanly(name, argv, seconds, named) -> str:
+    """Run one call; assert exit 0, 1 or 2 within ``seconds``, no traceback,
+    and an exit 2 whose message ``named`` matches.  Returns the stderr."""
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert time.monotonic() - start < 1, (name, argv)
+    assert time.monotonic() - start < seconds, (name, argv)
     assert code in (0, 1, 2), (name, argv)
     assert "Traceback" not in err.getvalue()
     if code == 2:
-        assert NAMED.search(err.getvalue()), (name, argv, err.getvalue())
-    if "MAX_DEGREE_SPAN" in err.getvalue():
+        assert named.search(err.getvalue()), (name, argv, err.getvalue())
+    return err.getvalue()
+
+
+@DERANDOMIZED
+@given(mutated_argv())
+def test_mutated_gluing_inputs_exit_cleanly(case):
+    name, argv = case
+    if "MAX_DEGREE_SPAN" in _exits_cleanly(name, argv, 1, NAMED):
         # every member's window lies inside its own breakpoints, so only input
         # whose breakpoints lie that far apart may be refused by the span bound
         ns = list(_breakpoint_degrees(json.loads(argv[_input_index(argv)])))
         assert max(ns) - min(ns) > MAX_DEGREE_SPAN, (name, argv)
+
+
+KOSZUL_CASES = [
+    (name, case["argv"]) for name, case in sorted(GOLDEN.items()) if "koszul" in case["argv"]
+]
+
+
+@st.composite
+def mutated_koszul_argv(draw):
+    """A recorded ``koszul`` call with its ring JSON, its generators or both mutated."""
+    name, argv = draw(st.sampled_from(KOSZUL_CASES))
+    argv = list(argv)
+    for option in draw(st.sampled_from([["--ring"], ["--generators"], ["--ring", "--generators"]])):
+        k = argv.index(option) + 1
+        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+    return name, argv
+
+
+@DERANDOMIZED
+@given(mutated_koszul_argv())
+def test_mutated_koszul_inputs_exit_cleanly(case):
+    _exits_cleanly(*case, 2, KOSZUL_NAMED)
