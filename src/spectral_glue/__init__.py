@@ -46,7 +46,7 @@ from .homalg import (
     stalk_complex,
     support_of_cohomology,
 )
-from .modules import FiniteModule, cyclic_module, direct_sum, free_module, zero_module
+from .modules import FiniteModule, direct_sum, free_module, zero_module
 from .poset import SpectralPoset, localization_poset, maximal_points
 from .rings import (
     FiniteRing,
@@ -55,6 +55,7 @@ from .rings import (
     PolyQuot,
     ProductRing,
     ZMod,
+    cyclic_module,
     indecomposable_injectives,
     residue_field,
     ring_from_json,

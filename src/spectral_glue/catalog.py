@@ -11,7 +11,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from . import homalg, modules as mod, rings as rng
+from . import homalg, rings as rng
 from .errors import InvalidInputError
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets, localization_poset, maximal_points
@@ -242,7 +242,7 @@ def stalk_complexes(ring: FiniteRing) -> list[BoundedComplex]:
     """Stalks of every cyclic module in degrees 0 and 1, plus the zero
     complex and two-stalk complexes with one cyclic in each of those degrees."""
     cyclics = [
-        mod.cyclic_module(ring, ideal.generators[0]) for ideal in rng.all_ideals(ring)
+        rng.cyclic_module(ring, ideal.generators[0]) for ideal in rng.all_ideals(ring)
     ]
     cyclics = [c for c in cyclics if not c.is_zero_module()]
     out = [homalg.zero_complex(ring)]

@@ -164,9 +164,6 @@ class FiniteModule:
 
     # -- invariants ---------------------------------------------------------
 
-    def element_annihilator(self, x) -> frozenset:
-        return frozenset(r for r in self.ring.elements() if self.smul(r, x) == self.zero)
-
     def local_invariants(self) -> dict:
         """Per local factor: the chain of sizes |t^j M_e|, an isomorphism invariant.
 
@@ -276,11 +273,6 @@ def cokernel_of_rank(ring, rank: int, relations) -> FiniteModule:
             raise InvalidInputError("relation length does not match ambient rank")
     free = free_module(ring, rank)
     return free.quotient(free.span(relations))
-
-
-def cyclic_module(ring, annihilator_gen) -> FiniteModule:
-    """R / (g) as a concrete module."""
-    return cokernel_of_rank(ring, 1, [(annihilator_gen,)])
 
 
 def direct_sum(ring, summands) -> FiniteModule:

@@ -21,8 +21,11 @@ F_p[x]/(pi^k) finds the valuation of each element from its own arithmetic
 (the powers of p dividing a residue, division by pi), and the vector of an
 element of R holds the valuations of its projections to the local factors.
 An ideal is then a vector (j_m) with 0 <= j_m <= L_m, holding the x whose
-vector is at least (j_m) everywhere.  Valuations are tabulated per element
-too, so they share the tables' size bound (``TABLE_LIMIT``).
+vector is at least (j_m) everywhere.  Each ring keeps one ideal table from
+such a vector to the ideal's least generator and members; the members of an
+ideal on any generators, the cyclic modules R/(g) and the residue fields are
+lookups in it.  Valuations are tabulated per element too, so they share the
+tables' size bound (``TABLE_LIMIT``).
 """
 
 from __future__ import annotations
@@ -285,21 +288,18 @@ class FiniteRing:
         return list(zip(*columns))
 
     @cached_property
-    def _ideals(self) -> tuple:
-        """What :func:`all_ideals` returns, computed once per ring."""
+    def _ideals(self) -> dict[tuple, tuple[int, frozenset]]:
+        """The ideal table: each ideal's valuation vector -> (its least
+        generator, its members), in :func:`all_ideals` order."""
         vectors = self._valuations
         least: dict[tuple, int] = {}
         for g, vector in enumerate(vectors):
             least.setdefault(vector, g)
-        ideals = []
-        for vector, g in least.items():
-            ideal = Ideal(self, (g,))
-            # the cached property, filled without forming the products r * g
-            ideal.__dict__["members"] = frozenset(
-                x for x, v in enumerate(vectors) if all(map(operator.ge, v, vector))
-            )
-            ideals.append(ideal)
-        return tuple(sorted(ideals, key=lambda i: sorted(i.members)))
+        table = {
+            j: (g, frozenset(x for x, v in enumerate(vectors) if all(map(operator.ge, v, j))))
+            for j, g in least.items()
+        }
+        return dict(sorted(table.items(), key=lambda item: sorted(item[1][1])))
 
     def __eq__(self, other):
         return type(self) is type(other) and self.descriptor() == other.descriptor()
@@ -628,10 +628,9 @@ class Ideal:
 
     @cached_property
     def members(self) -> frozenset:
-        if len(self.generators) == 1:
-            return principal_members(self.ring, self.generators[0])
-        free = modules.free_module(self.ring, 1)
-        return frozenset(v[0] for v in free.span([(g,) for g in self.generators]))
+        """The table entry at the least vector over the generators' vectors."""
+        vectors = [self.ring._valuations[g] for g in self.generators]
+        return self.ring._ideals[tuple(map(min, zip(*vectors)))][1]
 
     def __contains__(self, x) -> bool:
         return x in self.members
@@ -639,8 +638,15 @@ class Ideal:
 
 @lru_cache(maxsize=None)
 def principal_members(ring: FiniteRing, g) -> frozenset:
-    """The principal ideal (g) = {rg | r in R}, cached per ring and generator."""
-    return frozenset(ring.mul(g, r) for r in ring.elements())
+    """The principal ideal (g), looked up in the ring's ideal table; the
+    cache stays because the benchmark's traced passes read its hit counts."""
+    return ring._ideals[ring._valuations[g]][1]
+
+
+def cyclic_module(ring: FiniteRing, g) -> FiniteModule:
+    """R/(g) as a concrete module: R^1 modulo the members of (g)."""
+    members = principal_members(ring, g)
+    return modules.free_module(ring, 1).quotient(frozenset((m,) for m in members))
 
 
 # -- spectra, localization, modules over rings --------------------------------
@@ -690,8 +696,7 @@ def residue_field(ring: FiniteRing, label: str) -> FiniteModule:
     _, labeling = spec(ring)
     if label not in labeling:
         raise InvalidInputError(f"unknown prime {label!r} of {ring}")
-    free = modules.free_module(ring, 1)
-    return free.quotient(frozenset((m,) for m in labeling[label].members))
+    return cyclic_module(ring, labeling[label].generators[0])
 
 
 def indecomposable_injectives(ring: FiniteRing) -> list[FiniteModule]:
@@ -711,9 +716,9 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
     The ring is a product of chain rings, so an ideal is a vector (j_m) with
     0 <= j_m <= L_m, and its members are the x whose valuation vector is at
     least (j_m) in every coordinate.  The representative of each is its least
-    generator, and each returned ideal carries its members.
+    generator, as the ring's ideal table lists them.
     """
-    return list(ring._ideals)
+    return [Ideal(ring, (g,)) for g, _ in ring._ideals.values()]
 
 
 def module_from_json(ring: FiniteRing, data: Mapping) -> FiniteModule:

@@ -1,9 +1,12 @@
 """Hereditary torsion pairs, the injective-class bijection, and cosilting modules.
 
-Torsion classes are cut out by a Thomason set through supports; cosilting
-modules are finite modules with an injective copresentation eta whose class
-B_eta is compared with Cogen(C) on every cyclic module, which decides the
-equality because both classes are closed under finite sums and summands.
+Torsion classes are cut out by a Thomason set through supports: the support
+of an element x is the set of maximal m with e_m x nonzero, read off the
+idempotents, and the cyclic modules R/I come from the ring's ideal table.
+Cosilting modules are finite modules with an injective copresentation eta
+whose class B_eta is compared with Cogen(C) on every cyclic module, which
+decides the equality because both classes are closed under finite sums and
+summands.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from .thomason import ThomasonFiltration, ThomasonSet, from_levels
 
 
 def _element_support(module: FiniteModule, x) -> frozenset[PrimeId]:
-    """V(Ann(x)) as a set of prime labels."""
-    ann = module.element_annihilator(x)
-    _, labeling = rng.spec(module.ring)
-    return frozenset(label for label, prime in labeling.items() if ann <= prime.members)
+    """V(Ann(x)) = Supp(Rx) as a set of prime labels: Rx is the sum of its
+    components e_m Rx, so m is in it iff e_m x is nonzero."""
+    factors = module.ring.local_factors()
+    return frozenset(lf.label for lf in factors if module.smul(lf.idempotent, x) != module.zero)
 
 
 def torsion_submodule(module: FiniteModule, x_set: ThomasonSet) -> FiniteModule:
@@ -72,13 +75,15 @@ class TorsionTable:
 
     The supports come from the same computations as :func:`is_torsion` (the
     local size chains of each built R/I) and :func:`torsion_submodule` (the
-    annihilator of each element of E), the vanishing from
-    :func:`_annihilated_part`.  Each part is built when first asked for.
+    idempotent components of each element of E), the vanishing from
+    :func:`_annihilated_part`.  Each part is built when first asked for; a
+    ring too large to tabulate is refused before anything is listed.
     """
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
         self.poset, _ = rng.spec(ring)
+        ring._check_tabulable()
 
     @cached_property
     def ideals(self) -> list[Ideal]:
@@ -94,7 +99,7 @@ class TorsionTable:
         """Supp(R/I) as a mask, per ideal."""
         out = []
         for ideal in self.ideals:
-            quotient = mod.cyclic_module(self.ring, ideal.generators[0])
+            quotient = rng.cyclic_module(self.ring, ideal.generators[0])
             out.append(0 if quotient.is_zero_module() else rng.support(quotient).mask)
         return out
 
@@ -241,12 +246,7 @@ def cosilting_from_modules(ring: FiniteRing, summands) -> CosiltingModule:
 
 def cyclic_annihilators(ring: FiniteRing) -> list:
     """One principal annihilator per nonzero cyclic module R/(g)."""
-    out = []
-    everything = frozenset(ring.elements())
-    for ideal in rng.all_ideals(ring):
-        if ideal.members != everything:
-            out.append(ideal.generators[0])
-    return out
+    return [i.generators[0] for i in rng.all_ideals(ring) if len(i.members) < ring.order]
 
 
 def _annihilated_part(target: FiniteModule, a) -> list:
@@ -258,7 +258,7 @@ def cyclic_in_cogen(ring: FiniteRing, a, cogenerator: FiniteModule) -> bool:
     """R/(a) embeds in a power of C iff Hom(R/(a), C) separates its points,
     i.e. for every r outside (a) some a-torsion element c of C has rc != 0."""
     torsion = _annihilated_part(cogenerator, a)
-    ideal = Ideal(ring, (a,)).members
+    ideal = rng.principal_members(ring, a)
     for r in ring.elements():
         if r in ideal:
             continue

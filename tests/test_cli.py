@@ -267,17 +267,25 @@ def test_integers_family(capsys, tmp_path):
     assert json.loads(out)["glued"]["breakpoints"] == [{"n": 0, "set": [2]}]
 
 
+# the canonical bytes of ``--json fuzz``, the same under any PYTHONHASHSEED
+FUZZ_DIGESTS = {
+    ("--max-poset", "2", "--max-ring", "6"):
+        "e5c14419a05506b7056ffe908670da4a9af719adf08407225dd0576d45d9a151",
+    # the default bounds
+    (): "0f2865f15785f995235fa3fb410b0931a0ac972d01b4baa20ea5cf60b3a003a1",
+}
+
+
 def test_fuzz_small_and_deterministic(capsys):
-    args = ["--json", "fuzz", "--max-poset", "2", "--max-ring", "6"]
-    code, out1 = run(capsys, *args)
-    assert code == 0
-    _, out2 = run(capsys, *args)
-    assert out1 == out2
-    reports = json.loads(out1)["reports"]
-    assert all(r["ok"] for r in reports)
-    # the canonical bytes, the same under any PYTHONHASHSEED
-    digest = hashlib.sha256(out1.encode()).hexdigest()
-    assert digest == "e5c14419a05506b7056ffe908670da4a9af719adf08407225dd0576d45d9a151"
+    for bounds, expected in FUZZ_DIGESTS.items():
+        args = ["--json", "fuzz", *bounds]
+        code, out1 = run(capsys, *args)
+        assert code == 0
+        _, out2 = run(capsys, *args)
+        assert out1 == out2
+        reports = json.loads(out1)["reports"]
+        assert all(r["ok"] for r in reports)
+        assert hashlib.sha256(out1.encode()).hexdigest() == expected, bounds
 
 
 def _benchmark_sweeps():
@@ -384,6 +392,8 @@ WIDE_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 1000}] * 40
 TWO_POINT_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 531441}] * 2}
 # Z/1000 cubed: six local factors, none over the table bound, on 10^9 elements
 SMALL_FACTORS_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 1000}] * 3}
+# Z/30 to the eighth: 24 points, so 2^24 Thomason sets if they were listed first
+MANY_POINT_PRODUCT = {"kind": "product", "factors": [{"kind": "zmod", "n": 30}] * 8}
 BIG_PRIME = 1000000000000000003  # trial division takes about a minute
 STEP_AT_2 = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
 EMPTY_FILT = {"low_tail": [], "breakpoints": [], "high_tail": []}
@@ -466,6 +476,8 @@ def z_key(key):
          "ring tables are limited to 1048576 entries"),
         (["torsion-roundtrip", "--ring", json.dumps(SMALL_FACTORS_PRODUCT)],
          "ring tables are limited to 1048576 entries"),
+        (["torsion-roundtrip", "--ring", json.dumps(MANY_POINT_PRODUCT)],
+         "ring tables are limited to 1048576 entries"),
         (["spec", "--ring", '{"kind": "zmod", "n": -999999996}'], "'n'"),
         (["spec", "--ring", '{"kind": "poly_quot", "p": 11, "f": [2, 0, 1]}'], "'p' <= 7"),
         (["spec", "--ring", '{"kind": "poly_quot", "p": 3, "f": [2, 3]}'], "'f'"),
@@ -502,8 +514,8 @@ def z_key(key):
          "koszul-generators-40", "koszul-generators-10000", "module-rank-huge",
          "koszul-generators-empty", "koszul-factor-401-digits", "koszul-product-120-digits",
          "free-over-product-120-digits", "torsion-roundtrip-two-point-product",
-         "torsion-roundtrip-small-factors", "n-negative", "p-over-7",
-         "f-constant", "factors-empty",
+         "torsion-roundtrip-small-factors", "torsion-roundtrip-24-points", "n-negative",
+         "p-over-7", "f-constant", "factors-empty",
          "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
          "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",

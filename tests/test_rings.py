@@ -22,7 +22,9 @@ from spectral_glue import (
 )
 from spectral_glue import sweeps
 from spectral_glue.catalog import poly_catalog, product_catalog, zmod_catalog
+from spectral_glue.modules import FiniteModule, cokernel_of_rank
 from spectral_glue.rings import all_ideals, localize_ring, module_from_json, pdivmod, pmul, pnorm, spec
+from spectral_glue.torsion_cosilting import _element_support
 
 
 def test_spec_z12(z12, z12_poset):
@@ -109,13 +111,22 @@ def test_homs_to_counts_module_maps(z12):
     assert len(cyclic_module(z12, 4).homs_to(cyclic_module(z12, 2))) == 2
 
 
-def v_of_annihilator(module):
-    """V(Ann M), with Ann M swept element by element."""
+def multiplied_primes(ring):
+    """Each maximal ideal's members, by multiplying out its generator."""
+    return {
+        lf.label: {ring.mul(lf.prime_gen, r) for r in ring.elements()}
+        for lf in ring.local_factors()
+    }
+
+
+def v_of_annihilator(module, elements=None):
+    """V(Ann M), or V(Ann x) for ``elements=[x]``, with the annihilator swept
+    element by element."""
     ring = module.ring
     zero = module.zero
-    ann = {r for r in ring.elements() if all(module.smul(r, x) == zero for x in module.elements)}
-    _, labeling = spec(ring)
-    return {label for label, prime in labeling.items() if ann <= prime.members}
+    elements = module.elements if elements is None else elements
+    ann = {r for r in ring.elements() if all(module.smul(r, x) == zero for x in elements)}
+    return {label for label, prime in multiplied_primes(ring).items() if ann <= prime}
 
 
 def test_annihilator_and_support(z12):
@@ -138,6 +149,54 @@ def test_support_is_v_of_the_annihilator(catalog):
             assert support(m).members == v_of_annihilator(m), (ring, m)
             checked += 1
     assert checked > 300
+
+
+def same_module(a, b):
+    return a.elements == b.elements and a.local_invariants() == b.local_invariants()
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [lambda: zmod_catalog(60), lambda: poly_catalog(5, 2), lambda: product_catalog(40)],
+    ids=["zmod", "poly_quot", "product"],
+)
+def test_the_ideal_table_matches_the_paths_it_replaced(catalog):
+    """Two-generator ideals, cyclic modules, residue fields and element
+    supports agree with the span in R^1, the cokernel presentation and
+    V(Ann x) with the annihilator enumerated."""
+    for ring in catalog():
+        free = free_module(ring, 1)
+        gens = [i.generators[0] for i in all_ideals(ring)]
+        for a, b in itertools.combinations(gens, 2):
+            span = frozenset(v[0] for v in free.span([(a,), (b,)]))
+            assert Ideal(ring, (a, b)).members == span, (ring, a, b)
+        cyclics = [cyclic_module(ring, g) for g in gens]
+        for g, m in zip(gens, cyclics):
+            assert same_module(m, cokernel_of_rank(ring, 1, [(g,)])), (ring, g)
+        for label, prime in spec(ring)[1].items():
+            kappa = cokernel_of_rank(ring, 1, [prime.generators])
+            assert same_module(residue_field(ring, label), kappa), (ring, label)
+        for m in cyclics + indecomposable_injectives(ring):
+            for x in m.elements:
+                assert _element_support(m, x) == v_of_annihilator(m, [x]), (ring, m, x)
+
+
+@pytest.mark.parametrize("ring", [ZMod(60), ProductRing((ZMod(4), PolyQuot(2, (0, 0, 1))))], ids=str)
+def test_cyclic_modules_and_ideals_span_nothing(ring, monkeypatch):
+    """Cyclic modules, residue fields and two-generator ideals are read off
+    the ideal table: none of them spans a submodule."""
+
+    def refuse(*_):
+        raise AssertionError("span called")
+
+    monkeypatch.setattr(FiniteModule, "span", refuse)
+    ideals = all_ideals(ring)
+    for ideal in ideals:
+        assert cyclic_module(ring, ideal.generators[0]).order == ring.order // len(ideal.members)
+    for label in spec(ring)[1]:
+        assert residue_field(ring, label).order > 1
+    for a, b in itertools.combinations(ideals, 2):
+        assert Ideal(ring, a.generators + b.generators).members >= a.members | b.members
 
 
 def test_quotient_and_submodule(z12):

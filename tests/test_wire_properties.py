@@ -1,5 +1,5 @@
-"""Mutated gluing and ``koszul`` inputs at the wire: a clean verdict or a
-named refusal.
+"""Mutated gluing, ``koszul`` and ``torsion-roundtrip`` inputs at the wire:
+a clean verdict or a named refusal.
 
 The ``--family`` and ``--filtration`` inputs of the recorded ``glue``,
 ``compat-check``, ``lemma-equiv`` and ``localize`` cases in
@@ -11,8 +11,10 @@ the order check that failed; a refusal by the degree-span bound needs
 breakpoints that lie that far apart.  The ring JSON and ``--generators`` of
 the recorded ``koszul`` cases take the same mutations; those calls get two
 seconds, and an exit 2 must name a field of the ring or the generators, an
-element of the ring, or a bound.  Hypothesis runs derandomized, so the suite
-stays deterministic.
+element of the ring, or a bound.  The ring JSON of the recorded
+``torsion-roundtrip`` cases takes them too, under the same two seconds and
+the same names.  Hypothesis runs derandomized, so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -189,4 +191,25 @@ def mutated_koszul_argv(draw):
 @DERANDOMIZED
 @given(mutated_koszul_argv())
 def test_mutated_koszul_inputs_exit_cleanly(case):
+    _exits_cleanly(*case, 2, KOSZUL_NAMED)
+
+
+TORSION_CASES = [
+    (name, case["argv"])
+    for name, case in sorted(GOLDEN.items())
+    if case["argv"][0] == "torsion-roundtrip"
+]
+
+
+@st.composite
+def mutated_torsion_argv(draw):
+    """A recorded ``torsion-roundtrip`` call with its ring JSON mutated."""
+    name, argv = draw(st.sampled_from(TORSION_CASES))
+    k = argv.index("--ring") + 1
+    return name, argv[:k] + [json.dumps(draw(mutated(json.loads(argv[k]))))] + argv[k + 1 :]
+
+
+@DERANDOMIZED
+@given(mutated_torsion_argv())
+def test_mutated_torsion_roundtrip_inputs_exit_cleanly(case):
     _exits_cleanly(*case, 2, KOSZUL_NAMED)
