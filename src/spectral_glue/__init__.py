@@ -66,7 +66,6 @@ from .rings import (
 from .thomason import (
     ThomasonFiltration,
     ThomasonSet,
-    constant_filtration,
     is_constant,
     is_nondegenerate,
     make_filtration,

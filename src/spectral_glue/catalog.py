@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from . import homalg, rings as rng
@@ -21,7 +22,8 @@ from .thomason import ThomasonFiltration, ThomasonSet, from_levels
 
 # -- poset catalog -----------------------------------------------------------
 
-# _canonical tries every permutation: 6 points take seconds, 7 more than two minutes
+# _canonical permutes within the (|down|, |up|) classes only: 6 points take
+# about 0.05 s and 7 points 0.5 s, but no test covers the 7-point catalog yet
 MAX_CATALOG_POSET = 6
 # every Z/n of the ring catalog stays tabulated through a sweep, so time and
 # memory grow faster than the bound on n
@@ -39,9 +41,17 @@ def _down_closed_subsets(rel: frozenset, size: int):
 
 
 def _canonical(rel: frozenset, size: int) -> tuple:
+    """The least relation image over the relabelings that give the points of
+    each (|down|, |up|) class one block of consecutive positions, the blocks
+    in the order of the classes.  The classes are isomorphism invariants, so
+    isomorphic posets have equal forms."""
+    downs, ups = Counter(j for _, j in rel), Counter(i for i, _ in rel)
+    key = [(downs[p], ups[p]) for p in range(size)].__getitem__
+    blocks = [tuple(b) for _, b in itertools.groupby(sorted(range(size), key=key), key)]
     best = None
-    for perm in itertools.permutations(range(size)):
-        image = tuple(sorted((perm[i], perm[j]) for i, j in rel))
+    for order in itertools.product(*map(itertools.permutations, blocks)):
+        position = {p: k for k, p in enumerate(itertools.chain.from_iterable(order))}
+        image = tuple(sorted((position[i], position[j]) for i, j in rel))
         if best is None or image < best:
             best = image
     return best
@@ -86,10 +96,6 @@ def poset_catalog(max_size: int) -> list[SpectralPoset]:
             pairs = [(f"p{i}", f"p{j}") for i, j in rel]
             out.append(SpectralPoset(labels, pairs))
     return out
-
-
-def poset_counts(max_size: int) -> list[int]:
-    return [len(level) for level in _poset_relations(max_size)]
 
 
 # -- filtrations and families on a poset -------------------------------------

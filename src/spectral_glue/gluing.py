@@ -8,11 +8,20 @@ check of a family: :func:`glue_sets` and :func:`glue_filtrations` raise
 IncompatibleFamilyError with the first witness, and a caller that only asks
 "compatible?" catches it.  :func:`check_lemma_equiv` compares that condition
 with the ideal-family description of the same family.
+
+A family is checked once, where it enters: the public :class:`LocalFamily`
+constructor (and so :meth:`LocalFamily.from_default`) checks its keys and
+member posets, and :func:`glue_sets` and :func:`check_lemma_equiv` check a set
+family they are handed.  :func:`localize_filtrations` builds its family by
+restriction, where both hold by construction, so it checks only the degree
+span.  :func:`glue_filtrations` then works on masks alone: it unpacks each
+member's levels once and runs only the agreement test at each degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import IncompatibleFamilyError, InvalidInputError
@@ -53,7 +62,22 @@ class LocalFamily:
             sub = localization_poset(self.global_poset, m)
             if filt.poset != sub:
                 raise InvalidInputError(f"filtration at {m!r} lives on the wrong poset")
-        object.__setattr__(self, "filtrations", dict(self.filtrations))
+        self._freeze(self.filtrations)
+
+    @classmethod
+    def _restricted(
+        cls, global_poset: SpectralPoset, filtrations: dict[PrimeId, ThomasonFiltration]
+    ) -> "LocalFamily":
+        """A family of restrictions to every maximal point, whose keys and
+        member posets are right by construction; only the span is checked."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "global_poset", global_poset)
+        family._freeze(filtrations)
+        return family
+
+    def _freeze(self, filtrations: Mapping[PrimeId, ThomasonFiltration]) -> None:
+        # read-only, so that a family checked once cannot be edited past the checks
+        object.__setattr__(self, "filtrations", MappingProxyType(dict(filtrations)))
         # a constant member reads the same at every degree, so only the others
         # place the degrees; with none, the two levels of a constant
         spans = [f.levels() for f in self.filtrations.values() if not is_constant(f)]
@@ -100,8 +124,9 @@ class LocalFamily:
 
 
 def _check_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]):
-    """(witness (m, m', p) or None, glued mask, stars): ``stars`` pairs each
-    maximal point m, in label order, with X(m) in the numbering of ``poset``."""
+    """(witness (m, m', p) or None, glued mask, stars) of a set family from
+    outside: ``stars`` pairs each maximal point m, in label order, with X(m)
+    in the numbering of ``poset``."""
     if set(sets) != maximal_points(poset):
         raise InvalidInputError("set family must cover exactly the maximal points")
     stars = []
@@ -110,32 +135,51 @@ def _check_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]):
         if sets[label].poset != poset.localization(m):
             raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
         stars.append((m, poset.unpack(sets[label].mask, m)))
+    return (*_agree(poset, stars), stars)
+
+
+def _agree(poset: SpectralPoset, stars) -> tuple:
+    """(witness (m, m', p) or None, glued mask) of stars X(m) lying below m.
+
+    The family agrees pairwise exactly when every X(m) is glued & down[m]:
+    pairwise agreement gives glued & down[m] = union of X(m') & down[m] =
+    union of X(m) & down[m'] = X(m), and conversely X(m) & down[m'] = glued &
+    down[m] & down[m'] = X(m') & down[m].  Only a failed test scans the pairs,
+    for the first witness."""
     glued = 0
     for _, x in stars:
         glued |= x
     down = poset.down
-    for k, (m, x) in enumerate(stars):
-        for m2, x2 in stars[k + 1 :]:
-            # x lies below m and x2 below m2, so both sides lie in the shared down-set
-            disagree = (x & down[m2]) ^ (x2 & down[m])
-            if disagree:
-                witness = (poset.elements[m], poset.elements[m2], poset.labels(disagree)[0])
-                return witness, glued, stars
-    return None, glued, stars
+    if any(x != glued & down[m] for m, x in stars):
+        for k, (m, x) in enumerate(stars):
+            for m2, x2 in stars[k + 1 :]:
+                # x lies below m and x2 below m2, so both sides lie in the shared down-set
+                disagree = (x & down[m2]) ^ (x2 & down[m])
+                if disagree:
+                    witness = (poset.elements[m], poset.elements[m2], poset.labels(disagree)[0])
+                    return witness, glued
+    return None, glued
+
+
+def _disagreement(witness) -> str:
+    return (
+        f"family disagrees on shared prime {witness[2]!r} "
+        f"between {witness[0]!r} and {witness[1]!r}"
+    )
+
+
+def _glued_set(poset: SpectralPoset, glued: int) -> ThomasonSet:
+    # automatic on a finite poset: the star images of a compatible family glue to an up-set
+    assert poset.closure(glued) == glued, "glued set of a compatible family must be Thomason"
+    return ThomasonSet(poset, glued)
 
 
 def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> ThomasonSet:
     """Union of the star images; defined only for compatible families."""
     violating, glued, _ = _check_sets(poset, sets)
     if violating is not None:
-        raise IncompatibleFamilyError(
-            f"family disagrees on shared prime {violating[2]!r} "
-            f"between {violating[0]!r} and {violating[1]!r}",
-            witness=violating,
-        )
-    # automatic on a finite poset: the star images of a compatible family glue to an up-set
-    assert poset.closure(glued) == glued, "glued set of a compatible family must be Thomason"
-    return ThomasonSet(poset, glued)
+        raise IncompatibleFamilyError(_disagreement(violating), witness=violating)
+    return _glued_set(poset, glued)
 
 
 def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
@@ -143,31 +187,47 @@ def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
     return {m: restrict_set(s, m) for m in maximal_points(s.poset)}
 
 
+def _unpacked_levels(poset: SpectralPoset, m: int, filt: ThomasonFiltration, degrees: range):
+    """The masks of the member at point m over ``degrees``, in the numbering
+    of ``poset``; each level of its levels view is unpacked once, and the
+    tails stand for every degree past its ends."""
+    start, levels = filt.levels()
+    masks = [poset.unpack(s.mask, m) for s in levels]
+    last = len(masks) - 1
+    return [masks[min(max(n - start, 0), last)] for n in degrees]
+
+
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     """Degreewise gluing; raises with the offending degree when incompatible.
 
-    The levels are glued over :meth:`LocalFamily.degrees`, whose ends carry
-    the tails, in increasing order, so the degree raised is the least
-    incompatible one, and each degree is checked once.  Gluing preserves
-    inclusions, so the glued levels decrease and are only normalised.
+    The family was checked when it was built, so the levels are glued as
+    masks, over :meth:`LocalFamily.degrees`, whose ends carry the tails, in
+    increasing order: the degree raised is the least incompatible one, and
+    each degree is checked once.  Gluing preserves inclusions, so the glued
+    levels decrease and are only normalised.
     """
     poset = family.global_poset
     degrees = family.degrees()
-
-    def glue_at(n: int) -> ThomasonSet:
-        try:
-            return glue_sets(poset, family.sets_at(n))
-        except IncompatibleFamilyError as exc:
+    members = family.filtrations
+    columns = [
+        (m, _unpacked_levels(poset, m, members[poset.elements[m]], degrees)) for m in poset.maxima
+    ]
+    levels = []
+    for k, n in enumerate(degrees):
+        witness, glued = _agree(poset, [(m, column[k]) for m, column in columns])
+        if witness is not None:
             raise IncompatibleFamilyError(
-                f"family incompatible at degree {n}: {exc}", degree=n, witness=exc.witness
-            ) from None
-
-    return from_levels(poset, degrees.start, [glue_at(n) for n in degrees])
+                f"family incompatible at degree {n}: {_disagreement(witness)}",
+                degree=n,
+                witness=witness,
+            )
+        levels.append(_glued_set(poset, glued))
+    return from_levels(poset, degrees.start, levels)
 
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
     poset = filtration.poset
-    return LocalFamily(
+    return LocalFamily._restricted(
         poset, {m: restrict_filtration(filtration, m) for m in maximal_points(poset)}
     )
 

@@ -82,11 +82,14 @@ def _z_set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
     # bool is a subclass of int, but JSON true is not a prime
     if not isinstance(data, (list, tuple)) or any(type(p) is not int for p in data):
         raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
-    labels = {p: f"({p})" for p in frozenset(data)}
-    for p, label in labels.items():
-        if label not in poset.index or label == GENERIC:
+    mask = 0
+    for p in frozenset(data):
+        # (0) is a point of the poset, but 0 is not a prime
+        i = poset.index.get(f"({p})") if p else None
+        if i is None:
             raise InvalidInputError(f"{p} is not a prime number")
-    return ThomasonSet(poset, poset.mask_of(labels.values()))
+        mask |= 1 << i
+    return ThomasonSet(poset, mask)
 
 
 def _z_set_to_json(level: ThomasonSet):

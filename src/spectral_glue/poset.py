@@ -99,11 +99,21 @@ class SpectralPoset:
 
     def pack(self, mask: int, m: int) -> int:
         """``mask & down[m]`` in the numbering of the localization at m."""
-        return sum((mask >> j & 1) << k for k, j in enumerate(self._below[m]))
+        out, bit = 0, 1
+        for j in self._below[m]:
+            if mask >> j & 1:
+                out |= bit
+            bit <<= 1
+        return out
 
     def unpack(self, mask: int, m: int) -> int:
         """A mask of the localization at m in this poset's numbering."""
-        return sum((mask >> k & 1) << j for k, j in enumerate(self._below[m]))
+        out = 0
+        for j in self._below[m]:
+            if mask & 1:
+                out |= 1 << j
+            mask >>= 1
+        return out
 
     @cached_property
     def maximal_labels(self) -> frozenset[PrimeId]:
@@ -163,12 +173,6 @@ def interned_poset(
     if poset is None:
         poset = _INTERNED[key] = SpectralPoset(elements, pairs)
     return poset
-
-
-def is_thomason(members: Iterable[PrimeId], poset: SpectralPoset) -> bool:
-    """On a finite spectral space the Thomason subsets are exactly the up-sets."""
-    mask = poset.mask_of(members)
-    return poset.closure(mask) == mask
 
 
 def maximal_points(poset: SpectralPoset) -> frozenset[PrimeId]:

@@ -212,10 +212,6 @@ def make_filtration(
     return from_levels(poset, lo - 1, [*levels, high_tail])
 
 
-def constant_filtration(poset: SpectralPoset, value: ThomasonSet) -> ThomasonFiltration:
-    return from_levels(poset, 0, (value, value))
-
-
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
     """Intersection of all X_n empty and union all of Spec; with the finite
     representation this is exactly high_tail = empty and low_tail = full."""
@@ -238,7 +234,8 @@ def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonF
     i = poset.point(m)
     if poset.up[i] != 1 << i:
         raise InvalidInputError(f"{m!r} is not a maximal point")
-    return filtration.map_levels(poset.localization(i), lambda s: restrict_set(s, m))
+    sub = poset.localization(i)
+    return filtration.map_levels(sub, lambda s: ThomasonSet(sub, poset.pack(s.mask, i)))
 
 
 def set_to_json(s: ThomasonSet):

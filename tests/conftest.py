@@ -2,6 +2,7 @@ import pytest
 
 from spectral_glue import SpectralPoset, ThomasonSet, ZMod
 from spectral_glue.rings import spec
+from spectral_glue.thomason import ThomasonFiltration, from_levels
 
 
 @pytest.fixture
@@ -23,3 +24,13 @@ def z12_poset(z12):
 
 def up(poset, *members) -> ThomasonSet:
     return ThomasonSet.from_members(poset, members)
+
+
+def constant_filtration(poset, value: ThomasonSet) -> ThomasonFiltration:
+    return from_levels(poset, 0, (value, value))
+
+
+def is_thomason(members, poset) -> bool:
+    """On a finite spectral space the Thomason subsets are exactly the up-sets."""
+    mask = poset.mask_of(members)
+    return poset.closure(mask) == mask

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from spectral_glue import InvalidInputError, ZMod
+from spectral_glue import InvalidInputError, ZMod, catalog
 from spectral_glue.catalog import (
     MAX_FILTRATIONS,
     all_filtration_families,
@@ -12,21 +14,46 @@ from spectral_glue.catalog import (
     count_filtrations,
     koszul_complexes,
     poset_catalog,
-    poset_counts,
     product_catalog,
     spec_filtrations,
     stalk_complexes,
     zmod_catalog,
 )
-from spectral_glue.poset import is_thomason, maximal_points
+from spectral_glue.poset import maximal_points
 from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
+from conftest import is_thomason
+
 
 def test_poset_counts_match_isomorphism_classes():
-    assert poset_counts(6) == [1, 2, 5, 16, 63, 318]
+    assert [len(level) for level in catalog._poset_relations(6)] == [1, 2, 5, 16, 63, 318]
     assert len(poset_catalog(6)) == 405
     assert len(poset_catalog(3)) == 8
+
+
+def _all_permutations_canonical(rel, size):
+    """The least relation image over every relabeling of the points."""
+    best = None
+    for perm in itertools.permutations(range(size)):
+        image = tuple(sorted((perm[i], perm[j]) for i, j in rel))
+        if best is None or image < best:
+            best = image
+    return best
+
+
+def test_block_canonical_form_keeps_the_all_permutations_representatives(monkeypatch):
+    block_canonical = catalog._canonical
+    # relabeling a poset never changes its refined form
+    for size, level in enumerate(catalog._poset_relations(4), 1):
+        for rel in level:
+            form = block_canonical(rel, size)
+            for perm in itertools.permutations(range(size)):
+                relabeled = frozenset((perm[i], perm[j]) for i, j in rel)
+                assert block_canonical(relabeled, size) == form
+    refined = catalog._poset_relations(5)
+    monkeypatch.setattr(catalog, "_canonical", _all_permutations_canonical)
+    assert catalog._poset_relations.__wrapped__(5) == refined
 
 
 def test_catalog_posets_are_distinct_and_valid():

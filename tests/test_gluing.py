@@ -10,7 +10,6 @@ from spectral_glue import (
     SpectralPoset,
     ThomasonSet,
     check_lemma_equiv,
-    constant_filtration,
     glue_filtrations,
     glue_sets,
     localize_filtrations,
@@ -24,10 +23,10 @@ from spectral_glue.catalog import (
     all_thomason_sets,
     poset_catalog,
 )
-from spectral_glue.poset import all_up_sets, is_thomason, localization_poset, maximal_points
+from spectral_glue.poset import all_up_sets, localization_poset, maximal_points
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv
 
-from conftest import up
+from conftest import constant_filtration, is_thomason, up
 
 
 def local_full(vee, m):

@@ -1,7 +1,9 @@
 import pytest
 
 from spectral_glue import InvalidInputError, SpectralPoset, localization_poset, maximal_points
-from spectral_glue.poset import all_up_sets, is_thomason
+from spectral_glue.poset import all_up_sets
+
+from conftest import is_thomason
 
 
 def test_closure_is_automatic():

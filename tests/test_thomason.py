@@ -4,7 +4,6 @@ from spectral_glue import (
     FiltrationOrderError,
     InvalidInputError,
     ThomasonSet,
-    constant_filtration,
     is_constant,
     is_nondegenerate,
     make_filtration,
@@ -19,7 +18,7 @@ from spectral_glue.thomason import (
     set_to_json,
 )
 
-from conftest import up
+from conftest import constant_filtration, up
 
 
 def test_from_members_rejects_non_up_sets(vee):

@@ -12,7 +12,6 @@ from spectral_glue import (
     aisle_membership,
     classify_degeneracy,
     coaisle_membership,
-    constant_filtration,
     cyclic_module,
     kappa_test,
     koszul,
@@ -32,6 +31,8 @@ from spectral_glue.tstructures import (
     coaisle_admits,
     cohomology_supports,
 )
+
+from conftest import constant_filtration
 
 
 @pytest.fixture
