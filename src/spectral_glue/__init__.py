@@ -91,7 +91,6 @@ from .tstructures import (
     aisle_membership,
     classify_degeneracy,
     coaisle_membership,
-    kappa_test,
     localize_tstructure,
 )
 

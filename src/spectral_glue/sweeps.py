@@ -397,7 +397,7 @@ def _check_adjunction(report: SweepReport, ring: FiniteRing) -> None:
                     report.checked += 1
                     # the fast path against enumeration over R_m
                     lhs = homalg.hom_orders(x, y, i, factor=lf)[lf.label]
-                    rhs = homalg.derived_hom(x, y_local, i).order
+                    rhs = homalg.derived_hom_order(x, y_local, i)
                     if lhs != rhs:
                         report.failures.append(
                             {

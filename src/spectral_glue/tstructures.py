@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import homalg, rings as rng
+from . import rings as rng
 from .errors import InvalidInputError
 from .homalg import BoundedComplex, support_of_cohomology
 from .poset import PrimeId
@@ -86,19 +86,6 @@ def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> boo
     if complex_.ring != t.ring:
         raise InvalidInputError("complex and descriptor live over different rings")
     return coaisle_admits(cohomology_supports(complex_), t.filtration)
-
-
-def kappa_test(p: PrimeId, n: int, t: TStructureDescriptor) -> bool:
-    """kappa(p)[-n] lies in the aisle iff p is in X_n; asserts the equivalence."""
-    kappa = rng.residue_field(t.ring, p)
-    result = aisle_membership(homalg.stalk_complex(kappa, n), t)
-    expected = p in t.level(n)
-    if result != expected:
-        raise AssertionError(
-            f"kappa test inconsistency at p={p!r}, n={n}: aisle says {result}, "
-            f"filtration says {expected}"
-        )
-    return result
 
 
 def localize_tstructure(t: TStructureDescriptor, m: PrimeId) -> TStructureDescriptor:

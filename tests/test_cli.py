@@ -500,6 +500,14 @@ def z_key(key):
          "keys '2' and '02' name the same prime 2"),
         (["fuzz", "--max-poset", "1", "--max-ring", "301"], "MAX_CATALOG_RING = 300"),
         (["fuzz", "--max-poset", "1", "--max-ring", str(10**9)], "MAX_CATALOG_RING = 300"),
+        # listed a coordinate per unit of rank before the size check: a MemoryError
+        (["derived-hom", "--ring", '{"kind":"zmod","n":36}',
+          "--complex", '{"terms": {"0": {"free": 1000000000}}}',
+          "--target", '{"terms": {"0": {"free": 1}}}'],
+         "Hom term of size at least 2^1000000000 is too large to enumerate"),
+        (["cohomology", "--ring", '{"kind":"zmod","n":36}', "--complex",
+          '{"terms": {"-1": {"free": 1000000000}, "0": {"free": 2}}, "differentials": {"-1": [[6, 0], [0, 4]]}}'],
+         "differential at -1 must be a 2x1000000000 matrix"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -519,7 +527,8 @@ def z_key(key):
          "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
          "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
-         "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge"],
+         "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
+         "derived-hom-free-rank-huge", "cohomology-differential-shape"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,6 @@ from spectral_glue.homalg import (
     complex_from_json,
     direct_sum_complexes,
     free_stalk,
-    is_acyclic,
     koszul_of_ideal,
     zero_complex,
 )
@@ -63,6 +64,11 @@ def ideal_support(ring, ideal):
     from spectral_glue import v_of_ideal
 
     return v_of_ideal(ring, ideal).members
+
+
+def is_acyclic(complex_):
+    lo, hi = complex_.min_degree, complex_.max_degree
+    return all(cohomology(complex_, n).is_zero_module() for n in range(lo, hi + 1))
 
 
 def test_unit_koszul_is_acyclic(z12):
@@ -201,6 +207,111 @@ def test_hom_from_a_koszul_complex_is_a_cone(ring):
                     coker, _ = coker_and_ker(cohomology(y, i - 1), a)
                     _, ker = coker_and_ker(cohomology(y, i), a)
                     assert derived_hom(koszul(ring, [a]), y, i).order == coker * ker, (a, y, i)
+
+
+# -- cycles paired from two halves against the full product --------------------
+
+
+def full_product_kernel(d, sources, targets):
+    """ker d by filtering every tuple of the product of the sources, the
+    enumeration that pairing two halves replaced, kept as the reference."""
+    zero = tuple(t.zero for t in targets)
+    return [f for f in itertools.product(*(range(a.module.order) for a in sources)) if d(f) == zero]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """``homalg._kernel``, checked against the full product on every call;
+    the list of the source orders of each call, and of each disagreement."""
+    kernel = homalg._kernel
+    calls = {"orders": [], "wrong": []}
+
+    def checking(d, sources, targets):
+        cycles = kernel(d, sources, targets)
+        orders = [a.module.order for a in sources]
+        calls["orders"].append(orders)
+        if cycles != full_product_kernel(d, sources, targets):
+            calls["wrong"].append(orders)
+        return cycles
+
+    monkeypatch.setattr(homalg, "_kernel", checking)
+    return calls
+
+
+def test_paired_cycles_and_orders_match_the_full_product_on_sweep_9(monkeypatch, kernel_calls):
+    order = homalg.derived_hom_order
+    asked = []
+
+    def recording(x, y, i):
+        asked.append((x, y, i, order(x, y, i)))
+        return asked[-1][-1]
+
+    monkeypatch.setattr(homalg, "derived_hom_order", recording)
+    report = sweeps.sweep_adjunction()
+    assert report.ok and report.checked == len(asked) == len(kernel_calls["orders"]) == 3150
+    assert kernel_calls["wrong"] == []
+    for x, y, i, n in asked:
+        assert n == derived_hom(x, y, i).order, (x, y, i)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ZMod(36), PolyQuot(2, (0, 0, 1)), ProductRing([ZMod(4), PolyQuot(2, (0, 0, 1))])],
+    ids=["z36", "f2-x2", "product"],
+)
+def test_paired_cycles_match_the_full_product_on_koszul_cohomology(ring, kernel_calls):
+    """H^n of every catalog Koszul complex: Hom(R, C)^n has the one
+    coordinate C^n, or none one degree past each end."""
+    unit = free_stalk(ring, 1, 0)
+    for cx in catalog.koszul_complexes(ring):
+        for n in range(cx.min_degree - 1, cx.max_degree + 2):
+            assert homalg.derived_hom_order(unit, cx, n) == cohomology(cx, n).order, (cx, n)
+    assert kernel_calls["wrong"] == []
+    assert {len(orders) for orders in kernel_calls["orders"]} == {0, 1}
+
+
+def test_paired_cycles_on_an_uneven_cut_no_coordinates_and_a_negative_pairing(z12, kernel_calls):
+    """Hom^2(K(2, 3), Y) has coordinates of orders 2, 3, 3 and 12 into a
+    nonzero Hom^3, so the halves are cut after the third (18 + 12 tuples,
+    where the middle cut lists 6 + 36); Y away from the degrees of K gives
+    Hom^0 no coordinates, and its one element is the empty tuple.  The
+    cycles of Hom^1(K(1, 1), R) are the (a, b) with a = b, so pairing a half
+    with the image of the other, not its negative, would list a = -b."""
+    kos = koszul(z12, [2, 3])
+    y = BoundedComplex(z12, {0: cyclic_module(z12, 2), 1: cyclic_module(z12, 3), 2: FreeTerm(1)})
+    far = stalk_complex(cyclic_module(z12, 2), 5)
+    for x, target, i in [(kos, y, 2), (kos, far, 0), (koszul(z12, [1, 1]), free_stalk(z12, 1, 0), 1)]:
+        assert homalg.derived_hom_order(x, target, i) == derived_hom(x, target, i).order
+    assert [2, 3, 3, 12] in kernel_calls["orders"] and [] in kernel_calls["orders"]
+    assert kernel_calls["wrong"] == []
+
+
+def test_derived_hom_order_refuses_a_large_hom_term_before_enumerating(monkeypatch):
+    with open(Path(__file__).parent / "data" / "cli_golden.json") as fh:
+        recorded = json.load(fh)["derived-hom-too-large"]["stderr"]
+
+    def enumerating(*args):
+        raise AssertionError("enumerated before the size check")
+
+    monkeypatch.setattr(homalg, "_kernel", enumerating)
+    monkeypatch.setattr(IndexArithmetic, "__init__", enumerating)
+    ring = ZMod(36)
+    with pytest.raises(InvalidInputError) as refused:
+        homalg.derived_hom_order(free_stalk(ring, 5, 0), free_stalk(ring, 1, 0), 0)
+    assert f"error: {refused.value}\n" == recorded
+    # a rank past the bound's bit length is refused before its power is formed
+    with pytest.raises(InvalidInputError, match=r"size at least 2\^1000000000 is too large"):
+        homalg.derived_hom_order(free_stalk(ring, 10**9, 0), free_stalk(ring, 1, 0), 0)
+
+
+def test_a_boundary_outside_the_cycles_raises(z12):
+    """Hom(P, Y) is a complex whenever P and Y are; a P whose d o d != 0
+    got past the constructor's check makes B^1 leave Z^1, which raises and
+    never becomes an order."""
+    p = BoundedComplex(z12, {-2: FreeTerm(1), -1: FreeTerm(1), 0: FreeTerm(1)}, {-2: [[1]]})
+    p.diffs[-1] = ((1,),)
+    with pytest.raises(AssertionError, match="not a cycle"):
+        homalg.derived_hom_order(p, free_stalk(z12, 1, 0), 1)
 
 
 # -- Hom orders and supports against enumeration ------------------------------

@@ -13,7 +13,6 @@ from spectral_glue import (
     classify_degeneracy,
     coaisle_membership,
     cyclic_module,
-    kappa_test,
     koszul,
     localize_tstructure,
     make_filtration,
@@ -149,6 +148,19 @@ def test_coaisle_matches_koszul_orthogonality_on_targets_with_differentials(ring
 
 def test_koszul_generator_in_aisle(standard, z12):
     assert aisle_membership(koszul(z12, [4]), standard)
+
+
+def kappa_test(p, n, t):
+    """kappa(p)[-n] lies in the aisle iff p is in X_n; asserts the equivalence."""
+    kappa = rng.residue_field(t.ring, p)
+    result = aisle_membership(stalk_complex(kappa, n), t)
+    expected = p in t.level(n)
+    if result != expected:
+        raise AssertionError(
+            f"kappa test inconsistency at p={p!r}, n={n}: aisle says {result}, "
+            f"filtration says {expected}"
+        )
+    return result
 
 
 def test_kappa_test(standard):

@@ -1,5 +1,5 @@
-"""Mutated gluing, ``koszul`` and ``torsion-roundtrip`` inputs at the wire:
-a clean verdict or a named refusal.
+"""Mutated gluing, ``koszul``, ``torsion-roundtrip``, ``derived-hom`` and
+``cohomology`` inputs at the wire: a clean verdict or a named refusal.
 
 The ``--family`` and ``--filtration`` inputs of the recorded ``glue``,
 ``compat-check``, ``lemma-equiv`` and ``localize`` cases in
@@ -13,8 +13,13 @@ the recorded ``koszul`` cases take the same mutations; those calls get two
 seconds, and an exit 2 must name a field of the ring or the generators, an
 element of the ring, or a bound.  The ring JSON of the recorded
 ``torsion-roundtrip`` cases takes them too, under the same two seconds and
-the same names.  Hypothesis runs derandomized, so the suite stays
-deterministic.
+the same names.  The ``--complex``, ``--target`` and ``--degree`` of the
+recorded ``derived-hom`` cases and the ``--complex`` of the recorded
+``cohomology`` case take them too, under two seconds; an exit 2 must name a
+field of the complex or module JSON, a term or differential by its degree,
+the ``--degree`` option (which argparse refuses with exit 2 unless it is an
+integer), the enumeration bound or the d o d check.  Hypothesis runs
+derandomized, so the suite stays deterministic.
 """
 
 import contextlib
@@ -152,7 +157,12 @@ def _exits_cleanly(name, argv, seconds, named) -> str:
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            # argparse refuses an option that is not of its type, such as a
+            # --degree that is not an integer, by exiting 2 with a usage line
+            code = exc.code
     assert time.monotonic() - start < seconds, (name, argv)
     assert code in (0, 1, 2), (name, argv)
     assert "Traceback" not in err.getvalue()
@@ -213,3 +223,37 @@ def mutated_torsion_argv(draw):
 @given(mutated_torsion_argv())
 def test_mutated_torsion_roundtrip_inputs_exit_cleanly(case):
     _exits_cleanly(*case, 2, KOSZUL_NAMED)
+
+
+HOM_CASES = [
+    (name, case["argv"])
+    for name, case in sorted(GOLDEN.items())
+    if {"derived-hom", "cohomology"} & set(case["argv"])
+]
+# a quoted field of the complex, module or ring element JSON, a term or
+# differential at its degree, the --degree option, a bound, or the d o d check
+HOM_NAMED = re.compile(
+    r"'(terms|differentials|free|module|rank|relations|ring element)'|\b(complex|module) JSON\b"
+    r"|\b(term|differential) at -?\d+|\bargument --degree\b|\btoo large to enumerate\b"
+    r"|\bd o d != 0 at degree\b"
+)
+
+
+@st.composite
+def mutated_hom_argv(draw):
+    """A recorded ``derived-hom`` call with its complex, its target, its
+    degree or several of them mutated, or a recorded ``cohomology`` call with
+    its complex mutated."""
+    name, argv = draw(st.sampled_from(HOM_CASES))
+    argv = list(argv)
+    options = [option for option in ("--complex", "--target", "--degree") if option in argv]
+    for option in draw(st.lists(st.sampled_from(options), min_size=1, unique=True)):
+        k = argv.index(option) + 1
+        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+    return name, argv
+
+
+@DERANDOMIZED
+@given(mutated_hom_argv())
+def test_mutated_hom_inputs_exit_cleanly(case):
+    _exits_cleanly(*case, 2, HOM_NAMED)
