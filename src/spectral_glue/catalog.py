@@ -23,8 +23,8 @@ from .thomason import ThomasonFiltration, ThomasonSet, from_levels
 # -- poset catalog -----------------------------------------------------------
 
 # _canonical permutes within the (|down|, |up|) classes only: 6 points take
-# about 0.05 s and 7 points 0.5 s, but no test covers the 7-point catalog yet
-MAX_CATALOG_POSET = 6
+# about 0.05 s and 7 points 0.5 s
+MAX_CATALOG_POSET = 7
 # every Z/n of the ring catalog stays tabulated through a sweep, so time and
 # memory grow faster than the bound on n
 MAX_CATALOG_RING = 300

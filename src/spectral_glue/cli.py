@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, InvalidInputError, SpectralGlueError, json_object
-from .modules import power_exceeds
+from .modules import ENUMERATION_LIMIT, power_exceeds
 from .poset import SpectralPoset, localization_poset, maximal_points
 from .thomason import (
     filtration_from_json,
@@ -249,7 +249,7 @@ def cmd_koszul(args) -> int:
     # the cohomology below enumerates the middle term R^C(k, k/2).  That rank
     # is at least k and |R| >= 2, so a k over log2 of the bound is refused
     # before the binomial is formed.
-    k, bound = len(gens), homalg.ENUMERATION_LIMIT
+    k, bound = len(gens), ENUMERATION_LIMIT
     rank = math.comb(k, k // 2) if k <= bound.bit_length() else None
     if rank is None or power_exceeds(ring.order, rank, bound):
         raise SpectralGlueError(

@@ -30,12 +30,10 @@ from typing import Mapping, Optional
 from . import modules as mod
 from . import rings as rng
 from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
-from .modules import FiniteModule
+from .modules import ENUMERATION_LIMIT, FiniteModule
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal, LocalFactor
 from .thomason import ThomasonSet
-
-ENUMERATION_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,10 @@ class IndexArithmetic:
 
 # -- constructors -----------------------------------------------------------
 
+# the most elements a module, a Hom term or a Koszul middle term may have
+# before anything is enumerated
+ENUMERATION_LIMIT = 2_000_000
+
 
 def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     """Whether base ** exponent > bound, for base >= 2, without forming the
@@ -252,7 +256,7 @@ def free_module(ring, rank: int) -> FiniteModule:
         raise InvalidInputError("rank must be nonnegative")
     elements = ring.elements()  # the integers adapter raises here
     # the order, not len(elements): a product of many factors overflows len()
-    if power_exceeds(ring.order, rank, 2_000_000):
+    if power_exceeds(ring.order, rank, ENUMERATION_LIMIT):
         raise InvalidInputError(f"free module of rank {rank} too large to enumerate")
     elements = itertools.product(elements, repeat=rank)
     add = lambda u, v: tuple(map(ring.add, u, v))

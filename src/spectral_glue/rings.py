@@ -721,12 +721,18 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
     return [Ideal(ring, (g,)) for g, _ in ring._ideals.values()]
 
 
-def module_from_json(ring: FiniteRing, data: Mapping) -> FiniteModule:
-    """Module JSON: {"relations": [[...]], "rank": r} (rank optional with relations)."""
+def module_presentation(ring: FiniteRing, data: Mapping) -> tuple[int, list[tuple]]:
+    """Module JSON: {"relations": [[...]], "rank": r} (rank optional with
+    relations), read as the presentation (r, relation rows) of R^r/(relations)."""
     json_object(data, "module JSON")
     try:
         relations = [tuple(ring.element_from_json(c) for c in row) for row in data.get("relations", [])]
         rank = data.get("rank", len(relations[0]) if relations else 1)
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidInputError(f"malformed module JSON: {exc}") from exc
-    return modules.cokernel_of_rank(ring, json_int(rank, "module 'rank'"), relations)
+    return json_int(rank, "module 'rank'"), relations
+
+
+def module_from_json(ring: FiniteRing, data: Mapping) -> FiniteModule:
+    """The module R^r/(relations) of :func:`module_presentation`."""
+    return modules.cokernel_of_rank(ring, *module_presentation(ring, data))

@@ -3,14 +3,17 @@
 Torsion classes are cut out by a Thomason set through supports: the support
 of an element x is the set of maximal m with e_m x nonzero, read off the
 idempotents, and the cyclic modules R/I come from the ring's ideal table.
-Cosilting modules are finite modules with an injective copresentation eta
-whose class B_eta is compared with Cogen(C) on every cyclic module, which
-decides the equality because both classes are closed under finite sums and
-summands.
+Cosilting modules are finite modules with an injective copresentation eta,
+kept as the map itself (a dict on the elements of Q0): splitting restricts it
+to each e_m Q0, gluing takes the product of the local maps, and the wire reads
+it off one row per basis vector of Q0's presentation.  Its class B_eta is
+compared with Cogen(C) on every cyclic module, which decides the equality
+because both classes are closed under finite sums and summands.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -18,7 +21,7 @@ from typing import Mapping
 from . import modules as mod
 from . import rings as rng
 from .errors import InvalidInputError
-from .modules import FiniteModule
+from .modules import ENUMERATION_LIMIT, FiniteModule, power_exceeds
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal
 from .thomason import ThomasonFiltration, ThomasonSet, from_levels
@@ -177,43 +180,51 @@ def thomason_of_injective_class(ring: FiniteRing, injectives) -> ThomasonSet:
 
 # -- cosilting modules -------------------------------------------------------
 
+# The cosilting verbs evaluate eta on every element of Q0, whose cost grows
+# with the length w of an element, and pass over Q0, Q1 and the kernel once
+# per ideal of R.  So Q0 and Q1 may cost at most this many steps together,
+# |Q| (w + the number of ideals) summed over both.  Calls near the bound took
+# under 0.7 s on a 2-core Xeon (Python 3.11).
+MAX_COPRESENTATION_STEPS = ENUMERATION_LIMIT // 10
+
+
+def _check_steps(ring: FiniteRing, sizes) -> None:
+    """Refuse Q0 and Q1 of the given (order, element length) over the bound,
+    before either is enumerated."""
+    ideals = len(rng.all_ideals(ring))
+    if sum(order * (width + ideals) for order, width in sizes) > MAX_COPRESENTATION_STEPS:
+        raise InvalidInputError(
+            f"Q0 and Q1 over {ring.describe()} cost more steps than the bound "
+            f"MAX_COPRESENTATION_STEPS = {MAX_COPRESENTATION_STEPS}"
+        )
+
 
 @dataclass(frozen=True)
 class CosiltingModule:
     """A module with an injective copresentation 0 -> C -> Q0 --eta--> Q1.
 
-    ``eta`` is given by the images of Q0's generators in Q1 and kept as its
-    graph, a dict from each element of Q0 to its image; ``module`` is the
-    kernel of eta inside Q0.  Whether B_eta = Cogen(C) actually holds is
-    checked separately by :func:`is_cosilting`, one cyclic module at a time.
+    ``eta`` is the map itself, a dict sending every element of Q0 to its image
+    in Q1; ``module`` is the kernel of eta inside Q0.  The constructor checks
+    only that the dict has Q0's elements as keys and Q1's as values: the
+    package's constructions give module maps by construction, and
+    :func:`cosilting_from_json` checks the relations of Q0 where a map is read.
+    Whether B_eta = Cogen(C) actually holds is checked separately by
+    :func:`is_cosilting`, one cyclic module at a time.
     """
 
     ring: FiniteRing
     q0: FiniteModule
     q1: FiniteModule
-    eta: tuple = ()
-    graph: dict = field(init=False, repr=False, compare=False)
+    eta: dict
     module: FiniteModule = field(init=False)
 
     def __post_init__(self):
-        eta = tuple(self.eta)
-        if len(eta) != len(self.q0.generators):
-            raise InvalidInputError(
-                "eta must give one image in Q1 per generator of Q0"
-            )
-        for y in eta:
-            if y not in self.q1.index:
-                raise InvalidInputError("eta image is not an element of Q1")
-        graph = self.q0.hom_graph(eta, self.q1)
-        if graph is None:
-            raise InvalidInputError("eta does not respect the relations of Q0")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "graph", graph)
-        kernel = frozenset(x for x, y in graph.items() if y == self.q1.zero)
+        if self.eta.keys() != self.q0.index.keys() or not all(
+            y in self.q1.index for y in self.eta.values()
+        ):
+            raise InvalidInputError("eta must send every element of Q0 to an element of Q1")
+        kernel = frozenset(x for x, y in self.eta.items() if y == self.q1.zero)
         object.__setattr__(self, "module", self.q0.submodule(kernel, check=False))
-
-    def apply_eta(self, x):
-        return self.graph[x]
 
     def is_degenerate(self) -> bool:
         return self.module.is_zero_module()
@@ -240,8 +251,7 @@ def cosilting_from_modules(ring: FiniteRing, summands) -> CosiltingModule:
         raise InvalidInputError("summands must be distinct indecomposable injectives")
     q0 = mod.direct_sum(ring, chosen)
     q1 = mod.direct_sum(ring, complement)
-    eta = tuple(q1.zero for _ in q0.generators)
-    return CosiltingModule(ring, q0, q1, eta)
+    return CosiltingModule(ring, q0, q1, dict.fromkeys(q0.elements, q1.zero))
 
 
 def cyclic_annihilators(ring: FiniteRing) -> list:
@@ -269,7 +279,7 @@ def cyclic_in_cogen(ring: FiniteRing, a, cogenerator: FiniteModule) -> bool:
 
 def cyclic_in_b_eta(ring: FiniteRing, a, cosilting: CosiltingModule) -> bool:
     """R/(a) in B_eta iff eta maps the a-torsion of Q0 onto that of Q1."""
-    image = {cosilting.apply_eta(c) for c in _annihilated_part(cosilting.q0, a)}
+    image = {cosilting.eta[c] for c in _annihilated_part(cosilting.q0, a)}
     return image >= set(_annihilated_part(cosilting.q1, a))
 
 
@@ -313,8 +323,7 @@ def _component_cosilting(cosilting: CosiltingModule, lf) -> CosiltingModule:
     q0 = lf.component(cosilting.q0)
     q1 = lf.component(cosilting.q1)
     # eta commutes with the idempotent, so it restricts to the components
-    eta = tuple(cosilting.apply_eta(g) for g in q0.generators)
-    return CosiltingModule(lf.ring, q0, q1, eta)
+    return CosiltingModule(lf.ring, q0, q1, {x: cosilting.eta[x] for x in q0.elements})
 
 
 def glue_cosilting(
@@ -338,12 +347,19 @@ def glue_cosilting(
             raise InvalidInputError(f"component at {label!r} lives over the wrong ring")
         q0_parts.append(mod.restrict_scalars(local.q0, ring, lf.proj))
         q1_parts.append(mod.restrict_scalars(local.q1, ring, lf.proj))
+    # a sum has the product of its parts' orders, its elements their lengths' sum
+    _check_steps(
+        ring,
+        [
+            (math.prod(m.order for m in parts), sum(len(m.zero) for m in parts))
+            for parts in (q0_parts, q1_parts)
+        ],
+    )
     q0 = mod.direct_sum(ring, q0_parts)
     q1 = mod.direct_sum(ring, q1_parts)
     # each local eta acts on its own component
-    eta = tuple(
-        tuple(family[l].apply_eta(x) for l, x in zip(labels, g)) for g in q0.generators
-    )
+    etas = [family[label].eta for label in labels]
+    eta = {x: tuple([e[c] for e, c in zip(etas, x)]) for x in q0.elements}
     return CosiltingModule(ring, q0, q1, eta)
 
 
@@ -384,24 +400,48 @@ def _distinct_lengths(module: FiniteModule) -> dict:
 
 
 def cosilting_from_json(ring: FiniteRing, data: Mapping) -> CosiltingModule:
-    """{"q0": module-json, "q1": module-json, "eta": [[row] per generator]}.
+    """{"q0": module-json, "q1": module-json, "eta": [[row] per basis vector]}.
 
-    ``eta`` lists, per generator of Q0, the coefficient vector of its image in
-    Q1's ambient presentation (an element of Q1).
+    Q0 is presented as R^r/(relations), with r the length of its elements.
+    ``eta`` has one row per basis vector e_1 .. e_r of R^r: the coefficient
+    vector of eta(e_i) in Q1's ambient presentation, reduced to its coset
+    representative.  Each coset representative x of Q0 goes to
+    x_1 eta(e_1) + ... + x_r eta(e_r), which is a module map exactly when
+    every relation row of Q0 goes to zero.
     """
     try:
-        q0 = rng.module_from_json(ring, data["q0"])
-        q1 = rng.module_from_json(ring, data["q1"])
+        r0, relations = rng.module_presentation(ring, data["q0"])
+        r1, relations1 = rng.module_presentation(ring, data["q1"])
         eta_rows = data.get("eta", [])
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed cosilting JSON: {exc}") from exc
-    rank = len(q1.zero)
-    if not isinstance(eta_rows, list) or any(
-        not isinstance(row, list) or len(row) != rank for row in eta_rows
+    ring.elements()  # the integers adapter raises here
+    # a power over the bound is not formed: any order past it is refused
+    bound = MAX_COPRESENTATION_STEPS
+    _check_steps(
+        ring,
+        [(bound + 1 if power_exceeds(ring.order, r, bound) else ring.order**r, r) for r in (r0, r1)],
+    )
+    q0 = mod.cokernel_of_rank(ring, r0, relations)
+    q1 = mod.cokernel_of_rank(ring, r1, relations1)
+    if (
+        not isinstance(eta_rows, list)
+        or len(eta_rows) != r0
+        or any(not isinstance(row, list) or len(row) != r1 for row in eta_rows)
     ):
         raise InvalidInputError(
-            f"'eta' must be a list of rows of {rank} ring elements, got {eta_rows!r}"
+            f"'eta' must be a list of {r0} rows, one per basis vector of Q0's "
+            f"presentation, each of {r1} ring elements, got {eta_rows!r}"
         )
     # adding zero reduces an ambient vector to its coset representative
-    eta = [q1.add(tuple(ring.element_from_json(c) for c in row), q1.zero) for row in eta_rows]
-    return CosiltingModule(ring, q0, q1, tuple(eta))
+    images = [q1.add(tuple(ring.element_from_json(c) for c in row), q1.zero) for row in eta_rows]
+
+    def image(x):
+        y = q1.zero
+        for c, u in zip(x, images):
+            y = q1.add(y, q1.smul(c, u))
+        return y
+
+    if any(image(row) != q1.zero for row in relations):
+        raise InvalidInputError("eta does not respect the relations of Q0")
+    return CosiltingModule(ring, q0, q1, {x: image(x) for x in q0.elements})

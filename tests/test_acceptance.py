@@ -7,7 +7,7 @@ sweep finds one.
 
 import time
 
-from spectral_glue import sweeps
+from spectral_glue import catalog, sweeps
 
 
 def _gate(name: str, report, *, extra_ok: bool = True, extra_msg: str = ""):
@@ -89,6 +89,20 @@ def test_criterion_7_torsion_bijections():
     )
 
 
+def test_criterion_7_over_polynomial_and_product_rings():
+    """Sweep 7's check on the ring kinds its Z/n corpus never meets: residue
+    fields F_{p^e} with e > 1 and chain rings other than Z/p^k."""
+    rings = catalog.poly_catalog(5, 3) + catalog.product_catalog(60)
+    report = sweeps._sweep("torsion", sweeps._check_torsion, rings, "rings", 1)
+    _gate(
+        "Thomason <-> torsion-class roundtrip exact and injective-class map "
+        "injective on all F_p[x]/(f) (p <= 5, deg f <= 3) and products of order <= 60",
+        report,
+        extra_ok=(len(rings), report.checked) == (246, 908),
+        extra_msg=f"{len(rings)} rings and {report.checked} sets (need 246 and 908)",
+    )
+
+
 def test_criterion_8_cosilting_gluing():
     report = sweeps.sweep_cosilting()
     _gate(
@@ -107,4 +121,18 @@ def test_criterion_9_adjunction():
         report,
         extra_ok=report.checked >= 1_000,
         extra_msg=f"only {report.checked} triples (need >= 10^3)",
+    )
+
+
+def test_criterion_9_over_polynomial_and_product_rings():
+    """Sweep 9's check on every F_p[x]/(f) (p <= 3, deg f <= 2) and on the
+    products of order <= 40 that its fixed corpus skips."""
+    rings = catalog.poly_catalog(3, 2) + catalog.product_catalog(40)[4:]
+    report = sweeps._sweep("adjunction", sweeps._check_adjunction, rings, "rings", 1)
+    _gate(
+        "Hom-group cardinalities agree across localization/colocalization on "
+        "F_p[x]/(f) and product rings",
+        report,
+        extra_ok=(len(rings), report.checked) == (44, 20_448),
+        extra_msg=f"{len(rings)} rings and {report.checked} triples (need 44 and 20448)",
     )

@@ -27,7 +27,8 @@ from conftest import is_thomason
 
 
 def test_poset_counts_match_isomorphism_classes():
-    assert [len(level) for level in catalog._poset_relations(6)] == [1, 2, 5, 16, 63, 318]
+    # OEIS A000112
+    assert [len(level) for level in catalog._poset_relations(7)] == [1, 2, 5, 16, 63, 318, 2045]
     assert len(poset_catalog(6)) == 405
     assert len(poset_catalog(3)) == 8
 

@@ -240,7 +240,7 @@ def test_cosilting_verbs(capsys, tmp_path):
         {
             "ring": Z12,
             "components": {
-                "(2)": {"q0": {"relations": [[1]]}, "q1": {"relations": [[0]]}, "eta": []},
+                "(2)": {"q0": {"relations": [[1]]}, "q1": {"relations": [[0]]}, "eta": [[0]]},
                 "(3)": {"q0": {"relations": [[0]]}, "q1": {"relations": [[1]]}, "eta": [[0]]},
             },
         },
@@ -248,6 +248,29 @@ def test_cosilting_verbs(capsys, tmp_path):
     code, out = run(capsys, "--json", "cosilting-glue", "--family", fam)
     assert code == 0
     assert json.loads(out)["thomason"] == ["(2)"]
+
+
+def test_eta_rows_follow_the_basis_of_q0(capsys):
+    """One eta row per basis vector of Q0's presentation, in column order."""
+
+    def cosilting(q0, q1, eta):
+        return json.dumps({"ring": Z12, "q0": q0, "q1": q1, "eta": eta})
+
+    # e_1 -> 2 and e_2 -> 0 on R/(4) + R/(2): the kernel is (Z/2)^2
+    cos = cosilting({"relations": [[4, 0], [0, 2]]}, {"relations": [[4]]}, [[2], [0]])
+    code, out = run(capsys, "--json", "cosilting-split", "--cosilting", cos)
+    assert code == 0
+    assert json.loads(out)["components"]["(2)"]["module"]["invariants"] == {"(2)": [4, 1]}
+    cos = cosilting({"relations": [[3, 0], [0, 4]]}, {"relations": [[4]]}, [[0], [1]])
+    code, out = run(capsys, "--json", "cosilting-set", "--cosilting", cos)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["thomason"] == ["(2)"] and not payload["cosilting_verified"]
+    # a cyclic Q0 presented on two basis vectors with e_1 = e_2
+    cyclic = {"relations": [[1, 11]]}
+    assert run(capsys, "cosilting-set", "--cosilting", cosilting(cyclic, {"rank": 1}, [[1], [1]]))[0] == 0
+    assert main(["cosilting-set", "--cosilting", cosilting(cyclic, {"rank": 1}, [[1], [0]])]) == 2
+    assert "eta does not respect the relations of Q0" in capsys.readouterr().err
 
 
 def test_integers_family(capsys, tmp_path):
@@ -359,6 +382,7 @@ def test_domain_error_names_the_invariant(capsys, ring_file, tmp_path):
 
 Z_DEFAULT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
 COS_Z12 = {"ring": Z12, "q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}}
+COS_FREE_5 = {"q0": {"rank": 5}, "q1": {"rank": 5}, "eta": [[0] * 5] * 5}
 
 
 def localize_on(poset):
@@ -449,7 +473,7 @@ def z_key(key):
         (cohomology_of({"terms": {"1_0": {"free": 1}}}), "'terms' key '1_0'"),
         (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"x": [[1]]}}), "'differentials' key 'x'"),
         (cohomology_of({"terms": {"0": {"free": 1}}, "differentials": {"1_0": [[1]]}}), "'differentials' key '1_0'"),
-        (["fuzz", "--max-poset", "7"], "bound of 6"),
+        (["fuzz", "--max-poset", "8"], "bound of 7"),
         (["fuzz", "--max-poset", "2", "--max-ring", "4", "--window", "1", "-1"], "--window 1 -1"),
         (["fuzz", "--max-poset", "1", "--max-ring", "2", "--window", "-50", "50"],
          "window [-50, 50] lists more filtrations, or families of them, than the bound "
@@ -508,6 +532,13 @@ def z_key(key):
         (["cohomology", "--ring", '{"kind":"zmod","n":36}', "--complex",
           '{"terms": {"-1": {"free": 1000000000}, "0": {"free": 2}}, "differentials": {"-1": [[6, 0], [0, 4]]}}'],
          "differential at -1 must be a 2x1000000000 matrix"),
+        # Q0 and Q1 of 248,832 elements each: about 60 s before it answered
+        (["cosilting-set", "--cosilting", json.dumps(dict(COS_FREE_5, ring=Z12))],
+         "MAX_COPRESENTATION_STEPS = 200000"),
+        # three accepted components whose sum has 24,300,000 elements
+        (["cosilting-glue", "--family", json.dumps(
+            {"ring": {"kind": "zmod", "n": 30}, "components": dict.fromkeys(["(2)", "(3)", "(5)"], COS_FREE_5)})],
+         "MAX_COPRESENTATION_STEPS = 200000"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -516,7 +547,7 @@ def z_key(key):
          "free-bool", "free-string", "term-int", "elements-string", "elements-int",
          "elements-duplicate", "leq-single", "leq-triple", "leq-string", "leq-unknown", "poset-list",
          "terms-key-x", "terms-key-underscore", "differentials-key-x",
-         "differentials-key-underscore", "fuzz-max-poset-7", "fuzz-window-reversed",
+         "differentials-key-underscore", "fuzz-max-poset-8", "fuzz-window-reversed",
          "fuzz-window-wide", "breakpoints-int",
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
          "koszul-generators-40", "koszul-generators-10000", "module-rank-huge",
@@ -528,7 +559,8 @@ def z_key(key):
          "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
          "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
-         "derived-hom-free-rank-huge", "cohomology-differential-shape"],
+         "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",
+         "cosilting-glue-free-rank-5"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

@@ -177,7 +177,25 @@ def test_eta_shape_is_validated(z12):
 def test_eta_is_evaluated_through_the_relations_of_q0(z12):
     c = cosilting_from_json(z12, {"q0": {"rank": 1}, "q1": {"relations": [[4]]}, "eta": [[1]]})
     assert sorted(c.module.elements) == [(0,), (4,), (8,)]
-    assert c.apply_eta((5,)) == (1,)
+    assert c.eta[(5,)] == (1,)
+
+
+def test_eta_is_read_on_the_presentation_basis_of_q0(z12):
+    """Q0 = R/(a) + R/(b) and Q1 = R/(c) over Z/12: the rows [u], [v] are the
+    images of e_1 and e_2, accepted exactly when a u = 0 = b v in Q1, and
+    then x goes to x_1 u + x_2 v."""
+    cases = 0
+    for a, b, c in itertools.product((2, 3, 4, 6), repeat=3):
+        for u, v in itertools.product(range(c), repeat=2):
+            cases += 1
+            data = {"q0": {"relations": [[a, 0], [0, b]]}, "q1": {"relations": [[c]]}, "eta": [[u], [v]]}
+            if (a * u) % c or (b * v) % c:
+                with pytest.raises(InvalidInputError, match="eta does not respect the relations of Q0"):
+                    cosilting_from_json(z12, data)
+                continue
+            eta = cosilting_from_json(z12, data).eta
+            assert eta == {(x1, x2): ((x1 * u + x2 * v) % c,) for x1 in range(a) for x2 in range(b)}
+    assert cases == 1040
 
 
 def test_eta_must_respect_the_relations_of_q0(z12):
@@ -230,8 +248,8 @@ def _copresentations(ring):
     ]
     for q0 in sums:
         for q1 in sums:
-            for eta in q0.homs_to(q1):
-                yield CosiltingModule(ring, q0, q1, eta)
+            for images in q0.homs_to(q1):
+                yield CosiltingModule(ring, q0, q1, q0.hom_graph(images, q1))
 
 
 @pytest.mark.parametrize(

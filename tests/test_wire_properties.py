@@ -18,8 +18,13 @@ recorded ``derived-hom`` cases and the ``--complex`` of the recorded
 ``cohomology`` case take them too, under two seconds; an exit 2 must name a
 field of the complex or module JSON, a term or differential by its degree,
 the ``--degree`` option (which argparse refuses with exit 2 unless it is an
-integer), the enumeration bound or the d o d check.  Hypothesis runs
-derandomized, so the suite stays deterministic.
+integer), the enumeration bound or the d o d check.  The ``--cosilting`` and
+``--family`` JSON of the recorded cosilting verbs and the ``--filtration`` and
+``--complex`` of the recorded ``coaisle-test`` cases on a differential take
+them too, under two seconds; an exit 2 must name a field of the input, a
+whole argument's JSON, an element of the ring, a term or differential by its
+degree, a bound or the invariant that failed.  Hypothesis runs derandomized,
+so the suite stays deterministic.
 """
 
 import contextlib
@@ -257,3 +262,42 @@ def mutated_hom_argv(draw):
 @given(mutated_hom_argv())
 def test_mutated_hom_inputs_exit_cleanly(case):
     _exits_cleanly(*case, 2, HOM_NAMED)
+
+
+COSILTING_CASES = [
+    (name, case["argv"])
+    for name, case in sorted(GOLDEN.items())
+    if {"cosilting-set", "cosilting-split", "cosilting-glue"} & set(case["argv"])
+    or name.startswith("coaisle-test-differential")
+]
+# a quoted field of the cosilting, module, ring, filtration or complex JSON, a
+# whole argument's JSON, the ring kind, an element of the ring, a term or
+# differential at its degree, a bound, or the invariant that failed
+COSILTING_NAMED = re.compile(
+    r"'(ring|q0|q1|eta|components|rank|relations|kind|n|p|f|factors|ring element"
+    r"|low_tail|high_tail|breakpoints|set|terms|differentials|free|module)'"
+    r"|\b(cosilting|module|ring|filtration|complex) JSON\b|\bring kind\b|\ban element of\b"
+    r"|\b(term|differential) at -?\d+|\bbreakpoint ind(ex|ices)\b|\bbound\b|MAX_[A-Z_]+ = \d+"
+    r"|\brank must be nonnegative\b"
+    r"|\brelations of Q0\b|\btails differ\b|\bfiltration not decreasing\b"
+)
+
+
+@st.composite
+def mutated_cosilting_argv(draw):
+    """A recorded cosilting call with its ``--cosilting`` or ``--family``
+    mutated, or a recorded ``coaisle-test`` call on a differential with its
+    filtration, its complex or both mutated."""
+    name, argv = draw(st.sampled_from(COSILTING_CASES))
+    argv = list(argv)
+    options = [o for o in ("--cosilting", "--family", "--filtration", "--complex") if o in argv]
+    for option in draw(st.lists(st.sampled_from(options), min_size=1, unique=True)):
+        k = argv.index(option) + 1
+        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+    return name, argv
+
+
+@DERANDOMIZED
+@given(mutated_cosilting_argv())
+def test_mutated_cosilting_and_coaisle_inputs_exit_cleanly(case):
+    _exits_cleanly(*case, 2, COSILTING_NAMED)
