@@ -230,18 +230,16 @@ def product_catalog(max_order: int) -> list[FiniteRing]:
 # -- generated complexes -----------------------------------------------------
 
 
-def koszul_complexes(ring: FiniteRing, shifts=(0,)) -> list[BoundedComplex]:
-    """Shifted Koszul complexes of every ideal, plus pairwise direct sums."""
+def koszul_complexes(ring: FiniteRing, shifts=(0,), max_sums=None) -> list[BoundedComplex]:
+    """Shifted Koszul complexes of every ideal, plus the first ``max_sums``
+    (default all) of their pairwise direct sums."""
     singles = []
     for ideal in rng.all_ideals(ring):
         kos = homalg.koszul_of_ideal(ring, ideal)
         for k in shifts:
             singles.append(homalg.shift(kos, k))
-    sums = [
-        homalg.direct_sum_complexes(a, b)
-        for a, b in itertools.combinations(singles, 2)
-    ]
-    return singles + sums
+    pairs = itertools.islice(itertools.combinations(singles, 2), max_sums)
+    return singles + [homalg.direct_sum_complexes(a, b) for a, b in pairs]
 
 
 def stalk_complexes(ring: FiniteRing) -> list[BoundedComplex]:

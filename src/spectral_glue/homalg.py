@@ -7,14 +7,17 @@ stalks, and finite direct sums of these.
 
 :func:`derived_hom` builds its groups by element sweeps, and
 :func:`cohomology` is H^n of Hom(R, C), so there is one enumerator.  It runs
-on element indices through each module's index arithmetic, and lists the
-cycles by pairing two halves of the coordinates of a Hom term, each half
-indexed by its image, rather than filtering their whole product.  It serves
-the CLI, which prints module invariants, and is the oracle; sweep 9 reads
-only the order |Z|/|B| through :func:`derived_hom_order`, which builds no
-module.  The sweeps need only orders and supports, which :func:`hom_orders`
-and :func:`support_of_cohomology` read off Smith valuations over each local
-chain ring R_m without enumerating anything.
+on element indices through each module's index arithmetic over consecutive
+degrees: each Hom term below the top one is listed once, its image giving
+the boundaries of the next and its zero fibre its own cycles, and the cycles
+of the top term are paired from two halves of its coordinates, each half
+indexed by its image, rather than filtered from their whole product.  It
+serves the CLI, which prints module invariants, and is the oracle; sweep 9
+reads only the orders |Z|/|B| of three degrees at once through
+:func:`derived_hom_orders`, which builds no module.  The sweeps need only
+orders and supports, which :func:`hom_orders` and
+:func:`support_of_cohomology` read off Smith valuations over each local chain
+ring R_m without enumerating anything.
 """
 
 from __future__ import annotations
@@ -296,31 +299,40 @@ def derived_hom(perfect: BoundedComplex, target: BoundedComplex, i: int) -> Fini
     the tuple of the element indices of its coordinates (p, j) in the nonzero
     Y^{p+k}, and d^k is compiled once into lookups in the
     :class:`~spectral_glue.modules.IndexArithmetic` of those modules.  The
-    cycles are paired from two halves of the coordinates (:func:`_kernel`),
-    and the result is the quotient of the cycles by the boundaries, on index
-    tuples.  Sweep 9 needs only its order, which :func:`derived_hom_order`
-    reads as |Z^i| / |B^i| without building either module.
+    boundaries are the image of Hom^{i-1}, the cycles are paired from two
+    halves of the coordinates of Hom^i (:func:`_kernel`), and the result is
+    the quotient of the cycles by the boundaries, on index tuples.  Sweep 9
+    needs only orders, which :func:`derived_hom_orders` reads as |Z^i| / |B^i|
+    for consecutive degrees at once, without building either module.
     """
-    ariths, cycles, boundaries = _hom_groups(perfect, target, i)
+    ariths, cycles, boundaries = _hom_groups(perfect, target, i, i)
+    ariths = ariths[i]
     add = lambda f, g: tuple([a.add(x, y) for a, x, y in zip(ariths, f, g)])
     smul = lambda r, f: tuple([a.smul(r, x) for a, x in zip(ariths, f)])
-    cycle_module = FiniteModule(perfect.ring, cycles, add, smul, tuple(a.zero for a in ariths))
-    return cycle_module.quotient(boundaries)
+    cycle_module = FiniteModule(perfect.ring, cycles[i], add, smul, tuple(a.zero for a in ariths))
+    return cycle_module.quotient(boundaries[i])
 
 
-def derived_hom_order(perfect: BoundedComplex, target: BoundedComplex, i: int) -> int:
-    """|H^i Hom(P, Y)| = |Z^i| / |B^i|, enumerated as by :func:`derived_hom`."""
-    _, cycles, boundaries = _hom_groups(perfect, target, i)
-    return len(cycles) // len(boundaries)
+def derived_hom_orders(perfect: BoundedComplex, target: BoundedComplex, degrees) -> dict[int, int]:
+    """{i: |H^i Hom(P, Y)| = |Z^i| / |B^i|} for i in a nonempty collection
+    ``degrees``, enumerated as by :func:`derived_hom` over the degrees from
+    the least to the greatest, with each Hom term listed once."""
+    _, cycles, boundaries = _hom_groups(perfect, target, min(degrees), max(degrees))
+    return {i: len(cycles[i]) // len(boundaries[i]) for i in degrees}
 
 
-def _hom_groups(perfect: BoundedComplex, target: BoundedComplex, i: int):
-    """(the arithmetic of each coordinate of Hom^i, the cycles Z^i as a list
-    of index tuples, the boundaries B^i as a set), for :func:`derived_hom`
-    and :func:`derived_hom_order`.
+def _hom_groups(perfect: BoundedComplex, target: BoundedComplex, lo: int, hi: int):
+    """({k: the arithmetic of each coordinate of Hom^k}, {i: the cycles Z^i
+    as a list of index tuples}, {i: the boundaries B^i as a set}) for the
+    degrees lo <= i <= hi, for :func:`derived_hom` and
+    :func:`derived_hom_orders`.
 
-    Both Hom^i and Hom^{i-1} are checked against ``ENUMERATION_LIMIT`` before
-    anything is enumerated, and B^i is checked to lie inside Z^i.
+    Every Hom^k with lo - 1 <= k <= hi is checked against
+    ``ENUMERATION_LIMIT`` before anything is enumerated, in the order lo,
+    lo - 1, lo + 1, ..., hi, which is that of one-degree calls from lo up.
+    Each Hom^k with k < hi is listed once: its image under d^k is B^{k+1}
+    and its zero fibre is Z^k.  Only Z^hi is paired from two halves, and
+    every B^i is checked to lie inside Z^i.
     """
     if not perfect.is_perfect():
         raise InvalidInputError("first argument must have free terms")
@@ -329,7 +341,7 @@ def _hom_groups(perfect: BoundedComplex, target: BoundedComplex, i: int):
 
     ring = perfect.ring
     bits = ENUMERATION_LIMIT.bit_length()
-    for k in (i, i - 1):
+    for k in (lo, lo - 1, *range(lo + 1, hi + 1)):
         # a nonzero factor |Y^{p+k}|^{r(p)} is at least 2^{r(p)}, so a rank past
         # the limit's bit length is refused before its power or coordinates are formed
         factors = [(target.module_at(p + k).order, perfect.rank(p)) for p in perfect.degrees()]
@@ -341,7 +353,7 @@ def _hom_groups(perfect: BoundedComplex, target: BoundedComplex, i: int):
             raise InvalidInputError(f"Hom term of size {size} is too large to enumerate")
     # every term of P has positive rank, and d_P^p exists only if p + 1 is a term
     coords = {}  # k -> [(p, j, Y^{p+k})] over the coordinates of Hom^k with Y^{p+k} nonzero
-    for k in (i - 1, i, i + 1):
+    for k in range(lo - 1, hi + 2):
         coords[k] = []
         for p in perfect.degrees():
             n_mod = target.module_at(p + k)
@@ -374,15 +386,26 @@ def _hom_groups(perfect: BoundedComplex, target: BoundedComplex, i: int):
         return steps
 
     ariths = {k: [n_mod.arithmetic for _, _, n_mod in coords[k]] for k in coords}
-    d_i, d_prev = compile_d(i), compile_d(i - 1)
-    cycles = _kernel(functools.partial(_image, d_i), ariths[i], ariths[i + 1])
-    boundaries = {
-        _image(d_prev, g) for g in itertools.product(*(range(a.module.order) for a in ariths[i - 1]))
-    }
-    if not boundaries <= set(cycles):
-        # d o d = 0 on Hom(P, Y) whenever it holds on P and on Y
-        raise AssertionError(f"a boundary of Hom^{i} is not a cycle: d o d != 0")
-    return ariths[i], cycles, boundaries
+    cycles, boundaries = {}, {}
+    for k in range(lo - 1, hi):
+        d_k = compile_d(k)
+        elements = itertools.product(*(range(a.module.order) for a in ariths[k]))
+        if k < lo:
+            boundaries[k + 1] = {_image(d_k, g) for g in elements}
+            continue
+        zero = tuple(a.zero for a in ariths[k + 1])
+        boundaries[k + 1], cycles[k] = set(), []
+        for g in elements:
+            image = _image(d_k, g)
+            boundaries[k + 1].add(image)
+            if image == zero:
+                cycles[k].append(g)
+    cycles[hi] = _kernel(functools.partial(_image, compile_d(hi)), ariths[hi], ariths[hi + 1])
+    for i in range(lo, hi + 1):
+        if not boundaries[i] <= set(cycles[i]):
+            # d o d = 0 on Hom(P, Y) whenever it holds on P and on Y
+            raise AssertionError(f"a boundary of Hom^{i} is not a cycle: d o d != 0")
+    return ariths, cycles, boundaries
 
 
 def _image(steps, f) -> tuple:

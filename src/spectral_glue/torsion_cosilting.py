@@ -229,6 +229,13 @@ class CosiltingModule:
     def is_degenerate(self) -> bool:
         return self.module.is_zero_module()
 
+    @cached_property
+    def torsion(self) -> dict:
+        """{a: the a-torsion of C, that is Hom(R/(a), C)} over the
+        :func:`cyclic_annihilators` a, listed once for :func:`is_cosilting`
+        and :func:`cosilting_thomason_of_module`."""
+        return {a: _annihilated_part(self.module, a) for a in cyclic_annihilators(self.ring)}
+
 
 def cosilting_from_modules(ring: FiniteRing, summands) -> CosiltingModule:
     """The cosilting module C = (product of the given indecomposable injectives)
@@ -264,15 +271,15 @@ def _annihilated_part(target: FiniteModule, a) -> list:
     return [x for x in target.elements if target.smul(a, x) == target.zero]
 
 
-def cyclic_in_cogen(ring: FiniteRing, a, cogenerator: FiniteModule) -> bool:
+def cyclic_in_cogen(ring: FiniteRing, a, cosilting: CosiltingModule) -> bool:
     """R/(a) embeds in a power of C iff Hom(R/(a), C) separates its points,
     i.e. for every r outside (a) some a-torsion element c of C has rc != 0."""
-    torsion = _annihilated_part(cogenerator, a)
+    c_mod, torsion = cosilting.module, cosilting.torsion[a]
     ideal = rng.principal_members(ring, a)
     for r in ring.elements():
         if r in ideal:
             continue
-        if all(cogenerator.smul(r, c) == cogenerator.zero for c in torsion):
+        if all(c_mod.smul(r, c) == c_mod.zero for c in torsion):
             return False
     return True
 
@@ -292,14 +299,17 @@ def is_cosilting(cosilting: CosiltingModule) -> bool:
     """
     ring = cosilting.ring
     return all(
-        cyclic_in_b_eta(ring, a, cosilting) == cyclic_in_cogen(ring, a, cosilting.module)
+        cyclic_in_b_eta(ring, a, cosilting) == cyclic_in_cogen(ring, a, cosilting)
         for a in cyclic_annihilators(ring)
     )
 
 
 def cosilting_thomason_of_module(cosilting: CosiltingModule) -> ThomasonSet:
     """Y = union of V(I) over ideals I with Hom(R/I, C) = 0."""
-    return thomason_of_injective_class(cosilting.ring, [cosilting.module])
+    # only zero is killed by I = (g); the unit ideal, whose V is empty, has no entry
+    torsion = cosilting.torsion
+    ideals = [i for i in rng.all_ideals(cosilting.ring) if len(torsion.get(i.generators[0], ())) == 1]
+    return thomason_of_torsion_class(cosilting.ring, ideals)
 
 
 def two_term_filtration(x0: ThomasonSet) -> ThomasonFiltration:

@@ -1,0 +1,88 @@
+"""The summary of ``tools/bench_pairs.py`` on synthetic run records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).parent.parent / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = {"wall_s": "lower", "pass_ratio": "higher"}
+
+
+def records(workload, parent_walls, change_walls, correct=True):
+    """Run records as ``run_pairs`` makes them, pair by pair in the
+    alternating order, with the given ``wall_s`` and ``pass_ratio`` 1."""
+    runs = []
+    for pair, walls in enumerate(zip(parent_walls, change_walls), start=1):
+        order = bench_pairs.SIDES if pair % 2 else bench_pairs.SIDES[::-1]
+        for side in order:
+            wall = walls[bench_pairs.SIDES.index(side)]
+            metrics = {
+                "wall_s": {"unit": "s", "value": wall},
+                "pass_ratio": {"unit": "ratio", "value": 1.0},
+            }
+            result = {"correct": correct, "metrics": metrics}
+            runs.append({"exit": 0, "first_in_pair": order[0], "pair": pair, "result": result,
+                         "seed": 41, "side": side, "workload": workload})
+    return runs
+
+
+def test_a_clear_gain_meets_the_ten_pair_rule():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.04, 0.96]
+    change = [0.80, 0.82, 0.78, 0.81, 0.79, 0.83, 0.77, 0.80, 0.84, 0.99]
+    summary = bench_pairs.summarize(records("w", parent, change), METRICS)["w"]
+    assert summary["correct"] and summary["pairs"] == 10
+    wall = summary["wall_s"]
+    assert wall["change_wins"] == 9 and wall["ties"] == 0
+    assert wall["parent"]["median"] == pytest.approx(1.0)
+    assert wall["parent"]["q1"] == pytest.approx(0.9825)
+    assert wall["parent"]["q3"] == pytest.approx(1.0175)
+    assert wall["change"]["median"] == pytest.approx(0.805)
+    assert wall["change_vs_parent"] == pytest.approx(-0.195)
+    assert wall["median_gap_exceeds_parent_iqr"] and wall["ten_pair_rule"]
+    ratio = summary["pass_ratio"]
+    assert ratio["ties"] == 10 and ratio["change_wins"] == 0 and not ratio["ten_pair_rule"]
+
+
+def test_the_rule_fails_on_eight_wins_on_a_small_gap_and_on_few_pairs():
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    eight = [p - 0.2 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
+    small = [p - 0.001 for p in parent]
+    runs = records("eight", parent, eight) + records("small", parent, small)
+    runs += records("five", parent[:5], small[:5])
+    summary = bench_pairs.summarize(runs, METRICS)
+    eight = summary["eight"]["wall_s"]
+    assert eight["change_wins"] == 8 and not eight["ten_pair_rule"]
+    small = summary["small"]["wall_s"]
+    assert small["change_wins"] == 10 and not small["median_gap_exceeds_parent_iqr"]
+    assert not small["ten_pair_rule"]
+    assert summary["five"]["pairs"] == 5 and not summary["five"]["wall_s"]["ten_pair_rule"]
+
+
+def test_a_worse_change_never_meets_the_rule_and_a_missing_side_is_not_correct():
+    parent = [1.0] * 10
+    worse = [2.0] * 10
+    wall = bench_pairs.summarize(records("w", parent, worse), METRICS)["w"]["wall_s"]
+    assert wall["median_gap_exceeds_parent_iqr"] and wall["change_wins"] == 0
+    assert not wall["ten_pair_rule"]
+    runs = records("w", parent[:3], parent[:3])
+    runs[-1]["result"] = None  # a crashed run prints no result line
+    summary = bench_pairs.summarize(runs, METRICS)["w"]
+    assert summary["pairs"] == 2 and not summary["correct"]
+    wrong = records("w", [1.0], [1.0], correct=False)
+    assert not bench_pairs.summarize(wrong, METRICS)["w"]["correct"]
+
+
+def test_the_result_line_is_the_last_json_object_with_metrics():
+    assert bench_pairs.result_line('table\n{"x": 1}\n{"correct": true, "metrics": {}}\n') == {
+        "correct": True,
+        "metrics": {},
+    }
+    assert bench_pairs.result_line("") is None
+    assert bench_pairs.result_line("Traceback ...") is None
+    assert bench_pairs.result_line('{"correct": true}') is None

@@ -238,20 +238,42 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_paired_cycles_and_orders_match_the_full_product_on_sweep_9(monkeypatch, kernel_calls):
-    order = homalg.derived_hom_order
+def sweep_9_ranges(monkeypatch):
+    """Run sweep 9 and record each range call it makes: (X, Y_m, degrees,
+    orders), one per pair; the report too."""
+    orders = homalg.derived_hom_orders
     asked = []
 
-    def recording(x, y, i):
-        asked.append((x, y, i, order(x, y, i)))
+    def recording(x, y, degrees):
+        asked.append((x, y, tuple(degrees), orders(x, y, degrees)))
         return asked[-1][-1]
 
-    monkeypatch.setattr(homalg, "derived_hom_order", recording)
+    monkeypatch.setattr(homalg, "derived_hom_orders", recording)
     report = sweeps.sweep_adjunction()
-    assert report.ok and report.checked == len(asked) == len(kernel_calls["orders"]) == 3150
-    assert kernel_calls["wrong"] == []
-    for x, y, i, n in asked:
+    monkeypatch.setattr(homalg, "derived_hom_orders", orders)
+    return report, asked
+
+
+def test_paired_cycles_and_orders_match_the_full_product_on_sweep_9(monkeypatch, kernel_calls):
+    """Sweep 9 makes one range call per pair, and pairs only the top degree's
+    cycles: one ``_kernel`` call per pair."""
+    report, asked = sweep_9_ranges(monkeypatch)
+    triples = [(x, y, i, n) for x, y, _, orders in asked for i, n in orders.items()]
+    assert report.ok and report.checked == len(triples) == 3150
+    assert len(asked) == len(kernel_calls["orders"]) == 1050
+    for x, y, i, n in triples:
         assert n == derived_hom(x, y, i).order, (x, y, i)
+    assert kernel_calls["wrong"] == []
+
+
+def test_range_orders_equal_one_degree_orders_on_sweep_9(monkeypatch):
+    """Listing Hom^{-2}..Hom^0 once and pairing only Z^1 gives the orders of
+    three one-degree calls, each of which lists Hom^{i-1} and pairs Z^i."""
+    _, asked = sweep_9_ranges(monkeypatch)
+    assert len(asked) == 1050 and {degrees for _, _, degrees, _ in asked} == {(-1, 0, 1)}
+    for x, y, degrees, orders in asked:
+        one_by_one = {i: homalg.derived_hom_orders(x, y, (i,))[i] for i in degrees}
+        assert orders == one_by_one, (x, y)
 
 
 @pytest.mark.parametrize(
@@ -265,7 +287,7 @@ def test_paired_cycles_match_the_full_product_on_koszul_cohomology(ring, kernel_
     unit = free_stalk(ring, 1, 0)
     for cx in catalog.koszul_complexes(ring):
         for n in range(cx.min_degree - 1, cx.max_degree + 2):
-            assert homalg.derived_hom_order(unit, cx, n) == cohomology(cx, n).order, (cx, n)
+            assert homalg.derived_hom_orders(unit, cx, (n,))[n] == cohomology(cx, n).order, (cx, n)
     assert kernel_calls["wrong"] == []
     assert {len(orders) for orders in kernel_calls["orders"]} == {0, 1}
 
@@ -281,37 +303,61 @@ def test_paired_cycles_on_an_uneven_cut_no_coordinates_and_a_negative_pairing(z1
     y = BoundedComplex(z12, {0: cyclic_module(z12, 2), 1: cyclic_module(z12, 3), 2: FreeTerm(1)})
     far = stalk_complex(cyclic_module(z12, 2), 5)
     for x, target, i in [(kos, y, 2), (kos, far, 0), (koszul(z12, [1, 1]), free_stalk(z12, 1, 0), 1)]:
-        assert homalg.derived_hom_order(x, target, i) == derived_hom(x, target, i).order
+        assert homalg.derived_hom_orders(x, target, (i,))[i] == derived_hom(x, target, i).order
     assert [2, 3, 3, 12] in kernel_calls["orders"] and [] in kernel_calls["orders"]
     assert kernel_calls["wrong"] == []
 
 
-def test_derived_hom_order_refuses_a_large_hom_term_before_enumerating(monkeypatch):
+@pytest.fixture
+def recorded_refusal(monkeypatch):
+    """The recorded stderr of ``derived-hom-too-large``, with the listing of
+    a Hom term, the cycle pairing and every index arithmetic patched to
+    raise if reached."""
     with open(Path(__file__).parent / "data" / "cli_golden.json") as fh:
         recorded = json.load(fh)["derived-hom-too-large"]["stderr"]
 
     def enumerating(*args):
         raise AssertionError("enumerated before the size check")
 
+    monkeypatch.setattr(homalg, "_image", enumerating)
     monkeypatch.setattr(homalg, "_kernel", enumerating)
     monkeypatch.setattr(IndexArithmetic, "__init__", enumerating)
+    return recorded
+
+
+def test_derived_hom_orders_refuses_a_large_hom_term_before_enumerating(recorded_refusal):
     ring = ZMod(36)
     with pytest.raises(InvalidInputError) as refused:
-        homalg.derived_hom_order(free_stalk(ring, 5, 0), free_stalk(ring, 1, 0), 0)
-    assert f"error: {refused.value}\n" == recorded
+        homalg.derived_hom_orders(free_stalk(ring, 5, 0), free_stalk(ring, 1, 0), (0,))
+    assert f"error: {refused.value}\n" == recorded_refusal
     # a rank past the bound's bit length is refused before its power is formed
     with pytest.raises(InvalidInputError, match=r"size at least 2\^1000000000 is too large"):
-        homalg.derived_hom_order(free_stalk(ring, 10**9, 0), free_stalk(ring, 1, 0), 0)
+        homalg.derived_hom_orders(free_stalk(ring, 10**9, 0), free_stalk(ring, 1, 0), (0,))
+
+
+def test_a_range_with_a_large_middle_term_is_refused_before_enumerating(recorded_refusal):
+    """Over degrees -1..1 the terms Hom^{-2}, Hom^{-1} and Hom^1 are
+    (R/(6))^5, but the middle term Hom^0 = R^5 is over the limit: it is
+    refused before the terms below it are listed."""
+    ring = ZMod(36)
+    small = cyclic_module(ring, 6)
+    x = free_stalk(ring, 5, 0)
+    y = BoundedComplex(ring, {-2: small, -1: small, 0: FreeTerm(1), 1: small})
+    with pytest.raises(InvalidInputError) as refused:
+        homalg.derived_hom_orders(x, y, (-1, 0, 1))
+    assert f"error: {refused.value}\n" == recorded_refusal
 
 
 def test_a_boundary_outside_the_cycles_raises(z12):
     """Hom(P, Y) is a complex whenever P and Y are; a P whose d o d != 0
     got past the constructor's check makes B^1 leave Z^1, which raises and
-    never becomes an order."""
+    never becomes an order: whether Z^1 is paired from two halves (the top
+    of the range) or read as the zero fibre of d^1 (below the top)."""
     p = BoundedComplex(z12, {-2: FreeTerm(1), -1: FreeTerm(1), 0: FreeTerm(1)}, {-2: [[1]]})
     p.diffs[-1] = ((1,),)
-    with pytest.raises(AssertionError, match="not a cycle"):
-        homalg.derived_hom_order(p, free_stalk(z12, 1, 0), 1)
+    for degrees in ((1,), (0, 1), (1, 2)):
+        with pytest.raises(AssertionError, match="not a cycle"):
+            homalg.derived_hom_orders(p, free_stalk(z12, 1, 0), degrees)
 
 
 # -- Hom orders and supports against enumeration ------------------------------

@@ -225,7 +225,7 @@ def _multiset_is_cosilting(cosilting):
     gens = cyclic_annihilators(ring)
     orders = [ring.order // len(Ideal(ring, (g,)).members) for g in gens]
     in_b = [cyclic_in_b_eta(ring, a, cosilting) for a in gens]
-    in_c = [cyclic_in_cogen(ring, a, cosilting.module) for a in gens]
+    in_c = [cyclic_in_cogen(ring, a, cosilting) for a in gens]
 
     def multisets(prefix, total, start):
         yield prefix

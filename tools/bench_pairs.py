@@ -1,0 +1,193 @@
+"""Alternating parent/change pairs of the benchmark, summarised for a claim.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
+        --workload derived-hom=10 --workload koszul-tables=5 --seed 41 --seconds 8 \\
+        --claim "derived-hom wall_s falls by the ten-pair rule" \\
+        --parent-label "an archive of the parent commit" --change-label "the change"
+
+Each checkout (a directory holding ``perfbench/run.py`` and ``src/``, such
+as an archive of a commit) runs ``perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` in turn: the parent first in odd pairs and the
+change first in even ones, so a drift of the host's speed over a run falls
+on both sides alike.  Only each run's final result line is kept.
+
+Every end-to-end metric that ``BENCHMARK.json`` (read from the change
+checkout) declares is then summarised per workload: the median and the
+inclusive quartiles of each side, the change's relative gap, its wins and
+ties over the pairs, whether the gap exceeds the parent's quartile spread,
+and the ten-pair rule: at least ten pairs, the change better in at least
+nine of every ten, and its median better by more than the parent's spread.
+
+Standard library only; the output is one JSON file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+METRICS_FILE = "BENCHMARK.json"
+SIDES = ("parent", "change")
+
+
+def spread(values) -> dict:
+    """Median and inclusive quartiles of a list of numbers."""
+    values = sorted(values)
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "n": len(values), "q1": q1, "q3": q3}
+
+
+def compare(pairs, better: str) -> dict:
+    """The summary of one metric over (parent, change) value pairs, where
+    ``better`` is "lower" or "higher"."""
+    sign = -1 if better == "lower" else 1
+    parent = spread([p for p, _ in pairs])
+    change = spread([c for _, c in pairs])
+    gap = sign * (change["median"] - parent["median"])
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    exceeds = abs(gap) > parent["q3"] - parent["q1"]
+    return {
+        "change": change,
+        "change_vs_parent": change["median"] / parent["median"] - 1 if parent["median"] else None,
+        "change_wins": wins,
+        "median_gap_exceeds_parent_iqr": exceeds,
+        "parent": parent,
+        "ten_pair_rule": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gap > 0 and exceeds,
+        "ties": sum(c == p for p, c in pairs),
+    }
+
+
+def summarize(runs, metrics) -> dict:
+    """{workload: {"correct", "pairs", metric: compare(...)}} over the run
+    records, for ``metrics`` a {name: "lower" | "higher"} map.  A pair counts
+    once both of its sides gave a result line."""
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        sides: dict = {}
+        for r in runs:
+            if r["workload"] == workload:
+                sides.setdefault(r["pair"], {})[r["side"]] = r["result"]
+        pairs = [s for _, s in sorted(sides.items()) if all(s.get(side) for side in SIDES)]
+        correct = all(s[side]["correct"] for s in pairs for side in SIDES)
+        summary = {"correct": len(pairs) == len(sides) and correct, "pairs": len(pairs)}
+        for name, better in metrics.items():
+            values = [tuple(s[side]["metrics"][name]["value"] for side in SIDES) for s in pairs]
+            if values:
+                summary[name] = compare(values, better)
+        out[workload] = summary
+    return out
+
+
+def result_line(stdout: str):
+    """The final JSON line of a ``run.py`` output, or None without one."""
+    lines = stdout.strip().splitlines()
+    try:
+        line = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        return None
+    return line if isinstance(line, dict) and "metrics" in line else None
+
+
+def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
+    return [
+        "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"
+    ]
+
+
+def run_pairs(checkouts: dict, workloads, seed: int, seconds: float, log=sys.stderr) -> list[dict]:
+    """The run records of ``workloads``, a list of (name, pairs)."""
+    runs = []
+    for workload, count in workloads:
+        for pair in range(1, count + 1):
+            order = SIDES if pair % 2 else SIDES[::-1]
+            for side in order:
+                proc = subprocess.run(
+                    [sys.executable, *bench_command(workload, seed, seconds)],
+                    cwd=checkouts[side],
+                    capture_output=True,
+                    text=True,
+                )
+                result = result_line(proc.stdout)
+                runs.append(
+                    {
+                        "exit": proc.returncode,
+                        "first_in_pair": order[0],
+                        "pair": pair,
+                        "result": result,
+                        "seed": seed,
+                        "side": side,
+                        "workload": workload,
+                    }
+                )
+                wall = result["metrics"]["wall_s"]["value"] if result else None
+                print(f"{workload} pair {pair} {side}: exit {proc.returncode}, wall_s {wall}",
+                      file=log)
+    return runs
+
+
+def host() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((l.split(":", 1)[1].strip() for l in fh if l.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version()}
+
+
+def parse_workload(text: str) -> tuple[str, int]:
+    name, _, count = text.partition("=")
+    if not name or not count.isdigit() or int(count) < 1:
+        raise argparse.ArgumentTypeError(f"expected NAME=PAIRS, got {text!r}")
+    return name, int(count)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
+    parser.add_argument("--workload", type=parse_workload, action="append", required=True,
+                        help="NAME=PAIRS, repeatable")
+    parser.add_argument("--seed", type=int, default=41)
+    parser.add_argument("--seconds", type=float, default=8)
+    parser.add_argument("--claim", required=True)
+    parser.add_argument("--parent-label", default="parent")
+    parser.add_argument("--change-label", default="change")
+    args = parser.parse_args(argv)
+
+    with open(os.path.join(args.change, METRICS_FILE)) as fh:
+        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
+    checkouts = {"parent": args.parent, "change": args.change}
+    runs = run_pairs(checkouts, args.workload, args.seed, seconds)
+    counts = ", ".join(f"{count} on {name}" for name, count in args.workload)
+    record = {
+        "claim": args.claim,
+        "command": "python3 " + " ".join(bench_command("W", args.seed, seconds)),
+        "host": host(),
+        "method": (
+            f"alternating pairs on seed {args.seed} ({counts}), made by tools/bench_pairs.py; "
+            f"the parent ({args.parent_label}) ran first in odd pairs and the change "
+            f"({args.change_label}) first in even ones; each record's metrics are medians over "
+            "its passes at reference host speed; only each run's final result line is kept"
+        ),
+        "runs": runs,
+        "summary": summarize(runs, metrics),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0 if all(w["correct"] for w in record["summary"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
