@@ -57,7 +57,6 @@ from .rings import (
     ZMod,
     cyclic_module,
     indecomposable_injectives,
-    residue_field,
     ring_from_json,
     spec,
     support,
@@ -78,7 +77,6 @@ from .torsion_cosilting import (
     cosilting_thomason_of_module,
     glue_cosilting,
     components_of_cosilting,
-    injective_class_of,
     is_cosilting,
     is_torsion,
     is_torsionfree,

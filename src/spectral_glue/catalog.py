@@ -235,7 +235,7 @@ def koszul_complexes(ring: FiniteRing, shifts=(0,), max_sums=None) -> list[Bound
     (default all) of their pairwise direct sums."""
     singles = []
     for ideal in rng.all_ideals(ring):
-        kos = homalg.koszul_of_ideal(ring, ideal)
+        kos = homalg.koszul(ring, ideal.generators)
         for k in shifts:
             singles.append(homalg.shift(kos, k))
     pairs = itertools.islice(itertools.combinations(singles, 2), max_sums)
@@ -259,7 +259,7 @@ def stalk_complexes(ring: FiniteRing) -> list[BoundedComplex]:
 
 
 def spec_filtrations(ring: FiniteRing, lo: int, hi: int) -> list[ThomasonFiltration]:
-    poset, _ = rng.spec(ring)
+    poset = rng.spec(ring)
     return all_filtrations(poset, lo, hi)
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 from typing import Callable, NamedTuple
 
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
@@ -68,8 +69,7 @@ def _poset(args) -> SpectralPoset:
     if args.poset:
         return SpectralPoset.from_json(_load_json(args, "poset"))
     if args.ring:
-        poset, _ = rng.spec(_ring(args))
-        return poset
+        return rng.spec(_ring(args))
     raise SpectralGlueError("give --poset or --ring")
 
 
@@ -106,7 +106,7 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
     if isinstance(ref, dict) and ref.get("kind") == "integers":
         return zz.z_family_from_json(data), INTEGERS
     if isinstance(ref, dict) and "kind" in ref:
-        poset, _ = rng.spec(rng.ring_from_json(ref))
+        poset = rng.spec(rng.ring_from_json(ref))
     else:
         poset = SpectralPoset.from_json(ref)
     default = data.get("default")
@@ -126,7 +126,7 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
 
 def _descriptor(args) -> ts.TStructureDescriptor:
     ring = _ring(args)
-    poset, _ = rng.spec(ring)
+    poset = rng.spec(ring)
     filt = filtration_from_json(poset, _load_json(args, "filtration"))
     return ts.TStructureDescriptor(ring, filt)
 
@@ -156,7 +156,7 @@ def _cosilting(data) -> tc.CosiltingModule:
 
 def cmd_spec(args) -> int:
     ring = _ring(args)
-    poset, labeling = rng.spec(ring)
+    poset = rng.spec(ring)
     payload = {
         "ring": ring.describe(),
         "poset": poset.to_json(),
@@ -309,7 +309,7 @@ def cmd_coaisle_test(args) -> int:
 def cmd_tstr_localize(args) -> int:
     descriptor = _descriptor(args)
     payload = {}
-    for m in sorted(maximal_points(rng.spec(descriptor.ring)[0])):
+    for m in sorted(maximal_points(rng.spec(descriptor.ring))):
         local = ts.localize_tstructure(descriptor, m)
         payload[m] = {
             "ring": local.ring.to_json(),
@@ -333,7 +333,7 @@ def cmd_tstr_classify(args) -> int:
 def cmd_torsion(args) -> int:
     ring = _ring(args)
     module = rng.module_from_json(ring, _load_json(args, "module"))
-    poset, _ = rng.spec(ring)
+    poset = rng.spec(ring)
     x_set = set_from_json(poset, _load_json(args, "set"))
     part = tc.torsion_submodule(module, x_set)
     payload = {
@@ -422,7 +422,10 @@ def cmd_fuzz(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: a build costs many parses, and parsing
+    leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="spectral-glue",
         description="Thomason filtrations, local-global gluing, and homological "

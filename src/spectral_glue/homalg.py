@@ -35,7 +35,7 @@ from . import rings as rng
 from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
 from .modules import ENUMERATION_LIMIT, FiniteModule
 from .poset import PrimeId
-from .rings import FiniteRing, Ideal, LocalFactor
+from .rings import FiniteRing, LocalFactor
 from .thomason import ThomasonSet
 
 
@@ -218,10 +218,6 @@ def koszul(ring: FiniteRing, generators) -> BoundedComplex:
     return BoundedComplex(ring, terms, diffs)
 
 
-def koszul_of_ideal(ring: FiniteRing, ideal: Ideal) -> BoundedComplex:
-    return koszul(ring, ideal.generators)
-
-
 def shift(complex_: BoundedComplex, k: int) -> BoundedComplex:
     """C[k] with (C[k])^n = C^{n+k} and differential scaled by (-1)^k."""
     ring = complex_.ring
@@ -285,7 +281,7 @@ def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
             order = _factor_order(complex_, n, lf, lf.proj, lf.valuation[0])
         if order > 1:
             members.append(lf.label)
-    return ThomasonSet.from_members(rng.spec(ring)[0], members)
+    return ThomasonSet.from_members(rng.spec(ring), members)
 
 
 # -- derived Hom -------------------------------------------------------------

@@ -74,9 +74,6 @@ class SpectralPoset:
         """The labels of the points of ``mask``, in sorted order."""
         return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)
 
-    def leq(self, a: PrimeId, b: PrimeId) -> bool:
-        return bool(self.up[self.point(a)] >> self.point(b) & 1)
-
     def closure(self, mask: int) -> int:
         """Smallest up-set containing ``mask``: the specialization closure."""
         for i, u in enumerate(self.up):

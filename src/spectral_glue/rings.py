@@ -23,9 +23,9 @@ element of R holds the valuations of its projections to the local factors.
 An ideal is then a vector (j_m) with 0 <= j_m <= L_m, holding the x whose
 vector is at least (j_m) everywhere.  Each ring keeps one ideal table from
 such a vector to the ideal's least generator and members; the members of an
-ideal on any generators, the cyclic modules R/(g) and the residue fields are
-lookups in it.  Valuations are tabulated per element too, so they share the
-tables' size bound (``TABLE_LIMIT``).
+ideal on any generators and the cyclic modules R/(g) are lookups in it.
+Valuations are tabulated per element too, so they share the tables' size
+bound (``TABLE_LIMIT``).
 """
 
 from __future__ import annotations
@@ -653,10 +653,9 @@ def cyclic_module(ring: FiniteRing, g) -> FiniteModule:
 
 
 @lru_cache(maxsize=None)
-def spec(ring: FiniteRing) -> tuple[SpectralPoset, dict[str, Ideal]]:
-    """Spectrum as an antichain poset plus the label -> prime ideal map."""
-    labeling = {lf.label: Ideal(ring, (lf.prime_gen,)) for lf in ring.local_factors()}
-    return SpectralPoset(labeling.keys()), labeling
+def spec(ring: FiniteRing) -> SpectralPoset:
+    """Spectrum as the antichain poset of the maximal ideals' labels."""
+    return SpectralPoset(lf.label for lf in ring.local_factors())
 
 
 def v_of_ideal(ring: FiniteRing, ideal: Ideal) -> ThomasonSet:
@@ -669,13 +668,7 @@ def v_of_ideal(ring: FiniteRing, ideal: Ideal) -> ThomasonSet:
         for lf in ring.local_factors()
         if all(lf.valuation[1][lf.proj_of(g)] > 0 for g in ideal.generators)
     ]
-    return ThomasonSet.from_members(spec(ring)[0], members)
-
-
-def localize_ring(ring: FiniteRing, label: str):
-    """Local factor at a maximal prime, with the projection map."""
-    lf = local_factor(ring, label)
-    return lf.ring, lf.proj
+    return ThomasonSet.from_members(spec(ring), members)
 
 
 def local_factor(ring: FiniteRing, label: str) -> LocalFactor:
@@ -688,15 +681,7 @@ def local_factor(ring: FiniteRing, label: str) -> LocalFactor:
 def support(module: FiniteModule) -> ThomasonSet:
     """Supp(M) = V(Ann M): the maximal ideals m with e_m M nonzero."""
     members = [m for m, sizes in module.local_invariants().items() if sizes[0] > 1]
-    return ThomasonSet.from_members(spec(module.ring)[0], members)
-
-
-def residue_field(ring: FiniteRing, label: str) -> FiniteModule:
-    """kappa(p) = R/p, presented over R (all primes are maximal here)."""
-    _, labeling = spec(ring)
-    if label not in labeling:
-        raise InvalidInputError(f"unknown prime {label!r} of {ring}")
-    return cyclic_module(ring, labeling[label].generators[0])
+    return ThomasonSet.from_members(spec(module.ring), members)
 
 
 def indecomposable_injectives(ring: FiniteRing) -> list[FiniteModule]:

@@ -315,7 +315,7 @@ def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
         signature = tuple(sorted(repr(sorted(table.injectives[j].elements)) for j in chosen))
         if signature in injective_images:
             problems.append(
-                f"injective_class_of not injective (collides with {injective_images[signature]})"
+                f"injective class map not injective (collides with {injective_images[signature]})"
             )
         injective_images[signature] = set_to_json(x)
         recovered = table.recovered(chosen)
@@ -337,7 +337,7 @@ def sweep_torsion(max_n: int = 60, jobs: int = 1) -> SweepReport:
 
 def _check_cosilting(report: SweepReport, cosilting) -> None:
     ring = cosilting.ring
-    poset, _ = rng.spec(ring)
+    poset = rng.spec(ring)
     report.checked += 1
     problems = []
     if not tc.is_cosilting(cosilting):
@@ -431,7 +431,7 @@ def run_all(
         catalog.check_window(catalog.count_filtrations(poset, lo, hi), lo, hi)
         catalog.check_window(catalog.count_filtration_families(poset, lo, hi), lo, hi)
     for ring in _orthogonality_rings(max_ring) + _local_global_rings(max_ring):
-        catalog.check_window(catalog.count_filtrations(rng.spec(ring)[0], lo, hi), lo, hi)
+        catalog.check_window(catalog.count_filtrations(rng.spec(ring), lo, hi), lo, hi)
     return [
         sweep_set_gluing(max_poset=max_poset),
         sweep_lemma_equiv(max_poset=max_poset),

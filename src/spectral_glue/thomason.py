@@ -51,12 +51,6 @@ class ThomasonSet:
         return cls(poset, 0)
 
     @property
-    def generators(self) -> tuple[PrimeId, ...]:
-        """The minimal members: the V(I) witnesses exhibiting the set as Thomason."""
-        down = self.poset.down
-        return tuple(p for i, p in enumerate(self.poset.elements) if down[i] & self.mask == 1 << i)
-
-    @property
     def members(self) -> frozenset[PrimeId]:
         return frozenset(self.poset.labels(self.mask))
 

@@ -39,7 +39,7 @@ def _element_support(module: FiniteModule, x) -> frozenset[PrimeId]:
 
 def torsion_submodule(module: FiniteModule, x_set: ThomasonSet) -> FiniteModule:
     """Largest submodule supported in the Thomason set: {x | V(Ann x) in X}."""
-    poset, _ = rng.spec(module.ring)
+    poset = rng.spec(module.ring)
     if x_set.poset != poset:
         raise InvalidInputError("Thomason set does not live on spec of the module's ring")
     allowed = x_set.members
@@ -59,7 +59,7 @@ def is_torsionfree(module: FiniteModule, x_set: ThomasonSet) -> bool:
 
 def thomason_of_torsion_class(ring: FiniteRing, torsion_cyclics) -> ThomasonSet:
     """T |-> union of V(I) over the ideals whose cyclic quotient is torsion."""
-    poset, _ = rng.spec(ring)
+    poset = rng.spec(ring)
     result = ThomasonSet.empty(poset)
     for ideal in torsion_cyclics:
         result = result.union(rng.v_of_ideal(ring, ideal))
@@ -85,7 +85,7 @@ class TorsionTable:
 
     def __init__(self, ring: FiniteRing):
         self.ring = ring
-        self.poset, _ = rng.spec(ring)
+        self.poset = rng.spec(ring)
         ring._check_tabulable()
 
     @cached_property
@@ -157,27 +157,6 @@ class TorsionTable:
             raise InvalidInputError("Thomason set does not live on spec of the ring")
 
 
-def injective_class_of(ring: FiniteRing, x_set: ThomasonSet) -> list[FiniteModule]:
-    """Indecomposable injectives that are torsion-free for the pair of X."""
-    table = TorsionTable(ring)
-    return [table.injectives[j] for j in table.injective_class(x_set)]
-
-
-def thomason_of_injective_class(ring: FiniteRing, injectives) -> ThomasonSet:
-    """Recover X from the injective class via Hom-vanishing on cyclics.
-
-    X = union of V(I) over ideals I with Hom(R/I, E) = 0 for every E in the
-    class; inverse to :func:`injective_class_of` on Thomason sets.
-    """
-    poset, _ = rng.spec(ring)
-    result = ThomasonSet.empty(poset)
-    for ideal in rng.all_ideals(ring):
-        # only zero is killed by I = (g)
-        if all(len(_annihilated_part(e, ideal.generators[0])) == 1 for e in injectives):
-            result = result.union(rng.v_of_ideal(ring, ideal))
-    return result
-
-
 # -- cosilting modules -------------------------------------------------------
 
 # The cosilting verbs evaluate eta on every element of Q0, whose cost grows
@@ -230,11 +209,17 @@ class CosiltingModule:
         return self.module.is_zero_module()
 
     @cached_property
+    def q0_torsion(self) -> dict:
+        """{a: the a-torsion of Q0} over the :func:`cyclic_annihilators` a,
+        listed once for :func:`is_cosilting` and :func:`cosilting_thomason_of_module`."""
+        return {a: _annihilated_part(self.q0, a) for a in cyclic_annihilators(self.ring)}
+
+    @cached_property
     def torsion(self) -> dict:
-        """{a: the a-torsion of C, that is Hom(R/(a), C)} over the
-        :func:`cyclic_annihilators` a, listed once for :func:`is_cosilting`
-        and :func:`cosilting_thomason_of_module`."""
-        return {a: _annihilated_part(self.module, a) for a in cyclic_annihilators(self.ring)}
+        """{a: the a-torsion of C, that is Hom(R/(a), C)}: C = ker eta lies in
+        Q0, so it is the a-torsion of Q0 that eta sends to zero."""
+        zero = self.q1.zero
+        return {a: [x for x in part if self.eta[x] == zero] for a, part in self.q0_torsion.items()}
 
 
 def cosilting_from_modules(ring: FiniteRing, summands) -> CosiltingModule:
@@ -286,7 +271,7 @@ def cyclic_in_cogen(ring: FiniteRing, a, cosilting: CosiltingModule) -> bool:
 
 def cyclic_in_b_eta(ring: FiniteRing, a, cosilting: CosiltingModule) -> bool:
     """R/(a) in B_eta iff eta maps the a-torsion of Q0 onto that of Q1."""
-    image = {cosilting.eta[c] for c in _annihilated_part(cosilting.q0, a)}
+    image = {cosilting.eta[c] for c in cosilting.q0_torsion[a]}
     return image >= set(_annihilated_part(cosilting.q1, a))
 
 

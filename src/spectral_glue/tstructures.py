@@ -34,12 +34,8 @@ class TStructureDescriptor:
     filtration: ThomasonFiltration
 
     def __post_init__(self):
-        poset, _ = rng.spec(self.ring)
-        if self.filtration.poset != poset:
+        if self.filtration.poset != rng.spec(self.ring):
             raise InvalidInputError("filtration does not live on spec(ring)")
-
-    def level(self, n: int) -> ThomasonSet:
-        return self.filtration.at(n)
 
 
 def cohomology_supports(complex_: BoundedComplex) -> dict[int, ThomasonSet]:
@@ -95,8 +91,8 @@ def localize_tstructure(t: TStructureDescriptor, m: PrimeId) -> TStructureDescri
     single point and each level restricts to full or empty according to
     membership of m.
     """
-    local_ring, _ = rng.localize_ring(t.ring, m)
-    local_poset, _ = rng.spec(local_ring)
+    local_ring = rng.local_factor(t.ring, m).ring
+    local_poset = rng.spec(local_ring)
 
     def restrict(s: ThomasonSet) -> ThomasonSet:
         return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)

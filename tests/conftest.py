@@ -18,8 +18,7 @@ def z12() -> ZMod:
 
 @pytest.fixture
 def z12_poset(z12):
-    poset, _ = spec(z12)
-    return poset
+    return spec(z12)
 
 
 def up(poset, *members) -> ThomasonSet:
@@ -28,6 +27,11 @@ def up(poset, *members) -> ThomasonSet:
 
 def constant_filtration(poset, value: ThomasonSet) -> ThomasonFiltration:
     return from_levels(poset, 0, (value, value))
+
+
+def leq(poset, a, b) -> bool:
+    """a <= b in the poset, read off the up-set mask of a."""
+    return bool(poset.up[poset.point(a)] >> poset.point(b) & 1)
 
 
 def is_thomason(members, poset) -> bool:

@@ -119,7 +119,7 @@ def test_filtration_counts_match_the_enumeration(window):
 
 
 def test_a_window_is_counted_before_it_is_enumerated():
-    z30_poset, _ = spec(ZMod(30))
+    z30_poset = spec(ZMod(30))
     # Spec(Z/30) is three points with 4 chains each for [-1, 1], 102 each for [-50, 50]
     assert count_filtrations(z30_poset, -1, 1) == 4**3
     assert count_filtrations(z30_poset, -50, 50) > MAX_FILTRATIONS

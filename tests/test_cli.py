@@ -759,7 +759,7 @@ def test_spec_of_a_ring_too_large_to_tabulate(capsys):
 def test_koszul_witness_replays_with_one_call(capsys, monkeypatch, ring):
     # a support oracle that always answers "everything" makes every proper ideal a witness
     monkeypatch.setattr(
-        sweeps.homalg, "support_of_cohomology", lambda kos, n: ThomasonSet.full(spec(kos.ring)[0])
+        sweeps.homalg, "support_of_cohomology", lambda kos, n: ThomasonSet.full(spec(kos.ring))
     )
     report = sweeps.SweepReport("koszul_support")
     sweeps._check_koszul(report, ring)

@@ -26,7 +26,7 @@ from spectral_glue.catalog import (
 from spectral_glue.poset import all_up_sets, localization_poset, maximal_points
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv
 
-from conftest import constant_filtration, is_thomason, up
+from conftest import constant_filtration, is_thomason, leq as mask_leq, up
 
 
 def local_full(vee, m):
@@ -206,7 +206,7 @@ def test_mask_order_matches_label_sets_on_the_catalog():
         assert leq == {(a, a) for a in labels} | set(poset.relation_pairs)
         for a in labels:
             for b in labels:
-                assert poset.leq(a, b) == ((a, b) in leq)
+                assert mask_leq(poset, a, b) == ((a, b) in leq)
         for i, a in enumerate(labels):
             assert set(poset.labels(poset.up[i])) == {b for x, b in leq if x == a}
             assert set(poset.labels(poset.down[i])) == {x for x, b in leq if b == a}

@@ -26,7 +26,6 @@ from spectral_glue.homalg import (
     complex_from_json,
     direct_sum_complexes,
     free_stalk,
-    koszul_of_ideal,
     zero_complex,
 )
 from spectral_glue import catalog, homalg, rings as rng, sweeps
@@ -54,7 +53,7 @@ def test_koszul_cohomology_oracles(z12):
 def test_koszul_support_in_v_of_ideal(z12):
     for gens in [(2,), (3,), (4,), (6,), (2, 3)]:
         ideal = Ideal(z12, gens)
-        k = koszul_of_ideal(z12, ideal)
+        k = koszul(z12, ideal.generators)
         v = set(ideal_support(z12, ideal))
         for n in range(k.min_degree, k.max_degree + 1):
             assert support_of_cohomology(k, n).members <= v

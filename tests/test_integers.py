@@ -26,6 +26,8 @@ from spectral_glue.integers import (
 from spectral_glue.poset import localization_poset
 from spectral_glue.thomason import filtration_from_json, restrict_set
 
+from conftest import leq
+
 
 def zfilt(low, bps, high):
     breakpoints = [{"n": n, "set": s} for n, s in bps]
@@ -43,8 +45,8 @@ def test_z_poset_is_a_star_whose_localizations_are_2_chains():
     poset = z_poset([11, 2, 3])
     assert poset.elements == ("(0)", "(11)", "(2)", "(3)", "(m)")
     assert poset.maximal_labels == {"(11)", "(2)", "(3)", "(m)"}
-    assert all(poset.leq("(0)", m) for m in poset.maximal_labels)
-    assert not poset.leq("(2)", "(3)")
+    assert all(leq(poset, "(0)", m) for m in poset.maximal_labels)
+    assert not leq(poset, "(2)", "(3)")
     for m in poset.maximal_labels:
         local = localization_poset(poset, m)
         assert local.to_json() == {"elements": ["(0)", m], "leq": [["(0)", m]]}

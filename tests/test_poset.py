@@ -3,13 +3,13 @@ import pytest
 from spectral_glue import InvalidInputError, SpectralPoset, localization_poset, maximal_points
 from spectral_glue.poset import all_up_sets
 
-from conftest import is_thomason
+from conftest import is_thomason, leq
 
 
 def test_closure_is_automatic():
     chain = SpectralPoset(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    assert chain.leq("a", "c")
-    assert chain.leq("a", "a")
+    assert leq(chain, "a", "c")
+    assert leq(chain, "a", "a")
 
 
 def test_antisymmetry_enforced():
@@ -32,7 +32,7 @@ def test_up_sets_of_vee(vee):
 def test_localization_poset(vee):
     sub = localization_poset(vee, "m1")
     assert set(sub.elements) == {"p", "m1"}
-    assert sub.leq("p", "m1")
+    assert leq(sub, "p", "m1")
 
 
 def test_localization_rejects_unknown_prime(vee):

@@ -15,7 +15,6 @@ from spectral_glue import (
     direct_sum,
     free_module,
     indecomposable_injectives,
-    residue_field,
     ring_from_json,
     support,
     v_of_ideal,
@@ -23,8 +22,14 @@ from spectral_glue import (
 from spectral_glue import sweeps
 from spectral_glue.catalog import poly_catalog, product_catalog, zmod_catalog
 from spectral_glue.modules import FiniteModule, cokernel_of_rank
-from spectral_glue.rings import all_ideals, localize_ring, module_from_json, pdivmod, pmul, pnorm, spec
+from spectral_glue.rings import all_ideals, local_factor, module_from_json, pdivmod, pmul, pnorm, spec
 from spectral_glue.torsion_cosilting import _element_support
+
+
+def residue_field(ring, label):
+    """kappa(p) = R/p, all primes being maximal: R modulo the generator of
+    the local factor's prime."""
+    return cyclic_module(ring, local_factor(ring, label).prime_gen)
 
 
 def test_spec_z12(z12, z12_poset):
@@ -46,11 +51,12 @@ def test_ideal_lattice_z12(z12):
 
 
 def test_localize_z12(z12):
-    local, proj = localize_ring(z12, "(2)")
+    lf = local_factor(z12, "(2)")
+    local, proj = lf.ring, lf.proj
     assert local.order == 4
     assert proj(6) == local.mul(local.one, proj(6))
     with pytest.raises(InvalidInputError):
-        localize_ring(z12, "(5)")
+        local_factor(z12, "(5)")
 
 
 def test_injectives_z12(z12):
@@ -65,17 +71,17 @@ def test_residue_fields_z12(z12):
 
 def test_poly_quot_spec():
     f4 = PolyQuot(2, (1, 1, 1))  # irreducible: a field with 4 elements
-    poset, _ = spec(f4)
+    poset = spec(f4)
     assert list(poset.elements) == ["(x^2+x+1)"]
     dual = PolyQuot(2, (0, 0, 1))  # x^2: one prime (x)
-    assert len(spec(dual)[0]) == 1
+    assert len(spec(dual)) == 1
     split = PolyQuot(3, (2, 0, 1))  # x^2 - 1 = (x-1)(x+1) over F_3
-    assert len(spec(split)[0]) == 2
+    assert len(spec(split)) == 2
 
 
 def test_product_ring_spec():
     ring = ProductRing([ZMod(4), ZMod(3)])
-    poset, _ = spec(ring)
+    poset = spec(ring)
     assert len(poset) == 2
     assert ring.order == 12
 
@@ -173,9 +179,9 @@ def test_the_ideal_table_matches_the_paths_it_replaced(catalog):
         cyclics = [cyclic_module(ring, g) for g in gens]
         for g, m in zip(gens, cyclics):
             assert same_module(m, cokernel_of_rank(ring, 1, [(g,)])), (ring, g)
-        for label, prime in spec(ring)[1].items():
-            kappa = cokernel_of_rank(ring, 1, [prime.generators])
-            assert same_module(residue_field(ring, label), kappa), (ring, label)
+        for lf in ring.local_factors():
+            kappa = cokernel_of_rank(ring, 1, [(lf.prime_gen,)])
+            assert same_module(residue_field(ring, lf.label), kappa), (ring, lf.label)
         for m in cyclics + indecomposable_injectives(ring):
             for x in m.elements:
                 assert _element_support(m, x) == v_of_annihilator(m, [x]), (ring, m, x)
@@ -193,8 +199,8 @@ def test_cyclic_modules_and_ideals_span_nothing(ring, monkeypatch):
     ideals = all_ideals(ring)
     for ideal in ideals:
         assert cyclic_module(ring, ideal.generators[0]).order == ring.order // len(ideal.members)
-    for label in spec(ring)[1]:
-        assert residue_field(ring, label).order > 1
+    for lf in ring.local_factors():
+        assert residue_field(ring, lf.label).order > 1
     for a, b in itertools.combinations(ideals, 2):
         assert Ideal(ring, a.generators + b.generators).members >= a.members | b.members
 
@@ -386,7 +392,7 @@ def test_valuation_vectors_match_the_multiplication_table(catalog):
         assert ideals == [(members, (g,)) for members, g in enumerated_ideals(ring, mul)], ring
         factors = ring.local_factors()
         primes = [frozenset(mul[lf.prime_gen][r] for r in ring.elements()) for lf in factors]
-        poset = spec(ring)[0]
+        poset = spec(ring)
         for g in ring.elements():
             v_set = [lf.label for lf, prime in zip(factors, primes) if g in prime]
             assert v_of_ideal(ring, Ideal(ring, (g,))).mask == poset.mask_of(v_set), (ring, g)
@@ -408,6 +414,6 @@ def test_koszul_support_builds_no_tables(ring):
 
 def test_table_size_is_checked_before_building():
     big = PolyQuot(5, (1, 0, 0, 0, 0, 0, 1))  # order 15625
-    assert len(spec(big)[0]) == 4
+    assert len(spec(big)) == 4
     with pytest.raises(InvalidInputError, match="limited to 1048576 entries"):
         big.mul(big.one, big.one)

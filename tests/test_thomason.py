@@ -26,12 +26,6 @@ def test_from_members_rejects_non_up_sets(vee):
         ThomasonSet.from_members(vee, {"p"})
 
 
-def test_generators_are_minimal_members(vee):
-    s = ThomasonSet.from_members(vee, {"p", "m1", "m2"})
-    assert s.generators == ("p",)
-    assert up(vee, "m1", "m2").generators == ("m1", "m2")
-
-
 def test_isdisjoint_refuses_sets_over_another_poset(vee, z12_poset):
     assert up(vee, "m1").isdisjoint(up(vee, "m2"))
     assert not up(vee, "m1").isdisjoint(up(vee, "m1", "m2"))

@@ -20,7 +20,7 @@ from spectral_glue import (
     stalk_complex,
 )
 from spectral_glue import catalog, rings as rng
-from spectral_glue.homalg import derived_hom, koszul_of_ideal
+from spectral_glue.homalg import derived_hom
 from spectral_glue.rings import spec
 from spectral_glue.sweeps import _local_global_rings, _orthogonality_rings
 from spectral_glue.tstructures import (
@@ -103,7 +103,7 @@ def coaisle_verdicts_match_koszul_orthogonality(ring, targets) -> list[bool]:
     has V(I) inside X_n, over every filtration with breakpoints in [-1, 1];
     returns the verdicts."""
     ideals = rng.all_ideals(ring)
-    koszuls = [(rng.v_of_ideal(ring, i), koszul_of_ideal(ring, i)) for i in ideals]
+    koszuls = [(rng.v_of_ideal(ring, i), koszul(ring, i.generators)) for i in ideals]
     filtrations = catalog.spec_filtrations(ring, -1, 1)
     verdicts = []
     for y in targets:
@@ -136,7 +136,7 @@ def test_coaisle_matches_koszul_orthogonality_on_targets_with_differentials(ring
     """Koszul complexes of every ideal in degrees [-1, 0] and [-2, -1], and
     each next to a cyclic stalk in degree 1."""
     ideals = rng.all_ideals(ring)
-    koszuls = [koszul_of_ideal(ring, i) for i in ideals]
+    koszuls = [koszul(ring, i.generators) for i in ideals]
     targets = koszuls + [shift(k, 1) for k in koszuls]
     targets += [
         BoundedComplex(ring, {**k.terms, 1: cyclic_module(ring, i.generators[0])}, k.diffs)
@@ -151,10 +151,11 @@ def test_koszul_generator_in_aisle(standard, z12):
 
 
 def kappa_test(p, n, t):
-    """kappa(p)[-n] lies in the aisle iff p is in X_n; asserts the equivalence."""
-    kappa = rng.residue_field(t.ring, p)
+    """kappa(p)[-n] lies in the aisle iff p is in X_n; asserts the equivalence.
+    kappa(p) = R/p, all primes being maximal."""
+    kappa = cyclic_module(t.ring, rng.local_factor(t.ring, p).prime_gen)
     result = aisle_membership(stalk_complex(kappa, n), t)
-    expected = p in t.level(n)
+    expected = p in t.filtration.at(n)
     if result != expected:
         raise AssertionError(
             f"kappa test inconsistency at p={p!r}, n={n}: aisle says {result}, "
@@ -193,7 +194,7 @@ def test_classify_degeneracy(standard, z12, z12_poset):
 
 
 def test_localization_commutes_with_classification(standard):
-    poset, _ = spec(standard.ring)
+    poset = spec(standard.ring)
     for m in poset.elements:
         local = localize_tstructure(standard, m)
         assert classify_degeneracy(local) in {NONDEGENERATE, STABLE, DEGENERATE_OTHER}
