@@ -149,16 +149,16 @@ def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFilt
     """All filtrations with both tails constant outside the window [lo, hi]:
     decreasing chains X_lo >= ... >= X_hi with low tail X_lo, high tail X_hi."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
-    sets = all_thomason_sets(poset)
+    masks = all_up_sets(poset)
     out = []
 
     def extend(chain):
         if len(chain) == hi - lo + 1:
             out.append(from_levels(poset, lo, chain))
             return
-        for s in sets:
-            if not chain or s <= chain[-1]:
-                extend(chain + [s])
+        for x in masks:
+            if not chain or not x & ~chain[-1]:
+                extend(chain + [x])
 
     extend([])
     return out

@@ -80,10 +80,10 @@ class LocalFamily:
         object.__setattr__(self, "filtrations", MappingProxyType(dict(filtrations)))
         # a constant member reads the same at every degree, so only the others
         # place the degrees; with none, the two levels of a constant
-        spans = [f.levels() for f in self.filtrations.values() if not is_constant(f)]
+        spans = [(f.start, len(f.masks)) for f in self.filtrations.values() if not is_constant(f)]
         degrees = range(
             min((start for start, _ in spans), default=-1),
-            max((start + len(levels) for start, levels in spans), default=1),
+            max((start + count for start, count in spans), default=1),
         )
         # a tail degree on each side of the windows; len() of a range fails
         # past sys.maxsize, so the span is a difference
@@ -168,10 +168,10 @@ def _disagreement(witness) -> str:
     )
 
 
-def _glued_set(poset: SpectralPoset, glued: int) -> ThomasonSet:
+def _glued_mask(poset: SpectralPoset, glued: int) -> int:
     # automatic on a finite poset: the star images of a compatible family glue to an up-set
     assert poset.closure(glued) == glued, "glued set of a compatible family must be Thomason"
-    return ThomasonSet(poset, glued)
+    return glued
 
 
 def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> ThomasonSet:
@@ -179,7 +179,7 @@ def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> Thom
     violating, glued, _ = _check_sets(poset, sets)
     if violating is not None:
         raise IncompatibleFamilyError(_disagreement(violating), witness=violating)
-    return _glued_set(poset, glued)
+    return ThomasonSet(poset, _glued_mask(poset, glued))
 
 
 def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
@@ -189,19 +189,22 @@ def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
 
 def _unpacked_levels(poset: SpectralPoset, m: int, filt: ThomasonFiltration, degrees: range):
     """The masks of the member at point m over ``degrees``, in the numbering
-    of ``poset``; each level of its levels view is unpacked once, and the
-    tails stand for every degree past its ends."""
-    start, levels = filt.levels()
-    masks = [poset.unpack(s.mask, m) for s in levels]
-    last = len(masks) - 1
-    return [masks[min(max(n - start, 0), last)] for n in degrees]
+    of ``poset``: each level mask is unpacked once, and its tails are
+    repeated over the degrees past its ends.  A member that is not constant
+    lies inside ``degrees``; a constant one is its low tail throughout."""
+    if is_constant(filt):
+        return [poset.unpack(filt.masks[0], m)] * len(degrees)
+    masks = [poset.unpack(x, m) for x in filt.masks]
+    before = filt.start - degrees.start
+    after = degrees.stop - filt.start - len(masks)
+    return masks[:1] * before + masks + masks[-1:] * after
 
 
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     """Degreewise gluing; raises with the offending degree when incompatible.
 
-    The family was checked when it was built, so the levels are glued as
-    masks, over :meth:`LocalFamily.degrees`, whose ends carry the tails, in
+    The family was checked when it was built, so the level masks are glued
+    over :meth:`LocalFamily.degrees`, whose ends carry the tails, in
     increasing order: the degree raised is the least incompatible one, and
     each degree is checked once.  Gluing preserves inclusions, so the glued
     levels decrease and are only normalised.
@@ -221,7 +224,7 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
                 degree=n,
                 witness=witness,
             )
-        levels.append(_glued_set(poset, glued))
+        levels.append(_glued_mask(poset, glued))
     return from_levels(poset, degrees.start, levels)
 
 

@@ -268,18 +268,24 @@ def cohomology(complex_: BoundedComplex, n: int) -> FiniteModule:
 def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
     """Supp H^n: the maximal ideals m with e_m H^n nonzero.
 
-    Free terms give |e_m H^n| by :func:`_factor_order` with N = R_m.  A module
-    term touches no nonzero differential, so its part of H^n is |e_m N|.
+    For a free term, e_m H^n is |e_m R|^r over the image orders of
+    :func:`_image_orders`, each at most |e_m R| >= 2, so it is nonzero when
+    there are fewer images than the rank r; only otherwise is the power
+    formed, and r is then at most a dimension of a differential that the
+    input lists.  A module term touches no nonzero differential, so its part
+    of H^n is |e_m N|.
     """
     ring = complex_.ring
-    term = complex_.terms.get(n)
+    term, rank = complex_.terms.get(n), complex_.rank(n)
     members = []
     for lf in ring.local_factors():
         if isinstance(term, FiniteModule):
-            order = term.local_invariants()[lf.label][0]
+            nonzero = term.local_invariants()[lf.label][0] > 1
         else:
-            order = _factor_order(complex_, n, lf, lf.proj, lf.valuation[0])
-        if order > 1:
+            chain = lf.valuation[0]
+            images = _image_orders(complex_, n, lf, lf.proj, chain) if rank else []
+            nonzero = rank > len(images) or chain[0] ** rank > math.prod(images)
+        if nonzero:
             members.append(lf.label)
     return ThomasonSet.from_members(rng.spec(ring), members)
 
@@ -492,22 +498,27 @@ def _factor_order(complex_: BoundedComplex, p: int, lf: LocalFactor, project, ch
     chain ``chain[j] = |t^j e_m N|``, ending in 1.
 
     This is the order of e_m H^p of the free terms with N = R_m, and of e_m H
-    of Hom(C, N) in the degree whose term is Hom(C^p, N).  Either way each
-    d acts on a power of e_m N through the matrix of entries ``project``-ed
-    into R_m, and its image there has order prod_k |t^{v_k} e_m N| over the
-    Smith valuations v_k of that matrix.
+    of Hom(C, N) in the degree whose term is Hom(C^p, N).
     """
     rank = complex_.rank(p)
     if not rank:
         return 1
-    images = 1
+    return chain[0] ** rank // math.prod(_image_orders(complex_, p, lf, project, chain))
+
+
+def _image_orders(complex_: BoundedComplex, p: int, lf: LocalFactor, project, chain) -> list[int]:
+    """The orders |t^v e_m N| whose product is |im d^{p-1}| * |im d^p|.
+
+    Each d acts on a power of e_m N through the matrix of entries
+    ``project``-ed into R_m, and its image there has order prod_k |t^{v_k}
+    e_m N| over the Smith valuations v_k of that matrix.
+    """
+    orders = []
     for n in (p - 1, p):
         matrix = complex_.diffs.get(n)
         if matrix is not None:
-            for v in _smith_valuations(matrix, lf, project):
-                if v < len(chain):
-                    images *= chain[v]
-    return chain[0] ** rank // images
+            orders += [chain[v] for v in _smith_valuations(matrix, lf, project) if v < len(chain)]
+    return orders
 
 
 def _smith_valuations(matrix, lf: LocalFactor, project) -> list[int]:

@@ -11,7 +11,9 @@ What this module keeps is the wire: a level is "full" or a list of integer
 primes, written in numeric order; a family is a default on (0) < (m) plus
 exceptions keyed by decimal primes; a witness is ``[p, "default", "(0)"]``.
 Primality is trial division, so a named integer over MAX_Z_PRIME is refused
-before any division, and each named integer is tested once per input.
+before any division; a filtration's levels are masks on the star poset of
+the integers they name, and the poset of each set of named integers is
+tested and found once per process (a cache of the last 4,096 sets).
 A glued level that holds (m) without being full is a cofinite set of maximal
 ideals, which no level can write, so gluing raises UnsupportedRingError.
 """
@@ -19,11 +21,12 @@ ideals, which no level can write, so gluing raises UnsupportedRingError.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import lru_cache
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
 from .gluing import LocalFamily, glue_filtrations, localize_filtrations
 from .poset import SpectralPoset, interned_poset, localization_poset
-from .thomason import ThomasonFiltration, ThomasonSet, filtration_from_json, filtration_to_json
+from .thomason import ThomasonFiltration, filtration_from_json, filtration_to_json
 
 GENERIC = "(0)"
 CLOSED_POINT = "(m)"  # every maximal ideal that the data does not name
@@ -74,11 +77,11 @@ def _named_ints(data) -> set[int]:
     return {p for level in levels if isinstance(level, list) for p in level if type(p) is int}
 
 
-def _z_set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
-    """A level on the :func:`z_poset` of the primes that the whole filtration
-    names, whose labels are the primality tests already made."""
+def _z_set_from_json(poset: SpectralPoset, data) -> int:
+    """The mask of a level on the :func:`z_poset` of the primes that the
+    whole filtration names, whose labels are the primality tests already made."""
     if data == "full":
-        return ThomasonSet.full(poset)
+        return poset.full
     # bool is a subclass of int, but JSON true is not a prime
     if not isinstance(data, (list, tuple)) or any(type(p) is not int for p in data):
         raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
@@ -89,19 +92,31 @@ def _z_set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
         if i is None:
             raise InvalidInputError(f"{p} is not a prime number")
         mask |= 1 << i
-    return ThomasonSet(poset, mask)
+    return mask
 
 
-def _z_set_to_json(level: ThomasonSet):
+def _z_set_to_json(poset: SpectralPoset, mask: int):
     """A level on the wire: 'full', or the primes of a level that holds no
     (m), in numeric order."""
-    return "full" if level.is_full() else sorted(int(label[1:-1]) for label in level.members)
+    if mask == poset.full:
+        return "full"
+    return sorted(int(label[1:-1]) for label in poset.labels(mask))
+
+
+@lru_cache(maxsize=4096)
+def _star_of(named: tuple[int, ...]) -> SpectralPoset:
+    """The :func:`z_poset` of the primes among ``named``, sorted integers at
+    most MAX_Z_PRIME: each set of named integers is tested once per process.
+    The key is a sorted tuple, which takes less memory than a frozenset."""
+    return _star(f"({p})" for p in named if is_prime_int(p))
 
 
 def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:
     """A Z filtration, on the :func:`z_poset` of the primes its levels name."""
-    named = [_bounded(p) for p in _named_ints(data)]
-    poset = _star(f"({p})" for p in named if is_prime_int(p))
+    named = _named_ints(data)
+    for p in named:
+        _bounded(p)
+    poset = _star_of(tuple(sorted(named)))
     return filtration_from_json(poset, data, _z_set_from_json, _z_set_to_json)
 
 
@@ -180,10 +195,11 @@ def glue_z_filtrations(family: LocalFamily) -> ThomasonFiltration:
             degree=exc.degree,
             witness=witness,
         ) from None
-    for level in glued.levels()[1]:
-        if CLOSED_POINT in level and not level.is_full():
-            raise UnsupportedRingError(
-                "default populates the closed point at infinitely many primes; "
-                "the glued set would be infinite and not representable"
-            )
+    poset = glued.poset
+    closed = 1 << poset.index[CLOSED_POINT]
+    if any(x & closed and x != poset.full for x in glued.masks):
+        raise UnsupportedRingError(
+            "default populates the closed point at infinitely many primes; "
+            "the glued set would be infinite and not representable"
+        )
     return glued

@@ -253,7 +253,7 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
 
 def free_module(ring, rank: int) -> FiniteModule:
     if rank < 0:
-        raise InvalidInputError("rank must be nonnegative")
+        raise InvalidInputError(f"module 'rank' must be nonnegative, got {rank}")
     elements = ring.elements()  # the integers adapter raises here
     # the order, not len(elements): a product of many factors overflows len()
     if power_exceeds(ring.order, rank, ENUMERATION_LIMIT):
@@ -274,7 +274,9 @@ def cokernel_of_rank(ring, rank: int, relations) -> FiniteModule:
     relations = [tuple(v) for v in relations]
     for v in relations:
         if len(v) != rank:
-            raise InvalidInputError("relation length does not match ambient rank")
+            raise InvalidInputError(
+                f"a row of 'relations' has length {len(v)}, not the module 'rank' {rank}"
+            )
     free = free_module(ring, rank)
     return free.quotient(free.span(relations))
 

@@ -1,22 +1,23 @@
 """Thomason sets as masks of up-sets, and decreasing Z-indexed filtrations.
 
-A filtration is stored by its finite breakpoint window [lo, hi] plus the two
-tail values (the value for all n < lo, resp. n > hi).  Its levels view,
-:meth:`ThomasonFiltration.levels`, is the run X_lo-1, X_lo, ..., X_hi+1: the
-window with one tail degree on each side, so a pure step keeps its position.
-Every map of filtrations works on that view, level by level
-(:meth:`ThomasonFiltration.map_levels`), and :func:`from_levels` is the one
-normaliser: two filtrations with equal pointwise values compare and
-serialize identically.
+A filtration is stored as its levels view: the run of level masks X_lo-1,
+X_lo, ..., X_hi+1, that is its breakpoint window [lo, hi] with one tail
+degree on each side, so a pure step keeps its position.  Every map of
+filtrations works on that run, mask by mask, and :func:`from_levels` is the
+one normaliser: two filtrations with equal pointwise values compare and
+serialize identically.  The :class:`ThomasonSet` views of a filtration (its
+tails, window and levels) are built only for the callers that ask for them;
+:meth:`ThomasonFiltration.mask_at` reads one level without one.
 
 Filtrations are validated once, where they enter: :func:`make_filtration`
-checks wire, catalog and fixture input (one poset, increasing indices, a
-decreasing run, a bounded span) and then normalises.  An order-preserving
-map of a valid filtration decreases already, so it is only normalised.
+checks catalog and fixture input and :func:`filtration_from_json` wire input
+(one poset, increasing indices, a decreasing run, a bounded span), and both
+then normalise.  An order-preserving map of a valid filtration decreases
+already, so it is only normalised.
 
-Every level is a :class:`ThomasonSet` of one finite spectral poset; Spec(Z)
-is the finite star poset of :func:`spectral_glue.integers.z_poset`, so its
-filtrations are these too.
+Every level is an up-set of one finite spectral poset; Spec(Z) is the finite
+star poset of :func:`spectral_glue.integers.z_poset`, so its filtrations are
+these too.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class ThomasonSet:
         self._same_poset(other)
         return not self.mask & ~other.mask
 
-    def isdisjoint(self, other: "ThomasonSet") -> bool:
-        self._same_poset(other)
-        return not self.mask & other.mask
-
     def union(self, other: "ThomasonSet") -> "ThomasonSet":
         self._same_poset(other)
         return ThomasonSet(self.poset, self.mask | other.mask)
@@ -83,70 +80,87 @@ class ThomasonSet:
         return f"ThomasonSet({self.sorted_members()})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThomasonFiltration:
-    """Decreasing Z-indexed sequence of Thomason sets, finitely represented.
+    """Decreasing Z-indexed sequence of Thomason sets, as its run of level masks.
 
-    ``values[k]`` is X_n for n = lo + k; X_n = low_tail for n < lo and
-    X_n = high_tail for n > hi.  Empty ``values`` with distinct tails encodes a
-    pure step: low_tail through lo - 1, high_tail from lo on.  Build one with
-    :func:`make_filtration` from unchecked input, or with :func:`from_levels`
-    from a run of levels that already decreases.
+    ``masks[k]`` is the mask of X_n for n = start + k; the first mask is the
+    low tail, X_n for every n <= start, and the last is the high tail, X_n
+    for every n past the end.  In the normal form that :func:`from_levels`
+    returns, the second mask differs from the low tail and the second-last
+    from the high tail, so the window [lo, hi] of breakpoints is masks[1:-1];
+    a pure step, with an empty window, is its two tails with the step at
+    lo = start + 1, and a constant is (-1, (X, X)).  Equality and hashing
+    compare (poset, start, masks).  Build one with :func:`make_filtration`
+    from unchecked input, or with :func:`from_levels` from a run of masks
+    that already decreases.
     """
 
     poset: SpectralPoset
-    low_tail: ThomasonSet
-    lo: int
-    values: tuple[ThomasonSet, ...]
-    high_tail: ThomasonSet
+    start: int
+    masks: tuple[int, ...]
+
+    @property
+    def lo(self) -> int:
+        return self.start + 1
 
     @property
     def hi(self) -> int:
-        return self.lo + len(self.values) - 1
+        return self.start + len(self.masks) - 2
+
+    @property
+    def low_tail(self) -> ThomasonSet:
+        return ThomasonSet(self.poset, self.masks[0])
+
+    @property
+    def high_tail(self) -> ThomasonSet:
+        return ThomasonSet(self.poset, self.masks[-1])
+
+    @property
+    def values(self) -> tuple[ThomasonSet, ...]:
+        """X_lo, ..., X_hi."""
+        return tuple(ThomasonSet(self.poset, x) for x in self.masks[1:-1])
+
+    def mask_at(self, n: int) -> int:
+        """The mask of X_n."""
+        masks, k = self.masks, n - self.start
+        if k <= 0:
+            return masks[0]
+        return masks[k] if k < len(masks) else masks[-1]
 
     def at(self, n: int) -> ThomasonSet:
-        if n < self.lo:
-            return self.low_tail
-        if n > self.hi:
-            return self.high_tail
-        return self.values[n - self.lo]
+        return ThomasonSet(self.poset, self.mask_at(n))
 
     def levels(self) -> tuple[int, tuple[ThomasonSet, ...]]:
         """(start, levels): X_start, X_start+1, ... with the low tail first
         and the high tail last; start is lo - 1."""
-        return self.lo - 1, (self.low_tail, *self.values, self.high_tail)
-
-    def map_levels(self, poset: SpectralPoset, fn) -> "ThomasonFiltration":
-        """The filtration n |-> fn(X_n) on ``poset``, for an order-preserving
-        ``fn``; the image of a decreasing run decreases, so it is not checked."""
-        start, levels = self.levels()
-        return from_levels(poset, start, [fn(s) for s in levels])
+        return self.start, tuple(ThomasonSet(self.poset, x) for x in self.masks)
 
     def __repr__(self):
-        parts = [f"<{self.low_tail.sorted_members()}"]
-        parts += [f"{self.lo + k}:{v.sorted_members()}" for k, v in enumerate(self.values)]
-        parts.append(f">{self.high_tail.sorted_members()}")
+        labels = self.poset.labels
+        low, *window, high = self.masks
+        parts = [f"<{list(labels(low))}"]
+        parts += [f"{self.lo + k}:{list(labels(x))}" for k, x in enumerate(window)]
+        parts.append(f">{list(labels(high))}")
         return "ThomasonFiltration(" + " / ".join(parts) + ")"
 
 
-def from_levels(
-    poset: SpectralPoset, start: int, levels: Sequence[ThomasonSet]
-) -> ThomasonFiltration:
-    """The one canonical trim: X_n = levels[n - start], with the first and
-    last levels as the tails.  Leading levels equal to the first and trailing
-    levels equal to the last are dropped, and a constant is put at lo = 0;
-    ``levels`` must already decrease.
+def from_levels(poset: SpectralPoset, start: int, masks: Sequence[int]) -> ThomasonFiltration:
+    """The one canonical trim: X_n = masks[n - start], with the first and
+    last masks as the tails.  Of the leading masks equal to the first and the
+    trailing masks equal to the last, one of each is kept as a tail, and a
+    constant is put at start = -1; ``masks`` must already decrease.
     """
-    low, high = levels[0], levels[-1]
-    if low.mask == high.mask:  # a decreasing run between equal ends is constant
-        return ThomasonFiltration(poset, low, 0, (), high)
+    low, high = masks[0], masks[-1]
+    if low == high:  # a decreasing run between equal ends is constant
+        return ThomasonFiltration(poset, -1, (low, high))
     i = 1
-    while levels[i].mask == low.mask:
+    while masks[i] == low:
         i += 1
-    j = len(levels) - 1
-    while levels[j - 1].mask == high.mask:
+    j = len(masks) - 2
+    while masks[j] == high:
         j -= 1
-    return ThomasonFiltration(poset, low, start + i, tuple(levels[i:j]), high)
+    return ThomasonFiltration(poset, start + i - 1, tuple(masks[i - 1 : j + 2]))
 
 
 # the most degrees apart that a filtration's breakpoints, or the windows of a
@@ -159,24 +173,30 @@ def make_filtration(
     low_tail: ThomasonSet,
     breakpoints: Sequence[tuple[int, ThomasonSet]],
     high_tail: ThomasonSet,
-    describe=ThomasonSet.sorted_members,
 ) -> ThomasonFiltration:
-    """Validate a filtration, then normalise it with :func:`from_levels`.
+    """Validate a filtration of Thomason sets on ``poset``, then normalise it
+    with :func:`from_levels`.
 
     Breakpoint indices must be strictly increasing and at most
     MAX_DEGREE_SPAN apart; gaps are filled by propagating the previous value
-    downward (the filtration is constant between explicit breakpoints).  An
-    order error writes its sets with ``describe``.
+    downward (the filtration is constant between explicit breakpoints).
     """
     for _, s in breakpoints:
         if s.poset != poset:
             raise InvalidInputError("breakpoint set lives on a different poset")
     if low_tail.poset != poset or high_tail.poset != poset:
         raise InvalidInputError("tail set lives on a different poset")
+    masks = [(n, s.mask) for n, s in breakpoints]
+    return _validated(poset, low_tail.mask, masks, high_tail.mask, _members)
+
+
+def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFiltration:
+    """The checks of :func:`make_filtration` on masks of ``poset``; an order
+    error writes its levels with ``describe(poset, mask)``."""
     ns = [n for n, _ in breakpoints]
     if ns != sorted(set(ns)):
         raise InvalidInputError("breakpoint indices must be strictly increasing")
-    if not ns and low_tail != high_tail:
+    if not ns and low != high:
         raise FiltrationOrderError(
             "tails differ but no breakpoint locates the step; give at least one breakpoint"
         )
@@ -187,33 +207,35 @@ def make_filtration(
         )
     # expand to one level per degree in [lo - 1, hi + 1], the tails at the ends
     lo = ns[0] if ns else 0
-    levels = [low_tail]
+    levels = [low]
     idx = dict(breakpoints)
     for n in range(lo, (ns[-1] + 1) if ns else lo):
         prev = levels[-1]
         cur = idx.get(n, prev)
-        if not cur <= prev:
+        if cur & ~prev:
             raise FiltrationOrderError(
                 f"filtration not decreasing at degree {n}: "
-                f"{describe(cur)} is not contained in {describe(prev)}"
+                f"{describe(poset, cur)} is not contained in {describe(poset, prev)}"
             )
         levels.append(cur)
-    if not high_tail <= levels[-1]:
+    if high & ~levels[-1]:
         raise FiltrationOrderError(
             f"filtration not decreasing into the high tail: "
-            f"{describe(high_tail)} is not contained in {describe(levels[-1])}"
+            f"{describe(poset, high)} is not contained in {describe(poset, levels[-1])}"
         )
-    return from_levels(poset, lo - 1, [*levels, high_tail])
+    levels.append(high)
+    return from_levels(poset, lo - 1, levels)
 
 
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
     """Intersection of all X_n empty and union all of Spec; with the finite
     representation this is exactly high_tail = empty and low_tail = full."""
-    return not filtration.high_tail.mask and filtration.low_tail.is_full()
+    return not filtration.masks[-1] and filtration.masks[0] == filtration.poset.full
 
 
 def is_constant(filtration: ThomasonFiltration) -> bool:
-    return not filtration.values and filtration.low_tail == filtration.high_tail
+    """A normal form with equal tails has no window: they bound a decreasing run."""
+    return filtration.masks[0] == filtration.masks[-1]
 
 
 def restrict_set(s: ThomasonSet, m: PrimeId) -> ThomasonSet:
@@ -223,13 +245,14 @@ def restrict_set(s: ThomasonSet, m: PrimeId) -> ThomasonSet:
 
 
 def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonFiltration:
-    """Degreewise restriction to the localization poset at a maximal point m."""
+    """Degreewise restriction to the localization poset at a maximal point m;
+    restriction preserves inclusions, so the levels are only normalised."""
     poset = filtration.poset
     i = poset.point(m)
     if poset.up[i] != 1 << i:
         raise InvalidInputError(f"{m!r} is not a maximal point")
-    sub = poset.localization(i)
-    return filtration.map_levels(sub, lambda s: ThomasonSet(sub, poset.pack(s.mask, i)))
+    levels = [poset.pack(x, i) for x in filtration.masks]
+    return from_levels(poset.localization(i), filtration.start, levels)
 
 
 def set_to_json(s: ThomasonSet):
@@ -244,30 +267,43 @@ def set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
     return ThomasonSet.from_members(poset, data)
 
 
-def filtration_to_json(filtration: ThomasonFiltration, write_set=set_to_json) -> dict:
-    """Write a filtration; ``write_set(level)`` writes one level."""
-    breakpoints = [
-        {"n": filtration.lo + k, "set": write_set(v)}
-        for k, v in enumerate(filtration.values)
-    ]
-    if not breakpoints and filtration.low_tail != filtration.high_tail:
+# the level codecs of a filtration on a finite poset, on masks: each level
+# callback of filtration JSON takes the poset and a mask
+def _level_to_json(poset: SpectralPoset, mask: int):
+    return set_to_json(ThomasonSet(poset, mask))
+
+
+def _level_from_json(poset: SpectralPoset, data) -> int:
+    return set_from_json(poset, data).mask
+
+
+def _members(poset: SpectralPoset, mask: int) -> list[PrimeId]:
+    return list(poset.labels(mask))
+
+
+def filtration_to_json(filtration: ThomasonFiltration, write_level=_level_to_json) -> dict:
+    """Write a filtration; ``write_level(poset, mask)`` writes one level."""
+    poset, lo = filtration.poset, filtration.lo
+    low, *window, high = filtration.masks
+    breakpoints = [{"n": lo + k, "set": write_level(poset, x)} for k, x in enumerate(window)]
+    if not breakpoints and low != high:
         # pure step: record the last degree still equal to the low tail
-        breakpoints = [{"n": filtration.lo - 1, "set": write_set(filtration.low_tail)}]
+        breakpoints = [{"n": lo - 1, "set": write_level(poset, low)}]
     return {
-        "low_tail": write_set(filtration.low_tail),
+        "low_tail": write_level(poset, low),
         "breakpoints": breakpoints,
-        "high_tail": write_set(filtration.high_tail),
+        "high_tail": write_level(poset, high),
     }
 
 
 def filtration_from_json(
     poset: SpectralPoset,
     data: Mapping,
-    parse_set=set_from_json,
-    describe=ThomasonSet.sorted_members,
+    parse_level=_level_from_json,
+    describe=_members,
 ) -> ThomasonFiltration:
-    """Read a filtration; ``parse_set(poset, value)`` reads one level, and an
-    order error writes levels with ``describe``."""
+    """Read a filtration; ``parse_level(poset, value)`` reads the mask of one
+    level, and an order error writes levels with ``describe(poset, mask)``."""
     json_object(data, "filtration JSON")
     for name in ("low_tail", "high_tail"):
         if name not in data:
@@ -282,7 +318,7 @@ def filtration_from_json(
 
     def level(value, name):
         try:
-            return parse_set(poset, value)
+            return parse_level(poset, value)
         except InvalidInputError as exc:
             raise InvalidInputError(f"{name}: {exc}") from None
 
@@ -292,4 +328,4 @@ def filtration_from_json(
         (json_int(bp["n"], "breakpoint index"), level(bp["set"], "breakpoint 'set'"))
         for bp in breakpoints
     ]
-    return make_filtration(poset, low, bps, high, describe)
+    return _validated(poset, low, bps, high, describe)

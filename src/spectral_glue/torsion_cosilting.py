@@ -24,7 +24,7 @@ from .errors import InvalidInputError
 from .modules import ENUMERATION_LIMIT, FiniteModule, power_exceeds
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal
-from .thomason import ThomasonFiltration, ThomasonSet, from_levels
+from .thomason import ThomasonFiltration, ThomasonSet, make_filtration
 
 
 # -- torsion pairs -----------------------------------------------------------
@@ -300,7 +300,7 @@ def cosilting_thomason_of_module(cosilting: CosiltingModule) -> ThomasonSet:
 def two_term_filtration(x0: ThomasonSet) -> ThomasonFiltration:
     """Full for n < 0, X0 at n = 0, empty for n >= 1; always non-degenerate."""
     poset = x0.poset
-    return from_levels(poset, -1, (ThomasonSet.full(poset), x0, ThomasonSet.empty(poset)))
+    return make_filtration(poset, ThomasonSet.full(poset), [(0, x0)], ThomasonSet.empty(poset))
 
 
 # -- gluing of cosilting modules --------------------------------------------

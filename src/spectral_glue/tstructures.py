@@ -19,6 +19,7 @@ from .rings import FiniteRing
 from .thomason import (
     ThomasonFiltration,
     ThomasonSet,
+    from_levels,
     is_constant,
     is_nondegenerate,
 )
@@ -48,9 +49,19 @@ def cohomology_supports(complex_: BoundedComplex) -> dict[int, ThomasonSet]:
     }
 
 
+def _check_poset(supp: ThomasonSet, filtration: ThomasonFiltration) -> None:
+    # spec(ring) is cached, so a ring's supports and levels are mostly one object
+    if supp.poset is not filtration.poset and supp.poset != filtration.poset:
+        raise InvalidInputError("cannot combine Thomason sets over different posets")
+
+
 def aisle_admits(supports, filtration: ThomasonFiltration) -> bool:
     """Every Supp H^n(X) lies inside the level X_n."""
-    return all(supp <= filtration.at(n) for n, supp in supports.items())
+    for n, supp in supports.items():
+        _check_poset(supp, filtration)
+        if supp.mask & ~filtration.mask_at(n):
+            return False
+    return True
 
 
 def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
@@ -62,7 +73,11 @@ def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
 
 def coaisle_admits(supports, filtration: ThomasonFiltration) -> bool:
     """Every Supp H^n(Y) is disjoint from the level X_n."""
-    return all(supp.isdisjoint(filtration.at(n)) for n, supp in supports.items())
+    for n, supp in supports.items():
+        _check_poset(supp, filtration)
+        if supp.mask & filtration.mask_at(n):
+            return False
+    return True
 
 
 def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
@@ -93,11 +108,10 @@ def localize_tstructure(t: TStructureDescriptor, m: PrimeId) -> TStructureDescri
     """
     local_ring = rng.local_factor(t.ring, m).ring
     local_poset = rng.spec(local_ring)
-
-    def restrict(s: ThomasonSet) -> ThomasonSet:
-        return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)
-
-    return TStructureDescriptor(local_ring, t.filtration.map_levels(local_poset, restrict))
+    filt = t.filtration
+    i = filt.poset.point(m)
+    levels = [local_poset.full if x >> i & 1 else 0 for x in filt.masks]
+    return TStructureDescriptor(local_ring, from_levels(local_poset, filt.start, levels))
 
 
 def classify_degeneracy(t: TStructureDescriptor) -> str:

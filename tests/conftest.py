@@ -26,7 +26,7 @@ def up(poset, *members) -> ThomasonSet:
 
 
 def constant_filtration(poset, value: ThomasonSet) -> ThomasonFiltration:
-    return from_levels(poset, 0, (value, value))
+    return from_levels(poset, 0, (value.mask, value.mask))
 
 
 def leq(poset, a, b) -> bool:

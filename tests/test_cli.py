@@ -199,6 +199,19 @@ def test_coaisle_test_reads_supports_of_a_complex_too_large_to_enumerate(capsys)
     assert (code, out) == (0, "in coaisle\n")
 
 
+def test_aisle_test_reads_supports_of_free_terms_of_any_rank(capsys):
+    """R^(10^400 + 1) and R^(10^18 + 3) in degrees -1, 0 with no differential
+    have every prime in their supports, read without forming |R|^rank: the
+    call ran for minutes before."""
+    cx = {"terms": {"-1": {"free": 10**400 + 1}, "0": {"free": 10**18 + 3}}}
+    filt = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
+    argv = ["--ring", json.dumps(Z12), "--filtration", json.dumps(filt), "--complex", json.dumps(cx)]
+    start = time.monotonic()
+    assert run(capsys, "aisle-test", *argv) == (1, "not in aisle\n")
+    assert run(capsys, "coaisle-test", *argv) == (1, "not in coaisle\n")
+    assert time.monotonic() - start < 1
+
+
 def test_tstr_verbs(capsys, ring_file, filt_file):
     code, out = run(capsys, "tstr-classify", "--ring", ring_file, "--filtration", filt_file)
     assert code == 0 and "nondegenerate" in out
@@ -539,6 +552,12 @@ def z_key(key):
         (["cosilting-glue", "--family", json.dumps(
             {"ring": {"kind": "zmod", "n": 30}, "components": dict.fromkeys(["(2)", "(3)", "(5)"], COS_FREE_5)})],
          "MAX_COPRESENTATION_STEPS = 200000"),
+        # named no field: "relation length does not match ambient rank"
+        (["torsion", "--ring", json.dumps(Z12), "--module", '{"relations": [[]], "rank": 1}',
+          "--set", '["(3)"]'], "'relations' has length 0, not the module 'rank' 1"),
+        # named no field: "rank must be nonnegative"
+        (["torsion", "--ring", json.dumps(Z12), "--module", '{"relations": [], "rank": -1000000000}',
+          "--set", '["(3)"]'], "module 'rank' must be nonnegative"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -560,7 +579,7 @@ def z_key(key):
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
          "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
          "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",
-         "cosilting-glue-free-rank-5"],
+         "cosilting-glue-free-rank-5", "module-relation-length", "module-rank-negative"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

@@ -13,6 +13,7 @@ low tails disagree reports the first of its own degrees (see
 """
 
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -20,13 +21,15 @@ import pytest
 from spectral_glue import catalog, integers, rings as rng
 from spectral_glue.errors import FiltrationOrderError, IncompatibleFamilyError
 from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets, localize_filtrations
-from spectral_glue.poset import maximal_points
+from spectral_glue.poset import SpectralPoset, maximal_points
 from spectral_glue.sweeps import _local_global_rings
 from spectral_glue.thomason import (
     ThomasonFiltration,
     ThomasonSet,
+    filtration_to_json,
     restrict_filtration,
     restrict_set,
+    set_to_json,
 )
 from spectral_glue.tstructures import TStructureDescriptor, localize_tstructure
 
@@ -37,7 +40,50 @@ _workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_workloads)
 
 
-def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
+@dataclass(frozen=True)
+class FiveFieldFiltration:
+    """The stored form that the level masks replaced: the two tails, the
+    window's first degree and the window's sets, with every view read off
+    those fields as the package read them."""
+
+    poset: SpectralPoset
+    low_tail: ThomasonSet
+    lo: int
+    values: tuple
+    high_tail: ThomasonSet
+
+    @property
+    def hi(self):
+        return self.lo + len(self.values) - 1
+
+    def at(self, n):
+        if n < self.lo:
+            return self.low_tail
+        if n > self.hi:
+            return self.high_tail
+        return self.values[n - self.lo]
+
+    def levels(self):
+        return self.lo - 1, (self.low_tail, *self.values, self.high_tail)
+
+    def to_json(self, write_set=set_to_json):
+        breakpoints = [{"n": self.lo + k, "set": write_set(v)} for k, v in enumerate(self.values)]
+        if not breakpoints and self.low_tail != self.high_tail:
+            breakpoints = [{"n": self.lo - 1, "set": write_set(self.low_tail)}]
+        return {
+            "low_tail": write_set(self.low_tail),
+            "breakpoints": breakpoints,
+            "high_tail": write_set(self.high_tail),
+        }
+
+    def __repr__(self):
+        parts = [f"<{self.low_tail.sorted_members()}"]
+        parts += [f"{self.lo + k}:{v.sorted_members()}" for k, v in enumerate(self.values)]
+        parts.append(f">{self.high_tail.sorted_members()}")
+        return "ThomasonFiltration(" + " / ".join(parts) + ")"
+
+
+def reference_trim(poset, low_tail, breakpoints, high_tail):
     """Expand the breakpoints with gaps filled, check the order, then trim
     leading values equal to the low tail and trailing values equal to the
     high tail; a constant sits at lo = 0."""
@@ -64,7 +110,15 @@ def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
         values.pop()
     if not values and low_tail == high_tail:
         lo = 0
-    return ThomasonFiltration(poset, low_tail, lo, tuple(values), high_tail)
+    return FiveFieldFiltration(poset, low_tail, lo, tuple(values), high_tail)
+
+
+def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
+    """:func:`reference_trim`, in the stored form of the level masks: the
+    window with one tail degree on each side."""
+    ref = reference_trim(poset, low_tail, breakpoints, high_tail)
+    _, levels = ref.levels()
+    return ThomasonFiltration(poset, ref.lo - 1, tuple(s.mask for s in levels))
 
 
 def reference_restrict_filtration(filtration, m):
@@ -197,3 +251,53 @@ def test_z_families_with_exceptions_glue_like_the_reference(shift):
                 {"default": default, "exceptions": {"7": exception, "3": steps[1]}}
             )
             assert glue_or_witness(family) == expected_glue(family)
+
+
+def old_z_set_to_json(level):
+    """A Z level on the wire, as written from a :class:`ThomasonSet`."""
+    return "full" if level.is_full() else sorted(int(label[1:-1]) for label in level.members)
+
+
+def assert_views_match(filt, ref):
+    """Every view of the level masks equals the five-field reference."""
+    assert (filt.lo, filt.hi) == (ref.lo, ref.hi)
+    assert (filt.low_tail, filt.values, filt.high_tail) == (ref.low_tail, ref.values, ref.high_tail)
+    degrees = range(ref.lo - 3, ref.hi + 4)
+    assert [filt.at(n) for n in degrees] == [ref.at(n) for n in degrees]
+    assert [filt.mask_at(n) for n in degrees] == [ref.at(n).mask for n in degrees]
+    assert filt.levels() == ref.levels()
+    assert repr(filt) == repr(ref)
+    assert filtration_to_json(filt) == ref.to_json()
+
+
+def test_level_masks_read_like_the_five_field_form():
+    """Every catalog filtration on at most 4 points over [-2, 2], against the
+    trim of its chain, and the seeded Z filtrations of the benchmark, against
+    the trim of their wire levels."""
+    lo, hi = -2, 2
+    checked = 0
+    for poset in catalog.poset_catalog(4):
+        sets = catalog.all_thomason_sets(poset)
+        chains = [[]]
+        for _ in range(hi - lo + 1):
+            chains = [chain + [s] for chain in chains for s in sets if not chain or s <= chain[-1]]
+        filtrations = catalog.all_filtrations(poset, lo, hi)
+        assert len(filtrations) == len(chains)
+        for filt, chain in zip(filtrations, chains):
+            expanded = [(lo + k, s) for k, s in enumerate(chain)]
+            assert_views_match(filt, reference_trim(poset, chain[0], expanded, chain[-1]))
+            checked += 1
+    assert checked == 7_364
+    for data in _workloads.random_z_filtrations(7, 2_000):
+        filt = integers.z_filtration_from_json(data)
+        poset = filt.poset
+
+        def level(value):
+            if value == "full":
+                return ThomasonSet.full(poset)
+            return ThomasonSet.from_members(poset, [f"({p})" for p in value])
+
+        expanded = [(bp["n"], level(bp["set"])) for bp in data["breakpoints"]]
+        ref = reference_trim(poset, level(data["low_tail"]), expanded, level(data["high_tail"]))
+        assert_views_match(filt, ref)
+        assert integers.z_filtration_to_json(filt) == ref.to_json(old_z_set_to_json)

@@ -26,13 +26,6 @@ def test_from_members_rejects_non_up_sets(vee):
         ThomasonSet.from_members(vee, {"p"})
 
 
-def test_isdisjoint_refuses_sets_over_another_poset(vee, z12_poset):
-    assert up(vee, "m1").isdisjoint(up(vee, "m2"))
-    assert not up(vee, "m1").isdisjoint(up(vee, "m1", "m2"))
-    with pytest.raises(InvalidInputError, match="different posets"):
-        up(vee, "m1").isdisjoint(ThomasonSet.empty(z12_poset))
-
-
 def test_filtration_values_and_window(vee):
     filt = make_filtration(
         vee,
@@ -64,7 +57,7 @@ def test_canonical_trim_maximizes_lo(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(-2, full), (0, up(vee, "m1")), (1, empty)], empty)
     assert (filt.lo, filt.hi) == (0, 0)
-    assert from_levels(vee, -3, (full, full, full, up(vee, "m1"), empty, empty)) == filt
+    assert from_levels(vee, -3, (vee.full, vee.full, vee.full, up(vee, "m1").mask, 0, 0)) == filt
 
 
 def test_pure_step_keeps_its_position(vee):
@@ -76,8 +69,8 @@ def test_pure_step_keeps_its_position(vee):
     shifted = make_filtration(vee, full, [(0, empty)], empty)
     assert step != shifted
     assert shifted.at(-1).is_full() and shifted.at(0).members == set()
-    assert from_levels(vee, 0, (full, full, full, empty, empty)) == step
-    assert from_levels(vee, -1, (full, empty)) == shifted
+    assert from_levels(vee, 0, (vee.full, vee.full, vee.full, 0, 0)) == step
+    assert from_levels(vee, -1, (vee.full, 0)) == shifted
     assert step.levels() == (2, (full, empty))
 
 
@@ -86,7 +79,7 @@ def test_constant_filtration(vee):
     assert is_constant(filt)
     assert filt.at(-100) == filt.at(100)
     # all-equal levels anywhere give the constant, at lo = 0
-    assert from_levels(vee, 7, (up(vee, "m1"),) * 3) == filt
+    assert from_levels(vee, 7, (up(vee, "m1").mask,) * 3) == filt
     assert (filt.lo, filt.hi) == (0, -1)
 
 
@@ -147,8 +140,8 @@ def test_filtration_json_roundtrip_including_steps(vee):
         make_filtration(vee, full, [(0, up(vee, "m1"))], empty),
         make_filtration(vee, full, [(3, empty)], empty),
         constant_filtration(vee, up(vee, "m2")),
-        from_levels(vee, -4, (full, full, empty)),
-        from_levels(vee, 0, (empty, empty, empty)),
+        from_levels(vee, -4, (vee.full, vee.full, 0)),
+        from_levels(vee, 0, (0, 0, 0)),
     ):
         assert filtration_from_json(vee, filtration_to_json(filt)) == filt
 

@@ -27,11 +27,12 @@ from spectral_glue.tstructures import (
     DEGENERATE_OTHER,
     NONDEGENERATE,
     STABLE,
+    aisle_admits,
     coaisle_admits,
     cohomology_supports,
 )
 
-from conftest import constant_filtration
+from conftest import constant_filtration, up
 
 
 @pytest.fixture
@@ -41,6 +42,18 @@ def standard(z12, z12_poset):
     empty = ThomasonSet.empty(z12_poset)
     x0 = ThomasonSet.from_members(z12_poset, {"(2)"})
     return TStructureDescriptor(z12, make_filtration(z12_poset, full, [(0, x0)], empty))
+
+
+def test_coaisle_admits_refuses_supports_over_another_poset(vee, z12_poset):
+    """The coaisle reads a support against a level mask: disjoint from
+    {m2}, meeting {m1, m2}, and refused on another poset."""
+    supports = {0: up(vee, "m1")}
+    assert coaisle_admits(supports, constant_filtration(vee, up(vee, "m2")))
+    assert not coaisle_admits(supports, constant_filtration(vee, up(vee, "m1", "m2")))
+    elsewhere = constant_filtration(z12_poset, ThomasonSet.empty(z12_poset))
+    for admits in (aisle_admits, coaisle_admits):
+        with pytest.raises(InvalidInputError, match="different posets"):
+            admits(supports, elsewhere)
 
 
 def test_filtration_must_live_on_spec(z12, vee):

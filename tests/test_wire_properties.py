@@ -23,8 +23,12 @@ integer), the enumeration bound or the d o d check.  The ``--cosilting`` and
 ``--complex`` of the recorded ``coaisle-test`` cases on a differential take
 them too, under two seconds; an exit 2 must name a field of the input, a
 whole argument's JSON, an element of the ring, a term or differential by its
-degree, a bound or the invariant that failed.  Hypothesis runs derandomized,
-so the suite stays deterministic.
+degree, a bound or the invariant that failed.  The ``--filtration``,
+``--complex`` and ``--module`` of ``tests/test_cli.py``'s ``aisle-test``,
+``tstr-classify``, ``tstr-localize`` and ``torsion`` calls, and the
+``--ring`` of its ``spec`` calls, take them too, under two seconds and the
+same kinds of names.  Hypothesis runs derandomized, so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -301,3 +305,69 @@ def mutated_cosilting_argv(draw):
 @given(mutated_cosilting_argv())
 def test_mutated_cosilting_and_coaisle_inputs_exit_cleanly(case):
     _exits_cleanly(*case, 2, COSILTING_NAMED)
+
+
+# the calls of tests/test_cli.py on the t-structure verbs, ``torsion`` and
+# ``spec``, with the options each test mutates; its Koszul complex K(2) gives
+# ``aisle-test`` a differential, and a cyclic module a relation to mutate
+Z12 = json.dumps({"kind": "zmod", "n": 12})
+STEP_AT_2 = json.dumps(
+    {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
+)
+
+
+def _stalk(relation):
+    return json.dumps(
+        {"terms": {"0": {"module": {"relations": [[relation]]}}}, "differentials": {}}
+    )
+
+
+K2 = json.dumps({"terms": {"-1": {"free": 1}, "0": {"free": 1}}, "differentials": {"-1": [[2]]}})
+VERB_CASES = [
+    (["aisle-test", "--ring", Z12, "--filtration", STEP_AT_2, "--complex", _stalk(2)],
+     ["--filtration", "--complex"]),
+    (["aisle-test", "--ring", Z12, "--filtration", STEP_AT_2, "--complex", _stalk(3)],
+     ["--filtration", "--complex"]),
+    (["aisle-test", "--ring", Z12, "--filtration", STEP_AT_2, "--complex", K2],
+     ["--filtration", "--complex"]),
+    (["tstr-classify", "--ring", Z12, "--filtration", STEP_AT_2], ["--filtration"]),
+    (["tstr-localize", "--ring", Z12, "--filtration", STEP_AT_2], ["--filtration"]),
+    (["torsion", "--ring", Z12, "--module", json.dumps({"relations": [], "rank": 1}),
+      "--set", '["(2)"]'], ["--module"]),
+    (["torsion", "--ring", Z12, "--module", json.dumps({"relations": [[4]], "rank": 1}),
+      "--set", '["(3)"]'], ["--module"]),
+    (["spec", "--ring", Z12], ["--ring"]),
+    (["spec", "--ring", json.dumps({"kind": "poly_quot", "p": 3, "f": [2, 0, 1]})], ["--ring"]),
+    (["spec", "--ring", json.dumps({"kind": "product", "factors": [
+        {"kind": "zmod", "n": 4}, {"kind": "poly_quot", "p": 2, "f": [0, 0, 1]}]})], ["--ring"]),
+]
+# a quoted field of the filtration, complex, module or ring JSON, a whole
+# argument's JSON, the ring kind, an element of the ring, a term or
+# differential at its degree, a bound, or the check that failed
+VERB_NAMED = re.compile(
+    r"'(low_tail|high_tail|breakpoints|n|set|terms|differentials|free|module|rank|relations"
+    r"|kind|p|f|factors|ring element)'"
+    r"|\b(filtration|complex|module|ring) JSON\b|\bring kind\b|\ban element of\b"
+    r"|\b(term|differential) at -?\d+|\bbreakpoint ind(ex|ices)\b|\bbound\b"
+    r"|MAX_[A-Z_]+ = \d+|\btoo large to enumerate\b|\bd o d != 0 at degree\b"
+    r"|\btails differ\b|\bfiltration not decreasing\b"
+)
+
+
+@st.composite
+def mutated_verb_argv(draw):
+    """A ``test_cli`` call of ``aisle-test``, ``tstr-classify``,
+    ``tstr-localize``, ``torsion`` or ``spec`` with one or more of its
+    filtration, complex, module or ring JSON mutated."""
+    argv, options = draw(st.sampled_from(VERB_CASES))
+    argv = list(argv)
+    for option in draw(st.lists(st.sampled_from(options), min_size=1, unique=True)):
+        k = argv.index(option) + 1
+        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+    return argv[0], argv
+
+
+@DERANDOMIZED
+@given(mutated_verb_argv())
+def test_mutated_tstructure_torsion_and_spec_inputs_exit_cleanly(case):
+    _exits_cleanly(*case, 2, VERB_NAMED)
