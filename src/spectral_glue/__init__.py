@@ -78,8 +78,6 @@ from .torsion_cosilting import (
     glue_cosilting,
     components_of_cosilting,
     is_cosilting,
-    is_torsion,
-    is_torsionfree,
     thomason_of_torsion_class,
     torsion_submodule,
     two_term_filtration,

@@ -334,12 +334,17 @@ def cmd_torsion(args) -> int:
     ring = _ring(args)
     module = rng.module_from_json(ring, _load_json(args, "module"))
     poset = rng.spec(ring)
-    x_set = set_from_json(poset, _load_json(args, "set"))
+    try:
+        x_set = set_from_json(poset, _load_json(args, "set"))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"'set': {exc}") from None
+    # Supp M is the union of the element supports, so M is torsion exactly
+    # when its torsion part is all of M
     part = tc.torsion_submodule(module, x_set)
     payload = {
         "torsion_submodule": _module_summary(part),
-        "is_torsion": tc.is_torsion(module, x_set),
-        "is_torsionfree": tc.is_torsionfree(module, x_set),
+        "is_torsion": part.order == module.order,
+        "is_torsionfree": part.is_zero_module(),
     }
     _emit(args, payload, json.dumps(payload, sort_keys=True))
     return EXIT_OK

@@ -95,6 +95,8 @@ class FiniteModule:
     def quotient(self, subgroup) -> "FiniteModule":
         """Quotient by a submodule; cosets represented by their minimal element."""
         subgroup = frozenset(subgroup)
+        if subgroup == {self.zero}:  # every coset is one element
+            return self
         rep: dict = {}
         for e in self.elements:
             if e in rep:

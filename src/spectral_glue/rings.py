@@ -8,12 +8,20 @@ isomorphism invariants.
 
 Every finite kind is one :class:`FiniteRing`: its elements are the ints
 ``0 .. |R| - 1`` and add, neg and mul are lookups in tables the kind builds
-once with its own arithmetic.  The kind fixes what an index means and
-converts elements to and from their wire form: Z/n takes the residue itself
-(wire form: an int), F_p[x]/(f) numbers coefficient tuples in
+with its own arithmetic.  The kind fixes what an index means and converts
+elements to and from their wire form: Z/n takes the residue itself (wire
+form: an int), F_p[x]/(f) numbers coefficient tuples in
 ``itertools.product`` order (wire form: a coefficient list, constant term
 first), and a product numbers component tuples in mixed radix, first factor
 most significant (wire form: the list of component forms).
+
+Each table is built on its first use and apart from the others: the add
+table, the neg vector, and the multiplication rows.  Z/n builds all its rows
+at once.  F_p[x]/(f) and a product build row a (b -> a * b) when it is first
+read: F_p[x]/(f) from the images a * x^i, by F_p-linearity, and a product in
+mixed radix from its factors' rows.  The projections of F_p[x]/(f) onto its
+local factors are tabulated by linearity too, from the images of 1, x, ...,
+x^(d-1), so no element is divided by a polynomial on the way.
 
 The tables serve element arithmetic only.  Ideals, V(I) and the valuations
 of the local chain rings are read off valuation vectors: a local Z/p^k or
@@ -191,22 +199,22 @@ class LocalFactor:
 
     ``prime_gen`` generates the prime ideal of the factor inside the global
     ring and ``idempotent`` projects onto the factor.  ``proj`` and ``lift``
-    move elements between the global ring (of order ``global_order``) and the
-    local ring (``lift`` lands in the factor component, zero elsewhere); they
-    are index maps, tabulated from ``proj_of`` and ``lift_of`` on first use.
+    move elements between the global ring and the local ring (``lift`` lands
+    in the factor component, zero elsewhere); they are index maps, tabulated
+    on first use: ``proj`` from ``proj_table``, which lists the projection of
+    every global element, and ``lift`` from ``lift_of``.
     """
 
     label: str
     prime_gen: int
     idempotent: int
     ring: "FiniteRing"
-    global_order: int
-    proj_of: Callable
+    proj_table: Callable
     lift_of: Callable
 
     @cached_property
     def proj(self) -> Callable:
-        return tuple(map(self.proj_of, range(self.global_order))).__getitem__
+        return self.proj_table().__getitem__
 
     @cached_property
     def lift(self) -> Callable:
@@ -226,14 +234,35 @@ class LocalFactor:
         return modules.restrict_scalars(module.scaled(self.idempotent), self.ring, self.lift)
 
 
+class _Row:
+    """A multiplication row not built yet: its first read builds the row and
+    puts it in the ring's table in its place."""
+
+    __slots__ = ("ring", "a")
+
+    def __init__(self, ring: "FiniteRing", a: int):
+        self.ring, self.a = ring, a
+
+    def __getitem__(self, b):
+        return self.ring._row(self.a)[b]
+
+    def index(self, b):
+        return self.ring._row(self.a).index(b)
+
+
 class FiniteRing:
     """A finite commutative ring on the elements ``0 .. order - 1``.
 
-    ``add``, ``neg`` and ``mul`` look up tables that a kind builds once, on
-    first use, with its own arithmetic (``_build_tables``).  A kind also sets
-    ``order`` and ``one``, lists its local factors (``_factors``),
-    converts elements to and from their JSON wire form, and names itself
-    (``describe``, ``descriptor``, ``to_json``).
+    ``add``, ``neg`` and ``mul`` look up tables that a kind builds with its
+    own arithmetic, each on first use and each apart: the add table
+    (``_add_table``), the neg vector (``_neg_table``) and the multiplication
+    rows, row a being b -> a * b.  A kind either builds every row at once
+    (``_mul_rows``) or leaves a placeholder per row that builds the row on its
+    first read (``_build_row``) and puts the built list in its place, so a
+    warm ``mul`` is two list subscripts.  A kind also sets ``order`` and
+    ``one``, lists its local factors (``_factors``), converts elements to and
+    from their JSON wire form, and names itself (``describe``,
+    ``descriptor``, ``to_json``).
     """
 
     kind = "abstract"
@@ -252,13 +281,29 @@ class FiniteRing:
             )
 
     @cached_property
-    def _tables(self):
+    def _add(self) -> list:
         self._check_tabulable()
-        return self._build_tables()
+        return self._add_table()
 
-    _add = cached_property(lambda self: self._tables[0])
-    _neg = cached_property(lambda self: self._tables[1])
-    _mul = cached_property(lambda self: self._tables[2])
+    @cached_property
+    def _neg(self) -> list:
+        self._check_tabulable()
+        return self._neg_table()
+
+    @cached_property
+    def _mul(self) -> list:
+        self._check_tabulable()
+        return self._mul_rows()
+
+    def _mul_rows(self) -> list:
+        return [_Row(self, a) for a in self.elements()]
+
+    def _row(self, a) -> list:
+        """Row a of the multiplication table, built if it is not yet."""
+        row = self._mul[a]
+        if type(row) is _Row:
+            row = self._mul[a] = self._build_row(a)
+        return row
 
     def add(self, a, b):
         return self._add[a][b]
@@ -325,12 +370,19 @@ class ZMod(FiniteRing):
         self.n = self.order = n
         self.one = 1
 
-    def _build_tables(self):
+    def _add_table(self):
         n = self.n
-        add = [[(a + b) % n for b in range(n)] for a in range(n)]
-        neg = [(-a) % n for a in range(n)]
-        mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-        return add, neg, mul
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+    def _neg_table(self):
+        n = self.n
+        return [(-a) % n for a in range(n)]
+
+    def _mul_rows(self):
+        # every row at once: a row is one comprehension, and the torsion
+        # sweep's spans read every row
+        n = self.n
+        return [[(a * b) % n for b in range(n)] for a in range(n)]
 
     @cached_property
     def _chain_valuation(self):
@@ -355,8 +407,8 @@ class ZMod(FiniteRing):
                     prime_gen=p % self.n,
                     idempotent=e,
                     ring=self if q == self.n else ZMod(q),
-                    global_order=self.n,
-                    proj_of=lambda x, q=q: x % q,
+                    # the residues mod q repeat with period q
+                    proj_table=lambda q=q: list(range(q)) * (self.n // q),
                     lift_of=lambda y, e=e: (y * e) % self.n,
                 )
             )
@@ -416,23 +468,40 @@ class PolyQuot(FiniteRing):
     def _reduce(self, coeffs) -> int:
         return self._index(pdivmod(coeffs, self.f, self.p)[1])
 
-    def _build_tables(self):
-        p, d = self.p, self.deg
+    def _add_table(self):
         # the additive group is (Z/p)^d, one base-p digit per coefficient
-        add = reduce(_radix_table, [[[(a + b) % p for b in range(p)] for a in range(p)]] * d)
-        neg = reduce(_radix_vector, [[(-a) % p for a in range(p)]] * d)
+        p = self.p
+        return reduce(_radix_table, [[[(a + b) % p for b in range(p)] for a in range(p)]] * self.deg)
+
+    def _neg_table(self):
+        p = self.p
+        return reduce(_radix_vector, [[(-a) % p for a in range(p)]] * self.deg)
+
+    def _build_row(self, a):
+        """b -> a * b, from the images a * x^i, each taken from the last by
+        one shift through x^d mod f."""
+        p, d = self.p, self.deg
         x_to_d = [(-c) % p for c in self.f[:d]]  # x^d mod f
-        mul = []
-        for a in itertools.product(range(p), repeat=d):
-            # b -> a * b is additive: add up the images of b's digits b_i x^i,
-            # taking a * x^(i+1) from a * x^i by one shift through x^d mod f
-            row, ax = [0], list(a)
-            for _ in range(d):
-                images = [self._index([v * c % p for c in ax]) for v in range(p)]
-                row = [add[r][m] for r in row for m in images]
-                ax = [(lo + ax[-1] * t) % p for lo, t in zip([0] + ax[:-1], x_to_d)]
-            mul.append(row)
-        return add, neg, mul
+        ax = [a // p ** (d - 1 - i) % p for i in range(d)]
+        images = []
+        for _ in range(d):
+            images.append(self._index(ax))
+            ax = [(lo + ax[-1] * t) % p for lo, t in zip([0] + ax[:-1], x_to_d)]
+        return self._linear_table(self, images)
+
+    def _linear_table(self, target: "PolyQuot", images) -> list:
+        """The table of the F_p-linear map to ``target`` (over the same p)
+        that sends x^i to ``images[i]``: the digits of an element are read
+        constant term first, each adding every multiple of its image to the
+        sums so far, so the table comes out in element order."""
+        add = target._add
+        table = [target.zero]
+        for image in images:
+            multiples = [target.zero]
+            for _ in range(self.p - 1):
+                multiples.append(add[multiples[-1]][image])
+            table = [add[s][m] for s in table for m in multiples]
+        return table
 
     @cached_property
     def _chain_valuation(self):
@@ -471,15 +540,20 @@ class PolyQuot(FiniteRing):
             e = self._index(_pow_mod(rest, units, self.f, p))
             # a local polynomial has the lower degree: pad it with zero digits
             pad = p ** (self.deg - local.deg)
+            if local is self:
+                proj_table = lambda: list(range(self.order))
+            else:
+                # the projection is F_p-linear: tabulated from the images of x^i
+                images = [local._reduce((0,) * i + (1,)) for i in range(self.deg)]
+                proj_table = lambda local=local, images=images: self._linear_table(local, images)
             out.append(
                 LocalFactor(
                     label=f"({poly_str(pi)})",
                     prime_gen=self._reduce(pi),
                     idempotent=e,
                     ring=local,
-                    global_order=self.order,
-                    proj_of=lambda x, local=local: local._reduce(self._coeffs(x)),
-                    lift_of=lambda y, e=e, pad=pad: self.mul(y * pad, e),
+                    proj_table=proj_table,
+                    lift_of=lambda y, e=e, pad=pad: self.mul(e, y * pad),
                 )
             )
         return out
@@ -523,12 +597,16 @@ class ProductRing(FiniteRing):
         self._weights = [math.prod(sizes[i + 1 :]) for i in range(len(sizes))]
         self.one = sum(f.one * w for f, w in zip(factors, self._weights))
 
-    def _build_tables(self):
-        tables = [f._tables for f in self.factors]
-        add = reduce(_radix_table, [t[0] for t in tables])
-        neg = reduce(_radix_vector, [t[1] for t in tables])
-        mul = reduce(_radix_table, [t[2] for t in tables])
-        return add, neg, mul
+    def _add_table(self):
+        return reduce(_radix_table, [f._add for f in self.factors])
+
+    def _neg_table(self):
+        return reduce(_radix_vector, [f._neg for f in self.factors])
+
+    def _build_row(self, a):
+        """Row a in mixed radix from the factors' rows at a's components."""
+        rows = [f._row(a // w % f.order) for f, w in zip(self.factors, self._weights)]
+        return reduce(_radix_vector, rows)
 
     @cached_property
     def _factors(self):
@@ -541,8 +619,9 @@ class ProductRing(FiniteRing):
                         prime_gen=self.one + (lf.prime_gen - component.one) * w,
                         idempotent=lf.idempotent * w,
                         ring=lf.ring,
-                        global_order=self.order,
-                        proj_of=lambda x, w=w, n=component.order, lf=lf: lf.proj(x // w % n),
+                        proj_table=lambda w=w, n=component.order, lf=lf: [
+                            lf.proj(x // w % n) for x in self.elements()
+                        ],
                         lift_of=lambda y, w=w, lf=lf: lf.lift(y) * w,
                     )
                 )
@@ -666,7 +745,7 @@ def v_of_ideal(ring: FiniteRing, ideal: Ideal) -> ThomasonSet:
     members = [
         lf.label
         for lf in ring.local_factors()
-        if all(lf.valuation[1][lf.proj_of(g)] > 0 for g in ideal.generators)
+        if all(lf.valuation[1][lf.proj(g)] > 0 for g in ideal.generators)
     ]
     return ThomasonSet.from_members(spec(ring), members)
 

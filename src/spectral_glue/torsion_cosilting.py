@@ -38,23 +38,16 @@ def _element_support(module: FiniteModule, x) -> frozenset[PrimeId]:
 
 
 def torsion_submodule(module: FiniteModule, x_set: ThomasonSet) -> FiniteModule:
-    """Largest submodule supported in the Thomason set: {x | V(Ann x) in X}."""
+    """Largest submodule supported in the Thomason set: {x | V(Ann x) in X},
+    that is the x with e_m x = 0 for every maximal ideal m outside X."""
     poset = rng.spec(module.ring)
     if x_set.poset != poset:
         raise InvalidInputError("Thomason set does not live on spec of the module's ring")
     allowed = x_set.members
-    members = frozenset(x for x in module.elements if _element_support(module, x) <= allowed)
+    outside = [lf.idempotent for lf in module.ring.local_factors() if lf.label not in allowed]
+    smul, zero = module.smul, module.zero
+    members = frozenset(x for x in module.elements if all(smul(e, x) == zero for e in outside))
     return module.submodule(members, check=False)
-
-
-def is_torsion(module: FiniteModule, x_set: ThomasonSet) -> bool:
-    if module.is_zero_module():
-        return True
-    return rng.support(module) <= x_set
-
-
-def is_torsionfree(module: FiniteModule, x_set: ThomasonSet) -> bool:
-    return torsion_submodule(module, x_set).is_zero_module()
 
 
 def thomason_of_torsion_class(ring: FiniteRing, torsion_cyclics) -> ThomasonSet:
@@ -76,9 +69,9 @@ class TorsionTable:
     - X is recovered from that class as the union of V(I) over the I with
       Hom(R/I, E) = 0 for every E in it.
 
-    The supports come from the same computations as :func:`is_torsion` (the
-    local size chains of each built R/I) and :func:`torsion_submodule` (the
-    idempotent components of each element of E), the vanishing from
+    The supports come from :func:`rings.support` (the local size chains of
+    each built R/I) and from the idempotent components of each element of E,
+    as :func:`torsion_submodule` reads them, the vanishing from
     :func:`_annihilated_part`.  Each part is built when first asked for; a
     ring too large to tabulate is refused before anything is listed.
     """

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import reduce
 
 import pytest
 
@@ -22,7 +23,18 @@ from spectral_glue import (
 from spectral_glue import sweeps
 from spectral_glue.catalog import poly_catalog, product_catalog, zmod_catalog
 from spectral_glue.modules import FiniteModule, cokernel_of_rank
-from spectral_glue.rings import all_ideals, local_factor, module_from_json, pdivmod, pmul, pnorm, spec
+from spectral_glue.homalg import koszul, support_of_cohomology
+from spectral_glue.rings import (
+    _radix_table,
+    _radix_vector,
+    all_ideals,
+    local_factor,
+    module_from_json,
+    pdivmod,
+    pmul,
+    pnorm,
+    spec,
+)
 from spectral_glue.torsion_cosilting import _element_support
 
 
@@ -365,7 +377,7 @@ def enumerated_ideals(ring, mul):
 def tabulated_valuation(lf):
     """``LocalFactor.valuation`` from the powers t^j R_m, formed in the table."""
     ring = lf.ring
-    mul = ring._build_tables()[2]
+    mul = [ring._row(a) for a in ring.elements()]
     t = lf.proj(lf.prime_gen)
     val = [0] * ring.order
     chain = []
@@ -387,7 +399,7 @@ def test_valuation_vectors_match_the_multiplication_table(catalog):
     """Ideals, V(I) and the chain valuations read off valuation vectors equal
     those found by multiplying out every principal ideal."""
     for ring in catalog():
-        mul = ring._build_tables()[2]
+        mul = [ring._row(a) for a in ring.elements()]
         ideals = [(ideal.members, ideal.generators) for ideal in all_ideals(ring)]
         assert ideals == [(members, (g,)) for members, g in enumerated_ideals(ring, mul)], ring
         factors = ring.local_factors()
@@ -404,12 +416,98 @@ def test_valuation_vectors_match_the_multiplication_table(catalog):
 def test_koszul_support_builds_no_tables(ring):
     """The Koszul-support checks (all_ideals, koszul, v_of_ideal and
     support_of_cohomology on one-generator complexes) read valuation vectors
-    only, so neither the ring nor a local factor ring is tabulated."""
+    only, so neither the ring nor a local factor ring builds an add table, a
+    neg vector or a multiplication row."""
     report = sweeps.SweepReport("koszul_support")
     sweeps._check_koszul(report, ring)
     assert report.checked and not report.failures
     for r in [ring] + [lf.ring for lf in ring.local_factors()]:
-        assert "_tables" not in vars(r), r
+        assert not {"_add", "_neg", "_mul"} & vars(r).keys(), r
+
+
+def built_rows(ring) -> int:
+    return sum(type(row) is list for row in vars(ring).get("_mul", ()))
+
+
+def test_two_generator_koszul_builds_only_the_rows_it_reads():
+    """Koszul complexes on two generators negate, check d o d = 0 and
+    eliminate a second Smith row, so they multiply; they build the rows they
+    read and not the whole table."""
+    ring = PolyQuot(5, (1, 1, 0, 1))
+    report = sweeps.SweepReport("koszul_support")
+    sweeps._check_koszul(report, ring)
+    for gens in itertools.islice(itertools.combinations(range(1, ring.order, 7), 2), 10):
+        kos = koszul(ring, gens)
+        v_set = v_of_ideal(ring, Ideal(ring, gens))
+        for n in range(kos.min_degree, kos.max_degree + 1):
+            assert support_of_cohomology(kos, n) <= v_set, (gens, n)
+    assert 0 < built_rows(ring) < ring.order
+
+
+def eager_tables(ring):
+    """(add, neg, mul) as each kind once built them, all three at once."""
+    if isinstance(ring, ZMod):
+        n = ring.n
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        neg = [(-a) % n for a in range(n)]
+        mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+        return add, neg, mul
+    if isinstance(ring, PolyQuot):
+        p, d = ring.p, ring.deg
+        add = reduce(_radix_table, [[[(a + b) % p for b in range(p)] for a in range(p)]] * d)
+        neg = reduce(_radix_vector, [[(-a) % p for a in range(p)]] * d)
+        x_to_d = [(-c) % p for c in ring.f[:d]]
+        mul = []
+        for a in itertools.product(range(p), repeat=d):
+            row, ax = [0], list(a)
+            for _ in range(d):
+                images = [ring._index([v * c % p for c in ax]) for v in range(p)]
+                row = [add[r][m] for r in row for m in images]
+                ax = [(lo + ax[-1] * t) % p for lo, t in zip([0] + ax[:-1], x_to_d)]
+            mul.append(row)
+        return add, neg, mul
+    tables = [eager_tables(f) for f in ring.factors]
+    add = reduce(_radix_table, [t[0] for t in tables])
+    neg = reduce(_radix_vector, [t[1] for t in tables])
+    mul = reduce(_radix_table, [t[2] for t in tables])
+    return add, neg, mul
+
+
+@CATALOGS
+def test_tables_match_the_eager_builder(catalog):
+    """The add table, the neg vector and every multiplication row, each
+    built on its own and the rows one at a time, equal the tables built all
+    at once; on a fresh ring ``mul`` and ``divide`` read rows not built yet."""
+    for ring in catalog():
+        add, neg, mul = eager_tables(ring)
+        assert ring._neg == neg, ring
+        for a in ring.elements():
+            # row by row, so a failure prints one row
+            assert ring._add[a] == add[a], (ring, a)
+            assert ring._row(a) == mul[a], (ring, a)
+        assert built_rows(ring) == ring.order, ring
+        fresh = ring_from_json(ring.to_json())
+        for a, b in pairs(fresh, 100):
+            assert fresh.mul(a, b) == mul[a][b], (ring, a, b)
+            assert mul[a][fresh.divide(mul[a][b], a)] == mul[a][b], (ring, a, b)
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [lambda: poly_catalog(5, 3), lambda: product_catalog(60)],
+    ids=["poly_quot", "product"],
+)
+def test_poly_projections_match_reduction(catalog):
+    """Every projection of F_p[x]/(f) onto a local factor, tabulated from the
+    images of 1, x, ..., x^(d-1), is reduction modulo the factor's pi^k."""
+    polys = [f for ring in catalog() for f in getattr(ring, "factors", (ring,))]
+    polys = [ring for ring in polys if isinstance(ring, PolyQuot)]
+    assert polys
+    for ring in polys:
+        for lf in ring.local_factors():
+            local = lf.ring
+            for x in ring.elements():
+                assert lf.proj(x) == local._reduce(ring._coeffs(x)), (ring, lf.label, x)
 
 
 def test_table_size_is_checked_before_building():

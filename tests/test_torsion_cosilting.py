@@ -15,8 +15,7 @@ from spectral_glue import (
     free_module,
     glue_cosilting,
     is_cosilting,
-    is_torsion,
-    is_torsionfree,
+    support,
     thomason_of_torsion_class,
     torsion_submodule,
     two_term_filtration,
@@ -65,11 +64,22 @@ def test_torsion_submodule_oracle(z12, v2):
     assert sorted(part.elements) == [(0,), (3,), (6,), (9,)]
 
 
+def is_torsion(module, x_set) -> bool:
+    """The reference: Supp M, read off the local size chains, lies in X."""
+    return module.is_zero_module() or support(module) <= x_set
+
+
+def torsion_verdicts(module, x_set) -> tuple[bool, bool]:
+    """(torsion, torsion-free) as the ``torsion`` verb reads them off the
+    torsion part: all of M, or zero."""
+    part = torsion_submodule(module, x_set)
+    return part.order == module.order, part.is_zero_module()
+
+
 def test_torsion_predicates(z12, v2):
-    assert is_torsion(cyclic_module(z12, 4), v2)
-    assert is_torsionfree(cyclic_module(z12, 3), v2)
-    free = free_module(z12, 1)
-    assert not is_torsion(free, v2) and not is_torsionfree(free, v2)
+    assert torsion_verdicts(cyclic_module(z12, 4), v2) == (True, False)
+    assert torsion_verdicts(cyclic_module(z12, 3), v2) == (False, True)
+    assert torsion_verdicts(free_module(z12, 1), v2) == (False, False)
 
 
 def test_thomason_torsion_roundtrip(z12, z12_poset):
@@ -88,9 +98,13 @@ def test_torsion_table_agrees_with_the_per_module_enumeration(ring):
     poset = spec(ring)
     ideals = all_ideals(ring)
     injectives = indecomposable_injectives(ring)
+    cyclics = [cyclic_module(ring, i.generators[0]) for i in ideals]
     for x_set in all_thomason_sets(poset):
-        expected = [i for i in ideals if is_torsion(cyclic_module(ring, i.generators[0]), x_set)]
+        expected = [i for i, m in zip(ideals, cyclics) if is_torsion(m, x_set)]
         assert table.torsion_class(x_set) == expected
+        # Supp M is the union of the element supports
+        for m in cyclics + injectives:
+            assert torsion_verdicts(m, x_set)[0] == is_torsion(m, x_set), (ring, m, x_set)
         chosen = table.injective_class(x_set)
         free = [j for j, e in enumerate(injectives) if torsion_submodule(e, x_set).is_zero_module()]
         assert list(chosen) == free

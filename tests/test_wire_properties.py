@@ -27,8 +27,9 @@ degree, a bound or the invariant that failed.  The ``--filtration``,
 ``--complex`` and ``--module`` of ``tests/test_cli.py``'s ``aisle-test``,
 ``tstr-classify``, ``tstr-localize`` and ``torsion`` calls, and the
 ``--ring`` of its ``spec`` calls, take them too, under two seconds and the
-same kinds of names.  Hypothesis runs derandomized, so the suite stays
-deterministic.
+same kinds of names; so does the ``--set`` of its ``torsion`` calls, whose
+refusals must name the field ``'set'``.  Hypothesis runs derandomized, so the
+suite stays deterministic.
 """
 
 import contextlib
@@ -371,3 +372,21 @@ def mutated_verb_argv(draw):
 @given(mutated_verb_argv())
 def test_mutated_tstructure_torsion_and_spec_inputs_exit_cleanly(case):
     _exits_cleanly(*case, 2, VERB_NAMED)
+
+
+TORSION_SET_CASES = [argv for argv, _ in VERB_CASES if argv[0] == "torsion"]
+
+
+@st.composite
+def mutated_torsion_set_argv(draw):
+    """A ``test_cli`` call of ``torsion`` with its ``--set`` mutated."""
+    argv = list(draw(st.sampled_from(TORSION_SET_CASES)))
+    k = argv.index("--set") + 1
+    argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+    return "torsion", argv
+
+
+@DERANDOMIZED
+@given(mutated_torsion_set_argv())
+def test_mutated_torsion_sets_exit_cleanly(case):
+    _exits_cleanly(*case, 2, re.compile(r"'set'"))
