@@ -18,6 +18,15 @@ reads only the orders |Z|/|B| of three degrees at once through
 orders and supports, which :func:`hom_orders` and
 :func:`support_of_cohomology` read off Smith valuations over each local chain
 ring R_m without enumerating anything.
+
+What depends on one complex alone is found once per complex and kept on it:
+its (degree, rank) list, whether its terms are free, and the Smith
+valuations of each differential over each local factor.  A call pays only
+for its pair: :func:`derived_hom_orders` lists the nonzero terms of Y that
+its degrees reach, checks each Hom term's size from that list before
+anything is enumerated, then forms the coordinates from it and enumerates;
+:func:`hom_orders` reads the kept valuations against Y's size chains, which
+each module keeps too.
 """
 
 from __future__ import annotations
@@ -114,12 +123,35 @@ class BoundedComplex:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @cached_property
     def is_perfect(self) -> bool:
         return all(isinstance(t, FreeTerm) for t in self.terms.values())
 
     def rank(self, n: int) -> int:
         term = self.terms.get(n)
         return term.rank if isinstance(term, FreeTerm) else 0
+
+    @cached_property
+    def ranks(self) -> list[tuple[int, int]]:
+        """(n, rank of C^n) over the degrees in increasing order."""
+        return [(n, self.rank(n)) for n in sorted(self.terms)]
+
+    @cached_property
+    def _smith(self) -> dict[tuple[int, str], list[int]]:
+        return {}
+
+    def smith_valuations(self, n: int, lf: LocalFactor) -> list[int]:
+        """:func:`_smith_valuations` of d^n over the local factor ``lf``,
+        found once per degree and factor.  The entries are projected into
+        R_m, unless the complex lives over R_m itself: a complex over R meets
+        the factors of R, whose labels differ, and one over R_m is read as it
+        is, whichever ring R_m is a factor of."""
+        key = n, lf.label
+        out = self._smith.get(key)
+        if out is None:
+            project = (lambda x: x) if lf.ring == self.ring else lf.proj
+            out = self._smith[key] = _smith_valuations(self.diffs[n], lf, project)
+        return out
 
     @cached_property
     def _materialized(self) -> dict[int, FiniteModule]:
@@ -236,7 +268,7 @@ def direct_sum_complexes(a: BoundedComplex, b: BoundedComplex) -> BoundedComplex
     """Degreewise direct sum; both complexes must have free terms."""
     if a.ring != b.ring:
         raise InvalidInputError("direct sum requires a common ring")
-    if not (a.is_perfect() and b.is_perfect()):
+    if not (a.is_perfect and b.is_perfect):
         raise InvalidInputError("direct sum is implemented for free-term complexes")
     ring = a.ring
     terms = {}
@@ -283,7 +315,7 @@ def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
             nonzero = term.local_invariants()[lf.label][0] > 1
         else:
             chain = lf.valuation[0]
-            images = _image_orders(complex_, n, lf, lf.proj, chain) if rank else []
+            images = _image_orders(complex_, n, lf, chain) if rank else []
             nonzero = rank > len(images) or chain[0] ** rank > math.prod(images)
         if nonzero:
             members.append(lf.label)
@@ -329,38 +361,40 @@ def _hom_groups(perfect: BoundedComplex, target: BoundedComplex, lo: int, hi: in
     degrees lo <= i <= hi, for :func:`derived_hom` and
     :func:`derived_hom_orders`.
 
+    The nonzero terms Y^{p+k} that Hom^k reaches are listed once per call,
+    and both the size checks and the coordinates are read off that list.
     Every Hom^k with lo - 1 <= k <= hi is checked against
-    ``ENUMERATION_LIMIT`` before anything is enumerated, in the order lo,
+    ``ENUMERATION_LIMIT`` before any coordinate is formed, in the order lo,
     lo - 1, lo + 1, ..., hi, which is that of one-degree calls from lo up.
     Each Hom^k with k < hi is listed once: its image under d^k is B^{k+1}
     and its zero fibre is Z^k.  Only Z^hi is paired from two halves, and
     every B^i is checked to lie inside Z^i.
     """
-    if not perfect.is_perfect():
+    if not perfect.is_perfect:
         raise InvalidInputError("first argument must have free terms")
     if perfect.ring != target.ring:
         raise InvalidInputError("ring mismatch")
 
     ring = perfect.ring
+    terms = target.terms  # the nonzero terms of Y
+    reach = lambda k: [(p, r, target.module_at(p + k)) for p, r in perfect.ranks if p + k in terms]
+    reached = {}  # k -> [(p, r(p), Y^{p+k})] over the p with Y^{p+k} nonzero
     bits = ENUMERATION_LIMIT.bit_length()
     for k in (lo, lo - 1, *range(lo + 1, hi + 1)):
+        reached[k] = reach(k)
         # a nonzero factor |Y^{p+k}|^{r(p)} is at least 2^{r(p)}, so a rank past
         # the limit's bit length is refused before its power or coordinates are formed
-        factors = [(target.module_at(p + k).order, perfect.rank(p)) for p in perfect.degrees()]
-        rank = max((r for order, r in factors if order > 1), default=0)
+        rank = max((r for _, r, _ in reached[k]), default=0)
         if rank > bits:
             raise InvalidInputError(f"Hom term of size at least 2^{rank} is too large to enumerate")
-        size = math.prod(order**r for order, r in factors)
+        size = math.prod(n_mod.order**r for _, r, n_mod in reached[k])
         if size > ENUMERATION_LIMIT:
             raise InvalidInputError(f"Hom term of size {size} is too large to enumerate")
+    reached[hi + 1] = reach(hi + 1)
     # every term of P has positive rank, and d_P^p exists only if p + 1 is a term
-    coords = {}  # k -> [(p, j, Y^{p+k})] over the coordinates of Hom^k with Y^{p+k} nonzero
-    for k in range(lo - 1, hi + 2):
-        coords[k] = []
-        for p in perfect.degrees():
-            n_mod = target.module_at(p + k)
-            if n_mod.order > 1:
-                coords[k] += [(p, j, n_mod) for j in range(perfect.rank(p))]
+    coords = {  # k -> [(p, j, Y^{p+k})] over the coordinates of Hom^k with Y^{p+k} nonzero
+        k: [(p, j, n_mod) for p, r, n_mod in reached[k] for j in range(r)] for k in reached
+    }
 
     d_y = {}  # q -> d_Y^q as a map of element indices
 
@@ -467,33 +501,33 @@ def hom_orders(
     ring of which it is a factor; Hom(R_m^a, N) = (e_m N)^a, and the result
     has the one label of ``factor``.
     """
-    if not perfect.is_perfect():
+    if not perfect.is_perfect:
         raise InvalidInputError("first argument must have free terms")
     if target.diffs:
         raise InvalidInputError("Hom orders need a target without differentials")
     if factor is None:
         if perfect.ring != target.ring:
             raise InvalidInputError("ring mismatch (pass a local factor to bridge)")
-        factors = [(lf, lf.proj) for lf in target.ring.local_factors()]
+        factors = target.ring.local_factors()
     else:
         # local_factor raises unless the target's ring has a factor of that label
         if not perfect.ring == factor.ring == rng.local_factor(target.ring, factor.label).ring:
             raise InvalidInputError("perfect complex must live over the factor ring")
-        factors = [(factor, lambda x: x)]
+        factors = [factor]
     out = {}
-    for lf, project in factors:
+    for lf in factors:
         order = 1
         for d, term in target.terms.items():
             if isinstance(term, FreeTerm):
                 chain = tuple(size**term.rank for size in lf.valuation[0])
             else:
                 chain = term.local_invariants()[lf.label]
-            order *= _factor_order(perfect, d - i, lf, project, chain)
+            order *= _factor_order(perfect, d - i, lf, chain)
         out[lf.label] = order
     return out
 
 
-def _factor_order(complex_: BoundedComplex, p: int, lf: LocalFactor, project, chain) -> int:
+def _factor_order(complex_: BoundedComplex, p: int, lf: LocalFactor, chain) -> int:
     """|e_m N|^{r(p)} / (|im d^{p-1}| * |im d^p|) for a module N with size
     chain ``chain[j] = |t^j e_m N|``, ending in 1.
 
@@ -503,21 +537,20 @@ def _factor_order(complex_: BoundedComplex, p: int, lf: LocalFactor, project, ch
     rank = complex_.rank(p)
     if not rank:
         return 1
-    return chain[0] ** rank // math.prod(_image_orders(complex_, p, lf, project, chain))
+    return chain[0] ** rank // math.prod(_image_orders(complex_, p, lf, chain))
 
 
-def _image_orders(complex_: BoundedComplex, p: int, lf: LocalFactor, project, chain) -> list[int]:
+def _image_orders(complex_: BoundedComplex, p: int, lf: LocalFactor, chain) -> list[int]:
     """The orders |t^v e_m N| whose product is |im d^{p-1}| * |im d^p|.
 
-    Each d acts on a power of e_m N through the matrix of entries
-    ``project``-ed into R_m, and its image there has order prod_k |t^{v_k}
-    e_m N| over the Smith valuations v_k of that matrix.
+    Each d acts on a power of e_m N through its matrix over R_m, and its
+    image there has order prod_k |t^{v_k} e_m N| over the Smith valuations
+    v_k of that matrix, which the complex keeps per degree and factor.
     """
     orders = []
     for n in (p - 1, p):
-        matrix = complex_.diffs.get(n)
-        if matrix is not None:
-            orders += [chain[v] for v in _smith_valuations(matrix, lf, project) if v < len(chain)]
+        if n in complex_.diffs:
+            orders += [chain[v] for v in complex_.smith_valuations(n, lf) if v < len(chain)]
     return orders
 
 

@@ -1,7 +1,9 @@
 """Concrete finite modules with enumerable elements.
 
 A module is a finite set of hashable elements together with addition and a
-scalar action of its ring.  Everything downstream (cohomology, Hom groups,
+scalar action of its ring.  ``add`` and ``smul`` are the functions the
+module was built with, kept as attributes and called directly, so a sum is
+one call into them.  Everything downstream (cohomology, Hom groups,
 torsion parts) works by element sweeps, which is the intended correctness
 oracle at desk scale; the Hom enumeration of :mod:`homalg` runs on element
 indices through each module's :class:`IndexArithmetic`.  Rings are
@@ -15,6 +17,8 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import InvalidInputError
 
@@ -30,19 +34,13 @@ class FiniteModule:
         self.ring = ring
         self.elements = tuple(sorted(elements))
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self._add = add
-        self._smul = smul
+        self.add = add  # (x, y) -> x + y
+        self.smul = smul  # (r, x) -> r x
         self.zero = zero
         if zero not in self.index:
             raise InvalidInputError("module must contain its zero element")
 
     # -- basic operations -------------------------------------------------
-
-    def add(self, x, y):
-        return self._add(x, y)
-
-    def smul(self, r, x):
-        return self._smul(r, x)
 
     @property
     def order(self) -> int:
@@ -90,7 +88,7 @@ class FiniteModule:
         members = frozenset(members)
         if check and members != self.span(members):
             raise InvalidInputError("subset is not a submodule")
-        return FiniteModule(self.ring, members, self._add, self._smul, self.zero)
+        return FiniteModule(self.ring, members, self.add, self.smul, self.zero)
 
     def quotient(self, subgroup) -> "FiniteModule":
         """Quotient by a submodule; cosets represented by their minimal element."""
@@ -105,8 +103,8 @@ class FiniteModule:
             lead = min(coset)
             for c in coset:
                 rep[c] = lead
-        add = lambda x, y: rep[self._add(x, y)]
-        smul = lambda r, x: rep[self._smul(r, x)]
+        add = lambda x, y: rep[self.add(x, y)]
+        smul = lambda r, x: rep[self.smul(r, x)]
         return FiniteModule(self.ring, set(rep.values()), add, smul, rep[self.zero])
 
     def scaled(self, r) -> "FiniteModule":
@@ -166,27 +164,30 @@ class FiniteModule:
 
     # -- invariants ---------------------------------------------------------
 
-    def local_invariants(self) -> dict:
+    def local_invariants(self) -> Mapping[str, tuple]:
         """Per local factor: the chain of sizes |t^j M_e|, an isomorphism invariant.
 
         Over a chain local ring with uniformizer t, the multiset of cyclic
         summand lengths of a finite module is determined by these sizes, so two
-        modules over the same ring are isomorphic iff the dicts agree.  The
-        sizes are computed once per module.
+        modules over the same ring are isomorphic iff the mappings agree.  The
+        sizes are computed once per module and returned read-only.
         """
-        return dict(self._local_invariants)
+        return self._local_invariants
 
     @cached_property
-    def _local_invariants(self) -> dict:
+    def _local_invariants(self) -> Mapping[str, tuple]:
         out = {}
         for factor in self.ring.local_factors():
             part = self.scaled(factor.idempotent)
             sizes = [part.order]
             while part.order > 1:
                 part = part.scaled(factor.prime_gen)
+                if part.order == sizes[-1]:
+                    # t acts nilpotently on e_m M, so each step shrinks it
+                    raise AssertionError(f"the prime generator of {factor.label} is not nilpotent")
                 sizes.append(part.order)
             out[factor.label] = tuple(sizes)
-        return out
+        return MappingProxyType(out)
 
     def isomorphic_to(self, other: "FiniteModule") -> bool:
         if self.ring != other.ring:
@@ -299,4 +300,4 @@ def direct_sum(ring, summands) -> FiniteModule:
 def restrict_scalars(module: FiniteModule, ring, proj) -> FiniteModule:
     """View a module over a quotient/localized ring as a module over ``ring``."""
     smul = lambda r, x: module.smul(proj(r), x)
-    return FiniteModule(ring, module.elements, module._add, smul, module.zero)
+    return FiniteModule(ring, module.elements, module.add, smul, module.zero)

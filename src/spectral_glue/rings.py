@@ -224,8 +224,8 @@ class LocalFactor:
     def valuation(self) -> tuple[tuple, tuple]:
         """``(chain, val)`` for the chain ring R_m with uniformizer t:
         ``chain[j]`` is |t^j R_m| for j = 0 .. L, ending in 1 at the length L,
-        and ``val[x]`` is the largest j with x in t^j R_m (L for zero)."""
-        self.ring._check_tabulable()
+        and ``val[x]`` is the largest j with x in t^j R_m (L for zero).  The
+        ring's size is checked once, before the table is built."""
         return self.ring._chain_valuation
 
     def component(self, module: FiniteModule) -> FiniteModule:
@@ -347,6 +347,8 @@ class FiniteRing:
         return dict(sorted(table.items(), key=lambda item: sorted(item[1][1])))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return type(self) is type(other) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
@@ -371,8 +373,9 @@ class ZMod(FiniteRing):
         self.one = 1
 
     def _add_table(self):
-        n = self.n
-        return [[(a + b) % n for b in range(n)] for a in range(n)]
+        # row a is the residues rotated by a
+        residues = list(range(self.n))
+        return [residues[a:] + residues[:a] for a in residues]
 
     def _neg_table(self):
         n = self.n
@@ -388,6 +391,7 @@ class ZMod(FiniteRing):
     def _chain_valuation(self):
         """``(chain, val)`` of a local Z/p^k: ``val[x]`` is the p-adic
         valuation of the residue x, capped at k."""
+        self._check_tabulable()
         ((p, k),) = factorint_trial(self.n).items()
         val = [0] * self.n
         for j in range(1, k + 1):
@@ -507,6 +511,7 @@ class PolyQuot(FiniteRing):
     def _chain_valuation(self):
         """``(chain, val)`` of a local F_p[x]/(pi^k): ``val[x]`` is the
         multiplicity of pi in x, capped at k, found by division."""
+        self._check_tabulable()
         factors = poly_factor(self.f, self.p)
         (pi,) = set(factors)
         k = len(factors)
@@ -758,8 +763,15 @@ def local_factor(ring: FiniteRing, label: str) -> LocalFactor:
 
 
 def support(module: FiniteModule) -> ThomasonSet:
-    """Supp(M) = V(Ann M): the maximal ideals m with e_m M nonzero."""
-    members = [m for m, sizes in module.local_invariants().items() if sizes[0] > 1]
+    """Supp(M) = V(Ann M): the maximal ideals m with e_m M nonzero, that is
+    with e_m x nonzero for some x in M; each factor's scan stops at its first
+    such witness."""
+    smul, zero = module.smul, module.zero
+    members = [
+        lf.label
+        for lf in module.ring.local_factors()
+        if any(smul(lf.idempotent, x) != zero for x in module.elements)
+    ]
     return ThomasonSet.from_members(spec(module.ring), members)
 
 

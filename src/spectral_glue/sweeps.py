@@ -303,6 +303,7 @@ def _local_global_rings(max_ring: int) -> list[FiniteRing]:
 
 def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
     table = tc.TorsionTable(ring)
+    signatures = [repr(sorted(e.elements)) for e in table.injectives]
     injective_images = {}
     for x in catalog.all_thomason_sets(table.poset):
         report.checked += 1
@@ -312,7 +313,7 @@ def _check_torsion(report: SweepReport, ring: FiniteRing) -> None:
         if back != x:
             problems.append("torsion-class roundtrip broke")
         chosen = table.injective_class(x)
-        signature = tuple(sorted(repr(sorted(table.injectives[j].elements)) for j in chosen))
+        signature = tuple(sorted(signatures[j] for j in chosen))
         if signature in injective_images:
             problems.append(
                 f"injective class map not injective (collides with {injective_images[signature]})"

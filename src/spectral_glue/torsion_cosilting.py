@@ -69,9 +69,9 @@ class TorsionTable:
     - X is recovered from that class as the union of V(I) over the I with
       Hom(R/I, E) = 0 for every E in it.
 
-    The supports come from :func:`rings.support` (the local size chains of
-    each built R/I) and from the idempotent components of each element of E,
-    as :func:`torsion_submodule` reads them, the vanishing from
+    The supports come from :func:`rings.support` (a witness e_m x != 0 per
+    factor in each built R/I) and from the idempotent components of each
+    element of E, as :func:`torsion_submodule` reads them, the vanishing from
     :func:`_annihilated_part`.  Each part is built when first asked for; a
     ring too large to tabulate is refused before anything is listed.
     """

@@ -442,6 +442,53 @@ def test_hom_orders_over_a_local_factor(z12):
                 assert orders == {lf.label: derived_hom(x, y_local, i).order}
 
 
+def test_a_complex_reused_across_the_sweep_9_targets_matches_a_fresh_copy():
+    """Sweep 9 asks each Koszul complex over a factor ring about every
+    target of its ring; here one complex per factor ring serves every ring
+    of the corpus with that factor, so its ranks and Smith valuations are
+    found once and read under several labels.  A fresh copy of it, keeping
+    nothing, gives the same enumerated and Smith orders for each target."""
+    rings = [ZMod(12), ZMod(30), ZMod(36)] + catalog.product_catalog(40)[:4]
+    xs = {}  # factor ring descriptor -> its Koszul complexes, built once
+    checked = 0
+    for ring in rings:
+        ys = catalog.stalk_complexes(ring)
+        for lf in ring.local_factors():
+            ys_local = [localize_complex(y, lf.label) for y in ys]
+            key = lf.ring.descriptor()
+            xs.setdefault(key, catalog.koszul_complexes(lf.ring, shifts=(0,), max_sums=4))
+            for x in xs[key]:
+                for y, y_local in zip(ys, ys_local):
+                    fresh = BoundedComplex(x.ring, x.terms, x.diffs)
+                    orders = homalg.derived_hom_orders(x, y_local, (-1, 0, 1))
+                    assert orders == homalg.derived_hom_orders(fresh, y_local, (-1, 0, 1)), (x, y)
+                    for i in (-1, 0, 1):
+                        fast = homalg.hom_orders(x, y, i, factor=lf)
+                        assert fast == homalg.hom_orders(fresh, y, i, factor=lf), (x, y, i)
+                        assert fast == {lf.label: orders[i]}, (x, y, i)
+                        checked += 1
+    assert checked == 3150 and len(xs) < sum(len(r.local_factors()) for r in rings)
+
+
+def test_smith_valuations_are_kept_per_factor():
+    """Over Z/4 x Z/9 the differential (2, 1) has valuation 1 at the first
+    factor and is a unit at the second, so one complex keeps two sets of
+    Smith valuations for one degree; the orders and supports of each
+    factor match enumeration, the supports asked before the orders."""
+    ring = ProductRing([ZMod(4), ZMod(9)])
+    a = ring.element_from_json([2, 1])
+    kos = koszul(ring, [a])
+    for n in (-1, 0):
+        assert support_of_cohomology(kos, n) == rng.support(cohomology(kos, n)), n
+    assert support_of_cohomology(kos, 0).sorted_members() == ["0:(2)"]
+    targets = [free_stalk(ring, 1, 0), stalk_complex(cyclic_module(ring, ring.element_from_json([2, 3])), 1)]
+    for y in targets:
+        for i in (-1, 0, 1, 2):
+            orders = homalg.hom_orders(kos, y, i)
+            assert orders == enumerated_orders(derived_hom(kos, y, i)), (y, i)
+    assert [kos.smith_valuations(-1, lf) for lf in ring.local_factors()] == [[1], [0]]
+
+
 def test_hom_orders_refuse_targets_with_differentials(z12):
     with pytest.raises(InvalidInputError, match="without differentials"):
         homalg.hom_orders(koszul(z12, [2]), koszul(z12, [3]), 0)

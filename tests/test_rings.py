@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -25,6 +27,7 @@ from spectral_glue.catalog import poly_catalog, product_catalog, zmod_catalog
 from spectral_glue.modules import FiniteModule, cokernel_of_rank
 from spectral_glue.homalg import koszul, support_of_cohomology
 from spectral_glue.rings import (
+    FiniteRing,
     _radix_table,
     _radix_vector,
     all_ideals,
@@ -154,17 +157,23 @@ def test_annihilator_and_support(z12):
     assert support(free_module(z12, 1)).is_full()
 
 
-@pytest.mark.parametrize("catalog", [zmod_catalog, product_catalog], ids=["zmod", "product"])
+@pytest.mark.parametrize(
+    "catalog",
+    [lambda: zmod_catalog(24), lambda: product_catalog(24), lambda: poly_catalog(5, 2)],
+    ids=["zmod", "product", "poly_quot"],
+)
 def test_support_is_v_of_the_annihilator(catalog):
-    """Supp M, read off the local size chains, is V(Ann M) on every cyclic
-    module of the catalog rings and on every sum of two of them."""
+    """Supp M, read off a witness e_m x != 0 per factor, is V(Ann M) on every
+    cyclic module of the catalog rings and on every sum of two of them; no
+    size chain is built for it."""
     checked = 0
-    for ring in catalog(24):
+    for ring in catalog():
         cyclics = [cyclic_module(ring, i.generators[0]) for i in all_ideals(ring)]
         pairs = itertools.combinations_with_replacement(cyclics, 2)
         sums = [direct_sum(ring, list(pair)) for pair in pairs]
         for m in cyclics + sums:
             assert support(m).members == v_of_annihilator(m), (ring, m)
+            assert "_local_invariants" not in vars(m), (ring, m)
             checked += 1
     assert checked > 300
 
@@ -384,6 +393,8 @@ def tabulated_valuation(lf):
     power = ring.one
     while True:
         ideal = {mul[power][r] for r in ring.elements()}
+        if chain and len(ideal) == chain[-1]:
+            raise AssertionError(f"the prime generator of {lf.label} is not nilpotent")
         chain.append(len(ideal))
         if len(ideal) == 1:
             break
@@ -515,3 +526,36 @@ def test_table_size_is_checked_before_building():
     assert len(spec(big)) == 4
     with pytest.raises(InvalidInputError, match="limited to 1048576 entries"):
         big.mul(big.one, big.one)
+    (lf,) = PolyQuot(5, (0, 0, 0, 0, 0, 0, 1)).local_factors()  # x^6, local
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="limited to 1048576 entries"):
+            lf.valuation
+    assert "_chain_valuation" not in vars(lf.ring)
+
+
+def test_a_valuation_checks_the_ring_size_once(monkeypatch):
+    """The size check runs where the chain valuation is built, not on each
+    read of ``LocalFactor.valuation``."""
+    checked = []
+    check = FiniteRing._check_tabulable
+    monkeypatch.setattr(FiniteRing, "_check_tabulable", lambda ring: checked.append(ring) or check(ring))
+    ring = ZMod(8)
+    (lf,) = ring.local_factors()
+    assert all(lf.valuation == ((8, 4, 2, 1), (3, 0, 1, 0, 2, 0, 1, 0)) for _ in range(3))
+    assert checked == [ring]
+
+
+def test_a_prime_generator_that_is_not_nilpotent_fails_at_once():
+    """With a unit in place of each factor's prime generator, t^j e_m M
+    never shrinks: the size chains and the reference valuation raise instead
+    of looping."""
+    start = time.perf_counter()
+    for ring in [ZMod(12), PolyQuot(3, (2, 0, 1)), product_catalog(40)[0]]:
+        units = [dataclasses.replace(lf, prime_gen=ring.one) for lf in ring.local_factors()]
+        for lf in units:
+            with pytest.raises(AssertionError, match="not nilpotent"):
+                tabulated_valuation(lf)
+        ring._factors = units
+        with pytest.raises(AssertionError, match="not nilpotent"):
+            free_module(ring, 1).local_invariants()
+    assert time.perf_counter() - start < 1
