@@ -12,79 +12,82 @@ with the ideal-family description of the same family.
 A family is checked once, where it enters: the public :class:`LocalFamily`
 constructor (and so :meth:`LocalFamily.from_default`) checks its keys and
 member posets, and :func:`glue_sets` and :func:`check_lemma_equiv` check a set
-family they are handed.  :func:`localize_filtrations` builds its family by
-restriction, where both hold by construction, so it checks only the degree
-span.  :func:`glue_filtrations` then works on masks alone: it unpacks each
-member's levels once and runs only the agreement test at each degree.
+family they are handed.  A family is its columns of level masks in the
+global numbering: :func:`localize_filtrations` masks each level with each
+down-set (keys and posets hold by construction, so only the degree span is
+checked), and :func:`glue_filtrations` reads the columns row by row, one
+agreement test per degree; neither builds a member filtration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 from .errors import IncompatibleFamilyError, InvalidInputError
-from .poset import PrimeId, SpectralPoset, localization_poset, maximal_points
+from .poset import PrimeId, SpectralPoset, maximal_points
 from .thomason import (
     MAX_DEGREE_SPAN,
     ThomasonFiltration,
     ThomasonSet,
     from_levels,
-    is_constant,
     restrict_filtration,
     restrict_set,
+    trim,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalFamily:
     """Assignment m -> filtration on the localization poset at m.
 
     All maximal points of ``global_poset`` must be present, and the windows
     of the members that are not constant may lie at most MAX_DEGREE_SPAN
-    degrees apart.  A family over Z is one of these on
+    degrees apart.  ``columns`` holds ``(m, start, masks)`` for each maximal
+    point m, in poset order: the member at m, its masks in the numbering of
+    ``global_poset``.  Families compare by poset and columns; ``filtrations``
+    maps m to its member.  A family over Z is one of these on
     :func:`spectral_glue.integers.z_poset`.
     """
 
     global_poset: SpectralPoset
-    filtrations: Mapping[PrimeId, ThomasonFiltration]
-    _degrees: range = field(init=False, repr=False, compare=False)
+    columns: tuple[tuple[int, int, tuple[int, ...]], ...]
+    _degrees: range = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        maxima = maximal_points(self.global_poset)
-        if set(self.filtrations) != set(maxima):
+    def __init__(
+        self, global_poset: SpectralPoset, filtrations: Mapping[PrimeId, ThomasonFiltration]
+    ):
+        maxima = maximal_points(global_poset)
+        if filtrations.keys() != maxima:
             raise InvalidInputError(
-                f"family keys {sorted(self.filtrations)} do not match "
+                f"family keys {sorted(filtrations)} do not match "
                 f"maximal points {sorted(maxima)}"
             )
-        for m, filt in self.filtrations.items():
-            sub = localization_poset(self.global_poset, m)
-            if filt.poset != sub:
-                raise InvalidInputError(f"filtration at {m!r} lives on the wrong poset")
-        self._freeze(self.filtrations)
-
-    @classmethod
-    def _restricted(
-        cls, global_poset: SpectralPoset, filtrations: dict[PrimeId, ThomasonFiltration]
-    ) -> "LocalFamily":
-        """A family of restrictions to every maximal point, whose keys and
-        member posets are right by construction; only the span is checked."""
-        family = object.__new__(cls)
-        object.__setattr__(family, "global_poset", global_poset)
-        family._freeze(filtrations)
-        return family
-
-    def _freeze(self, filtrations: Mapping[PrimeId, ThomasonFiltration]) -> None:
-        # read-only, so that a family checked once cannot be edited past the checks
+        unpack = global_poset.unpack
+        columns = []
+        for m in global_poset.maxima:
+            label = global_poset.elements[m]
+            filt = filtrations[label]
+            if filt.poset != global_poset.localization(m):
+                raise InvalidInputError(f"filtration at {label!r} lives on the wrong poset")
+            columns.append((m, filt.start, tuple([unpack(x, m) for x in filt.masks])))
+        self._hold(global_poset, tuple(columns))
+        # the members given are the view, read-only past the checks
         object.__setattr__(self, "filtrations", MappingProxyType(dict(filtrations)))
+
+    def _hold(self, global_poset: SpectralPoset, columns: tuple) -> "LocalFamily":
+        """Set the poset and the columns, whose keys and members are right;
+        only the span of their degrees is checked."""
+        object.__setattr__(self, "global_poset", global_poset)
+        object.__setattr__(self, "columns", columns)
         # a constant member reads the same at every degree, so only the others
         # place the degrees; with none, the two levels of a constant
-        spans = [(f.start, len(f.masks)) for f in self.filtrations.values() if not is_constant(f)]
-        degrees = range(
-            min((start for start, _ in spans), default=-1),
-            max((start + count for start, count in spans), default=1),
-        )
+        spans = [
+            (start, start + len(masks)) for _, start, masks in columns if masks[0] != masks[-1]
+        ]
+        degrees = range(min(spans)[0], max(stop for _, stop in spans)) if spans else range(-1, 1)
         # a tail degree on each side of the windows; len() of a range fails
         # past sys.maxsize, so the span is a difference
         if degrees.stop - degrees.start - 3 > MAX_DEGREE_SPAN:
@@ -94,6 +97,17 @@ class LocalFamily:
                 f"to {degrees[-1]})"
             )
         object.__setattr__(self, "_degrees", degrees)
+        return self
+
+    @cached_property
+    def filtrations(self) -> Mapping[PrimeId, ThomasonFiltration]:
+        """m -> the member at m, read-only; packed on the first read."""
+        poset = self.global_poset
+        members = {}
+        for m, start, masks in self.columns:
+            local = tuple(poset.pack(x, m) for x in masks)
+            members[poset.elements[m]] = ThomasonFiltration(poset.localization(m), start, local)
+        return MappingProxyType(members)
 
     @classmethod
     def from_default(
@@ -187,52 +201,59 @@ def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
     return {m: restrict_set(s, m) for m in maximal_points(s.poset)}
 
 
-def _unpacked_levels(poset: SpectralPoset, m: int, filt: ThomasonFiltration, degrees: range):
-    """The masks of the member at point m over ``degrees``, in the numbering
-    of ``poset``: each level mask is unpacked once, and its tails are
-    repeated over the degrees past its ends.  A member that is not constant
-    lies inside ``degrees``; a constant one is its low tail throughout."""
-    if is_constant(filt):
-        return [poset.unpack(filt.masks[0], m)] * len(degrees)
-    masks = [poset.unpack(x, m) for x in filt.masks]
-    before = filt.start - degrees.start
-    after = degrees.stop - filt.start - len(masks)
-    return masks[:1] * before + masks + masks[-1:] * after
+def _padded(column, degrees: range) -> list[int]:
+    """The masks of a column over ``degrees``, its tails repeated past its
+    ends.  A member that is not constant lies inside ``degrees``; a constant
+    one is its low tail throughout."""
+    _, start, masks = column
+    if masks[0] == masks[-1]:
+        return [masks[0]] * len(degrees)
+    before = start - degrees.start
+    after = degrees.stop - start - len(masks)
+    return [masks[0]] * before + list(masks) + [masks[-1]] * after
 
 
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     """Degreewise gluing; raises with the offending degree when incompatible.
 
-    The family was checked when it was built, so the level masks are glued
-    over :meth:`LocalFamily.degrees`, whose ends carry the tails, in
-    increasing order: the degree raised is the least incompatible one, and
-    each degree is checked once.  Gluing preserves inclusions, so the glued
-    levels decrease and are only normalised.
+    The family was checked when it was built, so its columns are padded to
+    :meth:`LocalFamily.degrees`, whose ends carry the tails, and glued row by
+    row in increasing degree: one union and one agreement test (as in
+    :func:`_agree`) per degree, so the degree raised is the least
+    incompatible one.  Gluing preserves inclusions, so the glued levels
+    decrease and are only normalised.
     """
     poset = family.global_poset
     degrees = family.degrees()
-    members = family.filtrations
-    columns = [
-        (m, _unpacked_levels(poset, m, members[poset.elements[m]], degrees)) for m in poset.maxima
-    ]
+    down = poset.down
+    points = [m for m, _, _ in family.columns]
+    rows = zip(*(_padded(column, degrees) for column in family.columns))
+    if not points:  # over the empty poset each glued level is empty
+        rows = [()] * len(degrees)
     levels = []
-    for k, n in enumerate(degrees):
-        witness, glued = _agree(poset, [(m, column[k]) for m, column in columns])
-        if witness is not None:
-            raise IncompatibleFamilyError(
-                f"family incompatible at degree {n}: {_disagreement(witness)}",
-                degree=n,
-                witness=witness,
-            )
+    for n, row in zip(degrees, rows):
+        glued = 0
+        for x in row:
+            glued |= x
+        for m, x in zip(points, row):
+            if x != glued & down[m]:
+                witness, _ = _agree(poset, list(zip(points, row)))
+                raise IncompatibleFamilyError(
+                    f"family incompatible at degree {n}: {_disagreement(witness)}",
+                    degree=n,
+                    witness=witness,
+                )
         levels.append(_glued_mask(poset, glued))
     return from_levels(poset, degrees.start, levels)
 
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
+    """The restrictions of ``filtration`` to every maximal point m, as
+    columns: each level masked with the down-set of m, then trimmed."""
     poset = filtration.poset
-    return LocalFamily._restricted(
-        poset, {m: restrict_filtration(filtration, m) for m in maximal_points(poset)}
-    )
+    down, start, masks = poset.down, filtration.start, filtration.masks
+    columns = tuple((m, *trim(start, [x & down[m] for x in masks])) for m in poset.maxima)
+    return object.__new__(LocalFamily)._hold(poset, columns)
 
 
 def check_lemma_equiv(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> bool:

@@ -37,6 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import modules as mod
@@ -84,7 +85,8 @@ class BoundedComplex:
             else:
                 raise InvalidInputError(f"bad term at degree {n}: {term!r}")
             clean_terms[int(n)] = term
-        self.terms = clean_terms
+        # read-only: what is read off them (ranks, Smith valuations) is kept
+        self.terms = MappingProxyType(clean_terms)
         clean_diffs = {}
         for n, matrix in dict(diffs or ()).items():
             n = int(n)
@@ -101,7 +103,7 @@ class BoundedComplex:
                     )
                 continue
             clean_diffs[n] = _matrix_check(matrix, dst.rank, src.rank, n)
-        self.diffs = clean_diffs
+        self.diffs = MappingProxyType(clean_diffs)
         for n, a in self.diffs.items():
             b = self.diffs.get(n + 1)
             if b is not None and _matrix_nonzero(ring, _matmul(ring, b, a)):

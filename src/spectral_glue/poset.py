@@ -42,22 +42,32 @@ class SpectralPoset:
                     f"poset 'leq' pair ({a!r}, {b!r}) mentions an unknown prime"
                 )
             up[index[a]] |= 1 << index[b]
-        # Warshall: after step k, up[i] holds every point reached through 0..k
+        # Warshall: after step k, up[i] holds every point reached through 0..k;
+        # a point whose up-set is itself adds nothing to the points below it
         for k in range(n):
-            for i in range(n):
-                if up[i] >> k & 1:
-                    up[i] |= up[k]
+            if up[k] != 1 << k:
+                for i in range(n):
+                    if up[i] >> k & 1:
+                        up[i] |= up[k]
+        # j is below i when up[j] holds i; read in increasing j, each list is sorted
+        down, below = [0] * n, [[] for _ in range(n)]
+        for j, u in enumerate(up):
+            while u:
+                i = (u & -u).bit_length() - 1
+                down[i] |= 1 << j
+                below[i].append(j)
+                u &= u - 1
         self.elements = tuple(elems)
         self.index = index
         self.up = tuple(up)
-        self.down = tuple(sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n))
+        self.down = tuple(down)
         for i in range(n):
             if up[i] & self.down[i] != 1 << i:
                 other = self.labels(up[i] & self.down[i] & ~(1 << i))[0]
                 raise InvalidInputError(f"order not antisymmetric: {elems[i]!r} <=> {other!r}")
         self.full = (1 << n) - 1
         self.maxima = tuple(i for i in range(n) if up[i] == 1 << i)
-        self._below = tuple(tuple(j for j in range(n) if d >> j & 1) for d in self.down)
+        self._below = tuple(map(tuple, below))
         self._localizations: dict[int, SpectralPoset] = {}
 
     def point(self, label: PrimeId) -> int:

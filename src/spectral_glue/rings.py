@@ -352,6 +352,10 @@ class FiniteRing:
         return type(self) is type(other) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:  # spec's cache hashes a ring on every call
         return hash(self.descriptor())
 
     def __repr__(self):

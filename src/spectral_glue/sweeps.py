@@ -143,13 +143,13 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
                 {"poset": descr, "filtration": filtration_to_json(filt), "problems": problems}
             )
     for filts in catalog.all_filtration_families(poset, lo, hi):
+        family = gluing.LocalFamily(poset, filts)
         try:
-            glued = gluing.glue_filtrations(gluing.LocalFamily(poset, filts))
+            glued = gluing.glue_filtrations(family)
         except IncompatibleFamilyError:
             continue
         report.checked += 1
-        back = gluing.localize_filtrations(glued)
-        if back.filtrations != filts:
+        if gluing.localize_filtrations(glued) != family:
             report.failures.append(
                 {
                     "poset": descr,

@@ -145,22 +145,27 @@ class ThomasonFiltration:
         return "ThomasonFiltration(" + " / ".join(parts) + ")"
 
 
-def from_levels(poset: SpectralPoset, start: int, masks: Sequence[int]) -> ThomasonFiltration:
-    """The one canonical trim: X_n = masks[n - start], with the first and
-    last masks as the tails.  Of the leading masks equal to the first and the
-    trailing masks equal to the last, one of each is kept as a tail, and a
-    constant is put at start = -1; ``masks`` must already decrease.
-    """
+def trim(start: int, masks: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(start, masks) of the normal form of a decreasing run X_n = masks[n -
+    start], its first and last masks the tails: of the leading masks equal to
+    the first and the trailing masks equal to the last, one of each is kept
+    as a tail, and a constant is put at start = -1."""
     low, high = masks[0], masks[-1]
     if low == high:  # a decreasing run between equal ends is constant
-        return ThomasonFiltration(poset, -1, (low, high))
+        return -1, (low, high)
     i = 1
     while masks[i] == low:
         i += 1
     j = len(masks) - 2
     while masks[j] == high:
         j -= 1
-    return ThomasonFiltration(poset, start + i - 1, tuple(masks[i - 1 : j + 2]))
+    return start + i - 1, tuple(masks[i - 1 : j + 2])
+
+
+def from_levels(poset: SpectralPoset, start: int, masks: Sequence[int]) -> ThomasonFiltration:
+    """The filtration of the :func:`trim` of ``masks``, which must decrease:
+    the one normaliser."""
+    return ThomasonFiltration(poset, *trim(start, masks))
 
 
 # the most degrees apart that a filtration's breakpoints, or the windows of a

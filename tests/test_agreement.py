@@ -6,22 +6,34 @@ condition states it; :func:`glue_sets` decides it by comparing each star with
 the glued set, and :func:`glue_filtrations` does the same on masks alone.
 """
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 
 from spectral_glue import (
     IncompatibleFamilyError,
     LocalFamily,
+    SpectralPoset,
     ThomasonSet,
     glue_filtrations,
     glue_sets,
+    gluing,
+    integers,
 )
 from spectral_glue.catalog import all_filtrations, all_set_families, poset_catalog
 from spectral_glue.gluing import localize_filtrations
 from spectral_glue.poset import localization_poset, maximal_points
+from spectral_glue.thomason import restrict_filtration
 
 from conftest import constant_filtration
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+)
+_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
 
 
 def _pairwise(family):
@@ -63,19 +75,46 @@ def test_agreement_matches_the_pairwise_label_check_on_every_set_family():
     assert 0 < incompatible < families
 
 
-def test_localized_families_equal_the_checked_construction():
-    filtrations = 0
-    for poset in poset_catalog(4):
-        for filt in all_filtrations(poset, -2, 2):
-            family = localize_filtrations(filt)
-            checked = LocalFamily(poset, dict(family.filtrations))
-            assert family == checked
-            assert family.degrees() == checked.degrees()
-            assert set(family.filtrations) == maximal_points(poset)
-            for m, member in family.filtrations.items():
-                assert member.poset == localization_poset(poset, m)
-            filtrations += 1
-    assert filtrations == 7_364
+def _refuse(*args, **kwargs):
+    raise AssertionError("a member filtration was built")
+
+
+def check_localized(filtrations, monkeypatch):
+    """Over each filtration F: glue(localize(F)) == F with no mask packed or
+    unpacked and no member filtration built; the members then read are the
+    restrictions of F; and the family equals the checked construction on the
+    same members, both ways, with the same degrees.  Returns the count."""
+    with monkeypatch.context() as patched:
+        for name in ("pack", "unpack", "localization"):
+            patched.setattr(SpectralPoset, name, _refuse)
+        patched.setattr(gluing, "ThomasonFiltration", _refuse)
+        families = [localize_filtrations(filt) for filt in filtrations]
+        for filt, family in zip(filtrations, families):
+            assert glue_filtrations(family) == filt
+            assert "filtrations" not in vars(family)
+    for filt, family in zip(filtrations, families):
+        poset = filt.poset
+        restricted = {m: restrict_filtration(filt, m) for m in maximal_points(poset)}
+        assert family.filtrations == restricted
+        checked = LocalFamily(poset, restricted)
+        assert family == checked and checked == family
+        assert family.degrees() == checked.degrees()
+    return len(families)
+
+
+def test_localized_families_equal_the_checked_construction(monkeypatch):
+    filtrations = [
+        filt for poset in poset_catalog(4) for filt in all_filtrations(poset, -2, 2)
+    ]
+    assert check_localized(filtrations, monkeypatch) == 7_364
+
+
+def test_localized_z_families_equal_the_checked_construction(monkeypatch):
+    """The 2,000 seed-7 Z filtrations of the benchmark's round trips."""
+    filtrations = [
+        integers.z_filtration_from_json(data) for data in _workloads.random_z_filtrations(7, 2_000)
+    ]
+    assert check_localized(filtrations, monkeypatch) == 2_000
 
 
 def test_family_members_are_read_only(vee):

@@ -1,6 +1,7 @@
 """The summary of ``tools/bench_pairs.py`` on synthetic run records."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -14,9 +15,10 @@ _spec.loader.exec_module(bench_pairs)
 METRICS = {"wall_s": "lower", "pass_ratio": "higher"}
 
 
-def records(workload, parent_walls, change_walls, correct=True):
+def records(workload, parent_walls, change_walls, correct=True, factor=1.0):
     """Run records as ``run_pairs`` makes them, pair by pair in the
-    alternating order, with the given ``wall_s`` and ``pass_ratio`` 1."""
+    alternating order, with the given ``wall_s`` and ``pass_ratio`` 1; each
+    run's raw pass time is its ``wall_s`` over the host factor ``factor``."""
     runs = []
     for pair, walls in enumerate(zip(parent_walls, change_walls), start=1):
         order = bench_pairs.SIDES if pair % 2 else bench_pairs.SIDES[::-1]
@@ -27,8 +29,9 @@ def records(workload, parent_walls, change_walls, correct=True):
                 "pass_ratio": {"unit": "ratio", "value": 1.0},
             }
             result = {"correct": correct, "metrics": metrics}
-            runs.append({"exit": 0, "first_in_pair": order[0], "pair": pair, "result": result,
-                         "seed": 41, "side": side, "workload": workload})
+            raw = {"raw_wall_s": wall / factor, "host_factor": factor}
+            runs.append({"exit": 0, "first_in_pair": order[0], "pair": pair, "raw": raw,
+                         "result": result, "seed": 41, "side": side, "workload": workload})
     return runs
 
 
@@ -86,3 +89,35 @@ def test_the_result_line_is_the_last_json_object_with_metrics():
     assert bench_pairs.result_line("") is None
     assert bench_pairs.result_line("Traceback ...") is None
     assert bench_pairs.result_line('{"correct": true}') is None
+
+
+def test_raw_times_and_host_factors_are_shown_per_side_without_a_verdict():
+    parent = [1.0, 1.1, 0.9, 1.0]
+    change = [0.8, 0.9, 0.7, 0.8]
+    runs = records("w", parent, change, factor=2.0)
+    for run in runs:
+        if run["side"] == "change":  # the change's passes ran on a slower host
+            run["raw"]["host_factor"] = 2.5
+    raw = bench_pairs.summarize(runs, METRICS)["w"]["raw"]
+    assert sorted(raw) == ["host_factor", "raw_wall_s"]
+    assert raw["raw_wall_s"]["parent"]["median"] == pytest.approx(0.5)
+    assert raw["raw_wall_s"]["change"]["median"] == pytest.approx(0.4)
+    assert raw["raw_wall_s"]["parent"]["n"] == 4
+    assert raw["host_factor"]["parent"] == {"median": 2.0, "n": 4, "q1": 2.0, "q3": 2.0}
+    assert raw["host_factor"]["change"]["median"] == 2.5
+    # shown only: no comparison, wins or rule
+    assert all(set(sides) == set(bench_pairs.SIDES) for sides in raw.values())
+    # a name missing from any run (an older run.py) is not shown
+    del runs[0]["raw"]["raw_wall_s"]
+    assert sorted(bench_pairs.summarize(runs, METRICS)["w"]["raw"]) == ["host_factor"]
+
+
+def test_the_raw_medians_come_from_the_record_line():
+    record = {"host_factor": {"median": 2.1, "n": 5}, "raw_wall_s": {"median": 0.3, "n": 5},
+              "metrics": {}}
+    stdout = "\n".join(
+        ["wall_s  0.63 s  n=5", json.dumps(record), '{"correct": true, "metrics": {}}', ""]
+    )
+    assert bench_pairs.raw_medians(stdout) == {"raw_wall_s": 0.3, "host_factor": 2.1}
+    assert bench_pairs.raw_medians('{"correct": true, "metrics": {}}') == {}
+    assert bench_pairs.raw_medians("Traceback ...\n{not json") == {}

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -68,6 +69,21 @@ def ideal_support(ring, ideal):
 def is_acyclic(complex_):
     lo, hi = complex_.min_degree, complex_.max_degree
     return all(cohomology(complex_, n).is_zero_module() for n in range(lo, hi + 1))
+
+
+def test_terms_and_differentials_are_read_only(z12):
+    """A complex keeps what it reads off its terms and differentials (ranks,
+    Smith valuations), so neither can be changed past the constructor: the
+    support read below would otherwise go stale."""
+    k = koszul(z12, [2])
+    assert support_of_cohomology(k, 0).members == {"(2)"}
+    with pytest.raises(TypeError):
+        k.diffs[-1] = ((1,),)
+    with pytest.raises(TypeError):
+        k.terms[1] = FreeTerm(1)
+    with pytest.raises(TypeError):
+        del k.terms[0]
+    assert support_of_cohomology(k, 0).members == {"(2)"}
 
 
 def test_unit_koszul_is_acyclic(z12):
@@ -353,7 +369,9 @@ def test_a_boundary_outside_the_cycles_raises(z12):
     never becomes an order: whether Z^1 is paired from two halves (the top
     of the range) or read as the zero fibre of d^1 (below the top)."""
     p = BoundedComplex(z12, {-2: FreeTerm(1), -1: FreeTerm(1), 0: FreeTerm(1)}, {-2: [[1]]})
-    p.diffs[-1] = ((1,),)
+    # the differentials are read-only, so the bad one replaces them whole,
+    # before anything is read off them
+    p.diffs = MappingProxyType({**p.diffs, -1: ((1,),)})
     for degrees in ((1,), (0, 1), (1, 2)):
         with pytest.raises(AssertionError, match="not a cycle"):
             homalg.derived_hom_orders(p, free_stalk(z12, 1, 0), degrees)

@@ -559,3 +559,32 @@ def test_a_prime_generator_that_is_not_nilpotent_fails_at_once():
         with pytest.raises(AssertionError, match="not nilpotent"):
             free_module(ring, 1).local_invariants()
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ZMod(12),
+        lambda: PolyQuot(3, (1, 0, 1)),
+        lambda: ProductRing([ZMod(4), PolyQuot(2, (1, 1, 1))]),
+    ],
+    ids=["zmod", "poly_quot", "product"],
+)
+def test_equal_rings_hash_equal_and_build_their_descriptor_once(make, monkeypatch):
+    """``spec``'s cache hashes a ring on every call, so a ring hashes its
+    descriptor once and keeps the hash."""
+    ring, twin = make(), make()
+    built = []
+    descriptor = type(ring).descriptor
+
+    def counted(self):
+        built.append(self)
+        return descriptor(self)
+
+    monkeypatch.setattr(type(ring), "descriptor", counted)
+    assert ring is not twin and hash(ring) == hash(twin) == hash(descriptor(ring))
+    assert built == [ring, twin]
+    for _ in range(3):
+        hash(ring), hash(twin)
+    assert built == [ring, twin]
+    assert spec(ring) == spec(twin)

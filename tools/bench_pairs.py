@@ -9,7 +9,8 @@ Each checkout (a directory holding ``perfbench/run.py`` and ``src/``, such
 as an archive of a commit) runs ``perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` in turn: the parent first in odd pairs and the
 change first in even ones, so a drift of the host's speed over a run falls
-on both sides alike.  Only each run's final result line is kept.
+on both sides alike.  Of each run's output only the final result line and
+the raw medians below are kept.
 
 Every end-to-end metric that ``BENCHMARK.json`` (read from the change
 checkout) declares is then summarised per workload: the median and the
@@ -17,6 +18,11 @@ inclusive quartiles of each side, the change's relative gap, its wins and
 ties over the pairs, whether the gap exceeds the parent's quartile spread,
 and the ten-pair rule: at least ten pairs, the change better in at least
 nine of every ten, and its median better by more than the parent's spread.
+Beside them, each side's raw pass times (``raw_wall_s``) and host-speed
+factors (``host_factor``) are summarised for reading only, with no verdict:
+each run keeps their medians from its record line, the JSON line before the
+result line.  A metric at reference host speed is the raw time scaled by the
+factor, so a gap that the raw times do not show comes from the factor.
 
 Standard library only; the output is one JSON file.
 """
@@ -33,6 +39,8 @@ import sys
 
 METRICS_FILE = "BENCHMARK.json"
 SIDES = ("parent", "change")
+# shown per side beside the metrics, with no verdict
+RAW = ("raw_wall_s", "host_factor")
 
 
 def spread(values) -> dict:
@@ -66,22 +74,31 @@ def compare(pairs, better: str) -> dict:
 
 
 def summarize(runs, metrics) -> dict:
-    """{workload: {"correct", "pairs", metric: compare(...)}} over the run
-    records, for ``metrics`` a {name: "lower" | "higher"} map.  A pair counts
-    once both of its sides gave a result line."""
+    """{workload: {"correct", "pairs", "raw", metric: compare(...)}} over the
+    run records, for ``metrics`` a {name: "lower" | "higher"} map; "raw" maps
+    each name of RAW that every kept run has to the spread of each side's run
+    medians.  A pair counts once both of its sides gave a result line."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides: dict = {}
+        raws: dict = {}
         for r in runs:
             if r["workload"] == workload:
                 sides.setdefault(r["pair"], {})[r["side"]] = r["result"]
-        pairs = [s for _, s in sorted(sides.items()) if all(s.get(side) for side in SIDES)]
+                raws.setdefault(r["pair"], {})[r["side"]] = r.get("raw", {})
+        kept = [pair for pair, s in sorted(sides.items()) if all(s.get(side) for side in SIDES)]
+        pairs = [sides[pair] for pair in kept]
         correct = all(s[side]["correct"] for s in pairs for side in SIDES)
         summary = {"correct": len(pairs) == len(sides) and correct, "pairs": len(pairs)}
         for name, better in metrics.items():
             values = [tuple(s[side]["metrics"][name]["value"] for side in SIDES) for s in pairs]
             if values:
                 summary[name] = compare(values, better)
+        summary["raw"] = {
+            name: {side: spread([raws[pair][side][name] for pair in kept]) for side in SIDES}
+            for name in RAW
+            if kept and all(name in raws[pair][side] for pair in kept for side in SIDES)
+        }
         out[workload] = summary
     return out
 
@@ -94,6 +111,19 @@ def result_line(stdout: str):
     except json.JSONDecodeError:
         return None
     return line if isinstance(line, dict) and "metrics" in line else None
+
+
+def raw_medians(stdout: str) -> dict:
+    """{name: median} of RAW from the record line of a ``run.py`` output,
+    the last JSON object that has them; empty without one."""
+    for line in reversed(stdout.strip().splitlines()):
+        try:
+            record = json.loads(line) if line.startswith("{") else None
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict) and all(name in record for name in RAW):
+            return {name: record[name]["median"] for name in RAW}
+    return {}
 
 
 def bench_command(workload: str, seed: int, seconds: float) -> list[str]:
@@ -116,11 +146,13 @@ def run_pairs(checkouts: dict, workloads, seed: int, seconds: float, log=sys.std
                     text=True,
                 )
                 result = result_line(proc.stdout)
+                raw = raw_medians(proc.stdout)
                 runs.append(
                     {
                         "exit": proc.returncode,
                         "first_in_pair": order[0],
                         "pair": pair,
+                        "raw": raw,
                         "result": result,
                         "seed": seed,
                         "side": side,
@@ -128,8 +160,8 @@ def run_pairs(checkouts: dict, workloads, seed: int, seconds: float, log=sys.std
                     }
                 )
                 wall = result["metrics"]["wall_s"]["value"] if result else None
-                print(f"{workload} pair {pair} {side}: exit {proc.returncode}, wall_s {wall}",
-                      file=log)
+                print(f"{workload} pair {pair} {side}: exit {proc.returncode}, wall_s {wall}, "
+                      f"raw_wall_s {raw.get('raw_wall_s')}", file=log)
     return runs
 
 
@@ -178,7 +210,8 @@ def main(argv=None) -> int:
             f"alternating pairs on seed {args.seed} ({counts}), made by tools/bench_pairs.py; "
             f"the parent ({args.parent_label}) ran first in odd pairs and the change "
             f"({args.change_label}) first in even ones; each record's metrics are medians over "
-            "its passes at reference host speed; only each run's final result line is kept"
+            "its passes at reference host speed; of each run's output only the final result line "
+            "and the raw_wall_s and host_factor medians of its record line are kept"
         ),
         "runs": runs,
         "summary": summarize(runs, metrics),
