@@ -10,13 +10,13 @@ IncompatibleFamilyError with the first witness, and a caller that only asks
 with the ideal-family description of the same family.
 
 A family is checked once, where it enters: the public :class:`LocalFamily`
-constructor (and so :meth:`LocalFamily.from_default`) checks its keys and
-member posets, and :func:`glue_sets` and :func:`check_lemma_equiv` check a set
-family they are handed.  A family is its columns of level masks in the
-global numbering: :func:`localize_filtrations` masks each level with each
-down-set (keys and posets hold by construction, so only the degree span is
-checked), and :func:`glue_filtrations` reads the columns row by row, one
-agreement test per degree; neither builds a member filtration.
+constructor checks its keys and member posets, :meth:`LocalFamily.from_default`
+its exception keys and its default's poset, and :func:`glue_sets` and
+:func:`check_lemma_equiv` the set family they are handed.  A family is its
+columns of level masks in the global numbering: :func:`localize_filtrations`,
+the one restriction of a filtration, masks each level with each down-set, and
+:func:`glue_filtrations` reads the columns row by row, one agreement test per
+degree; neither builds a member filtration.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .thomason import (
     ThomasonFiltration,
     ThomasonSet,
     from_levels,
-    restrict_filtration,
     restrict_set,
     trim,
 )
@@ -116,17 +115,20 @@ class LocalFamily:
         default: ThomasonFiltration,
         exceptions: Mapping[PrimeId, ThomasonFiltration] = (),
     ) -> "LocalFamily":
-        """Materialize the default (restriction of a global filtration) at every
-        maximal point, then apply the finitely many exceptions."""
+        """The restriction of the global filtration ``default`` to every
+        maximal point, as :func:`localize_filtrations` gives it, with the
+        members at the keys of ``exceptions`` replaced; a family with
+        exceptions goes through the checked constructor."""
         exceptions = dict(exceptions or ())
-        maxima = maximal_points(global_poset)
-        extra = sorted(set(exceptions) - maxima)
+        extra = sorted(set(exceptions) - maximal_points(global_poset))
         if extra:
             raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
-        filts = {}
-        for m in maxima:
-            filts[m] = exceptions[m] if m in exceptions else restrict_filtration(default, m)
-        return cls(global_poset, filts)
+        if default.poset != global_poset:
+            raise InvalidInputError("the default filtration lives on the wrong poset")
+        family = localize_filtrations(default)
+        if not exceptions:
+            return family
+        return cls(global_poset, {**family.filtrations, **exceptions})
 
     def degrees(self) -> range:
         """From the first level to the last level of any member that is not

@@ -22,7 +22,7 @@ from .thomason import (
     filtration_to_json,
     is_constant,
     is_nondegenerate,
-    restrict_filtration,
+    restrict_set,
     set_to_json,
 )
 
@@ -123,6 +123,7 @@ def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:
 def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> None:
     lo, hi = window
     descr = poset.to_json()
+    down = poset.down
     for filt in catalog.all_filtrations(poset, lo, hi):
         report.checked += 1
         family = gluing.localize_filtrations(filt)
@@ -132,10 +133,13 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
                 problems.append("glue(localize(F)) differs from F")
         except IncompatibleFamilyError:
             problems.append("localized family not compatible")
-        local_nondeg = all(is_nondegenerate(f) for f in family.filtrations.values())
+        # a member's low tail is all of Spec(R_m) when it is down[m]
+        local_nondeg = all(
+            not masks[-1] and masks[0] == down[m] for m, _, masks in family.columns
+        )
         if is_nondegenerate(filt) != local_nondeg:
             problems.append("non-degeneracy not preserved/reflected")
-        local_const = all(is_constant(f) for f in family.filtrations.values())
+        local_const = all(masks[0] == masks[-1] for _, _, masks in family.columns)
         if is_constant(filt) != local_const:
             problems.append("stability (constancy) not preserved/reflected")
         if problems:
@@ -360,11 +364,10 @@ def _check_cosilting(report: SweepReport, cosilting) -> None:
             problems.append("componentwise Thomason sets do not glue to the global set")
     except IncompatibleFamilyError:
         problems.append("componentwise Thomason sets are not compatible")
-    # the two-term filtration restricts to the local two-term pattern
+    # the two-term filtration restricts to the local two-term pattern at degree 0
     filt = tc.two_term_filtration(global_set)
     for m in family:
-        local_filt = restrict_filtration(filt, m)
-        if local_filt.at(0) != family[m]:
+        if restrict_set(filt.at(0), m) != family[m]:
             problems.append(f"two-term filtration at {m!r} disagrees with the local set")
     if problems:
         report.failures.append(

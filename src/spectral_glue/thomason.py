@@ -1,13 +1,14 @@
 """Thomason sets as masks of up-sets, and decreasing Z-indexed filtrations.
 
-A filtration is stored as its levels view: the run of level masks X_lo-1,
-X_lo, ..., X_hi+1, that is its breakpoint window [lo, hi] with one tail
-degree on each side, so a pure step keeps its position.  Every map of
-filtrations works on that run, mask by mask, and :func:`from_levels` is the
-one normaliser: two filtrations with equal pointwise values compare and
-serialize identically.  The :class:`ThomasonSet` views of a filtration (its
-tails, window and levels) are built only for the callers that ask for them;
-:meth:`ThomasonFiltration.mask_at` reads one level without one.
+A filtration is stored as its run of level masks X_lo-1, X_lo, ..., X_hi+1,
+that is its breakpoint window [lo, hi] with one tail degree on each side, so
+a pure step keeps its position.  Every map of filtrations works on that run,
+mask by mask, and :func:`trim` is the one normaliser: two filtrations with
+equal pointwise values compare and serialize identically.  The one
+:class:`ThomasonSet` view of a filtration is :meth:`ThomasonFiltration.at`,
+one level; :meth:`ThomasonFiltration.mask_at` reads its mask without one.
+Restriction to the maximal points is
+:func:`spectral_glue.gluing.localize_filtrations`, on the same masks.
 
 Filtrations are validated once, where they enter: :func:`make_filtration`
 checks catalog and fixture input and :func:`filtration_from_json` wire input
@@ -91,9 +92,11 @@ class ThomasonFiltration:
     from the high tail, so the window [lo, hi] of breakpoints is masks[1:-1];
     a pure step, with an empty window, is its two tails with the step at
     lo = start + 1, and a constant is (-1, (X, X)).  Equality and hashing
-    compare (poset, start, masks).  Build one with :func:`make_filtration`
-    from unchecked input, or with :func:`from_levels` from a run of masks
-    that already decreases.
+    compare (poset, start, masks).  ``start`` and ``masks`` are the whole
+    filtration: :meth:`at` is its one set-valued view and :meth:`mask_at`
+    reads one level.  Build one with :func:`make_filtration` from unchecked
+    input, or with :func:`from_levels` from a run of masks that already
+    decreases.
     """
 
     poset: SpectralPoset
@@ -104,23 +107,6 @@ class ThomasonFiltration:
     def lo(self) -> int:
         return self.start + 1
 
-    @property
-    def hi(self) -> int:
-        return self.start + len(self.masks) - 2
-
-    @property
-    def low_tail(self) -> ThomasonSet:
-        return ThomasonSet(self.poset, self.masks[0])
-
-    @property
-    def high_tail(self) -> ThomasonSet:
-        return ThomasonSet(self.poset, self.masks[-1])
-
-    @property
-    def values(self) -> tuple[ThomasonSet, ...]:
-        """X_lo, ..., X_hi."""
-        return tuple(ThomasonSet(self.poset, x) for x in self.masks[1:-1])
-
     def mask_at(self, n: int) -> int:
         """The mask of X_n."""
         masks, k = self.masks, n - self.start
@@ -130,11 +116,6 @@ class ThomasonFiltration:
 
     def at(self, n: int) -> ThomasonSet:
         return ThomasonSet(self.poset, self.mask_at(n))
-
-    def levels(self) -> tuple[int, tuple[ThomasonSet, ...]]:
-        """(start, levels): X_start, X_start+1, ... with the low tail first
-        and the high tail last; start is lo - 1."""
-        return self.start, tuple(ThomasonSet(self.poset, x) for x in self.masks)
 
     def __repr__(self):
         labels = self.poset.labels
@@ -247,17 +228,6 @@ def restrict_set(s: ThomasonSet, m: PrimeId) -> ThomasonSet:
     """X |-> X intersected with the down-set of m, on Spec(R_m)."""
     i = s.poset.point(m)
     return ThomasonSet(s.poset.localization(i), s.poset.pack(s.mask, i))
-
-
-def restrict_filtration(filtration: ThomasonFiltration, m: PrimeId) -> ThomasonFiltration:
-    """Degreewise restriction to the localization poset at a maximal point m;
-    restriction preserves inclusions, so the levels are only normalised."""
-    poset = filtration.poset
-    i = poset.point(m)
-    if poset.up[i] != 1 << i:
-        raise InvalidInputError(f"{m!r} is not a maximal point")
-    levels = [poset.pack(x, i) for x in filtration.masks]
-    return from_levels(poset.localization(i), filtration.start, levels)
 
 
 def set_to_json(s: ThomasonSet):

@@ -29,6 +29,19 @@ def constant_filtration(poset, value: ThomasonSet) -> ThomasonFiltration:
     return from_levels(poset, 0, (value.mask, value.mask))
 
 
+def window(filtration) -> tuple[int, int]:
+    """(lo, hi), the first and last degrees of the breakpoint window; a pure
+    step or a constant has hi = lo - 1."""
+    return filtration.start + 1, filtration.start + len(filtration.masks) - 2
+
+
+def level_sets(filtration) -> tuple[int, tuple[ThomasonSet, ...]]:
+    """(start, levels): X_start, X_start+1, ... as sets, the low tail first
+    and the high tail last."""
+    poset = filtration.poset
+    return filtration.start, tuple(ThomasonSet(poset, x) for x in filtration.masks)
+
+
 def leq(poset, a, b) -> bool:
     """a <= b in the poset, read off the up-set mask of a."""
     return bool(poset.up[poset.point(a)] >> poset.point(b) & 1)

@@ -25,9 +25,9 @@ from spectral_glue import (
 from spectral_glue.catalog import all_filtrations, all_set_families, poset_catalog
 from spectral_glue.gluing import localize_filtrations
 from spectral_glue.poset import localization_poset, maximal_points
-from spectral_glue.thomason import restrict_filtration
 
 from conftest import constant_filtration
+from test_normaliser import reference_restrict_filtration
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -82,7 +82,7 @@ def _refuse(*args, **kwargs):
 def check_localized(filtrations, monkeypatch):
     """Over each filtration F: glue(localize(F)) == F with no mask packed or
     unpacked and no member filtration built; the members then read are the
-    restrictions of F; and the family equals the checked construction on the
+    restrictions of F, as the reference restricts them; and the family equals the checked construction on the
     same members, both ways, with the same degrees.  Returns the count."""
     with monkeypatch.context() as patched:
         for name in ("pack", "unpack", "localization"):
@@ -94,7 +94,7 @@ def check_localized(filtrations, monkeypatch):
             assert "filtrations" not in vars(family)
     for filt, family in zip(filtrations, families):
         poset = filt.poset
-        restricted = {m: restrict_filtration(filt, m) for m in maximal_points(poset)}
+        restricted = {m: reference_restrict_filtration(filt, m) for m in maximal_points(poset)}
         assert family.filtrations == restricted
         checked = LocalFamily(poset, restricted)
         assert family == checked and checked == family

@@ -98,6 +98,45 @@ def test_from_default_materializes_restrictions(vee):
     assert family.filtrations["m1"].at(0).members == {"m1"}
 
 
+def test_from_default_is_the_localized_default_with_its_exceptions():
+    """Every filtration F of the catalog up to 4 points on [-1, 1]: with no
+    exceptions the family is localize(F); with one exception at a maximal
+    point m, taken from the localization of another filtration, it is the
+    checked family on the same members."""
+    checked = excepted = 0
+    for poset in poset_catalog(4):
+        filtrations = all_filtrations(poset, -1, 1)
+        for k, filt in enumerate(filtrations):
+            localized = localize_filtrations(filt)
+            family = LocalFamily.from_default(poset, filt)
+            assert family == localized and family.degrees() == localized.degrees()
+            others = localize_filtrations(filtrations[-1 - k]).filtrations
+            for m in maximal_points(poset):
+                members = {**localized.filtrations, m: others[m]}
+                family = LocalFamily.from_default(poset, filt, {m: others[m]})
+                checked_family = LocalFamily(poset, members)
+                assert family == checked_family and family.filtrations == members
+                assert family.degrees() == checked_family.degrees()
+                excepted += family != localized
+            checked += 1
+    assert checked == 1_720
+    assert excepted > 0
+
+
+def test_from_default_refuses_a_stray_key_and_a_default_on_another_poset(vee):
+    full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
+    filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
+    with pytest.raises(InvalidInputError, match="'p' is not a maximal point"):
+        LocalFamily.from_default(vee, filt, {"p": filt})
+    line = SpectralPoset(["p", "m1", "m2"], [("p", "m1")])
+    with pytest.raises(InvalidInputError, match="default filtration lives on the wrong poset"):
+        LocalFamily.from_default(line, filt)
+    # a default on a larger poset, although its restriction to m1 lives on the right poset
+    at_m1 = localization_poset(vee, "m1")
+    with pytest.raises(InvalidInputError, match="default filtration lives on the wrong poset"):
+        LocalFamily.from_default(at_m1, filt)
+
+
 def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)

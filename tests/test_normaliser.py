@@ -27,11 +27,12 @@ from spectral_glue.thomason import (
     ThomasonFiltration,
     ThomasonSet,
     filtration_to_json,
-    restrict_filtration,
     restrict_set,
     set_to_json,
 )
 from spectral_glue.tstructures import TStructureDescriptor, localize_tstructure
+
+from conftest import level_sets, window
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -122,13 +123,15 @@ def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
 
 
 def reference_restrict_filtration(filtration, m):
-    poset = filtration.poset
-    lo, hi = filtration.lo, filtration.hi
+    """Restrict every level of the run with :func:`restrict_set`, each but
+    the high tail as a breakpoint at its degree, and rebuild the result."""
+    poset, start = filtration.poset, filtration.start
+    levels = [restrict_set(ThomasonSet(poset, x), m) for x in filtration.masks]
     return reference_make_filtration(
         poset.localization(poset.point(m)),
-        restrict_set(filtration.low_tail, m),
-        [(n, restrict_set(filtration.at(n), m)) for n in range(lo - 1, hi + 1)],
-        restrict_set(filtration.high_tail, m),
+        levels[0],
+        [(start + k, s) for k, s in enumerate(levels[:-1])],
+        levels[-1],
     )
 
 
@@ -139,10 +142,10 @@ def reference_localize_tstructure(t, m):
     def restrict(s):
         return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)
 
-    filt = t.filtration
-    breakpoints = [(n, restrict(filt.at(n))) for n in range(filt.lo - 1, filt.hi + 1)]
+    start, levels = level_sets(t.filtration)
+    breakpoints = [(start + k, restrict(s)) for k, s in enumerate(levels[:-1])]
     local_filt = reference_make_filtration(
-        local_poset, restrict(filt.low_tail), breakpoints, restrict(filt.high_tail)
+        local_poset, restrict(levels[0]), breakpoints, restrict(levels[-1])
     )
     return TStructureDescriptor(local_ring, local_filt)
 
@@ -151,8 +154,8 @@ def reference_glue_filtrations(family):
     """Glue over the members' windows and one degree on each side; an
     incompatible family gives (degree, witness) of its first bad degree."""
     poset = family.global_poset
-    lo = min(f.lo for f in family.filtrations.values())
-    hi = max(f.hi for f in family.filtrations.values())
+    lo = min(window(f)[0] for f in family.filtrations.values())
+    hi = max(window(f)[1] for f in family.filtrations.values())
     glued = []
     for n in range(lo - 1, hi + 2):
         try:
@@ -188,7 +191,7 @@ def check_filtration(filt):
     family = localize_filtrations(filt)
     for m in maximal_points(poset):
         local = reference_restrict_filtration(filt, m)
-        assert restrict_filtration(filt, m) == family.filtrations[m] == local
+        assert family.filtrations[m] == local
     assert glue_filtrations(family) == reference_glue_filtrations(family) == filt
     return family
 
@@ -232,7 +235,8 @@ def test_seeded_z_filtrations_match_the_references():
         filt = integers.z_filtration_from_json(data)
         poset = filt.poset
         expanded = [(bp["n"], filt.at(bp["n"])) for bp in data["breakpoints"]]
-        assert filt == reference_make_filtration(poset, filt.low_tail, expanded, filt.high_tail)
+        _, (low, *_, high) = level_sets(filt)
+        assert filt == reference_make_filtration(poset, low, expanded, high)
         family = check_filtration(filt)
         assert integers.glue_z_filtrations(family) == filt
 
@@ -260,12 +264,13 @@ def old_z_set_to_json(level):
 
 def assert_views_match(filt, ref):
     """Every view of the level masks equals the five-field reference."""
-    assert (filt.lo, filt.hi) == (ref.lo, ref.hi)
-    assert (filt.low_tail, filt.values, filt.high_tail) == (ref.low_tail, ref.values, ref.high_tail)
+    assert filt.lo == ref.lo and window(filt) == (ref.lo, ref.hi)
+    _, (low, *values, high) = level_sets(filt)
+    assert (low, tuple(values), high) == (ref.low_tail, ref.values, ref.high_tail)
     degrees = range(ref.lo - 3, ref.hi + 4)
     assert [filt.at(n) for n in degrees] == [ref.at(n) for n in degrees]
     assert [filt.mask_at(n) for n in degrees] == [ref.at(n).mask for n in degrees]
-    assert filt.levels() == ref.levels()
+    assert level_sets(filt) == ref.levels()
     assert repr(filt) == repr(ref)
     assert filtration_to_json(filt) == ref.to_json()
 

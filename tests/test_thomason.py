@@ -7,9 +7,9 @@ from spectral_glue import (
     is_constant,
     is_nondegenerate,
     make_filtration,
-    restrict_filtration,
     restrict_set,
 )
+from spectral_glue.gluing import localize_filtrations
 from spectral_glue.thomason import (
     filtration_from_json,
     filtration_to_json,
@@ -18,7 +18,7 @@ from spectral_glue.thomason import (
     set_to_json,
 )
 
-from conftest import constant_filtration, up
+from conftest import constant_filtration, level_sets, up, window
 
 
 def test_from_members_rejects_non_up_sets(vee):
@@ -33,9 +33,9 @@ def test_filtration_values_and_window(vee):
         [(0, up(vee, "m1", "m2")), (1, up(vee, "m1"))],
         ThomasonSet.empty(vee),
     )
-    assert (filt.lo, filt.hi) == (0, 1)
+    assert window(filt) == (0, 1)
     levels = (ThomasonSet.full(vee), up(vee, "m1", "m2"), up(vee, "m1"), ThomasonSet.empty(vee))
-    assert filt.levels() == (-1, levels)
+    assert level_sets(filt) == (-1, levels)
     assert filt.at(-5).is_full()
     assert filt.at(0).members == {"m1", "m2"}
     assert filt.at(1).members == {"m1"}
@@ -56,14 +56,14 @@ def test_gaps_propagate_previous_value(vee):
 def test_canonical_trim_maximizes_lo(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(-2, full), (0, up(vee, "m1")), (1, empty)], empty)
-    assert (filt.lo, filt.hi) == (0, 0)
+    assert window(filt) == (0, 0)
     assert from_levels(vee, -3, (vee.full, vee.full, vee.full, up(vee, "m1").mask, 0, 0)) == filt
 
 
 def test_pure_step_keeps_its_position(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     step = make_filtration(vee, full, [(2, full), (3, empty)], empty)
-    assert step.values == ()
+    assert level_sets(step)[1][1:-1] == ()
     assert step.at(2).is_full()
     assert step.at(3).members == set()
     shifted = make_filtration(vee, full, [(0, empty)], empty)
@@ -71,7 +71,7 @@ def test_pure_step_keeps_its_position(vee):
     assert shifted.at(-1).is_full() and shifted.at(0).members == set()
     assert from_levels(vee, 0, (vee.full, vee.full, vee.full, 0, 0)) == step
     assert from_levels(vee, -1, (vee.full, 0)) == shifted
-    assert step.levels() == (2, (full, empty))
+    assert level_sets(step) == (2, (full, empty))
 
 
 def test_constant_filtration(vee):
@@ -80,7 +80,7 @@ def test_constant_filtration(vee):
     assert filt.at(-100) == filt.at(100)
     # all-equal levels anywhere give the constant, at lo = 0
     assert from_levels(vee, 7, (up(vee, "m1").mask,) * 3) == filt
-    assert (filt.lo, filt.hi) == (0, -1)
+    assert window(filt) == (0, -1)
 
 
 def test_tails_differ_without_breakpoint_is_an_error(vee):
@@ -116,16 +116,17 @@ def test_restrict_filtration(vee):
     filt = make_filtration(
         vee, full, [(0, up(vee, "m1", "m2")), (1, up(vee, "m1"))], empty
     )
-    local = restrict_filtration(filt, "m1")
+    local = localize_filtrations(filt).filtrations["m1"]
     assert local.at(-1).is_full()
     assert local.at(0).members == {"m1"}
     assert local.at(1).members == {"m1"}
     assert local.at(2).members == set()
     # a step only m1 sees restricts to a pure step at m1 and a constant at m2
     step = make_filtration(vee, up(vee, "m1"), [(1, empty)], empty)
-    assert is_constant(restrict_filtration(step, "m2"))
-    at_m1 = restrict_filtration(step, "m1")
-    assert at_m1.values == () and (at_m1.lo, at_m1.hi) == (1, 0)
+    members = localize_filtrations(step).filtrations
+    assert is_constant(members["m2"])
+    at_m1 = members["m1"]
+    assert level_sets(at_m1)[1][1:-1] == () and window(at_m1) == (1, 0)
 
 
 def test_set_json_roundtrip(vee):
