@@ -215,7 +215,7 @@ def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFil
 
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
     """Intersection of all X_n empty and union all of Spec; with the finite
-    representation this is exactly high_tail = empty and low_tail = full."""
+    representation this is exactly an empty high tail and a full low tail."""
     return not filtration.masks[-1] and filtration.masks[0] == filtration.poset.full
 
 
