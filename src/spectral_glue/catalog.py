@@ -1,6 +1,6 @@
 """Exhaustive corpora for the property sweeps.
 
-Poset catalog (all isomorphism classes up to six points), filtration and
+Poset catalog (all isomorphism classes up to seven points), filtration and
 family enumerations on a poset, small-ring catalogs and generated complexes.
 Everything is deterministic: corpora come back in a fixed order.
 """
@@ -14,10 +14,11 @@ from functools import lru_cache
 
 from . import homalg, rings as rng
 from .errors import InvalidInputError
+from .gluing import LocalFamily
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets, localization_poset, maximal_points
 from .rings import FiniteRing
-from .thomason import ThomasonFiltration, ThomasonSet, from_levels
+from .thomason import ThomasonFiltration, ThomasonSet, from_levels, trim
 
 
 # -- poset catalog -----------------------------------------------------------
@@ -111,9 +112,10 @@ MAX_FILTRATIONS = 10_000
 
 
 def count_filtrations(poset: SpectralPoset, lo: int, hi: int) -> int:
-    """How many filtrations :func:`all_filtrations` lists for the window, by a
-    DP over the Thomason sets: the chains X_lo >= ... >= X_n ending at each
-    set, extended one degree at a time.  Counting stops once the total passes
+    """How many filtrations :func:`all_filtrations` lists for the window, and
+    families :func:`compatible_filtration_families` lists, by a DP over the
+    Thomason sets: the chains X_lo >= ... >= X_n ending at each set, extended
+    one degree at a time.  Counting stops once the total passes
     MAX_FILTRATIONS, so a larger result is only a lower bound."""
     if lo > hi:
         raise InvalidInputError(f"window [{lo}, {hi}] is reversed: lo must be <= hi")
@@ -126,14 +128,6 @@ def count_filtrations(poset: SpectralPoset, lo: int, hi: int) -> int:
             break
         ends = [sum(c for t, c in zip(masks, ends) if not s & ~t) for s in masks]
     return sum(ends)
-
-
-def count_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> int:
-    """How many families :func:`all_filtration_families` lists: the product
-    over the maximal points of the filtrations of each localization."""
-    return math.prod(
-        count_filtrations(localization_poset(poset, m), lo, hi) for m in maximal_points(poset)
-    )
 
 
 def check_window(count: int, lo: int, hi: int) -> None:
@@ -164,25 +158,69 @@ def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFilt
     return out
 
 
-def _families(poset: SpectralPoset, local_corpus) -> list[dict]:
-    """Every assignment m -> an item of ``local_corpus(Spec(R_m))`` over the
-    maximal points m."""
-    maxima = sorted(maximal_points(poset))
-    locals_ = [local_corpus(localization_poset(poset, m)) for m in maxima]
-    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
-
-
 def all_set_families(poset: SpectralPoset) -> list[dict]:
     """Every assignment of a local Thomason set to each maximal point
     (compatible or not)."""
-    return _families(poset, all_thomason_sets)
+    maxima = sorted(maximal_points(poset))
+    locals_ = [all_thomason_sets(localization_poset(poset, m)) for m in maxima]
+    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
 
 
-def all_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[dict]:
-    """Every assignment of a local filtration (window [lo, hi]) to each maximal
-    point."""
-    check_window(count_filtration_families(poset, lo, hi), lo, hi)
-    return _families(poset, lambda sub: all_filtrations(sub, lo, hi))
+def _compatible_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
+    """Every row (X(m) for m in ``poset.maxima``), X(m) an up-set of the
+    localization at m in the numbering of ``poset``, that satisfies the
+    gluing condition X(m) & down[m'] == X(m') & down[m] for every pair; in
+    the order of the product of the local up-sets."""
+    down, maxima = poset.down, poset.maxima
+    rows = [()]
+    for m in maxima:
+        choices = [poset.unpack(x, m) for x in all_up_sets(poset.localization(m))]
+        rows = [
+            row + (x,)
+            for row in rows
+            for x in choices
+            if all(x & down[m2] == y & down[m] for m2, y in zip(maxima, row))
+        ]
+    return rows
+
+
+def compatible_set_families(poset: SpectralPoset) -> list[dict]:
+    """The families of :func:`all_set_families` that satisfy the gluing
+    condition, in its order, listed by the condition and not by gluing."""
+    labels = [poset.elements[m] for m in poset.maxima]
+    local_sets = []
+    for m in poset.maxima:
+        sub = poset.localization(m)
+        local_sets.append({poset.unpack(x, m): ThomasonSet(sub, x) for x in all_up_sets(sub)})
+    return [
+        dict(zip(labels, [sets[x] for sets, x in zip(local_sets, row)]))
+        for row in _compatible_rows(poset)
+    ]
+
+
+def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[LocalFamily]:
+    """Every family of local filtrations on the window [lo, hi] that satisfies
+    the gluing condition at each degree, listed by the condition and not by
+    gluing: a chain of compatible rows of local up-sets, one row per degree,
+    that decreases in every column, each column trimmed to normal form.
+    There are as many as there are global filtrations on the window, so the
+    window is refused by :func:`count_filtrations` of ``poset``."""
+    check_window(count_filtrations(poset, lo, hi), lo, hi)
+    maxima = poset.maxima
+    rows = _compatible_rows(poset)
+    below = {r: [s for s in rows if all(not x & ~y for x, y in zip(s, r))] for r in rows}
+    out = []
+
+    def extend(chain):
+        if len(chain) == hi - lo + 1:
+            columns = tuple((m, *trim(lo, column)) for m, column in zip(maxima, zip(*chain)))
+            out.append(object.__new__(LocalFamily)._hold(poset, columns))
+            return
+        for row in below[chain[-1]] if chain else rows:
+            extend(chain + [row])
+
+    extend([])
+    return out
 
 
 # -- ring catalogs -----------------------------------------------------------

@@ -1,6 +1,11 @@
+import itertools
+import math
+
 import pytest
 
 from spectral_glue import SpectralPoset, ThomasonSet, ZMod
+from spectral_glue.catalog import all_filtrations, count_filtrations
+from spectral_glue.poset import localization_poset, maximal_points
 from spectral_glue.rings import spec
 from spectral_glue.thomason import ThomasonFiltration, from_levels
 
@@ -51,3 +56,21 @@ def is_thomason(members, poset) -> bool:
     """On a finite spectral space the Thomason subsets are exactly the up-sets."""
     mask = poset.mask_of(members)
     return poset.closure(mask) == mask
+
+
+def count_filtration_families(poset, lo, hi) -> int:
+    """How many families :func:`all_filtration_families` lists: the product
+    over the maximal points of the filtrations of each localization."""
+    return math.prod(
+        count_filtrations(localization_poset(poset, m), lo, hi) for m in maximal_points(poset)
+    )
+
+
+def all_filtration_families(poset, lo, hi) -> list[dict]:
+    """Every assignment of a local filtration (window [lo, hi]) to each maximal
+    point, compatible or not: the product that the listing of compatible
+    families is checked against.  Unlike the package's listings it refuses
+    no window."""
+    maxima = sorted(maximal_points(poset))
+    locals_ = [all_filtrations(localization_poset(poset, m), lo, hi) for m in maxima]
+    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]

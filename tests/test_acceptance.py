@@ -47,6 +47,17 @@ def test_criterion_3_filtration_bijection():
     )
 
 
+def test_criterion_3_over_every_poset_of_at_most_6_points():
+    report = sweeps.sweep_filtration_bijection(max_poset=6, window=(-1, 1))
+    _gate(
+        "filtration-level glue/localize bijection preserving and reflecting "
+        "(non-)degeneracy and constancy, window [-1, 1], posets <= 6 elements",
+        report,
+        extra_ok=report.checked == 350_054,
+        extra_msg=f"{report.checked} instances (need 350054)",
+    )
+
+
 def test_criterion_4_koszul_support():
     start = time.monotonic()
     report = sweeps.sweep_koszul_support(max_n=60, max_p=5, max_deg=3)

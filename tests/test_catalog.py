@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
-from spectral_glue import InvalidInputError, ZMod, catalog
+from spectral_glue import IncompatibleFamilyError, InvalidInputError, ZMod, catalog
 from spectral_glue.catalog import (
     MAX_FILTRATIONS,
-    all_filtration_families,
     all_filtrations,
     all_set_families,
     all_thomason_sets,
+    compatible_filtration_families,
+    compatible_set_families,
     cosilting_fixtures,
-    count_filtration_families,
     count_filtrations,
     koszul_complexes,
     poset_catalog,
@@ -19,11 +19,12 @@ from spectral_glue.catalog import (
     stalk_complexes,
     zmod_catalog,
 )
+from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets
 from spectral_glue.poset import maximal_points
 from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
-from conftest import is_thomason
+from conftest import all_filtration_families, count_filtration_families, is_thomason
 
 
 def test_poset_counts_match_isomorphism_classes():
@@ -125,3 +126,55 @@ def test_a_window_is_counted_before_it_is_enumerated():
     assert count_filtrations(z30_poset, -50, 50) > MAX_FILTRATIONS
     with pytest.raises(InvalidInputError, match=r"window \[-50, 50\].*MAX_FILTRATIONS"):
         all_filtrations(z30_poset, -50, 50)
+
+
+def _glues(glue, *args) -> bool:
+    try:
+        glue(*args)
+    except IncompatibleFamilyError:
+        return False
+    return True
+
+
+def test_compatible_set_families_are_the_glued_product():
+    for poset in poset_catalog(6):
+        glued = [f for f in all_set_families(poset) if _glues(glue_sets, poset, f)]
+        assert compatible_set_families(poset) == glued
+
+
+def test_compatible_filtration_families_are_the_glued_product_up_to_5_points():
+    listed = 0
+    for poset in poset_catalog(5):
+        families = compatible_filtration_families(poset, -1, 1)
+        glued = set()
+        for filts in all_filtration_families(poset, -1, 1):
+            family = LocalFamily(poset, filts)
+            if _glues(glue_filtrations, family):
+                glued.add(family)
+        assert len(families) == len(set(families))
+        assert set(families) == glued
+        listed += len(families)
+    assert listed == 15_734
+
+
+def _order_preserving_maps(poset, top: int) -> int:
+    """The order polynomial by brute force: maps f from the points to
+    {0, ..., top} with f(a) <= f(b) whenever a <= b."""
+    index = poset.index
+    pairs = [(index[a], index[b]) for a, b in poset.relation_pairs]
+    return sum(
+        all(f[a] <= f[b] for a, b in pairs)
+        for f in itertools.product(range(top + 1), repeat=len(poset))
+    )
+
+
+@pytest.mark.parametrize("window", [(-1, 1), (0, 0), (0, 1)])
+def test_filtrations_are_counted_by_the_order_polynomial_and_listed_as_families(window):
+    # a chain X_lo >= ... >= X_hi of up-sets is the order-preserving map that
+    # counts the degrees holding each point; each such filtration has one
+    # compatible family, so with glue(localize) the identity, localize is onto
+    lo, hi = window
+    for poset in poset_catalog(5):
+        count = count_filtrations(poset, lo, hi)
+        assert count == _order_preserving_maps(poset, hi - lo + 1)
+        assert len(compatible_filtration_families(poset, lo, hi)) == count

@@ -343,6 +343,32 @@ def test_fuzz_small_and_deterministic(capsys):
         assert hashlib.sha256(out1.encode()).hexdigest() == expected, bounds
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # 6 degrees on 4 points: at most 2,401 filtrations, where the product
+        # of the local filtrations reached 21,952
+        ("--max-poset", "4", "--window", "-3", "2"),
+        # 13 degrees on 3 points: at most 2,744, against 11,025
+        ("--max-poset", "3", "--window", "0", "12"),
+    ],
+)
+def test_fuzz_runs_a_window_whose_filtrations_stay_under_the_bound(capsys, bounds):
+    start = time.monotonic()
+    code = main(["--json", "fuzz", "--max-ring", "2", *bounds])
+    captured = capsys.readouterr()
+    assert time.monotonic() - start < 5
+    assert code == 0
+    assert "Traceback" not in captured.err
+    reports = {r["name"]: r for r in json.loads(captured.out)["reports"]}
+    assert all(r["ok"] for r in reports.values())
+    # both halves of sweep 3 check one instance per global filtration
+    lo, hi = int(bounds[-2]), int(bounds[-1])
+    posets = catalog.poset_catalog(int(bounds[1]))
+    expected = 2 * sum(catalog.count_filtrations(p, lo, hi) for p in posets)
+    assert reports["filtration-bijection"]["checked"] == expected
+
+
 def _benchmark_sweeps():
     """The ``sweep_*`` names that ``perfbench/workloads.py`` calls with ``jobs=1``."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"

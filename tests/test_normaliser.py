@@ -32,7 +32,7 @@ from spectral_glue.thomason import (
 )
 from spectral_glue.tstructures import TStructureDescriptor, localize_tstructure
 
-from conftest import level_sets, window
+from conftest import all_filtration_families, level_sets, window
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -198,7 +198,7 @@ def check_filtration(filt):
 
 def test_catalog_filtrations_and_families_match_the_references():
     lo, hi = -2, 2
-    filtrations = families = incompatible = 0
+    filtrations = families = incompatible = listed = 0
     for poset in catalog.poset_catalog(4):
         for filt in catalog.all_filtrations(poset, lo, hi):
             # the catalog's own normalisation, against the validating one
@@ -206,13 +206,22 @@ def test_catalog_filtrations_and_families_match_the_references():
             assert filt == reference_make_filtration(poset, filt.at(lo), expanded, filt.at(hi))
             check_filtration(filt)
             filtrations += 1
-        for filts in catalog.all_filtration_families(poset, lo, hi):
+        glued = set()
+        for filts in all_filtration_families(poset, lo, hi):
             family = LocalFamily(poset, filts)
             expected = expected_glue(family)
             assert glue_or_witness(family) == expected
             families += 1
             incompatible += isinstance(expected, tuple)
+            if not isinstance(expected, tuple):
+                glued.add(family)
+        # the catalog lists exactly the families that glue, each once
+        compatible = catalog.compatible_filtration_families(poset, lo, hi)
+        assert len(compatible) == len(set(compatible))
+        assert set(compatible) == glued
+        listed += len(compatible)
     assert (filtrations, families) == (7_364, 32_004)
+    assert listed == 7_364
     assert 0 < incompatible < families
 
 
