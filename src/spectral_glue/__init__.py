@@ -68,7 +68,6 @@ from .thomason import (
     is_constant,
     is_nondegenerate,
     make_filtration,
-    restrict_set,
 )
 from .torsion_cosilting import (
     CosiltingModule,

@@ -1,8 +1,13 @@
 """Exhaustive corpora for the property sweeps.
 
-Poset catalog (all isomorphism classes up to seven points), filtration and
-family enumerations on a poset, small-ring catalogs and generated complexes.
-Everything is deterministic: corpora come back in a fixed order.
+The poset catalog (all isomorphism classes up to seven points); on a poset,
+its Thomason sets, its filtrations on a window and its families of local
+sets and of local filtrations; small-ring catalogs and generated complexes.
+A family of local sets is a row (X(m) for m in ``poset.maxima``) of masks in
+the numbering of the poset, the form :mod:`spectral_glue.gluing` takes, and
+a family of filtrations is a :class:`~spectral_glue.gluing.LocalFamily` of
+such rows; the compatible ones are listed by the gluing condition, not by
+gluing.  Everything is deterministic: corpora come back in a fixed order.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from . import homalg, rings as rng
 from .errors import InvalidInputError
 from .gluing import LocalFamily
 from .homalg import BoundedComplex
-from .poset import SpectralPoset, all_up_sets, localization_poset, maximal_points
+from .poset import SpectralPoset, all_up_sets
 from .rings import FiniteRing
 from .thomason import ThomasonFiltration, ThomasonSet, from_levels, trim
 
@@ -130,12 +135,13 @@ def count_filtrations(poset: SpectralPoset, lo: int, hi: int) -> int:
     return sum(ends)
 
 
-def check_window(count: int, lo: int, hi: int) -> None:
-    """Refuse a window whose enumeration would list more than MAX_FILTRATIONS."""
+def check_window(count: int, lo: int, hi: int, scope: str = "") -> None:
+    """Refuse a window whose enumeration would list more than MAX_FILTRATIONS;
+    ``scope`` ends the message with where they were counted."""
     if count > MAX_FILTRATIONS:
         raise InvalidInputError(
             f"window [{lo}, {hi}] lists more filtrations, or families of them, "
-            f"than the bound MAX_FILTRATIONS = {MAX_FILTRATIONS}"
+            f"than the bound MAX_FILTRATIONS = {MAX_FILTRATIONS}{scope}"
         )
 
 
@@ -158,23 +164,26 @@ def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFilt
     return out
 
 
-def all_set_families(poset: SpectralPoset) -> list[dict]:
-    """Every assignment of a local Thomason set to each maximal point
-    (compatible or not)."""
-    maxima = sorted(maximal_points(poset))
-    locals_ = [all_thomason_sets(localization_poset(poset, m)) for m in maxima]
-    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
+def _local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
+    """The up-sets of the localization at m, in the numbering of ``poset``."""
+    return [poset.unpack(x, m) for x in all_up_sets(poset.localization(m))]
 
 
-def _compatible_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
-    """Every row (X(m) for m in ``poset.maxima``), X(m) an up-set of the
-    localization at m in the numbering of ``poset``, that satisfies the
-    gluing condition X(m) & down[m'] == X(m') & down[m] for every pair; in
-    the order of the product of the local up-sets."""
+def all_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
+    """Every family of local Thomason sets, compatible or not, as its row
+    (X(m) for m in ``poset.maxima``) of masks in the numbering of ``poset``:
+    the product of the up-sets of each localization, in product order."""
+    return list(itertools.product(*(_local_up_sets(poset, m) for m in poset.maxima)))
+
+
+def compatible_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
+    """The rows of :func:`all_set_rows` that satisfy the gluing condition
+    X(m) & down[m'] == X(m') & down[m] for every pair, in its order, listed
+    by the condition and not by gluing."""
     down, maxima = poset.down, poset.maxima
     rows = [()]
     for m in maxima:
-        choices = [poset.unpack(x, m) for x in all_up_sets(poset.localization(m))]
+        choices = _local_up_sets(poset, m)
         rows = [
             row + (x,)
             for row in rows
@@ -182,20 +191,6 @@ def _compatible_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
             if all(x & down[m2] == y & down[m] for m2, y in zip(maxima, row))
         ]
     return rows
-
-
-def compatible_set_families(poset: SpectralPoset) -> list[dict]:
-    """The families of :func:`all_set_families` that satisfy the gluing
-    condition, in its order, listed by the condition and not by gluing."""
-    labels = [poset.elements[m] for m in poset.maxima]
-    local_sets = []
-    for m in poset.maxima:
-        sub = poset.localization(m)
-        local_sets.append({poset.unpack(x, m): ThomasonSet(sub, x) for x in all_up_sets(sub)})
-    return [
-        dict(zip(labels, [sets[x] for sets, x in zip(local_sets, row)]))
-        for row in _compatible_rows(poset)
-    ]
 
 
 def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> list[LocalFamily]:
@@ -207,7 +202,7 @@ def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> li
     window is refused by :func:`count_filtrations` of ``poset``."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
     maxima = poset.maxima
-    rows = _compatible_rows(poset)
+    rows = compatible_set_rows(poset)
     below = {r: [s for s in rows if all(not x & ~y for x, y in zip(s, r))] for r in rows}
     out = []
 

@@ -224,9 +224,9 @@ def cmd_lemma_equiv(args) -> int:
     family, wire = _family(args)
     if wire is INTEGERS:
         raise SpectralGlueError("lemma-equiv runs on finite posets only")
+    poset = family.global_poset
     verdicts = {
-        n: gluing.check_lemma_equiv(family.global_poset, family.sets_at(n))
-        for n in family.degrees()
+        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees(), family.rows())
     }
     ok = all(verdicts.values())
     _emit(

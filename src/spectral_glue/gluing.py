@@ -9,14 +9,18 @@ IncompatibleFamilyError with the first witness, and a caller that only asks
 "compatible?" catches it.  :func:`check_lemma_equiv` compares that condition
 with the ideal-family description of the same family.
 
-A family is checked once, where it enters: the public :class:`LocalFamily`
-constructor checks its keys and member posets, :meth:`LocalFamily.from_default`
-its exception keys and its default's poset, and :func:`glue_sets` and
-:func:`check_lemma_equiv` the set family they are handed.  A family is its
-columns of level masks in the global numbering: :func:`localize_filtrations`,
-the one restriction of a filtration, masks each level with each down-set, and
-:func:`glue_filtrations` reads the columns row by row, one agreement test per
-degree; neither builds a member filtration.
+A family of local sets is a row ``(X(m) for m in poset.maxima)`` of masks in
+the numbering of the global poset, each X(m) an up-set of the localization at
+m; :func:`localize_sets` gives one, and :meth:`LocalFamily.rows` gives a
+filtration family's row at each degree.  A family is checked once, where it
+enters: the public :class:`LocalFamily` constructor checks its keys and
+member posets, and :meth:`LocalFamily.from_default` its exception keys and
+its default's poset.  Set families have no wire, so a row is built by the
+package and not checked again.  A filtration family is its columns of level
+masks in the global numbering: :func:`localize_filtrations`, the one
+restriction of a filtration, masks each level with each down-set, and
+:func:`glue_filtrations` reads the rows, one agreement test per degree;
+neither builds a member filtration.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import IncompatibleFamilyError, InvalidInputError
 from .poset import PrimeId, SpectralPoset, maximal_points
@@ -33,7 +37,6 @@ from .thomason import (
     ThomasonFiltration,
     ThomasonSet,
     from_levels,
-    restrict_set,
     trim,
 )
 
@@ -47,7 +50,8 @@ class LocalFamily:
     degrees apart.  ``columns`` holds ``(m, start, masks)`` for each maximal
     point m, in poset order: the member at m, its masks in the numbering of
     ``global_poset``.  Families compare by poset and columns; ``filtrations``
-    maps m to its member.  A family over Z is one of these on
+    maps m to its member, and :meth:`rows` reads the columns across, one row
+    of local sets per degree.  A family over Z is one of these on
     :func:`spectral_glue.integers.z_poset`.
     """
 
@@ -135,53 +139,57 @@ class LocalFamily:
         constant; (-1, 0) when every member is constant."""
         return self._degrees
 
-    def sets_at(self, n: int) -> dict[PrimeId, ThomasonSet]:
-        return {m: f.at(n) for m, f in self.filtrations.items()}
+    def rows(self) -> list[tuple[int, ...]]:
+        """The row (X_n(m) for m in ``global_poset.maxima``) at each degree n
+        of :meth:`degrees`, in order: the columns read across, each past its
+        ends as its tails.  A member that is not constant lies inside the
+        degrees; a constant one is its low tail throughout."""
+        degrees = self._degrees
+        padded = []
+        for _, start, masks in self.columns:
+            if masks[0] == masks[-1]:
+                padded.append([masks[0]] * len(degrees))
+            else:
+                before = start - degrees.start
+                after = degrees.stop - start - len(masks)
+                padded.append([masks[0]] * before + list(masks) + [masks[-1]] * after)
+        # over the empty poset every row is empty
+        return list(zip(*padded)) if padded else [()] * len(degrees)
 
 
-def _check_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]):
-    """(witness (m, m', p) or None, glued mask, stars) of a set family from
-    outside: ``stars`` pairs each maximal point m, in label order, with X(m)
-    in the numbering of ``poset``."""
-    if set(sets) != maximal_points(poset):
-        raise InvalidInputError("set family must cover exactly the maximal points")
-    stars = []
-    for m in poset.maxima:
-        label = poset.elements[m]
-        if sets[label].poset != poset.localization(m):
-            raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
-        stars.append((m, poset.unpack(sets[label].mask, m)))
-    return (*_agree(poset, stars), stars)
-
-
-def _agree(poset: SpectralPoset, stars) -> tuple:
-    """(witness (m, m', p) or None, glued mask) of stars X(m) lying below m.
+def _agree(poset: SpectralPoset, row: Sequence[int]) -> tuple[bool, int]:
+    """(whether the row agrees pairwise, the union of its masks).
 
     The family agrees pairwise exactly when every X(m) is glued & down[m]:
     pairwise agreement gives glued & down[m] = union of X(m') & down[m] =
     union of X(m) & down[m'] = X(m), and conversely X(m) & down[m'] = glued &
-    down[m] & down[m'] = X(m') & down[m].  Only a failed test scans the pairs,
-    for the first witness."""
+    down[m] & down[m'] = X(m') & down[m]."""
     glued = 0
-    for _, x in stars:
+    for x in row:
         glued |= x
     down = poset.down
-    if any(x != glued & down[m] for m, x in stars):
-        for k, (m, x) in enumerate(stars):
-            for m2, x2 in stars[k + 1 :]:
-                # x lies below m and x2 below m2, so both sides lie in the shared down-set
-                disagree = (x & down[m2]) ^ (x2 & down[m])
-                if disagree:
-                    witness = (poset.elements[m], poset.elements[m2], poset.labels(disagree)[0])
-                    return witness, glued
-    return None, glued
+    for m, x in zip(poset.maxima, row):
+        if x != glued & down[m]:
+            return False, glued
+    return True, glued
 
 
-def _disagreement(witness) -> str:
-    return (
-        f"family disagrees on shared prime {witness[2]!r} "
-        f"between {witness[0]!r} and {witness[1]!r}"
-    )
+def _incompatible(poset: SpectralPoset, row: Sequence[int], degree=None) -> IncompatibleFamilyError:
+    """The error of a row that disagrees, with its first witness (m, m', p):
+    the first pair in label order and the least shared prime they differ on."""
+    down, stars = poset.down, list(zip(poset.maxima, row))
+    for k, (m, x) in enumerate(stars):
+        for m2, x2 in stars[k + 1 :]:
+            # x lies below m and x2 below m2, so both sides lie in the shared down-set
+            disagree = (x & down[m2]) ^ (x2 & down[m])
+            if disagree:
+                witness = (poset.elements[m], poset.elements[m2], poset.labels(disagree)[0])
+                message = "family disagrees on shared prime {2!r} between {0!r} and {1!r}"
+                message = message.format(*witness)
+                if degree is not None:
+                    message = f"family incompatible at degree {degree}: {message}"
+                return IncompatibleFamilyError(message, degree=degree, witness=witness)
+    raise AssertionError("a row that disagrees has a pair that differs")
 
 
 def _glued_mask(poset: SpectralPoset, glued: int) -> int:
@@ -190,61 +198,35 @@ def _glued_mask(poset: SpectralPoset, glued: int) -> int:
     return glued
 
 
-def glue_sets(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> ThomasonSet:
-    """Union of the star images; defined only for compatible families."""
-    violating, glued, _ = _check_sets(poset, sets)
-    if violating is not None:
-        raise IncompatibleFamilyError(_disagreement(violating), witness=violating)
+def glue_sets(poset: SpectralPoset, row: Sequence[int]) -> ThomasonSet:
+    """Union of the star images of a row; defined only for compatible rows."""
+    agrees, glued = _agree(poset, row)
+    if not agrees:
+        raise _incompatible(poset, row)
     return ThomasonSet(poset, _glued_mask(poset, glued))
 
 
-def localize_sets(s: ThomasonSet) -> dict[PrimeId, ThomasonSet]:
-    """X |-> X(m) = X restricted to Spec(R_m), at every maximal m."""
-    return {m: restrict_set(s, m) for m in maximal_points(s.poset)}
-
-
-def _padded(column, degrees: range) -> list[int]:
-    """The masks of a column over ``degrees``, its tails repeated past its
-    ends.  A member that is not constant lies inside ``degrees``; a constant
-    one is its low tail throughout."""
-    _, start, masks = column
-    if masks[0] == masks[-1]:
-        return [masks[0]] * len(degrees)
-    before = start - degrees.start
-    after = degrees.stop - start - len(masks)
-    return [masks[0]] * before + list(masks) + [masks[-1]] * after
+def localize_sets(s: ThomasonSet) -> tuple[int, ...]:
+    """X |-> the row of X(m) = X & down[m], X restricted to Spec(R_m)."""
+    down, mask = s.poset.down, s.mask
+    return tuple(mask & down[m] for m in s.poset.maxima)
 
 
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     """Degreewise gluing; raises with the offending degree when incompatible.
 
-    The family was checked when it was built, so its columns are padded to
-    :meth:`LocalFamily.degrees`, whose ends carry the tails, and glued row by
-    row in increasing degree: one union and one agreement test (as in
-    :func:`_agree`) per degree, so the degree raised is the least
-    incompatible one.  Gluing preserves inclusions, so the glued levels
-    decrease and are only normalised.
+    The family was checked when it was built, so its rows are glued in
+    increasing degree: one union and one agreement test per degree, so the
+    degree raised is the least incompatible one.  Gluing preserves
+    inclusions, so the glued levels decrease and are only normalised.
     """
     poset = family.global_poset
     degrees = family.degrees()
-    down = poset.down
-    points = [m for m, _, _ in family.columns]
-    rows = zip(*(_padded(column, degrees) for column in family.columns))
-    if not points:  # over the empty poset each glued level is empty
-        rows = [()] * len(degrees)
     levels = []
-    for n, row in zip(degrees, rows):
-        glued = 0
-        for x in row:
-            glued |= x
-        for m, x in zip(points, row):
-            if x != glued & down[m]:
-                witness, _ = _agree(poset, list(zip(points, row)))
-                raise IncompatibleFamilyError(
-                    f"family incompatible at degree {n}: {_disagreement(witness)}",
-                    degree=n,
-                    witness=witness,
-                )
+    for n, row in zip(degrees, family.rows()):
+        agrees, glued = _agree(poset, row)
+        if not agrees:
+            raise _incompatible(poset, row, n)
         levels.append(_glued_mask(poset, glued))
     return from_levels(poset, degrees.start, levels)
 
@@ -258,13 +240,14 @@ def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
     return object.__new__(LocalFamily)._hold(poset, columns)
 
 
-def check_lemma_equiv(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet]) -> bool:
-    """Confirm the two descriptions of a compatible family agree.
+def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
+    """Confirm the two descriptions of a family of local sets agree.
 
     The ideal-family side is modelled by principal up-sets: X' is the union of
     all up-sets of single points g whose restriction to every localization is
-    contained in the local set.  Returns True iff pairwise agreement holds
-    exactly when the union of the star images equals X'.
+    contained in the local set, that is which meet no point of down[m] that
+    X(m) leaves out.  Returns True iff pairwise agreement holds exactly when
+    the union of the star images equals X'.
 
     Agreement alone is the gluing condition: it makes the union an up-set.
     Take p in X(m) and q >= p; q lies below some maximal m', so p lies in
@@ -274,9 +257,13 @@ def check_lemma_equiv(poset: SpectralPoset, sets: Mapping[PrimeId, ThomasonSet])
     and q >= p in down(m) is not, agreement keeps q out of every X(m').  X'
     is always an up-set, so the check fails on such a family.
     """
-    violating, glued, stars = _check_sets(poset, sets)
+    agrees, glued = _agree(poset, row)
+    down = poset.down
+    left_out = 0
+    for m, x in zip(poset.maxima, row):
+        left_out |= down[m] & ~x
     x_prime = 0
     for up in poset.up:
-        if all(not up & poset.down[m] & ~x for m, x in stars):
+        if not up & left_out:
             x_prime |= up
-    return (violating is None) == (glued == x_prime)
+    return agrees == (glued == x_prime)

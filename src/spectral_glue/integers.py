@@ -175,10 +175,12 @@ def z_witness(family: LocalFamily, n: int):
 
     On a star poset two local sets share only (0), so a Z family is
     compatible at n exactly when no exception disagrees with the default."""
-    sets = family.sets_at(n)
-    generic = GENERIC in sets[CLOSED_POINT]
-    primes = z_primes(family.global_poset)
-    p = next((p for p in primes if (GENERIC in sets[f"({p})"]) != generic), None)
+    poset, degrees = family.global_poset, family.degrees()
+    # past its degrees a family reads its first or last row
+    row = family.rows()[min(max(n - degrees.start, 0), len(degrees) - 1)]
+    generic = 1 << poset.index[GENERIC]
+    holds = {poset.elements[m]: x & generic for m, x in zip(poset.maxima, row)}
+    p = next((p for p in z_primes(poset) if holds[f"({p})"] != holds[CLOSED_POINT]), None)
     return None if p is None else (p, "default", GENERIC)
 
 

@@ -15,14 +15,13 @@ from functools import partial
 
 from . import catalog, gluing, homalg, rings as rng, torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, InvalidInputError
-from .poset import SpectralPoset, localization_poset
+from .poset import SpectralPoset
 from .rings import FiniteRing
 from .thomason import (
     ThomasonSet,
     filtration_to_json,
     is_constant,
     is_nondegenerate,
-    restrict_set,
     set_to_json,
 )
 
@@ -62,6 +61,14 @@ def _sweep(name, check, items, unit, jobs) -> SweepReport:
 # -- 1: set-level localize/glue bijection ------------------------------------
 
 
+def _set_family_to_json(poset: SpectralPoset, row) -> dict:
+    """A row of local sets as a failure writes it: label -> local set JSON."""
+    return {
+        poset.elements[m]: set_to_json(ThomasonSet(poset.localization(m), poset.pack(x, m)))
+        for m, x in zip(poset.maxima, row)
+    }
+
+
 def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
     descr = poset.to_json()
     # localize-then-glue is the identity on Thomason sets
@@ -73,17 +80,17 @@ def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
                 {"poset": descr, "set": set_to_json(x), "glued": set_to_json(back)}
             )
     # glue-then-localize is the identity on compatible families
-    for family in catalog.compatible_set_families(poset):
+    for row in catalog.compatible_set_rows(poset):
         report.checked += 1
         try:
-            glued = gluing.glue_sets(poset, family)
+            glued = gluing.glue_sets(poset, row)
         except IncompatibleFamilyError:
             glued = None
-        if glued is None or gluing.localize_sets(glued) != family:
+        if glued is None or gluing.localize_sets(glued) != row:
             report.failures.append(
                 {
                     "poset": descr,
-                    "family": {m: set_to_json(s) for m, s in family.items()},
+                    "family": _set_family_to_json(poset, row),
                     "glued": None if glued is None else set_to_json(glued),
                 }
             )
@@ -99,13 +106,13 @@ def sweep_set_gluing(max_poset: int = 6, jobs: int = 1) -> SweepReport:
 
 def _check_compat(report: SweepReport, poset: SpectralPoset) -> None:
     descr = poset.to_json()
-    for family in catalog.all_set_families(poset):
+    for row in catalog.all_set_rows(poset):
         report.checked += 1
-        if not gluing.check_lemma_equiv(poset, family):
+        if not gluing.check_lemma_equiv(poset, row):
             report.failures.append(
                 {
                     "poset": descr,
-                    "family": {m: set_to_json(s) for m, s in family.items()},
+                    "family": _set_family_to_json(poset, row),
                     "reason": "condition (dagger) and ideal-family description disagree",
                 }
             )
@@ -351,23 +358,24 @@ def _check_cosilting(report: SweepReport, cosilting) -> None:
     glued = tc.glue_cosilting(ring, components)
     if not tc.cosilting_equivalent(glued, cosilting):
         problems.append("split-then-glue is not equivalent to the original")
-    # componentwise Thomason sets as a family over the maximal spectrum
-    family = {}
-    for m, comp in components.items():
-        local_set = tc.cosilting_thomason_of_module(comp)
-        sub = localization_poset(poset, m)
-        members = {m} if local_set.members else set()
-        family[m] = ThomasonSet.from_members(sub, members)
+    # componentwise Thomason sets as a row over the maximal spectrum: each
+    # component's set is its one point or empty
+    row = tuple(
+        1 << m if tc.cosilting_thomason_of_module(components[poset.elements[m]]).members else 0
+        for m in poset.maxima
+    )
     try:
-        if gluing.glue_sets(poset, family) != global_set:
+        if gluing.glue_sets(poset, row) != global_set:
             problems.append("componentwise Thomason sets do not glue to the global set")
     except IncompatibleFamilyError:
         problems.append("componentwise Thomason sets are not compatible")
     # the two-term filtration restricts to the local two-term pattern at degree 0
     filt = tc.two_term_filtration(global_set)
-    for m in family:
-        if restrict_set(filt.at(0), m) != family[m]:
-            problems.append(f"two-term filtration at {m!r} disagrees with the local set")
+    for m, x, local in zip(poset.maxima, gluing.localize_sets(filt.at(0)), row):
+        if x != local:
+            problems.append(
+                f"two-term filtration at {poset.elements[m]!r} disagrees with the local set"
+            )
     if problems:
         report.failures.append(
             {
@@ -426,15 +434,20 @@ def run_all(
 ) -> list[SweepReport]:
     """The fuzz entry point: every sweep with (reduced) default bounds.
 
-    The filtrations of the window are counted on every poset and spectrum
-    that sweeps 3, 5 and 6 enumerate before any sweep starts, so a window
-    over ``catalog.MAX_FILTRATIONS`` is refused at once; sweep 3 lists as
-    many compatible families on a poset as it has filtrations."""
+    The filtrations of the window are counted before any sweep starts, and
+    the window is refused when they pass ``catalog.MAX_FILTRATIONS`` on one
+    poset of sweep 3, which lists as many compatible families on a poset as
+    it has filtrations, or summed over the spectra that sweeps 5 and 6
+    enumerate, each of which runs its complexes against every filtration."""
     lo, hi = window
     for poset in catalog.poset_catalog(min(max_poset, 4)):
         catalog.check_window(catalog.count_filtrations(poset, lo, hi), lo, hi)
+    total = 0
     for ring in _orthogonality_rings(max_ring) + _local_global_rings(max_ring):
-        catalog.check_window(catalog.count_filtrations(rng.spec(ring), lo, hi), lo, hi)
+        total += catalog.count_filtrations(rng.spec(ring), lo, hi)
+        if total > catalog.MAX_FILTRATIONS:
+            break
+    catalog.check_window(total, lo, hi, ", summed over the spectra of sweeps 5 and 6")
     return [
         sweep_set_gluing(max_poset=max_poset),
         sweep_lemma_equiv(max_poset=max_poset),

@@ -224,12 +224,6 @@ def is_constant(filtration: ThomasonFiltration) -> bool:
     return filtration.masks[0] == filtration.masks[-1]
 
 
-def restrict_set(s: ThomasonSet, m: PrimeId) -> ThomasonSet:
-    """X |-> X intersected with the down-set of m, on Spec(R_m)."""
-    i = s.poset.point(m)
-    return ThomasonSet(s.poset.localization(i), s.poset.pack(s.mask, i))
-
-
 def set_to_json(s: ThomasonSet):
     return "full" if s.is_full() else s.sorted_members()
 

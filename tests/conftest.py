@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from spectral_glue import SpectralPoset, ThomasonSet, ZMod
-from spectral_glue.catalog import all_filtrations, count_filtrations
+from spectral_glue import InvalidInputError, SpectralPoset, ThomasonSet, ZMod
+from spectral_glue.catalog import all_filtrations, all_thomason_sets, count_filtrations
 from spectral_glue.poset import localization_poset, maximal_points
 from spectral_glue.rings import spec
 from spectral_glue.thomason import ThomasonFiltration, from_levels
@@ -74,3 +74,28 @@ def all_filtration_families(poset, lo, hi) -> list[dict]:
     maxima = sorted(maximal_points(poset))
     locals_ = [all_filtrations(localization_poset(poset, m), lo, hi) for m in maxima]
     return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
+
+
+def all_set_families(poset) -> list[dict]:
+    """Every assignment of a local Thomason set to each maximal point,
+    compatible or not, label -> set on the localization: the product that the
+    package's rows are checked against."""
+    maxima = sorted(maximal_points(poset))
+    locals_ = [all_thomason_sets(localization_poset(poset, m)) for m in maxima]
+    return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
+
+
+def set_row(poset, family) -> tuple[int, ...]:
+    """The row (X(m) for m in ``poset.maxima``) of a label -> local set family,
+    in the numbering of ``poset``, as :mod:`spectral_glue.gluing` takes it.
+    The keys must be the maximal points and each set must live on the
+    localization at its key."""
+    if set(family) != maximal_points(poset):
+        raise InvalidInputError("set family must cover exactly the maximal points")
+    row = []
+    for m in poset.maxima:
+        label = poset.elements[m]
+        if family[label].poset != poset.localization(m):
+            raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
+        row.append(poset.unpack(family[label].mask, m))
+    return tuple(row)

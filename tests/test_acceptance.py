@@ -19,22 +19,25 @@ def _gate(name: str, report, *, extra_ok: bool = True, extra_msg: str = ""):
 
 def test_criterion_1_set_gluing_bijection():
     start = time.monotonic()
-    report = sweeps.sweep_set_gluing(max_poset=6)
+    report = sweeps.sweep_set_gluing(max_poset=7)
     elapsed = time.monotonic() - start
     _gate(
-        "set-level localize/glue bijection on all posets with <= 6 elements",
+        "set-level localize/glue bijection on all posets with <= 7 elements",
         report,
-        extra_ok=report.details["posets"] >= 300 and elapsed < 60,
-        extra_msg=f"{report.details['posets']} posets in {elapsed:.1f}s (need >= 300 in < 60s)",
+        extra_ok=report.details["posets"] >= 300 and report.checked == 109_446 and elapsed < 60,
+        extra_msg=f"{report.details['posets']} posets and {report.checked} instances in "
+        f"{elapsed:.1f}s (need >= 300 and 109446 in < 60s)",
     )
 
 
 def test_criterion_2_compatibility_equivalence():
-    report = sweeps.sweep_lemma_equiv(max_poset=6)
+    report = sweeps.sweep_lemma_equiv(max_poset=7)
     _gate(
         "compatibility condition equivalent to the ideal-family description; "
-        "compatible families glue to up-sets",
+        "compatible families glue to up-sets; all posets with <= 7 elements",
         report,
+        extra_ok=report.checked == 365_635,
+        extra_msg=f"{report.checked} instances (need 365635)",
     )
 
 

@@ -22,11 +22,11 @@ from spectral_glue import (
     gluing,
     integers,
 )
-from spectral_glue.catalog import all_filtrations, all_set_families, poset_catalog
+from spectral_glue.catalog import all_filtrations, poset_catalog
 from spectral_glue.gluing import localize_filtrations
 from spectral_glue.poset import localization_poset, maximal_points
 
-from conftest import constant_filtration
+from conftest import all_set_families, constant_filtration, set_row
 from test_normaliser import reference_restrict_filtration
 
 _spec = importlib.util.spec_from_file_location(
@@ -62,7 +62,7 @@ def test_agreement_matches_the_pairwise_label_check_on_every_set_family():
     for poset in poset_catalog(5):
         for family in all_set_families(poset):
             expected = _pairwise(family)
-            assert _verdict(lambda: glue_sets(poset, family)) == (expected, None)
+            assert _verdict(lambda: glue_sets(poset, set_row(poset, family))) == (expected, None)
             # the same sets as constant members: the mask-only degreewise glue
             # reports the same witness, at the first degree it glues
             members = {m: constant_filtration(s.poset, s) for m, s in family.items()}

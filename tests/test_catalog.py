@@ -6,10 +6,10 @@ from spectral_glue import IncompatibleFamilyError, InvalidInputError, ZMod, cata
 from spectral_glue.catalog import (
     MAX_FILTRATIONS,
     all_filtrations,
-    all_set_families,
+    all_set_rows,
     all_thomason_sets,
     compatible_filtration_families,
-    compatible_set_families,
+    compatible_set_rows,
     cosilting_fixtures,
     count_filtrations,
     koszul_complexes,
@@ -24,7 +24,13 @@ from spectral_glue.poset import maximal_points
 from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
-from conftest import all_filtration_families, count_filtration_families, is_thomason
+from conftest import (
+    all_filtration_families,
+    all_set_families,
+    count_filtration_families,
+    is_thomason,
+    set_row,
+)
 
 
 def test_poset_counts_match_isomorphism_classes():
@@ -81,8 +87,8 @@ def test_all_filtrations_are_decreasing(vee):
 
 
 def test_families_cover_maximal_points(vee):
-    for family in all_set_families(vee):
-        assert set(family) == {"m1", "m2"}
+    for row in all_set_rows(vee):
+        assert len(row) == len(vee.maxima) == 2
     for family in all_filtration_families(vee, 0, 0):
         assert set(family) == {"m1", "m2"}
 
@@ -137,9 +143,13 @@ def _glues(glue, *args) -> bool:
 
 
 def test_compatible_set_families_are_the_glued_product():
+    """The rows of every poset of at most 6 points: all of them are the label
+    product converted to rows, in order, and the compatible ones its part
+    that glues."""
     for poset in poset_catalog(6):
-        glued = [f for f in all_set_families(poset) if _glues(glue_sets, poset, f)]
-        assert compatible_set_families(poset) == glued
+        rows = [set_row(poset, family) for family in all_set_families(poset)]
+        assert all_set_rows(poset) == rows
+        assert compatible_set_rows(poset) == [r for r in rows if _glues(glue_sets, poset, r)]
 
 
 def test_compatible_filtration_families_are_the_glued_product_up_to_5_points():

@@ -536,6 +536,11 @@ def z_key(key):
         (["fuzz", "--max-poset", "1", "--max-ring", "2", "--window", "-50", "50"],
          "window [-50, 50] lists more filtrations, or families of them, than the bound "
          "MAX_FILTRATIONS = 10000"),
+        # 315,616 filtrations over the spectra of sweeps 5 and 6, none over the
+        # bound alone: 16.8 s of sweeps before it was refused
+        (["fuzz", "--max-poset", "3", "--max-ring", "209", "--window", "0", "12"],
+         "window [0, 12] lists more filtrations, or families of them, than the bound "
+         "MAX_FILTRATIONS = 10000, summed over the spectra of sweeps 5 and 6"),
         (localize_filtration('{"low_tail": "full", "breakpoints": 5, "high_tail": []}'), "'breakpoints'"),
         (localize_filtration('{"low_tail": "full", "breakpoints": [5], "high_tail": []}'), "'breakpoints'"),
         (localize_filtration("[1]"), "filtration JSON"),
@@ -618,7 +623,7 @@ def z_key(key):
          "elements-duplicate", "leq-single", "leq-triple", "leq-string", "leq-unknown", "poset-list",
          "terms-key-x", "terms-key-underscore", "differentials-key-x",
          "differentials-key-underscore", "fuzz-max-poset-8", "fuzz-window-reversed",
-         "fuzz-window-wide", "breakpoints-int",
+         "fuzz-window-wide", "fuzz-window-summed-over-rings", "breakpoints-int",
          "breakpoints-int-list", "filtration-list", "koszul-17-generators",
          "koszul-generators-40", "koszul-generators-10000", "module-rank-huge",
          "koszul-generators-empty", "koszul-factor-401-digits", "koszul-product-120-digits",

@@ -15,18 +15,20 @@ from spectral_glue import (
     localize_filtrations,
     localize_sets,
     make_filtration,
-    restrict_set,
 )
-from spectral_glue.catalog import (
-    all_filtrations,
-    all_set_families,
-    all_thomason_sets,
-    poset_catalog,
-)
+from spectral_glue.catalog import all_filtrations, all_thomason_sets, poset_catalog
 from spectral_glue.poset import all_up_sets, localization_poset, maximal_points
-from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv
+from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv, sweep_set_gluing
 
-from conftest import constant_filtration, is_thomason, leq as mask_leq, up
+from conftest import (
+    all_filtration_families,
+    all_set_families,
+    constant_filtration,
+    is_thomason,
+    leq as mask_leq,
+    set_row,
+    up,
+)
 
 
 def local_full(vee, m):
@@ -47,16 +49,25 @@ def test_localize_then_glue_is_identity(vee):
 def test_incompatible_family_has_witness(vee):
     sets = {"m1": local_set(vee, "m1"), "m2": local_full(vee, "m2")}
     with pytest.raises(IncompatibleFamilyError) as err:
-        glue_sets(vee, sets)
+        glue_sets(vee, set_row(vee, sets))
     m1, m2, p = err.value.witness
     assert {m1, m2} == {"m1", "m2"} and p == "p"
 
 
 def test_compatible_family_glues_to_union_of_stars(vee):
     sets = {"m1": local_full(vee, "m1"), "m2": local_full(vee, "m2")}
-    assert glue_sets(vee, sets).is_full()
+    assert glue_sets(vee, set_row(vee, sets)).is_full()
     disjoint = {"m1": local_set(vee, "m1", "m1"), "m2": local_set(vee, "m2")}
-    assert glue_sets(vee, disjoint).members == {"m1"}
+    assert glue_sets(vee, set_row(vee, disjoint)).members == {"m1"}
+
+
+def test_a_row_is_converted_from_the_maximal_points_and_their_localizations(vee):
+    full = {"m1": local_full(vee, "m1"), "m2": local_full(vee, "m2")}
+    assert set_row(vee, full) == tuple(vee.down[m] for m in vee.maxima)
+    with pytest.raises(InvalidInputError, match="cover exactly the maximal points"):
+        set_row(vee, {"m1": full["m1"]})
+    with pytest.raises(InvalidInputError, match="set at 'm2' lives on the wrong poset"):
+        set_row(vee, {**full, "m2": full["m1"]})
 
 
 def test_family_must_cover_maximal_points(vee):
@@ -141,8 +152,25 @@ def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     family = localize_filtrations(filt)
-    assert glue_sets(vee, family.sets_at(0)) == filt.at(0)
+    assert glue_sets(vee, dict(zip(family.degrees(), family.rows()))[0]) == filt.at(0)
     assert glue_filtrations(family) == filt
+
+
+def test_rows_read_every_member_at_each_degree():
+    """rows() holds, at each degree of degrees(), the members read there as a
+    label -> set family converted to a row; on every family of local
+    filtrations of the posets of at most 4 points on [-2, 1], compatible or
+    not, constant members included."""
+    families = 0
+    for poset in poset_catalog(4):
+        for members in all_filtration_families(poset, -2, 1):
+            family = LocalFamily(poset, members)
+            expected = [
+                set_row(poset, {m: f.at(n) for m, f in members.items()}) for n in family.degrees()
+            ]
+            assert family.rows() == expected
+            families += 1
+    assert families == 12_980
 
 
 def test_filtration_sweep_reports_an_incompatible_localized_family(monkeypatch):
@@ -168,8 +196,8 @@ def test_filtration_sweep_reports_an_incompatible_localized_family(monkeypatch):
 def test_lemma_equiv_on_examples(vee):
     compatible = {"m1": local_full(vee, "m1"), "m2": local_full(vee, "m2")}
     incompatible = {"m1": local_set(vee, "m1"), "m2": local_full(vee, "m2")}
-    assert check_lemma_equiv(vee, compatible)
-    assert check_lemma_equiv(vee, incompatible)
+    assert check_lemma_equiv(vee, set_row(vee, compatible))
+    assert check_lemma_equiv(vee, set_row(vee, incompatible))
 
 
 def _generic_only(vee):
@@ -180,16 +208,29 @@ def _generic_only(vee):
 
 def test_lemma_equiv_fails_on_agreeing_sets_that_are_not_up_sets(vee):
     # the union {p} is no up-set, so it differs from X', which always is one
-    assert not check_lemma_equiv(vee, _generic_only(vee))
+    assert not check_lemma_equiv(vee, set_row(vee, _generic_only(vee)))
 
 
 def test_compat_sweep_records_a_family_whose_descriptions_disagree(monkeypatch, vee):
     monkeypatch.setattr(catalog, "poset_catalog", lambda max_size: [vee])
-    monkeypatch.setattr(catalog, "all_set_families", lambda poset: [_generic_only(vee)])
+    monkeypatch.setattr(catalog, "all_set_rows", lambda poset: [set_row(vee, _generic_only(vee))])
     report = sweep_lemma_equiv(3)
     assert report.checked == 1
     assert [f["reason"] for f in report.failures] == [
         "condition (dagger) and ideal-family description disagree"
+    ]
+    assert [f["family"] for f in report.failures] == [{"m1": ["p"], "m2": ["p"]}]
+
+
+def test_set_sweep_records_a_listed_family_that_does_not_glue(monkeypatch, vee):
+    incompatible = {"m1": local_set(vee, "m1"), "m2": local_full(vee, "m2")}
+    monkeypatch.setattr(catalog, "poset_catalog", lambda max_size: [vee])
+    monkeypatch.setattr(catalog, "compatible_set_rows", lambda poset: [set_row(vee, incompatible)])
+    report = sweep_set_gluing(3)
+    # the five Thomason sets of the vee, then the one listed family
+    assert report.checked == 6
+    assert report.failures == [
+        {"poset": vee.to_json(), "family": {"m1": [], "m2": "full"}, "glued": None}
     ]
 
 
@@ -279,25 +320,25 @@ def test_mask_gluing_matches_label_sets_on_the_catalog():
             local_ups[m] = _ref_up_sets(sub, local_leq)
         for members in _ref_up_sets(poset, leq):
             x = ThomasonSet.from_members(poset, members)
-            for m in maxima:
-                local = restrict_set(x, m)
-                assert local.poset == localization_poset(poset, m)
-                assert local.members == members & down[m]
+            local = localize_sets(x)
+            assert [poset.elements[m] for m in poset.maxima] == maxima
+            assert [frozenset(poset.labels(s)) for s in local] == [members & down[m] for m in maxima]
         expected = [dict(zip(maxima, combo)) for combo in itertools.product(*local_ups.values())]
         families = all_set_families(poset)
         assert [{m: s.members for m, s in f.items()} for f in families] == expected
         for family, ref in zip(families, expected):
+            row = set_row(poset, family)
             witness, glued = _ref_check(down, ref)
             closed = all(b in glued for a, b in leq if a in glued)
             if witness is None:
                 assert closed
-                assert glue_sets(poset, family).members == glued
+                assert glue_sets(poset, row).members == glued
             else:
                 with pytest.raises(IncompatibleFamilyError) as err:
-                    glue_sets(poset, family)
+                    glue_sets(poset, row)
                 assert err.value.witness == witness
             x_prime = frozenset().union(
                 *(u for u in principal.values() if all(u & down[m] <= ref[m] for m in maxima))
             )
             expected_verdict = (witness is None and closed) == (glued == x_prime)
-            assert check_lemma_equiv(poset, family) == expected_verdict
+            assert check_lemma_equiv(poset, row) == expected_verdict

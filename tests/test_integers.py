@@ -23,8 +23,9 @@ from spectral_glue.integers import (
     z_poset,
     z_witness,
 )
+from spectral_glue.gluing import localize_sets
 from spectral_glue.poset import localization_poset
-from spectral_glue.thomason import filtration_from_json, restrict_set
+from spectral_glue.thomason import filtration_from_json
 
 from conftest import leq
 
@@ -57,13 +58,19 @@ def test_z_poset_is_a_star_whose_localizations_are_2_chains():
         z_poset([4])
 
 
+def _restricted(s):
+    """Maximal label -> the labels of the restriction of ``s`` to its chain."""
+    poset = s.poset
+    return {poset.elements[m]: set(poset.labels(x)) for m, x in zip(poset.maxima, localize_sets(s))}
+
+
 def test_restrict_to_chain():
     filt = zfilt([2, 3, 5], [(0, [2, 5])], [])
     s = filt.at(0)
-    assert restrict_set(s, "(2)").members == {"(2)"}
-    assert restrict_set(s, "(3)").members == set()
-    assert restrict_set(filt.at(-1), "(3)").members == {"(3)"}
-    assert restrict_set(zfilt("full", [], "full").at(0), "(m)").is_full()
+    assert _restricted(s)["(2)"] == {"(2)"}
+    assert _restricted(s)["(3)"] == set()
+    assert _restricted(filt.at(-1))["(3)"] == {"(3)"}
+    assert _restricted(zfilt("full", [], "full").at(0))["(m)"] == {"(0)", "(m)"}
 
 
 def test_levels_are_written_in_numeric_order():

@@ -21,18 +21,17 @@ import pytest
 from spectral_glue import catalog, integers, rings as rng
 from spectral_glue.errors import FiltrationOrderError, IncompatibleFamilyError
 from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets, localize_filtrations
-from spectral_glue.poset import SpectralPoset, maximal_points
+from spectral_glue.poset import SpectralPoset, localization_poset, maximal_points
 from spectral_glue.sweeps import _local_global_rings
 from spectral_glue.thomason import (
     ThomasonFiltration,
     ThomasonSet,
     filtration_to_json,
-    restrict_set,
     set_to_json,
 )
 from spectral_glue.tstructures import TStructureDescriptor, localize_tstructure
 
-from conftest import all_filtration_families, level_sets, window
+from conftest import all_filtration_families, level_sets, set_row, window
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -123,12 +122,16 @@ def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
 
 
 def reference_restrict_filtration(filtration, m):
-    """Restrict every level of the run with :func:`restrict_set`, each but
-    the high tail as a breakpoint at its degree, and rebuild the result."""
+    """Restrict every level of the run to the labels below m, each but the
+    high tail as a breakpoint at its degree, and rebuild the result."""
     poset, start = filtration.poset, filtration.start
-    levels = [restrict_set(ThomasonSet(poset, x), m) for x in filtration.masks]
+    local = localization_poset(poset, m)
+    below = set(local.elements)
+    levels = [
+        ThomasonSet.from_members(local, set(poset.labels(x)) & below) for x in filtration.masks
+    ]
     return reference_make_filtration(
-        poset.localization(poset.point(m)),
+        local,
         levels[0],
         [(start + k, s) for k, s in enumerate(levels[:-1])],
         levels[-1],
@@ -159,7 +162,8 @@ def reference_glue_filtrations(family):
     glued = []
     for n in range(lo - 1, hi + 2):
         try:
-            glued.append((n, glue_sets(poset, family.sets_at(n))))
+            sets = {m: f.at(n) for m, f in family.filtrations.items()}
+            glued.append((n, glue_sets(poset, set_row(poset, sets))))
         except IncompatibleFamilyError as exc:
             return (n, exc.witness)
     return reference_make_filtration(poset, glued[0][1], glued[:-1], glued[-1][1])

@@ -6,8 +6,8 @@ from spectral_glue import (
     ThomasonSet,
     is_constant,
     is_nondegenerate,
+    localize_sets,
     make_filtration,
-    restrict_set,
 )
 from spectral_glue.gluing import localize_filtrations
 from spectral_glue.thomason import (
@@ -107,8 +107,12 @@ def test_nondegenerate_and_constant_predicates(vee):
 
 
 def test_restrict_set(vee):
-    assert restrict_set(up(vee, "m1", "m2"), "m1").members == {"m1"}
-    assert restrict_set(ThomasonSet.full(vee), "m2").members == {"p", "m2"}
+    # localize_sets restricts a set to every maximal point, m1 then m2
+    assert [vee.labels(x) for x in localize_sets(up(vee, "m1", "m2"))] == [("m1",), ("m2",)]
+    assert [vee.labels(x) for x in localize_sets(ThomasonSet.full(vee))] == [
+        ("m1", "p"),
+        ("m2", "p"),
+    ]
 
 
 def test_restrict_filtration(vee):

@@ -28,8 +28,11 @@ degree, a bound or the invariant that failed.  The ``--filtration``,
 ``tstr-classify``, ``tstr-localize`` and ``torsion`` calls, and the
 ``--ring`` of its ``spec`` calls, take them too, under two seconds and the
 same kinds of names; so does the ``--set`` of its ``torsion`` calls, whose
-refusals must name the field ``'set'``.  Hypothesis runs derandomized, so the
-suite stays deterministic.
+refusals must name the field ``'set'``.  The ``--max-poset``, ``--max-ring``
+and ``--window`` of ``fuzz`` take integers around and far past the catalog
+bounds, with every sweep replaced by an empty report; each call must exit 0
+or 2 within two seconds, and an exit 2 must name a bound or the reversed
+window.  Hypothesis runs derandomized, so the suite stays deterministic.
 """
 
 import contextlib
@@ -39,8 +42,10 @@ import re
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from spectral_glue import sweeps
 from spectral_glue.cli import main
 from spectral_glue.thomason import MAX_DEGREE_SPAN
 
@@ -161,9 +166,10 @@ DERANDOMIZED = settings(
 )
 
 
-def _exits_cleanly(name, argv, seconds, named) -> str:
-    """Run one call; assert exit 0, 1 or 2 within ``seconds``, no traceback,
-    and an exit 2 whose message ``named`` matches.  Returns the stderr."""
+def _exits_cleanly(name, argv, seconds, named, codes=(0, 1, 2)) -> str:
+    """Run one call; assert an exit in ``codes`` within ``seconds``, no
+    traceback, and an exit 2 whose message ``named`` matches.  Returns the
+    stderr."""
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -174,7 +180,7 @@ def _exits_cleanly(name, argv, seconds, named) -> str:
             # --degree that is not an integer, by exiting 2 with a usage line
             code = exc.code
     assert time.monotonic() - start < seconds, (name, argv)
-    assert code in (0, 1, 2), (name, argv)
+    assert code in codes, (name, argv)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert named.search(err.getvalue()), (name, argv, err.getvalue())
@@ -390,3 +396,31 @@ def mutated_torsion_set_argv(draw):
 @given(mutated_torsion_set_argv())
 def test_mutated_torsion_sets_exit_cleanly(case):
     _exits_cleanly(*case, 2, re.compile(r"'set'"))
+
+
+# a bound by its name and value, or the reversed window
+FUZZ_NAMED = re.compile(r"MAX_[A-Z_]+ = \d+|\bbound of \d+|\bis reversed\b")
+FUZZ_INTS = st.one_of(
+    st.integers(-3, 12), st.integers(-400, 400), st.sampled_from(BIGS + [10**9 + 7])
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """``fuzz`` with its ``--max-poset``, ``--max-ring`` and ``--window``."""
+    argv = ["fuzz", "--max-poset", str(draw(FUZZ_INTS)), "--max-ring", str(draw(FUZZ_INTS))]
+    return argv + ["--window", str(draw(FUZZ_INTS)), str(draw(FUZZ_INTS))]
+
+
+def _empty_sweep(**_):
+    return sweeps.SweepReport("empty")
+
+
+@DERANDOMIZED
+@given(fuzz_argv())
+def test_fuzz_bounds_exit_cleanly(argv):
+    # every bound is checked before a sweep starts, so the sweeps need not run
+    with pytest.MonkeyPatch.context() as patched:
+        for name in [n for n in vars(sweeps) if n.startswith("sweep_")]:
+            patched.setattr(sweeps, name, _empty_sweep)
+        _exits_cleanly("fuzz", argv, 2, FUZZ_NAMED, codes=(0, 2))
