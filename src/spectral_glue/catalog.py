@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from . import homalg, rings as rng
 from .errors import InvalidInputError
-from .gluing import LocalFamily
+from .gluing import LocalFamily, local_up_sets
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets
 from .rings import FiniteRing
@@ -164,16 +164,11 @@ def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFilt
     return out
 
 
-def _local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
-    """The up-sets of the localization at m, in the numbering of ``poset``."""
-    return [poset.unpack(x, m) for x in all_up_sets(poset.localization(m))]
-
-
 def all_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
     """Every family of local Thomason sets, compatible or not, as its row
     (X(m) for m in ``poset.maxima``) of masks in the numbering of ``poset``:
     the product of the up-sets of each localization, in product order."""
-    return list(itertools.product(*(_local_up_sets(poset, m) for m in poset.maxima)))
+    return list(itertools.product(*(local_up_sets(poset, m) for m in poset.maxima)))
 
 
 def compatible_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
@@ -183,7 +178,7 @@ def compatible_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
     down, maxima = poset.down, poset.maxima
     rows = [()]
     for m in maxima:
-        choices = _local_up_sets(poset, m)
+        choices = local_up_sets(poset, m)
         rows = [
             row + (x,)
             for row in rows
@@ -209,7 +204,7 @@ def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> li
     def extend(chain):
         if len(chain) == hi - lo + 1:
             columns = tuple((m, *trim(lo, column)) for m, column in zip(maxima, zip(*chain)))
-            out.append(object.__new__(LocalFamily)._hold(poset, columns))
+            out.append(LocalFamily(poset, columns))
             return
         for row in below[chain[-1]] if chain else rows:
             extend(chain + [row])
@@ -289,11 +284,6 @@ def stalk_complexes(ring: FiniteRing) -> list[BoundedComplex]:
     for c, d in zip(cyclics, reversed(cyclics)):
         out.append(BoundedComplex(ring, {0: c, 1: d}))
     return out
-
-
-def spec_filtrations(ring: FiniteRing, lo: int, hi: int) -> list[ThomasonFiltration]:
-    poset = rng.spec(ring)
-    return all_filtrations(poset, lo, hi)
 
 
 def cosilting_fixtures() -> list:

@@ -19,7 +19,7 @@ from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, InvalidInputError, SpectralGlueError, json_object
 from .modules import ENUMERATION_LIMIT, power_exceeds
-from .poset import SpectralPoset, localization_poset, maximal_points
+from .poset import SpectralPoset, maximal_points
 from .thomason import (
     filtration_from_json,
     filtration_to_json,
@@ -109,19 +109,12 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
         poset = rng.spec(rng.ring_from_json(ref))
     else:
         poset = SpectralPoset.from_json(ref)
-    default = data.get("default")
-    exceptions = {}
-    for m, filt in json_object(data.get("exceptions", {}), "'exceptions'").items():
-        sub = localization_poset(poset, m)
-        exceptions[m] = filtration_from_json(sub, filt)
-    if default is not None:
-        default_filt = filtration_from_json(poset, default)
-        return gluing.LocalFamily.from_default(poset, default_filt, exceptions), FINITE
-    if set(exceptions) != set(maximal_points(poset)):
-        raise SpectralGlueError(
-            "family without a 'default' must list every maximal point in 'exceptions'"
-        )
-    return gluing.LocalFamily(poset, exceptions), FINITE
+    exceptions = json_object(data.get("exceptions", {}), "'exceptions'")
+    exceptions = gluing.members_from_json(poset, exceptions)
+    if data.get("default") is None:
+        return gluing.LocalFamily.from_members(poset, exceptions), FINITE
+    default = filtration_from_json(poset, data["default"])
+    return gluing.LocalFamily.from_default(poset, default, exceptions), FINITE
 
 
 def _descriptor(args) -> ts.TStructureDescriptor:
@@ -174,10 +167,7 @@ def cmd_localize(args) -> int:
         return EXIT_OK
     poset = _poset(args)
     filt = filtration_from_json(poset, _load_json(args, "filtration"))
-    family = gluing.localize_filtrations(filt)
-    payload = {
-        m: filtration_to_json(f) for m, f in sorted(family.filtrations.items())
-    }
+    payload = gluing.family_to_json(gluing.localize_filtrations(filt))
     human = "\n".join(f"{m}: {json.dumps(payload[m], sort_keys=True)}" for m in sorted(payload))
     _emit(args, {"localizations": payload}, human)
     return EXIT_OK
@@ -226,7 +216,7 @@ def cmd_lemma_equiv(args) -> int:
         raise SpectralGlueError("lemma-equiv runs on finite posets only")
     poset = family.global_poset
     verdicts = {
-        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees(), family.rows())
+        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees, family.rows())
     }
     ok = all(verdicts.values())
     _emit(

@@ -13,84 +13,101 @@ A family of local sets is a row ``(X(m) for m in poset.maxima)`` of masks in
 the numbering of the global poset, each X(m) an up-set of the localization at
 m; :func:`localize_sets` gives one, and :meth:`LocalFamily.rows` gives a
 filtration family's row at each degree.  A family is checked once, where it
-enters: the public :class:`LocalFamily` constructor checks its keys and
-member posets, and :meth:`LocalFamily.from_default` its exception keys and
-its default's poset.  Set families have no wire, so a row is built by the
-package and not checked again.  A filtration family is its columns of level
-masks in the global numbering: :func:`localize_filtrations`, the one
-restriction of a filtration, masks each level with each down-set, and
-:func:`glue_filtrations` reads the rows, one agreement test per degree;
-neither builds a member filtration.
+enters: :meth:`LocalFamily.from_members` checks its keys, member posets and
+span, and :meth:`LocalFamily.from_default` its exception keys and its
+default's poset, then each exception as ``from_members`` does.  Set families
+have no wire, so a row is built by the package and not checked again.  A
+filtration family is its columns of level masks in the global numbering:
+:func:`localize_filtrations`, the one restriction of a filtration, masks
+each level with each down-set, and :func:`glue_filtrations` reads the rows,
+one agreement test per degree; neither builds a member filtration.  Only
+this module and :mod:`spectral_glue.poset` number points on the
+localizations: elsewhere members and rows cross as label-keyed JSON
+(:func:`members_from_json`, :func:`family_to_json`, :func:`row_to_json`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleFamilyError, InvalidInputError
-from .poset import PrimeId, SpectralPoset, maximal_points
+from .poset import PrimeId, SpectralPoset, all_up_sets, localization_poset, maximal_points
 from .thomason import (
     MAX_DEGREE_SPAN,
     ThomasonFiltration,
     ThomasonSet,
+    filtration_from_json,
+    filtration_to_json,
     from_levels,
+    set_to_json,
     trim,
 )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LocalFamily:
     """Assignment m -> filtration on the localization poset at m.
 
-    All maximal points of ``global_poset`` must be present, and the windows
-    of the members that are not constant may lie at most MAX_DEGREE_SPAN
-    degrees apart.  ``columns`` holds ``(m, start, masks)`` for each maximal
-    point m, in poset order: the member at m, its masks in the numbering of
-    ``global_poset``.  Families compare by poset and columns; ``filtrations``
-    maps m to its member, and :meth:`rows` reads the columns across, one row
-    of local sets per degree.  A family over Z is one of these on
-    :func:`spectral_glue.integers.z_poset`.
+    ``columns`` holds ``(m, start, masks)`` for each maximal point m of
+    ``global_poset``, in poset order: the member at m in its normal form, its
+    masks in the numbering of ``global_poset``.  The constructor checks
+    nothing; a family from outside the package is built by :meth:`from_members`
+    or :meth:`from_default`.  ``filtrations`` maps m to its member, and
+    :meth:`rows` reads the columns across, one row of local sets per degree.
+    A family over Z is one of these on :func:`spectral_glue.integers.z_poset`.
     """
 
     global_poset: SpectralPoset
     columns: tuple[tuple[int, int, tuple[int, ...]], ...]
-    _degrees: range = field(repr=False, compare=False)
 
-    def __init__(
-        self, global_poset: SpectralPoset, filtrations: Mapping[PrimeId, ThomasonFiltration]
-    ):
+    @classmethod
+    def from_members(
+        cls, global_poset: SpectralPoset, members: Mapping[PrimeId, ThomasonFiltration]
+    ) -> "LocalFamily":
+        """The family of ``members``, label -> filtration, checked: the keys
+        are the maximal points, each member lives on the localization at its
+        key, and the windows of the members that are not constant lie at most
+        MAX_DEGREE_SPAN degrees apart."""
         maxima = maximal_points(global_poset)
-        if filtrations.keys() != maxima:
+        if members.keys() != maxima:
             raise InvalidInputError(
-                f"family keys {sorted(filtrations)} do not match "
-                f"maximal points {sorted(maxima)}"
+                f"family keys {sorted(members)} do not match maximal points {sorted(maxima)}: "
+                "a family without a 'default' lists every maximal point in 'exceptions'"
             )
-        unpack = global_poset.unpack
-        columns = []
-        for m in global_poset.maxima:
-            label = global_poset.elements[m]
-            filt = filtrations[label]
-            if filt.poset != global_poset.localization(m):
-                raise InvalidInputError(f"filtration at {label!r} lives on the wrong poset")
-            columns.append((m, filt.start, tuple([unpack(x, m) for x in filt.masks])))
-        self._hold(global_poset, tuple(columns))
-        # the members given are the view, read-only past the checks
-        object.__setattr__(self, "filtrations", MappingProxyType(dict(filtrations)))
+        labels = global_poset.elements
+        columns = tuple(_column(global_poset, m, members[labels[m]]) for m in global_poset.maxima)
+        return cls(global_poset, columns)._spanned()
 
-    def _hold(self, global_poset: SpectralPoset, columns: tuple) -> "LocalFamily":
-        """Set the poset and the columns, whose keys and members are right;
-        only the span of their degrees is checked."""
-        object.__setattr__(self, "global_poset", global_poset)
-        object.__setattr__(self, "columns", columns)
-        # a constant member reads the same at every degree, so only the others
-        # place the degrees; with none, the two levels of a constant
-        spans = [
-            (start, start + len(masks)) for _, start, masks in columns if masks[0] != masks[-1]
-        ]
-        degrees = range(min(spans)[0], max(stop for _, stop in spans)) if spans else range(-1, 1)
+    @classmethod
+    def from_default(
+        cls,
+        global_poset: SpectralPoset,
+        default: ThomasonFiltration,
+        exceptions: Mapping[PrimeId, ThomasonFiltration] = (),
+    ) -> "LocalFamily":
+        """The restriction of the global filtration ``default`` to every
+        maximal point, as :func:`localize_filtrations` gives it, with the
+        column at each key of ``exceptions`` that member's, checked as
+        :meth:`from_members` checks it."""
+        extra = sorted(set(exceptions) - maximal_points(global_poset))
+        if extra:
+            raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
+        if default.poset != global_poset:
+            raise InvalidInputError("the default filtration lives on the wrong poset")
+        family = localize_filtrations(default)
+        labels = global_poset.elements
+        columns = tuple(
+            _column(global_poset, m, exceptions[labels[m]]) if labels[m] in exceptions else column
+            for m, column in zip(global_poset.maxima, family.columns)
+        )
+        return cls(global_poset, columns)._spanned()
+
+    def _spanned(self) -> "LocalFamily":
+        """This family, once its degrees are found within the bound."""
+        degrees = self.degrees
         # a tail degree on each side of the windows; len() of a range fails
         # past sys.maxsize, so the span is a difference
         if degrees.stop - degrees.start - 3 > MAX_DEGREE_SPAN:
@@ -99,8 +116,18 @@ class LocalFamily:
                 f"{MAX_DEGREE_SPAN} degrees apart (levels from degree {degrees[0]} "
                 f"to {degrees[-1]})"
             )
-        object.__setattr__(self, "_degrees", degrees)
         return self
+
+    @cached_property
+    def degrees(self) -> range:
+        """From the first level to the last level of any member that is not
+        constant; (-1, 0) when every member is constant."""
+        # a constant member reads the same at every degree, so only the others
+        # place the degrees; with none, the two levels of a constant
+        spans = [
+            (start, start + len(masks)) for _, start, masks in self.columns if masks[0] != masks[-1]
+        ]
+        return range(min(spans)[0], max(stop for _, stop in spans)) if spans else range(-1, 1)
 
     @cached_property
     def filtrations(self) -> Mapping[PrimeId, ThomasonFiltration]:
@@ -112,39 +139,12 @@ class LocalFamily:
             members[poset.elements[m]] = ThomasonFiltration(poset.localization(m), start, local)
         return MappingProxyType(members)
 
-    @classmethod
-    def from_default(
-        cls,
-        global_poset: SpectralPoset,
-        default: ThomasonFiltration,
-        exceptions: Mapping[PrimeId, ThomasonFiltration] = (),
-    ) -> "LocalFamily":
-        """The restriction of the global filtration ``default`` to every
-        maximal point, as :func:`localize_filtrations` gives it, with the
-        members at the keys of ``exceptions`` replaced; a family with
-        exceptions goes through the checked constructor."""
-        exceptions = dict(exceptions or ())
-        extra = sorted(set(exceptions) - maximal_points(global_poset))
-        if extra:
-            raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
-        if default.poset != global_poset:
-            raise InvalidInputError("the default filtration lives on the wrong poset")
-        family = localize_filtrations(default)
-        if not exceptions:
-            return family
-        return cls(global_poset, {**family.filtrations, **exceptions})
-
-    def degrees(self) -> range:
-        """From the first level to the last level of any member that is not
-        constant; (-1, 0) when every member is constant."""
-        return self._degrees
-
     def rows(self) -> list[tuple[int, ...]]:
         """The row (X_n(m) for m in ``global_poset.maxima``) at each degree n
-        of :meth:`degrees`, in order: the columns read across, each past its
+        of :attr:`degrees`, in order: the columns read across, each past its
         ends as its tails.  A member that is not constant lies inside the
         degrees; a constant one is its low tail throughout."""
-        degrees = self._degrees
+        degrees = self.degrees
         padded = []
         for _, start, masks in self.columns:
             if masks[0] == masks[-1]:
@@ -155,6 +155,14 @@ class LocalFamily:
                 padded.append([masks[0]] * before + list(masks) + [masks[-1]] * after)
         # over the empty poset every row is empty
         return list(zip(*padded)) if padded else [()] * len(degrees)
+
+
+def _column(poset: SpectralPoset, m: int, member: ThomasonFiltration) -> tuple:
+    """The column of ``member`` at m, once it is found to live on the
+    localization at m."""
+    if member.poset != poset.localization(m):
+        raise InvalidInputError(f"filtration at {poset.elements[m]!r} lives on the wrong poset")
+    return m, member.start, tuple([poset.unpack(x, m) for x in member.masks])
 
 
 def _agree(poset: SpectralPoset, row: Sequence[int]) -> tuple[bool, int]:
@@ -221,7 +229,7 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     inclusions, so the glued levels decrease and are only normalised.
     """
     poset = family.global_poset
-    degrees = family.degrees()
+    degrees = family.degrees
     levels = []
     for n, row in zip(degrees, family.rows()):
         agrees, glued = _agree(poset, row)
@@ -237,7 +245,7 @@ def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
     poset = filtration.poset
     down, start, masks = poset.down, filtration.start, filtration.masks
     columns = tuple((m, *trim(start, [x & down[m] for x in masks])) for m in poset.maxima)
-    return object.__new__(LocalFamily)._hold(poset, columns)
+    return LocalFamily(poset, columns)
 
 
 def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
@@ -267,3 +275,28 @@ def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
         if not up & left_out:
             x_prime |= up
     return agrees == (glued == x_prime)
+
+
+def local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
+    """The up-sets of the localization at m, in the numbering of ``poset``."""
+    return [poset.unpack(x, m) for x in all_up_sets(poset.localization(m))]
+
+
+def members_from_json(poset: SpectralPoset, data: Mapping) -> dict[PrimeId, ThomasonFiltration]:
+    """Read ``{label: filtration JSON}``, each filtration on the localization
+    at its label, for :meth:`LocalFamily.from_members` to check."""
+    return {m: filtration_from_json(localization_poset(poset, m), f) for m, f in data.items()}
+
+
+def family_to_json(family: LocalFamily) -> dict:
+    """``{label: filtration JSON}`` of the members, in poset order, as
+    :func:`members_from_json` reads it."""
+    return {m: filtration_to_json(f) for m, f in family.filtrations.items()}
+
+
+def row_to_json(poset: SpectralPoset, row: Sequence[int]) -> dict:
+    """A row of local sets as a failure writes it: label -> local set JSON."""
+    return {
+        poset.elements[m]: set_to_json(ThomasonSet(poset.localization(m), poset.pack(x, m)))
+        for m, x in zip(poset.maxima, row)
+    }

@@ -24,8 +24,9 @@ from collections.abc import Iterable, Mapping
 from functools import lru_cache
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
-from .gluing import LocalFamily, glue_filtrations, localize_filtrations
-from .poset import SpectralPoset, interned_poset, localization_poset
+from .gluing import LocalFamily, family_to_json, glue_filtrations, localize_filtrations
+from .gluing import members_from_json
+from .poset import SpectralPoset, interned_poset
 from .thomason import ThomasonFiltration, filtration_from_json, filtration_to_json
 
 GENERIC = "(0)"
@@ -150,14 +151,12 @@ def z_family_from_json(data: Mapping) -> LocalFamily:
             )
     poset = z_poset(primes.values())
     wire = {CLOSED_POINT: data["default"], **{f"({primes[p]})": f for p, f in exceptions.items()}}
-    return LocalFamily(
-        poset, {m: filtration_from_json(localization_poset(poset, m), f) for m, f in wire.items()}
-    )
+    return LocalFamily.from_members(poset, members_from_json(poset, wire))
 
 
 def z_family_to_json(family: LocalFamily) -> dict:
     """The wire form of a Z family, as :func:`z_family_from_json` reads it."""
-    local = {m: filtration_to_json(f) for m, f in family.filtrations.items()}
+    local = family_to_json(family)
     return {
         "default": local[CLOSED_POINT],
         "exceptions": {str(p): local[f"({p})"] for p in z_primes(family.global_poset)},
@@ -175,7 +174,7 @@ def z_witness(family: LocalFamily, n: int):
 
     On a star poset two local sets share only (0), so a Z family is
     compatible at n exactly when no exception disagrees with the default."""
-    poset, degrees = family.global_poset, family.degrees()
+    poset, degrees = family.global_poset, family.degrees
     # past its degrees a family reads its first or last row
     row = family.rows()[min(max(n - degrees.start, 0), len(degrees) - 1)]
     generic = 1 << poset.index[GENERIC]

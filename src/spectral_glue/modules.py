@@ -81,14 +81,10 @@ class FiniteModule:
                 cyclic.add(self.smul(r, g))
         return self.additive_closure(cyclic)
 
-    def submodule(self, members, check: bool = True) -> "FiniteModule":
-        """Submodule on a subset; ``check=False`` skips the closure validation
-        for subsets that are submodules by construction (kernels, idempotent
-        images, torsion parts)."""
-        members = frozenset(members)
-        if check and members != self.span(members):
-            raise InvalidInputError("subset is not a submodule")
-        return FiniteModule(self.ring, members, self.add, self.smul, self.zero)
+    def submodule(self, members) -> "FiniteModule":
+        """Submodule on a subset that is one by construction (kernels,
+        images rM, torsion parts); the subset is not checked."""
+        return FiniteModule(self.ring, frozenset(members), self.add, self.smul, self.zero)
 
     def quotient(self, subgroup) -> "FiniteModule":
         """Quotient by a submodule; cosets represented by their minimal element."""
@@ -109,7 +105,7 @@ class FiniteModule:
 
     def scaled(self, r) -> "FiniteModule":
         """The submodule rM."""
-        return self.submodule(frozenset(self.smul(r, x) for x in self.elements), check=False)
+        return self.submodule(self.smul(r, x) for x in self.elements)
 
     # -- generators and homs -----------------------------------------------
 

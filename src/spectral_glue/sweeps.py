@@ -18,7 +18,6 @@ from .errors import IncompatibleFamilyError, InvalidInputError
 from .poset import SpectralPoset
 from .rings import FiniteRing
 from .thomason import (
-    ThomasonSet,
     filtration_to_json,
     is_constant,
     is_nondegenerate,
@@ -61,14 +60,6 @@ def _sweep(name, check, items, unit, jobs) -> SweepReport:
 # -- 1: set-level localize/glue bijection ------------------------------------
 
 
-def _set_family_to_json(poset: SpectralPoset, row) -> dict:
-    """A row of local sets as a failure writes it: label -> local set JSON."""
-    return {
-        poset.elements[m]: set_to_json(ThomasonSet(poset.localization(m), poset.pack(x, m)))
-        for m, x in zip(poset.maxima, row)
-    }
-
-
 def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
     descr = poset.to_json()
     # localize-then-glue is the identity on Thomason sets
@@ -90,7 +81,7 @@ def _check_set_gluing(report: SweepReport, poset: SpectralPoset) -> None:
             report.failures.append(
                 {
                     "poset": descr,
-                    "family": _set_family_to_json(poset, row),
+                    "family": gluing.row_to_json(poset, row),
                     "glued": None if glued is None else set_to_json(glued),
                 }
             )
@@ -112,7 +103,7 @@ def _check_compat(report: SweepReport, poset: SpectralPoset) -> None:
             report.failures.append(
                 {
                     "poset": descr,
-                    "family": _set_family_to_json(poset, row),
+                    "family": gluing.row_to_json(poset, row),
                     "reason": "condition (dagger) and ideal-family description disagree",
                 }
             )
@@ -163,7 +154,7 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
         report.failures.append(
             {
                 "poset": descr,
-                "family": {m: filtration_to_json(f) for m, f in family.filtrations.items()},
+                "family": gluing.family_to_json(family),
                 "problems": [problem],
             }
         )
@@ -223,8 +214,7 @@ def _check_orthogonality(report: SweepReport, ring: FiniteRing, window) -> None:
     x_supports = [ts.cohomology_supports(x) for x in xs]
     y_supports = [ts.cohomology_supports(y) for y in ys]
     orthogonal = {}
-    filts = catalog.spec_filtrations(ring, *window)
-    for filt in filts:
+    for filt in catalog.all_filtrations(rng.spec(ring), *window):
         aisle = [i for i, supp in enumerate(x_supports) if ts.aisle_admits(supp, filt)]
         coaisle = [j for j, supp in enumerate(y_supports) if ts.coaisle_admits(supp, filt)]
         for i in aisle:
@@ -267,8 +257,7 @@ def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
     local_supports = {
         m: [ts.cohomology_supports(homalg.localize_complex(y, m)) for y in ys] for m in labels
     }
-    filts = catalog.spec_filtrations(ring, *window)
-    for filt in filts:
+    for filt in catalog.all_filtrations(rng.spec(ring), *window):
         t = ts.TStructureDescriptor(ring, filt)
         local_ts = {m: ts.localize_tstructure(t, m) for m in labels}
         # descriptor family glues back to the original filtration

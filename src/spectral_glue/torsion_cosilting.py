@@ -47,7 +47,7 @@ def torsion_submodule(module: FiniteModule, x_set: ThomasonSet) -> FiniteModule:
     outside = [lf.idempotent for lf in module.ring.local_factors() if lf.label not in allowed]
     smul, zero = module.smul, module.zero
     members = frozenset(x for x in module.elements if all(smul(e, x) == zero for e in outside))
-    return module.submodule(members, check=False)
+    return module.submodule(members)
 
 
 def thomason_of_torsion_class(ring: FiniteRing, torsion_cyclics) -> ThomasonSet:
@@ -196,7 +196,7 @@ class CosiltingModule:
         ):
             raise InvalidInputError("eta must send every element of Q0 to an element of Q1")
         kernel = frozenset(x for x, y in self.eta.items() if y == self.q1.zero)
-        object.__setattr__(self, "module", self.q0.submodule(kernel, check=False))
+        object.__setattr__(self, "module", self.q0.submodule(kernel))
 
     def is_degenerate(self) -> bool:
         return self.module.is_zero_module()

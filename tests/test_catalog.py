@@ -15,7 +15,6 @@ from spectral_glue.catalog import (
     koszul_complexes,
     poset_catalog,
     product_catalog,
-    spec_filtrations,
     stalk_complexes,
     zmod_catalog,
 )
@@ -104,7 +103,7 @@ def test_ring_catalogs():
 def test_complex_corpora(z12):
     assert koszul_complexes(z12)
     assert stalk_complexes(z12)
-    filts = spec_filtrations(z12, -1, 1)
+    filts = all_filtrations(spec(z12), -1, 1)
     assert filts
 
 
@@ -158,7 +157,7 @@ def test_compatible_filtration_families_are_the_glued_product_up_to_5_points():
         families = compatible_filtration_families(poset, -1, 1)
         glued = set()
         for filts in all_filtration_families(poset, -1, 1):
-            family = LocalFamily(poset, filts)
+            family = LocalFamily.from_members(poset, filts)
             if _glues(glue_filtrations, family):
                 glued.add(family)
         assert len(families) == len(set(families))

@@ -577,6 +577,9 @@ def z_key(key):
         (["compat-check", "--family", json.dumps(FAR_STEPS)], "MAX_DEGREE_SPAN = 1000"),
         (["glue", "--family", json.dumps({"poset": CHAIN_AB, "default": step_at(0),
                                           "exceptions": {"a": step_at(0)}})], "key 'a'"),
+        (["glue", "--family", json.dumps({"poset": {"elements": ["a", "b"]},
+                                          "exceptions": {"a": step_at(0)}})],
+         "family keys ['a'] do not match maximal points ['a', 'b']"),
         (["spec", "--ring", '{"kind": "zmod", "n": %s}' % ("1" * 5000)], "--ring"),
         (z_key("1" * 5000), "MAX_Z_PRIME = 1000000"),
         (z_level(10**400 + 1), "MAX_Z_PRIME = 1000000"),
@@ -631,7 +634,8 @@ def z_key(key):
          "torsion-roundtrip-small-factors", "torsion-roundtrip-24-points", "n-negative",
          "p-over-7", "f-constant", "factors-empty",
          "generators-object", "generators-string", "generators-int", "breakpoints-far-apart",
-         "family-windows-far-apart", "exception-not-maximal", "literal-5000-digits",
+         "family-windows-far-apart", "exception-not-maximal", "no-default-misses-a-maximal-point",
+         "literal-5000-digits",
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
          "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
          "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",

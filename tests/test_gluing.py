@@ -19,6 +19,7 @@ from spectral_glue import (
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, poset_catalog
 from spectral_glue.poset import all_up_sets, localization_poset, maximal_points
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv, sweep_set_gluing
+from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json
 
 from conftest import (
     all_filtration_families,
@@ -72,7 +73,7 @@ def test_a_row_is_converted_from_the_maximal_points_and_their_localizations(vee)
 
 def test_family_must_cover_maximal_points(vee):
     with pytest.raises(InvalidInputError):
-        LocalFamily(vee, {"m1": constant_filtration(*_local(vee, "m1"))})
+        LocalFamily.from_members(vee, {"m1": constant_filtration(*_local(vee, "m1"))})
 
 
 def _local(vee, m):
@@ -93,7 +94,7 @@ def test_glue_reports_offending_degree(vee):
         sub1, ThomasonSet.full(sub1), [(0, ThomasonSet.empty(sub1))], ThomasonSet.empty(sub1)
     )
     f2 = constant_filtration(sub2, ThomasonSet.full(sub2))
-    family = LocalFamily(vee, {"m1": f1, "m2": f2})
+    family = LocalFamily.from_members(vee, {"m1": f1, "m2": f2})
     with pytest.raises(IncompatibleFamilyError) as err:
         glue_filtrations(family)
     assert err.value.witness is not None and err.value.witness[2] == "p"
@@ -120,14 +121,14 @@ def test_from_default_is_the_localized_default_with_its_exceptions():
         for k, filt in enumerate(filtrations):
             localized = localize_filtrations(filt)
             family = LocalFamily.from_default(poset, filt)
-            assert family == localized and family.degrees() == localized.degrees()
+            assert family == localized and family.degrees == localized.degrees
             others = localize_filtrations(filtrations[-1 - k]).filtrations
             for m in maximal_points(poset):
                 members = {**localized.filtrations, m: others[m]}
                 family = LocalFamily.from_default(poset, filt, {m: others[m]})
-                checked_family = LocalFamily(poset, members)
+                checked_family = LocalFamily.from_members(poset, members)
                 assert family == checked_family and family.filtrations == members
-                assert family.degrees() == checked_family.degrees()
+                assert family.degrees == checked_family.degrees
                 excepted += family != localized
             checked += 1
     assert checked == 1_720
@@ -148,25 +149,50 @@ def test_from_default_refuses_a_stray_key_and_a_default_on_another_poset(vee):
         LocalFamily.from_default(at_m1, filt)
 
 
+def _step_at(n):
+    return {"low_tail": "full", "breakpoints": [{"n": n, "set": []}], "high_tail": []}
+
+
+def test_both_builders_bound_the_span_of_the_members():
+    """Steps MAX_DEGREE_SPAN + 1 apart are a family, whether the far one is a
+    member or an exception to a default: its levels run from degree -1 to the
+    far step, MAX_DEGREE_SPAN + 3 of them.  One degree further apart, both
+    builders refuse them before any row is read."""
+    two = SpectralPoset(["a", "b"])
+    default = filtration_from_json(two, _step_at(0))
+    for gap in (MAX_DEGREE_SPAN + 1, MAX_DEGREE_SPAN + 2):
+        members = gluing.members_from_json(two, {"a": _step_at(0), "b": _step_at(gap)})
+        builds = (
+            lambda: LocalFamily.from_members(two, members),
+            lambda: LocalFamily.from_default(two, default, {"b": members["b"]}),
+        )
+        for build in builds:
+            if gap == MAX_DEGREE_SPAN + 1:
+                assert build().degrees == range(-1, gap + 1)
+            else:
+                with pytest.raises(InvalidInputError, match="MAX_DEGREE_SPAN = 1000"):
+                    build()
+
+
 def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     family = localize_filtrations(filt)
-    assert glue_sets(vee, dict(zip(family.degrees(), family.rows()))[0]) == filt.at(0)
+    assert glue_sets(vee, dict(zip(family.degrees, family.rows()))[0]) == filt.at(0)
     assert glue_filtrations(family) == filt
 
 
 def test_rows_read_every_member_at_each_degree():
-    """rows() holds, at each degree of degrees(), the members read there as a
+    """rows() holds, at each degree of ``degrees``, the members read there as a
     label -> set family converted to a row; on every family of local
     filtrations of the posets of at most 4 points on [-2, 1], compatible or
     not, constant members included."""
     families = 0
     for poset in poset_catalog(4):
         for members in all_filtration_families(poset, -2, 1):
-            family = LocalFamily(poset, members)
+            family = LocalFamily.from_members(poset, members)
             expected = [
-                set_row(poset, {m: f.at(n) for m, f in members.items()}) for n in family.degrees()
+                set_row(poset, {m: f.at(n) for m, f in members.items()}) for n in family.degrees
             ]
             assert family.rows() == expected
             families += 1
@@ -185,7 +211,7 @@ def test_filtration_sweep_reports_an_incompatible_localized_family(monkeypatch):
         m = min(family.filtrations)
         sub = family.filtrations[m].poset
         full = constant_filtration(sub, ThomasonSet.full(sub))
-        return LocalFamily(family.global_poset, {**family.filtrations, m: full})
+        return LocalFamily.from_members(family.global_poset, {**family.filtrations, m: full})
 
     monkeypatch.setattr(gluing, "localize_filtrations", first_member_full)
     report = sweep_filtration_bijection(max_poset=3, window=(-1, 1))

@@ -145,7 +145,7 @@ def test_exception_poset_is_checked():
     default = filtration_from_json(localization_poset(poset, "(m)"), STEP_DOWN)
     wrong = filtration_from_json(localization_poset(z_poset([3]), "(3)"), STEP_DOWN)
     with pytest.raises(InvalidInputError, match="wrong poset"):
-        LocalFamily(poset, {"(m)": default, "(2)": wrong})
+        LocalFamily.from_members(poset, {"(m)": default, "(2)": wrong})
     with pytest.raises(InvalidInputError, match="'\\(3\\)' is not in this poset"):
         z_family(STEP_DOWN, **{"2": {"low_tail": ["(3)"], "breakpoints": [], "high_tail": ["(3)"]}})
 

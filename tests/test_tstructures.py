@@ -117,7 +117,7 @@ def coaisle_verdicts_match_koszul_orthogonality(ring, targets) -> list[bool]:
     returns the verdicts."""
     ideals = rng.all_ideals(ring)
     koszuls = [(rng.v_of_ideal(ring, i), koszul(ring, i.generators)) for i in ideals]
-    filtrations = catalog.spec_filtrations(ring, -1, 1)
+    filtrations = catalog.all_filtrations(spec(ring), -1, 1)
     verdicts = []
     for y in targets:
         obstructions = koszul_obstructions(y, koszuls)
