@@ -47,7 +47,7 @@ from .homalg import (
     support_of_cohomology,
 )
 from .modules import FiniteModule, direct_sum, free_module, zero_module
-from .poset import SpectralPoset, localization_poset, maximal_points
+from .poset import SpectralPoset, localization_poset
 from .rings import (
     FiniteRing,
     Ideal,
@@ -81,11 +81,10 @@ from .torsion_cosilting import (
     two_term_filtration,
 )
 from .tstructures import (
-    TStructureDescriptor,
     aisle_membership,
     classify_degeneracy,
     coaisle_membership,
-    localize_tstructure,
+    local_tstructures,
 )
 
 __version__ = "0.1.0"

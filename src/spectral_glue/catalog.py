@@ -145,23 +145,24 @@ def check_window(count: int, lo: int, hi: int, scope: str = "") -> None:
         )
 
 
+def _chains(items: list, leq, length: int) -> list[tuple]:
+    """Every chain c_0 >= c_1 >= ... of ``length`` items under ``leq(a, b)``
+    (a <= b), in the lexicographic order of ``items``: each item's list of
+    the items below it is built once, and every chain is extended one level
+    at a time."""
+    below = {x: [y for y in items if leq(y, x)] for x in items}
+    chains = [(x,) for x in items]
+    for _ in range(length - 1):
+        chains = [chain + (y,) for chain in chains for y in below[chain[-1]]]
+    return chains
+
+
 def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFiltration]:
     """All filtrations with both tails constant outside the window [lo, hi]:
     decreasing chains X_lo >= ... >= X_hi with low tail X_lo, high tail X_hi."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
-    masks = all_up_sets(poset)
-    out = []
-
-    def extend(chain):
-        if len(chain) == hi - lo + 1:
-            out.append(from_levels(poset, lo, chain))
-            return
-        for x in masks:
-            if not chain or not x & ~chain[-1]:
-                extend(chain + [x])
-
-    extend([])
-    return out
+    chains = _chains(all_up_sets(poset), lambda x, y: not x & ~y, hi - lo + 1)
+    return [from_levels(poset, lo, chain) for chain in chains]
 
 
 def all_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
@@ -197,20 +198,11 @@ def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> li
     window is refused by :func:`count_filtrations` of ``poset``."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
     maxima = poset.maxima
-    rows = compatible_set_rows(poset)
-    below = {r: [s for s in rows if all(not x & ~y for x, y in zip(s, r))] for r in rows}
-    out = []
-
-    def extend(chain):
-        if len(chain) == hi - lo + 1:
-            columns = tuple((m, *trim(lo, column)) for m, column in zip(maxima, zip(*chain)))
-            out.append(LocalFamily(poset, columns))
-            return
-        for row in below[chain[-1]] if chain else rows:
-            extend(chain + [row])
-
-    extend([])
-    return out
+    leq = lambda s, r: all(not x & ~y for x, y in zip(s, r))
+    return [
+        LocalFamily(poset, tuple((m, *trim(lo, column)) for m, column in zip(maxima, zip(*chain))))
+        for chain in _chains(compatible_set_rows(poset), leq, hi - lo + 1)
+    ]
 
 
 # -- ring catalogs -----------------------------------------------------------

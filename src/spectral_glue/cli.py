@@ -19,7 +19,7 @@ from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
 from .errors import IncompatibleFamilyError, InvalidInputError, SpectralGlueError, json_object
 from .modules import ENUMERATION_LIMIT, power_exceeds
-from .poset import SpectralPoset, maximal_points
+from .poset import SpectralPoset
 from .thomason import (
     filtration_from_json,
     filtration_to_json,
@@ -117,11 +117,10 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
     return gluing.LocalFamily.from_default(poset, default, exceptions), FINITE
 
 
-def _descriptor(args) -> ts.TStructureDescriptor:
+def _tstructure(args):
+    """(ring, filtration of its Spec): a t-structure is its Thomason filtration."""
     ring = _ring(args)
-    poset = rng.spec(ring)
-    filt = filtration_from_json(poset, _load_json(args, "filtration"))
-    return ts.TStructureDescriptor(ring, filt)
+    return ring, filtration_from_json(rng.spec(ring), _load_json(args, "filtration"))
 
 
 def _module_summary(module) -> dict:
@@ -153,7 +152,7 @@ def cmd_spec(args) -> int:
     payload = {
         "ring": ring.describe(),
         "poset": poset.to_json(),
-        "maximal": sorted(maximal_points(poset)),
+        "maximal": sorted(poset.maximal_labels),
     }
     _emit(args, payload, f"Spec({ring.describe()}) = {sorted(poset.elements)}")
     return EXIT_OK
@@ -281,30 +280,28 @@ def cmd_derived_hom(args) -> int:
 
 
 def cmd_aisle_test(args) -> int:
-    descriptor = _descriptor(args)
-    cx = homalg.complex_from_json(descriptor.ring, _load_json(args, "complex"))
-    verdict = ts.aisle_membership(cx, descriptor)
+    ring, filt = _tstructure(args)
+    cx = homalg.complex_from_json(ring, _load_json(args, "complex"))
+    verdict = ts.aisle_membership(cx, filt)
     _emit(args, {"member": verdict}, "in aisle" if verdict else "not in aisle")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def cmd_coaisle_test(args) -> int:
-    descriptor = _descriptor(args)
-    cx = homalg.complex_from_json(descriptor.ring, _load_json(args, "complex"))
-    verdict = ts.coaisle_membership(cx, descriptor)
+    ring, filt = _tstructure(args)
+    cx = homalg.complex_from_json(ring, _load_json(args, "complex"))
+    verdict = ts.coaisle_membership(cx, filt)
     _emit(args, {"member": verdict}, "in coaisle" if verdict else "not in coaisle")
     return EXIT_OK if verdict else EXIT_NEGATIVE
 
 
 def cmd_tstr_localize(args) -> int:
-    descriptor = _descriptor(args)
-    payload = {}
-    for m in sorted(maximal_points(rng.spec(descriptor.ring))):
-        local = ts.localize_tstructure(descriptor, m)
-        payload[m] = {
-            "ring": local.ring.to_json(),
-            "filtration": filtration_to_json(local.filtration),
-        }
+    ring, filt = _tstructure(args)
+    local = ts.local_tstructures(ring, gluing.localize_filtrations(filt))
+    payload = {
+        m: {"ring": local_ring.to_json(), "filtration": filtration_to_json(local_filt)}
+        for m, (local_ring, local_filt) in local.items()
+    }
     human = "\n".join(
         f"{m}: {payload[m]['ring']} {json.dumps(payload[m]['filtration'], sort_keys=True)}"
         for m in sorted(payload)
@@ -314,8 +311,7 @@ def cmd_tstr_localize(args) -> int:
 
 
 def cmd_tstr_classify(args) -> int:
-    descriptor = _descriptor(args)
-    tag = ts.classify_degeneracy(descriptor)
+    tag = ts.classify_degeneracy(_tstructure(args)[1])
     _emit(args, {"classification": tag}, tag)
     return EXIT_OK
 

@@ -28,13 +28,13 @@ localizations: elsewhere members and rows cross as label-keyed JSON
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleFamilyError, InvalidInputError
-from .poset import PrimeId, SpectralPoset, all_up_sets, localization_poset, maximal_points
+from .poset import PrimeId, SpectralPoset, all_up_sets, localization_poset
 from .thomason import (
     MAX_DEGREE_SPAN,
     ThomasonFiltration,
@@ -57,11 +57,24 @@ class LocalFamily:
     nothing; a family from outside the package is built by :meth:`from_members`
     or :meth:`from_default`.  ``filtrations`` maps m to its member, and
     :meth:`rows` reads the columns across, one row of local sets per degree.
+    ``degrees`` runs from the first level to the last level of any member
+    that is not constant, and is (-1, 0) when every member is constant.
     A family over Z is one of these on :func:`spectral_glue.integers.z_poset`.
     """
 
     global_poset: SpectralPoset
     columns: tuple[tuple[int, int, tuple[int, ...]], ...]
+    degrees: range = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # set here and not as a cached_property, whose first read takes a lock;
+        # a constant member reads the same at every degree, so only the others
+        # place the degrees; with none, the two levels of a constant
+        spans = [
+            (start, start + len(masks)) for _, start, masks in self.columns if masks[0] != masks[-1]
+        ]
+        degrees = range(min(spans)[0], max(stop for _, stop in spans)) if spans else range(-1, 1)
+        object.__setattr__(self, "degrees", degrees)
 
     @classmethod
     def from_members(
@@ -71,7 +84,7 @@ class LocalFamily:
         are the maximal points, each member lives on the localization at its
         key, and the windows of the members that are not constant lie at most
         MAX_DEGREE_SPAN degrees apart."""
-        maxima = maximal_points(global_poset)
+        maxima = global_poset.maximal_labels
         if members.keys() != maxima:
             raise InvalidInputError(
                 f"family keys {sorted(members)} do not match maximal points {sorted(maxima)}: "
@@ -92,7 +105,7 @@ class LocalFamily:
         maximal point, as :func:`localize_filtrations` gives it, with the
         column at each key of ``exceptions`` that member's, checked as
         :meth:`from_members` checks it."""
-        extra = sorted(set(exceptions) - maximal_points(global_poset))
+        extra = sorted(set(exceptions) - global_poset.maximal_labels)
         if extra:
             raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
         if default.poset != global_poset:
@@ -117,17 +130,6 @@ class LocalFamily:
                 f"to {degrees[-1]})"
             )
         return self
-
-    @cached_property
-    def degrees(self) -> range:
-        """From the first level to the last level of any member that is not
-        constant; (-1, 0) when every member is constant."""
-        # a constant member reads the same at every degree, so only the others
-        # place the degrees; with none, the two levels of a constant
-        spans = [
-            (start, start + len(masks)) for _, start, masks in self.columns if masks[0] != masks[-1]
-        ]
-        return range(min(spans)[0], max(stop for _, stop in spans)) if spans else range(-1, 1)
 
     @cached_property
     def filtrations(self) -> Mapping[PrimeId, ThomasonFiltration]:

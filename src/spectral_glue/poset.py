@@ -182,11 +182,6 @@ def interned_poset(
     return poset
 
 
-def maximal_points(poset: SpectralPoset) -> frozenset[PrimeId]:
-    """Elements with no strict upper bound (the maximal ideals)."""
-    return poset.maximal_labels
-
-
 def localization_poset(poset: SpectralPoset, p: PrimeId) -> SpectralPoset:
     """Induced poset on the down-set of ``p``: Spec(R_p) inside Spec(R)."""
     return poset.localization(poset.point(p))

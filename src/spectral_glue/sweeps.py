@@ -247,7 +247,7 @@ def _orthogonality_rings(max_ring: int) -> list[FiniteRing]:
     return rings + catalog.product_catalog(max_ring)
 
 
-# -- 6: local-global coaisle membership and descriptor gluing ----------------
+# -- 6: local-global coaisle membership and gluing back ---------------------
 
 
 def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
@@ -258,12 +258,11 @@ def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
         m: [ts.cohomology_supports(homalg.localize_complex(y, m)) for y in ys] for m in labels
     }
     for filt in catalog.all_filtrations(rng.spec(ring), *window):
-        t = ts.TStructureDescriptor(ring, filt)
-        local_ts = {m: ts.localize_tstructure(t, m) for m in labels}
-        # descriptor family glues back to the original filtration
+        # one localization: it glues back, and its columns are the local t-structures
+        family = gluing.localize_filtrations(filt)
+        local_ts = ts.local_tstructures(ring, family)
         report.checked += 1
-        glued = gluing.glue_filtrations(gluing.localize_filtrations(filt))
-        if glued != filt:
+        if gluing.glue_filtrations(family) != filt:
             report.failures.append(
                 {"ring": ring.to_json(), "problem": "descriptor family does not glue back"}
             )
@@ -271,8 +270,7 @@ def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
             report.checked += 1
             global_verdict = ts.coaisle_admits(y_supports[j], filt)
             local_verdict = all(
-                ts.coaisle_admits(local_supports[m][j], local_ts[m].filtration)
-                for m in labels
+                ts.coaisle_admits(local_supports[m][j], local_ts[m][1]) for m in labels
             )
             if global_verdict != local_verdict:
                 report.failures.append(

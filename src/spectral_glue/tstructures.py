@@ -5,38 +5,26 @@ holds the X with Supp H^n(X) inside the level X_n (valid over the noetherian
 — here finite — base), and the coaisle the Y with Supp H^n(Y) disjoint from
 X_n, which is Koszul orthogonality (vanishing of derived Hom out of K(I)[-n]
 for every ideal I with V(I) inside X_n) when every prime is maximal.
+
+A t-structure over R is its Thomason filtration of Spec R, which both
+membership tests take; its t-structures over the local rings R_m are read off
+the one restriction, :func:`spectral_glue.gluing.localize_filtrations`, by
+:func:`local_tstructures`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rings as rng
 from .errors import InvalidInputError
+from .gluing import LocalFamily
 from .homalg import BoundedComplex, support_of_cohomology
 from .poset import PrimeId
 from .rings import FiniteRing
-from .thomason import (
-    ThomasonFiltration,
-    ThomasonSet,
-    from_levels,
-    is_constant,
-    is_nondegenerate,
-)
+from .thomason import ThomasonFiltration, ThomasonSet, is_constant, is_nondegenerate
 
 NONDEGENERATE = "nondegenerate"
 STABLE = "stable"
 DEGENERATE_OTHER = "degenerate-other"
-
-
-@dataclass(frozen=True)
-class TStructureDescriptor:
-    ring: FiniteRing
-    filtration: ThomasonFiltration
-
-    def __post_init__(self):
-        if self.filtration.poset != rng.spec(self.ring):
-            raise InvalidInputError("filtration does not live on spec(ring)")
 
 
 def cohomology_supports(complex_: BoundedComplex) -> dict[int, ThomasonSet]:
@@ -64,11 +52,15 @@ def aisle_admits(supports, filtration: ThomasonFiltration) -> bool:
     return True
 
 
-def aisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
+def _check_spec(complex_: BoundedComplex, filtration: ThomasonFiltration) -> None:
+    if filtration.poset != rng.spec(complex_.ring):
+        raise InvalidInputError("filtration does not live on spec(ring)")
+
+
+def aisle_membership(complex_: BoundedComplex, filtration: ThomasonFiltration) -> bool:
     """X in the aisle iff Supp H^n(X) is contained in X_n for every n."""
-    if complex_.ring != t.ring:
-        raise InvalidInputError("complex and descriptor live over different rings")
-    return aisle_admits(cohomology_supports(complex_), t.filtration)
+    _check_spec(complex_, filtration)
+    return aisle_admits(cohomology_supports(complex_), filtration)
 
 
 def coaisle_admits(supports, filtration: ThomasonFiltration) -> bool:
@@ -80,7 +72,7 @@ def coaisle_admits(supports, filtration: ThomasonFiltration) -> bool:
     return True
 
 
-def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> bool:
+def coaisle_membership(complex_: BoundedComplex, filtration: ThomasonFiltration) -> bool:
     """Y in the coaisle iff Supp H^n(Y) misses X_n for every n.
 
     The coaisle is the right orthogonal of the aisle: Y is in it iff
@@ -94,30 +86,29 @@ def coaisle_membership(complex_: BoundedComplex, t: TStructureDescriptor) -> boo
     for its generator a (``LocalFactor.prime_gen``), so V(a) lies inside X_n
     while Hom(K(a)[-n], Y) is nonzero.
     """
-    if complex_.ring != t.ring:
-        raise InvalidInputError("complex and descriptor live over different rings")
-    return coaisle_admits(cohomology_supports(complex_), t.filtration)
+    _check_spec(complex_, filtration)
+    return coaisle_admits(cohomology_supports(complex_), filtration)
 
 
-def localize_tstructure(t: TStructureDescriptor, m: PrimeId) -> TStructureDescriptor:
-    """Descriptor of the induced t-structure on the local factor at m.
+def local_tstructures(ring: FiniteRing, family: LocalFamily) -> dict[PrimeId, tuple]:
+    """m -> (R_m, its filtration of Spec R_m) for each column of ``family``,
+    the :func:`~spectral_glue.gluing.localize_filtrations` of a filtration of
+    Spec R.  Every prime is maximal, so Spec R_m is the one point m and a level
+    at m, inside {m}, reads as ``x >> m``: a column in normal form reads as a
+    filtration in normal form."""
+    labels = family.global_poset.elements
+    local = {}
+    for m, start, masks in family.columns:
+        local_ring = rng.local_factor(ring, labels[m]).ring
+        levels = tuple(x >> m for x in masks)
+        local[labels[m]] = local_ring, ThomasonFiltration(rng.spec(local_ring), start, levels)
+    return local
 
-    All primes of the supported rings are maximal, so the local spectrum is a
-    single point and each level restricts to full or empty according to
-    membership of m.
-    """
-    local_ring = rng.local_factor(t.ring, m).ring
-    local_poset = rng.spec(local_ring)
-    filt = t.filtration
-    i = filt.poset.point(m)
-    levels = [local_poset.full if x >> i & 1 else 0 for x in filt.masks]
-    return TStructureDescriptor(local_ring, from_levels(local_poset, filt.start, levels))
 
-
-def classify_degeneracy(t: TStructureDescriptor) -> str:
+def classify_degeneracy(filtration: ThomasonFiltration) -> str:
     """Non-degenerate (tails full and empty), stable (constant), or neither."""
-    if is_nondegenerate(t.filtration):
+    if is_nondegenerate(filtration):
         return NONDEGENERATE
-    if is_constant(t.filtration):
+    if is_constant(filtration):
         return STABLE
     return DEGENERATE_OTHER

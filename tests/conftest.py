@@ -5,7 +5,7 @@ import pytest
 
 from spectral_glue import InvalidInputError, SpectralPoset, ThomasonSet, ZMod
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, count_filtrations
-from spectral_glue.poset import localization_poset, maximal_points
+from spectral_glue.poset import localization_poset
 from spectral_glue.rings import spec
 from spectral_glue.thomason import ThomasonFiltration, from_levels
 
@@ -62,7 +62,7 @@ def count_filtration_families(poset, lo, hi) -> int:
     """How many families :func:`all_filtration_families` lists: the product
     over the maximal points of the filtrations of each localization."""
     return math.prod(
-        count_filtrations(localization_poset(poset, m), lo, hi) for m in maximal_points(poset)
+        count_filtrations(localization_poset(poset, m), lo, hi) for m in poset.maximal_labels
     )
 
 
@@ -71,7 +71,7 @@ def all_filtration_families(poset, lo, hi) -> list[dict]:
     point, compatible or not: the product that the listing of compatible
     families is checked against.  Unlike the package's listings it refuses
     no window."""
-    maxima = sorted(maximal_points(poset))
+    maxima = sorted(poset.maximal_labels)
     locals_ = [all_filtrations(localization_poset(poset, m), lo, hi) for m in maxima]
     return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
 
@@ -80,7 +80,7 @@ def all_set_families(poset) -> list[dict]:
     """Every assignment of a local Thomason set to each maximal point,
     compatible or not, label -> set on the localization: the product that the
     package's rows are checked against."""
-    maxima = sorted(maximal_points(poset))
+    maxima = sorted(poset.maximal_labels)
     locals_ = [all_thomason_sets(localization_poset(poset, m)) for m in maxima]
     return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
 
@@ -90,7 +90,7 @@ def set_row(poset, family) -> tuple[int, ...]:
     in the numbering of ``poset``, as :mod:`spectral_glue.gluing` takes it.
     The keys must be the maximal points and each set must live on the
     localization at its key."""
-    if set(family) != maximal_points(poset):
+    if set(family) != poset.maximal_labels:
         raise InvalidInputError("set family must cover exactly the maximal points")
     row = []
     for m in poset.maxima:

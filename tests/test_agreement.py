@@ -25,7 +25,7 @@ from spectral_glue import (
 )
 from spectral_glue.catalog import all_filtrations, poset_catalog
 from spectral_glue.gluing import localize_filtrations
-from spectral_glue.poset import localization_poset, maximal_points
+from spectral_glue.poset import localization_poset
 
 from conftest import all_set_families, constant_filtration, set_row
 from test_normaliser import reference_restrict_filtration
@@ -95,7 +95,7 @@ def check_localized(filtrations, monkeypatch):
             assert "filtrations" not in vars(family)
     for filt, family in zip(filtrations, families):
         poset = filt.poset
-        restricted = {m: reference_restrict_filtration(filt, m) for m in maximal_points(poset)}
+        restricted = {m: reference_restrict_filtration(filt, m) for m in poset.maximal_labels}
         assert family.filtrations == restricted
         checked = LocalFamily.from_members(poset, restricted)
         assert family == checked and checked == family
@@ -130,7 +130,7 @@ def test_the_member_codec_round_trips_every_localized_family():
     for filt in filtrations:
         family = localize_filtrations(filt)
         wire = json.loads(json.dumps(gluing.family_to_json(family)))
-        assert wire.keys() == maximal_points(filt.poset)
+        assert wire.keys() == filt.poset.maximal_labels
         back = LocalFamily.from_members(filt.poset, gluing.members_from_json(filt.poset, wire))
         assert back == family, wire
     assert len(filtrations) == 1_720 + 2_000

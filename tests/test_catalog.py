@@ -19,7 +19,6 @@ from spectral_glue.catalog import (
     zmod_catalog,
 )
 from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets
-from spectral_glue.poset import maximal_points
 from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
@@ -67,7 +66,7 @@ def test_catalog_posets_are_distinct_and_valid():
     posets = poset_catalog(4)
     assert len(set(posets)) == len(posets)
     for poset in posets:
-        assert maximal_points(poset)
+        assert poset.maximal_labels
 
 
 def test_all_thomason_sets(vee):

@@ -17,7 +17,7 @@ from spectral_glue import (
     make_filtration,
 )
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, poset_catalog
-from spectral_glue.poset import all_up_sets, localization_poset, maximal_points
+from spectral_glue.poset import all_up_sets, localization_poset
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv, sweep_set_gluing
 from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json
 
@@ -123,7 +123,7 @@ def test_from_default_is_the_localized_default_with_its_exceptions():
             family = LocalFamily.from_default(poset, filt)
             assert family == localized and family.degrees == localized.degrees
             others = localize_filtrations(filtrations[-1 - k]).filtrations
-            for m in maximal_points(poset):
+            for m in poset.maximal_labels:
                 members = {**localized.filtrations, m: others[m]}
                 family = LocalFamily.from_default(poset, filt, {m: others[m]})
                 checked_family = LocalFamily.from_members(poset, members)
@@ -316,7 +316,7 @@ def test_mask_order_matches_label_sets_on_the_catalog():
         for i, a in enumerate(labels):
             assert set(poset.labels(poset.up[i])) == {b for x, b in leq if x == a}
             assert set(poset.labels(poset.down[i])) == {x for x, b in leq if b == a}
-        assert maximal_points(poset) == {a for a in labels if all(x != a or b == a for x, b in leq)}
+        assert poset.maximal_labels == {a for a in labels if all(x != a or b == a for x, b in leq)}
         # the covering relation closes back to the order under every rotation
         # of the labels, so that each point number is an intermediate somewhere
         strict = {(a, b) for a, b in leq if a != b}
@@ -334,7 +334,7 @@ def test_mask_order_matches_label_sets_on_the_catalog():
 def test_mask_gluing_matches_label_sets_on_the_catalog():
     for poset in poset_catalog(5):
         leq = _ref_order(poset)
-        maxima = sorted(maximal_points(poset))
+        maxima = sorted(poset.maximal_labels)
         down = {m: frozenset(a for a, b in leq if b == m) for m in maxima}
         principal = {g: frozenset(b for a, b in leq if a == g) for g in poset.elements}
         local_ups = {}

@@ -21,7 +21,7 @@ import pytest
 from spectral_glue import catalog, integers, rings as rng
 from spectral_glue.errors import FiltrationOrderError, IncompatibleFamilyError
 from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets, localize_filtrations
-from spectral_glue.poset import SpectralPoset, localization_poset, maximal_points
+from spectral_glue.poset import SpectralPoset, localization_poset
 from spectral_glue.sweeps import _local_global_rings
 from spectral_glue.thomason import (
     ThomasonFiltration,
@@ -29,7 +29,7 @@ from spectral_glue.thomason import (
     filtration_to_json,
     set_to_json,
 )
-from spectral_glue.tstructures import TStructureDescriptor, localize_tstructure
+from spectral_glue.tstructures import local_tstructures
 
 from conftest import all_filtration_families, level_sets, set_row, window
 
@@ -138,19 +138,20 @@ def reference_restrict_filtration(filtration, m):
     )
 
 
-def reference_localize_tstructure(t, m):
-    local_ring = rng.local_factor(t.ring, m).ring
+def reference_local_tstructure(ring, filtration, m):
+    """(R_m, the filtration of Spec R_m) of a filtration of Spec R."""
+    local_ring = rng.local_factor(ring, m).ring
     local_poset = rng.spec(local_ring)
 
     def restrict(s):
         return ThomasonSet.full(local_poset) if m in s else ThomasonSet.empty(local_poset)
 
-    start, levels = level_sets(t.filtration)
+    start, levels = level_sets(filtration)
     breakpoints = [(start + k, restrict(s)) for k, s in enumerate(levels[:-1])]
     local_filt = reference_make_filtration(
         local_poset, restrict(levels[0]), breakpoints, restrict(levels[-1])
     )
-    return TStructureDescriptor(local_ring, local_filt)
+    return local_ring, local_filt
 
 
 def reference_glue_filtrations(family):
@@ -193,7 +194,7 @@ def check_filtration(filt):
     references; returns the localized family."""
     poset = filt.poset
     family = localize_filtrations(filt)
-    for m in maximal_points(poset):
+    for m in poset.maximal_labels:
         local = reference_restrict_filtration(filt, m)
         assert family.filtrations[m] == local
     assert glue_filtrations(family) == reference_glue_filtrations(family) == filt
@@ -234,11 +235,10 @@ def test_spec_filtrations_localize_like_the_references():
     for ring in _local_global_rings(24):
         poset = rng.spec(ring)
         for filt in catalog.all_filtrations(poset, -2, 2):
-            check_filtration(filt)
-            t = TStructureDescriptor(ring, filt)
-            for m in maximal_points(poset):
-                local = localize_tstructure(t, m)
-                assert local == reference_localize_tstructure(t, m)
+            local = local_tstructures(ring, check_filtration(filt))
+            assert local.keys() == poset.maximal_labels
+            for m in poset.maximal_labels:
+                assert local[m] == reference_local_tstructure(ring, filt, m)
                 checked += 1
     assert checked == 3_816
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from spectral_glue import InvalidInputError, SpectralPoset, localization_poset, maximal_points
+from spectral_glue import InvalidInputError, SpectralPoset, localization_poset
 from spectral_glue import integers
 from spectral_glue.catalog import poset_catalog
 from spectral_glue.poset import all_up_sets
@@ -24,7 +24,7 @@ def test_antisymmetry_enforced():
 
 
 def test_maximal_points(vee):
-    assert maximal_points(vee) == frozenset({"m1", "m2"})
+    assert vee.maximal_labels == frozenset({"m1", "m2"})
 
 
 def test_up_sets_of_vee(vee):

@@ -7,20 +7,20 @@ from spectral_glue import (
     PolyQuot,
     ProductRing,
     ThomasonSet,
-    TStructureDescriptor,
     ZMod,
     aisle_membership,
     classify_degeneracy,
     coaisle_membership,
     cyclic_module,
     koszul,
-    localize_tstructure,
+    local_tstructures,
+    localize_filtrations,
     make_filtration,
     shift,
     stalk_complex,
 )
 from spectral_glue import catalog, rings as rng
-from spectral_glue.homalg import derived_hom
+from spectral_glue.homalg import derived_hom, zero_complex
 from spectral_glue.rings import spec
 from spectral_glue.sweeps import _local_global_rings, _orthogonality_rings
 from spectral_glue.tstructures import (
@@ -36,12 +36,12 @@ from conftest import constant_filtration, up
 
 
 @pytest.fixture
-def standard(z12, z12_poset):
-    """Filtration full / {(2)} at 0 / empty."""
+def standard(z12_poset):
+    """Filtration full / {(2)} at 0 / empty of Spec(Z/12)."""
     full = ThomasonSet.full(z12_poset)
     empty = ThomasonSet.empty(z12_poset)
     x0 = ThomasonSet.from_members(z12_poset, {"(2)"})
-    return TStructureDescriptor(z12, make_filtration(z12_poset, full, [(0, x0)], empty))
+    return make_filtration(z12_poset, full, [(0, x0)], empty)
 
 
 def test_coaisle_admits_refuses_supports_over_another_poset(vee, z12_poset):
@@ -57,9 +57,13 @@ def test_coaisle_admits_refuses_supports_over_another_poset(vee, z12_poset):
 
 
 def test_filtration_must_live_on_spec(z12, vee):
+    """Both membership tests refuse a filtration off Spec R, even for the
+    zero complex, which has no support to compare."""
     filt = constant_filtration(vee, ThomasonSet.full(vee))
-    with pytest.raises(InvalidInputError):
-        TStructureDescriptor(z12, filt)
+    for complex_ in (stalk_complex(cyclic_module(z12, 2), 0), zero_complex(z12)):
+        for membership in (aisle_membership, coaisle_membership):
+            with pytest.raises(InvalidInputError, match="spec"):
+                membership(complex_, filt)
 
 
 def test_aisle_verdicts(standard, z12):
@@ -88,9 +92,8 @@ def test_coaisle_verdicts_of_a_target_with_differentials(z12, z12_poset):
     y = BoundedComplex(z12, {-1: FreeTerm(1), 0: FreeTerm(1), 1: z3}, {-1: [[1]]})
     verdicts = []
     for filt in catalog.all_filtrations(z12_poset, -1, 1):
-        t = TStructureDescriptor(z12, filt)
-        verdicts.append(coaisle_membership(stalk, t))
-        assert coaisle_membership(y, t) == verdicts[-1], filt
+        verdicts.append(coaisle_membership(stalk, filt))
+        assert coaisle_membership(y, filt) == verdicts[-1], filt
     assert True in verdicts and False in verdicts
 
 
@@ -163,12 +166,12 @@ def test_koszul_generator_in_aisle(standard, z12):
     assert aisle_membership(koszul(z12, [4]), standard)
 
 
-def kappa_test(p, n, t):
+def kappa_test(ring, p, n, filt):
     """kappa(p)[-n] lies in the aisle iff p is in X_n; asserts the equivalence.
     kappa(p) = R/p, all primes being maximal."""
-    kappa = cyclic_module(t.ring, rng.local_factor(t.ring, p).prime_gen)
-    result = aisle_membership(stalk_complex(kappa, n), t)
-    expected = p in t.filtration.at(n)
+    kappa = cyclic_module(ring, rng.local_factor(ring, p).prime_gen)
+    result = aisle_membership(stalk_complex(kappa, n), filt)
+    expected = p in filt.at(n)
     if result != expected:
         raise AssertionError(
             f"kappa test inconsistency at p={p!r}, n={n}: aisle says {result}, "
@@ -177,37 +180,36 @@ def kappa_test(p, n, t):
     return result
 
 
-def test_kappa_test(standard):
-    assert kappa_test("(2)", 0, standard)
-    assert not kappa_test("(3)", 0, standard)
-    assert kappa_test("(3)", -1, standard)
-    assert not kappa_test("(2)", 1, standard)
+def test_kappa_test(standard, z12):
+    assert kappa_test(z12, "(2)", 0, standard)
+    assert not kappa_test(z12, "(3)", 0, standard)
+    assert kappa_test(z12, "(3)", -1, standard)
+    assert not kappa_test(z12, "(2)", 1, standard)
 
 
-def test_localize_tstructure(standard):
-    at2 = localize_tstructure(standard, "(2)")
-    assert at2.ring.order == 4
-    assert at2.filtration.at(0).is_full()
-    assert at2.filtration.at(1).members == set()
-    at3 = localize_tstructure(standard, "(3)")
-    assert at3.filtration.at(-1).is_full()
-    assert at3.filtration.at(0).members == set()
+def test_local_tstructures(standard, z12):
+    local = local_tstructures(z12, localize_filtrations(standard))
+    assert list(local) == ["(2)", "(3)"]
+    ring2, at2 = local["(2)"]
+    assert ring2.order == 4 and at2.poset == spec(ring2)
+    assert at2.at(0).is_full()
+    assert at2.at(1).members == set()
+    ring3, at3 = local["(3)"]
+    assert ring3.order == 3 and at3.poset == spec(ring3)
+    assert at3.at(-1).is_full()
+    assert at3.at(0).members == set()
 
 
-def test_classify_degeneracy(standard, z12, z12_poset):
+def test_classify_degeneracy(standard, z12_poset):
     assert classify_degeneracy(standard) == NONDEGENERATE
     x0 = ThomasonSet.from_members(z12_poset, {"(2)"})
-    stable = TStructureDescriptor(z12, constant_filtration(z12_poset, x0))
+    stable = constant_filtration(z12_poset, x0)
     assert classify_degeneracy(stable) == STABLE
     full = ThomasonSet.full(z12_poset)
-    other = TStructureDescriptor(
-        z12, make_filtration(z12_poset, full, [(0, x0)], x0)
-    )
+    other = make_filtration(z12_poset, full, [(0, x0)], x0)
     assert classify_degeneracy(other) == DEGENERATE_OTHER
 
 
-def test_localization_commutes_with_classification(standard):
-    poset = spec(standard.ring)
-    for m in poset.elements:
-        local = localize_tstructure(standard, m)
+def test_localization_commutes_with_classification(standard, z12):
+    for _, local in local_tstructures(z12, localize_filtrations(standard)).values():
         assert classify_degeneracy(local) in {NONDEGENERATE, STABLE, DEGENERATE_OTHER}
