@@ -47,7 +47,7 @@ from .homalg import (
     support_of_cohomology,
 )
 from .modules import FiniteModule, direct_sum, free_module, zero_module
-from .poset import SpectralPoset, localization_poset
+from .poset import SpectralPoset
 from .rings import (
     FiniteRing,
     Ideal,

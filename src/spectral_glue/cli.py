@@ -110,7 +110,6 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
     else:
         poset = SpectralPoset.from_json(ref)
     exceptions = json_object(data.get("exceptions", {}), "'exceptions'")
-    exceptions = gluing.members_from_json(poset, exceptions)
     if data.get("default") is None:
         return gluing.LocalFamily.from_members(poset, exceptions), FINITE
     default = filtration_from_json(poset, data["default"])

@@ -1,40 +1,42 @@
 """Pairwise compatibility of local Thomason data and the glue/localize maps.
 
-Local data is indexed by the maximal points of a global poset; the value at m
-lives on the localization poset (the down-set of m).  Gluing takes the union
-of the images under the natural inclusions; it is defined exactly when the
-family agrees pairwise on shared primes.  So gluing is also the compatibility
-check of a family: :func:`glue_sets` and :func:`glue_filtrations` raise
-IncompatibleFamilyError with the first witness, and a caller that only asks
-"compatible?" catches it.  :func:`check_lemma_equiv` compares that condition
-with the ideal-family description of the same family.
+Local data is indexed by the maximal points m of a global poset, and the
+value at m lives on Spec(R_m), the down-set of m, in the numbering of the
+global poset: a local set X(m) is a mask inside ``down[m]`` that is an
+up-set of ``down[m]``, and in general not an up-set of the global poset.
+Gluing takes the union of the local data; it is defined exactly when the
+family agrees pairwise on shared primes.  So gluing is also the
+compatibility check of a family: :func:`glue_sets` and
+:func:`glue_filtrations` raise IncompatibleFamilyError with the first
+witness, and a caller that only asks "compatible?" catches it.
+:func:`check_lemma_equiv` compares that condition with the ideal-family
+description of the same family.
 
-A family of local sets is a row ``(X(m) for m in poset.maxima)`` of masks in
-the numbering of the global poset, each X(m) an up-set of the localization at
-m; :func:`localize_sets` gives one, and :meth:`LocalFamily.rows` gives a
-filtration family's row at each degree.  A family is checked once, where it
-enters: :meth:`LocalFamily.from_members` checks its keys, member posets and
-span, and :meth:`LocalFamily.from_default` its exception keys and its
-default's poset, then each exception as ``from_members`` does.  Set families
-have no wire, so a row is built by the package and not checked again.  A
-filtration family is its columns of level masks in the global numbering:
-:func:`localize_filtrations`, the one restriction of a filtration, masks
-each level with each down-set, and :func:`glue_filtrations` reads the rows,
-one agreement test per degree; neither builds a member filtration.  Only
-this module and :mod:`spectral_glue.poset` number points on the
-localizations: elsewhere members and rows cross as label-keyed JSON
-(:func:`members_from_json`, :func:`family_to_json`, :func:`row_to_json`).
+A family of local sets is a row ``(X(m) for m in poset.maxima)`` of masks;
+:func:`localize_sets` gives one, and :meth:`LocalFamily.rows` gives a
+filtration family's row at each degree.  A family of filtrations is its
+columns ``(m, start, masks)``: :func:`localize_filtrations`, the one
+restriction of a filtration, masks each level with each down-set, and
+:func:`glue_filtrations` reads the rows, one agreement test per degree.  A
+family is checked once, where it enters: :meth:`LocalFamily.from_members`
+checks the keys of label-keyed member JSON, reads each member straight to
+its column and checks the span, and :meth:`LocalFamily.from_default` checks
+its exception keys and its default's poset, then reads each exception as
+``from_members`` does.  Set
+families have no wire, so a row is built by the package and not checked
+again.  One level codec at m reads and writes every level of a member at m
+and every X(m) of a row (:func:`family_to_json`, :func:`row_to_json`):
+"full" is ``down[m]``, and a list names points of ``down[m]`` by label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
+from functools import partial
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleFamilyError, InvalidInputError
-from .poset import PrimeId, SpectralPoset, all_up_sets, localization_poset
+from .poset import PrimeId, SpectralPoset, all_up_sets
 from .thomason import (
     MAX_DEGREE_SPAN,
     ThomasonFiltration,
@@ -42,21 +44,20 @@ from .thomason import (
     filtration_from_json,
     filtration_to_json,
     from_levels,
-    set_to_json,
     trim,
 )
 
 
 @dataclass(frozen=True)
 class LocalFamily:
-    """Assignment m -> filtration on the localization poset at m.
+    """Assignment m -> filtration on Spec(R_m), the down-set of m.
 
     ``columns`` holds ``(m, start, masks)`` for each maximal point m of
-    ``global_poset``, in poset order: the member at m in its normal form, its
-    masks in the numbering of ``global_poset``.  The constructor checks
-    nothing; a family from outside the package is built by :meth:`from_members`
-    or :meth:`from_default`.  ``filtrations`` maps m to its member, and
-    :meth:`rows` reads the columns across, one row of local sets per degree.
+    ``global_poset``, in poset order: the member at m in its normal form,
+    each mask an up-set of ``down[m]`` in the numbering of ``global_poset``.
+    The constructor checks nothing; a family from outside the package is
+    built by :meth:`from_members` or :meth:`from_default`.  :meth:`rows`
+    reads the columns across, one row of local sets per degree.
     ``degrees`` runs from the first level to the last level of any member
     that is not constant, and is (-1, 0) when every member is constant.
     A family over Z is one of these on :func:`spectral_glue.integers.z_poset`.
@@ -78,12 +79,13 @@ class LocalFamily:
 
     @classmethod
     def from_members(
-        cls, global_poset: SpectralPoset, members: Mapping[PrimeId, ThomasonFiltration]
+        cls, global_poset: SpectralPoset, members: Mapping[PrimeId, Mapping]
     ) -> "LocalFamily":
-        """The family of ``members``, label -> filtration, checked: the keys
-        are the maximal points, each member lives on the localization at its
-        key, and the windows of the members that are not constant lie at most
-        MAX_DEGREE_SPAN degrees apart."""
+        """The family of ``members``, label -> filtration JSON, checked: the
+        keys are the maximal points, each member is read onto the down-set of
+        its key by the level codec at that key, and the windows of the
+        members that are not constant lie at most MAX_DEGREE_SPAN degrees
+        apart."""
         maxima = global_poset.maximal_labels
         if members.keys() != maxima:
             raise InvalidInputError(
@@ -99,12 +101,12 @@ class LocalFamily:
         cls,
         global_poset: SpectralPoset,
         default: ThomasonFiltration,
-        exceptions: Mapping[PrimeId, ThomasonFiltration] = (),
+        exceptions: Mapping[PrimeId, Mapping] = (),
     ) -> "LocalFamily":
         """The restriction of the global filtration ``default`` to every
         maximal point, as :func:`localize_filtrations` gives it, with the
-        column at each key of ``exceptions`` that member's, checked as
-        :meth:`from_members` checks it."""
+        column at each key of ``exceptions``, label -> filtration JSON, read
+        and checked as :meth:`from_members` reads and checks a member."""
         extra = sorted(set(exceptions) - global_poset.maximal_labels)
         if extra:
             raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
@@ -131,16 +133,6 @@ class LocalFamily:
             )
         return self
 
-    @cached_property
-    def filtrations(self) -> Mapping[PrimeId, ThomasonFiltration]:
-        """m -> the member at m, read-only; packed on the first read."""
-        poset = self.global_poset
-        members = {}
-        for m, start, masks in self.columns:
-            local = tuple(poset.pack(x, m) for x in masks)
-            members[poset.elements[m]] = ThomasonFiltration(poset.localization(m), start, local)
-        return MappingProxyType(members)
-
     def rows(self) -> list[tuple[int, ...]]:
         """The row (X_n(m) for m in ``global_poset.maxima``) at each degree n
         of :attr:`degrees`, in order: the columns read across, each past its
@@ -159,12 +151,40 @@ class LocalFamily:
         return list(zip(*padded)) if padded else [()] * len(degrees)
 
 
-def _column(poset: SpectralPoset, m: int, member: ThomasonFiltration) -> tuple:
-    """The column of ``member`` at m, once it is found to live on the
-    localization at m."""
-    if member.poset != poset.localization(m):
-        raise InvalidInputError(f"filtration at {poset.elements[m]!r} lives on the wrong poset")
-    return m, member.start, tuple([poset.unpack(x, m) for x in member.masks])
+def _read_level(m: int, poset: SpectralPoset, data) -> int:
+    """The mask of a level at m: "full" is ``down[m]``, and a list is read
+    label by label, each a point of ``down[m]``, into an up-set of
+    ``down[m]``, which need not be an up-set of ``poset``."""
+    below = poset.down[m]
+    if data == "full":
+        return below
+    if not isinstance(data, (list, tuple)):
+        raise InvalidInputError(f"expected 'full' or a list of labels, got {data!r}")
+    mask = 0
+    for label in data:
+        i = poset.point(label)
+        if not below >> i & 1:
+            raise InvalidInputError(
+                f"prime {label!r} is not in the down-set of {poset.elements[m]!r}"
+            )
+        mask |= 1 << i
+    if poset.closure(mask) & below != mask:
+        raise InvalidInputError(f"{list(poset.labels(mask))} is not specialization closed")
+    return mask
+
+
+def _write_level(m: int, poset: SpectralPoset, mask: int):
+    """A level at m as :func:`_read_level` reads it."""
+    return "full" if mask == poset.down[m] else list(poset.labels(mask))
+
+
+def _column(poset: SpectralPoset, m: int, data: Mapping) -> tuple:
+    """The column at m of the member JSON ``data``: each level read by the
+    level codec at m, and the run checked as
+    :func:`~spectral_glue.thomason.filtration_from_json` checks one."""
+    # the member's run, read as a filtration in the numbering of ``poset``
+    member = filtration_from_json(poset, data, partial(_read_level, m))
+    return m, member.start, member.masks
 
 
 def _agree(poset: SpectralPoset, row: Sequence[int]) -> tuple[bool, int]:
@@ -280,25 +300,24 @@ def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
 
 
 def local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
-    """The up-sets of the localization at m, in the numbering of ``poset``."""
-    return [poset.unpack(x, m) for x in all_up_sets(poset.localization(m))]
-
-
-def members_from_json(poset: SpectralPoset, data: Mapping) -> dict[PrimeId, ThomasonFiltration]:
-    """Read ``{label: filtration JSON}``, each filtration on the localization
-    at its label, for :meth:`LocalFamily.from_members` to check."""
-    return {m: filtration_from_json(localization_poset(poset, m), f) for m, f in data.items()}
+    """The up-sets of Spec(R_m), the down-set of m, as :func:`all_up_sets`
+    lists them."""
+    return all_up_sets(poset, poset.down[m])
 
 
 def family_to_json(family: LocalFamily) -> dict:
     """``{label: filtration JSON}`` of the members, in poset order, as
-    :func:`members_from_json` reads it."""
-    return {m: filtration_to_json(f) for m, f in family.filtrations.items()}
+    :meth:`LocalFamily.from_members` reads it."""
+    poset = family.global_poset
+    return {
+        # the column's run, carried as a filtration in the numbering of ``poset``
+        poset.elements[m]: filtration_to_json(
+            ThomasonFiltration(poset, start, masks), partial(_write_level, m)
+        )
+        for m, start, masks in family.columns
+    }
 
 
 def row_to_json(poset: SpectralPoset, row: Sequence[int]) -> dict:
     """A row of local sets as a failure writes it: label -> local set JSON."""
-    return {
-        poset.elements[m]: set_to_json(ThomasonSet(poset.localization(m), poset.pack(x, m)))
-        for m, x in zip(poset.maxima, row)
-    }
+    return {poset.elements[m]: _write_level(m, poset, x) for m, x in zip(poset.maxima, row)}

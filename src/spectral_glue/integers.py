@@ -25,7 +25,6 @@ from functools import lru_cache
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
 from .gluing import LocalFamily, family_to_json, glue_filtrations, localize_filtrations
-from .gluing import members_from_json
 from .poset import SpectralPoset, interned_poset
 from .thomason import ThomasonFiltration, filtration_from_json, filtration_to_json
 
@@ -151,7 +150,7 @@ def z_family_from_json(data: Mapping) -> LocalFamily:
             )
     poset = z_poset(primes.values())
     wire = {CLOSED_POINT: data["default"], **{f"({primes[p]})": f for p, f in exceptions.items()}}
-    return LocalFamily.from_members(poset, members_from_json(poset, wire))
+    return LocalFamily.from_members(poset, wire)
 
 
 def z_family_to_json(family: LocalFamily) -> dict:

@@ -4,11 +4,12 @@ A prime ``p <= q`` means the prime ideal p is contained in q, so up-sets are
 exactly the specialization closed subsets.  Points are numbered 0..n-1 in
 sorted label order and a subset is an int whose bit i stands for point i, so
 union, intersection and inclusion are integer operations and the lowest bit
-of a mask is its smallest label.  Posets are immutable; up- and down-sets,
-maximal points and localizations are computed once per poset, and every
-localization is one :func:`interned_poset`, so the many equal small posets
-that localizing asks for are built once per process.  Labels are checked
-once, where they enter (:meth:`SpectralPoset.point`).
+of a mask is its smallest label.  Posets are immutable; up- and down-sets and
+maximal points are computed once per poset.  The localization Spec(R_m) at a
+point m is the subspace ``down[m]`` and keeps this numbering: its subsets are
+the masks inside ``down[m]``, and its up-sets are those of the poset masked
+with ``down[m]`` (:func:`all_up_sets`).  Labels are checked once, where they
+enter (:meth:`SpectralPoset.point`).
 """
 
 from __future__ import annotations
@@ -49,13 +50,12 @@ class SpectralPoset:
                 for i in range(n):
                     if up[i] >> k & 1:
                         up[i] |= up[k]
-        # j is below i when up[j] holds i; read in increasing j, each list is sorted
-        down, below = [0] * n, [[] for _ in range(n)]
+        # j is below i when up[j] holds i
+        down = [0] * n
         for j, u in enumerate(up):
             while u:
                 i = (u & -u).bit_length() - 1
                 down[i] |= 1 << j
-                below[i].append(j)
                 u &= u - 1
         self.elements = tuple(elems)
         self.index = index
@@ -67,8 +67,6 @@ class SpectralPoset:
                 raise InvalidInputError(f"order not antisymmetric: {elems[i]!r} <=> {other!r}")
         self.full = (1 << n) - 1
         self.maxima = tuple(i for i in range(n) if up[i] == 1 << i)
-        self._below = tuple(map(tuple, below))
-        self._localizations: dict[int, SpectralPoset] = {}
 
     def point(self, label: PrimeId) -> int:
         """The number of the point ``label``; the check every label passes."""
@@ -90,37 +88,6 @@ class SpectralPoset:
             if mask >> i & 1:
                 mask |= u
         return mask
-
-    def localization(self, m: int) -> "SpectralPoset":
-        """Induced poset on the down-set of point m: Spec(R_m) inside Spec(R).
-
-        Its point k is the k-th point of ``down[m]``, as both number their
-        points in label order; :meth:`pack` and :meth:`unpack` move masks
-        between the two numberings.
-        """
-        if m not in self._localizations:
-            below = self.down[m]
-            pairs = tuple((a, b) for a, b in self.relation_pairs if below >> self.index[b] & 1)
-            self._localizations[m] = interned_poset(self.labels(below), pairs)
-        return self._localizations[m]
-
-    def pack(self, mask: int, m: int) -> int:
-        """``mask & down[m]`` in the numbering of the localization at m."""
-        out, bit = 0, 1
-        for j in self._below[m]:
-            if mask >> j & 1:
-                out |= bit
-            bit <<= 1
-        return out
-
-    def unpack(self, mask: int, m: int) -> int:
-        """A mask of the localization at m in this poset's numbering."""
-        out = 0
-        for j in self._below[m]:
-            if mask & 1:
-                out |= 1 << j
-            mask >>= 1
-        return out
 
     @cached_property
     def maximal_labels(self) -> frozenset[PrimeId]:
@@ -174,7 +141,8 @@ def interned_poset(
     elements: tuple[PrimeId, ...], pairs: tuple[tuple[PrimeId, PrimeId], ...]
 ) -> SpectralPoset:
     """The one poset of this process on these sorted labels and these
-    relation pairs, listed as :attr:`SpectralPoset.relation_pairs` lists them."""
+    relation pairs, listed as :attr:`SpectralPoset.relation_pairs` lists them,
+    so the many equal posets asked for are built once per process."""
     key = (elements, pairs)
     poset = _INTERNED.get(key)
     if poset is None:
@@ -182,14 +150,13 @@ def interned_poset(
     return poset
 
 
-def localization_poset(poset: SpectralPoset, p: PrimeId) -> SpectralPoset:
-    """Induced poset on the down-set of ``p``: Spec(R_p) inside Spec(R)."""
-    return poset.localization(poset.point(p))
-
-
-def all_up_sets(poset: SpectralPoset) -> list[int]:
-    """The masks of all up-sets, ordered by size and then by sorted labels."""
+def all_up_sets(poset: SpectralPoset, below: int | None = None) -> list[int]:
+    """The masks of all up-sets of the down-set ``below``, by default the
+    whole poset, ordered by size and then by sorted labels: the unions of
+    the principal up-sets masked with ``below``."""
+    below = poset.full if below is None else below
     ups = {0}
-    for u in poset.up:
+    # every point outside the down-set masks to 0; the set takes each generator once
+    for u in {u & below for u in poset.up}:
         ups |= {s | u for s in ups}
     return sorted(ups, key=lambda s: (s.bit_count(), poset.labels(s)))

@@ -1,13 +1,13 @@
+import functools
 import itertools
 import math
 
 import pytest
 
-from spectral_glue import InvalidInputError, SpectralPoset, ThomasonSet, ZMod
+from spectral_glue import InvalidInputError, LocalFamily, SpectralPoset, ThomasonSet, ZMod
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, count_filtrations
-from spectral_glue.poset import localization_poset
 from spectral_glue.rings import spec
-from spectral_glue.thomason import ThomasonFiltration, from_levels
+from spectral_glue.thomason import ThomasonFiltration, filtration_to_json, from_levels
 
 
 @pytest.fixture
@@ -58,6 +58,50 @@ def is_thomason(members, poset) -> bool:
     return poset.closure(mask) == mask
 
 
+@functools.cache
+def localization_poset(poset, label) -> SpectralPoset:
+    """Spec(R_m) as a poset of its own, the label-side oracle: the poset
+    induced on the labels of the down-set of ``label``, with the relation
+    pairs of ``poset`` between them, numbered on its own; one per (poset,
+    label) for the session."""
+    below = set(poset.labels(poset.down[poset.point(label)]))
+    return SpectralPoset(below, [(a, b) for a, b in poset.relation_pairs if b in below])
+
+
+def member_json(members) -> dict:
+    """The member JSON of label -> filtration on the localization at the
+    label, each written by labels on its own poset."""
+    return {label: filtration_to_json(f) for label, f in members.items()}
+
+
+def family_by_labels(poset, members) -> LocalFamily:
+    """The family of label -> filtration on the localization at the label,
+    its columns carried over to ``poset`` by labels and built without the
+    checks of the member wire: for the label products, whose members the
+    catalog lists already checked."""
+    return LocalFamily(
+        poset, tuple(_column_by_labels(poset, m, members[poset.elements[m]]) for m in poset.maxima)
+    )
+
+
+@functools.cache
+def _column_by_labels(poset, m, member) -> tuple:
+    return m, member.start, tuple(poset.mask_of(member.poset.labels(x)) for x in member.masks)
+
+
+def members_of(family) -> dict:
+    """label -> the member of ``family`` at that label, as a filtration on
+    :func:`localization_poset`, its levels carried over by labels."""
+    poset = family.global_poset
+    return {poset.elements[col[0]]: _member_by_labels(poset, *col) for col in family.columns}
+
+
+@functools.cache
+def _member_by_labels(poset, m, start, masks) -> ThomasonFiltration:
+    local = localization_poset(poset, poset.elements[m])
+    return ThomasonFiltration(local, start, tuple(local.mask_of(poset.labels(x)) for x in masks))
+
+
 def count_filtration_families(poset, lo, hi) -> int:
     """How many families :func:`all_filtration_families` lists: the product
     over the maximal points of the filtrations of each localization."""
@@ -87,15 +131,15 @@ def all_set_families(poset) -> list[dict]:
 
 def set_row(poset, family) -> tuple[int, ...]:
     """The row (X(m) for m in ``poset.maxima``) of a label -> local set family,
-    in the numbering of ``poset``, as :mod:`spectral_glue.gluing` takes it.
-    The keys must be the maximal points and each set must live on the
-    localization at its key."""
+    in the numbering of ``poset``, as :mod:`spectral_glue.gluing` takes it,
+    carried over by labels.  The keys must be the maximal points and each set
+    must live on :func:`localization_poset` at its key."""
     if set(family) != poset.maximal_labels:
         raise InvalidInputError("set family must cover exactly the maximal points")
     row = []
     for m in poset.maxima:
         label = poset.elements[m]
-        if family[label].poset != poset.localization(m):
+        if family[label].poset != localization_poset(poset, label):
             raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
-        row.append(poset.unpack(family[label].mask, m))
+        row.append(poset.mask_of(family[label].members))
     return tuple(row)

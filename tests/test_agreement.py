@@ -6,6 +6,7 @@ condition states it; :func:`glue_sets` decides it by comparing each star with
 the glued set, and :func:`glue_filtrations` does the same on masks alone.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -16,7 +17,6 @@ import pytest
 from spectral_glue import (
     IncompatibleFamilyError,
     LocalFamily,
-    SpectralPoset,
     ThomasonSet,
     glue_filtrations,
     glue_sets,
@@ -25,9 +25,15 @@ from spectral_glue import (
 )
 from spectral_glue.catalog import all_filtrations, poset_catalog
 from spectral_glue.gluing import localize_filtrations
-from spectral_glue.poset import localization_poset
 
-from conftest import all_set_families, constant_filtration, set_row
+from conftest import (
+    all_set_families,
+    constant_filtration,
+    localization_poset,
+    member_json,
+    members_of,
+    set_row,
+)
 from test_normaliser import reference_restrict_filtration
 
 _spec = importlib.util.spec_from_file_location(
@@ -67,7 +73,7 @@ def test_agreement_matches_the_pairwise_label_check_on_every_set_family():
             # the same sets as constant members: the mask-only degreewise glue
             # reports the same witness, at the first degree it glues
             members = {m: constant_filtration(s.poset, s) for m, s in family.items()}
-            local = LocalFamily.from_members(poset, members)
+            local = LocalFamily.from_members(poset, member_json(members))
             witness, degree = _verdict(lambda: glue_filtrations(local))
             assert (witness, degree) == (expected, None if expected is None else -1)
             families += 1
@@ -81,23 +87,21 @@ def _refuse(*args, **kwargs):
 
 
 def check_localized(filtrations, monkeypatch):
-    """Over each filtration F: glue(localize(F)) == F with no mask packed or
-    unpacked and no member filtration built; the members then read are the
-    restrictions of F, as the reference restricts them; and the family equals the checked construction on the
-    same members, both ways, with the same degrees.  Returns the count."""
+    """Over each filtration F: glue(localize(F)) == F with no member
+    filtration built; the members, read by labels, are the restrictions of
+    F, as the reference restricts them; and the family equals the checked
+    construction on the same members' JSON, both ways, with the same
+    degrees.  Returns the count."""
     with monkeypatch.context() as patched:
-        for name in ("pack", "unpack", "localization"):
-            patched.setattr(SpectralPoset, name, _refuse)
         patched.setattr(gluing, "ThomasonFiltration", _refuse)
         families = [localize_filtrations(filt) for filt in filtrations]
         for filt, family in zip(filtrations, families):
             assert glue_filtrations(family) == filt
-            assert "filtrations" not in vars(family)
     for filt, family in zip(filtrations, families):
         poset = filt.poset
         restricted = {m: reference_restrict_filtration(filt, m) for m in poset.maximal_labels}
-        assert family.filtrations == restricted
-        checked = LocalFamily.from_members(poset, restricted)
+        assert members_of(family) == restricted
+        checked = LocalFamily.from_members(poset, member_json(restricted))
         assert family == checked and checked == family
         assert family.degrees == checked.degrees
     return len(families)
@@ -119,10 +123,10 @@ def test_localized_z_families_equal_the_checked_construction(monkeypatch):
 
 
 def test_the_member_codec_round_trips_every_localized_family():
-    """family_to_json, through JSON text, read back by members_from_json and
-    checked by from_members, gives the family again: every localized
-    filtration of the catalog posets of at most 4 points on [-1, 1], and of
-    the 2,000 seed-7 Z filtrations."""
+    """family_to_json writes what the label-side members write on their own
+    posets, and through JSON text, read back and checked by from_members, it
+    gives the family again: every localized filtration of the catalog posets
+    of at most 4 points on [-1, 1], and of the 2,000 seed-7 Z filtrations."""
     filtrations = [filt for poset in poset_catalog(4) for filt in all_filtrations(poset, -1, 1)]
     filtrations += [
         integers.z_filtration_from_json(data) for data in _workloads.random_z_filtrations(7, 2_000)
@@ -130,8 +134,9 @@ def test_the_member_codec_round_trips_every_localized_family():
     for filt in filtrations:
         family = localize_filtrations(filt)
         wire = json.loads(json.dumps(gluing.family_to_json(family)))
+        assert wire == member_json(members_of(family))
         assert wire.keys() == filt.poset.maximal_labels
-        back = LocalFamily.from_members(filt.poset, gluing.members_from_json(filt.poset, wire))
+        back = LocalFamily.from_members(filt.poset, wire)
         assert back == family, wire
     assert len(filtrations) == 1_720 + 2_000
 
@@ -139,16 +144,14 @@ def test_the_member_codec_round_trips_every_localized_family():
 def test_family_members_are_read_only(vee):
     subs = {m: localization_poset(vee, m) for m in ("m1", "m2")}
     full = {m: constant_filtration(sub, ThomasonSet.full(sub)) for m, sub in subs.items()}
-    family = LocalFamily.from_members(vee, full)
-    with pytest.raises(TypeError):
-        family.filtrations["m1"] = full["m2"]
+    family = LocalFamily.from_members(vee, member_json(full))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        family.columns = LocalFamily.from_members(vee, member_json(full)).columns
     back = localize_filtrations(glue_filtrations(family))
     with pytest.raises(TypeError):
-        back.filtrations["m1"] = full["m1"]
-    # sweep 3 compares a localized family's members with a plain dict, and
-    # families compare by value
-    assert back.filtrations == full and not back.filtrations != full
-    assert back == family
+        back.columns[0] = family.columns[1]
+    # families compare by value, and so do the members read off them
+    assert members_of(back) == full and back == family
     empty = constant_filtration(subs["m1"], ThomasonSet.empty(subs["m1"]))
-    assert back.filtrations != {**full, "m1": empty}
-    assert back != LocalFamily.from_members(vee, {**full, "m1": empty})
+    assert members_of(back) != {**full, "m1": empty}
+    assert back != LocalFamily.from_members(vee, member_json({**full, "m1": empty}))

@@ -18,7 +18,7 @@ from spectral_glue.catalog import (
     stalk_complexes,
     zmod_catalog,
 )
-from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets
+from spectral_glue.gluing import glue_filtrations, glue_sets
 from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
@@ -26,6 +26,7 @@ from conftest import (
     all_filtration_families,
     all_set_families,
     count_filtration_families,
+    family_by_labels,
     is_thomason,
     set_row,
 )
@@ -156,7 +157,7 @@ def test_compatible_filtration_families_are_the_glued_product_up_to_5_points():
         families = compatible_filtration_families(poset, -1, 1)
         glued = set()
         for filts in all_filtration_families(poset, -1, 1):
-            family = LocalFamily.from_members(poset, filts)
+            family = family_by_labels(poset, filts)
             if _glues(glue_filtrations, family):
                 glued.add(family)
         assert len(families) == len(set(families))

@@ -486,6 +486,22 @@ def z_level(p):
     return ["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)]
 
 
+def vee_family(level_at_m1):
+    """A family on the vee whose member at m1 steps down from
+    ``level_at_m1`` to {m1} at degree 0, beside a step down at m2."""
+    return {
+        "poset": VEE,
+        "exceptions": {
+            "m1": {"low_tail": level_at_m1, "breakpoints": [{"n": 0, "set": ["m1"]}], "high_tail": []},
+            "m2": step_at(0),
+        },
+    }
+
+
+def vee_member_at_m1(level):
+    return ["glue", "--family", json.dumps(vee_family(level))]
+
+
 def z_key(key):
     family = {"poset": INTEGERS, "default": Z_DEFAULT, "exceptions": {key: Z_DEFAULT}}
     return ["compat-check", "--family", json.dumps(family)]
@@ -617,6 +633,13 @@ def z_key(key):
         # named no field: "prime '(5)' is not in this poset"
         (["torsion", "--ring", json.dumps(Z12), "--module", '{"rank": 1}', "--set", '["(5)"]'],
          "'set': prime '(5)' is not in this poset"),
+        # m2 is a point of the vee, but not of Spec(R_m1)
+        (vee_member_at_m1(["m2"]), "'low_tail': prime 'm2' is not in the down-set of 'm1'"),
+        # {p} is no up-set of Spec(R_m1) = {p < m1}
+        (vee_member_at_m1(["p"]), "'low_tail': ['p'] is not specialization closed"),
+        (["glue", "--family", json.dumps({"poset": INTEGERS, "default": Z_DEFAULT, "exceptions": {
+            "2": {"low_tail": ["(3)"], "breakpoints": [], "high_tail": []}, "3": Z_DEFAULT}})],
+         "'low_tail': prime '(3)' is not in the down-set of '(2)'"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -640,7 +663,8 @@ def z_key(key):
          "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
          "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",
          "cosilting-glue-free-rank-5", "module-relation-length", "module-rank-negative",
-         "torsion-set-int", "torsion-set-unknown-prime"],
+         "torsion-set-int", "torsion-set-unknown-prime", "member-names-another-maximal-point",
+         "member-level-not-closed", "z-member-names-another-exception"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()
@@ -649,6 +673,15 @@ def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     err = capsys.readouterr().err
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+def test_a_member_level_is_an_up_set_of_its_down_set_not_of_the_poset(capsys, mode):
+    """{p, m1} is all of Spec(R_m1) but no up-set of the vee, which puts m2
+    above p: the member reads it as "full" at m1 and glues the same bytes."""
+    listed = run(capsys, *mode, "glue", "--family", json.dumps(vee_family(["m1", "p"])))
+    full = run(capsys, *mode, "glue", "--family", json.dumps(vee_family("full")))
+    assert listed == full and listed[0] == 0
 
 
 @pytest.mark.parametrize("verb", ["glue", "compat-check", "lemma-equiv"])

@@ -17,9 +17,9 @@ from spectral_glue import (
     make_filtration,
 )
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, poset_catalog
-from spectral_glue.poset import all_up_sets, localization_poset
+from spectral_glue.poset import all_up_sets
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv, sweep_set_gluing
-from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json
+from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json, filtration_to_json
 
 from conftest import (
     all_filtration_families,
@@ -27,6 +27,9 @@ from conftest import (
     constant_filtration,
     is_thomason,
     leq as mask_leq,
+    localization_poset,
+    member_json,
+    members_of,
     set_row,
     up,
 )
@@ -73,7 +76,7 @@ def test_a_row_is_converted_from_the_maximal_points_and_their_localizations(vee)
 
 def test_family_must_cover_maximal_points(vee):
     with pytest.raises(InvalidInputError):
-        LocalFamily.from_members(vee, {"m1": constant_filtration(*_local(vee, "m1"))})
+        LocalFamily.from_members(vee, member_json({"m1": constant_filtration(*_local(vee, "m1"))}))
 
 
 def _local(vee, m):
@@ -94,7 +97,7 @@ def test_glue_reports_offending_degree(vee):
         sub1, ThomasonSet.full(sub1), [(0, ThomasonSet.empty(sub1))], ThomasonSet.empty(sub1)
     )
     f2 = constant_filtration(sub2, ThomasonSet.full(sub2))
-    family = LocalFamily.from_members(vee, {"m1": f1, "m2": f2})
+    family = LocalFamily.from_members(vee, member_json({"m1": f1, "m2": f2}))
     with pytest.raises(IncompatibleFamilyError) as err:
         glue_filtrations(family)
     assert err.value.witness is not None and err.value.witness[2] == "p"
@@ -105,9 +108,9 @@ def test_glue_reports_offending_degree(vee):
 def test_from_default_materializes_restrictions(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
-    family = LocalFamily.from_default(vee, filt)
-    assert family.filtrations["m2"].at(0).members == set()
-    assert family.filtrations["m1"].at(0).members == {"m1"}
+    members = members_of(LocalFamily.from_default(vee, filt))
+    assert members["m2"].at(0).members == set()
+    assert members["m1"].at(0).members == {"m1"}
 
 
 def test_from_default_is_the_localized_default_with_its_exceptions():
@@ -122,12 +125,12 @@ def test_from_default_is_the_localized_default_with_its_exceptions():
             localized = localize_filtrations(filt)
             family = LocalFamily.from_default(poset, filt)
             assert family == localized and family.degrees == localized.degrees
-            others = localize_filtrations(filtrations[-1 - k]).filtrations
+            others = members_of(localize_filtrations(filtrations[-1 - k]))
             for m in poset.maximal_labels:
-                members = {**localized.filtrations, m: others[m]}
-                family = LocalFamily.from_default(poset, filt, {m: others[m]})
-                checked_family = LocalFamily.from_members(poset, members)
-                assert family == checked_family and family.filtrations == members
+                members = {**members_of(localized), m: others[m]}
+                family = LocalFamily.from_default(poset, filt, member_json({m: others[m]}))
+                checked_family = LocalFamily.from_members(poset, member_json(members))
+                assert family == checked_family and members_of(family) == members
                 assert family.degrees == checked_family.degrees
                 excepted += family != localized
             checked += 1
@@ -139,7 +142,7 @@ def test_from_default_refuses_a_stray_key_and_a_default_on_another_poset(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     with pytest.raises(InvalidInputError, match="'p' is not a maximal point"):
-        LocalFamily.from_default(vee, filt, {"p": filt})
+        LocalFamily.from_default(vee, filt, {"p": filtration_to_json(filt)})
     line = SpectralPoset(["p", "m1", "m2"], [("p", "m1")])
     with pytest.raises(InvalidInputError, match="default filtration lives on the wrong poset"):
         LocalFamily.from_default(line, filt)
@@ -161,7 +164,7 @@ def test_both_builders_bound_the_span_of_the_members():
     two = SpectralPoset(["a", "b"])
     default = filtration_from_json(two, _step_at(0))
     for gap in (MAX_DEGREE_SPAN + 1, MAX_DEGREE_SPAN + 2):
-        members = gluing.members_from_json(two, {"a": _step_at(0), "b": _step_at(gap)})
+        members = {"a": _step_at(0), "b": _step_at(gap)}
         builds = (
             lambda: LocalFamily.from_members(two, members),
             lambda: LocalFamily.from_default(two, default, {"b": members["b"]}),
@@ -190,7 +193,7 @@ def test_rows_read_every_member_at_each_degree():
     families = 0
     for poset in poset_catalog(4):
         for members in all_filtration_families(poset, -2, 1):
-            family = LocalFamily.from_members(poset, members)
+            family = LocalFamily.from_members(poset, member_json(members))
             expected = [
                 set_row(poset, {m: f.at(n) for m, f in members.items()}) for n in family.degrees
             ]
@@ -206,12 +209,13 @@ def test_filtration_sweep_reports_an_incompatible_localized_family(monkeypatch):
         # the constant full filtration at the first maximal point holds every
         # shared prime, so the family is incompatible wherever F leaves one out
         family = localize(filt)
-        if not family.filtrations:
+        members = members_of(family)
+        if not members:
             return family
-        m = min(family.filtrations)
-        sub = family.filtrations[m].poset
+        m = min(members)
+        sub = members[m].poset
         full = constant_filtration(sub, ThomasonSet.full(sub))
-        return LocalFamily.from_members(family.global_poset, {**family.filtrations, m: full})
+        return LocalFamily.from_members(family.global_poset, member_json({**members, m: full}))
 
     monkeypatch.setattr(gluing, "localize_filtrations", first_member_full)
     report = sweep_filtration_bijection(max_poset=3, window=(-1, 1))
@@ -344,6 +348,8 @@ def test_mask_gluing_matches_label_sets_on_the_catalog():
             assert set(sub.elements) == down[m]
             assert {(a, a) for a in sub.elements} | set(sub.relation_pairs) == local_leq
             local_ups[m] = _ref_up_sets(sub, local_leq)
+            listed = gluing.local_up_sets(poset, poset.point(m))
+            assert [frozenset(poset.labels(x)) for x in listed] == local_ups[m]
         for members in _ref_up_sets(poset, leq):
             x = ThomasonSet.from_members(poset, members)
             local = localize_sets(x)

@@ -9,7 +9,6 @@ from spectral_glue import (
     FiltrationOrderError,
     IncompatibleFamilyError,
     InvalidInputError,
-    LocalFamily,
     UnsupportedRingError,
 )
 from spectral_glue.cli import main
@@ -24,10 +23,8 @@ from spectral_glue.integers import (
     z_witness,
 )
 from spectral_glue.gluing import localize_sets
-from spectral_glue.poset import localization_poset
-from spectral_glue.thomason import filtration_from_json
 
-from conftest import leq
+from conftest import leq, localization_poset, members_of
 
 
 def zfilt(low, bps, high):
@@ -51,8 +48,7 @@ def test_z_poset_is_a_star_whose_localizations_are_2_chains():
     for m in poset.maximal_labels:
         local = localization_poset(poset, m)
         assert local.to_json() == {"elements": ["(0)", m], "leq": [["(0)", m]]}
-        # one object per process: every star's localization at m is this one
-        assert local is localization_poset(z_poset([2, 3, 5, 11]), m)
+        assert local == localization_poset(z_poset([2, 3, 5, 11]), m)
     assert z_poset([3, 2, 3]) is z_poset([2, 3])
     with pytest.raises(InvalidInputError, match="4 is not a prime"):
         z_poset([4])
@@ -92,7 +88,7 @@ def test_levels_name_primes_only(p):
 def test_localize_glue_roundtrip():
     filt = zfilt("full", [(0, [2, 3]), (1, [3])], [])
     family = localize_z_filtration(filt)
-    assert sorted(family.filtrations) == ["(2)", "(3)", "(m)"]
+    assert sorted(members_of(family)) == ["(2)", "(3)", "(m)"]
     assert glue_z_filtrations(family) == filt
 
 
@@ -141,13 +137,15 @@ def test_family_json():
 
 
 def test_exception_poset_is_checked():
-    poset = z_poset([2])
-    default = filtration_from_json(localization_poset(poset, "(m)"), STEP_DOWN)
-    wrong = filtration_from_json(localization_poset(z_poset([3]), "(3)"), STEP_DOWN)
-    with pytest.raises(InvalidInputError, match="wrong poset"):
-        LocalFamily.from_members(poset, {"(m)": default, "(2)": wrong})
+    """A member names only points below its key: (3) is a point of the
+    family's poset, but not of (0) < (2); without (3) among the keys it is
+    not a point at all."""
+    names_3 = {"low_tail": ["(3)"], "breakpoints": [], "high_tail": ["(3)"]}
+    outside = r"'low_tail': prime '\(3\)' is not in the down-set of '\(2\)'"
+    with pytest.raises(InvalidInputError, match=outside):
+        z_family(STEP_DOWN, **{"2": names_3, "3": STEP_DOWN})
     with pytest.raises(InvalidInputError, match="'\\(3\\)' is not in this poset"):
-        z_family(STEP_DOWN, **{"2": {"low_tail": ["(3)"], "breakpoints": [], "high_tail": ["(3)"]}})
+        z_family(STEP_DOWN, **{"2": names_3})
 
 
 # -- seeded properties over generated Z data ---------------------------------

@@ -20,8 +20,8 @@ import pytest
 
 from spectral_glue import catalog, integers, rings as rng
 from spectral_glue.errors import FiltrationOrderError, IncompatibleFamilyError
-from spectral_glue.gluing import LocalFamily, glue_filtrations, glue_sets, localize_filtrations
-from spectral_glue.poset import SpectralPoset, localization_poset
+from spectral_glue.gluing import glue_filtrations, glue_sets, localize_filtrations
+from spectral_glue.poset import SpectralPoset
 from spectral_glue.sweeps import _local_global_rings
 from spectral_glue.thomason import (
     ThomasonFiltration,
@@ -31,7 +31,15 @@ from spectral_glue.thomason import (
 )
 from spectral_glue.tstructures import local_tstructures
 
-from conftest import all_filtration_families, level_sets, set_row, window
+from conftest import (
+    all_filtration_families,
+    level_sets,
+    family_by_labels,
+    localization_poset,
+    members_of,
+    set_row,
+    window,
+)
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -157,13 +165,13 @@ def reference_local_tstructure(ring, filtration, m):
 def reference_glue_filtrations(family):
     """Glue over the members' windows and one degree on each side; an
     incompatible family gives (degree, witness) of its first bad degree."""
-    poset = family.global_poset
-    lo = min(window(f)[0] for f in family.filtrations.values())
-    hi = max(window(f)[1] for f in family.filtrations.values())
+    poset, members = family.global_poset, members_of(family)
+    lo = min(window(f)[0] for f in members.values())
+    hi = max(window(f)[1] for f in members.values())
     glued = []
     for n in range(lo - 1, hi + 2):
         try:
-            sets = {m: f.at(n) for m, f in family.filtrations.items()}
+            sets = {m: f.at(n) for m, f in members.items()}
             glued.append((n, glue_sets(poset, set_row(poset, sets))))
         except IncompatibleFamilyError as exc:
             return (n, exc.witness)
@@ -194,9 +202,10 @@ def check_filtration(filt):
     references; returns the localized family."""
     poset = filt.poset
     family = localize_filtrations(filt)
+    members = members_of(family)
     for m in poset.maximal_labels:
         local = reference_restrict_filtration(filt, m)
-        assert family.filtrations[m] == local
+        assert members[m] == local
     assert glue_filtrations(family) == reference_glue_filtrations(family) == filt
     return family
 
@@ -213,7 +222,7 @@ def test_catalog_filtrations_and_families_match_the_references():
             filtrations += 1
         glued = set()
         for filts in all_filtration_families(poset, lo, hi):
-            family = LocalFamily.from_members(poset, filts)
+            family = family_by_labels(poset, filts)
             expected = expected_glue(family)
             assert glue_or_witness(family) == expected
             families += 1

@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from spectral_glue import InvalidInputError, SpectralPoset, localization_poset
+from spectral_glue import InvalidInputError, SpectralPoset
 from spectral_glue import integers
 from spectral_glue.catalog import poset_catalog
 from spectral_glue.poset import all_up_sets
 
-from conftest import is_thomason, leq
+from conftest import is_thomason, leq, localization_poset
 
 
 def test_closure_is_automatic():
@@ -36,9 +36,17 @@ def test_up_sets_of_vee(vee):
 
 
 def test_localization_poset(vee):
+    """The tests' Spec(R_m) is the poset induced on the down-set of m: on
+    the vee, and on a diamond, where the local order keeps only the
+    relations below m."""
     sub = localization_poset(vee, "m1")
-    assert set(sub.elements) == {"p", "m1"}
-    assert leq(sub, "p", "m1")
+    assert sub.elements == ("m1", "p") and sub.relation_pairs == (("p", "m1"),)
+    assert sub.elements == vee.labels(vee.down[vee.point("m1")])
+    diamond = SpectralPoset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    at_b = localization_poset(diamond, "b")
+    assert at_b == SpectralPoset(["a", "b"], [("a", "b")])
+    assert localization_poset(diamond, "d") == diamond
+    assert localization_poset(diamond, "a") == SpectralPoset(["a"])
 
 
 def test_localization_rejects_unknown_prime(vee):
@@ -56,10 +64,10 @@ def test_from_json_rejects_unknown_labels():
 
 
 def reference_order(elements, pairs):
-    """(up, down, maxima, below) of the order that ``pairs`` generate, by a
+    """(up, down, maxima) of the order that ``pairs`` generate, by a
     builder that shares no shortcut with :class:`SpectralPoset`: Warshall
-    through every point, and each down-set and its point list read by
-    testing every pair of points."""
+    through every point, and each down-set read by testing every pair of
+    points."""
     elems = sorted(elements)
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
@@ -72,8 +80,7 @@ def reference_order(elements, pairs):
                 up[i] |= up[k]
     down = tuple(sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n))
     maxima = tuple(i for i in range(n) if up[i] == 1 << i)
-    below = tuple(tuple(j for j in range(n) if d >> j & 1) for d in down)
-    return tuple(up), down, maxima, below
+    return tuple(up), down, maxima
 
 
 def _seed_7_star_posets():
@@ -109,7 +116,7 @@ def test_the_order_matches_the_cubic_builder():
     inputs += [(star.elements, star.relation_pairs) for star in stars]
     for elements, pairs in inputs:
         poset = SpectralPoset(elements, pairs)
-        assert (poset.up, poset.down, poset.maxima, poset._below) == reference_order(
+        assert (poset.up, poset.down, poset.maxima) == reference_order(
             elements, pairs
         )
     assert (len(inputs), len(stars)) == (2 * 405 + 835, 835)

@@ -18,7 +18,7 @@ from spectral_glue.thomason import (
     set_to_json,
 )
 
-from conftest import constant_filtration, level_sets, up, window
+from conftest import constant_filtration, level_sets, members_of, up, window
 
 
 def test_from_members_rejects_non_up_sets(vee):
@@ -120,14 +120,14 @@ def test_restrict_filtration(vee):
     filt = make_filtration(
         vee, full, [(0, up(vee, "m1", "m2")), (1, up(vee, "m1"))], empty
     )
-    local = localize_filtrations(filt).filtrations["m1"]
+    local = members_of(localize_filtrations(filt))["m1"]
     assert local.at(-1).is_full()
     assert local.at(0).members == {"m1"}
     assert local.at(1).members == {"m1"}
     assert local.at(2).members == set()
     # a step only m1 sees restricts to a pure step at m1 and a constant at m2
     step = make_filtration(vee, up(vee, "m1"), [(1, empty)], empty)
-    members = localize_filtrations(step).filtrations
+    members = members_of(localize_filtrations(step))
     assert is_constant(members["m2"])
     at_m1 = members["m1"]
     assert level_sets(at_m1)[1][1:-1] == () and window(at_m1) == (1, 0)

@@ -210,6 +210,20 @@ def test_classify_degeneracy(standard, z12_poset):
     assert classify_degeneracy(other) == DEGENERATE_OTHER
 
 
-def test_localization_commutes_with_classification(standard, z12):
-    for _, local in local_tstructures(z12, localize_filtrations(standard)).values():
-        assert classify_degeneracy(local) in {NONDEGENERATE, STABLE, DEGENERATE_OTHER}
+def test_localization_commutes_with_classification():
+    """Over every filtration F of Spec(Z/12) and Spec(Z/30) on [-1, 1], read
+    through the local t-structures of its localization: F is nondegenerate
+    exactly when every local one is, and constant exactly when every local
+    one is."""
+    tags = []
+    for n in (12, 30):
+        ring = ZMod(n)
+        for filt in catalog.all_filtrations(spec(ring), -1, 1):
+            local = local_tstructures(ring, localize_filtrations(filt)).values()
+            local_tags = [classify_degeneracy(local_filt) for _, local_filt in local]
+            tag = classify_degeneracy(filt)
+            assert (tag == NONDEGENERATE) == all(t == NONDEGENERATE for t in local_tags), filt
+            assert (tag == STABLE) == all(t == STABLE for t in local_tags), filt
+            tags.append(tag)
+    # 16 and 64 filtrations, every tag among them
+    assert [tags.count(t) for t in (NONDEGENERATE, STABLE, DEGENERATE_OTHER)] == [12, 12, 56]

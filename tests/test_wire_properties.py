@@ -5,7 +5,8 @@ The ``--family`` and ``--filtration`` inputs of the recorded ``glue``,
 ``compat-check``, ``lemma-equiv`` and ``localize`` cases in
 ``data/cli_golden.json`` are mutated: fields dropped, values swapped for
 another JSON type, lists shortened, ints replaced by +-10^9, 10^18 + 3 or
-10^400 + 1, and every breakpoint shifted by +-10^9.  Each call must exit 0, 1 or 2 within a
+10^400 + 1, every breakpoint shifted by +-10^9, and a label that the input
+names put into a level, which may lie outside the down-set of a member.  Each call must exit 0, 1 or 2 within a
 second, never raise, and an exit 2 must name a field of the input, a bound or
 the order check that failed; a refusal by the degree-span bound needs
 breakpoints that lie that far apart.  The ring JSON and ``--generators`` of
@@ -80,6 +81,15 @@ SWAPS = [5, -1, 2.5, True, None, "x", "full", [], {}]
 BIGS = [10**9, -(10**9), 10**18 + 3, 10**400 + 1]
 
 
+LEVEL_KEYS = ("low_tail", "high_tail", "set")
+
+
+def _labels(data, paths):
+    """The labels that the poset elements or the levels of ``data`` name."""
+    values = [_get(data, p) for p in paths if len(p) > 1 and p[-2] in LEVEL_KEYS + ("elements",)]
+    return sorted({v for v in values if isinstance(v, str)})
+
+
 def _paths(node, path=()):
     yield path
     if isinstance(node, dict):
@@ -124,8 +134,17 @@ def mutated(draw, data):
     """``data`` after one to three mutations."""
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(data))
-        kind = draw(st.sampled_from(["drop", "swap", "shorten", "big", "shift"]))
+        kind = draw(st.sampled_from(["drop", "swap", "shorten", "big", "shift", "relabel"]))
         ints = [p for p in paths if type(_get(data, p)) is int]
+        if kind == "relabel":
+            levels = [p for p in paths if p and p[-1] in LEVEL_KEYS]
+            labels = _labels(data, paths)
+            if levels and labels:
+                path = draw(st.sampled_from(levels))
+                level = _get(data, path)
+                rest = level if isinstance(level, list) else []
+                data = _put(data, path, [draw(st.sampled_from(labels))] + rest)
+            continue
         if kind == "big" and ints:
             data = _put(data, draw(st.sampled_from(ints)), draw(st.sampled_from(BIGS)))
             continue
