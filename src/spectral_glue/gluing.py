@@ -24,9 +24,9 @@ its column and checks the span, and :meth:`LocalFamily.from_default` checks
 its exception keys and its default's poset, then reads each exception as
 ``from_members`` does.  Set
 families have no wire, so a row is built by the package and not checked
-again.  One level codec at m reads and writes every level of a member at m
-and every X(m) of a row (:func:`family_to_json`, :func:`row_to_json`):
-"full" is ``down[m]``, and a list names points of ``down[m]`` by label.
+again.  The level codec of :mod:`spectral_glue.thomason` at m reads and
+writes every level of a member at m and every X(m) of a row: "full" is
+``down[m]``, and a list names points of ``down[m]`` by label.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .thomason import (
     filtration_from_json,
     filtration_to_json,
     from_levels,
+    level_from_json,
+    level_to_json,
     trim,
 )
 
@@ -151,39 +153,12 @@ class LocalFamily:
         return list(zip(*padded)) if padded else [()] * len(degrees)
 
 
-def _read_level(m: int, poset: SpectralPoset, data) -> int:
-    """The mask of a level at m: "full" is ``down[m]``, and a list is read
-    label by label, each a point of ``down[m]``, into an up-set of
-    ``down[m]``, which need not be an up-set of ``poset``."""
-    below = poset.down[m]
-    if data == "full":
-        return below
-    if not isinstance(data, (list, tuple)):
-        raise InvalidInputError(f"expected 'full' or a list of labels, got {data!r}")
-    mask = 0
-    for label in data:
-        i = poset.point(label)
-        if not below >> i & 1:
-            raise InvalidInputError(
-                f"prime {label!r} is not in the down-set of {poset.elements[m]!r}"
-            )
-        mask |= 1 << i
-    if poset.closure(mask) & below != mask:
-        raise InvalidInputError(f"{list(poset.labels(mask))} is not specialization closed")
-    return mask
-
-
-def _write_level(m: int, poset: SpectralPoset, mask: int):
-    """A level at m as :func:`_read_level` reads it."""
-    return "full" if mask == poset.down[m] else list(poset.labels(mask))
-
-
 def _column(poset: SpectralPoset, m: int, data: Mapping) -> tuple:
     """The column at m of the member JSON ``data``: each level read by the
     level codec at m, and the run checked as
     :func:`~spectral_glue.thomason.filtration_from_json` checks one."""
     # the member's run, read as a filtration in the numbering of ``poset``
-    member = filtration_from_json(poset, data, partial(_read_level, m))
+    member = filtration_from_json(poset, data, partial(level_from_json, at=m))
     return m, member.start, member.masks
 
 
@@ -312,7 +287,7 @@ def family_to_json(family: LocalFamily) -> dict:
     return {
         # the column's run, carried as a filtration in the numbering of ``poset``
         poset.elements[m]: filtration_to_json(
-            ThomasonFiltration(poset, start, masks), partial(_write_level, m)
+            ThomasonFiltration(poset, start, masks), partial(level_to_json, at=m)
         )
         for m, start, masks in family.columns
     }
@@ -320,4 +295,4 @@ def family_to_json(family: LocalFamily) -> dict:
 
 def row_to_json(poset: SpectralPoset, row: Sequence[int]) -> dict:
     """A row of local sets as a failure writes it: label -> local set JSON."""
-    return {poset.elements[m]: _write_level(m, poset, x) for m, x in zip(poset.maxima, row)}
+    return {poset.elements[m]: level_to_json(poset, x, m) for m, x in zip(poset.maxima, row)}

@@ -300,7 +300,8 @@ def cohomology(complex_: BoundedComplex, n: int) -> FiniteModule:
 
 
 def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
-    """Supp H^n: the maximal ideals m with e_m H^n nonzero.
+    """Supp H^n: the maximal ideals m with e_m H^n nonzero, as a mask of
+    spec(ring), factor k at point k.
 
     For a free term, e_m H^n is |e_m R|^r over the image orders of
     :func:`_image_orders`, each at most |e_m R| >= 2, so it is nonzero when
@@ -311,8 +312,8 @@ def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
     """
     ring = complex_.ring
     term, rank = complex_.terms.get(n), complex_.rank(n)
-    members = []
-    for lf in ring.local_factors():
+    mask = 0
+    for k, lf in enumerate(ring.local_factors()):
         if isinstance(term, FiniteModule):
             nonzero = term.local_invariants()[lf.label][0] > 1
         else:
@@ -320,8 +321,8 @@ def support_of_cohomology(complex_: BoundedComplex, n: int) -> ThomasonSet:
             images = _image_orders(complex_, n, lf, chain) if rank else []
             nonzero = rank > len(images) or chain[0] ** rank > math.prod(images)
         if nonzero:
-            members.append(lf.label)
-    return ThomasonSet.from_members(rng.spec(ring), members)
+            mask |= 1 << k
+    return ThomasonSet(rng.spec(ring), mask)
 
 
 # -- derived Hom -------------------------------------------------------------

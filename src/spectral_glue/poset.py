@@ -75,9 +75,6 @@ class SpectralPoset:
         except (KeyError, TypeError):
             raise InvalidInputError(f"prime {label!r} is not in this poset") from None
 
-    def mask_of(self, labels: Iterable[PrimeId]) -> int:
-        return sum({1 << self.point(label) for label in labels})
-
     def labels(self, mask: int) -> tuple[PrimeId, ...]:
         """The labels of the points of ``mask``, in sorted order."""
         return tuple(e for i, e in enumerate(self.elements) if mask >> i & 1)

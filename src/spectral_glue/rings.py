@@ -4,7 +4,9 @@ Supported kinds: Z/n, F_p[x]/(f), finite direct products of these, and a
 reference to Z, over which only gluing runs (:mod:`spectral_glue.integers`).
 Every finite kind decomposes as a product of local chain rings (Z/p^k or
 F_p[x]/(pi^k)); the decomposition drives localization, injectives and module
-isomorphism invariants.
+isomorphism invariants.  :meth:`FiniteRing.local_factors` lists the factors
+in label order, so factor k is point k of Spec(R) (:func:`spec`), and V(I)
+and every support are masks of Spec(R) built by factor index.
 
 Every finite kind is one :class:`FiniteRing`: its elements are the ints
 ``0 .. |R| - 1`` and add, neg and mul are lookups in tables the kind builds
@@ -319,7 +321,14 @@ class FiniteRing:
         return self._mul[a].index(b)
 
     def local_factors(self) -> list[LocalFactor]:
-        return self._factors
+        """The local factors in label order: factor k is point k of
+        :func:`spec`."""
+        return self._local_factors
+
+    @cached_property
+    def _local_factors(self) -> list[LocalFactor]:
+        # the one place that orders the factors; a kind lists them as it finds them
+        return sorted(self._factors, key=lambda lf: lf.label)
 
     @cached_property
     def _valuations(self) -> list[tuple]:
@@ -327,7 +336,7 @@ class FiniteRing:
         local factors m, in ``local_factors()`` order."""
         self._check_tabulable()
         columns = []
-        for lf in self._factors:
+        for lf in self.local_factors():
             val = lf.valuation[1]
             columns.append([val[lf.proj(x)] for x in self.elements()])
         return list(zip(*columns))
@@ -747,16 +756,13 @@ def spec(ring: FiniteRing) -> SpectralPoset:
 
 
 def v_of_ideal(ring: FiniteRing, ideal: Ideal) -> ThomasonSet:
-    """Primes containing every generator of the ideal."""
+    """Primes containing every generator of the ideal: the points of
+    :func:`spec` where the least valuation vector over the generators is
+    positive."""
     if ideal.ring != ring:
         raise InvalidInputError("ideal belongs to a different ring")
-    ring._check_tabulable()
-    members = [
-        lf.label
-        for lf in ring.local_factors()
-        if all(lf.valuation[1][lf.proj(g)] > 0 for g in ideal.generators)
-    ]
-    return ThomasonSet.from_members(spec(ring), members)
+    least = map(min, zip(*(ring._valuations[g] for g in ideal.generators)))
+    return ThomasonSet(spec(ring), sum(1 << k for k, j in enumerate(least) if j))
 
 
 def local_factor(ring: FiniteRing, label: str) -> LocalFactor:
@@ -770,24 +776,28 @@ def support(module: FiniteModule) -> ThomasonSet:
     """Supp(M) = V(Ann M): the maximal ideals m with e_m M nonzero, that is
     with e_m x nonzero for some x in M; each factor's scan stops at its first
     such witness."""
+    smul, zero, elements = module.smul, module.zero, module.elements
+    factors = module.ring.local_factors()
+    nonzero = [any(smul(lf.idempotent, x) != zero for x in elements) for lf in factors]
+    return ThomasonSet(spec(module.ring), sum(1 << k for k, b in enumerate(nonzero) if b))
+
+
+def element_support(module: FiniteModule, x) -> int:
+    """V(Ann(x)) = Supp(Rx) as a mask of :func:`spec`: Rx is the sum of its
+    components e_m Rx, so m is in it iff e_m x is nonzero."""
     smul, zero = module.smul, module.zero
-    members = [
-        lf.label
-        for lf in module.ring.local_factors()
-        if any(smul(lf.idempotent, x) != zero for x in module.elements)
-    ]
-    return ThomasonSet.from_members(spec(module.ring), members)
+    factors = module.ring.local_factors()
+    return sum(1 << k for k, lf in enumerate(factors) if smul(lf.idempotent, x) != zero)
 
 
 def indecomposable_injectives(ring: FiniteRing) -> list[FiniteModule]:
-    """One injective envelope E(R/m) per maximal ideal, in label order.
+    """One injective envelope E(R/m) per maximal ideal, in spec order.
 
     The supported rings are quasi-Frobenius products of chain rings, so the
     envelope at m is the corresponding local factor e_m R.
     """
     free = modules.free_module(ring, 1)
-    factors = sorted(ring.local_factors(), key=lambda f: f.label)
-    return [free.scaled(lf.idempotent) for lf in factors]
+    return [free.scaled(lf.idempotent) for lf in ring.local_factors()]
 
 
 def all_ideals(ring: FiniteRing) -> list[Ideal]:

@@ -253,7 +253,7 @@ def _orthogonality_rings(max_ring: int) -> list[FiniteRing]:
 def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
     ys = catalog.stalk_complexes(ring)
     y_supports = [ts.cohomology_supports(y) for y in ys]
-    labels = sorted(lf.label for lf in ring.local_factors())
+    labels = [lf.label for lf in ring.local_factors()]
     local_supports = {
         m: [ts.cohomology_supports(homalg.localize_complex(y, m)) for y in ys] for m in labels
     }

@@ -16,6 +16,11 @@ checks catalog and fixture input and :func:`filtration_from_json` wire input
 then normalise.  An order-preserving map of a valid filtration decreases
 already, so it is only normalised.
 
+Labels are read and written by one level codec, :func:`level_from_json`
+and :func:`level_to_json`, on the whole poset (:func:`set_from_json`, and
+filtration JSON) or on the down-set of one point (the members of a local
+family in :mod:`spectral_glue.gluing`); inside the package a set is a mask.
+
 Every level is an up-set of one finite spectral poset; Spec(Z) is the finite
 star poset of :func:`spectral_glue.integers.z_poset`, so its filtrations are
 these too.
@@ -23,7 +28,7 @@ these too.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import FiltrationOrderError, InvalidInputError, json_int, json_object
@@ -38,13 +43,6 @@ class ThomasonSet:
     mask: int
 
     @classmethod
-    def from_members(cls, poset: SpectralPoset, members: Iterable[PrimeId]) -> "ThomasonSet":
-        mask = poset.mask_of(members)
-        if poset.closure(mask) != mask:
-            raise InvalidInputError(f"{list(poset.labels(mask))} is not specialization closed")
-        return cls(poset, mask)
-
-    @classmethod
     def full(cls, poset: SpectralPoset) -> "ThomasonSet":
         return cls(poset, poset.full)
 
@@ -55,12 +53,6 @@ class ThomasonSet:
     @property
     def members(self) -> frozenset[PrimeId]:
         return frozenset(self.poset.labels(self.mask))
-
-    def is_full(self) -> bool:
-        return self.mask == self.poset.full
-
-    def __contains__(self, p: PrimeId) -> bool:
-        return p in self.poset.index and bool(self.mask >> self.poset.index[p] & 1)
 
     def __le__(self, other: "ThomasonSet") -> bool:
         self._same_poset(other)
@@ -74,11 +66,8 @@ class ThomasonSet:
         if other.poset != self.poset:
             raise InvalidInputError("cannot combine Thomason sets over different posets")
 
-    def sorted_members(self) -> list[PrimeId]:
-        return list(self.poset.labels(self.mask))
-
     def __repr__(self):
-        return f"ThomasonSet({self.sorted_members()})"
+        return f"ThomasonSet({list(self.poset.labels(self.mask))})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,33 +213,48 @@ def is_constant(filtration: ThomasonFiltration) -> bool:
     return filtration.masks[0] == filtration.masks[-1]
 
 
+def level_from_json(poset: SpectralPoset, data, at: int | None = None) -> int:
+    """The mask of a level on the down-set of ``at``, or on the whole poset:
+    "full" is all of it, and a list is read label by label in input order
+    into an up-set of it, which need not be an up-set of ``poset``."""
+    below = poset.full if at is None else poset.down[at]
+    if data == "full":
+        return below
+    if not isinstance(data, (list, tuple)):
+        raise InvalidInputError(f"expected 'full' or a list of labels, got {data!r}")
+    mask = 0
+    for label in data:
+        i = poset.point(label)
+        if not below >> i & 1:
+            raise InvalidInputError(
+                f"prime {label!r} is not in the down-set of {poset.elements[at]!r}"
+            )
+        mask |= 1 << i
+    if poset.closure(mask) & below != mask:
+        raise InvalidInputError(f"{list(poset.labels(mask))} is not specialization closed")
+    return mask
+
+
+def level_to_json(poset: SpectralPoset, mask: int, at: int | None = None):
+    """One level as :func:`level_from_json` reads it: "full" exactly when the
+    mask is the down-set of ``at``, or the whole poset when ``at`` is None."""
+    below = poset.full if at is None else poset.down[at]
+    return "full" if mask == below else list(poset.labels(mask))
+
+
 def set_to_json(s: ThomasonSet):
-    return "full" if s.is_full() else s.sorted_members()
+    return level_to_json(s.poset, s.mask)
 
 
 def set_from_json(poset: SpectralPoset, data) -> ThomasonSet:
-    if data == "full":
-        return ThomasonSet.full(poset)
-    if not isinstance(data, (list, tuple)):
-        raise InvalidInputError(f"expected 'full' or a list of labels, got {data!r}")
-    return ThomasonSet.from_members(poset, data)
-
-
-# the level codecs of a filtration on a finite poset, on masks: each level
-# callback of filtration JSON takes the poset and a mask
-def _level_to_json(poset: SpectralPoset, mask: int):
-    return set_to_json(ThomasonSet(poset, mask))
-
-
-def _level_from_json(poset: SpectralPoset, data) -> int:
-    return set_from_json(poset, data).mask
+    return ThomasonSet(poset, level_from_json(poset, data))
 
 
 def _members(poset: SpectralPoset, mask: int) -> list[PrimeId]:
     return list(poset.labels(mask))
 
 
-def filtration_to_json(filtration: ThomasonFiltration, write_level=_level_to_json) -> dict:
+def filtration_to_json(filtration: ThomasonFiltration, write_level=level_to_json) -> dict:
     """Write a filtration; ``write_level(poset, mask)`` writes one level."""
     poset, lo = filtration.poset, filtration.lo
     low, *window, high = filtration.masks
@@ -268,7 +272,7 @@ def filtration_to_json(filtration: ThomasonFiltration, write_level=_level_to_jso
 def filtration_from_json(
     poset: SpectralPoset,
     data: Mapping,
-    parse_level=_level_from_json,
+    parse_level=level_from_json,
     describe=_members,
 ) -> ThomasonFiltration:
     """Read a filtration; ``parse_level(poset, value)`` reads the mask of one

@@ -1,8 +1,9 @@
 """Hereditary torsion pairs, the injective-class bijection, and cosilting modules.
 
-Torsion classes are cut out by a Thomason set through supports: the support
-of an element x is the set of maximal m with e_m x nonzero, read off the
-idempotents, and the cyclic modules R/I come from the ring's ideal table.
+Torsion classes are cut out by a Thomason set through supports, masks of
+Spec(R) by factor index: the support of an element x holds the maximal m with
+e_m x nonzero (:func:`rings.element_support`), read off the idempotents, and
+the cyclic modules R/I come from the ring's ideal table.
 Cosilting modules are finite modules with an injective copresentation eta,
 kept as the map itself (a dict on the elements of Q0): splitting restricts it
 to each e_m Q0, gluing takes the product of the local maps, and the wire reads
@@ -30,23 +31,13 @@ from .thomason import ThomasonFiltration, ThomasonSet, make_filtration
 # -- torsion pairs -----------------------------------------------------------
 
 
-def _element_support(module: FiniteModule, x) -> frozenset[PrimeId]:
-    """V(Ann(x)) = Supp(Rx) as a set of prime labels: Rx is the sum of its
-    components e_m Rx, so m is in it iff e_m x is nonzero."""
-    factors = module.ring.local_factors()
-    return frozenset(lf.label for lf in factors if module.smul(lf.idempotent, x) != module.zero)
-
-
 def torsion_submodule(module: FiniteModule, x_set: ThomasonSet) -> FiniteModule:
     """Largest submodule supported in the Thomason set: {x | V(Ann x) in X},
     that is the x with e_m x = 0 for every maximal ideal m outside X."""
-    poset = rng.spec(module.ring)
-    if x_set.poset != poset:
+    if x_set.poset != rng.spec(module.ring):
         raise InvalidInputError("Thomason set does not live on spec of the module's ring")
-    allowed = x_set.members
-    outside = [lf.idempotent for lf in module.ring.local_factors() if lf.label not in allowed]
-    smul, zero = module.smul, module.zero
-    members = frozenset(x for x in module.elements if all(smul(e, x) == zero for e in outside))
+    outside = ~x_set.mask
+    members = frozenset(x for x in module.elements if not rng.element_support(module, x) & outside)
     return module.submodule(members)
 
 
@@ -70,7 +61,7 @@ class TorsionTable:
       Hom(R/I, E) = 0 for every E in it.
 
     The supports come from :func:`rings.support` (a witness e_m x != 0 per
-    factor in each built R/I) and from the idempotent components of each
+    factor in each built R/I) and from :func:`rings.element_support` of each
     element of E, as :func:`torsion_submodule` reads them, the vanishing from
     :func:`_annihilated_part`.  Each part is built when first asked for; a
     ring too large to tabulate is refused before anything is listed.
@@ -107,9 +98,7 @@ class TorsionTable:
     def element_supports(self) -> list[frozenset[int]]:
         """Per injective, the masks V(Ann x) of its nonzero elements x."""
         return [
-            frozenset(
-                self.poset.mask_of(_element_support(e, x)) for x in e.elements if x != e.zero
-            )
+            frozenset(rng.element_support(e, x) for x in e.elements if x != e.zero)
             for e in self.injectives
         ]
 
@@ -321,18 +310,17 @@ def glue_cosilting(
 
     The family must assign one cosilting module over R_m to every maximal m.
     """
-    factors = {lf.label: lf for lf in ring.local_factors()}
-    if set(family) != set(factors):
+    factors = ring.local_factors()
+    labels = [lf.label for lf in factors]
+    if set(family) != set(labels):
         raise InvalidInputError(
-            f"family keys {sorted(family)} do not match maximal ideals {sorted(factors)}"
+            f"family keys {sorted(family)} do not match maximal ideals {labels}"
         )
-    labels = sorted(factors)
     q0_parts, q1_parts = [], []
-    for label in labels:
-        lf = factors[label]
-        local = family[label]
+    for lf in factors:
+        local = family[lf.label]
         if local.ring != lf.ring:
-            raise InvalidInputError(f"component at {label!r} lives over the wrong ring")
+            raise InvalidInputError(f"component at {lf.label!r} lives over the wrong ring")
         q0_parts.append(mod.restrict_scalars(local.q0, ring, lf.proj))
         q1_parts.append(mod.restrict_scalars(local.q1, ring, lf.proj))
     # a sum has the product of its parts' orders, its elements their lengths' sum

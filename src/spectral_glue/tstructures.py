@@ -18,7 +18,7 @@ from . import rings as rng
 from .errors import InvalidInputError
 from .gluing import LocalFamily
 from .homalg import BoundedComplex, support_of_cohomology
-from .poset import PrimeId
+from .poset import PrimeId, SpectralPoset
 from .rings import FiniteRing
 from .thomason import ThomasonFiltration, ThomasonSet, is_constant, is_nondegenerate
 
@@ -52,14 +52,14 @@ def aisle_admits(supports, filtration: ThomasonFiltration) -> bool:
     return True
 
 
-def _check_spec(complex_: BoundedComplex, filtration: ThomasonFiltration) -> None:
-    if filtration.poset != rng.spec(complex_.ring):
-        raise InvalidInputError("filtration does not live on spec(ring)")
+def _check_spec(ring: FiniteRing, poset: SpectralPoset, what: str) -> None:
+    if poset != rng.spec(ring):
+        raise InvalidInputError(f"{what} does not live on spec(ring)")
 
 
 def aisle_membership(complex_: BoundedComplex, filtration: ThomasonFiltration) -> bool:
     """X in the aisle iff Supp H^n(X) is contained in X_n for every n."""
-    _check_spec(complex_, filtration)
+    _check_spec(complex_.ring, filtration.poset, "filtration")
     return aisle_admits(cohomology_supports(complex_), filtration)
 
 
@@ -86,20 +86,21 @@ def coaisle_membership(complex_: BoundedComplex, filtration: ThomasonFiltration)
     for its generator a (``LocalFactor.prime_gen``), so V(a) lies inside X_n
     while Hom(K(a)[-n], Y) is nonzero.
     """
-    _check_spec(complex_, filtration)
+    _check_spec(complex_.ring, filtration.poset, "filtration")
     return coaisle_admits(cohomology_supports(complex_), filtration)
 
 
 def local_tstructures(ring: FiniteRing, family: LocalFamily) -> dict[PrimeId, tuple]:
     """m -> (R_m, its filtration of Spec R_m) for each column of ``family``,
     the :func:`~spectral_glue.gluing.localize_filtrations` of a filtration of
-    Spec R.  Every prime is maximal, so Spec R_m is the one point m and a level
-    at m, inside {m}, reads as ``x >> m``: a column in normal form reads as a
-    filtration in normal form."""
-    labels = family.global_poset.elements
+    spec(ring).  Every prime is maximal, so point m is local factor m, Spec R_m
+    is the one point m and a level at m, inside {m}, reads as ``x >> m``: a
+    column in normal form reads as a filtration in normal form."""
+    _check_spec(ring, family.global_poset, "family")
+    factors, labels = ring.local_factors(), family.global_poset.elements
     local = {}
     for m, start, masks in family.columns:
-        local_ring = rng.local_factor(ring, labels[m]).ring
+        local_ring = factors[m].ring
         levels = tuple(x >> m for x in masks)
         local[labels[m]] = local_ring, ThomasonFiltration(rng.spec(local_ring), start, levels)
     return local

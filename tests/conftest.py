@@ -7,7 +7,12 @@ import pytest
 from spectral_glue import InvalidInputError, LocalFamily, SpectralPoset, ThomasonSet, ZMod
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, count_filtrations
 from spectral_glue.rings import spec
-from spectral_glue.thomason import ThomasonFiltration, filtration_to_json, from_levels
+from spectral_glue.thomason import (
+    ThomasonFiltration,
+    filtration_to_json,
+    from_levels,
+    set_from_json,
+)
 
 
 @pytest.fixture
@@ -27,7 +32,13 @@ def z12_poset(z12):
 
 
 def up(poset, *members) -> ThomasonSet:
-    return ThomasonSet.from_members(poset, members)
+    return set_from_json(poset, members)
+
+
+def mask_of(poset, labels) -> int:
+    """The mask of a set of labels of ``poset``, the label-side oracle's way
+    back to masks."""
+    return sum({1 << poset.point(label) for label in labels})
 
 
 def constant_filtration(poset, value: ThomasonSet) -> ThomasonFiltration:
@@ -54,7 +65,7 @@ def leq(poset, a, b) -> bool:
 
 def is_thomason(members, poset) -> bool:
     """On a finite spectral space the Thomason subsets are exactly the up-sets."""
-    mask = poset.mask_of(members)
+    mask = mask_of(poset, members)
     return poset.closure(mask) == mask
 
 
@@ -86,7 +97,7 @@ def family_by_labels(poset, members) -> LocalFamily:
 
 @functools.cache
 def _column_by_labels(poset, m, member) -> tuple:
-    return m, member.start, tuple(poset.mask_of(member.poset.labels(x)) for x in member.masks)
+    return m, member.start, tuple(mask_of(poset, member.poset.labels(x)) for x in member.masks)
 
 
 def members_of(family) -> dict:
@@ -99,7 +110,7 @@ def members_of(family) -> dict:
 @functools.cache
 def _member_by_labels(poset, m, start, masks) -> ThomasonFiltration:
     local = localization_poset(poset, poset.elements[m])
-    return ThomasonFiltration(local, start, tuple(local.mask_of(poset.labels(x)) for x in masks))
+    return ThomasonFiltration(local, start, tuple(mask_of(local, poset.labels(x)) for x in masks))
 
 
 def count_filtration_families(poset, lo, hi) -> int:
@@ -141,5 +152,5 @@ def set_row(poset, family) -> tuple[int, ...]:
         label = poset.elements[m]
         if family[label].poset != localization_poset(poset, label):
             raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
-        row.append(poset.mask_of(family[label].members))
+        row.append(mask_of(poset, family[label].members))
     return tuple(row)

@@ -19,7 +19,12 @@ from spectral_glue import (
 from spectral_glue.catalog import all_filtrations, all_thomason_sets, poset_catalog
 from spectral_glue.poset import all_up_sets
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv, sweep_set_gluing
-from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json, filtration_to_json
+from spectral_glue.thomason import (
+    MAX_DEGREE_SPAN,
+    filtration_from_json,
+    filtration_to_json,
+    set_from_json,
+)
 
 from conftest import (
     all_filtration_families,
@@ -28,6 +33,7 @@ from conftest import (
     is_thomason,
     leq as mask_leq,
     localization_poset,
+    mask_of,
     member_json,
     members_of,
     set_row,
@@ -42,7 +48,7 @@ def local_full(vee, m):
 
 def local_set(vee, m, *members):
     sub = localization_poset(vee, m)
-    return ThomasonSet.from_members(sub, members)
+    return set_from_json(sub, members)
 
 
 def test_localize_then_glue_is_identity(vee):
@@ -60,7 +66,7 @@ def test_incompatible_family_has_witness(vee):
 
 def test_compatible_family_glues_to_union_of_stars(vee):
     sets = {"m1": local_full(vee, "m1"), "m2": local_full(vee, "m2")}
-    assert glue_sets(vee, set_row(vee, sets)).is_full()
+    assert glue_sets(vee, set_row(vee, sets)) == ThomasonSet.full(vee)
     disjoint = {"m1": local_set(vee, "m1", "m1"), "m2": local_set(vee, "m2")}
     assert glue_sets(vee, set_row(vee, disjoint)).members == {"m1"}
 
@@ -233,7 +239,7 @@ def test_lemma_equiv_on_examples(vee):
 def _generic_only(vee):
     """X(m1) = X(m2) = {p}: the local sets agree on p, but neither is an up-set."""
     subs = {m: localization_poset(vee, m) for m in ("m1", "m2")}
-    return {m: ThomasonSet(sub, sub.mask_of(["p"])) for m, sub in subs.items()}
+    return {m: ThomasonSet(sub, mask_of(sub, ["p"])) for m, sub in subs.items()}
 
 
 def test_lemma_equiv_fails_on_agreeing_sets_that_are_not_up_sets(vee):
@@ -351,7 +357,7 @@ def test_mask_gluing_matches_label_sets_on_the_catalog():
             listed = gluing.local_up_sets(poset, poset.point(m))
             assert [frozenset(poset.labels(x)) for x in listed] == local_ups[m]
         for members in _ref_up_sets(poset, leq):
-            x = ThomasonSet.from_members(poset, members)
+            x = set_from_json(poset, sorted(members))
             local = localize_sets(x)
             assert [poset.elements[m] for m in poset.maxima] == maxima
             assert [frozenset(poset.labels(s)) for s in local] == [members & down[m] for m in maxima]

@@ -141,7 +141,7 @@ def test_localize_complex(z12):
     at2 = localize_complex(k6, "(2)")
     assert at2.ring.order == 4  # the complex now lives over the local factor
     assert cohomology(at2, 0).order == 2
-    assert support_of_cohomology(at2, 0).sorted_members() == ["(2)"]
+    assert sorted(support_of_cohomology(at2, 0).members) == ["(2)"]
 
 
 def test_complex_json(z12):
@@ -160,7 +160,7 @@ def test_localize_zmod_30():
     z30 = ZMod(30)
     k = koszul(z30, [6])
     assert cohomology(k, 0).order == 6
-    assert support_of_cohomology(k, 0).sorted_members() == ["(2)", "(3)"]
+    assert sorted(support_of_cohomology(k, 0).members) == ["(2)", "(3)"]
 
 
 def test_index_arithmetic_memoises_only_the_sums_it_performs(monkeypatch):
@@ -498,7 +498,7 @@ def test_smith_valuations_are_kept_per_factor():
     kos = koszul(ring, [a])
     for n in (-1, 0):
         assert support_of_cohomology(kos, n) == rng.support(cohomology(kos, n)), n
-    assert support_of_cohomology(kos, 0).sorted_members() == ["0:(2)"]
+    assert sorted(support_of_cohomology(kos, 0).members) == ["0:(2)"]
     targets = [free_stalk(ring, 1, 0), stalk_complex(cyclic_module(ring, ring.element_from_json([2, 3])), 1)]
     for y in targets:
         for i in (-1, 0, 1, 2):
@@ -536,4 +536,4 @@ def test_support_with_module_terms_among_free_terms(z12):
     )
     for n in range(-3, 4):
         assert support_of_cohomology(cx, n) == rng.support(cohomology(cx, n)), n
-    assert support_of_cohomology(cx, 0).sorted_members() == ["(3)"]
+    assert sorted(support_of_cohomology(cx, 0).members) == ["(3)"]

@@ -9,6 +9,7 @@ from spectral_glue import (
     FiltrationOrderError,
     IncompatibleFamilyError,
     InvalidInputError,
+    ThomasonSet,
     UnsupportedRingError,
 )
 from spectral_glue.cli import main
@@ -128,7 +129,7 @@ def test_family_json():
     family = z_family(STEP_DOWN, **{"5": exception})
     glued = glue_z_filtrations(family)
     assert glued.at(0).members == {"(5)"}
-    assert glued.at(-1).is_full()
+    assert glued.at(-1) == ThomasonSet.full(glued.poset)
     assert not glued.at(1).mask
     assert z_filtration_to_json(glued)["breakpoints"] == [{"n": 0, "set": [5]}]
     wire = z_family_to_json(family)

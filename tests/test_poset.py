@@ -9,7 +9,7 @@ from spectral_glue import integers
 from spectral_glue.catalog import poset_catalog
 from spectral_glue.poset import all_up_sets
 
-from conftest import is_thomason, leq, localization_poset
+from conftest import is_thomason, leq, localization_poset, mask_of
 
 
 def test_closure_is_automatic():
@@ -30,7 +30,7 @@ def test_maximal_points(vee):
 def test_up_sets_of_vee(vee):
     ups = all_up_sets(vee)
     assert len(ups) == 5
-    assert vee.mask_of({"p"}) not in ups
+    assert mask_of(vee, {"p"}) not in ups
     assert is_thomason({"m1", "m2"}, vee)
     assert not is_thomason({"p"}, vee)
 

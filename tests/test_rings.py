@@ -12,6 +12,7 @@ from spectral_glue import (
     InvalidInputError,
     PolyQuot,
     ProductRing,
+    ThomasonSet,
     UnsupportedRingError,
     ZMod,
     cyclic_module,
@@ -31,6 +32,7 @@ from spectral_glue.rings import (
     _radix_table,
     _radix_vector,
     all_ideals,
+    element_support,
     local_factor,
     module_from_json,
     pdivmod,
@@ -38,7 +40,6 @@ from spectral_glue.rings import (
     pnorm,
     spec,
 )
-from spectral_glue.torsion_cosilting import _element_support
 
 
 def residue_field(ring, label):
@@ -47,16 +48,34 @@ def residue_field(ring, label):
     return cyclic_module(ring, local_factor(ring, label).prime_gen)
 
 
+@pytest.mark.parametrize(
+    "catalog",
+    [
+        lambda: zmod_catalog(60),
+        lambda: poly_catalog(5, 3),
+        lambda: product_catalog(40),
+        lambda: [ProductRing([ZMod(2)] * 11)],
+    ],
+    ids=["zmod", "poly_quot", "product", "eleven_factors"],
+)
+def test_local_factor_k_is_point_k_of_spec(catalog):
+    """The factors come in spec order, also where label order is not the
+    order in which a kind finds them: Z/22 has (11) before (2), and eleven
+    factors have "10:(2)" before "2:(2)"."""
+    for ring in catalog():
+        assert [lf.label for lf in ring.local_factors()] == list(spec(ring).elements), ring
+
+
 def test_spec_z12(z12, z12_poset):
     assert sorted(z12_poset.elements) == ["(2)", "(3)"]
     assert z12_poset.relation_pairs == ()  # primes of Z/n are incomparable
 
 
 def test_v_of_ideal_z12(z12):
-    assert v_of_ideal(z12, Ideal(z12, (6,))).sorted_members() == ["(2)", "(3)"]
-    assert v_of_ideal(z12, Ideal(z12, (4,))).sorted_members() == ["(2)"]
-    assert v_of_ideal(z12, Ideal(z12, (0,))).is_full()
-    assert v_of_ideal(z12, Ideal(z12, (1,))).sorted_members() == []
+    assert sorted(v_of_ideal(z12, Ideal(z12, (6,))).members) == ["(2)", "(3)"]
+    assert sorted(v_of_ideal(z12, Ideal(z12, (4,))).members) == ["(2)"]
+    assert v_of_ideal(z12, Ideal(z12, (0,))) == ThomasonSet.full(spec(z12))
+    assert sorted(v_of_ideal(z12, Ideal(z12, (1,))).members) == []
 
 
 def test_ideal_lattice_z12(z12):
@@ -153,8 +172,8 @@ def v_of_annihilator(module, elements=None):
 def test_annihilator_and_support(z12):
     m = cyclic_module(z12, 4)
     assert v_of_annihilator(m) == {"(2)"}
-    assert support(m).sorted_members() == ["(2)"]
-    assert support(free_module(z12, 1)).is_full()
+    assert sorted(support(m).members) == ["(2)"]
+    assert support(free_module(z12, 1)) == ThomasonSet.full(spec(z12))
 
 
 @pytest.mark.parametrize(
@@ -205,7 +224,8 @@ def test_the_ideal_table_matches_the_paths_it_replaced(catalog):
             assert same_module(residue_field(ring, lf.label), kappa), (ring, lf.label)
         for m in cyclics + indecomposable_injectives(ring):
             for x in m.elements:
-                assert _element_support(m, x) == v_of_annihilator(m, [x]), (ring, m, x)
+                supported = set(spec(ring).labels(element_support(m, x)))
+                assert supported == v_of_annihilator(m, [x]), (ring, m, x)
 
 
 @pytest.mark.parametrize("ring", [ZMod(60), ProductRing((ZMod(4), PolyQuot(2, (0, 0, 1))))], ids=str)
@@ -406,17 +426,22 @@ def tabulated_valuation(lf):
 @CATALOGS
 def test_valuation_vectors_match_the_multiplication_table(catalog):
     """Ideals, V(I) and the chain valuations read off valuation vectors equal
-    those found by multiplying out every principal ideal."""
+    those found by multiplying out every principal ideal; V(a, b) is V(a)
+    and V(b) together."""
     for ring in catalog():
         mul = [ring._row(a) for a in ring.elements()]
         ideals = [(ideal.members, ideal.generators) for ideal in all_ideals(ring)]
         assert ideals == [(members, (g,)) for members, g in enumerated_ideals(ring, mul)], ring
         factors = ring.local_factors()
         primes = [frozenset(mul[lf.prime_gen][r] for r in ring.elements()) for lf in factors]
-        poset = spec(ring)
+        v_sets = [
+            {lf.label for lf, prime in zip(factors, primes) if g in prime} for g in ring.elements()
+        ]
         for g in ring.elements():
-            v_set = [lf.label for lf, prime in zip(factors, primes) if g in prime]
-            assert v_of_ideal(ring, Ideal(ring, (g,))).mask == poset.mask_of(v_set), (ring, g)
+            assert v_of_ideal(ring, Ideal(ring, (g,))).members == v_sets[g], (ring, g)
+        for (a,), (b,) in itertools.combinations([gens for _, gens in ideals], 2):
+            both = v_sets[a] & v_sets[b]
+            assert v_of_ideal(ring, Ideal(ring, (a, b))).members == both, (ring, a, b)
         for lf in factors:
             assert lf.valuation == tabulated_valuation(lf), (ring, lf.label)
 
@@ -553,7 +578,7 @@ def test_a_prime_generator_that_is_not_nilpotent_fails_at_once():
         for lf in units:
             with pytest.raises(AssertionError, match="not nilpotent"):
                 tabulated_valuation(lf)
-        ring._factors = units
+        ring._local_factors = units
         with pytest.raises(AssertionError, match="not nilpotent"):
             free_module(ring, 1).local_invariants()
     assert time.perf_counter() - start < 1

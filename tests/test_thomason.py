@@ -22,8 +22,8 @@ from conftest import constant_filtration, level_sets, members_of, up, window
 
 
 def test_from_members_rejects_non_up_sets(vee):
-    with pytest.raises(InvalidInputError):
-        ThomasonSet.from_members(vee, {"p"})
+    with pytest.raises(InvalidInputError, match=r"^\['p'\] is not specialization closed$"):
+        set_from_json(vee, ["p"])
 
 
 def test_filtration_values_and_window(vee):
@@ -36,7 +36,7 @@ def test_filtration_values_and_window(vee):
     assert window(filt) == (0, 1)
     levels = (ThomasonSet.full(vee), up(vee, "m1", "m2"), up(vee, "m1"), ThomasonSet.empty(vee))
     assert level_sets(filt) == (-1, levels)
-    assert filt.at(-5).is_full()
+    assert filt.at(-5) == ThomasonSet.full(vee)
     assert filt.at(0).members == {"m1", "m2"}
     assert filt.at(1).members == {"m1"}
     assert filt.at(2).members == set()
@@ -64,11 +64,11 @@ def test_pure_step_keeps_its_position(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     step = make_filtration(vee, full, [(2, full), (3, empty)], empty)
     assert level_sets(step)[1][1:-1] == ()
-    assert step.at(2).is_full()
+    assert step.at(2) == ThomasonSet.full(vee)
     assert step.at(3).members == set()
     shifted = make_filtration(vee, full, [(0, empty)], empty)
     assert step != shifted
-    assert shifted.at(-1).is_full() and shifted.at(0).members == set()
+    assert shifted.at(-1) == ThomasonSet.full(vee) and shifted.at(0).members == set()
     assert from_levels(vee, 0, (vee.full, vee.full, vee.full, 0, 0)) == step
     assert from_levels(vee, -1, (vee.full, 0)) == shifted
     assert level_sets(step) == (2, (full, empty))
@@ -121,7 +121,7 @@ def test_restrict_filtration(vee):
         vee, full, [(0, up(vee, "m1", "m2")), (1, up(vee, "m1"))], empty
     )
     local = members_of(localize_filtrations(filt))["m1"]
-    assert local.at(-1).is_full()
+    assert local.at(-1) == ThomasonSet.full(local.poset)
     assert local.at(0).members == {"m1"}
     assert local.at(1).members == {"m1"}
     assert local.at(2).members == set()

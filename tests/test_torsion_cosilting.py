@@ -33,6 +33,7 @@ from spectral_glue.torsion_cosilting import (
     cyclic_in_b_eta,
     cyclic_in_cogen,
 )
+from spectral_glue.thomason import set_from_json
 
 
 def thomason_of_injective_class(ring, injectives) -> ThomasonSet:
@@ -54,7 +55,7 @@ def injective_class_of(ring, x_set):
 
 @pytest.fixture
 def v2(z12, z12_poset):
-    return ThomasonSet.from_members(z12_poset, {"(2)"})
+    return set_from_json(z12_poset, ["(2)"])
 
 
 def test_torsion_submodule_oracle(z12, v2):
@@ -156,7 +157,7 @@ def test_cogenerator_and_zero_cosilting(z12, z12_poset):
     zero = cosilting_from_modules(z12, [])
     assert is_cosilting(zero)
     assert zero.is_degenerate()
-    assert cosilting_thomason_of_module(zero).is_full()
+    assert cosilting_thomason_of_module(zero) == ThomasonSet.full(z12_poset)
 
 
 def test_split_glue_equivalence(z12):
@@ -173,13 +174,14 @@ def test_componentwise_thomason_sets_glue(z12, v2):
     c = cosilting_from_modules(z12, [cyclic_module(z12, 3)])
     parts = components_of_cosilting(c)
     # (2)-component cuts out the full local spectrum, (3)-component nothing
-    assert cosilting_thomason_of_module(parts["(2)"]).is_full()
+    at2 = cosilting_thomason_of_module(parts["(2)"])
+    assert at2 == ThomasonSet.full(spec(parts["(2)"].ring))
     assert cosilting_thomason_of_module(parts["(3)"]).members == set()
 
 
 def test_two_term_filtration(z12, v2):
     filt = two_term_filtration(v2)
-    assert filt.at(-1).is_full()
+    assert filt.at(-1) == ThomasonSet.full(v2.poset)
     assert filt.at(0) == v2
     assert filt.at(1).members == set()
 

@@ -40,7 +40,7 @@ def standard(z12_poset):
     """Filtration full / {(2)} at 0 / empty of Spec(Z/12)."""
     full = ThomasonSet.full(z12_poset)
     empty = ThomasonSet.empty(z12_poset)
-    x0 = ThomasonSet.from_members(z12_poset, {"(2)"})
+    x0 = up(z12_poset, "(2)")
     return make_filtration(z12_poset, full, [(0, x0)], empty)
 
 
@@ -171,7 +171,7 @@ def kappa_test(ring, p, n, filt):
     kappa(p) = R/p, all primes being maximal."""
     kappa = cyclic_module(ring, rng.local_factor(ring, p).prime_gen)
     result = aisle_membership(stalk_complex(kappa, n), filt)
-    expected = p in filt.at(n)
+    expected = p in filt.at(n).members
     if result != expected:
         raise AssertionError(
             f"kappa test inconsistency at p={p!r}, n={n}: aisle says {result}, "
@@ -192,17 +192,29 @@ def test_local_tstructures(standard, z12):
     assert list(local) == ["(2)", "(3)"]
     ring2, at2 = local["(2)"]
     assert ring2.order == 4 and at2.poset == spec(ring2)
-    assert at2.at(0).is_full()
+    assert at2.at(0) == ThomasonSet.full(at2.poset)
     assert at2.at(1).members == set()
     ring3, at3 = local["(3)"]
     assert ring3.order == 3 and at3.poset == spec(ring3)
-    assert at3.at(-1).is_full()
+    assert at3.at(-1) == ThomasonSet.full(at3.poset)
     assert at3.at(0).members == set()
+
+
+def test_local_tstructures_refuse_a_family_off_spec_of_the_ring(vee):
+    """A family on another poset, even one whose labels spec(ring) has, is
+    refused before any factor is read."""
+    z6 = spec(ZMod(6))
+    step = make_filtration(z6, ThomasonSet.full(z6), [(0, up(z6, "(3)"))], ThomasonSet.empty(z6))
+    on_z6 = localize_filtrations(step)
+    on_vee = localize_filtrations(constant_filtration(vee, up(vee, "m1")))
+    for ring, family in [(ZMod(30), on_z6), (ZMod(12), on_vee)]:
+        with pytest.raises(InvalidInputError, match=r"spec\(ring\)"):
+            local_tstructures(ring, family)
 
 
 def test_classify_degeneracy(standard, z12_poset):
     assert classify_degeneracy(standard) == NONDEGENERATE
-    x0 = ThomasonSet.from_members(z12_poset, {"(2)"})
+    x0 = up(z12_poset, "(2)")
     stable = constant_filtration(z12_poset, x0)
     assert classify_degeneracy(stable) == STABLE
     full = ThomasonSet.full(z12_poset)
