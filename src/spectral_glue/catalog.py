@@ -5,9 +5,10 @@ its Thomason sets, its filtrations on a window and its families of local
 sets and of local filtrations; small-ring catalogs and generated complexes.
 A family of local sets is a row (X(m) for m in ``poset.maxima``) of masks in
 the numbering of the poset, the form :mod:`spectral_glue.gluing` takes, and
-a family of filtrations is a :class:`~spectral_glue.gluing.LocalFamily` of
-such rows; the compatible ones are listed by the gluing condition, not by
-gluing.  Everything is deterministic: corpora come back in a fixed order.
+a family of filtrations is a :class:`~spectral_glue.gluing.LocalFamily`, a
+decreasing run of such rows trimmed to normal form; the compatible ones are
+listed by the gluing condition, not by gluing.  Everything is deterministic:
+corpora come back in a fixed order.
 """
 
 from __future__ import annotations
@@ -193,14 +194,13 @@ def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> li
     """Every family of local filtrations on the window [lo, hi] that satisfies
     the gluing condition at each degree, listed by the condition and not by
     gluing: a chain of compatible rows of local up-sets, one row per degree,
-    that decreases in every column, each column trimmed to normal form.
+    that decreases in every column, trimmed to normal form as a run of rows.
     There are as many as there are global filtrations on the window, so the
     window is refused by :func:`count_filtrations` of ``poset``."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
-    maxima = poset.maxima
     leq = lambda s, r: all(not x & ~y for x, y in zip(s, r))
     return [
-        LocalFamily(poset, tuple((m, *trim(lo, column)) for m, column in zip(maxima, zip(*chain))))
+        LocalFamily(poset, *trim(lo, chain))
         for chain in _chains(compatible_set_rows(poset), leq, hi - lo + 1)
     ]
 

@@ -65,14 +65,6 @@ def _ring(args):
     return rng.ring_from_json(_load_json(args, "ring"))
 
 
-def _poset(args) -> SpectralPoset:
-    if args.poset:
-        return SpectralPoset.from_json(_load_json(args, "poset"))
-    if args.ring:
-        return rng.spec(_ring(args))
-    raise SpectralGlueError("give --poset or --ring")
-
-
 class _Wire(NamedTuple):
     """How the glued filtration and the witnesses of a family are written."""
 
@@ -98,8 +90,9 @@ def _family(args) -> tuple[gluing.LocalFamily, _Wire]:
     """Family JSON: {"poset": ..., "default": ..., "exceptions": {...}}.
 
     "poset" is either a poset description or a ring reference.  Over the
-    integers the family lives on :func:`integers.z_poset` and is written with
-    integer primes.
+    integers the family lives on :func:`integers.z_poset`: its members name
+    points by label, as every member does, and its glued filtration is
+    written with integer primes.
     """
     data = json_object(_load_json(args, "family"), "family JSON")
     ref = data.get("poset")
@@ -158,12 +151,20 @@ def cmd_spec(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    if args.ring and _ring(args).kind == "integers":
-        filt = zz.z_filtration_from_json(_load_json(args, "filtration"))
-        payload = zz.z_family_to_json(zz.localize_z_filtration(filt))
-        _emit(args, payload, json.dumps(payload, sort_keys=True))
-        return EXIT_OK
-    poset = _poset(args)
+    if args.ring and args.poset:
+        raise SpectralGlueError("give --poset or --ring, not both")
+    if args.poset:
+        poset = SpectralPoset.from_json(_load_json(args, "poset"))
+    elif args.ring:
+        ring = _ring(args)
+        if ring.kind == "integers":
+            filt = zz.z_filtration_from_json(_load_json(args, "filtration"))
+            payload = zz.z_family_to_json(zz.localize_z_filtration(filt))
+            _emit(args, payload, json.dumps(payload, sort_keys=True))
+            return EXIT_OK
+        poset = rng.spec(ring)
+    else:
+        raise SpectralGlueError("give --poset or --ring")
     filt = filtration_from_json(poset, _load_json(args, "filtration"))
     payload = gluing.family_to_json(gluing.localize_filtrations(filt))
     human = "\n".join(f"{m}: {json.dumps(payload[m], sort_keys=True)}" for m in sorted(payload))
@@ -214,7 +215,7 @@ def cmd_lemma_equiv(args) -> int:
         raise SpectralGlueError("lemma-equiv runs on finite posets only")
     poset = family.global_poset
     verdicts = {
-        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees, family.rows())
+        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees, family.rows)
     }
     ok = all(verdicts.values())
     _emit(

@@ -13,25 +13,26 @@ witness, and a caller that only asks "compatible?" catches it.
 description of the same family.
 
 A family of local sets is a row ``(X(m) for m in poset.maxima)`` of masks;
-:func:`localize_sets` gives one, and :meth:`LocalFamily.rows` gives a
-filtration family's row at each degree.  A family of filtrations is its
-columns ``(m, start, masks)``: :func:`localize_filtrations`, the one
-restriction of a filtration, masks each level with each down-set, and
-:func:`glue_filtrations` reads the rows, one agreement test per degree.  A
-family is checked once, where it enters: :meth:`LocalFamily.from_members`
-checks the keys of label-keyed member JSON, reads each member straight to
-its column and checks the span, and :meth:`LocalFamily.from_default` checks
-its exception keys and its default's poset, then reads each exception as
-``from_members`` does.  Set
-families have no wire, so a row is built by the package and not checked
-again.  The level codec of :mod:`spectral_glue.thomason` at m reads and
-writes every level of a member at m and every X(m) of a row: "full" is
-``down[m]``, and a list names points of ``down[m]`` by label.
+:func:`localize_sets` gives one.  A family of filtrations is its run of
+rows, one per degree, kept like a filtration's run of masks in the normal
+form of :func:`~spectral_glue.thomason.trim`, the one normaliser:
+:func:`localize_filtrations`, the one restriction of a filtration, masks
+each level into a row, and :func:`glue_filtrations` glues the rows, one
+agreement test per degree.  A family is checked once, where it enters:
+:meth:`LocalFamily.from_members` checks the keys of label-keyed member JSON,
+reads each member to its trimmed column and checks the span, and
+:meth:`LocalFamily.from_default` checks its exception keys and its
+default's poset, then reads each exception as ``from_members`` does; both
+then pad the columns into rows.  Set families have no wire, so a row is
+built by the package and not checked again.  The level codec of
+:mod:`spectral_glue.thomason` at m reads and writes every level of a member
+at m and every X(m) of a row: "full" is ``down[m]``, and a list names
+points of ``down[m]`` by label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -52,32 +53,27 @@ from .thomason import (
 
 @dataclass(frozen=True)
 class LocalFamily:
-    """Assignment m -> filtration on Spec(R_m), the down-set of m.
+    """Assignment m -> filtration on Spec(R_m), the down-set of m, as its run
+    of rows.
 
-    ``columns`` holds ``(m, start, masks)`` for each maximal point m of
-    ``global_poset``, in poset order: the member at m in its normal form,
-    each mask an up-set of ``down[m]`` in the numbering of ``global_poset``.
+    ``rows[k]`` is the row (X_n(m) for m in ``global_poset.maxima``) at
+    degree n = start + k, each mask an up-set of ``down[m]`` in the numbering
+    of ``global_poset``.  As in a filtration's run of masks, the first row is
+    the low tail and the last the high tail, and the run is in the normal
+    form of :func:`~spectral_glue.thomason.trim`, so equal families compare
+    equal; column k of the rows is the member at ``global_poset.maxima[k]``.
     The constructor checks nothing; a family from outside the package is
-    built by :meth:`from_members` or :meth:`from_default`.  :meth:`rows`
-    reads the columns across, one row of local sets per degree.
-    ``degrees`` runs from the first level to the last level of any member
-    that is not constant, and is (-1, 0) when every member is constant.
-    A family over Z is one of these on :func:`spectral_glue.integers.z_poset`.
+    built by :meth:`from_members` or :meth:`from_default`.  A family over Z
+    is one of these on :func:`spectral_glue.integers.z_poset`.
     """
 
     global_poset: SpectralPoset
-    columns: tuple[tuple[int, int, tuple[int, ...]], ...]
-    degrees: range = field(init=False, repr=False, compare=False)
+    start: int
+    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        # set here and not as a cached_property, whose first read takes a lock;
-        # a constant member reads the same at every degree, so only the others
-        # place the degrees; with none, the two levels of a constant
-        spans = [
-            (start, start + len(masks)) for _, start, masks in self.columns if masks[0] != masks[-1]
-        ]
-        degrees = range(min(spans)[0], max(stop for _, stop in spans)) if spans else range(-1, 1)
-        object.__setattr__(self, "degrees", degrees)
+    @property
+    def degrees(self) -> range:
+        return range(self.start, self.start + len(self.rows))
 
     @classmethod
     def from_members(
@@ -95,8 +91,8 @@ class LocalFamily:
                 "a family without a 'default' lists every maximal point in 'exceptions'"
             )
         labels = global_poset.elements
-        columns = tuple(_column(global_poset, m, members[labels[m]]) for m in global_poset.maxima)
-        return cls(global_poset, columns)._spanned()
+        columns = [_column(global_poset, m, members[labels[m]]) for m in global_poset.maxima]
+        return _padded(global_poset, columns)
 
     @classmethod
     def from_default(
@@ -107,59 +103,58 @@ class LocalFamily:
     ) -> "LocalFamily":
         """The restriction of the global filtration ``default`` to every
         maximal point, as :func:`localize_filtrations` gives it, with the
-        column at each key of ``exceptions``, label -> filtration JSON, read
+        member at each key of ``exceptions``, label -> filtration JSON, read
         and checked as :meth:`from_members` reads and checks a member."""
         extra = sorted(set(exceptions) - global_poset.maximal_labels)
         if extra:
             raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
         if default.poset != global_poset:
             raise InvalidInputError("the default filtration lives on the wrong poset")
-        family = localize_filtrations(default)
-        labels = global_poset.elements
-        columns = tuple(
-            _column(global_poset, m, exceptions[labels[m]]) if labels[m] in exceptions else column
-            for m, column in zip(global_poset.maxima, family.columns)
-        )
-        return cls(global_poset, columns)._spanned()
-
-    def _spanned(self) -> "LocalFamily":
-        """This family, once its degrees are found within the bound."""
-        degrees = self.degrees
-        # a tail degree on each side of the windows; len() of a range fails
-        # past sys.maxsize, so the span is a difference
-        if degrees.stop - degrees.start - 3 > MAX_DEGREE_SPAN:
-            raise InvalidInputError(
-                f"family members' windows lie more than the bound MAX_DEGREE_SPAN = "
-                f"{MAX_DEGREE_SPAN} degrees apart (levels from degree {degrees[0]} "
-                f"to {degrees[-1]})"
-            )
-        return self
-
-    def rows(self) -> list[tuple[int, ...]]:
-        """The row (X_n(m) for m in ``global_poset.maxima``) at each degree n
-        of :attr:`degrees`, in order: the columns read across, each past its
-        ends as its tails.  A member that is not constant lies inside the
-        degrees; a constant one is its low tail throughout."""
-        degrees = self.degrees
-        padded = []
-        for _, start, masks in self.columns:
-            if masks[0] == masks[-1]:
-                padded.append([masks[0]] * len(degrees))
-            else:
-                before = start - degrees.start
-                after = degrees.stop - start - len(masks)
-                padded.append([masks[0]] * before + list(masks) + [masks[-1]] * after)
-        # over the empty poset every row is empty
-        return list(zip(*padded)) if padded else [()] * len(degrees)
+        labels, down = global_poset.elements, global_poset.down
+        columns = [
+            _column(global_poset, m, exceptions[labels[m]])
+            if labels[m] in exceptions
+            else trim(default.start, [x & down[m] for x in default.masks])
+            for m in global_poset.maxima
+        ]
+        return _padded(global_poset, columns)
 
 
-def _column(poset: SpectralPoset, m: int, data: Mapping) -> tuple:
-    """The column at m of the member JSON ``data``: each level read by the
-    level codec at m, and the run checked as
+def _column(poset: SpectralPoset, m: int, data: Mapping) -> tuple[int, tuple[int, ...]]:
+    """The trimmed (start, masks) of the member JSON ``data`` at m: each
+    level read by the level codec at m, and the run checked as
     :func:`~spectral_glue.thomason.filtration_from_json` checks one."""
     # the member's run, read as a filtration in the numbering of ``poset``
     member = filtration_from_json(poset, data, partial(level_from_json, at=m))
-    return m, member.start, member.masks
+    return member.start, member.masks
+
+
+def _padded(poset: SpectralPoset, columns: Sequence[tuple]) -> LocalFamily:
+    """The family of one trimmed column (start, masks) per maximal point, in
+    poset order, once its degrees lie within the bound.  The degrees run
+    from the first to the last level of any column that is not constant, and
+    each column is padded there with its tails.  So the rows are in normal
+    form: the column that places the first degree changes at the second, and
+    the one that places the last changes at the second-last; with every
+    column constant they are the two equal rows of a constant."""
+    # a constant column reads the same at every degree, so only the others place the degrees
+    spans = [(start, start + len(masks)) for start, masks in columns if masks[0] != masks[-1]]
+    lo, stop = (min(spans)[0], max(stop for _, stop in spans)) if spans else (-1, 1)
+    # a tail degree on each side of the windows
+    if stop - lo - 3 > MAX_DEGREE_SPAN:
+        raise InvalidInputError(
+            f"family members' windows lie more than the bound MAX_DEGREE_SPAN = "
+            f"{MAX_DEGREE_SPAN} degrees apart (levels from degree {lo} to {stop - 1})"
+        )
+    padded = [
+        [masks[0]] * (stop - lo)
+        if masks[0] == masks[-1]
+        else [masks[0]] * (start - lo) + list(masks) + [masks[-1]] * (stop - start - len(masks))
+        for start, masks in columns
+    ]
+    # over the empty poset every row is empty
+    rows = tuple(zip(*padded)) if padded else ((),) * (stop - lo)
+    return LocalFamily(poset, lo, rows)
 
 
 def _agree(poset: SpectralPoset, row: Sequence[int]) -> tuple[bool, int]:
@@ -226,23 +221,22 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
     inclusions, so the glued levels decrease and are only normalised.
     """
     poset = family.global_poset
-    degrees = family.degrees
     levels = []
-    for n, row in zip(degrees, family.rows()):
+    for n, row in zip(family.degrees, family.rows):
         agrees, glued = _agree(poset, row)
         if not agrees:
             raise _incompatible(poset, row, n)
         levels.append(_glued_mask(poset, glued))
-    return from_levels(poset, degrees.start, levels)
+    return from_levels(poset, family.start, levels)
 
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
-    """The restrictions of ``filtration`` to every maximal point m, as
-    columns: each level masked with the down-set of m, then trimmed."""
+    """The restrictions of ``filtration`` to every maximal point m: each
+    level masked with every down-set into a row, and the rows trimmed."""
     poset = filtration.poset
-    down, start, masks = poset.down, filtration.start, filtration.masks
-    columns = tuple((m, *trim(start, [x & down[m] for x in masks])) for m in poset.maxima)
-    return LocalFamily(poset, columns)
+    down, maxima = poset.down, poset.maxima
+    rows = [tuple([x & down[m] for m in maxima]) for x in filtration.masks]
+    return LocalFamily(poset, *trim(filtration.start, rows))
 
 
 def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
@@ -283,13 +277,13 @@ def local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
 def family_to_json(family: LocalFamily) -> dict:
     """``{label: filtration JSON}`` of the members, in poset order, as
     :meth:`LocalFamily.from_members` reads it."""
-    poset = family.global_poset
+    poset, start, rows = family.global_poset, family.start, family.rows
     return {
-        # the column's run, carried as a filtration in the numbering of ``poset``
+        # column k of the rows, carried as a filtration in the numbering of ``poset``
         poset.elements[m]: filtration_to_json(
-            ThomasonFiltration(poset, start, masks), partial(level_to_json, at=m)
+            from_levels(poset, start, [row[k] for row in rows]), partial(level_to_json, at=m)
         )
-        for m, start, masks in family.columns
+        for k, m in enumerate(poset.maxima)
     }
 
 

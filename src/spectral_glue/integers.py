@@ -7,13 +7,17 @@ that stands for every maximal ideal S leaves out.  Its localizations are the
 2-chains (0) < (p) and (0) < (m), so Z filtrations, families, compatibility
 and gluing are those of :mod:`spectral_glue.gluing` on that poset.
 
-What this module keeps is the wire: a level is "full" or a list of integer
-primes, written in numeric order; a family is a default on (0) < (m) plus
-exceptions keyed by decimal primes; a witness is ``[p, "default", "(0)"]``.
-Primality is trial division, so a named integer over MAX_Z_PRIME is refused
-before any division; a filtration's levels are masks on the star poset of
-the integers they name, and the poset of each set of named integers is
-tested and found once per process (a cache of the last 4,096 sets).
+What this module keeps is the wire.  A Z filtration's level is "full" or a
+list of integer primes, written in numeric order.  A family is a default on
+(0) < (m) plus exceptions keyed by decimal primes, each on (0) < (p); their
+levels are read and written by the label codec at that point, as in
+:mod:`spectral_glue.gluing`, so they name points by label: "full", ``[]``,
+``["(m)"]`` in the default and ``["(p)"]`` in the exception at p.  A witness
+is ``[p, "default", "(0)"]``.  Primality is trial division, so a named
+integer over MAX_Z_PRIME is refused before any division; a filtration's
+levels are masks on the star poset of the integers they name, and the poset
+of each set of named integers is tested and found once per process (a cache
+of the last 4,096 sets); each star poset is built once per process.
 A glued level that holds (m) without being full is a cofinite set of maximal
 ideals, which no level can write, so gluing raises UnsupportedRingError.
 """
@@ -21,11 +25,11 @@ ideals, which no level can write, so gluing raises UnsupportedRingError.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
 from .gluing import LocalFamily, family_to_json, glue_filtrations, localize_filtrations
-from .poset import SpectralPoset, interned_poset
+from .poset import SpectralPoset
 from .thomason import ThomasonFiltration, filtration_from_json, filtration_to_json
 
 GENERIC = "(0)"
@@ -51,8 +55,14 @@ def _label(p: int) -> str:
 
 
 def _star(labels: Iterable[str]) -> SpectralPoset:
-    labels = sorted({GENERIC, CLOSED_POINT, *labels})  # (0) sorts first
-    return interned_poset(tuple(labels), tuple((GENERIC, label) for label in labels[1:]))
+    return _star_on(tuple(sorted({GENERIC, CLOSED_POINT, *labels})))  # (0) sorts first
+
+
+@cache
+def _star_on(labels: tuple[str, ...]) -> SpectralPoset:
+    """The star poset on these sorted labels, (0) first and below the rest:
+    each is built once per process."""
+    return SpectralPoset(labels, [(GENERIC, label) for label in labels[1:]])
 
 
 def z_poset(primes: Iterable[int]) -> SpectralPoset:
@@ -173,9 +183,9 @@ def z_witness(family: LocalFamily, n: int):
 
     On a star poset two local sets share only (0), so a Z family is
     compatible at n exactly when no exception disagrees with the default."""
-    poset, degrees = family.global_poset, family.degrees
+    poset, rows = family.global_poset, family.rows
     # past its degrees a family reads its first or last row
-    row = family.rows()[min(max(n - degrees.start, 0), len(degrees) - 1)]
+    row = rows[min(max(n - family.start, 0), len(rows) - 1)]
     generic = 1 << poset.index[GENERIC]
     holds = {poset.elements[m]: x & generic for m, x in zip(poset.maxima, row)}
     p = next((p for p in z_primes(poset) if holds[f"({p})"] != holds[CLOSED_POINT]), None)

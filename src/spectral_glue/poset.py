@@ -129,24 +129,6 @@ class SpectralPoset:
         return cls(elements, [tuple(p) for p in leq])
 
 
-# every poset ever interned, for the life of the process; sharing is safe
-# because a poset never changes, and what it caches is a function of its order
-_INTERNED: dict[tuple, SpectralPoset] = {}
-
-
-def interned_poset(
-    elements: tuple[PrimeId, ...], pairs: tuple[tuple[PrimeId, PrimeId], ...]
-) -> SpectralPoset:
-    """The one poset of this process on these sorted labels and these
-    relation pairs, listed as :attr:`SpectralPoset.relation_pairs` lists them,
-    so the many equal posets asked for are built once per process."""
-    key = (elements, pairs)
-    poset = _INTERNED.get(key)
-    if poset is None:
-        poset = _INTERNED[key] = SpectralPoset(elements, pairs)
-    return poset
-
-
 def all_up_sets(poset: SpectralPoset, below: int | None = None) -> list[int]:
     """The masks of all up-sets of the down-set ``below``, by default the
     whole poset, ordered by size and then by sorted labels: the unions of

@@ -120,7 +120,8 @@ def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:
 def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> None:
     lo, hi = window
     descr = poset.to_json()
-    down = poset.down
+    # the row of each member's whole Spec(R_m), the down-set of m
+    full_row = tuple(poset.down[m] for m in poset.maxima)
     for filt in catalog.all_filtrations(poset, lo, hi):
         report.checked += 1
         family = gluing.localize_filtrations(filt)
@@ -130,14 +131,11 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
                 problems.append("glue(localize(F)) differs from F")
         except IncompatibleFamilyError:
             problems.append("localized family not compatible")
-        # a member's low tail is all of Spec(R_m) when it is down[m]
-        local_nondeg = all(
-            not masks[-1] and masks[0] == down[m] for m, _, masks in family.columns
-        )
-        if is_nondegenerate(filt) != local_nondeg:
+        # the first row holds each member's low tail and the last its high tail
+        first, last = family.rows[0], family.rows[-1]
+        if is_nondegenerate(filt) != (first == full_row and not any(last)):
             problems.append("non-degeneracy not preserved/reflected")
-        local_const = all(masks[0] == masks[-1] for _, _, masks in family.columns)
-        if is_constant(filt) != local_const:
+        if is_constant(filt) != (first == last):
             problems.append("stability (constancy) not preserved/reflected")
         if problems:
             report.failures.append(
@@ -258,7 +256,7 @@ def _check_local_global(report: SweepReport, ring: FiniteRing, window) -> None:
         m: [ts.cohomology_supports(homalg.localize_complex(y, m)) for y in ys] for m in labels
     }
     for filt in catalog.all_filtrations(rng.spec(ring), *window):
-        # one localization: it glues back, and its columns are the local t-structures
+        # one localization: it glues back, and its members are the local t-structures
         family = gluing.localize_filtrations(filt)
         local_ts = ts.local_tstructures(ring, family)
         report.checked += 1

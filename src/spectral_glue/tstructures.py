@@ -20,7 +20,7 @@ from .gluing import LocalFamily
 from .homalg import BoundedComplex, support_of_cohomology
 from .poset import PrimeId, SpectralPoset
 from .rings import FiniteRing
-from .thomason import ThomasonFiltration, ThomasonSet, is_constant, is_nondegenerate
+from .thomason import ThomasonFiltration, ThomasonSet, from_levels, is_constant, is_nondegenerate
 
 NONDEGENERATE = "nondegenerate"
 STABLE = "stable"
@@ -91,18 +91,17 @@ def coaisle_membership(complex_: BoundedComplex, filtration: ThomasonFiltration)
 
 
 def local_tstructures(ring: FiniteRing, family: LocalFamily) -> dict[PrimeId, tuple]:
-    """m -> (R_m, its filtration of Spec R_m) for each column of ``family``,
+    """m -> (R_m, its filtration of Spec R_m) for each member of ``family``,
     the :func:`~spectral_glue.gluing.localize_filtrations` of a filtration of
-    spec(ring).  Every prime is maximal, so point m is local factor m, Spec R_m
-    is the one point m and a level at m, inside {m}, reads as ``x >> m``: a
-    column in normal form reads as a filtration in normal form."""
+    spec(ring).  Every prime is maximal, so point m is local factor m and
+    column m of the rows, Spec R_m is the one point m, and a level at m,
+    inside {m}, reads as ``x >> m``."""
     _check_spec(ring, family.global_poset, "family")
-    factors, labels = ring.local_factors(), family.global_poset.elements
+    labels, start, rows = family.global_poset.elements, family.start, family.rows
     local = {}
-    for m, start, masks in family.columns:
-        local_ring = factors[m].ring
-        levels = tuple(x >> m for x in masks)
-        local[labels[m]] = local_ring, ThomasonFiltration(rng.spec(local_ring), start, levels)
+    for m, factor in enumerate(ring.local_factors()):
+        member = from_levels(rng.spec(factor.ring), start, [row[m] >> m for row in rows])
+        local[labels[m]] = factor.ring, member
     return local
 
 

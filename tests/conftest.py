@@ -12,6 +12,7 @@ from spectral_glue.thomason import (
     filtration_to_json,
     from_levels,
     set_from_json,
+    trim,
 )
 
 
@@ -87,24 +88,35 @@ def member_json(members) -> dict:
 
 def family_by_labels(poset, members) -> LocalFamily:
     """The family of label -> filtration on the localization at the label,
-    its columns carried over to ``poset`` by labels and built without the
-    checks of the member wire: for the label products, whose members the
-    catalog lists already checked."""
-    return LocalFamily(
-        poset, tuple(_column_by_labels(poset, m, members[poset.elements[m]]) for m in poset.maxima)
+    built without the checks of the member wire: for the label products,
+    whose members the catalog lists already checked.  Its degrees run from
+    the first to the last level of any member that is not constant, or are
+    -1 and 0 when all are, and the row at each degree reads every member
+    there, past its ends as its tails, carried over to ``poset`` by labels."""
+    columns = [_column_by_labels(poset, members[poset.elements[m]]) for m in poset.maxima]
+    spans = [(start, start + len(masks)) for start, masks in columns if masks[0] != masks[-1]]
+    lo, stop = (min(spans)[0], max(stop for _, stop in spans)) if spans else (-1, 1)
+    rows = tuple(
+        tuple(masks[min(max(n - start, 0), len(masks) - 1)] for start, masks in columns)
+        for n in range(lo, stop)
     )
+    return LocalFamily(poset, lo, rows)
 
 
 @functools.cache
-def _column_by_labels(poset, m, member) -> tuple:
-    return m, member.start, tuple(mask_of(poset, member.poset.labels(x)) for x in member.masks)
+def _column_by_labels(poset, member) -> tuple:
+    return member.start, tuple(mask_of(poset, member.poset.labels(x)) for x in member.masks)
 
 
 def members_of(family) -> dict:
     """label -> the member of ``family`` at that label, as a filtration on
-    :func:`localization_poset`, its levels carried over by labels."""
-    poset = family.global_poset
-    return {poset.elements[col[0]]: _member_by_labels(poset, *col) for col in family.columns}
+    :func:`localization_poset`: column k of the rows, trimmed, its levels
+    carried over by labels."""
+    poset, columns = family.global_poset, zip(*family.rows)
+    return {
+        poset.elements[m]: _member_by_labels(poset, m, *trim(family.start, column))
+        for m, column in zip(poset.maxima, columns)
+    }
 
 
 @functools.cache

@@ -146,10 +146,12 @@ def test_family_members_are_read_only(vee):
     full = {m: constant_filtration(sub, ThomasonSet.full(sub)) for m, sub in subs.items()}
     family = LocalFamily.from_members(vee, member_json(full))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        family.columns = LocalFamily.from_members(vee, member_json(full)).columns
+        family.rows = LocalFamily.from_members(vee, member_json(full)).rows
     back = localize_filtrations(glue_filtrations(family))
     with pytest.raises(TypeError):
-        back.columns[0] = family.columns[1]
+        back.rows[0] = family.rows[1]
+    with pytest.raises(TypeError):
+        back.rows[0][0] = family.rows[1][1]
     # families compare by value, and so do the members read off them
     assert members_of(back) == full and back == family
     empty = constant_filtration(subs["m1"], ThomasonSet.empty(subs["m1"]))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, catalog, sweeps
+from spectral_glue import integers as zz
 from spectral_glue.cli import main
 from spectral_glue.errors import InvalidInputError
 from spectral_glue.rings import spec
@@ -139,6 +140,31 @@ def test_localize_integers_json_bytes(capsys, filt, expected):
     )
     assert code == 0
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "filt",
+    [
+        {"low_tail": "full", "breakpoints": [{"n": 0, "set": [2, 3]}, {"n": 1, "set": [3]}], "high_tail": []},
+        {"low_tail": "full", "breakpoints": [{"n": 2, "set": "full"}], "high_tail": []},
+        {"low_tail": [5], "breakpoints": [{"n": -1, "set": [5]}, {"n": 3, "set": []}], "high_tail": []},
+        {"low_tail": "full", "breakpoints": [], "high_tail": "full"},
+    ],
+    ids=["multi-breakpoint", "pure-step", "low-tail-of-one-prime", "constant"],
+)
+def test_localized_integers_glue_back_through_the_cli(capsys, filt):
+    """The members that ``localize --ring integers`` prints, labels such as
+    "(3)" and "(m)", are the family wire: given ``"poset": {"kind":
+    "integers"}``, ``glue`` reads them back to the canonical input."""
+    code, out = run(
+        capsys, "--json", "localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)
+    )
+    assert code == 0
+    family = dict(json.loads(out), poset=INTEGERS)
+    code, out = run(capsys, "--json", "glue", "--family", json.dumps(family))
+    assert code == 0
+    canonical = zz.z_filtration_to_json(zz.z_filtration_from_json(filt))
+    assert json.loads(out) == {"compatible": True, "glued": canonical}
 
 
 def test_koszul_and_cohomology(capsys, tmp_path, ring_file):
@@ -640,6 +666,12 @@ def z_key(key):
         (["glue", "--family", json.dumps({"poset": INTEGERS, "default": Z_DEFAULT, "exceptions": {
             "2": {"low_tail": ["(3)"], "breakpoints": [], "high_tail": []}, "3": Z_DEFAULT}})],
          "'low_tail': prime '(3)' is not in the down-set of '(2)'"),
+        # the ring won over the poset here, and the poset over a finite ring
+        (["localize", "--ring", json.dumps(INTEGERS), "--poset", json.dumps(VEE),
+          "--filtration", json.dumps(FILT)], "give --poset or --ring, not both"),
+        (["localize", "--ring", json.dumps(Z12), "--poset", json.dumps(VEE),
+          "--filtration", json.dumps(FILT)], "give --poset or --ring, not both"),
+        (["localize", "--filtration", json.dumps(FILT)], "give --poset or --ring"),
     ],
     ids=["n-float", "n-bool", "n-missing", "p-string", "f-float", "f-string", "factors-object",
          "factor-list", "ring-list", "cosilting-without-ring", "module-list", "module-rank",
@@ -664,7 +696,8 @@ def z_key(key):
          "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",
          "cosilting-glue-free-rank-5", "module-relation-length", "module-rank-negative",
          "torsion-set-int", "torsion-set-unknown-prime", "member-names-another-maximal-point",
-         "member-level-not-closed", "z-member-names-another-exception"],
+         "member-level-not-closed", "z-member-names-another-exception",
+         "localize-integers-and-poset", "localize-ring-and-poset", "localize-neither"],
 )
 def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     start = time.monotonic()

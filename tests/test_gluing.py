@@ -24,6 +24,7 @@ from spectral_glue.thomason import (
     filtration_from_json,
     filtration_to_json,
     set_from_json,
+    trim,
 )
 
 from conftest import (
@@ -187,12 +188,12 @@ def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     family = localize_filtrations(filt)
-    assert glue_sets(vee, dict(zip(family.degrees, family.rows()))[0]) == filt.at(0)
+    assert glue_sets(vee, dict(zip(family.degrees, family.rows))[0]) == filt.at(0)
     assert glue_filtrations(family) == filt
 
 
 def test_rows_read_every_member_at_each_degree():
-    """rows() holds, at each degree of ``degrees``, the members read there as a
+    """rows holds, at each degree of ``degrees``, the members read there as a
     label -> set family converted to a row; on every family of local
     filtrations of the posets of at most 4 points on [-2, 1], compatible or
     not, constant members included."""
@@ -200,12 +201,36 @@ def test_rows_read_every_member_at_each_degree():
     for poset in poset_catalog(4):
         for members in all_filtration_families(poset, -2, 1):
             family = LocalFamily.from_members(poset, member_json(members))
-            expected = [
+            expected = tuple(
                 set_row(poset, {m: f.at(n) for m, f in members.items()}) for n in family.degrees
-            ]
-            assert family.rows() == expected
+            )
+            assert family.rows == expected
             families += 1
     assert families == 12_980
+
+
+def test_every_family_is_a_run_of_rows_in_normal_form():
+    """Families compare equal exactly when their members do only because each
+    is kept in the normal form of trim, as a tuple of row tuples: every
+    family that the catalog lists, that localizing a filtration gives, and
+    that from_members reads, over the posets of at most 4 points on [-2, 1]."""
+    counts = [0, 0, 0]
+    for poset in poset_catalog(4):
+        sources = (
+            catalog.compatible_filtration_families(poset, -2, 1),
+            [localize_filtrations(filt) for filt in all_filtrations(poset, -2, 1)],
+            [
+                LocalFamily.from_members(poset, member_json(members))
+                for members in all_filtration_families(poset, -2, 1)
+            ],
+        )
+        for k, families in enumerate(sources):
+            for family in families:
+                assert trim(family.start, family.rows) == (family.start, family.rows)
+                assert type(family.rows) is tuple
+                assert all(type(row) is tuple for row in family.rows)
+            counts[k] += len(families)
+    assert counts == [3_800, 3_800, 12_980]
 
 
 def test_filtration_sweep_reports_an_incompatible_localized_family(monkeypatch):

@@ -1,11 +1,13 @@
 """One numbering of points in the whole package: Spec(R_m) is the down-set
 of m in the numbering of its poset, and no module builds it as a poset of
-its own.
+its own.  One form of a local family: its run of rows on the global poset,
+one row (X_n(m) for m maximal) per degree.
 
 So no file under ``src/`` defines, calls or imports ``pack``, ``unpack``,
 ``localization`` or ``localization_poset``, or names ``_below`` or
-``_localizations``, and none reads an attribute ``filtrations``: a local
-family is its columns on the global poset.
+``_localizations``, and none reads an attribute ``filtrations`` or
+``columns``: a family holds no member filtrations and no columns beside its
+rows.
 """
 
 import ast
@@ -15,7 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "spectral_glue"
 
 NAMES = {"pack", "unpack", "localization", "localization_poset", "_below", "_localizations"}
-READS = {"filtrations"}
+READS = {"filtrations", "columns"}
 
 
 def _names(node) -> list[str]:
@@ -55,7 +57,12 @@ def test_no_module_builds_a_localization_poset():
 def test_each_crossing_is_found_in_synthetic_sources():
     sources = {
         "poset.py": "def pack(m, x):\n    return x\ny = p.localization(0)\nz = self._below\n",
-        "gluing.py": "members = family.filtrations\nz = localization_poset(p, 'm')\n",
+        "gluing.py": (
+            "members = family.filtrations\n"
+            "z = localization_poset(p, 'm')\n"
+            "for m, start, masks in family.columns:\n"
+            "    pass\n"
+        ),
         "cli.py": (
             "from .poset import localization_poset\n"
             "sub = localization_poset(poset, m)\n"
@@ -65,11 +72,13 @@ def test_each_crossing_is_found_in_synthetic_sources():
             "for m, f in family.filtrations.items():\n"
             "    pass\n"
         ),
-        # a local name 'filtrations' and a docstring that names a localization are fine
+        # local names 'filtrations' and 'columns' and a docstring that names a
+        # localization are fine
         "sweeps.py": (
             '"""One localization: it glues back."""\n'
             "filtrations = catalog.all_filtrations(poset, 0, 1)\n"
             "_localizations = {}\n"
+            "columns = list(zip(*rows))\n"
         ),
     }
     assert crossings(sources) == [
@@ -81,6 +90,7 @@ def test_each_crossing_is_found_in_synthetic_sources():
         ("cli.py", 6, "filtrations"),
         ("gluing.py", 1, "filtrations"),
         ("gluing.py", 2, "localization_poset"),
+        ("gluing.py", 3, "columns"),
         ("poset.py", 1, "pack"),
         ("poset.py", 3, "localization"),
         ("poset.py", 4, "_below"),
