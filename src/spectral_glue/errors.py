@@ -33,7 +33,8 @@ class UnsupportedRingError(SpectralGlueError):
 
 def json_object(value, what: str) -> Mapping:
     """``value`` if it is a JSON object; otherwise an error naming ``what``."""
-    if not isinstance(value, Mapping):
+    # a JSON object is a dict; the Mapping check is the slow path
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise InvalidInputError(f"{what} must be a JSON object, got {value!r}")
     return value
 

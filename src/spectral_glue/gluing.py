@@ -232,11 +232,16 @@ def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
     """The restrictions of ``filtration`` to every maximal point m: each
-    level masked with every down-set into a row, and the rows trimmed."""
+    level masked with every down-set into a row.
+
+    The rows are in normal form already, with no :func:`trim`: the down-sets
+    of the maximal points cover the poset, so x |-> (x & down[m] for m
+    maximal) is injective, and the rows are equal exactly where the trimmed
+    levels they come from are."""
     poset = filtration.poset
     down, maxima = poset.down, poset.maxima
-    rows = [tuple([x & down[m] for m in maxima]) for x in filtration.masks]
-    return LocalFamily(poset, *trim(filtration.start, rows))
+    rows = tuple([tuple([x & down[m] for m in maxima]) for x in filtration.masks])
+    return LocalFamily(poset, filtration.start, rows)
 
 
 def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:

@@ -13,11 +13,13 @@ list of integer primes, written in numeric order.  A family is a default on
 levels are read and written by the label codec at that point, as in
 :mod:`spectral_glue.gluing`, so they name points by label: "full", ``[]``,
 ``["(m)"]`` in the default and ``["(p)"]`` in the exception at p.  A witness
-is ``[p, "default", "(0)"]``.  Primality is trial division, so a named
-integer over MAX_Z_PRIME is refused before any division; a filtration's
-levels are masks on the star poset of the integers they name, and the poset
-of each set of named integers is tested and found once per process (a cache
-of the last 4,096 sets); each star poset is built once per process.
+is ``[p, "default", "(0)"]``.  Primality is trial division, so every named
+integer is bounded by MAX_Z_PRIME before any division.  A filtration's
+levels are masks on the star poset of the integers they name.  What a
+process keeps: the primality of each integer, tested once (a cache of the
+last 4,096 integers); the star of each set of named integers, found once (a
+cache of the last 4,096 sets); and each star poset, built once.  A level is
+written by walking the set bits of its mask.
 A glued level that holds (m) without being full is a cofinite set of maximal
 ideals, which no level can write, so gluing raises UnsupportedRingError.
 """
@@ -38,7 +40,10 @@ CLOSED_POINT = "(m)"  # every maximal ideal that the data does not name
 MAX_Z_PRIME = 10**6
 
 
+@lru_cache(maxsize=4096)
 def is_prime_int(p: int) -> bool:
+    """Trial division, made once per integer per process (a cache of the
+    last 4,096 integers)."""
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
@@ -79,11 +84,14 @@ def _named_ints(data) -> set[int]:
     """The integers that the levels of filtration JSON name; whatever is
     malformed is left for :func:`filtration_from_json` to report."""
     levels = []
-    if isinstance(data, Mapping):
+    # a JSON object is a dict; the Mapping check is the slow path
+    if type(data) is dict or isinstance(data, Mapping):
         levels = [data.get("low_tail"), data.get("high_tail")]
         breakpoints = data.get("breakpoints")
         if isinstance(breakpoints, list):
-            levels += [bp.get("set") for bp in breakpoints if isinstance(bp, Mapping)]
+            levels += [
+                bp.get("set") for bp in breakpoints if type(bp) is dict or isinstance(bp, Mapping)
+            ]
     return {p for level in levels if isinstance(level, list) for p in level if type(p) is int}
 
 
@@ -93,12 +101,12 @@ def _z_set_from_json(poset: SpectralPoset, data) -> int:
     if data == "full":
         return poset.full
     # bool is a subclass of int, but JSON true is not a prime
-    if not isinstance(data, (list, tuple)) or any(type(p) is not int for p in data):
+    if not isinstance(data, (list, tuple)) or not set(map(type, data)) <= {int}:
         raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
-    mask = 0
+    index, mask = poset.index, 0
     for p in frozenset(data):
         # (0) is a point of the poset, but 0 is not a prime
-        i = poset.index.get(f"({p})") if p else None
+        i = index.get(f"({p})") if p else None
         if i is None:
             raise InvalidInputError(f"{p} is not a prime number")
         mask |= 1 << i
@@ -110,7 +118,12 @@ def _z_set_to_json(poset: SpectralPoset, mask: int):
     (m), in numeric order."""
     if mask == poset.full:
         return "full"
-    return sorted(int(label[1:-1]) for label in poset.labels(mask))
+    elements, primes = poset.elements, []
+    while mask:  # one step per set bit
+        bit = mask & -mask
+        primes.append(int(elements[bit.bit_length() - 1][1:-1]))
+        mask ^= bit
+    return sorted(primes)
 
 
 @lru_cache(maxsize=4096)

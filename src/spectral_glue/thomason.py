@@ -13,8 +13,12 @@ Restriction to the maximal points is
 Filtrations are validated once, where they enter: :func:`make_filtration`
 checks catalog and fixture input and :func:`filtration_from_json` wire input
 (one poset, increasing indices, a decreasing run, a bounded span), and both
-then normalise.  An order-preserving map of a valid filtration decreases
-already, so it is only normalised.
+then normalise.  Both make one pass over the breakpoints: each index is
+checked against the one before, each level against the level before it,
+and a gap takes the earlier level; the wire reader reads each level in the
+same pass, and a level that fails to read is refused before any fault of
+the run.  An order-preserving map of a valid filtration decreases already,
+so it is only normalised.
 
 Labels are read and written by one level codec, :func:`level_from_json`
 and :func:`level_to_json`, on the whole poset (:func:`set_from_json`, and
@@ -166,33 +170,53 @@ def make_filtration(
 
 
 def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFiltration:
-    """The checks of :func:`make_filtration` on masks of ``poset``; an order
-    error writes its levels with ``describe(poset, mask)``."""
-    ns = [n for n, _ in breakpoints]
-    if ns != sorted(set(ns)):
+    """The checks of :func:`make_filtration` on the (index, mask) pairs
+    ``breakpoints``, in one pass that also expands them into the run of
+    levels; an order error writes its levels with ``describe(poset, mask)``.
+
+    ``breakpoints`` may read each level as it is taken, so a level that
+    fails to read is refused before any fault of the run: the run's faults
+    are only noted in the pass and raised after it, in the order strict
+    increase, a located step, the span, decrease.  The run stops growing at
+    its first fault, so a span over the bound is never expanded."""
+    levels = [low]
+    lo = last = drop = None
+    unordered = False
+    for n, x in breakpoints:
+        if last is None:
+            lo = n
+        elif n <= last:
+            unordered = True
+        last = n
+        if unordered or drop or n - lo > MAX_DEGREE_SPAN:
+            continue
+        prev = levels[-1]
+        if x & ~prev:
+            drop = n, x, prev
+            continue
+        gap = n - lo + 1 - len(levels)
+        if gap:  # the degrees between two breakpoints keep the earlier level
+            levels += [prev] * gap
+        levels.append(x)
+    if unordered:
         raise InvalidInputError("breakpoint indices must be strictly increasing")
-    if not ns and low != high:
-        raise FiltrationOrderError(
-            "tails differ but no breakpoint locates the step; give at least one breakpoint"
-        )
-    if ns and ns[-1] - ns[0] > MAX_DEGREE_SPAN:
+    if lo is None:
+        if low != high:
+            raise FiltrationOrderError(
+                "tails differ but no breakpoint locates the step; give at least one breakpoint"
+            )
+        return ThomasonFiltration(poset, -1, (low, high))
+    if last - lo > MAX_DEGREE_SPAN:
         raise InvalidInputError(
-            f"breakpoints at degrees {ns[0]} and {ns[-1]} lie more than the bound "
+            f"breakpoints at degrees {lo} and {last} lie more than the bound "
             f"MAX_DEGREE_SPAN = {MAX_DEGREE_SPAN} degrees apart"
         )
-    # expand to one level per degree in [lo - 1, hi + 1], the tails at the ends
-    lo = ns[0] if ns else 0
-    levels = [low]
-    idx = dict(breakpoints)
-    for n in range(lo, (ns[-1] + 1) if ns else lo):
-        prev = levels[-1]
-        cur = idx.get(n, prev)
-        if cur & ~prev:
-            raise FiltrationOrderError(
-                f"filtration not decreasing at degree {n}: "
-                f"{describe(poset, cur)} is not contained in {describe(poset, prev)}"
-            )
-        levels.append(cur)
+    if drop:
+        n, x, prev = drop
+        raise FiltrationOrderError(
+            f"filtration not decreasing at degree {n}: "
+            f"{describe(poset, x)} is not contained in {describe(poset, prev)}"
+        )
     if high & ~levels[-1]:
         raise FiltrationOrderError(
             f"filtration not decreasing into the high tail: "
@@ -276,29 +300,39 @@ def filtration_from_json(
     describe=_members,
 ) -> ThomasonFiltration:
     """Read a filtration; ``parse_level(poset, value)`` reads the mask of one
-    level, and an order error writes levels with ``describe(poset, mask)``."""
+    level, and an order error writes levels with ``describe(poset, mask)``.
+
+    The shape is checked first; then one pass over the breakpoints reads
+    each index and level and checks the run as :func:`make_filtration` does.
+    A level that fails to read is refused with its field."""
     json_object(data, "filtration JSON")
     for name in ("low_tail", "high_tail"):
         if name not in data:
             raise InvalidInputError(f"filtration JSON needs the field {name!r}")
     breakpoints = data.get("breakpoints", [])
-    if not isinstance(breakpoints, list) or any(
-        not isinstance(bp, Mapping) or "n" not in bp or "set" not in bp for bp in breakpoints
+    if not isinstance(breakpoints, list) or not all(
+        (type(bp) is dict or isinstance(bp, Mapping)) and "n" in bp and "set" in bp
+        for bp in breakpoints
     ):
         raise InvalidInputError(
             f"'breakpoints' must be a list of objects with 'n' and 'set', got {breakpoints!r}"
         )
+    field = "'low_tail'"
+    try:
+        low = parse_level(poset, data["low_tail"])
+        field = "'high_tail'"
+        high = parse_level(poset, data["high_tail"])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{field}: {exc}") from None
+    return _validated(poset, low, _read(poset, breakpoints, parse_level), high, describe)
 
-    def level(value, name):
+
+def _read(poset: SpectralPoset, breakpoints: list, parse_level):
+    """The (index, mask) pairs of breakpoint JSON, each read when it is taken."""
+    for bp in breakpoints:
+        n = json_int(bp["n"], "breakpoint index")
         try:
-            return parse_level(poset, value)
+            x = parse_level(poset, bp["set"])
         except InvalidInputError as exc:
-            raise InvalidInputError(f"{name}: {exc}") from None
-
-    low = level(data["low_tail"], "'low_tail'")
-    high = level(data["high_tail"], "'high_tail'")
-    bps = [
-        (json_int(bp["n"], "breakpoint index"), level(bp["set"], "breakpoint 'set'"))
-        for bp in breakpoints
-    ]
-    return _validated(poset, low, bps, high, describe)
+            raise InvalidInputError(f"breakpoint 'set': {exc}") from None
+        yield n, x

@@ -121,3 +121,44 @@ def test_the_raw_medians_come_from_the_record_line():
     assert bench_pairs.raw_medians(stdout) == {"raw_wall_s": 0.3, "host_factor": 2.1}
     assert bench_pairs.raw_medians('{"correct": true, "metrics": {}}') == {}
     assert bench_pairs.raw_medians("Traceback ...\n{not json") == {}
+
+
+def test_the_raw_pass_times_get_the_ten_pair_rule_and_the_claim_reads_both_verdicts():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.04, 0.96]
+    faster = [0.8 * p for p in parent]
+    # the raw passes gain as much as wall_s: both rules are met
+    met = bench_pairs.summarize(records("w", parent, faster, factor=2.0), METRICS)["w"]
+    assert met["raw_wall_s"]["ten_pair_rule"] and met["wall_s"]["ten_pair_rule"]
+    assert met["raw_wall_s"]["change_vs_parent"] == pytest.approx(-0.2)
+    assert met["raw_wall_s"]["parent"]["median"] == pytest.approx(0.5)
+    assert met["claim"] == "met"
+    # wall_s falls only because the change's passes read a faster host: the
+    # raw passes are the same on both sides, so the claim is unresolved
+    runs = records("w", parent, faster)
+    for run in runs:
+        if run["side"] == "change":
+            run["raw"] = {"raw_wall_s": run["result"]["metrics"]["wall_s"]["value"] / 0.8,
+                          "host_factor": 0.8}
+    split = bench_pairs.summarize(runs, METRICS)["w"]
+    assert split["wall_s"]["ten_pair_rule"] and not split["raw_wall_s"]["ten_pair_rule"]
+    assert split["raw_wall_s"]["ties"] == 10
+    assert split["claim"] == "unresolved"
+    # and the other way round: a raw gain that the factor hides
+    for run in runs:
+        if run["side"] == "change":
+            run["result"]["metrics"]["wall_s"]["value"] /= 0.8
+            run["raw"]["raw_wall_s"] *= 0.8
+    hidden = bench_pairs.summarize(runs, METRICS)["w"]
+    assert not hidden["wall_s"]["ten_pair_rule"] and hidden["raw_wall_s"]["ten_pair_rule"]
+    assert hidden["claim"] == "unresolved"
+    same = bench_pairs.summarize(records("w", parent, parent), METRICS)["w"]
+    assert same["claim"] == "not met"
+    # without raw times in every run there is no raw verdict and no claim
+    del runs[3]["raw"]["raw_wall_s"]
+    assert not {"raw_wall_s", "claim"} & set(bench_pairs.summarize(runs, METRICS)["w"])
+
+
+def test_the_claim_is_the_two_verdicts():
+    assert bench_pairs.verdict(True, True) == "met"
+    assert bench_pairs.verdict(True, False) == bench_pairs.verdict(False, True) == "unresolved"
+    assert bench_pairs.verdict(False, False) == "not met"

@@ -507,9 +507,12 @@ STEP_AT_2 = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "hig
 EMPTY_FILT = {"low_tail": [], "breakpoints": [], "high_tail": []}
 
 
-def z_level(p):
-    filt = {"low_tail": [p], "breakpoints": [{"n": 0, "set": []}], "high_tail": []}
+def z_filtration(filt):
     return ["localize", "--ring", json.dumps(INTEGERS), "--filtration", json.dumps(filt)]
+
+
+def z_level(p):
+    return z_filtration({"low_tail": [p], "breakpoints": [{"n": 0, "set": []}], "high_tail": []})
 
 
 def vee_family(level_at_m1):
@@ -627,6 +630,15 @@ def z_key(key):
         (z_level(10**400 + 1), "MAX_Z_PRIME = 1000000"),
         (z_level(BIG_PRIME), "MAX_Z_PRIME = 1000000"),
         (z_key(str(BIG_PRIME)), "MAX_Z_PRIME = 1000000"),
+        # every named integer is bounded before any is tested for primality
+        (z_filtration({"low_tail": [4], "breakpoints": [{"n": 0, "set": [10**7]}], "high_tail": []}),
+         "Z prime 10000000 is over the bound MAX_Z_PRIME = 1000000"),
+        # and before the shape of the breakpoints is checked
+        (z_filtration({"low_tail": [10**7], "breakpoints": 5, "high_tail": []}),
+         "Z prime 10000000 is over the bound MAX_Z_PRIME = 1000000"),
+        # an index is refused as itself, with no level's field before it
+        (z_filtration({"low_tail": "full", "breakpoints": [{"n": True, "set": []}], "high_tail": []}),
+         "error: breakpoint index must be an integer, got True"),
         (["glue", "--family", json.dumps({"poset": INTEGERS, "default": Z_DEFAULT,
                                           "exceptions": {"2": STEP_AT_2, "02": EMPTY_FILT}})],
          "keys '2' and '02' name the same prime 2"),
@@ -692,6 +704,7 @@ def z_key(key):
          "family-windows-far-apart", "exception-not-maximal", "no-default-misses-a-maximal-point",
          "literal-5000-digits",
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
+         "z-bound-before-primality", "z-bound-before-breakpoints-shape", "z-index-bool-no-field",
          "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
          "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",
          "cosilting-glue-free-rank-5", "module-relation-length", "module-rank-negative",

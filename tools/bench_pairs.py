@@ -19,10 +19,14 @@ ties over the pairs, whether the gap exceeds the parent's quartile spread,
 and the ten-pair rule: at least ten pairs, the change better in at least
 nine of every ten, and its median better by more than the parent's spread.
 Beside them, each side's raw pass times (``raw_wall_s``) and host-speed
-factors (``host_factor``) are summarised for reading only, with no verdict:
-each run keeps their medians from its record line, the JSON line before the
-result line.  A metric at reference host speed is the raw time scaled by the
-factor, so a gap that the raw times do not show comes from the factor.
+factors (``host_factor``) are summarised per side: each run keeps their
+medians from its record line, the JSON line before the result line.  A
+metric at reference host speed is the raw time scaled by the factor, so a
+gap that the raw times do not show comes from the factor.  The raw pass
+times also get the ten-pair rule, over the same pairs, and the workload's
+``claim`` reads both verdicts: "met" when ``wall_s`` and ``raw_wall_s``
+both meet the rule, "not met" when neither does, and "unresolved" when they
+disagree.
 
 Standard library only; the output is one JSON file.
 """
@@ -39,7 +43,7 @@ import sys
 
 METRICS_FILE = "BENCHMARK.json"
 SIDES = ("parent", "change")
-# shown per side beside the metrics, with no verdict
+# shown per side beside the metrics; the first also gets the ten-pair rule
 RAW = ("raw_wall_s", "host_factor")
 
 
@@ -73,11 +77,22 @@ def compare(pairs, better: str) -> dict:
     }
 
 
+def verdict(wall: bool, raw: bool) -> str:
+    """The claim of a gain read off the ten-pair rule on ``wall_s`` and on
+    ``raw_wall_s``: the host factor can flip the one but not the other."""
+    if wall and raw:
+        return "met"
+    return "unresolved" if wall or raw else "not met"
+
+
 def summarize(runs, metrics) -> dict:
     """{workload: {"correct", "pairs", "raw", metric: compare(...)}} over the
     run records, for ``metrics`` a {name: "lower" | "higher"} map; "raw" maps
     each name of RAW that every kept run has to the spread of each side's run
-    medians.  A pair counts once both of its sides gave a result line."""
+    medians.  When every kept run has a raw pass time, "raw_wall_s" is its
+    compare(...) and, beside a ``wall_s`` metric, "claim" is the
+    :func:`verdict` of the two.  A pair counts once both of its sides gave a
+    result line."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         sides: dict = {}
@@ -99,6 +114,13 @@ def summarize(runs, metrics) -> dict:
             for name in RAW
             if kept and all(name in raws[pair][side] for pair in kept for side in SIDES)
         }
+        if "raw_wall_s" in summary["raw"]:
+            raw = [tuple(raws[pair][side]["raw_wall_s"] for side in SIDES) for pair in kept]
+            summary["raw_wall_s"] = compare(raw, "lower")
+            if "wall_s" in summary:
+                summary["claim"] = verdict(
+                    summary["wall_s"]["ten_pair_rule"], summary["raw_wall_s"]["ten_pair_rule"]
+                )
         out[workload] = summary
     return out
 
@@ -219,6 +241,8 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    for workload, summary in record["summary"].items():
+        print(f"{workload}: claim {summary.get('claim', 'no raw times')}", file=sys.stderr)
     return 0 if all(w["correct"] for w in record["summary"].values()) else 1
 
 
