@@ -12,8 +12,8 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from functools import cache
-from typing import Callable, NamedTuple
 
 from . import gluing, homalg, integers as zz, rings as rng, sweeps
 from . import torsion_cosilting as tc, tstructures as ts
@@ -65,11 +65,14 @@ def _ring(args):
     return rng.ring_from_json(_load_json(args, "ring"))
 
 
-class _Wire(NamedTuple):
+class _Wire:
     """How the glued filtration and the witnesses of a family are written."""
 
-    glue: Callable  # family -> JSON of the glued filtration
-    witness: Callable  # (family, IncompatibleFamilyError) -> (witness JSON, text)
+    __slots__ = ("glue", "witness")
+
+    def __init__(self, glue: Callable, witness: Callable):
+        self.glue = glue  # family -> JSON of the glued filtration
+        self.witness = witness  # (family, IncompatibleFamilyError) -> (witness JSON, text)
 
 
 def _finite_witness(family, exc):

@@ -27,14 +27,15 @@ then pad the columns into rows.  Set families have no wire, so a row is
 built by the package and not checked again.  The level codec of
 :mod:`spectral_glue.thomason` at m reads and writes every level of a member
 at m and every X(m) of a row: "full" is ``down[m]``, and a list names
-points of ``down[m]`` by label.
+points of ``down[m]`` by label.  A :class:`LocalFamily` (global_poset,
+start, rows) is an immutable value on :class:`spectral_glue.values.Value`,
+equal and hashed by those three fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import partial
-from typing import Mapping, Sequence
 
 from .errors import IncompatibleFamilyError, InvalidInputError
 from .poset import PrimeId, SpectralPoset, all_up_sets
@@ -49,10 +50,10 @@ from .thomason import (
     level_to_json,
     trim,
 )
+from .values import Value
 
 
-@dataclass(frozen=True)
-class LocalFamily:
+class LocalFamily(Value):
     """Assignment m -> filtration on Spec(R_m), the down-set of m, as its run
     of rows.
 
@@ -67,9 +68,12 @@ class LocalFamily:
     is one of these on :func:`spectral_glue.integers.z_poset`.
     """
 
-    global_poset: SpectralPoset
-    start: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("global_poset", "start", "rows")
+
+    def __init__(self, global_poset: SpectralPoset, start: int, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "global_poset", global_poset)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def degrees(self) -> range:

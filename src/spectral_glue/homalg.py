@@ -1,9 +1,11 @@
 """Bounded complexes over finite rings and their homological calculus.
 
-Terms are either free (stored by rank, with matrix differentials) or general
-modules (stalk-like, with zero differentials in and out).  This covers the
-shapes the classification actually needs: Koszul complexes, shifted module
-stalks, and finite direct sums of these.
+Terms are either free (a :class:`FreeTerm`, an immutable value holding its
+rank, with matrix differentials) or general modules (stalk-like, with zero
+differentials in and out).  This covers the shapes the classification
+actually needs: Koszul complexes, shifted module stalks, and finite direct
+sums of these.  Complex JSON keys each term by a decimal degree, and its
+terms lie at most ``MAX_DEGREE_SPAN`` degrees apart.
 
 :func:`derived_hom` builds its groups by element sweeps, and
 :func:`cohomology` is H^n of Hom(R, C), so there is one enumerator.  It runs
@@ -34,11 +36,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import re
-from dataclasses import dataclass
+from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from . import modules as mod
 from . import rings as rng
@@ -46,16 +46,17 @@ from .errors import InvalidInputError, UnsupportedRingError, json_int, json_obje
 from .modules import ENUMERATION_LIMIT, FiniteModule
 from .poset import PrimeId
 from .rings import FiniteRing, LocalFactor
-from .thomason import ThomasonSet
+from .thomason import MAX_DEGREE_SPAN, ThomasonSet
+from .values import Value
 
 
-@dataclass(frozen=True)
-class FreeTerm:
-    rank: int
+class FreeTerm(Value):
+    __slots__ = _fields = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int):
+        if rank < 0:
             raise InvalidInputError("rank must be nonnegative")
+        object.__setattr__(self, "rank", rank)
 
 
 def _matrix_check(matrix, rows, cols, n):
@@ -490,7 +491,7 @@ def hom_orders(
     perfect: BoundedComplex,
     target: BoundedComplex,
     i: int,
-    factor: Optional[LocalFactor] = None,
+    factor: LocalFactor | None = None,
 ) -> dict[str, int]:
     """{m: |e_m H^i Hom(P, Y)|} over the local factors R_m, for P with free
     terms and Y without differentials; nothing is enumerated.
@@ -612,19 +613,31 @@ def localize_complex(complex_: BoundedComplex, label: PrimeId) -> BoundedComplex
 
 
 def _degree(key: str, field: str) -> int:
-    # int() would also read "1_0" as 10 and " 1" as 1
-    if not re.fullmatch(r"[+-]?[0-9]+", key):
+    # an optional sign and ASCII digits: int() would also read "1_0" as 10,
+    # " 1" as 1 and the Arabic-Indic "\u0661" as 1
+    digits = key[1:] if key[:1] in ("+", "-") else key
+    if not (digits.isascii() and digits.isdigit()):
         raise InvalidInputError(f"{field!r} key {key!r} must be a decimal degree")
     return int(key)
 
 
 def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
-    """{"terms": {"-1": {"free": 1}, "0": {"module": {...}}}, "differentials": {"-1": [[2]]}}"""
+    """{"terms": {"-1": {"free": 1}, "0": {"module": {...}}}, "differentials": {"-1": [[2]]}}
+
+    The terms lie at most MAX_DEGREE_SPAN degrees apart, which is checked on
+    their keys before any term is read: every degree between the lowest and
+    the highest term is visited by the verbs that read a complex."""
     json_object(data, "complex JSON")
     try:
         terms = {}
-        for key, spec_ in json_object(data.get("terms", {}), "'terms'").items():
-            n = _degree(key, "terms")
+        specs = json_object(data.get("terms", {}), "'terms'")
+        degrees = [_degree(key, "terms") for key in specs]
+        if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+            raise InvalidInputError(
+                f"'terms' at degrees {min(degrees)} and {max(degrees)} lie more than the bound "
+                f"MAX_DEGREE_SPAN = {MAX_DEGREE_SPAN} degrees apart"
+            )
+        for n, spec_ in zip(degrees, specs.values()):
             json_object(spec_, f"the term at degree {n}")
             if "free" in spec_:
                 terms[n] = FreeTerm(json_int(spec_["free"], f"'free' at degree {n}"))

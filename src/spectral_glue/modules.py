@@ -16,9 +16,9 @@ the ring's elements.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
 
 from .errors import InvalidInputError
 

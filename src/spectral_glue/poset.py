@@ -14,8 +14,8 @@ enter (:meth:`SpectralPoset.point`).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .errors import InvalidInputError, json_object
 

@@ -36,6 +36,11 @@ such a vector to the ideal's least generator and members; the members of an
 ideal on any generators and the cyclic modules R/(g) are lookups in it.
 Valuations are tabulated per element too, so they share the tables' size
 bound (``TABLE_LIMIT``).
+
+A :class:`LocalFactor` and an :class:`Ideal` are immutable values on
+:class:`spectral_glue.values.Value`, equal and hashed by their fields; what
+they tabulate (``proj``, ``lift``, ``members``) is a ``cached_property``
+kept beside the fields.
 """
 
 from __future__ import annotations
@@ -43,15 +48,15 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
 from functools import cached_property, lru_cache, reduce
-from typing import Callable, Mapping
 
 from . import modules
 from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
 from .modules import FiniteModule
 from .poset import SpectralPoset
 from .thomason import ThomasonSet
+from .values import Value
 
 # -- polynomial helpers over F_p (coefficient tuples, low degree first) ------
 
@@ -195,8 +200,7 @@ def _radix_table(ta, tb):
     return [_radix_vector(ra, rb) for ra in ta for rb in tb]
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Value):
     """One local chain-ring factor of a finite ring.
 
     ``prime_gen`` generates the prime ideal of the factor inside the global
@@ -207,12 +211,23 @@ class LocalFactor:
     every global element, and ``lift`` from ``lift_of``.
     """
 
-    label: str
-    prime_gen: int
-    idempotent: int
-    ring: "FiniteRing"
-    proj_table: Callable
-    lift_of: Callable
+    _fields = ("label", "prime_gen", "idempotent", "ring", "proj_table", "lift_of")
+
+    def __init__(
+        self,
+        label: str,
+        prime_gen: int,
+        idempotent: int,
+        ring: FiniteRing,
+        proj_table: Callable,
+        lift_of: Callable,
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "prime_gen", prime_gen)
+        object.__setattr__(self, "idempotent", idempotent)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "proj_table", proj_table)
+        object.__setattr__(self, "lift_of", lift_of)
 
     @cached_property
     def proj(self) -> Callable:
@@ -713,15 +728,14 @@ def ring_from_json(data: Mapping):
 # -- ideals ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ideal:
-    ring: FiniteRing
-    generators: tuple
+class Ideal(Value):
+    _fields = ("ring", "generators")
 
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, ring: FiniteRing, generators: tuple):
+        if not generators:
             raise InvalidInputError("ideal needs at least one generator (use [0])")
-        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "generators", tuple(generators))
 
     @cached_property
     def members(self) -> frozenset:

@@ -1,7 +1,8 @@
 """Exhaustive property sweeps over the generated corpora.
 
-Each sweep returns a :class:`SweepReport` with the number of instances checked
-and serializable witnesses for every violation (empty list = property holds).
+Each sweep returns a :class:`SweepReport`, a slotted record that the sweep
+fills in place, with the number of instances checked and serializable
+witnesses for every violation (empty list = property holds).
 The sweeps are deterministic and run in one thread: the checks are pure Python,
 so threads under the GIL gave no speed-up. Each ``sweep_*`` still takes
 ``jobs``, which must be 1, because the benchmark calls them with ``jobs=1``.
@@ -10,7 +11,6 @@ so threads under the GIL gave no speed-up. Each ``sweep_*`` still takes
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import catalog, gluing, homalg, rings as rng, torsion_cosilting as tc, tstructures as ts
@@ -25,12 +25,14 @@ from .thomason import (
 )
 
 
-@dataclass
 class SweepReport:
-    name: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    __slots__ = ("name", "checked", "failures", "details")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures = []
+        self.details = {}
 
     @property
     def ok(self) -> bool:

@@ -28,23 +28,30 @@ family in :mod:`spectral_glue.gluing`); inside the package a set is a mask.
 Every level is an up-set of one finite spectral poset; Spec(Z) is the finite
 star poset of :func:`spectral_glue.integers.z_poset`, so its filtrations are
 these too.
+
+A :class:`ThomasonSet` (poset, mask) and a :class:`ThomasonFiltration`
+(poset, start, masks) are immutable values on
+:class:`spectral_glue.values.Value`: slotted, equal and hashed by their
+fields, with no field that can be assigned.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from .errors import FiltrationOrderError, InvalidInputError, json_int, json_object
 from .poset import PrimeId, SpectralPoset
+from .values import Value
 
 
-@dataclass(frozen=True)
-class ThomasonSet:
+class ThomasonSet(Value):
     """An up-set of a finite spectral poset, as the mask of its points."""
 
-    poset: SpectralPoset
-    mask: int
+    __slots__ = _fields = ("poset", "mask")
+
+    def __init__(self, poset: SpectralPoset, mask: int):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def full(cls, poset: SpectralPoset) -> "ThomasonSet":
@@ -74,8 +81,7 @@ class ThomasonSet:
         return f"ThomasonSet({list(self.poset.labels(self.mask))})"
 
 
-@dataclass(frozen=True, slots=True)
-class ThomasonFiltration:
+class ThomasonFiltration(Value):
     """Decreasing Z-indexed sequence of Thomason sets, as its run of level masks.
 
     ``masks[k]`` is the mask of X_n for n = start + k; the first mask is the
@@ -92,9 +98,12 @@ class ThomasonFiltration:
     decreases.
     """
 
-    poset: SpectralPoset
-    start: int
-    masks: tuple[int, ...]
+    __slots__ = _fields = ("poset", "start", "masks")
+
+    def __init__(self, poset: SpectralPoset, start: int, masks: tuple[int, ...]):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def lo(self) -> int:

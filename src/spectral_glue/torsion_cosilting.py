@@ -7,7 +7,9 @@ the cyclic modules R/I come from the ring's ideal table.
 Cosilting modules are finite modules with an injective copresentation eta,
 kept as the map itself (a dict on the elements of Q0): splitting restricts it
 to each e_m Q0, gluing takes the product of the local maps, and the wire reads
-it off one row per basis vector of Q0's presentation.  Its class B_eta is
+it off one row per basis vector of Q0's presentation.  A
+:class:`CosiltingModule` is an immutable value that finds its kernel
+``module`` once, at construction.  Its class B_eta is
 compared with Cogen(C) on every cyclic module, which decides the equality
 because both classes are closed under finite sums and summands.
 """
@@ -15,9 +17,8 @@ because both classes are closed under finite sums and summands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cached_property
-from typing import Mapping
 
 from . import modules as mod
 from . import rings as rng
@@ -26,6 +27,7 @@ from .modules import ENUMERATION_LIMIT, FiniteModule, power_exceeds
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal
 from .thomason import ThomasonFiltration, ThomasonSet, make_filtration
+from .values import Value
 
 
 # -- torsion pairs -----------------------------------------------------------
@@ -160,8 +162,7 @@ def _check_steps(ring: FiniteRing, sizes) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CosiltingModule:
+class CosiltingModule(Value):
     """A module with an injective copresentation 0 -> C -> Q0 --eta--> Q1.
 
     ``eta`` is the map itself, a dict sending every element of Q0 to its image
@@ -173,19 +174,17 @@ class CosiltingModule:
     :func:`is_cosilting`, one cyclic module at a time.
     """
 
-    ring: FiniteRing
-    q0: FiniteModule
-    q1: FiniteModule
-    eta: dict
-    module: FiniteModule = field(init=False)
+    _fields = ("ring", "q0", "q1", "eta", "module")
 
-    def __post_init__(self):
-        if self.eta.keys() != self.q0.index.keys() or not all(
-            y in self.q1.index for y in self.eta.values()
-        ):
+    def __init__(self, ring: FiniteRing, q0: FiniteModule, q1: FiniteModule, eta: dict):
+        if eta.keys() != q0.index.keys() or not all(y in q1.index for y in eta.values()):
             raise InvalidInputError("eta must send every element of Q0 to an element of Q1")
-        kernel = frozenset(x for x, y in self.eta.items() if y == self.q1.zero)
-        object.__setattr__(self, "module", self.q0.submodule(kernel))
+        kernel = frozenset(x for x, y in eta.items() if y == q1.zero)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "module", q0.submodule(kernel))
 
     def is_degenerate(self) -> bool:
         return self.module.is_zero_module()
@@ -314,7 +313,8 @@ def glue_cosilting(
     labels = [lf.label for lf in factors]
     if set(family) != set(labels):
         raise InvalidInputError(
-            f"family keys {sorted(family)} do not match maximal ideals {labels}"
+            f"family keys {sorted(family)} do not match maximal ideals {labels}: "
+            "'components' gives a local cosilting module at every maximal ideal"
         )
     q0_parts, q1_parts = [], []
     for lf in factors:

@@ -6,7 +6,6 @@ condition states it; :func:`glue_sets` decides it by comparing each star with
 the glued set, and :func:`glue_filtrations` does the same on masks alone.
 """
 
-import dataclasses
 import importlib.util
 import itertools
 import json
@@ -145,7 +144,7 @@ def test_family_members_are_read_only(vee):
     subs = {m: localization_poset(vee, m) for m in ("m1", "m2")}
     full = {m: constant_filtration(sub, ThomasonSet.full(sub)) for m, sub in subs.items()}
     family = LocalFamily.from_members(vee, member_json(full))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         family.rows = LocalFamily.from_members(vee, member_json(full)).rows
     back = localize_filtrations(glue_filtrations(family))
     with pytest.raises(TypeError):

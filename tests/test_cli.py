@@ -11,6 +11,7 @@ from spectral_glue import integers as zz
 from spectral_glue.cli import main
 from spectral_glue.errors import InvalidInputError
 from spectral_glue.rings import spec
+from spectral_glue.thomason import MAX_DEGREE_SPAN
 
 Z12 = {"kind": "zmod", "n": 12}
 FILT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
@@ -536,6 +537,14 @@ def z_key(key):
     return ["compat-check", "--family", json.dumps(family)]
 
 
+def far_terms(verb, hi=10**8):
+    """``verb`` on free terms at degrees 0 and ``hi`` over Z/6: at 10**8,
+    each verb walked every degree between them for more than ten seconds."""
+    cx = {"terms": {"0": {"free": 1}, str(hi): {"free": 1}}}
+    argv = [verb, "--ring", '{"kind": "zmod", "n": 6}', "--complex", json.dumps(cx)]
+    return argv if verb == "cohomology" else argv + ["--filtration", json.dumps(step_at(0))]
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -653,6 +662,12 @@ def z_key(key):
           '{"terms": {"-1": {"free": 1000000000}, "0": {"free": 2}}, "differentials": {"-1": [[6, 0], [0, 4]]}}'],
          "differential at -1 must be a 2x1000000000 matrix"),
         # Q0 and Q1 of 248,832 elements each: about 60 s before it answered
+        (far_terms("cohomology"), "'terms' at degrees 0 and 100000000 lie more than the bound "
+         "MAX_DEGREE_SPAN = 1000 degrees apart"),
+        (far_terms("aisle-test"), "'terms' at degrees 0 and 100000000 lie more than the bound "
+         "MAX_DEGREE_SPAN = 1000 degrees apart"),
+        (far_terms("coaisle-test"), "'terms' at degrees 0 and 100000000 lie more than the bound "
+         "MAX_DEGREE_SPAN = 1000 degrees apart"),
         (["cosilting-set", "--cosilting", json.dumps(dict(COS_FREE_5, ring=Z12))],
          "MAX_COPRESENTATION_STEPS = 200000"),
         # three accepted components whose sum has 24,300,000 elements
@@ -706,7 +721,9 @@ def z_key(key):
          "z-key-5000-digits", "z-level-401-digits", "z-level-big-prime", "z-key-big-prime",
          "z-bound-before-primality", "z-bound-before-breakpoints-shape", "z-index-bool-no-field",
          "z-key-duplicate-prime", "fuzz-max-ring-301", "fuzz-max-ring-huge",
-         "derived-hom-free-rank-huge", "cohomology-differential-shape", "cosilting-free-rank-5",
+         "derived-hom-free-rank-huge", "cohomology-differential-shape",
+         "cohomology-terms-far-apart", "aisle-test-terms-far-apart", "coaisle-test-terms-far-apart",
+         "cosilting-free-rank-5",
          "cosilting-glue-free-rank-5", "module-relation-length", "module-rank-negative",
          "torsion-set-int", "torsion-set-unknown-prime", "member-names-another-maximal-point",
          "member-level-not-closed", "z-member-names-another-exception",
@@ -719,6 +736,16 @@ def test_ring_json_is_validated_at_the_wire(capsys, argv, field):
     err = capsys.readouterr().err
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["cohomology", "aisle-test", "coaisle-test"])
+def test_terms_at_most_the_span_bound_apart_are_read(capsys, verb):
+    start = time.monotonic()
+    assert main(far_terms(verb, MAX_DEGREE_SPAN)) in (0, 1)
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err == ""
+    assert main(far_terms(verb, MAX_DEGREE_SPAN + 1)) == 2
+    assert f"'terms' at degrees 0 and {MAX_DEGREE_SPAN + 1} lie more" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])

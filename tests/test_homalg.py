@@ -2,10 +2,12 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spectral_glue import (
     BoundedComplex,
@@ -154,6 +156,47 @@ def test_complex_json(z12):
     assert cohomology(cx, 0).order == 3
     with pytest.raises(InvalidInputError):
         complex_from_json(z12, {"terms": {"0": {"free": -1}}, "differentials": {}})
+
+
+# "\u0661" is an Arabic-Indic one, "\u00b2" a superscript two and
+# "\uff11" a full-width one: int() reads the first and last, str.isdigit()
+# accepts all three
+DEGREE_KEYS = ["", "+", "-", "-0", "+007", "1_0", " 1", "1 ", "1\n", "\u0661", "\u00b2",
+               "\uff11", "+-1", "--1", "0", "-12", "1.0", "0x1", "1e3"]
+
+
+def _degree_by_regex(key):
+    """The degree of ``key`` as the regular expression that ``_degree``
+    replaced reads it, or None for a key it refuses."""
+    return int(key) if re.fullmatch(r"[+-]?[0-9]+", key) else None
+
+
+def _read_degree(key):
+    try:
+        return homalg._degree(key, "terms")
+    except InvalidInputError as exc:
+        assert str(exc) == f"'terms' key {key!r} must be a decimal degree"
+        return None
+
+
+def test_degree_keys_read_as_the_regular_expression_reads_them():
+    assert [_read_degree(key) for key in DEGREE_KEYS] == list(map(_degree_by_regex, DEGREE_KEYS))
+    assert [key for key in DEGREE_KEYS if _read_degree(key) is not None] == ["-0", "+007", "0", "-12"]
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(st.text(st.sampled_from("+-0123456789_ \n\u0661\u00b2\uff11x"), max_size=6) | st.text())
+def test_text_keys_read_as_the_regular_expression_reads_them(key):
+    assert _read_degree(key) == _degree_by_regex(key)
+
+
+def test_terms_lie_at_most_the_span_bound_apart(z12):
+    cx = complex_from_json(z12, {"terms": {"-500": {"free": 1}, "500": {"free": 1}}})
+    assert cx.degrees() == [-500, 500]
+    # the keys are read first: the module of rank 10**7 is never built
+    far = {"terms": {"0": {"module": {"rank": 10**7}}, "1001": {"free": 1}}}
+    with pytest.raises(InvalidInputError, match="'terms' at degrees 0 and 1001 lie more than"):
+        complex_from_json(z12, far)
 
 
 def test_localize_zmod_30():

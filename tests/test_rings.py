@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import time
@@ -29,6 +28,7 @@ from spectral_glue.modules import FiniteModule, cokernel_of_rank
 from spectral_glue.homalg import koszul, support_of_cohomology
 from spectral_glue.rings import (
     FiniteRing,
+    LocalFactor,
     _radix_table,
     _radix_vector,
     all_ideals,
@@ -574,7 +574,10 @@ def test_a_prime_generator_that_is_not_nilpotent_fails_at_once():
     of looping."""
     start = time.perf_counter()
     for ring in [ZMod(12), PolyQuot(3, (2, 0, 1)), product_catalog(40)[0]]:
-        units = [dataclasses.replace(lf, prime_gen=ring.one) for lf in ring.local_factors()]
+        units = [
+            LocalFactor(lf.label, ring.one, lf.idempotent, lf.ring, lf.proj_table, lf.lift_of)
+            for lf in ring.local_factors()
+        ]
         for lf in units:
             with pytest.raises(AssertionError, match="not nilpotent"):
                 tabulated_valuation(lf)

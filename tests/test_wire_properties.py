@@ -29,7 +29,10 @@ degree, a bound or the invariant that failed.  The ``--filtration``,
 ``tstr-classify``, ``tstr-localize`` and ``torsion`` calls, and the
 ``--ring`` of its ``spec`` calls, take them too, under two seconds and the
 same kinds of names; so does the ``--set`` of its ``torsion`` calls, whose
-refusals must name the field ``'set'``.  The ``--max-poset``, ``--max-ring``
+refusals must name the field ``'set'``.  Each complex among these inputs may
+also have one term or differential copied or moved to the degree key
++-10^9; a refusal by the degree-span bound needs terms that lie that far
+apart.  The ``--max-poset``, ``--max-ring``
 and ``--window`` of ``fuzz`` take integers around and far past the catalog
 bounds, with every sweep replaced by an empty report; each call must exit 0
 or 2 within two seconds, and an exit 2 must name a bound or the reversed
@@ -76,6 +79,9 @@ KOSZUL_NAMED = re.compile(
     r"|\ban element of\b|\bbound\b"
 )
 SWAPS = [5, -1, 2.5, True, None, "x", "full", [], {}]
+# far degree keys of a complex's terms and differentials: every degree
+# between the lowest and highest term was walked before they were refused
+FAR_KEYS = [str(10**9), str(-(10**9))]
 # a far degree, and Z primes over the trial-division bound: the last two took
 # minutes or raised before they were refused
 BIGS = [10**9, -(10**9), 10**18 + 3, 10**400 + 1]
@@ -166,6 +172,47 @@ def mutated(draw, data):
             swap = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(value)]))
             data = _put(data, path, json.loads(json.dumps(swap)))
     return data
+
+
+@st.composite
+def mutated_complex(draw, data):
+    """Complex JSON after ``mutated``, then perhaps with one term or
+    differential copied or moved to a far degree key."""
+    data = draw(mutated(data))
+    fields = [
+        data[name] for name in ("terms", "differentials")
+        if isinstance(data, dict) and isinstance(data.get(name), dict) and data[name]
+    ]
+    if fields and draw(st.booleans()):
+        field = draw(st.sampled_from(fields))
+        key = draw(st.sampled_from(sorted(field)))
+        far = draw(st.sampled_from(FAR_KEYS))
+        field[far] = field.pop(key) if draw(st.booleans()) else field[key]
+    return data
+
+
+def _mutation(option, data):
+    """The mutation of the JSON of ``option``: a complex may also take a far key."""
+    return mutated_complex(data) if option in ("--complex", "--target") else mutated(data)
+
+
+def _term_span(argv, option):
+    """How many degrees apart the well-formed term keys of the complex JSON
+    of ``option`` in ``argv`` lie, or 0."""
+    data = json.loads(argv[argv.index(option) + 1]) if option in argv else None
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, dict):
+        return 0
+    degrees = [int(key) for key in terms if re.fullmatch(r"[+-]?[0-9]+", key)]
+    return max(degrees) - min(degrees) if degrees else 0
+
+
+def _check_span_refusal(argv, err):
+    """A refusal of terms by the span bound needs a complex in ``argv``
+    whose terms lie that far apart."""
+    if "'terms' at degrees" in err:
+        spans = [_term_span(argv, option) for option in ("--complex", "--target")]
+        assert max(spans) > MAX_DEGREE_SPAN, (argv, err)
 
 
 @st.composite
@@ -284,14 +331,14 @@ def mutated_hom_argv(draw):
     options = [option for option in ("--complex", "--target", "--degree") if option in argv]
     for option in draw(st.lists(st.sampled_from(options), min_size=1, unique=True)):
         k = argv.index(option) + 1
-        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+        argv[k] = json.dumps(draw(_mutation(option, json.loads(argv[k]))))
     return name, argv
 
 
 @DERANDOMIZED
 @given(mutated_hom_argv())
 def test_mutated_hom_inputs_exit_cleanly(case):
-    _exits_cleanly(*case, 2, HOM_NAMED)
+    _check_span_refusal(case[1], _exits_cleanly(*case, 2, HOM_NAMED))
 
 
 COSILTING_CASES = [
@@ -323,14 +370,14 @@ def mutated_cosilting_argv(draw):
     options = [o for o in ("--cosilting", "--family", "--filtration", "--complex") if o in argv]
     for option in draw(st.lists(st.sampled_from(options), min_size=1, unique=True)):
         k = argv.index(option) + 1
-        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+        argv[k] = json.dumps(draw(_mutation(option, json.loads(argv[k]))))
     return name, argv
 
 
 @DERANDOMIZED
 @given(mutated_cosilting_argv())
 def test_mutated_cosilting_and_coaisle_inputs_exit_cleanly(case):
-    _exits_cleanly(*case, 2, COSILTING_NAMED)
+    _check_span_refusal(case[1], _exits_cleanly(*case, 2, COSILTING_NAMED))
 
 
 # the calls of tests/test_cli.py on the t-structure verbs, ``torsion`` and
@@ -389,14 +436,14 @@ def mutated_verb_argv(draw):
     argv = list(argv)
     for option in draw(st.lists(st.sampled_from(options), min_size=1, unique=True)):
         k = argv.index(option) + 1
-        argv[k] = json.dumps(draw(mutated(json.loads(argv[k]))))
+        argv[k] = json.dumps(draw(_mutation(option, json.loads(argv[k]))))
     return argv[0], argv
 
 
 @DERANDOMIZED
 @given(mutated_verb_argv())
 def test_mutated_tstructure_torsion_and_spec_inputs_exit_cleanly(case):
-    _exits_cleanly(*case, 2, VERB_NAMED)
+    _check_span_refusal(case[1], _exits_cleanly(*case, 2, VERB_NAMED))
 
 
 TORSION_SET_CASES = [argv for argv, _ in VERB_CASES if argv[0] == "torsion"]
