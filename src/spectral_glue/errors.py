@@ -45,3 +45,10 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_list(value, what: str) -> list:
+    """``value`` if it is a JSON array; otherwise an error naming ``what``."""
+    if type(value) is not list:
+        raise InvalidInputError(f"{what} must be a JSON array, got {value!r}")
+    return value

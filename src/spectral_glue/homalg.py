@@ -42,7 +42,7 @@ from types import MappingProxyType
 
 from . import modules as mod
 from . import rings as rng
-from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
+from .errors import InvalidInputError, UnsupportedRingError, json_int, json_list, json_object
 from .modules import ENUMERATION_LIMIT, FiniteModule
 from .poset import PrimeId
 from .rings import FiniteRing, LocalFactor
@@ -626,29 +626,35 @@ def complex_from_json(ring: FiniteRing, data: Mapping) -> BoundedComplex:
 
     The terms lie at most MAX_DEGREE_SPAN degrees apart, which is checked on
     their keys before any term is read: every degree between the lowest and
-    the highest term is visited by the verbs that read a complex."""
+    the highest term is visited by the verbs that read a complex.  Each
+    field is checked where it is read and refused with its name; any other
+    exception is a fault, and propagates."""
     json_object(data, "complex JSON")
-    try:
-        terms = {}
-        specs = json_object(data.get("terms", {}), "'terms'")
-        degrees = [_degree(key, "terms") for key in specs]
-        if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
-            raise InvalidInputError(
-                f"'terms' at degrees {min(degrees)} and {max(degrees)} lie more than the bound "
-                f"MAX_DEGREE_SPAN = {MAX_DEGREE_SPAN} degrees apart"
-            )
-        for n, spec_ in zip(degrees, specs.values()):
-            json_object(spec_, f"the term at degree {n}")
-            if "free" in spec_:
-                terms[n] = FreeTerm(json_int(spec_["free"], f"'free' at degree {n}"))
-            elif "module" in spec_:
-                terms[n] = rng.module_from_json(ring, spec_["module"])
-            else:
-                raise InvalidInputError(f"term at {n} must give 'free' or 'module'")
-        diffs = {
-            _degree(n, "differentials"): [[ring.element_from_json(e) for e in row] for row in matrix]
-            for n, matrix in json_object(data.get("differentials", {}), "'differentials'").items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed complex JSON: {exc}") from exc
+    terms = {}
+    specs = json_object(data.get("terms", {}), "'terms'")
+    degrees = [_degree(key, "terms") for key in specs]
+    if degrees and max(degrees) - min(degrees) > MAX_DEGREE_SPAN:
+        raise InvalidInputError(
+            f"'terms' at degrees {min(degrees)} and {max(degrees)} lie more than the bound "
+            f"MAX_DEGREE_SPAN = {MAX_DEGREE_SPAN} degrees apart"
+        )
+    for n, spec_ in zip(degrees, specs.values()):
+        json_object(spec_, f"'terms' at degree {n}")
+        if "free" in spec_:
+            rank = json_int(spec_["free"], f"'free' at degree {n}")
+            if rank < 0:
+                raise InvalidInputError(f"'free' at degree {n} must be nonnegative, got {rank}")
+            terms[n] = FreeTerm(rank)
+        elif "module" in spec_:
+            terms[n] = rng.module_from_json(ring, spec_["module"])
+        else:
+            raise InvalidInputError(f"term at {n} must give 'free' or 'module'")
+    diffs = {}
+    for key, matrix in json_object(data.get("differentials", {}), "'differentials'").items():
+        n = _degree(key, "differentials")
+        what = f"'differentials' at degree {n}"
+        diffs[n] = [
+            [ring.element_from_json(e) for e in json_list(row, f"a row of {what}")]
+            for row in json_list(matrix, what)
+        ]
     return BoundedComplex(ring, terms, diffs)

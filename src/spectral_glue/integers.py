@@ -15,11 +15,14 @@ levels are read and written by the label codec at that point, as in
 ``["(m)"]`` in the default and ``["(p)"]`` in the exception at p.  A witness
 is ``[p, "default", "(0)"]``.  Primality is trial division, so every named
 integer is bounded by MAX_Z_PRIME before any division.  A filtration's
-levels are masks on the star poset of the integers they name.  What a
-process keeps: the primality of each integer, tested once (a cache of the
-last 4,096 integers); the star of each set of named integers, found once (a
-cache of the last 4,096 sets); and each star poset, built once.  A level is
-written by walking the set bits of its mask.
+levels are masks on the star poset of the integers they name.  A star is
+built straight from its primes, with no closure of an order, and with it
+its prime table: the bit of each prime and the prime of each point.  So a
+level is read by looking up the bit of each prime, and written by walking
+the set bits of its mask to their primes.  What a process keeps: the
+primality of each integer, tested once (a cache of the last 4,096
+integers); the star of each set of named integers, found once (a cache of
+the last 4,096 sets); and each star with its prime table, built once.
 A glued level that holds (m) without being full is a cofinite set of maximal
 ideals, which no level can write, so gluing raises UnsupportedRingError.
 """
@@ -53,31 +56,44 @@ def _bounded(p: int) -> int:
     return p
 
 
-def _label(p: int) -> str:
+def _prime(p: int) -> int:
     if not is_prime_int(_bounded(p)):
         raise InvalidInputError(f"{p} is not a prime number")
-    return f"({p})"
+    return p
 
 
-def _star(labels: Iterable[str]) -> SpectralPoset:
-    return _star_on(tuple(sorted({GENERIC, CLOSED_POINT, *labels})))  # (0) sorts first
+class _Star(SpectralPoset):
+    """The star poset of distinct primes, (0) below every (p) and (m), built
+    straight from them, with its prime table: ``bits[p]`` is the bit of the
+    point (p), and ``primes[i]`` the prime of point i below (m), 0 at (0)."""
+
+    def __init__(self, primes: Iterable[int]):
+        # the points are numbered in label order, and "(11)" sorts before "(2)"
+        order = sorted(primes, key=str)
+        labels = (GENERIC, *[f"({p})" for p in order], CLOSED_POINT)
+        points = range(1, len(labels))
+        up = (1 << len(labels)) - 1, *[1 << i for i in points]
+        down = 1, *[1 | 1 << i for i in points]
+        self._order(labels, {label: i for i, label in enumerate(labels)}, up, down)
+        self.primes = (0, *order)
+        self.bits = {p: 2 << i for i, p in enumerate(order)}
 
 
 @cache
-def _star_on(labels: tuple[str, ...]) -> SpectralPoset:
-    """The star poset on these sorted labels, (0) first and below the rest:
-    each is built once per process."""
-    return SpectralPoset(labels, [(GENERIC, label) for label in labels[1:]])
+def _star_on(primes: tuple[int, ...]) -> _Star:
+    """The star of these sorted primes with its prime table, each built once
+    per process."""
+    return _Star(primes)
 
 
 def z_poset(primes: Iterable[int]) -> SpectralPoset:
     """{(0)} ∪ {(p) : p in primes} ∪ {(m)}, with (0) below every other point."""
-    return _star(map(_label, set(primes)))
+    return _star_on(tuple(sorted(map(_prime, set(primes)))))
 
 
 def z_primes(poset: SpectralPoset) -> list[int]:
     """The primes that a :func:`z_poset` names, in numeric order."""
-    return sorted(int(label[1:-1]) for label in poset.maximal_labels - {CLOSED_POINT})
+    return sorted(poset.primes[1:])
 
 
 def _named_ints(data) -> set[int]:
@@ -95,43 +111,42 @@ def _named_ints(data) -> set[int]:
     return {p for level in levels if isinstance(level, list) for p in level if type(p) is int}
 
 
-def _z_set_from_json(poset: SpectralPoset, data) -> int:
+def _z_set_from_json(star: _Star, data) -> int:
     """The mask of a level on the :func:`z_poset` of the primes that the
-    whole filtration names, whose labels are the primality tests already made."""
+    whole filtration names, read through its prime table."""
     if data == "full":
-        return poset.full
+        return star.full
     # bool is a subclass of int, but JSON true is not a prime
-    if not isinstance(data, (list, tuple)) or not set(map(type, data)) <= {int}:
+    if not isinstance(data, (list, tuple)) or not {int}.issuperset(map(type, data)):
         raise InvalidInputError(f"a Z level is 'full' or a list of integer primes, got {data!r}")
-    index, mask = poset.index, 0
+    bits, mask = star.bits, 0
     for p in frozenset(data):
-        # (0) is a point of the poset, but 0 is not a prime
-        i = index.get(f"({p})") if p else None
-        if i is None:
+        bit = bits.get(p)  # 0 and every integer that is not a prime have none
+        if bit is None:
             raise InvalidInputError(f"{p} is not a prime number")
-        mask |= 1 << i
+        mask |= bit
     return mask
 
 
-def _z_set_to_json(poset: SpectralPoset, mask: int):
+def _z_set_to_json(star: _Star, mask: int):
     """A level on the wire: 'full', or the primes of a level that holds no
     (m), in numeric order."""
-    if mask == poset.full:
+    if mask == star.full:
         return "full"
-    elements, primes = poset.elements, []
+    primes, named = star.primes, []
     while mask:  # one step per set bit
         bit = mask & -mask
-        primes.append(int(elements[bit.bit_length() - 1][1:-1]))
+        named.append(primes[bit.bit_length() - 1])
         mask ^= bit
-    return sorted(primes)
+    return sorted(named)
 
 
 @lru_cache(maxsize=4096)
-def _star_of(named: tuple[int, ...]) -> SpectralPoset:
+def _star_of(named: tuple[int, ...]) -> _Star:
     """The :func:`z_poset` of the primes among ``named``, sorted integers at
     most MAX_Z_PRIME: each set of named integers is tested once per process.
     The key is a sorted tuple, which takes less memory than a frozenset."""
-    return _star(f"({p})" for p in named if is_prime_int(p))
+    return _star_on(tuple([p for p in named if is_prime_int(p)]))
 
 
 def z_filtration_from_json(data: Mapping) -> ThomasonFiltration:

@@ -4,11 +4,12 @@ A prime ``p <= q`` means the prime ideal p is contained in q, so up-sets are
 exactly the specialization closed subsets.  Points are numbered 0..n-1 in
 sorted label order and a subset is an int whose bit i stands for point i, so
 union, intersection and inclusion are integer operations and the lowest bit
-of a mask is its smallest label.  Posets are immutable; up- and down-sets and
-maximal points are computed once per poset.  The localization Spec(R_m) at a
-point m is the subspace ``down[m]`` and keeps this numbering: its subsets are
-the masks inside ``down[m]``, and its up-sets are those of the poset masked
-with ``down[m]`` (:func:`all_up_sets`).  Labels are checked once, where they
+of a mask is its smallest label.  Posets are immutable; up- and down-sets,
+maximal points and their down-sets are computed once per poset, when it is
+built.  The localization Spec(R_m) at a point m is the subspace ``down[m]``
+and keeps this numbering: its subsets are the masks inside ``down[m]``, and
+its up-sets are those of the poset masked with ``down[m]``
+(:func:`all_up_sets`).  Labels are checked once, where they
 enter (:meth:`SpectralPoset.point`).
 """
 
@@ -27,7 +28,8 @@ class SpectralPoset:
 
     ``elements[i]`` is the label of point i, in sorted order.  ``up[i]`` and
     ``down[i]`` are the masks of the principal up-set and down-set of point
-    i, both containing i; ``maxima`` are the maximal points.
+    i, both containing i; ``maxima`` are the maximal points and
+    ``maximal_downs`` their down-sets, the localizations Spec(R_m).
     """
 
     def __init__(self, elements: Iterable[PrimeId], pairs: Iterable[tuple[PrimeId, PrimeId]] = ()):
@@ -57,16 +59,20 @@ class SpectralPoset:
                 i = (u & -u).bit_length() - 1
                 down[i] |= 1 << j
                 u &= u - 1
-        self.elements = tuple(elems)
-        self.index = index
-        self.up = tuple(up)
-        self.down = tuple(down)
         for i in range(n):
-            if up[i] & self.down[i] != 1 << i:
-                other = self.labels(up[i] & self.down[i] & ~(1 << i))[0]
+            both = up[i] & down[i] & ~(1 << i)
+            if both:
+                other = elems[(both & -both).bit_length() - 1]
                 raise InvalidInputError(f"order not antisymmetric: {elems[i]!r} <=> {other!r}")
-        self.full = (1 << n) - 1
-        self.maxima = tuple(i for i in range(n) if up[i] == 1 << i)
+        self._order(tuple(elems), index, tuple(up), tuple(down))
+
+    def _order(self, elements: tuple, index: dict, up: tuple, down: tuple) -> None:
+        """Set the points and their principal up- and down-sets, and what is
+        read off them once: the full mask, the maxima and their down-sets."""
+        self.elements, self.index, self.up, self.down = elements, index, up, down
+        self.full = (1 << len(elements)) - 1
+        self.maxima = tuple(i for i, u in enumerate(up) if u == 1 << i)
+        self.maximal_downs = tuple(down[m] for m in self.maxima)
 
     def point(self, label: PrimeId) -> int:
         """The number of the point ``label``; the check every label passes."""

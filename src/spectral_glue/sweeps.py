@@ -123,7 +123,7 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
     lo, hi = window
     descr = poset.to_json()
     # the row of each member's whole Spec(R_m), the down-set of m
-    full_row = tuple(poset.down[m] for m in poset.maxima)
+    full_row = poset.maximal_downs
     for filt in catalog.all_filtrations(poset, lo, hi):
         report.checked += 1
         family = gluing.localize_filtrations(filt)

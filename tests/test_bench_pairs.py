@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import io
 from pathlib import Path
 
 import pytest
@@ -162,3 +163,76 @@ def test_the_claim_is_the_two_verdicts():
     assert bench_pairs.verdict(True, True) == "met"
     assert bench_pairs.verdict(True, False) == bench_pairs.verdict(False, True) == "unresolved"
     assert bench_pairs.verdict(False, False) == "not met"
+
+
+def single_passes(workload, parent_raws, change_raws, failed=0):
+    """Single-pass records as ``run_single_passes`` makes them, in ABBA order."""
+    passes = []
+    for pair, raws in enumerate(zip(parent_raws, change_raws), start=1):
+        order = bench_pairs.SIDES if pair % 2 else bench_pairs.SIDES[::-1]
+        for side in order:
+            raw = raws[bench_pairs.SIDES.index(side)]
+            passes.append({"exit": 0, "failed": failed, "pair": pair, "raw_wall_s": raw,
+                           "seed": 7, "side": side, "workload": workload})
+    return passes
+
+
+def test_single_passes_get_the_ten_pair_rule_over_adjacent_passes():
+    parent = [0.30 + 0.001 * (k % 7) for k in range(30)]
+    faster = [0.9 * p for p in parent]
+    # one slow pass in ten on the change's side: 27 of 30 wins still meet the rule
+    uneven = [p * (1.2 if k % 10 == 3 else 0.9) for k, p in enumerate(parent)]
+    passes = single_passes("w", parent, faster) + single_passes("u", parent, uneven)
+    passes += single_passes("same", parent, parent)
+    summary = bench_pairs.summarize_passes(passes)
+    w = summary["w"]
+    assert w["correct"] and w["pairs"] == 30
+    assert w["raw_wall_s"]["change_wins"] == 30 and w["raw_wall_s"]["ten_pair_rule"]
+    assert w["raw_wall_s"]["change_vs_parent"] == pytest.approx(-0.1)
+    assert summary["u"]["raw_wall_s"]["change_wins"] == 27
+    assert summary["u"]["raw_wall_s"]["ten_pair_rule"]
+    assert summary["same"]["raw_wall_s"]["ties"] == 30
+    assert not summary["same"]["raw_wall_s"]["ten_pair_rule"]
+
+
+def test_a_single_pass_that_fails_or_prints_nothing_is_not_correct():
+    parent = [0.3] * 30
+    failed = bench_pairs.summarize_passes(single_passes("w", parent, parent, failed=3))["w"]
+    assert failed["pairs"] == 30 and not failed["correct"]
+    passes = single_passes("w", parent, [0.2] * 30)
+    passes[5].update(exit=1, failed=None, raw_wall_s=None)  # a crashed pass
+    crashed = bench_pairs.summarize_passes(passes)["w"]
+    assert crashed["pairs"] == 29 and not crashed["correct"]
+    assert crashed["raw_wall_s"]["change_wins"] == 29
+
+
+def test_single_passes_run_in_abba_order_and_keep_the_pass_line(monkeypatch):
+    calls = []
+
+    class Done:
+        returncode = 0
+
+        def __init__(self, cwd):
+            raw = 0.3 if cwd == "P" else 0.2
+            self.stdout = "noise\n" + json.dumps({"raw_wall_s": raw, "failed": 0}) + "\n"
+
+    def run(argv, cwd, **kwargs):
+        calls.append((cwd, argv[1:]))
+        return Done(cwd)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    passes = bench_pairs.run_single_passes({"parent": "P", "change": "C"}, "w", 7, 4,
+                                           log=io.StringIO())
+    assert [cwd for cwd, _ in calls] == ["P", "C", "C", "P", "P", "C", "C", "P"]
+    assert calls[0][1] == ["-E", "perfbench/child.py", "--workload", "w", "--seed", "7",
+                           "--trace", "0"]
+    assert [p["raw_wall_s"] for p in passes[:2]] == [0.3, 0.2]
+    assert bench_pairs.summarize_passes(passes)["w"]["pairs"] == 4
+    assert bench_pairs.pass_line("Traceback ...") == {}
+    assert bench_pairs.pass_line("") == {}
+
+
+def test_fewer_than_thirty_single_passes_are_refused(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "P", "--change", "C", "--out", str(tmp_path / "b.json"),
+                          "--workload", "w=1", "--claim", "c", "--single-passes", "29"])

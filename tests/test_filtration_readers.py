@@ -17,6 +17,7 @@ from functools import partial
 from pathlib import Path
 from types import MappingProxyType
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spectral_glue import SpectralGlueError, integers, thomason
@@ -314,3 +315,24 @@ def test_checked_breakpoint_masks_read_as_before(data):
     members = thomason._members
     expected = outcome(two_pass_validated, poset, low, pairs, high, members)
     assert outcome(thomason._validated, poset, low, pairs, high, members) == expected
+
+
+# a level that names several non-primes is refused at the first of them in the
+# iteration order of its frozenset, not in input order
+NON_PRIME_LEVELS = [([6, 9], "9"), ([4, 0], "0"), ([15, 1, 2], "1")]
+
+
+def _placed(level, where):
+    if where == "tail":
+        return {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": level}
+    return {"low_tail": "full", "breakpoints": [{"n": 0, "set": level}], "high_tail": []}
+
+
+@pytest.mark.parametrize("where", ["tail", "breakpoint"])
+@pytest.mark.parametrize("level, named", NON_PRIME_LEVELS)
+def test_a_level_of_several_non_primes_names_the_one_it_always_named(level, named, where):
+    wire = _placed(level, where)
+    field = "'high_tail'" if where == "tail" else "breakpoint 'set'"
+    expected = (InvalidInputError, f"{field}: {named} is not a prime number")
+    assert outcome(two_pass_z_filtration_from_json, wire) == expected
+    assert outcome(integers.z_filtration_from_json, wire) == expected

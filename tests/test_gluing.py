@@ -272,6 +272,21 @@ def test_lemma_equiv_fails_on_agreeing_sets_that_are_not_up_sets(vee):
     assert not check_lemma_equiv(vee, set_row(vee, _generic_only(vee)))
 
 
+@pytest.mark.parametrize("glued", [["p"], ["m1", "p"]])
+def test_glue_asserts_that_an_agreeing_row_glues_to_an_up_set(vee, glued):
+    """Rows of local up-sets glue to an up-set; a row of the package's own
+    that agrees but is not one trips the assert, whether the point whose
+    up-set leaves the glued mask is its lowest bit or a higher one."""
+    mask = mask_of(vee, glued)
+    row = tuple(mask & below for below in vee.maximal_downs)
+    with pytest.raises(AssertionError, match="glued set of a compatible family must be Thomason"):
+        glue_sets(vee, row)
+    full = localize_sets(ThomasonSet.full(vee))
+    family = LocalFamily(vee, -1, (full, row))
+    with pytest.raises(AssertionError, match="glued set of a compatible family must be Thomason"):
+        glue_filtrations(family)
+
+
 def test_compat_sweep_records_a_family_whose_descriptions_disagree(monkeypatch, vee):
     monkeypatch.setattr(catalog, "poset_catalog", lambda max_size: [vee])
     monkeypatch.setattr(catalog, "all_set_rows", lambda poset: [set_row(vee, _generic_only(vee))])

@@ -32,6 +32,7 @@ from spectral_glue.homalg import (
     zero_complex,
 )
 from spectral_glue import catalog, homalg, rings as rng, sweeps
+from spectral_glue.cli import main
 from spectral_glue.modules import IndexArithmetic
 from spectral_glue.rings import Ideal
 
@@ -156,6 +157,44 @@ def test_complex_json(z12):
     assert cohomology(cx, 0).order == 3
     with pytest.raises(InvalidInputError):
         complex_from_json(z12, {"terms": {"0": {"free": -1}}, "differentials": {}})
+
+
+# each malformed field is refused once, with its name and no second prefix
+MALFORMED_COMPLEXES = [
+    ({"terms": {"0": {"free": -1}}}, "'free' at degree 0 must be nonnegative, got -1"),
+    ({"terms": {"0": 5}}, "'terms' at degree 0 must be a JSON object, got 5"),
+    ({"terms": {"0": {"free": 1}}, "differentials": {"0": 5}},
+     "'differentials' at degree 0 must be a JSON array, got 5"),
+    ({"terms": {"0": {"free": 1}}, "differentials": {"0": "ab"}},
+     "'differentials' at degree 0 must be a JSON array, got 'ab'"),
+    ({"terms": {"0": {"free": 1}, "1": {"free": 1}}, "differentials": {"0": [{"a": 1}]}},
+     "a row of 'differentials' at degree 0 must be a JSON array, got {'a': 1}"),
+    ({"terms": {"0": {"free": 1}}, "differentials": {"0": [["a"]]}},
+     "'ring element' must be an integer, got 'a'"),
+    ({"terms": {"0": {"free": 1}, "1001": {"free": 1}}},
+     "'terms' at degrees 0 and 1001 lie more than the bound MAX_DEGREE_SPAN = 1000 degrees apart"),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_COMPLEXES)
+def test_a_malformed_complex_is_refused_with_its_field(z12, data, message):
+    with pytest.raises(InvalidInputError) as err:
+        complex_from_json(z12, data)
+    assert str(err.value) == message
+
+
+def test_a_type_error_inside_a_term_reader_is_not_read_as_malformed_input(monkeypatch):
+    """A bug in a reader leaves ``main`` as the exception it raised: only
+    the package's own refusals exit 2."""
+
+    def broken(ring, data):
+        raise TypeError("a bug in the module reader")
+
+    monkeypatch.setattr(rng, "module_from_json", broken)
+    complex_ = json.dumps({"terms": {"0": {"module": {"relations": [[3]]}}}})
+    argv = ["cohomology", "--ring", json.dumps({"kind": "zmod", "n": 12}), "--complex", complex_]
+    with pytest.raises(TypeError, match="a bug in the module reader"):
+        main(argv)
 
 
 # "\u0661" is an Arabic-Indic one, "\u00b2" a superscript two and

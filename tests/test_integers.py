@@ -12,6 +12,7 @@ from spectral_glue import (
     ThomasonSet,
     UnsupportedRingError,
 )
+from spectral_glue import integers
 from spectral_glue.cli import main
 from spectral_glue.integers import (
     glue_z_filtrations,
@@ -24,6 +25,7 @@ from spectral_glue.integers import (
     z_witness,
 )
 from spectral_glue.gluing import localize_sets
+from spectral_glue.poset import SpectralPoset
 
 from conftest import leq, localization_poset, members_of
 
@@ -53,6 +55,30 @@ def test_z_poset_is_a_star_whose_localizations_are_2_chains():
     assert z_poset([3, 2, 3]) is z_poset([2, 3])
     with pytest.raises(InvalidInputError, match="4 is not a prime"):
         z_poset([4])
+
+
+PRIMES_16 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@pytest.mark.parametrize("primes", [[], [2], [11, 2], PRIMES_16], ids=len)
+def test_the_direct_star_matches_the_generic_builder(primes):
+    """A star is built straight from its primes, in label order, where
+    "(11)" sorts before "(2)"; it is the poset that the Warshall closure and
+    the antisymmetry scan of :class:`SpectralPoset` give, with a prime table
+    read off its labels."""
+    star = integers._star_on(tuple(sorted(primes)))
+    labels = sorted(["(0)", "(m)", *[f"({p})" for p in primes]])
+    generic = SpectralPoset(labels, [("(0)", label) for label in labels[1:]])
+    for name in ("elements", "index", "up", "down", "full", "maxima", "maximal_downs"):
+        assert getattr(star, name) == getattr(generic, name), name
+    assert star.maximal_labels == generic.maximal_labels
+    assert star.maximal_downs == tuple(generic.down[m] for m in generic.maxima)
+    assert star == generic and generic == star and hash(star) == hash(generic)
+    assert star.relation_pairs == generic.relation_pairs and repr(star) == repr(generic)
+    assert star.primes == tuple(int(label[1:-1]) for label in labels[:-1])
+    assert star.bits == {p: 1 << star.index[f"({p})"] for p in primes}
+    assert integers.z_primes(star) == sorted(primes)
+    assert z_poset(primes) is star
 
 
 def _restricted(s):

@@ -3,7 +3,8 @@
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
         --workload derived-hom=10 --workload koszul-tables=5 --seed 41 --seconds 8 \\
         --claim "derived-hom wall_s falls by the ten-pair rule" \\
-        --parent-label "an archive of the parent commit" --change-label "the change"
+        --parent-label "an archive of the parent commit" --change-label "the change" \\
+        --single-passes 30
 
 Each checkout (a directory holding ``perfbench/run.py`` and ``src/``, such
 as an archive of a commit) runs ``perfbench/run.py --workload W --seed S
@@ -28,6 +29,16 @@ times also get the ten-pair rule, over the same pairs, and the workload's
 both meet the rule, "not met" when neither does, and "unresolved" when they
 disagree.
 
+With ``--single-passes N`` each workload then also runs N single passes per
+side, each ``perfbench/child.py --workload W --seed S --trace 0`` in a fresh
+interpreter, which checks its reports against ``expected.json`` as a run
+does.  The passes alternate in ABBA order (parent, change, change, parent,
+...), so each two adjacent passes are a pair with one pass of each side,
+and the ten-pair rule is applied to the raw pass times of those pairs.  This
+third verdict, ``single_pass``, shares no run-wide drift between the passes
+it compares; it is recorded beside the other two and does not enter the
+``claim``.
+
 Standard library only; the output is one JSON file.
 """
 
@@ -45,6 +56,7 @@ METRICS_FILE = "BENCHMARK.json"
 SIDES = ("parent", "change")
 # shown per side beside the metrics; the first also gets the ten-pair rule
 RAW = ("raw_wall_s", "host_factor")
+MIN_SINGLE_PASSES = 30  # per side, so the rule sees at least 30 adjacent pairs
 
 
 def spread(values) -> dict:
@@ -125,6 +137,33 @@ def summarize(runs, metrics) -> dict:
     return out
 
 
+def summarize_passes(passes) -> dict:
+    """{workload: {"correct", "pairs", "raw_wall_s": compare(...)}} over the
+    single-pass records, with the ten-pair rule on the raw pass times of
+    each pair of adjacent passes.  A pair counts once both of its passes
+    printed a raw time, and the workload is correct when every pass exited
+    0 and failed no instance."""
+    out = {}
+    for workload in dict.fromkeys(p["workload"] for p in passes):
+        sides: dict = {}
+        for p in passes:
+            if p["workload"] == workload:
+                sides.setdefault(p["pair"], {})[p["side"]] = p
+        pairs = [
+            tuple(s[side]["raw_wall_s"] for side in SIDES)
+            for _, s in sorted(sides.items())
+            if all(s.get(side, {}).get("raw_wall_s") is not None for side in SIDES)
+        ]
+        correct = len(pairs) == len(sides) and all(
+            p["exit"] == 0 and p["failed"] == 0 for s in sides.values() for p in s.values()
+        )
+        summary = {"correct": correct, "pairs": len(pairs)}
+        if pairs:
+            summary["raw_wall_s"] = compare(pairs, "lower")
+        out[workload] = summary
+    return out
+
+
 def result_line(stdout: str):
     """The final JSON line of a ``run.py`` output, or None without one."""
     lines = stdout.strip().splitlines()
@@ -187,6 +226,50 @@ def run_pairs(checkouts: dict, workloads, seed: int, seconds: float, log=sys.std
     return runs
 
 
+def pass_command(workload: str, seed: int) -> list[str]:
+    return ["-E", "perfbench/child.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
+
+
+def run_single_passes(checkouts: dict, workload: str, seed: int, count: int, log=sys.stderr):
+    """``count`` single passes of ``workload`` per side in ABBA order: pair k
+    runs the parent first when k is odd and the change first when it is even."""
+    passes = []
+    for pair in range(1, count + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for side in order:
+            proc = subprocess.run(
+                [sys.executable, *pass_command(workload, seed)],
+                cwd=checkouts[side],
+                capture_output=True,
+                text=True,
+            )
+            line = pass_line(proc.stdout)
+            passes.append(
+                {
+                    "exit": proc.returncode,
+                    "failed": line.get("failed"),
+                    "pair": pair,
+                    "raw_wall_s": line.get("raw_wall_s"),
+                    "seed": seed,
+                    "side": side,
+                    "workload": workload,
+                }
+            )
+            print(f"{workload} single pass {pair} {side}: exit {proc.returncode}, "
+                  f"raw_wall_s {line.get('raw_wall_s')}", file=log)
+    return passes
+
+
+def pass_line(stdout: str) -> dict:
+    """The JSON line that ends a ``child.py`` pass; empty without one."""
+    lines = stdout.strip().splitlines()
+    try:
+        line = json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        return {}
+    return line if isinstance(line, dict) else {}
+
+
 def host() -> dict:
     cpu = platform.processor()
     try:
@@ -216,14 +299,27 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", required=True)
     parser.add_argument("--parent-label", default="parent")
     parser.add_argument("--change-label", default="change")
+    parser.add_argument("--single-passes", type=int, default=0,
+                        help=f"single passes per side in ABBA order after the pairs, at least "
+                             f"{MIN_SINGLE_PASSES}; 0 runs none")
     args = parser.parse_args(argv)
+    if 0 < args.single_passes < MIN_SINGLE_PASSES:
+        parser.error(f"--single-passes must be 0 or at least {MIN_SINGLE_PASSES}")
 
     with open(os.path.join(args.change, METRICS_FILE)) as fh:
         metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     seconds = int(args.seconds) if args.seconds.is_integer() else args.seconds
     checkouts = {"parent": args.parent, "change": args.change}
     runs = run_pairs(checkouts, args.workload, args.seed, seconds)
+    passes = [
+        p
+        for name, _ in args.workload
+        for p in run_single_passes(checkouts, name, args.seed, args.single_passes)
+    ]
     counts = ", ".join(f"{count} on {name}" for name, count in args.workload)
+    summary = summarize(runs, metrics)
+    for workload, single in summarize_passes(passes).items():
+        summary[workload]["single_pass"] = single
     record = {
         "claim": args.claim,
         "command": "python3 " + " ".join(bench_command("W", args.seed, seconds)),
@@ -236,14 +332,27 @@ def main(argv=None) -> int:
             "and the raw_wall_s and host_factor medians of its record line are kept"
         ),
         "runs": runs,
-        "summary": summarize(runs, metrics),
+        "summary": summary,
     }
+    if passes:
+        record["single_passes"] = passes
+        record["method"] += (
+            f"; then {args.single_passes} single passes per side per workload, each "
+            f"python3 {' '.join(pass_command('W', args.seed))} in a fresh interpreter, in ABBA "
+            "order, with the ten-pair rule on the raw pass times of adjacent passes"
+        )
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for workload, summary in record["summary"].items():
-        print(f"{workload}: claim {summary.get('claim', 'no raw times')}", file=sys.stderr)
-    return 0 if all(w["correct"] for w in record["summary"].values()) else 1
+        line = f"{workload}: claim {summary.get('claim', 'no raw times')}"
+        if "raw_wall_s" in summary.get("single_pass", {}):
+            line += f", single-pass rule {summary['single_pass']['raw_wall_s']['ten_pair_rule']}"
+        print(line, file=sys.stderr)
+    return 0 if all(
+        w["correct"] and w.get("single_pass", {}).get("correct", True)
+        for w in record["summary"].values()
+    ) else 1
 
 
 if __name__ == "__main__":
