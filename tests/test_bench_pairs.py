@@ -228,8 +228,8 @@ def test_single_passes_run_in_abba_order_and_keep_the_pass_line(monkeypatch):
                            "--trace", "0"]
     assert [p["raw_wall_s"] for p in passes[:2]] == [0.3, 0.2]
     assert bench_pairs.summarize_passes(passes)["w"]["pairs"] == 4
-    assert bench_pairs.pass_line("Traceback ...") == {}
-    assert bench_pairs.pass_line("") == {}
+    assert bench_pairs.last_line("Traceback ...") is None
+    assert bench_pairs.last_line("") is None
 
 
 def test_fewer_than_thirty_single_passes_are_refused(tmp_path):

@@ -164,14 +164,20 @@ def summarize_passes(passes) -> dict:
     return out
 
 
-def result_line(stdout: str):
-    """The final JSON line of a ``run.py`` output, or None without one."""
+def last_line(stdout: str):
+    """The JSON object on the final line of an output, or None without one."""
     lines = stdout.strip().splitlines()
     try:
         line = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         return None
-    return line if isinstance(line, dict) and "metrics" in line else None
+    return line if isinstance(line, dict) else None
+
+
+def result_line(stdout: str):
+    """The final JSON line of a ``run.py`` output, or None without one."""
+    line = last_line(stdout)
+    return line if line and "metrics" in line else None
 
 
 def raw_medians(stdout: str) -> dict:
@@ -243,7 +249,7 @@ def run_single_passes(checkouts: dict, workload: str, seed: int, count: int, log
                 capture_output=True,
                 text=True,
             )
-            line = pass_line(proc.stdout)
+            line = last_line(proc.stdout) or {}
             passes.append(
                 {
                     "exit": proc.returncode,
@@ -258,16 +264,6 @@ def run_single_passes(checkouts: dict, workload: str, seed: int, count: int, log
             print(f"{workload} single pass {pair} {side}: exit {proc.returncode}, "
                   f"raw_wall_s {line.get('raw_wall_s')}", file=log)
     return passes
-
-
-def pass_line(stdout: str) -> dict:
-    """The JSON line that ends a ``child.py`` pass; empty without one."""
-    lines = stdout.strip().splitlines()
-    try:
-        line = json.loads(lines[-1]) if lines else {}
-    except json.JSONDecodeError:
-        return {}
-    return line if isinstance(line, dict) else {}
 
 
 def host() -> dict:
