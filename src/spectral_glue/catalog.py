@@ -3,12 +3,14 @@
 The poset catalog (all isomorphism classes up to seven points); on a poset,
 its Thomason sets, its filtrations on a window and its families of local
 sets and of local filtrations; small-ring catalogs and generated complexes.
-A family of local sets is a row (X(m) for m in ``poset.maxima``) of masks in
-the numbering of the poset, the form :mod:`spectral_glue.gluing` takes, and
-a family of filtrations is a :class:`~spectral_glue.gluing.LocalFamily`, a
-decreasing run of such rows trimmed to normal form; the compatible ones are
-listed by the gluing condition, not by gluing.  Everything is deterministic:
-corpora come back in a fixed order.
+A family of local sets is a row, X(m) for m in ``poset.maxima`` in the
+numbering of the poset packed by :func:`~spectral_glue.gluing.make_row`, the
+form :mod:`spectral_glue.gluing` takes, and a family of filtrations is a
+:class:`~spectral_glue.gluing.LocalFamily`, a decreasing run of such rows
+built by :meth:`~spectral_glue.gluing.LocalFamily.from_run` in normal form;
+the compatible ones are listed by the gluing condition, not by gluing.
+Chains are packed as they are extended, one level at a time.  Everything
+is deterministic: corpora come back in a fixed order.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from functools import lru_cache
 
 from . import homalg, rings as rng
 from .errors import InvalidInputError
-from .gluing import LocalFamily, local_up_sets
+from .gluing import LocalFamily, local_up_sets, make_row, row_masks
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets
 from .rings import FiniteRing
-from .thomason import ThomasonFiltration, ThomasonSet, from_levels, trim
+from .thomason import ThomasonFiltration, ThomasonSet, concat, from_packed, ones
 
 
 # -- poset catalog -----------------------------------------------------------
@@ -146,47 +148,57 @@ def check_window(count: int, lo: int, hi: int, scope: str = "") -> None:
         )
 
 
-def _chains(items: list, leq, length: int) -> list[tuple]:
-    """Every chain c_0 >= c_1 >= ... of ``length`` items under ``leq(a, b)``
-    (a <= b), in the lexicographic order of ``items``: each item's list of
-    the items below it is built once, and every chain is extended one level
-    at a time."""
-    below = {x: [y for y in items if leq(y, x)] for x in items}
-    chains = [(x,) for x in items]
-    for _ in range(length - 1):
-        chains = [chain + (y,) for chain in chains for y in below[chain[-1]]]
-    return chains
+def _chains(items: list[int], length: int, width: int, place=None) -> list[int]:
+    """Every chain c_0 >= c_1 >= ... of ``length`` of the masks ``items``
+    under inclusion, in the lexicographic order of ``items``, as the packed
+    run of ``place(c_k)`` (by default c_k) shifted by k·width: each item's
+    list of the items below it is built once, and every chain is extended
+    one level at a time."""
+    placed = {x: place(x) for x in items} if place else {x: x for x in items}
+    below = {x: [y for y in items if not y & ~x] for x in items}
+    chains = [(placed[x], x) for x in items]
+    for k in range(1, length):
+        shift = k * width
+        chains = [(run | placed[y] << shift, y) for run, x in chains for y in below[x]]
+    return [run for run, _ in chains]
 
 
 def all_filtrations(poset: SpectralPoset, lo: int, hi: int) -> list[ThomasonFiltration]:
     """All filtrations with both tails constant outside the window [lo, hi]:
     decreasing chains X_lo >= ... >= X_hi with low tail X_lo, high tail X_hi."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
-    chains = _chains(all_up_sets(poset), lambda x, y: not x & ~y, hi - lo + 1)
-    return [from_levels(poset, lo, chain) for chain in chains]
+    length = hi - lo + 1
+    runs = _chains(all_up_sets(poset), length, len(poset.elements))
+    return [from_packed(poset, lo, length, run) for run in runs]
 
 
-def all_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
+def all_set_rows(poset: SpectralPoset) -> list[int]:
     """Every family of local Thomason sets, compatible or not, as its row
-    (X(m) for m in ``poset.maxima``) of masks in the numbering of ``poset``:
-    the product of the up-sets of each localization, in product order."""
-    return list(itertools.product(*(local_up_sets(poset, m) for m in poset.maxima)))
+    (X(m) for m in ``poset.maxima``) in the numbering of ``poset``: the
+    product of the up-sets of each localization, in product order."""
+    width = len(poset.elements)
+    # each local set moved to its member's slot, so a row is the sum of its members
+    choices = [
+        [x << k * width for x in local_up_sets(poset, m)] for k, m in enumerate(poset.maxima)
+    ]
+    return list(map(sum, itertools.product(*choices)))
 
 
-def compatible_set_rows(poset: SpectralPoset) -> list[tuple[int, ...]]:
+def compatible_set_rows(poset: SpectralPoset) -> list[int]:
     """The rows of :func:`all_set_rows` that satisfy the gluing condition
     X(m) & down[m'] == X(m') & down[m] for every pair, in its order, listed
-    by the condition and not by gluing."""
-    down, maxima = poset.down, poset.maxima
-    rows = [()]
-    for m in maxima:
-        choices = local_up_sets(poset, m)
-        rows = [
-            row + (x,)
-            for row in rows
-            for x in choices
-            if all(x & down[m2] == y & down[m] for m2, y in zip(maxima, row))
-        ]
+    by the condition and not by gluing: a row is extended by X(m) when that
+    holds against each member before it, that is when X(m) masked with each
+    earlier down[m'], in that member's slot, is the row masked with down[m]
+    in every slot; so the choices of X(m) are grouped by the first."""
+    width, downs, rows = len(poset.elements), poset.maximal_downs, [0]
+    for k, m in enumerate(poset.maxima):
+        shift, earlier = k * width, ones(width, k)
+        slots_down, down_m = make_row(poset, downs[:k]), poset.down[m] * earlier
+        choices = {}
+        for x in local_up_sets(poset, m):
+            choices.setdefault(x * earlier & slots_down, []).append(x << shift)
+        rows = [row | x for row in rows for x in choices.get(row & down_m, ())]
     return rows
 
 
@@ -194,15 +206,15 @@ def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> li
     """Every family of local filtrations on the window [lo, hi] that satisfies
     the gluing condition at each degree, listed by the condition and not by
     gluing: a chain of compatible rows of local up-sets, one row per degree,
-    that decreases in every column, trimmed to normal form as a run of rows.
-    There are as many as there are global filtrations on the window, so the
-    window is refused by :func:`count_filtrations` of ``poset``."""
+    that decreases in every member, in normal form.  There are as many as
+    there are global filtrations on the window, so the window is refused by
+    :func:`count_filtrations` of ``poset``."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
-    leq = lambda s, r: all(not x & ~y for x, y in zip(s, r))
-    return [
-        LocalFamily(poset, *trim(lo, chain))
-        for chain in _chains(compatible_set_rows(poset), leq, hi - lo + 1)
-    ]
+    width, length = len(poset.elements), hi - lo + 1
+    # a row's local sets moved to the members' slots of the run
+    spread = lambda row: concat(row_masks(poset, row), width * length)
+    runs = _chains(compatible_set_rows(poset), length, width, spread)
+    return [LocalFamily.from_run(poset, lo, length, run) for run in runs]
 
 
 # -- ring catalogs -----------------------------------------------------------

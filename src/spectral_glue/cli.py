@@ -218,7 +218,7 @@ def cmd_lemma_equiv(args) -> int:
         raise SpectralGlueError("lemma-equiv runs on finite posets only")
     poset = family.global_poset
     verdicts = {
-        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees, family.rows)
+        n: gluing.check_lemma_equiv(poset, row) for n, row in zip(family.degrees, family.rows())
     }
     ok = all(verdicts.values())
     _emit(
@@ -470,7 +470,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpectralGlueError, OSError, KeyError) as exc:
+    except (SpectralGlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

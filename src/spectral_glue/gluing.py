@@ -12,29 +12,51 @@ witness, and a caller that only asks "compatible?" catches it.
 :func:`check_lemma_equiv` compares that condition with the ideal-family
 description of the same family.
 
-A family of local sets is a row ``(X(m) for m in poset.maxima)`` of masks;
-:func:`localize_sets` gives one.  A family of filtrations is its run of
-rows, one per degree, kept like a filtration's run of masks in the normal
-form of :func:`~spectral_glue.thomason.trim`, the one normaliser:
-:func:`localize_filtrations`, the one restriction of a filtration, masks
-each level into a row, and :func:`glue_filtrations` glues the rows, one
-agreement test per degree.  The agreement test is one kernel, ``_agree``,
-shared by :func:`glue_sets`, :func:`glue_filtrations` and
-:func:`check_lemma_equiv`: a row agrees when each X(m) is the union of the
-row masked with ``down[m]``, read from the poset's ``maximal_downs``, set
-once when the poset is built.  A glued mask is asserted to be an up-set by
-the up-sets of its own points only.  A family is checked once, where it enters:
-:meth:`LocalFamily.from_members` checks the keys of label-keyed member JSON,
-reads each member to its trimmed column and checks the span, and
-:meth:`LocalFamily.from_default` checks its exception keys and its
-default's poset, then reads each exception as ``from_members`` does; both
-then pad the columns into rows.  Set families have no wire, so a row is
-built by the package and not checked again.  The level codec of
-:mod:`spectral_glue.thomason` at m reads and writes every level of a member
-at m and every X(m) of a row: "full" is ``down[m]``, and a list names
-points of ``down[m]`` by label.  A :class:`LocalFamily` (global_poset,
-start, rows) is an immutable value on :class:`spectral_glue.values.Value`,
-equal and hashed by those three fields.
+The layout is that of :mod:`spectral_glue.thomason`'s packed runs, one
+column per maximal point.  On an n-point poset with maxima m_0 < m_1 < ...,
+a family of local sets is a row, one int with X(m_j) at bits [j·n,
+(j+1)·n) (:func:`make_row`, :func:`localize_sets`, :func:`row_masks`).  A
+family of local filtrations, :class:`LocalFamily`, is one int for all its
+degrees: the members' runs side by side in the numbering of the global
+poset, level k of member j at bits [(j·L + k)·n, (j·L + k + 1)·n), so a row
+is the one-level case.  Members side by side, not rows, make localizing and
+gluing whole-int operations on the filtration's own run; reading a row
+costs a pass over the members, which only the wire, ``lemma-equiv`` and an
+incompatible degree pay.
+
+Localizing multiplies the run by ``copies``, bit 0 of every member's slot,
+to repeat it in every slot, and masks each copy into its star with
+``downs``, down[m_j] over the L levels of slot j.  Gluing ORs the member
+slots in halves.  The one agreement kernel, ``_agree``, shared by
+:func:`glue_sets`, :func:`glue_filtrations` and :func:`check_lemma_equiv`,
+is one multiply-AND-compare: a family agrees at every degree and member
+exactly when localizing its glued run gives it back.  Only when it does not
+is the least failing degree read, as the lowest set bit of the difference,
+and its witness found in that degree's row.  The constants are built once
+per poset and number of levels, in the poset's ``layouts``.  A glued run is
+asserted to be a run of up-sets once for each point i that is not maximal:
+the up-set of i lies in every level that holds i.  A maximal point's
+up-set is itself.
+
+Neither map trims, and both give the normal form of
+:func:`~spectral_glue.thomason.trim`: localizing is injective, as the
+down-sets of the maximal points cover the poset, so the rows of a localized
+run are equal exactly where its levels are; gluing is its inverse on
+compatible rows.
+
+A family is checked once, where it enters: :meth:`LocalFamily.from_members`
+checks the keys of label-keyed member JSON, reads each member to its
+trimmed run and checks the span, and :meth:`LocalFamily.from_default`
+checks its exception keys and its default's poset, then reads each
+exception as ``from_members`` does; both then pad the members to common
+degrees.  :meth:`LocalFamily.from_run` normalises a run built by the
+package.  Set families have no wire, so a row is built by the package and
+not checked again.  The level codec of :mod:`spectral_glue.thomason` at m
+reads and writes every level of a member at m and every X(m) of a row:
+"full" is ``down[m]``, and a list names points of ``down[m]`` by label.  A
+:class:`LocalFamily` (global_poset, start, length, packed) is an immutable
+value on :class:`spectral_glue.values.Value`, equal and hashed by those four
+fields.
 """
 
 from __future__ import annotations
@@ -48,41 +70,72 @@ from .thomason import (
     MAX_DEGREE_SPAN,
     ThomasonFiltration,
     ThomasonSet,
+    concat,
     filtration_from_json,
     filtration_to_json,
-    from_levels,
+    fold,
+    from_packed,
     level_from_json,
     level_to_json,
+    ones,
+    slots,
     trim,
 )
 from .values import Value
 
 
 class LocalFamily(Value):
-    """Assignment m -> filtration on Spec(R_m), the down-set of m, as its run
-    of rows.
+    """Assignment m -> filtration on Spec(R_m), the down-set of m, as one
+    packed int.
 
-    ``rows[k]`` is the row (X_n(m) for m in ``global_poset.maxima``) at
-    degree n = start + k, each mask an up-set of ``down[m]`` in the numbering
-    of ``global_poset``.  As in a filtration's run of masks, the first row is
-    the low tail and the last the high tail, and the run is in the normal
-    form of :func:`~spectral_glue.thomason.trim`, so equal families compare
-    equal; column k of the rows is the member at ``global_poset.maxima[k]``.
-    The constructor checks nothing; a family from outside the package is
-    built by :meth:`from_members` or :meth:`from_default`.  A family over Z
-    is one of these on :func:`spectral_glue.integers.z_poset`.
+    Over the n-point ``global_poset`` with maxima m_0 < m_1 < ..., level k of
+    member j, the mask of X_n(m_j) at degree n = start + k, is at bits
+    [(j·length + k)·n, (j·length + k + 1)·n) of ``packed``, an up-set of
+    ``down[m_j]`` in the numbering of ``global_poset``.  As in a
+    filtration's run, level 0 is the low tail and level length - 1 the high
+    tail, and the run is in the normal form of
+    :func:`~spectral_glue.thomason.trim`, so equal families compare equal.
+    :meth:`member_runs` reads the members' runs and :meth:`rows` the row of
+    each degree.  The constructor checks nothing; a family from outside the
+    package is built by :meth:`from_members` or :meth:`from_default`.  A
+    family over Z is one of these on :func:`spectral_glue.integers.z_poset`.
     """
 
-    __slots__ = _fields = ("global_poset", "start", "rows")
+    __slots__ = _fields = ("global_poset", "start", "length", "packed")
 
-    def __init__(self, global_poset: SpectralPoset, start: int, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "global_poset", global_poset)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, global_poset: SpectralPoset, start: int, length: int, packed: int):
+        set_poset, set_start, set_length, set_packed = self._setters
+        set_poset(self, global_poset)
+        set_start(self, start)
+        set_length(self, length)
+        set_packed(self, packed)
 
     @property
     def degrees(self) -> range:
-        return range(self.start, self.start + len(self.rows))
+        return range(self.start, self.start + self.length)
+
+    def member_runs(self) -> list[int]:
+        """The members' runs, one per maximal point in poset order, each
+        ``length`` levels in the numbering of the global poset."""
+        poset = self.global_poset
+        return slots(self.packed, len(poset.elements) * self.length, len(poset.maxima))
+
+    def rows(self) -> list[int]:
+        """The row of each level, degree start + k at k, as :func:`make_row`
+        packs it."""
+        width, length = len(self.global_poset.elements), self.length
+        levels = [slots(run, width, length) for run in self.member_runs()]
+        return [concat(row, width) for row in zip(*levels)] if levels else [0] * length
+
+    @classmethod
+    def from_run(
+        cls, global_poset: SpectralPoset, start: int, length: int, packed: int
+    ) -> "LocalFamily":
+        """The family of a packed run of members, in this layout, that
+        decreases in each member, in the normal form of
+        :func:`~spectral_glue.thomason.trim`."""
+        width, members = len(global_poset.elements), len(global_poset.maxima)
+        return cls(global_poset, *trim(width, members, start, length, packed))
 
     @classmethod
     def from_members(
@@ -119,35 +172,35 @@ class LocalFamily(Value):
             raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
         if default.poset != global_poset:
             raise InvalidInputError("the default filtration lives on the wrong poset")
-        labels, down = global_poset.elements, global_poset.down
+        labels, start, length = global_poset.elements, default.start, default.length
+        localized = localize_filtrations(default).member_runs()
         columns = [
             _column(global_poset, m, exceptions[labels[m]])
             if labels[m] in exceptions
-            else trim(default.start, [x & down[m] for x in default.masks])
-            for m in global_poset.maxima
+            else from_packed(global_poset, start, length, column)
+            for m, column in zip(global_poset.maxima, localized)
         ]
         return _padded(global_poset, columns)
 
 
-def _column(poset: SpectralPoset, m: int, data: Mapping) -> tuple[int, tuple[int, ...]]:
-    """The trimmed (start, masks) of the member JSON ``data`` at m: each
-    level read by the level codec at m, and the run checked as
+def _column(poset: SpectralPoset, m: int, data: Mapping) -> ThomasonFiltration:
+    """The member JSON ``data`` at m, as a filtration in the numbering of
+    ``poset`` (so in normal form): each level read by the level codec at m,
+    and the run checked as
     :func:`~spectral_glue.thomason.filtration_from_json` checks one."""
-    # the member's run, read as a filtration in the numbering of ``poset``
-    member = filtration_from_json(poset, data, partial(level_from_json, at=m))
-    return member.start, member.masks
+    return filtration_from_json(poset, data, partial(level_from_json, at=m))
 
 
-def _padded(poset: SpectralPoset, columns: Sequence[tuple]) -> LocalFamily:
-    """The family of one trimmed column (start, masks) per maximal point, in
+def _padded(poset: SpectralPoset, columns: Sequence[ThomasonFiltration]) -> LocalFamily:
+    """The family of one member run in normal form per maximal point, in
     poset order, once its degrees lie within the bound.  The degrees run
-    from the first to the last level of any column that is not constant, and
-    each column is padded there with its tails.  So the rows are in normal
-    form: the column that places the first degree changes at the second, and
+    from the first to the last level of any member that is not constant, and
+    each member is padded there with its tails.  So the family is in normal
+    form: the member that places the first degree changes at the second, and
     the one that places the last changes at the second-last; with every
-    column constant they are the two equal rows of a constant."""
-    # a constant column reads the same at every degree, so only the others place the degrees
-    spans = [(start, start + len(masks)) for start, masks in columns if masks[0] != masks[-1]]
+    member constant it has the two equal levels of a constant."""
+    # a constant member reads the same at every degree, so only the others place the degrees
+    spans = [(f.start, f.start + f.length) for f in columns if f.low != f.high]
     lo, stop = (min(spans)[0], max(stop for _, stop in spans)) if spans else (-1, 1)
     # a tail degree on each side of the windows
     if stop - lo - 3 > MAX_DEGREE_SPAN:
@@ -155,37 +208,89 @@ def _padded(poset: SpectralPoset, columns: Sequence[tuple]) -> LocalFamily:
             f"family members' windows lie more than the bound MAX_DEGREE_SPAN = "
             f"{MAX_DEGREE_SPAN} degrees apart (levels from degree {lo} to {stop - 1})"
         )
+    width, length = len(poset.elements), stop - lo
     padded = [
-        [masks[0]] * (stop - lo)
-        if masks[0] == masks[-1]
-        else [masks[0]] * (start - lo) + list(masks) + [masks[-1]] * (stop - start - len(masks))
-        for start, masks in columns
+        f.low * ones(width, length)
+        if f.low == f.high
+        else f.low * ones(width, f.start - lo)
+        | f.packed << (f.start - lo) * width
+        | f.high * ones(width, stop - f.start - f.length) << (f.start + f.length - lo) * width
+        for f in columns
     ]
-    # over the empty poset every row is empty
-    rows = tuple(zip(*padded)) if padded else ((),) * (stop - lo)
-    return LocalFamily(poset, lo, rows)
+    return LocalFamily(poset, lo, length, concat(padded, width * length))
 
 
-def _agree(poset: SpectralPoset, row: Sequence[int]) -> tuple[bool, int]:
-    """(whether the row agrees pairwise, the union of its masks).
+# Python multiplies by a long sparse int chunk by chunk, a Karatsuba product
+# each, so ``copies`` spans at most this many members and more are shifted in
+_COPIES = 16
+
+
+class _Layout:
+    """The constants of packed runs of ``length`` levels on one poset:
+    ``width`` bits a level, ``stride`` bits a member and ``members`` of
+    them; ``run``, bit 0 of every level of one member; ``copies``, bit 0 of
+    the slots of the first members, and ``doublings``, the shifts that copy
+    those to the rest; ``downs``, down[m_j] at every level of slot j; and
+    ``inner``, the points that are not maximal with their up-sets."""
+
+    __slots__ = ("width", "stride", "members", "run", "copies", "doublings", "downs", "inner")
+
+    def __init__(self, poset: SpectralPoset, length: int):
+        self.width = width = len(poset.elements)
+        self.stride = stride = width * length
+        self.members = members = len(poset.maxima)
+        self.run = ones(width, length)
+        self.copies = ones(stride, min(members, _COPIES))
+        self.doublings = []
+        have = _COPIES
+        while have < members:  # the copies at [0, have) shifted cover [have, 2·have) or the rest
+            step = min(have, members - have)
+            self.doublings.append(step * stride)
+            have += step
+        self.downs = concat([below * self.run for below in poset.maximal_downs], stride)
+        self.inner = [(i, up) for i, up in enumerate(poset.up) if up != 1 << i]
+
+
+def _layout(poset: SpectralPoset, length: int) -> _Layout:
+    layout = poset.layouts.get(length)
+    if layout is None:
+        layout = poset.layouts[length] = _Layout(poset, length)
+    return layout
+
+
+def _copied(layout: _Layout, run: int) -> int:
+    """The run of levels copied into every member's slot."""
+    copies = run * layout.copies
+    for shift in layout.doublings:
+        copies |= copies << shift
+    return copies
+
+
+def _agree(layout: _Layout, packed: int) -> tuple[bool, int]:
+    """(whether the family agrees pairwise at every level, its glued run):
+    the glued run is the union of the members' runs.
 
     The family agrees pairwise exactly when every X(m) is glued & down[m]:
     pairwise agreement gives glued & down[m] = union of X(m') & down[m] =
     union of X(m) & down[m'] = X(m), and conversely X(m) & down[m'] = glued &
-    down[m] & down[m'] = X(m') & down[m]."""
-    glued = 0
-    for x in row:
-        glued |= x
-    for below, x in zip(poset.maximal_downs, row):
-        if x != glued & below:
-            return False, glued
-    return True, glued
+    down[m] & down[m'] = X(m') & down[m].  So it agrees exactly when
+    localizing the glued run, copying it to every slot and masking each
+    with its star, gives it back."""
+    glued = fold(packed, layout.stride, layout.members)
+    return _copied(layout, glued) & layout.downs == packed, glued
 
 
-def _incompatible(poset: SpectralPoset, row: Sequence[int], degree=None) -> IncompatibleFamilyError:
+def _first_disagreement(layout: _Layout, packed: int, glued: int) -> int:
+    """The least level at which a family that disagrees does: the lowest set
+    bit of where it differs from its glued run localized, over the members."""
+    differ = fold(_copied(layout, glued) & layout.downs ^ packed, layout.stride, layout.members)
+    return ((differ & -differ).bit_length() - 1) // layout.width
+
+
+def _incompatible(poset: SpectralPoset, row: int, degree=None) -> IncompatibleFamilyError:
     """The error of a row that disagrees, with its first witness (m, m', p):
     the first pair in label order and the least shared prime they differ on."""
-    down, stars = poset.down, list(zip(poset.maxima, row))
+    down, stars = poset.down, list(zip(poset.maxima, row_masks(poset, row)))
     for k, (m, x) in enumerate(stars):
         for m2, x2 in stars[k + 1 :]:
             # x lies below m and x2 below m2, so both sides lie in the shared down-set
@@ -200,69 +305,87 @@ def _incompatible(poset: SpectralPoset, row: Sequence[int], degree=None) -> Inco
     raise AssertionError("a row that disagrees has a pair that differs")
 
 
-def _is_up_set(poset: SpectralPoset, mask: int) -> bool:
-    """Whether the principal up-set of every point of ``mask`` lies in it."""
-    up, rest = poset.up, mask
-    while rest:  # one step per set bit
-        bit = rest & -rest
-        if up[bit.bit_length() - 1] & ~mask:
-            return False
-        rest ^= bit
-    return True
-
-
-def _glued_mask(poset: SpectralPoset, glued: int) -> int:
-    # automatic on a finite poset: the star images of a compatible family glue to an up-set
-    assert _is_up_set(poset, glued), "glued set of a compatible family must be Thomason"
+def _glued_mask(layout: _Layout, glued: int) -> int:
+    # automatic on a finite poset: the star images of a compatible family glue to up-sets
+    run = layout.run
+    for i, up in layout.inner:
+        # bit i of every level, spread to the up-set of i: no carry, as up < 2**width
+        assert not (glued >> i & run) * up & ~glued, (
+            "glued set of a compatible family must be Thomason"
+        )
     return glued
 
 
-def glue_sets(poset: SpectralPoset, row: Sequence[int]) -> ThomasonSet:
+def family_is_nondegenerate(family: LocalFamily) -> bool:
+    """Whether every member is non-degenerate: its low tail all of its
+    Spec(R_m), the down-set of m, and its high tail empty."""
+    poset, packed = family.global_poset, family.packed
+    layout = _layout(poset, family.length)
+    firsts = _copied(layout, poset.full)  # level 0 of every member
+    high = packed >> (family.length - 1) * layout.width & firsts
+    return not high and packed & firsts == layout.downs & firsts
+
+
+def family_is_constant(family: LocalFamily) -> bool:
+    """Whether every member is constant: its tails are equal."""
+    poset, packed = family.global_poset, family.packed
+    layout = _layout(poset, family.length)
+    firsts = _copied(layout, poset.full)
+    return packed & firsts == packed >> (family.length - 1) * layout.width & firsts
+
+
+def make_row(poset: SpectralPoset, masks: Sequence[int]) -> int:
+    """The row of the local sets ``masks``, X(m) for m in ``poset.maxima``."""
+    return concat(masks, len(poset.elements))
+
+
+def row_masks(poset: SpectralPoset, row: int) -> list[int]:
+    """The local sets of a row, X(m) for m in ``poset.maxima``."""
+    return slots(row, len(poset.elements), len(poset.maxima))
+
+
+def glue_sets(poset: SpectralPoset, row: int) -> ThomasonSet:
     """Union of the star images of a row; defined only for compatible rows."""
-    agrees, glued = _agree(poset, row)
+    layout = _layout(poset, 1)
+    agrees, glued = _agree(layout, row)
     if not agrees:
         raise _incompatible(poset, row)
-    return ThomasonSet(poset, _glued_mask(poset, glued))
+    return ThomasonSet(poset, _glued_mask(layout, glued))
 
 
-def localize_sets(s: ThomasonSet) -> tuple[int, ...]:
+def localize_sets(s: ThomasonSet) -> int:
     """X |-> the row of X(m) = X & down[m], X restricted to Spec(R_m)."""
-    mask = s.mask
-    return tuple(mask & below for below in s.poset.maximal_downs)
+    layout = _layout(s.poset, 1)
+    return _copied(layout, s.mask) & layout.downs
 
 
 def glue_filtrations(family: LocalFamily) -> ThomasonFiltration:
-    """Degreewise gluing; raises with the offending degree when incompatible.
+    """Degreewise gluing; raises with the least incompatible degree.
 
-    The family was checked when it was built, so its rows are glued in
-    increasing degree: one union and one agreement test per degree, so the
-    degree raised is the least incompatible one.  Gluing preserves
-    inclusions, so the glued levels decrease and are only normalised.
+    The family was checked when it was built, so its members are ORed into
+    one run and every degree is tested at once; the least degree that
+    disagrees is read only when one does.  The glued run is in normal form
+    already (see the module docstring), so it is not trimmed.
     """
-    poset = family.global_poset
-    levels = []
-    for n, row in zip(family.degrees, family.rows):
-        agrees, glued = _agree(poset, row)
-        if not agrees:
-            raise _incompatible(poset, row, n)
-        levels.append(_glued_mask(poset, glued))
-    return from_levels(poset, family.start, levels)
+    poset, length = family.global_poset, family.length
+    layout = _layout(poset, length)
+    agrees, glued = _agree(layout, family.packed)
+    if not agrees:
+        k = _first_disagreement(layout, family.packed, glued)
+        raise _incompatible(poset, family.rows()[k], family.start + k)
+    return ThomasonFiltration(poset, family.start, length, _glued_mask(layout, glued))
 
 
 def localize_filtrations(filtration: ThomasonFiltration) -> LocalFamily:
-    """The restrictions of ``filtration`` to every maximal point m: each
-    level masked with every down-set into a row.
-
-    The rows are in normal form already, with no :func:`trim`: the down-sets
-    of the maximal points cover the poset, so x |-> (x & down[m] for m
-    maximal) is injective, and the rows are equal exactly where the trimmed
-    levels they come from are."""
-    downs = filtration.poset.maximal_downs
-    rows = tuple([tuple([x & below for below in downs]) for x in filtration.masks])
-    return LocalFamily(filtration.poset, filtration.start, rows)
+    """The restrictions of ``filtration`` to every maximal point m: its run
+    copied into every member's slot and masked with the down-sets there.
+    The family is in normal form already (see the module docstring)."""
+    layout = _layout(filtration.poset, filtration.length)
+    packed = _copied(layout, filtration.packed) & layout.downs
+    return LocalFamily(filtration.poset, filtration.start, filtration.length, packed)
 
 
-def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
+def check_lemma_equiv(poset: SpectralPoset, row: int) -> bool:
     """Confirm the two descriptions of a family of local sets agree.
 
     The ideal-family side is modelled by principal up-sets: X' is the union of
@@ -279,10 +402,10 @@ def check_lemma_equiv(poset: SpectralPoset, row: Sequence[int]) -> bool:
     and q >= p in down(m) is not, agreement keeps q out of every X(m').  X'
     is always an up-set, so the check fails on such a family.
     """
-    agrees, glued = _agree(poset, row)
-    left_out = 0
-    for below, x in zip(poset.maximal_downs, row):
-        left_out |= below & ~x
+    layout = _layout(poset, 1)
+    agrees, glued = _agree(layout, row)
+    # the points of down[m] that X(m) leaves out, over every m
+    left_out = fold(layout.downs & ~row, layout.width, layout.members)
     x_prime = 0
     for up in poset.up:
         if not up & left_out:
@@ -299,16 +422,17 @@ def local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
 def family_to_json(family: LocalFamily) -> dict:
     """``{label: filtration JSON}`` of the members, in poset order, as
     :meth:`LocalFamily.from_members` reads it."""
-    poset, start, rows = family.global_poset, family.start, family.rows
+    poset, start, length = family.global_poset, family.start, family.length
     return {
-        # column k of the rows, carried as a filtration in the numbering of ``poset``
+        # each member's run, carried as a filtration in the numbering of ``poset``
         poset.elements[m]: filtration_to_json(
-            from_levels(poset, start, [row[k] for row in rows]), partial(level_to_json, at=m)
+            from_packed(poset, start, length, column), partial(level_to_json, at=m)
         )
-        for k, m in enumerate(poset.maxima)
+        for m, column in zip(poset.maxima, family.member_runs())
     }
 
 
-def row_to_json(poset: SpectralPoset, row: Sequence[int]) -> dict:
+def row_to_json(poset: SpectralPoset, row: int) -> dict:
     """A row of local sets as a failure writes it: label -> local set JSON."""
-    return {poset.elements[m]: level_to_json(poset, x, m) for m, x in zip(poset.maxima, row)}
+    masks = row_masks(poset, row)
+    return {poset.elements[m]: level_to_json(poset, x, m) for m, x in zip(poset.maxima, masks)}

@@ -35,7 +35,7 @@ from functools import cache, lru_cache
 from .errors import IncompatibleFamilyError, InvalidInputError, UnsupportedRingError, json_object
 from .gluing import LocalFamily, family_to_json, glue_filtrations, localize_filtrations
 from .poset import SpectralPoset
-from .thomason import ThomasonFiltration, filtration_from_json, filtration_to_json
+from .thomason import ThomasonFiltration, filtration_from_json, filtration_to_json, ones
 
 GENERIC = "(0)"
 CLOSED_POINT = "(m)"  # every maximal ideal that the data does not name
@@ -211,11 +211,14 @@ def z_witness(family: LocalFamily, n: int):
 
     On a star poset two local sets share only (0), so a Z family is
     compatible at n exactly when no exception disagrees with the default."""
-    poset, rows = family.global_poset, family.rows
-    # past its degrees a family reads its first or last row
-    row = rows[min(max(n - family.start, 0), len(rows) - 1)]
-    generic = 1 << poset.index[GENERIC]
-    holds = {poset.elements[m]: x & generic for m, x in zip(poset.maxima, row)}
+    poset = family.global_poset
+    # past its degrees a family reads its first or last level
+    shift = min(max(n - family.start, 0), family.length - 1) * len(poset.elements)
+    generic = poset.index[GENERIC]
+    holds = {
+        poset.elements[m]: column >> shift + generic & 1
+        for m, column in zip(poset.maxima, family.member_runs())
+    }
     p = next((p for p in z_primes(poset) if holds[f"({p})"] != holds[CLOSED_POINT]), None)
     return None if p is None else (p, "default", GENERIC)
 
@@ -233,9 +236,12 @@ def glue_z_filtrations(family: LocalFamily) -> ThomasonFiltration:
             degree=exc.degree,
             witness=witness,
         ) from None
-    poset = glued.poset
-    closed = 1 << poset.index[CLOSED_POINT]
-    if any(x & closed and x != poset.full for x in glued.masks):
+    poset, length = glued.poset, glued.length
+    # the levels that hold (m) are the first ones, as the levels decrease, so
+    # one is cofinite exactly when the last of them is not full
+    run = ones(len(poset.elements), length)  # bit 0 of every level
+    holds = (glued.packed >> poset.index[CLOSED_POINT] & run).bit_count()
+    if holds and glued.mask_at(glued.start + holds - 1) != poset.full:
         raise UnsupportedRingError(
             "default populates the closed point at infinitely many primes; "
             "the glued set would be infinite and not representable"

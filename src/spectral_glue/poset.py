@@ -22,6 +22,9 @@ from .errors import InvalidInputError, json_object
 
 PrimeId = str
 
+# the shared ``layouts`` of each order, by its tuple of up-sets
+_LAYOUTS: dict[tuple[int, ...], dict] = {}
+
 
 class SpectralPoset:
     """Finite poset of prime labels under inclusion.
@@ -30,6 +33,9 @@ class SpectralPoset:
     ``down[i]`` are the masks of the principal up-set and down-set of point
     i, both containing i; ``maxima`` are the maximal points and
     ``maximal_downs`` their down-sets, the localizations Spec(R_m).
+    ``layouts`` keeps, per number of levels, the constants with which
+    :mod:`spectral_glue.gluing` localizes and glues packed runs on this
+    order: they depend on ``up`` alone.
     """
 
     def __init__(self, elements: Iterable[PrimeId], pairs: Iterable[tuple[PrimeId, PrimeId]] = ()):
@@ -73,6 +79,9 @@ class SpectralPoset:
         self.full = (1 << len(elements)) - 1
         self.maxima = tuple(i for i, u in enumerate(up) if u == 1 << i)
         self.maximal_downs = tuple(down[m] for m in self.maxima)
+        # levels -> the constants of packed families, filled by gluing; posets of
+        # one order on the same numbering share them, for the whole process
+        self.layouts = _LAYOUTS.setdefault(up, {})
 
     def point(self, label: PrimeId) -> int:
         """The number of the point ``label``; the check every label passes."""

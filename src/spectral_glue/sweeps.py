@@ -122,8 +122,6 @@ def sweep_lemma_equiv(max_poset: int = 6, jobs: int = 1) -> SweepReport:
 def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> None:
     lo, hi = window
     descr = poset.to_json()
-    # the row of each member's whole Spec(R_m), the down-set of m
-    full_row = poset.maximal_downs
     for filt in catalog.all_filtrations(poset, lo, hi):
         report.checked += 1
         family = gluing.localize_filtrations(filt)
@@ -133,11 +131,9 @@ def _check_filtrations(report: SweepReport, poset: SpectralPoset, window) -> Non
                 problems.append("glue(localize(F)) differs from F")
         except IncompatibleFamilyError:
             problems.append("localized family not compatible")
-        # the first row holds each member's low tail and the last its high tail
-        first, last = family.rows[0], family.rows[-1]
-        if is_nondegenerate(filt) != (first == full_row and not any(last)):
+        if is_nondegenerate(filt) != gluing.family_is_nondegenerate(family):
             problems.append("non-degeneracy not preserved/reflected")
-        if is_constant(filt) != (first == last):
+        if is_constant(filt) != gluing.family_is_constant(family):
             problems.append("stability (constancy) not preserved/reflected")
         if problems:
             report.failures.append(
@@ -347,9 +343,12 @@ def _check_cosilting(report: SweepReport, cosilting) -> None:
         problems.append("split-then-glue is not equivalent to the original")
     # componentwise Thomason sets as a row over the maximal spectrum: each
     # component's set is its one point or empty
-    row = tuple(
-        1 << m if tc.cosilting_thomason_of_module(components[poset.elements[m]]).members else 0
-        for m in poset.maxima
+    row = gluing.make_row(
+        poset,
+        [
+            1 << m if tc.cosilting_thomason_of_module(components[poset.elements[m]]).members else 0
+            for m in poset.maxima
+        ],
     )
     try:
         if gluing.glue_sets(poset, row) != global_set:
@@ -358,7 +357,8 @@ def _check_cosilting(report: SweepReport, cosilting) -> None:
         problems.append("componentwise Thomason sets are not compatible")
     # the two-term filtration restricts to the local two-term pattern at degree 0
     filt = tc.two_term_filtration(global_set)
-    for m, x, local in zip(poset.maxima, gluing.localize_sets(filt.at(0)), row):
+    localized = gluing.row_masks(poset, gluing.localize_sets(filt.at(0)))
+    for m, x, local in zip(poset.maxima, localized, gluing.row_masks(poset, row)):
         if x != local:
             problems.append(
                 f"two-term filtration at {poset.elements[m]!r} disagrees with the local set"

@@ -1,14 +1,25 @@
 """Thomason sets as masks of up-sets, and decreasing Z-indexed filtrations.
 
-A filtration is stored as its run of level masks X_lo-1, X_lo, ..., X_hi+1,
-that is its breakpoint window [lo, hi] with one tail degree on each side, so
-a pure step keeps its position.  Every map of filtrations works on that run,
-mask by mask, and :func:`trim` is the one normaliser: two filtrations with
-equal pointwise values compare and serialize identically.  The one
-:class:`ThomasonSet` view of a filtration is :meth:`ThomasonFiltration.at`,
-one level; :meth:`ThomasonFiltration.mask_at` reads its mask without one.
-Restriction to the maximal points is
-:func:`spectral_glue.gluing.localize_filtrations`, on the same masks.
+A filtration is stored as its run of levels X_lo-1, X_lo, ..., X_hi+1, that
+is its breakpoint window [lo, hi] with one tail degree on each side, so a
+pure step keeps its position, packed into one int: on an n-point poset,
+level k of the run is the mask at bits [k·n, (k+1)·n).  The same layout
+holds several runs side by side: a packed run of c columns of L levels has
+level k of column j at bits [(j·L + k)·n, (j·L + k + 1)·n), and a filtration
+is its one-column case; a family of local filtrations in
+:mod:`spectral_glue.gluing` is the case of one column per maximal point.
+:func:`concat` and :func:`slots` build and split such ints, :func:`ones`
+repeats a mask in every slot by one multiplication, and :func:`fold` ORs
+the slots.  :func:`trim` is the one normaliser of a packed run, and works on
+whole ints: the first level that differs from the low tail is the lowest set
+bit of the run XOR the low tail repeated, and the last that differs from
+the high tail is the highest set bit of the run XOR the high tail repeated.
+So two filtrations with equal pointwise values compare and serialize
+identically, and compare as one int.  The one :class:`ThomasonSet` view of
+a filtration is :meth:`ThomasonFiltration.at`, one level;
+:meth:`ThomasonFiltration.mask_at` reads its mask without one.  Restriction
+to the maximal points is :func:`spectral_glue.gluing.localize_filtrations`,
+on the same packed int.
 
 Filtrations are validated once, where they enter: :func:`make_filtration`
 checks catalog and fixture input and :func:`filtration_from_json` wire input
@@ -30,7 +41,7 @@ star poset of :func:`spectral_glue.integers.z_poset`, so its filtrations are
 these too.
 
 A :class:`ThomasonSet` (poset, mask) and a :class:`ThomasonFiltration`
-(poset, start, masks) are immutable values on
+(poset, start, length, packed) are immutable values on
 :class:`spectral_glue.values.Value`: slotted, equal and hashed by their
 fields, with no field that can be assigned.
 """
@@ -38,6 +49,7 @@ fields, with no field that can be assigned.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import cache
 
 from .errors import FiltrationOrderError, InvalidInputError, json_int, json_object
 from .poset import PrimeId, SpectralPoset
@@ -50,8 +62,9 @@ class ThomasonSet(Value):
     __slots__ = _fields = ("poset", "mask")
 
     def __init__(self, poset: SpectralPoset, mask: int):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "mask", mask)
+        set_poset, set_mask = self._setters
+        set_poset(self, poset)
+        set_mask(self, mask)
 
     @classmethod
     def full(cls, poset: SpectralPoset) -> "ThomasonSet":
@@ -82,73 +95,169 @@ class ThomasonSet(Value):
 
 
 class ThomasonFiltration(Value):
-    """Decreasing Z-indexed sequence of Thomason sets, as its run of level masks.
+    """Decreasing Z-indexed sequence of Thomason sets, as its packed run of
+    ``length`` levels.
 
-    ``masks[k]`` is the mask of X_n for n = start + k; the first mask is the
-    low tail, X_n for every n <= start, and the last is the high tail, X_n
-    for every n past the end.  In the normal form that :func:`from_levels`
-    returns, the second mask differs from the low tail and the second-last
-    from the high tail, so the window [lo, hi] of breakpoints is masks[1:-1];
-    a pure step, with an empty window, is its two tails with the step at
-    lo = start + 1, and a constant is (-1, (X, X)).  Equality and hashing
-    compare (poset, start, masks).  ``start`` and ``masks`` are the whole
-    filtration: :meth:`at` is its one set-valued view and :meth:`mask_at`
-    reads one level.  Build one with :func:`make_filtration` from unchecked
-    input, or with :func:`from_levels` from a run of masks that already
+    Level k of the run is the mask of X_n for n = start + k, at bits [k·n,
+    (k+1)·n) of ``packed`` on an n-point poset; the first level is the low
+    tail, X_n for every n <= start, and the last is the high tail, X_n for
+    every n past the end.  In the normal form that :func:`trim` gives, the
+    second level differs from the low tail and the second-last from the high
+    tail, so the window [lo, hi] of breakpoints is levels 1 to length - 2; a
+    pure step, with an empty window, is its two tails with the step at lo =
+    start + 1, and a constant is start -1 with two equal levels.  Equality
+    and hashing compare (poset, start, length, packed), so equal filtrations
+    are one int comparison apart.  :meth:`at` is the one set-valued view,
+    :meth:`mask_at` reads one level and :meth:`levels` all of them.  Build
+    one with :func:`make_filtration` from unchecked input, or with
+    :func:`from_levels` or :func:`from_packed` from a run that already
     decreases.
     """
 
-    __slots__ = _fields = ("poset", "start", "masks")
+    __slots__ = _fields = ("poset", "start", "length", "packed")
 
-    def __init__(self, poset: SpectralPoset, start: int, masks: tuple[int, ...]):
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "masks", masks)
+    def __init__(self, poset: SpectralPoset, start: int, length: int, packed: int):
+        set_poset, set_start, set_length, set_packed = self._setters
+        set_poset(self, poset)
+        set_start(self, start)
+        set_length(self, length)
+        set_packed(self, packed)
 
     @property
     def lo(self) -> int:
         return self.start + 1
 
+    @property
+    def low(self) -> int:
+        """The mask of the low tail."""
+        return self.packed & self.poset.full
+
+    @property
+    def high(self) -> int:
+        """The mask of the high tail."""
+        return self.packed >> (self.length - 1) * len(self.poset.elements)
+
     def mask_at(self, n: int) -> int:
         """The mask of X_n."""
-        masks, k = self.masks, n - self.start
+        k = n - self.start
         if k <= 0:
-            return masks[0]
-        return masks[k] if k < len(masks) else masks[-1]
+            return self.packed & self.poset.full
+        if k >= self.length:
+            k = self.length - 1
+        return self.packed >> k * len(self.poset.elements) & self.poset.full
 
     def at(self, n: int) -> ThomasonSet:
         return ThomasonSet(self.poset, self.mask_at(n))
 
+    def levels(self) -> list[int]:
+        """The masks of the run, the low tail first and the high tail last."""
+        return slots(self.packed, len(self.poset.elements), self.length)
+
     def __repr__(self):
         labels = self.poset.labels
-        low, *window, high = self.masks
+        low, *window, high = self.levels()
         parts = [f"<{list(labels(low))}"]
         parts += [f"{self.lo + k}:{list(labels(x))}" for k, x in enumerate(window)]
         parts.append(f">{list(labels(high))}")
         return "ThomasonFiltration(" + " / ".join(parts) + ")"
 
 
-def trim(start: int, masks: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """(start, masks) of the normal form of a decreasing run X_n = masks[n -
-    start], its first and last masks the tails: of the leading masks equal to
-    the first and the trailing masks equal to the last, one of each is kept
-    as a tail, and a constant is put at start = -1."""
-    low, high = masks[0], masks[-1]
+# a run of at most this many bits is joined and split one slot at a time, a
+# longer one in halves, so that each bit moves O(log slots) times
+_FLAT_BITS = 1 << 14
+
+
+def concat(pieces: Sequence[int], width: int) -> int:
+    """The int with ``pieces[k]``, each below 2**width, at bits [k·width,
+    (k+1)·width): the layout of a packed run."""
+    if len(pieces) > 1 and len(pieces) * width > _FLAT_BITS:
+        half = len(pieces) >> 1
+        return concat(pieces[:half], width) | concat(pieces[half:], width) << half * width
+    packed = 0
+    for x in reversed(pieces):
+        packed = packed << width | x
+    return packed
+
+
+def slots(packed: int, width: int, count: int) -> list[int]:
+    """The ``count`` slots of ``width`` bits of ``packed``, the lowest first:
+    the inverse of :func:`concat`."""
+    if count * width > _FLAT_BITS and count > 1:
+        half = count >> 1
+        cut = half * width
+        low = slots(packed & ((1 << cut) - 1), width, half)
+        return low + slots(packed >> cut, width, count - half)
+    full, out = (1 << width) - 1, []
+    for _ in range(count):
+        out.append(packed & full)
+        packed >>= width
+    return out
+
+
+@cache
+def ones(width: int, count: int) -> int:
+    """Bit 0 of each of ``count`` slots of ``width`` bits: a mask below
+    2**width times it is that mask in every slot, with no carry."""
+    return concat([1] * count, width)
+
+
+def fold(packed: int, width: int, count: int) -> int:
+    """The union of the ``count`` slots of ``width`` bits of ``packed``: each
+    round ORs the upper half of the slots onto the lower."""
+    while count > 1:
+        half = (count + 1) >> 1
+        cut = half * width
+        packed = packed & ((1 << cut) - 1) | packed >> cut
+        count = half
+    return packed
+
+
+def trim(width: int, columns: int, start: int, length: int, packed: int) -> tuple[int, int, int]:
+    """(start, length, packed) of the normal form of a decreasing packed run:
+    ``columns`` runs side by side, each of ``length`` levels of ``width``
+    bits, column j's level k at bits [(j·length + k)·width, ...).  A
+    filtration is one column, and a family of local filtrations in
+    :mod:`spectral_glue.gluing` one column per maximal point.  Of the leading
+    levels equal in every column to the first and the trailing levels equal
+    in every column to the last, one of each is kept as a tail, and a
+    constant is put at start = -1 with two levels."""
+    full = (1 << width) - 1
+    firsts = full if columns == 1 else full * ones(width * length, columns)  # level 0 of each
+    low = packed & firsts
+    high = packed >> (length - 1) * width & firsts
     if low == high:  # a decreasing run between equal ends is constant
-        return -1, (low, high)
-    i = 1
-    while masks[i] == low:
-        i += 1
-    j = len(masks) - 2
-    while masks[j] == high:
-        j -= 1
-    return start + i - 1, tuple(masks[i - 1 : j + 2])
+        start, first, keep, packed = -1, 0, 2, low * ones(width, 2)
+        if length == 2:
+            return start, keep, packed
+    elif packed >> width & firsts != low and packed >> (length - 2) * width & firsts != high:
+        # normal already: the second level differs from the low tail, the second-last from the high
+        return start, length, packed
+    else:
+        # the levels that differ from the low tail, and from the high tail, in some column
+        run = ones(width, length)
+        below, above = packed ^ low * run, packed ^ high * run
+        if columns > 1:
+            below = fold(below, width * length, columns)
+            above = fold(above, width * length, columns)
+        first = ((below & -below).bit_length() - 1) // width - 1
+        keep = (above.bit_length() - 1) // width - first + 2
+        start += first
+    mask = (1 << keep * width) - 1
+    if columns == 1:
+        return start, keep, packed >> first * width & mask
+    pieces = slots(packed >> first * width, width * length, columns)
+    return start, keep, concat([x & mask for x in pieces], width * keep)
+
+
+def from_packed(poset: SpectralPoset, start: int, length: int, packed: int) -> ThomasonFiltration:
+    """The filtration of the :func:`trim` of a packed run that decreases: the
+    one normaliser."""
+    return ThomasonFiltration(poset, *trim(len(poset.elements), 1, start, length, packed))
 
 
 def from_levels(poset: SpectralPoset, start: int, masks: Sequence[int]) -> ThomasonFiltration:
-    """The filtration of the :func:`trim` of ``masks``, which must decrease:
-    the one normaliser."""
-    return ThomasonFiltration(poset, *trim(start, masks))
+    """The filtration of a run of masks that decreases, X_n = masks[n - start]."""
+    return from_packed(poset, start, len(masks), concat(masks, len(poset.elements)))
 
 
 # the most degrees apart that a filtration's breakpoints, or the windows of a
@@ -163,7 +272,7 @@ def make_filtration(
     high_tail: ThomasonSet,
 ) -> ThomasonFiltration:
     """Validate a filtration of Thomason sets on ``poset``, then normalise it
-    with :func:`from_levels`.
+    with :func:`from_packed`.
 
     Breakpoint indices must be strictly increasing and at most
     MAX_DEGREE_SPAN apart; gaps are filled by propagating the previous value
@@ -188,7 +297,8 @@ def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFil
     are only noted in the pass and raised after it, in the order strict
     increase, a located step, the span, decrease.  The run stops growing at
     its first fault, so a span over the bound is never expanded."""
-    levels = [low]
+    width = len(poset.elements)
+    packed, count, prev = low, 1, low
     lo = last = drop = None
     unordered = False
     for n, x in breakpoints:
@@ -199,14 +309,16 @@ def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFil
         last = n
         if unordered or drop or n - lo > MAX_DEGREE_SPAN:
             continue
-        prev = levels[-1]
         if x & ~prev:
             drop = n, x, prev
             continue
-        gap = n - lo + 1 - len(levels)
+        gap = n - lo + 1 - count
         if gap:  # the degrees between two breakpoints keep the earlier level
-            levels += [prev] * gap
-        levels.append(x)
+            packed |= prev * ones(width, gap) << count * width
+            count += gap
+        packed |= x << count * width
+        count += 1
+        prev = x
     if unordered:
         raise InvalidInputError("breakpoint indices must be strictly increasing")
     if lo is None:
@@ -214,7 +326,7 @@ def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFil
             raise FiltrationOrderError(
                 "tails differ but no breakpoint locates the step; give at least one breakpoint"
             )
-        return ThomasonFiltration(poset, -1, (low, high))
+        return ThomasonFiltration(poset, -1, 2, low | high << width)
     if last - lo > MAX_DEGREE_SPAN:
         raise InvalidInputError(
             f"breakpoints at degrees {lo} and {last} lie more than the bound "
@@ -226,24 +338,26 @@ def _validated(poset, low: int, breakpoints, high: int, describe) -> ThomasonFil
             f"filtration not decreasing at degree {n}: "
             f"{describe(poset, x)} is not contained in {describe(poset, prev)}"
         )
-    if high & ~levels[-1]:
+    if high & ~prev:
         raise FiltrationOrderError(
             f"filtration not decreasing into the high tail: "
-            f"{describe(poset, high)} is not contained in {describe(poset, levels[-1])}"
+            f"{describe(poset, high)} is not contained in {describe(poset, prev)}"
         )
-    levels.append(high)
-    return from_levels(poset, lo - 1, levels)
+    return from_packed(poset, lo - 1, count + 1, packed | high << count * width)
 
 
 def is_nondegenerate(filtration: ThomasonFiltration) -> bool:
     """Intersection of all X_n empty and union all of Spec; with the finite
     representation this is exactly an empty high tail and a full low tail."""
-    return not filtration.masks[-1] and filtration.masks[0] == filtration.poset.full
+    poset, packed = filtration.poset, filtration.packed
+    high = packed >> (filtration.length - 1) * len(poset.elements)
+    return not high and packed & poset.full == poset.full
 
 
 def is_constant(filtration: ThomasonFiltration) -> bool:
     """A normal form with equal tails has no window: they bound a decreasing run."""
-    return filtration.masks[0] == filtration.masks[-1]
+    poset, packed = filtration.poset, filtration.packed
+    return packed & poset.full == packed >> (filtration.length - 1) * len(poset.elements)
 
 
 def level_from_json(poset: SpectralPoset, data, at: int | None = None) -> int:
@@ -290,7 +404,7 @@ def _members(poset: SpectralPoset, mask: int) -> list[PrimeId]:
 def filtration_to_json(filtration: ThomasonFiltration, write_level=level_to_json) -> dict:
     """Write a filtration; ``write_level(poset, mask)`` writes one level."""
     poset, lo = filtration.poset, filtration.lo
-    low, *window, high = filtration.masks
+    low, *window, high = filtration.levels()
     breakpoints = [{"n": lo + k, "set": write_level(poset, x)} for k, x in enumerate(window)]
     if not breakpoints and low != high:
         # pure step: record the last degree still equal to the low tail

@@ -20,7 +20,14 @@ from .gluing import LocalFamily
 from .homalg import BoundedComplex, support_of_cohomology
 from .poset import PrimeId, SpectralPoset
 from .rings import FiniteRing
-from .thomason import ThomasonFiltration, ThomasonSet, from_levels, is_constant, is_nondegenerate
+from .thomason import (
+    ThomasonFiltration,
+    ThomasonSet,
+    from_levels,
+    is_constant,
+    is_nondegenerate,
+    slots,
+)
 
 NONDEGENERATE = "nondegenerate"
 STABLE = "stable"
@@ -94,14 +101,15 @@ def local_tstructures(ring: FiniteRing, family: LocalFamily) -> dict[PrimeId, tu
     """m -> (R_m, its filtration of Spec R_m) for each member of ``family``,
     the :func:`~spectral_glue.gluing.localize_filtrations` of a filtration of
     spec(ring).  Every prime is maximal, so point m is local factor m and
-    column m of the rows, Spec R_m is the one point m, and a level at m,
+    member m of the family, Spec R_m is the one point m, and a level at m,
     inside {m}, reads as ``x >> m``."""
-    _check_spec(ring, family.global_poset, "family")
-    labels, start, rows = family.global_poset.elements, family.start, family.rows
+    poset = family.global_poset
+    _check_spec(ring, poset, "family")
+    width, start, length = len(poset.elements), family.start, family.length
     local = {}
-    for m, factor in enumerate(ring.local_factors()):
-        member = from_levels(rng.spec(factor.ring), start, [row[m] >> m for row in rows])
-        local[labels[m]] = factor.ring, member
+    for m, (factor, column) in enumerate(zip(ring.local_factors(), family.member_runs())):
+        levels = [x >> m for x in slots(column, width, length)]
+        local[poset.elements[m]] = factor.ring, from_levels(rng.spec(factor.ring), start, levels)
     return local
 
 

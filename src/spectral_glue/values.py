@@ -3,8 +3,10 @@
 :class:`Value` is the base of the package's frozen records: Thomason sets and
 filtrations, local families, free terms, local factors, ideals and cosilting
 modules.  A subclass names its fields in ``_fields`` and sets each one in its
-``__init__`` with ``object.__setattr__``; assigning or deleting an attribute
-afterwards raises AttributeError.  Two values are equal when they have the
+``__init__`` with ``object.__setattr__``, or, when its fields are slots,
+with ``_setters``, the slots' own setters, which skip the guard for about
+two thirds of the cost; assigning or deleting an attribute afterwards
+raises AttributeError.  Two values are equal when they have the
 same class and equal fields, a value hashes as the tuple of its fields, and
 its repr is ``Class(field=value, ...)``.  A subclass without a
 ``cached_property`` lists its fields in ``__slots__`` too.  Nothing is
@@ -23,6 +25,9 @@ class Value:
         get = attrgetter(*cls._fields)
         # the key of one field is a 1-tuple, as the tuple of several is
         cls._key = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+        slots = cls.__dict__.get("__slots__", ())
+        if all(name in slots for name in cls._fields):
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -11,8 +11,8 @@ from spectral_glue.thomason import (
     ThomasonFiltration,
     filtration_to_json,
     from_levels,
+    from_packed,
     set_from_json,
-    trim,
 )
 
 
@@ -49,14 +49,14 @@ def constant_filtration(poset, value: ThomasonSet) -> ThomasonFiltration:
 def window(filtration) -> tuple[int, int]:
     """(lo, hi), the first and last degrees of the breakpoint window; a pure
     step or a constant has hi = lo - 1."""
-    return filtration.start + 1, filtration.start + len(filtration.masks) - 2
+    return filtration.start + 1, filtration.start + filtration.length - 2
 
 
 def level_sets(filtration) -> tuple[int, tuple[ThomasonSet, ...]]:
     """(start, levels): X_start, X_start+1, ... as sets, the low tail first
     and the high tail last."""
     poset = filtration.poset
-    return filtration.start, tuple(ThomasonSet(poset, x) for x in filtration.masks)
+    return filtration.start, tuple(ThomasonSet(poset, x) for x in filtration.levels())
 
 
 def leq(poset, a, b) -> bool:
@@ -86,43 +86,57 @@ def member_json(members) -> dict:
     return {label: filtration_to_json(f) for label, f in members.items()}
 
 
+def packed_run(width, columns) -> int:
+    """The int of the runs ``columns`` of equal length side by side, level k
+    of column j at bits [(j·length + k)·width, ...): the layout of a
+    filtration (one column) and of a family (one per maximal point)."""
+    return sum(
+        x << (j * len(column) + k) * width
+        for j, column in enumerate(columns)
+        for k, x in enumerate(column)
+    )
+
+
 def family_by_labels(poset, members) -> LocalFamily:
     """The family of label -> filtration on the localization at the label,
     built without the checks of the member wire: for the label products,
     whose members the catalog lists already checked.  Its degrees run from
     the first to the last level of any member that is not constant, or are
-    -1 and 0 when all are, and the row at each degree reads every member
-    there, past its ends as its tails, carried over to ``poset`` by labels."""
+    -1 and 0 when all are, and each member reads at each degree its level
+    there, past its ends its tails, carried over to ``poset`` by labels."""
     columns = [_column_by_labels(poset, members[poset.elements[m]]) for m in poset.maxima]
     spans = [(start, start + len(masks)) for start, masks in columns if masks[0] != masks[-1]]
     lo, stop = (min(spans)[0], max(stop for _, stop in spans)) if spans else (-1, 1)
-    rows = tuple(
-        tuple(masks[min(max(n - start, 0), len(masks) - 1)] for start, masks in columns)
-        for n in range(lo, stop)
-    )
-    return LocalFamily(poset, lo, rows)
+    padded = [
+        [masks[min(max(n - start, 0), len(masks) - 1)] for n in range(lo, stop)]
+        for start, masks in columns
+    ]
+    return LocalFamily(poset, lo, stop - lo, packed_run(len(poset), padded))
 
 
 @functools.cache
 def _column_by_labels(poset, member) -> tuple:
-    return member.start, tuple(mask_of(poset, member.poset.labels(x)) for x in member.masks)
+    return member.start, tuple(mask_of(poset, member.poset.labels(x)) for x in member.levels())
 
 
 def members_of(family) -> dict:
     """label -> the member of ``family`` at that label, as a filtration on
-    :func:`localization_poset`: column k of the rows, trimmed, its levels
-    carried over by labels."""
-    poset, columns = family.global_poset, zip(*family.rows)
-    return {
-        poset.elements[m]: _member_by_labels(poset, m, *trim(family.start, column))
-        for m, column in zip(poset.maxima, columns)
-    }
+    :func:`localization_poset`: its run, trimmed, its levels carried over by
+    labels."""
+    poset = family.global_poset
+    members = {}
+    for m, column in zip(poset.maxima, family.member_runs()):
+        member = from_packed(poset, family.start, family.length, column)
+        levels = tuple(member.levels())
+        members[poset.elements[m]] = _member_by_labels(poset, m, member.start, levels)
+    return members
 
 
 @functools.cache
 def _member_by_labels(poset, m, start, masks) -> ThomasonFiltration:
     local = localization_poset(poset, poset.elements[m])
-    return ThomasonFiltration(local, start, tuple(mask_of(local, poset.labels(x)) for x in masks))
+    levels = [mask_of(local, poset.labels(x)) for x in masks]
+    return ThomasonFiltration(local, start, len(levels), packed_run(len(local), [levels]))
 
 
 def count_filtration_families(poset, lo, hi) -> int:
@@ -152,10 +166,10 @@ def all_set_families(poset) -> list[dict]:
     return [dict(zip(maxima, combo)) for combo in itertools.product(*locals_)]
 
 
-def set_row(poset, family) -> tuple[int, ...]:
+def set_row(poset, family) -> int:
     """The row (X(m) for m in ``poset.maxima``) of a label -> local set family,
-    in the numbering of ``poset``, as :mod:`spectral_glue.gluing` takes it,
-    carried over by labels.  The keys must be the maximal points and each set
+    in the numbering of ``poset``, packed as :mod:`spectral_glue.gluing`
+    takes it, carried over by labels.  The keys must be the maximal points and each set
     must live on :func:`localization_poset` at its key."""
     if set(family) != poset.maximal_labels:
         raise InvalidInputError("set family must cover exactly the maximal points")
@@ -165,4 +179,4 @@ def set_row(poset, family) -> tuple[int, ...]:
         if family[label].poset != localization_poset(poset, label):
             raise InvalidInputError(f"set at {label!r} lives on the wrong poset")
         row.append(mask_of(poset, family[label].members))
-    return tuple(row)
+    return packed_run(len(poset), [row])

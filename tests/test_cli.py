@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, catalog, sweeps
-from spectral_glue import integers as zz
+from spectral_glue import PolyQuot, ProductRing, ThomasonSet, ZMod, catalog, ring_from_json, sweeps
+from spectral_glue import cli, integers as zz
 from spectral_glue.cli import main
 from spectral_glue.errors import InvalidInputError
 from spectral_glue.rings import spec
-from spectral_glue.thomason import MAX_DEGREE_SPAN
+from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json
 
 Z12 = {"kind": "zmod", "n": 12}
 FILT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
@@ -356,6 +356,20 @@ FUZZ_DIGESTS = {
     # the default bounds
     (): "0f2865f15785f995235fa3fb410b0931a0ac972d01b4baa20ea5cf60b3a003a1",
 }
+
+
+def test_a_key_error_inside_a_verb_is_not_read_as_malformed_input(monkeypatch):
+    """A bug in a verb leaves ``main`` as the KeyError it raised, not as
+    exit 2: ``main`` turns only the package's own refusals and OS errors
+    into an exit code.  The parser is built once per process, so the verb
+    is broken inside, where ``spec`` reads its ring."""
+
+    def broken(args):
+        raise KeyError("a bug in the verb")
+
+    monkeypatch.setattr(cli, "_ring", broken)
+    with pytest.raises(KeyError, match="a bug in the verb"):
+        main(["spec", "--ring", json.dumps({"kind": "zmod", "n": 12})])
 
 
 def test_fuzz_small_and_deterministic(capsys):
@@ -955,3 +969,46 @@ def test_koszul_witness_replays_with_one_call(capsys, monkeypatch, ring):
         code, out = run(capsys, *argv, "--generators", json.dumps(witness["generators"]))
         assert code == 0
         assert json.loads(out)["degrees"]["-1"]["free"] == len(witness["generators"])
+
+
+# the spec of 512 copies of Z/2, 512 maximal points, and a filtration whose
+# breakpoints at 0, 1 and 1000 make a run of 1,001 levels
+MANY_MAXIMA = {"kind": "product", "factors": [{"kind": "zmod", "n": 2}] * 512}
+LONG_RUN = {
+    "low_tail": "full",
+    "breakpoints": [{"n": 0, "set": "full"}, {"n": 1, "set": ["0:(2)"]}, {"n": 1000, "set": []}],
+    "high_tail": [],
+}
+
+
+def test_a_filtration_does_not_grow_with_the_maximal_points(capsys):
+    """A filtration holds each level once, n bits on n points, and not once
+    per maximal point: on 512 maximal points its run is 1,001 levels of 512
+    bits, and tstr-classify, aisle-test and tstr-localize
+    answer as before, each within 2 s."""
+    ring, filt = json.dumps(MANY_MAXIMA), json.dumps(LONG_RUN)
+    poset = spec(ring_from_json(MANY_MAXIMA))
+    read = filtration_from_json(poset, LONG_RUN)
+    assert (read.start, read.length, len(poset.maxima)) == (0, 1_001, 512)
+    assert read.packed.bit_length() <= read.length * len(poset) == 1_001 * 512
+    calls = [
+        (["tstr-classify", "--ring", ring, "--filtration", filt], "nondegenerate\n"),
+        (["aisle-test", "--ring", ring, "--filtration", filt,
+          "--complex", json.dumps({"terms": {"0": {"free": 1}}})], "in aisle\n"),
+    ]
+    for argv, expected in calls:
+        start = time.monotonic()
+        code, out = run(capsys, *argv)
+        assert time.monotonic() - start < 2, argv[0]
+        assert (code, out) == (0, expected)
+    start = time.monotonic()
+    code, out = run(capsys, "--json", "tstr-localize", "--ring", ring, "--filtration", filt)
+    assert time.monotonic() - start < 2
+    assert code == 0
+    local = json.loads(out)["localizations"]
+    assert len(local) == 512
+    # the member at 0:(2) steps down after 999, every other one after 0
+    step = lambda n: {"low_tail": "full", "breakpoints": [{"n": n, "set": "full"}], "high_tail": []}
+    for label, member in local.items():
+        n = 999 if label == "0:(2)" else 0
+        assert member == {"ring": {"kind": "zmod", "n": 2}, "filtration": step(n)}

@@ -26,6 +26,7 @@ from spectral_glue.thomason import (
     set_from_json,
     trim,
 )
+from spectral_glue.gluing import row_masks
 
 from conftest import (
     all_filtration_families,
@@ -37,6 +38,7 @@ from conftest import (
     mask_of,
     member_json,
     members_of,
+    packed_run,
     set_row,
     up,
 )
@@ -74,7 +76,7 @@ def test_compatible_family_glues_to_union_of_stars(vee):
 
 def test_a_row_is_converted_from_the_maximal_points_and_their_localizations(vee):
     full = {"m1": local_full(vee, "m1"), "m2": local_full(vee, "m2")}
-    assert set_row(vee, full) == tuple(vee.down[m] for m in vee.maxima)
+    assert row_masks(vee, set_row(vee, full)) == [vee.down[m] for m in vee.maxima]
     with pytest.raises(InvalidInputError, match="cover exactly the maximal points"):
         set_row(vee, {"m1": full["m1"]})
     with pytest.raises(InvalidInputError, match="set at 'm2' lives on the wrong poset"):
@@ -188,7 +190,7 @@ def test_check_dagger_at_level(vee):
     full, empty = ThomasonSet.full(vee), ThomasonSet.empty(vee)
     filt = make_filtration(vee, full, [(0, up(vee, "m1"))], empty)
     family = localize_filtrations(filt)
-    assert glue_sets(vee, dict(zip(family.degrees, family.rows))[0]) == filt.at(0)
+    assert glue_sets(vee, dict(zip(family.degrees, family.rows()))[0]) == filt.at(0)
     assert glue_filtrations(family) == filt
 
 
@@ -204,14 +206,14 @@ def test_rows_read_every_member_at_each_degree():
             expected = tuple(
                 set_row(poset, {m: f.at(n) for m, f in members.items()}) for n in family.degrees
             )
-            assert family.rows == expected
+            assert tuple(family.rows()) == expected
             families += 1
     assert families == 12_980
 
 
 def test_every_family_is_a_run_of_rows_in_normal_form():
     """Families compare equal exactly when their members do only because each
-    is kept in the normal form of trim, as a tuple of row tuples: every
+    is kept in the normal form of trim, as one int: every
     family that the catalog lists, that localizing a filtration gives, and
     that from_members reads, over the posets of at most 4 points on [-2, 1]."""
     counts = [0, 0, 0]
@@ -226,9 +228,9 @@ def test_every_family_is_a_run_of_rows_in_normal_form():
         )
         for k, families in enumerate(sources):
             for family in families:
-                assert trim(family.start, family.rows) == (family.start, family.rows)
-                assert type(family.rows) is tuple
-                assert all(type(row) is tuple for row in family.rows)
+                run = family.start, family.length, family.packed
+                assert trim(len(poset), len(poset.maxima), *run) == run
+                assert type(family.packed) is int
             counts[k] += len(families)
     assert counts == [3_800, 3_800, 12_980]
 
@@ -278,11 +280,12 @@ def test_glue_asserts_that_an_agreeing_row_glues_to_an_up_set(vee, glued):
     that agrees but is not one trips the assert, whether the point whose
     up-set leaves the glued mask is its lowest bit or a higher one."""
     mask = mask_of(vee, glued)
-    row = tuple(mask & below for below in vee.maximal_downs)
+    row = localize_sets(ThomasonSet(vee, mask))
     with pytest.raises(AssertionError, match="glued set of a compatible family must be Thomason"):
         glue_sets(vee, row)
     full = localize_sets(ThomasonSet.full(vee))
-    family = LocalFamily(vee, -1, (full, row))
+    columns = zip(row_masks(vee, full), row_masks(vee, row))
+    family = LocalFamily(vee, -1, 2, packed_run(len(vee), list(columns)))
     with pytest.raises(AssertionError, match="glued set of a compatible family must be Thomason"):
         glue_filtrations(family)
 
@@ -400,6 +403,7 @@ def test_mask_gluing_matches_label_sets_on_the_catalog():
             x = set_from_json(poset, sorted(members))
             local = localize_sets(x)
             assert [poset.elements[m] for m in poset.maxima] == maxima
+            local = row_masks(poset, local)
             assert [frozenset(poset.labels(s)) for s in local] == [members & down[m] for m in maxima]
         expected = [dict(zip(maxima, combo)) for combo in itertools.product(*local_ups.values())]
         families = all_set_families(poset)

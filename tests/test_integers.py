@@ -24,7 +24,7 @@ from spectral_glue.integers import (
     z_poset,
     z_witness,
 )
-from spectral_glue.gluing import localize_sets
+from spectral_glue.gluing import localize_sets, row_masks
 from spectral_glue.poset import SpectralPoset
 
 from conftest import leq, localization_poset, members_of
@@ -84,7 +84,7 @@ def test_the_direct_star_matches_the_generic_builder(primes):
 def _restricted(s):
     """Maximal label -> the labels of the restriction of ``s`` to its chain."""
     poset = s.poset
-    return {poset.elements[m]: set(poset.labels(x)) for m, x in zip(poset.maxima, localize_sets(s))}
+    return {poset.elements[m]: set(poset.labels(x)) for m, x in zip(poset.maxima, row_masks(poset, localize_sets(s)))}
 
 
 def test_restrict_to_chain():

@@ -38,6 +38,7 @@ from conftest import (
     family_by_labels,
     localization_poset,
     members_of,
+    packed_run,
     set_row,
     window,
 )
@@ -127,7 +128,8 @@ def reference_make_filtration(poset, low_tail, breakpoints, high_tail):
     window with one tail degree on each side."""
     ref = reference_trim(poset, low_tail, breakpoints, high_tail)
     _, levels = ref.levels()
-    return ThomasonFiltration(poset, ref.lo - 1, tuple(s.mask for s in levels))
+    masks = [s.mask for s in levels]
+    return ThomasonFiltration(poset, ref.lo - 1, len(masks), packed_run(len(poset), [masks]))
 
 
 def reference_restrict_filtration(filtration, m):
@@ -137,7 +139,7 @@ def reference_restrict_filtration(filtration, m):
     local = localization_poset(poset, m)
     below = set(local.elements)
     levels = [
-        set_from_json(local, [p for p in poset.labels(x) if p in below]) for x in filtration.masks
+        set_from_json(local, [p for p in poset.labels(x) if p in below]) for x in filtration.levels()
     ]
     return reference_make_filtration(
         local,

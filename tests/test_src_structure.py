@@ -1,13 +1,13 @@
 """One numbering of points in the whole package: Spec(R_m) is the down-set
 of m in the numbering of its poset, and no module builds it as a poset of
-its own.  One form of a local family: its run of rows on the global poset,
-one row (X_n(m) for m maximal) per degree.
+its own.  One form of a local family: one packed int on the global poset,
+read through its accessors.
 
 So no file under ``src/`` defines, calls or imports ``pack``, ``unpack``,
 ``localization`` or ``localization_poset``, or names ``_below`` or
 ``_localizations``, and none reads an attribute ``filtrations`` or
 ``columns``: a family holds no member filtrations and no columns beside its
-rows.
+one int.
 """
 
 import ast

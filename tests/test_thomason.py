@@ -9,7 +9,7 @@ from spectral_glue import (
     localize_sets,
     make_filtration,
 )
-from spectral_glue.gluing import localize_filtrations
+from spectral_glue.gluing import localize_filtrations, row_masks
 from spectral_glue.thomason import (
     filtration_from_json,
     filtration_to_json,
@@ -108,8 +108,11 @@ def test_nondegenerate_and_constant_predicates(vee):
 
 def test_restrict_set(vee):
     # localize_sets restricts a set to every maximal point, m1 then m2
-    assert [vee.labels(x) for x in localize_sets(up(vee, "m1", "m2"))] == [("m1",), ("m2",)]
-    assert [vee.labels(x) for x in localize_sets(ThomasonSet.full(vee))] == [
+    assert [vee.labels(x) for x in row_masks(vee, localize_sets(up(vee, "m1", "m2")))] == [
+        ("m1",),
+        ("m2",),
+    ]
+    assert [vee.labels(x) for x in row_masks(vee, localize_sets(ThomasonSet.full(vee)))] == [
         ("m1", "p"),
         ("m2", "p"),
     ]

@@ -21,6 +21,11 @@ from spectral_glue.torsion_cosilting import CosiltingModule, cosilting_from_modu
 from conftest import up
 
 
+# on the vee, numbered m1, m2, p: the member at m1 runs {m1, p}, {m1}, {} and
+# the member at m2 runs {m2, p}, {}, {}, each three levels of three bits
+FAMILY = 0b000_000_110_000_001_101
+
+
 @pytest.fixture
 def samples(vee):
     """{type name: (value, a value of equal fields, [(field, a value that
@@ -40,20 +45,22 @@ def samples(vee):
         ),
         "ThomasonFiltration": (
             step,
-            ThomasonFiltration(vee, step.start, step.masks),
+            ThomasonFiltration(vee, step.start, step.length, step.packed),
             [
-                ("poset", ThomasonFiltration(chain, step.start, step.masks)),
-                ("start", ThomasonFiltration(vee, step.start + 1, step.masks)),
-                ("masks", ThomasonFiltration(vee, step.start, step.masks[::-1])),
+                ("poset", ThomasonFiltration(chain, step.start, step.length, step.packed)),
+                ("start", ThomasonFiltration(vee, step.start + 1, step.length, step.packed)),
+                ("length", ThomasonFiltration(vee, step.start, step.length + 1, step.packed)),
+                ("packed", ThomasonFiltration(vee, step.start, step.length, step.packed ^ 1)),
             ],
         ),
         "LocalFamily": (
-            LocalFamily(vee, -1, ((5, 6), (1, 0), (0, 0))),
-            LocalFamily(vee, -1, ((5, 6), (1, 0), (0, 0))),
+            LocalFamily(vee, -1, 3, FAMILY),
+            LocalFamily(vee, -1, 3, FAMILY),
             [
-                ("global_poset", LocalFamily(chain, -1, ((5, 6), (1, 0), (0, 0)))),
-                ("start", LocalFamily(vee, 0, ((5, 6), (1, 0), (0, 0)))),
-                ("rows", LocalFamily(vee, -1, ((5, 6), (0, 0)))),
+                ("global_poset", LocalFamily(chain, -1, 3, FAMILY)),
+                ("start", LocalFamily(vee, 0, 3, FAMILY)),
+                ("length", LocalFamily(vee, -1, 2, FAMILY)),
+                ("packed", LocalFamily(vee, -1, 3, FAMILY ^ 1)),
             ],
         ),
         "FreeTerm": (FreeTerm(3), FreeTerm(3), [("rank", FreeTerm(2))]),
@@ -81,8 +88,8 @@ def samples(vee):
 
 FIELDS = {
     "ThomasonSet": ("poset", "mask"),
-    "ThomasonFiltration": ("poset", "start", "masks"),
-    "LocalFamily": ("global_poset", "start", "rows"),
+    "ThomasonFiltration": ("poset", "start", "length", "packed"),
+    "LocalFamily": ("global_poset", "start", "length", "packed"),
     "FreeTerm": ("rank",),
     "LocalFactor": ("label", "prime_gen", "idempotent", "ring", "proj_table", "lift_of"),
     "Ideal": ("ring", "generators"),
@@ -133,10 +140,10 @@ def test_thomason_sets_are_ordered_by_inclusion_only(vee):
 
 
 def test_reprs_are_unchanged(vee):
-    family = LocalFamily(vee, -1, ((5, 6), (1, 0), (0, 0)))
+    family = LocalFamily(vee, -1, 3, FAMILY)
     assert repr(family) == (
         "LocalFamily(global_poset=SpectralPoset(['m1', 'm2', 'p'], [('p', 'm1'), ('p', 'm2')]), "
-        "start=-1, rows=((5, 6), (1, 0), (0, 0)))"
+        "start=-1, length=3, packed=3085)"
     )
     assert repr(FreeTerm(3)) == "FreeTerm(rank=3)"
     assert repr(Ideal(ZMod(12), [2, 3])) == "Ideal(ring=Z/12, generators=(2, 3))"
