@@ -419,7 +419,8 @@ def cmd_fuzz(args) -> int:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: a build costs many parses, and parsing
-    leaves the parser unchanged."""
+    leaves the parser unchanged.  Each verb is stored by name and looked up
+    when ``main`` runs it, so a verb replaced on this module is the one run."""
     parser = argparse.ArgumentParser(
         prog="spectral-glue",
         description="Thomason filtrations, local-global gluing, and homological "
@@ -434,20 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, required=True)
         for flag, kwargs in named.items():
             p.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
-        p.set_defaults(handler=handler)
-        return p
+        p.set_defaults(handler=handler.__name__)
 
     add("spec", cmd_spec, "--ring")
-    p = add("localize", cmd_localize, "--filtration")
-    p.add_argument("--ring")
-    p.add_argument("--poset")
+    add("localize", cmd_localize, "--filtration", ring={}, poset={})
     add("glue", cmd_glue, "--family")
     add("compat-check", cmd_compat_check, "--family")
     add("lemma-equiv", cmd_lemma_equiv, "--family")
     add("koszul", cmd_koszul, "--ring", "--generators")
     add("cohomology", cmd_cohomology, "--ring", "--complex")
-    p = add("derived-hom", cmd_derived_hom, "--ring", "--complex", "--target")
-    p.add_argument("--degree", type=int, default=0)
+    add("derived-hom", cmd_derived_hom, "--ring", "--complex", "--target",
+        degree={"type": int, "default": 0})
     add("aisle-test", cmd_aisle_test, "--ring", "--filtration", "--complex")
     add("coaisle-test", cmd_coaisle_test, "--ring", "--filtration", "--complex")
     add("tstr-localize", cmd_tstr_localize, "--ring", "--filtration")
@@ -457,11 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("cosilting-set", cmd_cosilting_set, "--cosilting")
     add("cosilting-glue", cmd_cosilting_glue, "--family")
     add("cosilting-split", cmd_cosilting_split, "--cosilting")
-    p = sub.add_parser("fuzz")
-    p.add_argument("--max-poset", type=int, default=5)
-    p.add_argument("--max-ring", type=int, default=24)
-    p.add_argument("--window", type=int, nargs=2, default=(-1, 1))
-    p.set_defaults(handler=cmd_fuzz)
+    add("fuzz", cmd_fuzz, max_poset={"type": int, "default": 5},
+        max_ring={"type": int, "default": 24}, window={"type": int, "nargs": 2, "default": (-1, 1)})
     return parser
 
 
@@ -469,7 +464,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[args.handler](args)
     except (SpectralGlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -178,7 +178,7 @@ def z_family_from_json(data: Mapping) -> LocalFamily:
                 f"MAX_Z_PRIME = {MAX_Z_PRIME}"
             )
     if "default" not in data:
-        raise InvalidInputError("malformed Z family JSON: 'default'")
+        raise InvalidInputError("Z family JSON needs the field 'default'")
     primes = {p: int(p.lstrip("0") or "0") for p in exceptions}
     key_of = {}
     for key, p in primes.items():

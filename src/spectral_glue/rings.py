@@ -52,7 +52,7 @@ from collections.abc import Callable, Mapping
 from functools import cached_property, lru_cache, reduce
 
 from . import modules
-from .errors import InvalidInputError, UnsupportedRingError, json_int, json_object
+from .errors import InvalidInputError, UnsupportedRingError, json_int, json_list, json_object
 from .modules import FiniteModule
 from .poset import SpectralPoset
 from .thomason import ThomasonSet
@@ -828,12 +828,12 @@ def all_ideals(ring: FiniteRing) -> list[Ideal]:
 def module_presentation(ring: FiniteRing, data: Mapping) -> tuple[int, list[tuple]]:
     """Module JSON: {"relations": [[...]], "rank": r} (rank optional with
     relations), read as the presentation (r, relation rows) of R^r/(relations)."""
-    json_object(data, "module JSON")
-    try:
-        relations = [tuple(ring.element_from_json(c) for c in row) for row in data.get("relations", [])]
-        rank = data.get("rank", len(relations[0]) if relations else 1)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise InvalidInputError(f"malformed module JSON: {exc}") from exc
+    rows = json_list(json_object(data, "module JSON").get("relations", []), "'relations'")
+    relations = [
+        tuple(ring.element_from_json(c) for c in json_list(row, "a row of 'relations'"))
+        for row in rows
+    ]
+    rank = data.get("rank", len(relations[0]) if relations else 1)
     return json_int(rank, "module 'rank'"), relations
 
 

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import modules as mod
 from . import rings as rng
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_object
 from .modules import ENUMERATION_LIMIT, FiniteModule, power_exceeds
 from .poset import PrimeId
 from .rings import FiniteRing, Ideal
@@ -385,12 +385,13 @@ def cosilting_from_json(ring: FiniteRing, data: Mapping) -> CosiltingModule:
     x_1 eta(e_1) + ... + x_r eta(e_r), which is a module map exactly when
     every relation row of Q0 goes to zero.
     """
-    try:
-        r0, relations = rng.module_presentation(ring, data["q0"])
-        r1, relations1 = rng.module_presentation(ring, data["q1"])
-        eta_rows = data.get("eta", [])
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed cosilting JSON: {exc}") from exc
+    json_object(data, "cosilting JSON")
+    for name in ("q0", "q1"):
+        if name not in data:
+            raise InvalidInputError(f"cosilting JSON needs the field {name!r}")
+    r0, relations = rng.module_presentation(ring, data["q0"])
+    r1, relations1 = rng.module_presentation(ring, data["q1"])
+    eta_rows = data.get("eta", [])
     ring.elements()  # the integers adapter raises here
     # a power over the bound is not formed: any order past it is refused
     bound = MAX_COPRESENTATION_STEPS

@@ -361,8 +361,8 @@ FUZZ_DIGESTS = {
 def test_a_key_error_inside_a_verb_is_not_read_as_malformed_input(monkeypatch):
     """A bug in a verb leaves ``main`` as the KeyError it raised, not as
     exit 2: ``main`` turns only the package's own refusals and OS errors
-    into an exit code.  The parser is built once per process, so the verb
-    is broken inside, where ``spec`` reads its ring."""
+    into an exit code.  Here the verb is broken inside, where ``spec`` reads
+    its ring."""
 
     def broken(args):
         raise KeyError("a bug in the verb")
@@ -370,6 +370,82 @@ def test_a_key_error_inside_a_verb_is_not_read_as_malformed_input(monkeypatch):
     monkeypatch.setattr(cli, "_ring", broken)
     with pytest.raises(KeyError, match="a bug in the verb"):
         main(["spec", "--ring", json.dumps({"kind": "zmod", "n": 12})])
+
+
+TORSION_ARGV = ["torsion", "--ring", json.dumps(Z12), "--module", '{"relations": [[4]]}',
+                "--set", '["(3)"]']
+COSILTING_ARGV = ["cosilting-set", "--cosilting", json.dumps(
+    {"ring": Z12, "q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}, "eta": [[0]]})]
+
+
+def test_a_verb_patched_on_cli_is_the_verb_that_main_runs(capsys, monkeypatch):
+    """The parser is built once per process, and ``main`` still runs the
+    verb that ``cli`` holds when it is called."""
+    assert main(TORSION_ARGV) == 0
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_torsion", lambda args: ran.append(args.set) or 7)
+    assert main(TORSION_ARGV) == 7
+    assert ran == ['["(3)"]']
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+@pytest.mark.parametrize("argv", [TORSION_ARGV, COSILTING_ARGV], ids=["torsion", "cosilting-set"])
+def test_a_fault_inside_an_element_reader_is_not_read_as_malformed_input(monkeypatch, argv, error):
+    """The module and cosilting readers check the shapes they read, so a
+    fault below them leaves ``main`` as itself, not as exit 2."""
+
+    def broken(ring, value):
+        raise error("a bug in the element reader")
+
+    monkeypatch.setattr(ZMod, "element_from_json", broken)
+    with pytest.raises(error, match="a bug in the element reader"):
+        main(argv)
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_fault_inside_a_patched_verb_leaves_main(monkeypatch, error):
+    """The verb is patched after the parser is built, as in a process that
+    has parsed before."""
+    cli.build_parser()
+
+    def broken(args):
+        raise error("a bug in the verb")
+
+    monkeypatch.setattr(cli, "cmd_cosilting_split", broken)
+    with pytest.raises(error, match="a bug in the verb"):
+        main(["cosilting-split", *COSILTING_ARGV[1:]])
+
+
+def _torsion_of(module):
+    return ["torsion", "--ring", json.dumps(Z12), "--module", json.dumps(module), "--set", "[]"]
+
+
+def _cosilting_set(data):
+    return ["cosilting-set", "--cosilting", json.dumps(dict(data, ring=Z12))]
+
+
+# each malformed field of module, cosilting or Z family JSON is refused once,
+# with its name and no Python exception text
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_torsion_of({"relations": 5}), "'relations' must be a JSON array, got 5"),
+        (_torsion_of({"relations": "ab"}), "'relations' must be a JSON array, got 'ab'"),
+        (_torsion_of({"relations": [1]}), "a row of 'relations' must be a JSON array, got 1"),
+        (_cosilting_set({"q1": {"rank": 1}}), "cosilting JSON needs the field 'q0'"),
+        (_cosilting_set({"q0": {"rank": 1}}), "cosilting JSON needs the field 'q1'"),
+        (["cosilting-glue", "--family", json.dumps({"ring": Z12, "components": {"(2)": [1]}})],
+         "cosilting JSON must be a JSON object, got [1]"),
+        (["glue", "--family", json.dumps({"poset": INTEGERS})],
+         "Z family JSON needs the field 'default'"),
+    ],
+    ids=["relations-int", "relations-string", "relations-row-int", "cosilting-without-q0",
+         "cosilting-without-q1", "cosilting-component-list", "z-family-without-default"],
+)
+def test_a_malformed_module_or_cosilting_field_is_named(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fuzz_small_and_deterministic(capsys):

@@ -205,6 +205,12 @@ def test_eta_shape_is_validated(z12):
         cosilting_from_json(z12, {"q0": {"relations": [[3]]}, "q1": {"relations": [[4]]}, "eta": []})
 
 
+def test_cosilting_json_that_is_no_object_is_named(z12):
+    with pytest.raises(InvalidInputError) as err:
+        cosilting_from_json(z12, [1])
+    assert str(err.value) == "cosilting JSON must be a JSON object, got [1]"
+
+
 def test_eta_is_evaluated_through_the_relations_of_q0(z12):
     c = cosilting_from_json(z12, {"q0": {"rank": 1}, "q1": {"relations": [[4]]}, "eta": [[1]]})
     assert sorted(c.module.elements) == [(0,), (4,), (8,)]

@@ -36,7 +36,10 @@ apart.  The ``--max-poset``, ``--max-ring``
 and ``--window`` of ``fuzz`` take integers around and far past the catalog
 bounds, with every sweep replaced by an empty report; each call must exit 0
 or 2 within two seconds, and an exit 2 must name a bound or the reversed
-window.  Hypothesis runs derandomized, so the suite stays deterministic.
+window.  No exit 2 of any of these calls may carry Python's own exception
+text, such as "'int' object is not iterable": a reader names the field
+whose shape it refuses.  Hypothesis runs derandomized, so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -85,6 +88,8 @@ FAR_KEYS = [str(10**9), str(-(10**9))]
 # a far degree, and Z primes over the trial-division bound: the last two took
 # minutes or raised before they were refused
 BIGS = [10**9, -(10**9), 10**18 + 3, 10**400 + 1]
+# the texts of Python's TypeError on a value of the wrong JSON type
+PYTHON_TEXTS = ("object is not iterable", "object is not subscriptable", "indices must be integers")
 
 
 LEVEL_KEYS = ("low_tail", "high_tail", "set")
@@ -250,6 +255,7 @@ def _exits_cleanly(name, argv, seconds, named, codes=(0, 1, 2)) -> str:
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert named.search(err.getvalue()), (name, argv, err.getvalue())
+        assert not any(text in err.getvalue() for text in PYTHON_TEXTS), (name, argv, err.getvalue())
     return err.getvalue()
 
 
