@@ -6,10 +6,11 @@ sets and of local filtrations; small-ring catalogs and generated complexes.
 A family of local sets is a row, X(m) for m in ``poset.maxima`` in the
 numbering of the poset packed by :func:`~spectral_glue.gluing.make_row`, the
 form :mod:`spectral_glue.gluing` takes, and a family of filtrations is a
-:class:`~spectral_glue.gluing.LocalFamily`, a decreasing run of such rows
-built by :meth:`~spectral_glue.gluing.LocalFamily.from_run` in normal form;
-the compatible ones are listed by the gluing condition, not by gluing.
-Chains are packed as they are extended, one level at a time.  Everything
+:class:`~spectral_glue.gluing.LocalFamily`, built from a decreasing run of
+such rows, packed as a filtration's levels are, by
+:meth:`~spectral_glue.gluing.LocalFamily.from_rows` in normal form; the
+compatible ones are listed by the gluing condition, not by gluing.  Chains
+are packed as they are extended, one level at a time.  Everything
 is deterministic: corpora come back in a fixed order.
 """
 
@@ -22,11 +23,11 @@ from functools import lru_cache
 
 from . import homalg, rings as rng
 from .errors import InvalidInputError
-from .gluing import LocalFamily, local_up_sets, make_row, row_masks
+from .gluing import LocalFamily, local_up_sets, make_row
 from .homalg import BoundedComplex
 from .poset import SpectralPoset, all_up_sets
 from .rings import FiniteRing
-from .thomason import ThomasonFiltration, ThomasonSet, concat, from_packed, ones
+from .thomason import ThomasonFiltration, ThomasonSet, from_packed, ones
 
 
 # -- poset catalog -----------------------------------------------------------
@@ -148,18 +149,16 @@ def check_window(count: int, lo: int, hi: int, scope: str = "") -> None:
         )
 
 
-def _chains(items: list[int], length: int, width: int, place=None) -> list[int]:
+def _chains(items: list[int], length: int, width: int) -> list[int]:
     """Every chain c_0 >= c_1 >= ... of ``length`` of the masks ``items``
     under inclusion, in the lexicographic order of ``items``, as the packed
-    run of ``place(c_k)`` (by default c_k) shifted by k·width: each item's
-    list of the items below it is built once, and every chain is extended
-    one level at a time."""
-    placed = {x: place(x) for x in items} if place else {x: x for x in items}
+    run of c_k shifted by k·width: each item's list of the items below it is
+    built once, and every chain is extended one level at a time."""
     below = {x: [y for y in items if not y & ~x] for x in items}
-    chains = [(placed[x], x) for x in items]
+    chains = [(x, x) for x in items]
     for k in range(1, length):
         shift = k * width
-        chains = [(run | placed[y] << shift, y) for run, x in chains for y in below[x]]
+        chains = [(run | y << shift, y) for run, x in chains for y in below[x]]
     return [run for run, _ in chains]
 
 
@@ -210,11 +209,9 @@ def compatible_filtration_families(poset: SpectralPoset, lo: int, hi: int) -> li
     there are global filtrations on the window, so the window is refused by
     :func:`count_filtrations` of ``poset``."""
     check_window(count_filtrations(poset, lo, hi), lo, hi)
-    width, length = len(poset.elements), hi - lo + 1
-    # a row's local sets moved to the members' slots of the run
-    spread = lambda row: concat(row_masks(poset, row), width * length)
-    runs = _chains(compatible_set_rows(poset), length, width, spread)
-    return [LocalFamily.from_run(poset, lo, length, run) for run in runs]
+    length, width = hi - lo + 1, len(poset.elements) * len(poset.maxima)
+    runs = _chains(compatible_set_rows(poset), length, width)
+    return [LocalFamily.from_rows(poset, lo, length, run) for run in runs]
 
 
 # -- ring catalogs -----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Callable
 from functools import cache
@@ -55,10 +56,13 @@ def _load_json(args, name: str):
 
 
 def _emit(args, payload: dict, human: str):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(human)
+    """Print the report, and flush it, so that a reader that has gone is
+    seen here: the verdict then stands in the exit code, and stdout goes to
+    the null device, where the interpreter's last flush cannot fail."""
+    try:
+        print(json.dumps(payload, sort_keys=True, indent=2) if args.json else human, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _ring(args):

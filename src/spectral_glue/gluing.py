@@ -12,17 +12,19 @@ witness, and a caller that only asks "compatible?" catches it.
 :func:`check_lemma_equiv` compares that condition with the ideal-family
 description of the same family.
 
-The layout is that of :mod:`spectral_glue.thomason`'s packed runs, one
-column per maximal point.  On an n-point poset with maxima m_0 < m_1 < ...,
-a family of local sets is a row, one int with X(m_j) at bits [j·n,
-(j+1)·n) (:func:`make_row`, :func:`localize_sets`, :func:`row_masks`).  A
-family of local filtrations, :class:`LocalFamily`, is one int for all its
-degrees: the members' runs side by side in the numbering of the global
-poset, level k of member j at bits [(j·L + k)·n, (j·L + k + 1)·n), so a row
-is the one-level case.  Members side by side, not rows, make localizing and
-gluing whole-int operations on the filtration's own run; reading a row
-costs a pass over the members, which only the wire, ``lemma-equiv`` and an
-incompatible degree pay.
+On an n-point poset with maxima m_0 < m_1 < ..., a family of local sets
+is a row, one int with X(m_j) at bits [j·n, (j+1)·n) (:func:`make_row`,
+:func:`localize_sets`, :func:`row_masks`).  A family of local filtrations,
+:class:`LocalFamily`, is one int for all its degrees: the members' runs
+side by side in the numbering of the global poset, level k of member j at
+bits [(j·L + k)·n, (j·L + k + 1)·n), so a row is the one-level case.  This
+member layout is this module's alone; other modules read a family through
+:meth:`LocalFamily.rows` and :meth:`LocalFamily.members`.  Members side by
+side, not rows, make localizing and gluing whole-int operations on the
+filtration's own run; reading the rows costs a pass over the members,
+which only the wire, ``lemma-equiv`` and an incompatible degree pay, and
+:meth:`LocalFamily.from_rows` places a run of rows in the members' slots
+one row at a time, through a memo of placed rows.
 
 Localizing multiplies the run by ``copies``, bit 0 of every member's slot,
 to repeat it in every slot, and masks each copy into its star with
@@ -38,21 +40,21 @@ asserted to be a run of up-sets once for each point i that is not maximal:
 the up-set of i lies in every level that holds i.  A maximal point's
 up-set is itself.
 
-Neither map trims, and both give the normal form of
-:func:`~spectral_glue.thomason.trim`: localizing is injective, as the
-down-sets of the maximal points cover the poset, so the rows of a localized
-run are equal exactly where its levels are; gluing is its inverse on
-compatible rows.
+Neither map trims, and both give the normal form of a family, its run of
+rows trimmed by :func:`~spectral_glue.thomason.trim`: localizing is
+injective, as the down-sets of the maximal points cover the poset, so the
+rows of a localized run are equal exactly where its levels are; gluing is
+its inverse on compatible rows.
 
 A family is checked once, where it enters: :meth:`LocalFamily.from_members`
 checks the keys of label-keyed member JSON, reads each member to its
 trimmed run and checks the span, and :meth:`LocalFamily.from_default`
 checks its exception keys and its default's poset, then reads each
 exception as ``from_members`` does; both then pad the members to common
-degrees.  :meth:`LocalFamily.from_run` normalises a run built by the
-package.  Set families have no wire, so a row is built by the package and
-not checked again.  The level codec of :mod:`spectral_glue.thomason` at m
-reads and writes every level of a member at m and every X(m) of a row:
+degrees.  :meth:`LocalFamily.from_rows` normalises a run of rows built by
+the package.  Set families have no wire, so a row is built by the package
+and not checked again.  The level codec of :mod:`spectral_glue.thomason`
+at m reads and writes every level of a member at m and every X(m) of a row:
 "full" is ``down[m]``, and a list names points of ``down[m]`` by label.  A
 :class:`LocalFamily` (global_poset, start, length, packed) is an immutable
 value on :class:`spectral_glue.values.Value`, equal and hashed by those four
@@ -93,12 +95,13 @@ class LocalFamily(Value):
     [(j·length + k)·n, (j·length + k + 1)·n) of ``packed``, an up-set of
     ``down[m_j]`` in the numbering of ``global_poset``.  As in a
     filtration's run, level 0 is the low tail and level length - 1 the high
-    tail, and the run is in the normal form of
+    tail, and the run of its rows is in the normal form of
     :func:`~spectral_glue.thomason.trim`, so equal families compare equal.
-    :meth:`member_runs` reads the members' runs and :meth:`rows` the row of
-    each degree.  The constructor checks nothing; a family from outside the
-    package is built by :meth:`from_members` or :meth:`from_default`.  A
-    family over Z is one of these on :func:`spectral_glue.integers.z_poset`.
+    :meth:`members` reads the members, each a filtration in normal form, and
+    :meth:`rows` the row of each degree.  The constructor checks nothing; a
+    family from outside the package is built by :meth:`from_members` or
+    :meth:`from_default`.  A family over Z is one of these on
+    :func:`spectral_glue.integers.z_poset`.
     """
 
     __slots__ = _fields = ("global_poset", "start", "length", "packed")
@@ -114,28 +117,39 @@ class LocalFamily(Value):
     def degrees(self) -> range:
         return range(self.start, self.start + self.length)
 
-    def member_runs(self) -> list[int]:
-        """The members' runs, one per maximal point in poset order, each
-        ``length`` levels in the numbering of the global poset."""
-        poset = self.global_poset
-        return slots(self.packed, len(poset.elements) * self.length, len(poset.maxima))
+    def members(self) -> list[ThomasonFiltration]:
+        """The members, one per maximal point in poset order, each a
+        filtration in normal form in the numbering of the global poset."""
+        poset, start, length = self.global_poset, self.start, self.length
+        runs = slots(self.packed, len(poset.elements) * length, len(poset.maxima))
+        return [from_packed(poset, start, length, run) for run in runs]
 
     def rows(self) -> list[int]:
         """The row of each level, degree start + k at k, as :func:`make_row`
         packs it."""
         width, length = len(self.global_poset.elements), self.length
-        levels = [slots(run, width, length) for run in self.member_runs()]
+        runs = slots(self.packed, width * length, len(self.global_poset.maxima))
+        levels = [slots(run, width, length) for run in runs]
         return [concat(row, width) for row in zip(*levels)] if levels else [0] * length
 
     @classmethod
-    def from_run(
-        cls, global_poset: SpectralPoset, start: int, length: int, packed: int
+    def from_rows(
+        cls, global_poset: SpectralPoset, start: int, length: int, run: int
     ) -> "LocalFamily":
-        """The family of a packed run of members, in this layout, that
-        decreases in each member, in the normal form of
-        :func:`~spectral_glue.thomason.trim`."""
-        width, members = len(global_poset.elements), len(global_poset.maxima)
-        return cls(global_poset, *trim(width, members, start, length, packed))
+        """The family of a run of ``length`` rows that decreases in each
+        member, the row of degree start + k at bits [k·w, (k+1)·w) for w =
+        n·|maxima|: the run is trimmed as a filtration's is, and each row of
+        the trimmed run is placed in the members' slots."""
+        width = len(global_poset.elements)
+        start, length, run = trim(width * len(global_poset.maxima), start, length, run)
+        layout = _layout(global_poset, length)
+        placed, packed = layout.placed, 0
+        for k, row in enumerate(slots(run, width * layout.members, length)):
+            spread = placed.get(row)
+            if spread is None:
+                spread = placed[row] = concat(row_masks(global_poset, row), layout.stride)
+            packed |= spread << k * width
+        return cls(global_poset, start, length, packed)
 
     @classmethod
     def from_members(
@@ -172,13 +186,10 @@ class LocalFamily(Value):
             raise InvalidInputError(f"family exception key {extra[0]!r} is not a maximal point")
         if default.poset != global_poset:
             raise InvalidInputError("the default filtration lives on the wrong poset")
-        labels, start, length = global_poset.elements, default.start, default.length
-        localized = localize_filtrations(default).member_runs()
+        labels, localized = global_poset.elements, localize_filtrations(default).members()
         columns = [
-            _column(global_poset, m, exceptions[labels[m]])
-            if labels[m] in exceptions
-            else from_packed(global_poset, start, length, column)
-            for m, column in zip(global_poset.maxima, localized)
+            _column(global_poset, m, exceptions[labels[m]]) if labels[m] in exceptions else member
+            for m, member in zip(global_poset.maxima, localized)
         ]
         return _padded(global_poset, columns)
 
@@ -230,10 +241,14 @@ class _Layout:
     ``width`` bits a level, ``stride`` bits a member and ``members`` of
     them; ``run``, bit 0 of every level of one member; ``copies``, bit 0 of
     the slots of the first members, and ``doublings``, the shifts that copy
-    those to the rest; ``downs``, down[m_j] at every level of slot j; and
-    ``inner``, the points that are not maximal with their up-sets."""
+    those to the rest; ``downs``, down[m_j] at every level of slot j;
+    ``inner``, the points that are not maximal with their up-sets; and
+    ``placed``, the memo of :meth:`LocalFamily.from_rows`, each row seen
+    with its local sets moved to bit 0 of their members' slots."""
 
-    __slots__ = ("width", "stride", "members", "run", "copies", "doublings", "downs", "inner")
+    __slots__ = (
+        "width", "stride", "members", "run", "copies", "doublings", "downs", "inner", "placed"
+    )
 
     def __init__(self, poset: SpectralPoset, length: int):
         self.width = width = len(poset.elements)
@@ -249,6 +264,7 @@ class _Layout:
             have += step
         self.downs = concat([below * self.run for below in poset.maximal_downs], stride)
         self.inner = [(i, up) for i, up in enumerate(poset.up) if up != 1 << i]
+        self.placed = {}
 
 
 def _layout(poset: SpectralPoset, length: int) -> _Layout:
@@ -422,13 +438,10 @@ def local_up_sets(poset: SpectralPoset, m: int) -> list[int]:
 def family_to_json(family: LocalFamily) -> dict:
     """``{label: filtration JSON}`` of the members, in poset order, as
     :meth:`LocalFamily.from_members` reads it."""
-    poset, start, length = family.global_poset, family.start, family.length
+    poset = family.global_poset
     return {
-        # each member's run, carried as a filtration in the numbering of ``poset``
-        poset.elements[m]: filtration_to_json(
-            from_packed(poset, start, length, column), partial(level_to_json, at=m)
-        )
-        for m, column in zip(poset.maxima, family.member_runs())
+        poset.elements[m]: filtration_to_json(member, partial(level_to_json, at=m))
+        for m, member in zip(poset.maxima, family.members())
     }
 
 

@@ -212,12 +212,10 @@ def z_witness(family: LocalFamily, n: int):
     On a star poset two local sets share only (0), so a Z family is
     compatible at n exactly when no exception disagrees with the default."""
     poset = family.global_poset
-    # past its degrees a family reads its first or last level
-    shift = min(max(n - family.start, 0), family.length - 1) * len(poset.elements)
     generic = poset.index[GENERIC]
     holds = {
-        poset.elements[m]: column >> shift + generic & 1
-        for m, column in zip(poset.maxima, family.member_runs())
+        poset.elements[m]: member.mask_at(n) >> generic & 1
+        for m, member in zip(poset.maxima, family.members())
     }
     p = next((p for p in z_primes(poset) if holds[f"({p})"] != holds[CLOSED_POINT]), None)
     return None if p is None else (p, "default", GENERIC)

@@ -3,14 +3,11 @@
 A filtration is stored as its run of levels X_lo-1, X_lo, ..., X_hi+1, that
 is its breakpoint window [lo, hi] with one tail degree on each side, so a
 pure step keeps its position, packed into one int: on an n-point poset,
-level k of the run is the mask at bits [k·n, (k+1)·n).  The same layout
-holds several runs side by side: a packed run of c columns of L levels has
-level k of column j at bits [(j·L + k)·n, (j·L + k + 1)·n), and a filtration
-is its one-column case; a family of local filtrations in
-:mod:`spectral_glue.gluing` is the case of one column per maximal point.
-:func:`concat` and :func:`slots` build and split such ints, :func:`ones`
-repeats a mask in every slot by one multiplication, and :func:`fold` ORs
-the slots.  :func:`trim` is the one normaliser of a packed run, and works on
+level k of the run is the mask at bits [k·n, (k+1)·n).  :func:`concat` and
+:func:`slots` build and split such ints, :func:`ones` repeats a mask in
+every slot by one multiplication, and :func:`fold` ORs the slots.
+:func:`trim` is the one normaliser of a packed run, of a filtration's
+levels or of a family's rows (:mod:`spectral_glue.gluing`), and works on
 whole ints: the first level that differs from the low tail is the lowest set
 bit of the run XOR the low tail repeated, and the last that differs from
 the high tail is the highest set bit of the run XOR the high tail repeated.
@@ -212,47 +209,33 @@ def fold(packed: int, width: int, count: int) -> int:
     return packed
 
 
-def trim(width: int, columns: int, start: int, length: int, packed: int) -> tuple[int, int, int]:
-    """(start, length, packed) of the normal form of a decreasing packed run:
-    ``columns`` runs side by side, each of ``length`` levels of ``width``
-    bits, column j's level k at bits [(j·length + k)·width, ...).  A
-    filtration is one column, and a family of local filtrations in
-    :mod:`spectral_glue.gluing` one column per maximal point.  Of the leading
-    levels equal in every column to the first and the trailing levels equal
-    in every column to the last, one of each is kept as a tail, and a
-    constant is put at start = -1 with two levels."""
+def trim(width: int, start: int, length: int, packed: int) -> tuple[int, int, int]:
+    """(start, length, packed) of the normal form of a decreasing packed run
+    of ``length`` levels of ``width`` bits, level k at bits [k·width,
+    (k+1)·width): of the leading levels equal to the first and the trailing
+    levels equal to the last, one of each is kept as a tail, and a constant
+    is put at start = -1 with two levels.  A filtration's run is one, and so
+    is a family's run of rows in :mod:`spectral_glue.gluing`."""
     full = (1 << width) - 1
-    firsts = full if columns == 1 else full * ones(width * length, columns)  # level 0 of each
-    low = packed & firsts
-    high = packed >> (length - 1) * width & firsts
+    low = packed & full
+    high = packed >> (length - 1) * width & full
     if low == high:  # a decreasing run between equal ends is constant
-        start, first, keep, packed = -1, 0, 2, low * ones(width, 2)
-        if length == 2:
-            return start, keep, packed
-    elif packed >> width & firsts != low and packed >> (length - 2) * width & firsts != high:
+        return -1, 2, low | low << width
+    if packed >> width & full != low and packed >> (length - 2) * width & full != high:
         # normal already: the second level differs from the low tail, the second-last from the high
         return start, length, packed
-    else:
-        # the levels that differ from the low tail, and from the high tail, in some column
-        run = ones(width, length)
-        below, above = packed ^ low * run, packed ^ high * run
-        if columns > 1:
-            below = fold(below, width * length, columns)
-            above = fold(above, width * length, columns)
-        first = ((below & -below).bit_length() - 1) // width - 1
-        keep = (above.bit_length() - 1) // width - first + 2
-        start += first
-    mask = (1 << keep * width) - 1
-    if columns == 1:
-        return start, keep, packed >> first * width & mask
-    pieces = slots(packed >> first * width, width * length, columns)
-    return start, keep, concat([x & mask for x in pieces], width * keep)
+    # the levels that differ from the low tail, and from the high tail
+    run = ones(width, length)
+    below, above = packed ^ low * run, packed ^ high * run
+    first = ((below & -below).bit_length() - 1) // width - 1
+    keep = (above.bit_length() - 1) // width - first + 2
+    return start + first, keep, packed >> first * width & (1 << keep * width) - 1
 
 
 def from_packed(poset: SpectralPoset, start: int, length: int, packed: int) -> ThomasonFiltration:
     """The filtration of the :func:`trim` of a packed run that decreases: the
     one normaliser."""
-    return ThomasonFiltration(poset, *trim(len(poset.elements), 1, start, length, packed))
+    return ThomasonFiltration(poset, *trim(len(poset.elements), start, length, packed))
 
 
 def from_levels(poset: SpectralPoset, start: int, masks: Sequence[int]) -> ThomasonFiltration:

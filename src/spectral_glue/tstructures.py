@@ -26,7 +26,6 @@ from .thomason import (
     from_levels,
     is_constant,
     is_nondegenerate,
-    slots,
 )
 
 NONDEGENERATE = "nondegenerate"
@@ -105,11 +104,12 @@ def local_tstructures(ring: FiniteRing, family: LocalFamily) -> dict[PrimeId, tu
     inside {m}, reads as ``x >> m``."""
     poset = family.global_poset
     _check_spec(ring, poset, "family")
-    width, start, length = len(poset.elements), family.start, family.length
     local = {}
-    for m, (factor, column) in enumerate(zip(ring.local_factors(), family.member_runs())):
-        levels = [x >> m for x in slots(column, width, length)]
-        local[poset.elements[m]] = factor.ring, from_levels(rng.spec(factor.ring), start, levels)
+    for m, (factor, member) in enumerate(zip(ring.local_factors(), family.members())):
+        local_filtration = from_levels(
+            rng.spec(factor.ring), member.start, [x >> m for x in member.levels()]
+        )
+        local[poset.elements[m]] = factor.ring, local_filtration
     return local
 
 

@@ -11,7 +11,6 @@ from spectral_glue.thomason import (
     ThomasonFiltration,
     filtration_to_json,
     from_levels,
-    from_packed,
     set_from_json,
 )
 
@@ -121,12 +120,10 @@ def _column_by_labels(poset, member) -> tuple:
 
 def members_of(family) -> dict:
     """label -> the member of ``family`` at that label, as a filtration on
-    :func:`localization_poset`: its run, trimmed, its levels carried over by
-    labels."""
+    :func:`localization_poset`: its levels carried over by labels."""
     poset = family.global_poset
     members = {}
-    for m, column in zip(poset.maxima, family.member_runs()):
-        member = from_packed(poset, family.start, family.length, column)
+    for m, member in zip(poset.maxima, family.members()):
         levels = tuple(member.levels())
         members[poset.elements[m]] = _member_by_labels(poset, m, member.start, levels)
     return members

@@ -195,6 +195,25 @@ def test_single_passes_get_the_ten_pair_rule_over_adjacent_passes():
     assert not summary["same"]["raw_wall_s"]["ten_pair_rule"]
 
 
+def test_single_passes_are_spread_by_the_differences_within_their_pairs():
+    # the host drifts by a third over the series while the change stays 0.01 s ahead
+    parent = [0.20 + 0.1 * k / 29 + 0.0005 * (k % 3) for k in range(30)]
+    drifting = single_passes("drift", parent, [p - 0.01 for p in parent])
+    # noisy pairs around one speed, the change no faster
+    noise = [0.02 * (-1) ** k * (1 + (k % 3) / 10) for k in range(30)]
+    noisy = single_passes("noise", [0.3] * 30, [0.3 + d for d in noise])
+    summary = bench_pairs.summarize_passes(drifting + noisy)
+    drift = summary["drift"]["raw_wall_s"]
+    parent_iqr = drift["parent"]["q3"] - drift["parent"]["q1"]
+    gap = drift["parent"]["median"] - drift["change"]["median"]
+    assert gap < parent_iqr  # the parent's spread would hide the gap
+    assert drift["difference"]["median"] == pytest.approx(-0.01)
+    assert drift["median_gap_exceeds_paired_iqr"] and drift["ten_pair_rule"]
+    assert "median_gap_exceeds_parent_iqr" not in drift
+    flat = summary["noise"]["raw_wall_s"]
+    assert not flat["median_gap_exceeds_paired_iqr"] and not flat["ten_pair_rule"]
+
+
 def test_a_single_pass_that_fails_or_prints_nothing_is_not_correct():
     parent = [0.3] * 30
     failed = bench_pairs.summarize_passes(single_passes("w", parent, parent, failed=3))["w"]

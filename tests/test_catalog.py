@@ -18,7 +18,7 @@ from spectral_glue.catalog import (
     stalk_complexes,
     zmod_catalog,
 )
-from spectral_glue.gluing import glue_filtrations, glue_sets
+from spectral_glue.gluing import glue_filtrations, glue_sets, localize_filtrations
 from spectral_glue.rings import spec
 from spectral_glue.torsion_cosilting import is_cosilting
 
@@ -182,9 +182,13 @@ def _order_preserving_maps(poset, top: int) -> int:
 def test_filtrations_are_counted_by_the_order_polynomial_and_listed_as_families(window):
     # a chain X_lo >= ... >= X_hi of up-sets is the order-preserving map that
     # counts the degrees holding each point; each such filtration has one
-    # compatible family, so with glue(localize) the identity, localize is onto
+    # compatible family, so with glue(localize) the identity, localize is onto;
+    # the listed families are exactly the localized filtrations, also on a
+    # window of one degree, where every family is constant
     lo, hi = window
     for poset in poset_catalog(5):
         count = count_filtrations(poset, lo, hi)
         assert count == _order_preserving_maps(poset, hi - lo + 1)
-        assert len(compatible_filtration_families(poset, lo, hi)) == count
+        families = compatible_filtration_families(poset, lo, hi)
+        assert len(families) == count
+        assert set(families) == {localize_filtrations(f) for f in all_filtrations(poset, lo, hi)}

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from spectral_glue.thomason import MAX_DEGREE_SPAN, filtration_from_json
 Z12 = {"kind": "zmod", "n": 12}
 FILT = {"low_tail": "full", "breakpoints": [{"n": 0, "set": ["(2)"]}], "high_tail": []}
 VEE = {"elements": ["p", "m1", "m2"], "leq": [["p", "m1"], ["p", "m2"]]}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, data):
@@ -60,28 +64,55 @@ def test_glue_and_compat(capsys, tmp_path, ring_file):
     assert run(capsys, "compat-check", "--family", fam)[0] == 0
 
 
-def test_incompatible_family_exits_1_with_witness(capsys, tmp_path):
-    fam = write(
-        tmp_path,
-        "bad.json",
-        {
-            "poset": VEE,
-            "exceptions": {
-                "m1": {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []},
-                "m2": {
-                    "low_tail": "full",
-                    "breakpoints": [{"n": 0, "set": ["p", "m2"]}],
-                    "high_tail": ["p", "m2"],
-                },
-            },
+# the members at m1 and m2 disagree on p at degree 0
+INCOMPATIBLE = {
+    "poset": VEE,
+    "exceptions": {
+        "m1": {"low_tail": "full", "breakpoints": [{"n": 0, "set": []}], "high_tail": []},
+        "m2": {
+            "low_tail": "full",
+            "breakpoints": [{"n": 0, "set": ["p", "m2"]}],
+            "high_tail": ["p", "m2"],
         },
-    )
+    },
+}
+
+
+def test_incompatible_family_exits_1_with_witness(capsys, tmp_path):
+    fam = write(tmp_path, "bad.json", INCOMPATIBLE)
     code, out = run(capsys, "--json", "compat-check", "--family", fam)
     assert code == 1
     payload = json.loads(out)
     assert payload["compatible"] is False
     assert payload["witness"][2] == "p"
     assert run(capsys, "glue", "--family", fam)[0] == 1
+
+
+# runs the CLI from this checkout in a fresh interpreter that ignores the environment
+CLI = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from spectral_glue.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_a_reader_that_has_gone_keeps_the_verdict(capsys, tmp_path, mode):
+    """A report written to a pipe whose reader has closed it leaves the
+    verb's exit code, 1 for an incompatible family, and nothing on stderr;
+    an input file that cannot be read is still an exit 2."""
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-E", "-c", CLI, str(SRC), *mode, "glue", "--family",
+             json.dumps(INCOMPATIBLE)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, "")
+    assert main(["glue", "--family", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2]")
 
 
 def test_lemma_equiv(capsys, tmp_path):
@@ -458,6 +489,10 @@ def test_fuzz_small_and_deterministic(capsys):
         reports = json.loads(out1)["reports"]
         assert all(r["ok"] for r in reports)
         assert hashlib.sha256(out1.encode()).hexdigest() == expected, bounds
+    # on a window of one degree every listed family is a constant of one level
+    code, out = run(capsys, "fuzz", "--max-poset", "2", "--max-ring", "4", "--window", "0", "0")
+    assert code == 0
+    assert "filtration-bijection: ok (18 instances)" in out.splitlines()
 
 
 @pytest.mark.parametrize(

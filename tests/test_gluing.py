@@ -21,6 +21,7 @@ from spectral_glue.poset import all_up_sets
 from spectral_glue.sweeps import sweep_filtration_bijection, sweep_lemma_equiv, sweep_set_gluing
 from spectral_glue.thomason import (
     MAX_DEGREE_SPAN,
+    concat,
     filtration_from_json,
     filtration_to_json,
     set_from_json,
@@ -213,9 +214,10 @@ def test_rows_read_every_member_at_each_degree():
 
 def test_every_family_is_a_run_of_rows_in_normal_form():
     """Families compare equal exactly when their members do only because each
-    is kept in the normal form of trim, as one int: every
-    family that the catalog lists, that localizing a filtration gives, and
-    that from_members reads, over the posets of at most 4 points on [-2, 1]."""
+    is kept in the normal form of trim, as one int: its run of rows is one
+    that trim leaves as it is, for every family that the catalog lists, that
+    localizing a filtration gives, and that from_members reads, over the
+    posets of at most 4 points on [-2, 1]."""
     counts = [0, 0, 0]
     for poset in poset_catalog(4):
         sources = (
@@ -228,8 +230,9 @@ def test_every_family_is_a_run_of_rows_in_normal_form():
         )
         for k, families in enumerate(sources):
             for family in families:
-                run = family.start, family.length, family.packed
-                assert trim(len(poset), len(poset.maxima), *run) == run
+                width = len(poset) * len(poset.maxima)
+                run = family.start, family.length, concat(family.rows(), width)
+                assert trim(width, *run) == run
                 assert type(family.packed) is int
             counts[k] += len(families)
     assert counts == [3_800, 3_800, 12_980]

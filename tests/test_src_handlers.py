@@ -1,10 +1,11 @@
 """A fault inside the package is never read as malformed input: every
 ``except`` clause under ``src/`` names only the package's own error classes.
 
-Three handlers name Python's own exceptions, each around one targeted call:
+Four handlers name Python's own exceptions, each around one targeted call:
 ``cli._load_json`` around JSON decoding, ``cli.main`` around the verb (the
-package's errors and ``OSError``), and ``SpectralPoset.point`` around one
-label lookup.  A reader checks the shapes it reads with the ``errors``
+package's errors and ``OSError``), ``cli._emit`` around writing the report
+(``BrokenPipeError``, a reader that has gone), and ``SpectralPoset.point``
+around one label lookup.  A reader checks the shapes it reads with the ``errors``
 helpers instead, so a ``TypeError`` or ``KeyError`` from below it
 propagates.
 """
@@ -18,6 +19,7 @@ SRC = ROOT / "src" / "spectral_glue"
 # (file, function) -> the Python exceptions that its handlers may name
 ALLOWED = {
     ("cli.py", "_load_json"): {"JSONDecodeError", "UnicodeDecodeError", "ValueError"},
+    ("cli.py", "_emit"): {"BrokenPipeError"},
     ("cli.py", "main"): {"OSError"},
     ("poset.py", "SpectralPoset.point"): {"KeyError", "TypeError"},
 }

@@ -34,10 +34,12 @@ side, each ``perfbench/child.py --workload W --seed S --trace 0`` in a fresh
 interpreter, which checks its reports against ``expected.json`` as a run
 does.  The passes alternate in ABBA order (parent, change, change, parent,
 ...), so each two adjacent passes are a pair with one pass of each side,
-and the ten-pair rule is applied to the raw pass times of those pairs.  This
-third verdict, ``single_pass``, shares no run-wide drift between the passes
-it compares; it is recorded beside the other two and does not enter the
-``claim``.
+and the ten-pair rule is applied to the raw pass times of those pairs.  Its
+spread is the interquartile range of the differences within the pairs
+(change − parent), not that of the parent's passes, which spans the host's
+drift over the whole series.  This third verdict, ``single_pass``, shares
+no run-wide drift between the passes it compares; it is recorded beside the
+other two and does not enter the ``claim``.
 
 Standard library only; the output is one JSON file.
 """
@@ -69,24 +71,31 @@ def spread(values) -> dict:
     return {"median": statistics.median(values), "n": len(values), "q1": q1, "q3": q3}
 
 
-def compare(pairs, better: str) -> dict:
+def compare(pairs, better: str, paired: bool = False) -> dict:
     """The summary of one metric over (parent, change) value pairs, where
-    ``better`` is "lower" or "higher"."""
+    ``better`` is "lower" or "higher".  The median gap must exceed the
+    interquartile range of the parent's values or, when ``paired``, that of
+    the differences within the pairs, recorded as "difference"."""
     sign = -1 if better == "lower" else 1
     parent = spread([p for p, _ in pairs])
     change = spread([c for _, c in pairs])
     gap = sign * (change["median"] - parent["median"])
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
-    exceeds = abs(gap) > parent["q3"] - parent["q1"]
-    return {
+    out = {
         "change": change,
         "change_vs_parent": change["median"] / parent["median"] - 1 if parent["median"] else None,
         "change_wins": wins,
-        "median_gap_exceeds_parent_iqr": exceeds,
         "parent": parent,
-        "ten_pair_rule": len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gap > 0 and exceeds,
         "ties": sum(c == p for p, c in pairs),
     }
+    if paired:
+        out["difference"] = base = spread([c - p for p, c in pairs])
+        name = "median_gap_exceeds_paired_iqr"
+    else:
+        base, name = parent, "median_gap_exceeds_parent_iqr"
+    exceeds = out[name] = abs(gap) > base["q3"] - base["q1"]
+    out["ten_pair_rule"] = len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gap > 0 and exceeds
+    return out
 
 
 def verdict(wall: bool, raw: bool) -> str:
@@ -140,7 +149,8 @@ def summarize(runs, metrics) -> dict:
 def summarize_passes(passes) -> dict:
     """{workload: {"correct", "pairs", "raw_wall_s": compare(...)}} over the
     single-pass records, with the ten-pair rule on the raw pass times of
-    each pair of adjacent passes.  A pair counts once both of its passes
+    each pair of adjacent passes, against the spread of the differences
+    within the pairs.  A pair counts once both of its passes
     printed a raw time, and the workload is correct when every pass exited
     0 and failed no instance."""
     out = {}
@@ -159,7 +169,7 @@ def summarize_passes(passes) -> dict:
         )
         summary = {"correct": correct, "pairs": len(pairs)}
         if pairs:
-            summary["raw_wall_s"] = compare(pairs, "lower")
+            summary["raw_wall_s"] = compare(pairs, "lower", paired=True)
         out[workload] = summary
     return out
 
@@ -335,7 +345,8 @@ def main(argv=None) -> int:
         record["method"] += (
             f"; then {args.single_passes} single passes per side per workload, each "
             f"python3 {' '.join(pass_command('W', args.seed))} in a fresh interpreter, in ABBA "
-            "order, with the ten-pair rule on the raw pass times of adjacent passes"
+            "order, with the ten-pair rule on the raw pass times of adjacent passes, its spread "
+            "the interquartile range of the differences within those pairs"
         )
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
